@@ -8,7 +8,9 @@ sets appearing in translations, and symbolic integration endpoints.
 
 from __future__ import annotations
 
-from .scalars import ONE, QScalar, qnum, scalar
+import itertools
+
+from .scalars import ONE, QScalar, _add_term, _coeff_times, _LinComb, qnum, scalar
 
 LINE_VARS = ("x0", "x1")
 E3_VARS = ("x0", "xp", "x3", "xm")
@@ -22,22 +24,32 @@ def space_vars(space: str):
     raise ValueError(f"unknown space {space!r}")
 
 
+def _monomials(variables, max_degree):
+    """Exponent tuples of total degree <= max_degree, in itertools.product
+    order."""
+    return [
+        e
+        for e in itertools.product(range(max_degree + 1), repeat=len(variables))
+        if sum(e) <= max_degree
+    ]
+
+
 class NonConvergentSum(ArithmeticError):
     """A lattice sum failed to fall below tolerance inside the cutoff."""
 
 
-class CFunction:
+class CFunction(_LinComb):
     """Polynomial in commuting variables, exact coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars",)
+    _mismatch = (ValueError, "variable sets differ")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = c
+        super().__init__(terms)
+
+    def _frame(self):
+        return (self.vars,)
 
     @staticmethod
     def zero(variables):
@@ -64,65 +76,20 @@ class CFunction:
     def _vi(self, name):
         return self.vars.index(name)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CFunction):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-    def __add__(self, other):
-        if self.vars != other.vars:
-            raise ValueError("variable sets differ")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return CFunction(self.vars, out)
-
-    def __neg__(self):
-        return CFunction(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (QScalar, int)):
             return self.scale(other)
-        if self.vars != other.vars:
-            raise ValueError("variable sets differ")
+        self._checked(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                s = out.get(e)
-                s = v if s is None else s + v
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return CFunction(self.vars, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = scalar(c)
-        if not c:
-            return CFunction(self.vars)
-        return CFunction(self.vars, {e: v * c for e, v in self.terms.items()})
 
     def degree(self, name=None):
         if not self.terms:
@@ -134,57 +101,36 @@ class CFunction:
 
     # -- calculus -----------------------------------------------------------
 
-    def jackson_d(self, name, a):
-        """Jackson derivative D_{q^a} in one variable; exact on monomials."""
+    def _lower_var(self, name, factor):
+        """x^n -> factor(n) x^(n-1) in one variable; constants drop out."""
         i = self._vi(name)
         out = {}
         for e, c in self.terms.items():
             n = e[i]
-            if n == 0:
-                continue
-            e2 = e[:i] + (n - 1,) + e[i + 1:]
-            v = c * qnum(n, a)
-            s = out.get(e2)
-            s = v if s is None else s + v
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
+            if n:
+                _add_term(out, e[:i] + (n - 1,) + e[i + 1:], c * factor(n))
         return CFunction(self.vars, out)
 
+    def jackson_d(self, name, a):
+        """Jackson derivative D_{q^a} in one variable; exact on monomials."""
+        return self._lower_var(name, lambda n: qnum(n, a))
+
     def classical_d(self, name):
+        return self._lower_var(name, scalar)
+
+    def _raise_var(self, name, divisor):
+        """x^n -> x^(n+1) / divisor(n+1) in one variable."""
         i = self._vi(name)
-        out = {}
-        for e, c in self.terms.items():
-            n = e[i]
-            if n == 0:
-                continue
-            e2 = e[:i] + (n - 1,) + e[i + 1:]
-            v = c * scalar(n)
-            s = out.get(e2)
-            s = v if s is None else s + v
-            if s:
-                out[e2] = s
-        return CFunction(self.vars, out)
+        return CFunction(self.vars, {
+            e[:i] + (e[i] + 1,) + e[i + 1:]: c / divisor(e[i] + 1) for e, c in self.terms.items()
+        })
 
     def jackson_antiderivative(self, name, a):
         """Monomial rule x^n -> x^(n+1)/[[n+1]]_{q^a}; inverse of jackson_d."""
-        i = self._vi(name)
-        out = {}
-        for e, c in self.terms.items():
-            n = e[i]
-            e2 = e[:i] + (n + 1,) + e[i + 1:]
-            out[e2] = c / qnum(n + 1, a)
-        return CFunction(self.vars, out)
+        return self._raise_var(name, lambda n: qnum(n, a))
 
     def classical_antiderivative(self, name):
-        i = self._vi(name)
-        out = {}
-        for e, c in self.terms.items():
-            n = e[i]
-            e2 = e[:i] + (n + 1,) + e[i + 1:]
-            out[e2] = c / scalar(n + 1)
-        return CFunction(self.vars, out)
+        return self._raise_var(name, scalar)
 
     def scale_var(self, name, half_steps: int):
         """Substitute x -> q^(half_steps/2) x."""
@@ -213,21 +159,14 @@ class CFunction:
             v = c
             for _ in range(n):
                 v = v * value
-            e2 = e[:i] + (0,) + e[i + 1:]
-            if not v:
-                continue
-            s = out.get(e2)
-            s = v if s is None else s + v
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
+            if v:
+                _add_term(out, e[:i] + (0,) + e[i + 1:], v)
         return CFunction(self.vars, out)
 
     def shift_var(self, name, t0: QScalar):
         """Substitute x -> x + t0 (classical binomial shift)."""
         i = self._vi(name)
-        out = CFunction(self.vars)
+        out = {}
         for e, c in self.terms.items():
             n = e[i]
             # (x + t0)^n expanded term by term
@@ -237,65 +176,42 @@ class CFunction:
                 if j:
                     binom = binom * (n - j + 1) // j
                     p = p * t0
-                e2 = e[:i] + (n - j,) + e[i + 1:]
-                out = out + CFunction(self.vars, {e2: c * p * scalar(binom)})
-        return out
+                _add_term(out, e[:i] + (n - j,) + e[i + 1:], c * p * scalar(binom))
+        return CFunction(self.vars, out)
 
     # -- variable-set plumbing ------------------------------------------------
+
+    def _remap(self, variables, slots):
+        """Move the exponent in position j to position slots[j] of a key for
+        the tuple ``variables``; renamed variables that meet are summed."""
+        out = {}
+        for e, c in self.terms.items():
+            e2 = [0] * len(variables)
+            for j, n in enumerate(e):
+                if n:
+                    if slots[j] is None:
+                        raise ValueError(f"variable {self.vars[j]} survives restriction")
+                    e2[slots[j]] += n
+            _add_term(out, tuple(e2), c)
+        return CFunction(variables, out)
 
     def embed(self, variables, rename=None):
         """View this polynomial inside a larger variable tuple."""
         variables = tuple(variables)
         rename = rename or {}
-        idx = [variables.index(rename.get(v, v)) for v in self.vars]
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(variables)
-            for j, n in zip(idx, e):
-                e2[j] += n
-            key = tuple(e2)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-        return CFunction(variables, out)
+        return self._remap(variables, [variables.index(rename.get(v, v)) for v in self.vars])
 
     def restrict(self, variables, rename=None):
         """Project onto a smaller variable tuple; all dropped variables must
         have exponent zero."""
         variables = tuple(variables)
         rename = rename or {}
-        keep = {}
-        for j, v in enumerate(self.vars):
-            name = rename.get(v, v)
-            if name in variables:
-                keep[j] = variables.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(variables)
-            for j, n in enumerate(e):
-                if n == 0:
-                    continue
-                if j not in keep:
-                    raise ValueError(f"variable {self.vars[j]} survives restriction")
-                e2[keep[j]] += n
-            key = tuple(e2)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-        return CFunction(variables, out)
+        slots = [rename.get(v, v) for v in self.vars]
+        return self._remap(
+            variables, [variables.index(v) if v in variables else None for v in slots]
+        )
 
     # -- evaluation -----------------------------------------------------------
-
-    def eval_coeffs_exact(self, q0):
-        """Coefficients evaluated at exact rational q0, keyed by exponents."""
-        out = {}
-        for e, c in self.terms.items():
-            v = c.eval_exact(q0)
-            if v:
-                out[e] = v
-        return out
 
     def eval_float(self, q0, point):
         """Evaluate at numeric q0 and a point given as {var: complex}."""
@@ -311,33 +227,16 @@ class CFunction:
     def monomials(self):
         return sorted(self.terms.items(), key=lambda t: t[0])
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-            mono = " ".join(
-                f"{v}^{n}" if n > 1 else v for v, n in zip(self.vars, e) if n
-            )
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    term = mono
-                elif cs == "-1":
-                    term = f"-{mono}"
-                elif any(op in cs[1:] for op in "+-/ ") or cs.startswith("("):
-                    term = f"({cs}) {mono}"
-                else:
-                    term = f"{cs} {mono}"
-            else:
-                term = cs if not (any(op in cs[1:] for op in "+-/") and "/" not in cs) else f"({cs})"
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(" - " + term[1:])
-            else:
-                parts.append(" + " + term)
-        return "".join(parts)
+    @staticmethod
+    def _print_order(e):
+        return sum(e), e
+
+    def _term_str(self, e, c):
+        mono = " ".join(f"{v}^{n}" if n > 1 else v for v, n in zip(self.vars, e) if n)
+        cs = str(c)
+        if mono:
+            return _coeff_times(cs, mono)
+        return f"({cs})" if any(op in cs[1:] for op in "+-/") and "/" not in cs else cs
 
     def __repr__(self):
         return f"CFunction({self})"

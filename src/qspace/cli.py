@@ -319,6 +319,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if min(getattr(args, "degree", 0), getattr(args, "order", 0)) < 0:
+        ap.error("--degree and --order must be nonnegative")
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

@@ -19,7 +19,7 @@ from .cfunc import (
 from .ncalgebra import NCElement, act, lift, lower
 from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
 from .reports import VerificationReport
-from .scalars import I, ONE, QScalar, ZERO, qpow, scalar
+from .scalars import I, ONE, QScalar, ZERO, _add_term, qpow, scalar
 
 
 class Hamiltonian:
@@ -169,10 +169,7 @@ def _expand_two_times(space, series: OperatorSeries, sign_second: int, order):
             continue
         for j in range(n + 1):
             coeff = scalar(_binomial(n, j) * (sign_second ** (n - j)))
-            key = (j, n - j)
-            prev = out.get(key)
-            term = c.scale(coeff)
-            out[key] = term if prev is None else prev + term
+            _add_term(out, (j, n - j), c.scale(coeff))
     return out
 
 
@@ -182,11 +179,8 @@ def _mul_bivariate(space, A, B, order):
         for (b1, b2), cb in B.items():
             if a1 + a2 + b1 + b2 > order:
                 continue
-            key = (a1 + b1, a2 + b2)
-            term = ca * cb
-            prev = out.get(key)
-            out[key] = term if prev is None else prev + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            _add_term(out, (a1 + b1, a2 + b2), ca * cb)
+    return out
 
 
 def compose_check(H: Hamiltonian, order: int, t_points=None) -> VerificationReport:
@@ -206,10 +200,7 @@ def compose_check(H: Hamiltonian, order: int, t_points=None) -> VerificationRepo
         for (b1, b2), cb in B.items():
             if a1 + a2 + b1 + b2 > order:
                 continue
-            key = (a1, a2 + b1, b2)
-            term = ca * cb
-            prev = lhs.get(key)
-            lhs[key] = term if prev is None else prev + term
+            _add_term(lhs, (a1, a2 + b1, b2), ca * cb)
     rhs = {}
     for (a, b), c in _expand_two_times(H.space, U, -1, order).items():
         rhs[(a, 0, b)] = c

@@ -16,10 +16,8 @@ import re
 
 from .cfunc import CFunction, space_vars
 from .grassmann import GElement
-from .ncalgebra import NCElement
+from .ncalgebra import HAT_POWER, NCElement
 from .scalars import I, LAM, LAMP, ONE, Q, QScalar, scalar
-
-HAT_POWER = {"line": 1, "euclid3": 6}
 
 
 class ParseError(ValueError):

@@ -8,23 +8,16 @@ and integrals coincide up to the printed signs."""
 from __future__ import annotations
 
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, ZERO, qpow, scalar
+from .scalars import ONE, QScalar, ZERO, _add_term, _LinComb, qpow, scalar
 
 # generator tags: th0, th1, dth0, dth1 (exponents are 0 or 1)
 _ORDER = {"th0": 0, "th1": 1, "dth0": 2, "dth1": 3}
 
 
-class GElement:
+class GElement(_LinComb):
     """Linear combination of normal-ordered Grassmann words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[tuple(w)] = c
+    __slots__ = ()
 
     @staticmethod
     def zero():
@@ -38,71 +31,30 @@ class GElement:
     def gen(tag):
         return GElement({(tag,): ONE})
 
-    def _accum(self, w, c):
-        s = self.terms.get(w)
-        s = c if s is None else s + c
-        if s:
-            self.terms[w] = s
-        else:
-            self.terms.pop(w, None)
-
-    def __add__(self, other):
-        out = GElement(self.terms)
-        for w, c in other.terms.items():
-            out._accum(w, c)
-        return out
-
-    def __neg__(self):
-        return GElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = scalar(c)
-        return GElement({w: v * c for w, v in self.terms.items()})
-
     def __mul__(self, other):
-        out = GElement()
+        out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 for w, c in _normalize(w1 + w2).items():
-                    out._accum(w, c1 * c2 * c)
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, GElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def is_zero(self):
-        return not self.terms
+                    _add_term(out, w, c1 * c2 * c)
+        return GElement(out)
 
     def counit(self) -> QScalar:
         return self.terms.get((), ZERO)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda ww: (len(ww), ww)):
-            c = self.terms[w]
-            mono = " ".join(w) if w else ""
-            cs = str(c)
-            if mono:
-                term = mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"({cs}) {mono}")
-            else:
-                term = cs
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(" - " + term[1:])
-            else:
-                parts.append(" + " + term)
-        return "".join(parts)
+    @staticmethod
+    def _print_order(w):
+        return len(w), w
 
-    __repr__ = __str__
+    def _term_str(self, w, c):
+        cs = str(c)
+        if not w:
+            return cs
+        mono = " ".join(w)
+        return mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"({cs}) {mono}")
+
+    def __repr__(self):
+        return str(self)
 
 
 def _rules(a, b):
@@ -153,20 +105,14 @@ def _normalize(word, hatted=False):
                 stack.append((coeff * c, w[:i] + repl + w[i + 2:]))
             break
         else:
-            s = out.get(w)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            _add_term(out, w, coeff)
     return out
 
 
 def g_normal_form(word, coeff=ONE, hatted=False) -> GElement:
-    out = GElement()
-    for w, c in _normalize(tuple(word), hatted=hatted).items():
-        out._accum(w, coeff * c)
-    return out
+    return GElement(
+        {w: coeff * c for w, c in _normalize(tuple(word), hatted=hatted).items()}
+    )
 
 
 class SuperNumber:

@@ -10,13 +10,11 @@ hatted Taylor identity is checked entirely in that representation.
 
 from __future__ import annotations
 
-import itertools
-
-from .cfunc import CFunction, space_vars
+from .cfunc import CFunction, _monomials, space_vars
 from .pairexp import classical_factorial, qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, QScalar, qfact, qpow
+from .scalars import LAM, LAMP, ONE, QScalar, _add_term, qfact, qpow
 
 TRANSLATE_VARIANTS = ("L", "Lbar", "R", "Rbar")
 
@@ -160,7 +158,7 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
         for _ in range(k):
             pre = pre * step_pre
         pre = pre / qfact(2 * k, 2 * s, "double")
-        acc = CFunction.zero(want)
+        acc = {}
         for exps, c in f.terms.items():
             mp, m3, mm = exps[ip], exps[i3], exps[im]
             w = 2 * (mp * (mp - 1) + mm * (mm - 1)) + m3 * (2 * mp + 2 * mm + m3 - 1)
@@ -168,7 +166,8 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
             if sum(exps) % 2:
                 factor = -factor
             factor = factor * QScalar.q_power(-4 * s * k * m3)  # x3 -> q^{-2k}x3
-            acc = acc + CFunction(want, {exps: c * factor})
+            _add_term(acc, exps, c * factor)
+        acc = CFunction(want, acc)
         for _ in range(2 * k):
             acc = acc.jackson_d("x3", 2 * s)
         if acc.is_zero():
@@ -192,10 +191,7 @@ def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
         for j in y_idx:
             ypart.append(exps[j])
             xpart[j] = 0
-        bucket = grouped.setdefault(tuple(xpart), {})
-        key = tuple(ypart)
-        prev = bucket.get(key)
-        bucket[key] = c if prev is None else prev + c
+        _add_term(grouped.setdefault(tuple(xpart), {}), tuple(ypart), c)
     out = CFunction.zero(out_vars)
     for xpart, yterms in grouped.items():
         g = antipode(space, variant, CFunction(want, yterms))
@@ -257,31 +253,26 @@ def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
     rep = VerificationReport("hopf-taylor", space)
     want = space_vars(space)
     if g is None:
-        targets = [
-            e
-            for e in itertools.product(range(max_degree + 1), repeat=len(want))
-            if sum(e) <= max_degree
-        ]
+        targets = [(str(e), CFunction.monomial(want, e)) for e in _monomials(want, max_degree)]
     else:
         if g.vars != want:
             g = g.restrict(want)
-        targets = [("f", g)]
+        targets = [("poly", g)]
+    top = max((gf.degree() for _, gf in targets), default=0)
     setups = identities or _IDENTITY_SETUPS
     out_vars = doubled_vars(space)
     for setup in setups:
         exp_variant, tvariant, avariant, rep_name = setup
+        # one exponential per setup; its terms are sorted by degree, and the
+        # prefix up to a target's degree is the exponential truncated there
+        exp = qexp(space, exp_variant, top)
         leg_cache = {}
-        for target in targets:
-            if isinstance(target, tuple) and target[0] == "f":
-                gf = target[1]
-                label = "poly"
-            else:
-                gf = CFunction.monomial(want, target)
-                label = str(target)
-            deg = gf.degree() if gf else 0
-            exp = qexp(space, exp_variant, deg)
+        for label, gf in targets:
+            deg = gf.degree()
             acc = CFunction.zero(out_vars)
             for exps, _dword, coeff in exp:
+                if sum(exps) > deg:
+                    break
                 acted = _apply_exp_word(space, exps, avariant, gf, rep_name)
                 if acted.is_zero():
                     continue

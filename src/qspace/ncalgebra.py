@@ -15,7 +15,7 @@ selected through the action mode instead.
 from __future__ import annotations
 
 from .cfunc import CFunction, space_vars
-from .scalars import LAM, LAMP, ONE, QScalar, ZERO, qpow, scalar
+from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
 
 LINE = "line"
 E3 = "euclid3"
@@ -389,7 +389,20 @@ def _canonical_word_to_key(space, word):
     return _key_of_counts(space, counts, lam)
 
 
-class NCElement:
+def _add_normal_form(terms, space, calculus, ordering, word, coeff, project=None):
+    """Accumulate coeff times the normal form of word into terms, keyed by
+    exponent keys; project maps each key to the stored one, or to None to
+    drop the term."""
+    for w, c in _normalize_word(space, calculus, ordering, word).items():
+        key = _canonical_word_to_key(space, w)
+        if project is not None:
+            key = project(key)
+            if key is None:
+                continue
+        _add_term(terms, key, coeff * c)
+
+
+class NCElement(_LinComb):
     """Linear combination of normal-ordered words with QScalar coefficients.
 
     Keys follow KEY_LAYOUT plus a trailing scaling-operator exponent counted
@@ -397,15 +410,15 @@ class NCElement:
     then the scaling operator.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
+    _mismatch = (SpaceMismatch, "elements live on different spaces")
 
     def __init__(self, space, terms=None):
         self.space = space
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[tuple(k)] = c
+        super().__init__(terms)
+
+    def _frame(self):
+        return (self.space,)
 
     # -- constructors -----------------------------------------------------
 
@@ -445,43 +458,10 @@ class NCElement:
                     f"generator {tag!r} does not live on space {space!r}"
                 )
         out = NCElement(space)
-        for w, c in _normalize_word(space, calculus, "xd", tuple(word)).items():
-            out._accum(_canonical_word_to_key(space, w), coeff * c)
+        _add_normal_form(out.terms, space, calculus, "xd", tuple(word), coeff)
         return out
-
-    def _accum(self, key, c):
-        s = self.terms.get(key)
-        s = c if s is None else s + c
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
 
     # -- ring structure -----------------------------------------------------
-
-    def _checked(self, other):
-        if self.space != other.space:
-            raise SpaceMismatch("elements live on different spaces")
-
-    def __add__(self, other):
-        self._checked(other)
-        out = NCElement(self.space, self.terms)
-        for k, c in other.terms.items():
-            out._accum(k, c)
-        return out
-
-    def __neg__(self):
-        return NCElement(self.space, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = scalar(c)
-        if not c:
-            return NCElement(self.space)
-        return NCElement(self.space, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (QScalar, int)):
@@ -492,23 +472,10 @@ class NCElement:
             w1 = _word_of_key(self.space, k1)
             for k2, c2 in other.terms.items():
                 w2 = _word_of_key(self.space, k2)
-                c = c1 * c2
-                for w, cc in _normalize_word(self.space, "u", "xd", w1 + w2).items():
-                    out._accum(_canonical_word_to_key(self.space, w), c * cc)
+                _add_normal_form(out.terms, self.space, "u", "xd", w1 + w2, c1 * c2)
         return out
 
-    __rmul__ = scale
-
-    def __eq__(self, other):
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+    __rmul__ = _LinComb.scale
 
     # -- structure queries ----------------------------------------------------
 
@@ -569,59 +536,30 @@ class NCElement:
                 f, t = _CONJ_MAP[self.space][tok]
                 coeff = coeff * f
                 toks.append(t)
-            for w, cc in _normalize_word(self.space, "u", "xd", tuple(toks)).items():
-                out._accum(_canonical_word_to_key(self.space, w), coeff * cc)
+            _add_normal_form(out.terms, self.space, "u", "xd", tuple(toks), coeff)
         return out
 
-    # -- evaluation / rendering ---------------------------------------------------
+    # -- rendering ------------------------------------------------------------------
 
-    def eval_coeffs_exact(self, q0):
-        out = {}
-        for k, c in self.terms.items():
-            v = c.eval_exact(q0)
-            if v:
-                out[k] = v
-        return out
+    @staticmethod
+    def _print_order(k):
+        return sum(k[:-1]), k
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def _term_str(self, k, c):
         names = _PRINT_NAMES[self.space]
-        parts = []
-        for k in sorted(self.terms, key=lambda kk: (sum(kk[:-1]), kk)):
-            c = self.terms[k]
-            factors = []
-            for tag, n in zip(KEY_LAYOUT[self.space], k[:-1]):
-                if n:
-                    factors.append(names[tag] if n == 1 else f"{names[tag]}^{n}")
-            if k[-1]:
-                h = k[-1]
-                if h == 2:
-                    factors.append("L")
-                elif h % 2 == 0:
-                    factors.append(f"L^{h // 2}")
-                else:
-                    factors.append(f"L^({h}/2)")
-            mono = " ".join(factors)
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    term = mono
-                elif cs == "-1":
-                    term = f"-{mono}"
-                elif any(ch in cs[1:] for ch in "+- /") or cs.startswith("("):
-                    term = f"({cs}) {mono}"
-                else:
-                    term = f"{cs} {mono}"
-            else:
-                term = cs
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(" - " + term[1:])
-            else:
-                parts.append(" + " + term)
-        return "".join(parts)
+        factors = []
+        for tag, n in zip(KEY_LAYOUT[self.space], k[:-1]):
+            if n:
+                factors.append(names[tag] if n == 1 else f"{names[tag]}^{n}")
+        h = k[-1]
+        if h == 2:
+            factors.append("L")
+        elif h and h % 2 == 0:
+            factors.append(f"L^{h // 2}")
+        elif h:
+            factors.append(f"L^({h}/2)")
+        cs = str(c)
+        return _coeff_times(cs, " ".join(factors)) if factors else cs
 
     def __repr__(self):
         return f"NCElement[{self.space}]({self})"
@@ -672,17 +610,14 @@ ACTION_MODES = ("left", "left_bar", "right", "right_bar")
 # the stored derivatives are re-expressed through the hatted ones.
 _LEFT_CALCULUS = {"left": "u", "left_bar": "h"}
 
-# the index mirror behind the right-sided calculi
-_PM_MIRROR = {
-    LINE: {},
-    E3: {"xp": "xm", "xm": "xp", "dp": "dm", "dm": "dp"},
-}
+# the +/- index swap behind the right-sided calculi; no line tag carries an
+# index it could swap
+_PM_SWAP = {"xp": "xm", "xm": "xp", "dp": "dm", "dm": "dp"}
 
 
 def _mirror_element(a: NCElement) -> NCElement:
     """Word reversal combined with the +/- index swap and inversion of the
     scaling operator; the transport the right-sided calculi are built from."""
-    swap = _PM_MIRROR[a.space]
     out = NCElement(a.space)
     for k, c in a.terms.items():
         word = _word_of_key(a.space, k)
@@ -691,17 +626,22 @@ def _mirror_element(a: NCElement) -> NCElement:
             if isinstance(tok, tuple):
                 toks.append((_LAM_TAG, -tok[1]))
             else:
-                toks.append(swap.get(tok, tok))
-        for w, cc in _normalize_word(a.space, "u", "xd", tuple(toks)).items():
-            out._accum(_canonical_word_to_key(a.space, w), c * cc)
+                toks.append(_PM_SWAP.get(tok, tok))
+        _add_normal_form(out.terms, a.space, "u", "xd", tuple(toks), c)
     return out
 
 
 def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
     space = op.space
     hatk = HAT_POWER[space]
-    layout = KEY_LAYOUT[space]
     nx = len(X_TOKENS[space])
+    nkey = len(KEY_LAYOUT[space])
+
+    def counit(key):
+        # the counit kills residual derivatives and sends the scaling
+        # operator to 1
+        return None if any(key[nx:nkey]) else key[:-1] + (0,)
+
     out = NCElement(space)
     for kop, cop in op.terms.items():
         wop = _word_of_key(space, kop)
@@ -711,13 +651,7 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
             c0 = c0 * qpow(-hatk * op.spatial_d_count(kop))
         for kf, cf in f.terms.items():
             wf = _word_of_key(space, kf)
-            c = c0 * cf
-            for w, cc in _normalize_word(space, calculus, "xd", wop + wf).items():
-                key = _canonical_word_to_key(space, w)
-                if any(key[nx + j] for j in range(len(layout) - nx)):
-                    continue  # counit kills residual derivatives
-                ckey = key[:-1] + (0,)  # counit sends the scaling operator to 1
-                out._accum(ckey, c * cc)
+            _add_normal_form(out.terms, space, calculus, "xd", wop + wf, c0 * cf, counit)
     return out
 
 
@@ -763,11 +697,8 @@ def lift(space, f: CFunction) -> NCElement:
     want = space_vars(space)
     if f.vars != want:
         f = f.restrict(want)
-    out = NCElement(space)
-    pad = len(KEY_LAYOUT[space]) - len(want)
-    for e, c in f.terms.items():
-        out._accum(tuple(e) + (0,) * pad + (0,), c)
-    return out
+    pad = (0,) * (len(KEY_LAYOUT[space]) - len(want) + 1)
+    return NCElement(space, {e + pad: c for e, c in f.terms.items()})
 
 
 def lower(space, a: NCElement) -> CFunction:
@@ -777,23 +708,6 @@ def lower(space, a: NCElement) -> CFunction:
     want = space_vars(space)
     nx = len(want)
     return CFunction(want, {k[:nx]: c for k, c in a.terms.items()})
-
-
-def _reexpress(space, a: NCElement, ordering) -> dict:
-    """Expand the words of a coordinate element in the target PBW basis."""
-    out = {}
-    for k, c in a.terms.items():
-        word = _word_of_key(space, k)
-        for w, cc in _normalize_word(space, "u", ordering, word).items():
-            key = _canonical_word_to_key(space, w)
-            s = out.get(key)
-            v = c * cc
-            s = v if s is None else s + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
 
 
 def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
@@ -808,31 +722,18 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
     nx = len(want)
     if space == LINE:
         return f  # a single spatial generator has only one ordering
-    out = {}
-    if direction == "to_reversed":
-        a = lift(space, f)
-        for key, c in _reexpress(space, a, "rev").items():
-            s = out.get(key[:nx])
-            s = c if s is None else s + c
-            if s:
-                out[key[:nx]] = s
-    elif direction == "to_standard":
-        for e, c in f.terms.items():
-            # build the reversed-ordering word the exponents denote
-            word = (
-                ("x0",) * e[0] + ("xm",) * e[3] + ("x3",) * e[2] + ("xp",) * e[1]
-            )
-            for w, cc in _normalize_word(space, "u", "xd", word).items():
-                key = _canonical_word_to_key(space, w)
-                s = out.get(key[:nx])
-                v = c * cc
-                s = v if s is None else s + v
-                if s:
-                    out[key[:nx]] = s
-                else:
-                    out.pop(key[:nx], None)
-    else:
+    if direction not in ("to_reversed", "to_standard"):
         raise ValueError(f"unknown direction {direction!r}")
+    out = {}
+    for e, c in f.terms.items():
+        x0, xp, x3, xm = ("x0",) * e[0], ("xp",) * e[1], ("x3",) * e[2], ("xm",) * e[3]
+        if direction == "to_reversed":
+            # the standard word, expanded in the reversed PBW basis
+            word, ordering = x0 + xp + x3 + xm, "rev"
+        else:
+            # the reversed-ordering word the exponents denote
+            word, ordering = x0 + xm + x3 + xp, "xd"
+        _add_normal_form(out, space, "u", ordering, word, c, lambda k: k[:nx])
     return CFunction(want, out)
 
 
@@ -866,6 +767,5 @@ def normalize_in_calculus(space, calculus, word, coeff=ONE, reexpress_hats=False
         spatial = sum(1 for t in word if not isinstance(t, tuple) and t in SPATIAL_D[space])
         coeff = coeff * qpow(-HAT_POWER[space] * spatial)
     out = NCElement(space)
-    for w, c in _normalize_word(space, calculus, "xd", word).items():
-        out._accum(_canonical_word_to_key(space, w), coeff * c)
+    _add_normal_form(out.terms, space, calculus, "xd", word, coeff)
     return out

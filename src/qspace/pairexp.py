@@ -10,12 +10,10 @@ reconstruction test pins these down.
 
 from __future__ import annotations
 
-import itertools
-
-from .cfunc import CFunction, space_vars
-from .ncalgebra import NCElement, act
+from .cfunc import CFunction, _monomials, space_vars
+from .ncalgebra import HAT_POWER, NCElement, act
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, qfact, qpow, scalar
+from .scalars import ONE, QScalar, _add_term, qfact, qpow, scalar
 
 PAIR_VARIANTS = ("L_Rbar", "Lbar_R")
 EXP_VARIANTS = ("x_d", "x_dhat", "d_x", "dhat_x")
@@ -33,7 +31,6 @@ _EXP_KEY = {  # coordinate variable feeding each derivative slot
     "line": {"d0": "x0", "d1": "x1"},
     "euclid3": {"d0": "x0", "dp": "xp", "d3": "x3", "dm": "xm"},
 }
-_HAT_POWER = {"line": 1, "euclid3": 6}
 
 
 def classical_factorial(n: int) -> QScalar:
@@ -64,7 +61,7 @@ def deriv_word_element(space, exps, hatted: bool) -> NCElement:
     el = NCElement.from_word(space, tuple(word))
     if hatted:
         spatial = sum(exps[1:])
-        el = el.scale(qpow(_HAT_POWER[space] * spatial))
+        el = el.scale(qpow(HAT_POWER[space] * spatial))
     return el
 
 
@@ -129,9 +126,7 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     hat = variant in ("x_dhat", "dhat_x")
     flipped = variant in ("d_x", "dhat_x")
     terms = []
-    for exps in itertools.product(range(degree_bound + 1), repeat=len(vars_)):
-        if sum(exps) > degree_bound:
-            continue
+    for exps in _monomials(vars_, degree_bound):
         c = ONE / _norm_factor(space, exps, inv=hat)
         if flipped and sum(exps) % 2:
             c = -c
@@ -170,16 +165,15 @@ def kronecker_check(space, variant: str, degree_bound: int) -> VerificationRepor
     deriv_first = variant in ("d_x", "dhat_x")
     hat = variant in ("x_dhat", "dhat_x")
     mode = _PAIR_MODES[("Lbar_R" if hat else "L_Rbar", not deriv_first)]
-    for target in itertools.product(range(degree_bound + 1), repeat=len(vars_)):
-        if sum(target) > degree_bound:
-            continue
+    for target in _monomials(vars_, degree_bound):
         # the hatted tower pairs against the reversed-ordering basis words
         v = coord_word_element(space, target, reversed_order=hat)
-        acc = CFunction.zero(vars_)
+        acc = {}
         for exps, dword, coeff in exp:
             val = act(dword, v, mode).constant_term()
             if val:
-                acc = acc + CFunction.monomial(vars_, exps, coeff * val)
+                _add_term(acc, exps, coeff * val)
+        acc = CFunction(vars_, acc)
         want = CFunction.monomial(vars_, target)
         if acc != want:
             rep.record(f"{variant}:{target}", str(acc), str(want))

@@ -14,8 +14,8 @@ engine, which serves as the independent oracle.
 from __future__ import annotations
 
 from .cfunc import CFunction, space_vars
-from .ncalgebra import reorder_transform
-from .scalars import LAM, ONE, QScalar, qpow
+from .ncalgebra import _PM_SWAP, reorder_transform
+from .scalars import LAM, ONE, QScalar, _add_term, qpow
 
 VARIANTS = ("left", "left_bar", "right", "right_bar")
 
@@ -61,13 +61,6 @@ def apply_branches(f: CFunction, branches) -> CFunction:
     return out
 
 
-_PM_SWAP = {"xp": "xm", "xm": "xp"}
-
-
-def _swap_pm_var(v):
-    return _PM_SWAP.get(v, v)
-
-
 def _transform(branches, swap_pm=False, invert_q=False, negate=False):
     """The printed substitution rules acting on an operator program."""
     out = []
@@ -82,21 +75,21 @@ def _transform(branches, swap_pm=False, invert_q=False, negate=False):
             if op in ("D", "Dinv"):
                 v, a = step[1], step[2]
                 if swap_pm:
-                    v = _swap_pm_var(v)
+                    v = _PM_SWAP.get(v, v)
                 if invert_q:
                     a = -a
                 steps.append((op, v, a))
             elif op == "scale":
                 v, h = step[1], step[2]
                 if swap_pm:
-                    v = _swap_pm_var(v)
+                    v = _PM_SWAP.get(v, v)
                 if invert_q:
                     h = -h
                 steps.append((op, v, h))
             elif op == "mul":
                 mono, c = step[1], step[2]
                 if swap_pm:
-                    mono = {_swap_pm_var(v): n for v, n in mono.items()}
+                    mono = {_PM_SWAP.get(v, v): n for v, n in mono.items()}
                 if invert_q:
                     c = c.subs_q_inverse()
                 steps.append((op, mono, c))
@@ -299,14 +292,12 @@ def braided_product_line(f: CFunction, g: CFunction, variant: str) -> CFunction:
         raise ValueError("braided products are implemented for the line only")
     sign = {"L": -1, "Lbar": 1}[variant]
     out_vars = ("y0", "y1", "x0", "x1")
-    out = CFunction.zero(out_vars)
+    out = {}
     for ef, cf in f.terms.items():
         for eg, cg in g.terms.items():
             factor = QScalar.q_power(2 * sign * eg[1] * ef[1])
-            out = out + CFunction(
-                out_vars, {(eg[0], eg[1], ef[0], ef[1]): cf * cg * factor}
-            )
-    return out
+            _add_term(out, (eg[0], eg[1], ef[0], ef[1]), cf * cg * factor)
+    return CFunction(out_vars, out)
 
 
 def is_qconstant(f: CFunction) -> bool:

@@ -10,7 +10,7 @@ data.
 from __future__ import annotations
 
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, ZERO, qpow, scalar
+from .scalars import LAM, LAMP, ONE, ZERO, _add_term, qpow, scalar
 
 LINE_LABELS = ("0", "1")
 E3_LABELS = ("0", "+", "3", "-")
@@ -59,12 +59,7 @@ class QMatrix:
     def __add__(self, other):
         out = QMatrix(self.n, self.data)
         for k, v in other.data.items():
-            s = out.data.get(k)
-            s = v if s is None else s + v
-            if s:
-                out.data[k] = s
-            else:
-                out.data.pop(k, None)
+            _add_term(out.data, k, v)
         return out
 
     def __sub__(self, other):
@@ -89,13 +84,7 @@ class QMatrix:
             acc = {}
             for k, v in row:
                 for j, w in by_k.get(k, ()):
-                    s = acc.get(j)
-                    p = v * w
-                    s = p if s is None else s + p
-                    if s:
-                        acc[j] = s
-                    else:
-                        acc.pop(j, None)
+                    _add_term(acc, j, v * w)
             for j, s in acc.items():
                 out.data[(i, j)] = s
         return out

@@ -472,17 +472,119 @@ def _poly_to_str(p):
         cs = _coeff_to_str(c, need_one=(mono == ""))
         if cs in ("", "-") and mono == "":
             cs = "1" if cs == "" else "-1"
-        if mono and cs.endswith("i"):
-            term = f"{cs} {mono}"
-        else:
-            term = cs + mono
+        parts.append(f"{cs} {mono}" if mono and cs.endswith("i") else cs + mono)
+    return _join_terms(parts)
+
+
+def _join_terms(terms):
+    """Join rendered terms with ' + ', folding a leading '-' into ' - '."""
+    parts = []
+    for term in terms:
         if not parts:
             parts.append(term)
         elif term.startswith("-"):
             parts.append(" - " + term[1:])
         else:
             parts.append(" + " + term)
-    return "".join(parts) if parts else "0"
+    return "".join(parts) or "0"
+
+
+def _coeff_times(cs, mono):
+    """A rendered coefficient times a nonempty rendered monomial."""
+    if cs == "1":
+        return mono
+    if cs == "-1":
+        return f"-{mono}"
+    if any(ch in cs[1:] for ch in "+- /") or cs.startswith("("):
+        return f"({cs}) {mono}"
+    return f"{cs} {mono}"
+
+
+# -- sparse linear combinations -------------------------------------------------
+
+
+def _add_term(terms, key, c):
+    """terms[key] += c, dropping the key when the sum is zero.  Every sparse
+    combination in the package accumulates through this one step."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+class _LinComb:
+    """Finite linear combination of basis keys with QScalar coefficients.
+
+    ``terms`` maps each key to its nonzero coefficient.  A subclass adds the
+    frame its keys are read against (a variable tuple, a space, or nothing):
+    ``_frame()`` returns it as the leading constructor arguments, and
+    ``_mismatch`` names the exception type and message raised when two frames
+    differ.  Subclasses also supply the product and, for printing,
+    ``_print_order`` and ``_term_str``.
+    """
+
+    __slots__ = ("terms",)
+    _mismatch = (ValueError, "frames differ")
+
+    def __init__(self, terms=None):
+        self.terms = {tuple(k): c for k, c in terms.items() if c} if terms else {}
+
+    def _frame(self):
+        return ()
+
+    def _like(self, terms=None):
+        return type(self)(*self._frame(), terms)
+
+    def _checked(self, other):
+        if self._frame() != other._frame():
+            err, text = self._mismatch
+            raise err(text)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._frame() == other._frame() and self.terms == other.terms
+
+    def __add__(self, other):
+        self._checked(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _add_term(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if isinstance(c, int):
+            c = scalar(c)
+        if not c:
+            return self._like()
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def eval_coeffs_exact(self, q0):
+        """Coefficients evaluated at exact rational q0, keyed like terms."""
+        out = {}
+        for k, c in self.terms.items():
+            v = c.eval_exact(q0)
+            if v:
+                out[k] = v
+        return out
+
+    def __str__(self):
+        keys = sorted(self.terms, key=self._print_order)
+        return _join_terms(self._term_str(k, self.terms[k]) for k in keys)
 
 
 ZERO = QScalar.from_rational(0)

@@ -7,10 +7,10 @@ give the same coefficients)."""
 
 from __future__ import annotations
 
-from .cfunc import CFunction, space_vars
+from .cfunc import CFunction, _monomials, space_vars
 from .ncalgebra import lift, lower, reorder_transform
 from .reports import VerificationReport
-from .scalars import LAM, ONE, QScalar, qfact
+from .scalars import LAM, ONE, QScalar, _add_term, qfact
 
 
 class StarContext:
@@ -31,7 +31,7 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
     kmax = min(f.degree("xm"), g.degree("xp")) if not reversed_order else min(
         f.degree("xp"), g.degree("xm")
     )
-    out = CFunction.zero(vars_)
+    out = {}
     for k in range(kmax + 1):
         if reversed_order:
             fk = f
@@ -65,9 +65,8 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
                     w = 2 * (ef[i3] * eg[ip] + ef[im] * eg[i3])
                 e = [a + b for a, b in zip(ef, eg)]
                 e[i3] += 2 * k
-                coeff = cf * cg * pre * QScalar.q_power(2 * w)
-                out = out + CFunction(vars_, {tuple(e): coeff})
-    return out
+                _add_term(out, tuple(e), cf * cg * pre * QScalar.q_power(2 * w))
+    return CFunction(vars_, out)
 
 
 def star(ctx: StarContext, f: CFunction, g: CFunction) -> CFunction:
@@ -95,15 +94,9 @@ def _roundtrip(space, ordering, f, g):
 def star_oracle_check(max_degree: int, space: str = "euclid3") -> VerificationReport:
     """Compare the star product against the normal-ordering round trip for
     every monomial pair up to the total degree bound, in both orderings."""
-    import itertools
-
     rep = VerificationReport("star-oracle", space)
     vars_ = space_vars(space)
-    monos = [
-        e
-        for e in itertools.product(range(max_degree + 1), repeat=len(vars_))
-        if sum(e) <= max_degree
-    ]
+    monos = _monomials(vars_, max_degree)
     for ordering in ("standard", "reversed"):
         ctx = StarContext(space, ordering)
         for ef in monos:

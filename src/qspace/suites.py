@@ -5,12 +5,11 @@ printed source are attached as notes, never silently absorbed."""
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import evolution, grassmann, hopf, pairexp, qfunc, rmatrix, starcalc
-from .cfunc import CFunction, LatticeFunction, jackson_integral_numeric, space_vars
-from .ncalgebra import NCElement, act, lift, lower, qpow
+from .cfunc import CFunction, LatticeFunction, _monomials, jackson_integral_numeric, space_vars
+from .ncalgebra import HAT_POWER, NCElement, act, lift, lower, qpow
 from .reports import VerificationReport
 from .scalars import GaussianRational, LAM, ONE, ZERO, scalar
 
@@ -55,17 +54,13 @@ NOTE_SESQUILINEAR = (
 
 class SuiteOptions:
     def __init__(self, degree=4, order=4, tol=1e-10, q0=1.1, spaces=SPACES):
+        if degree < 0 or order < 0:
+            raise ValueError("degree and order must be nonnegative")
         self.degree = degree
         self.order = order
         self.tol = tol
         self.q0 = q0
         self.spaces = tuple(spaces)
-
-
-def _monomials(vars_, maxdeg):
-    for e in itertools.product(range(maxdeg + 1), repeat=len(vars_)):
-        if sum(e) <= maxdeg:
-            yield e
 
 
 def suite_ybe(opts: SuiteOptions):
@@ -127,7 +122,6 @@ def suite_metric(opts: SuiteOptions):
 
 
 _DTAGS = {"line": {"0": "d0", "1": "d1"}, "euclid3": {"0": "d0", "+": "dp", "3": "d3", "-": "dm"}}
-_HATP = {"line": 1, "euclid3": 6}
 
 
 def suite_oracle_actions(opts: SuiteOptions):
@@ -139,7 +133,7 @@ def suite_oracle_actions(opts: SuiteOptions):
             for variant in ("left", "left_bar", "right", "right_bar"):
                 D = NCElement.generator(space, dtag)
                 if variant in ("left_bar", "right") and idx != "0":
-                    D = D.scale(qpow(_HATP[space]))
+                    D = D.scale(qpow(HAT_POWER[space]))
                 for e in _monomials(vars_, opts.degree):
                     f = CFunction.monomial(vars_, e)
                     closed = qfunc.act_partial_closed(idx, variant, f, space)
@@ -158,7 +152,7 @@ def suite_star(opts: SuiteOptions):
     out[0].note(NOTE_REVERSED_STAR)
     rep = VerificationReport("star-associativity", "euclid3")
     vars_ = space_vars("euclid3")
-    monos = list(_monomials(vars_, opts.degree))
+    monos = _monomials(vars_, opts.degree)
     ctx = starcalc.StarContext("euclid3")
     for ef in monos:
         f = CFunction.monomial(vars_, ef)
@@ -365,12 +359,13 @@ SUITES = {
 
 
 def run_suite(names, opts: SuiteOptions = None):
-    """Run the requested suites; reports come back ordered by suite name."""
+    """Run the requested suites; reports come back ordered by suite name,
+    keeping only those on the spaces the options name."""
     opts = opts or SuiteOptions()
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suite names: {', '.join(unknown)}")
     reports = []
     for name in sorted(set(names)):
-        reports.extend(SUITES[name](opts))
+        reports.extend(r for r in SUITES[name](opts) if r.space in opts.spaces)
     return reports

@@ -6,6 +6,7 @@ calibration.  Exact means canonical-form equality over the scalar field.
 
 import itertools
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -257,6 +258,11 @@ def test_criterion_12_cli(capsys):
     out = capsys.readouterr().out
     reports = json.loads(out)
     ok &= code == 0
+    # byte-identical to the output recorded by the benchmark's reference
+    reference = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                             "perfbench", "reference", "verify_all.json")
+    with open(reference) as fh:
+        ok &= out == fh.read()
     ok &= all(r["status"] != "fail" for r in reports)
     notes = " ".join(note for r in reports for note in r["notes"])
     ok &= "transposition" in notes           # time-block decision recorded

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from qspace.cli import main
 from qspace.expressions import parse, render
 
@@ -86,6 +88,38 @@ def test_verify_grassmann(capsys):
     code, out, _ = run(capsys, "verify", "grassmann")
     assert code == 0
     assert "[PASS] grassmann" in out
+
+
+def test_verify_space_restricts_reports(capsys):
+    # grassmann lives on the line, metric and star on euclid3
+    for space in ("line", "euclid3"):
+        code, out, _ = run(capsys, "verify", "grassmann", "metric", "star",
+                           "--degree", "1", "--space", space, "--json")
+        assert code == 0
+        reports = json.loads(out)
+        assert reports and {r["space"] for r in reports} == {space}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "oracle-actions", "star", "--degree", "-1"),
+    ("verify", "evolution", "--order", "-1"),
+    ("exp", "--degree", "-1"),
+    ("evolve", "--order", "-1"),
+])
+def test_negative_degree_or_order_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_suite_options_reject_negative_bounds():
+    from qspace.suites import SuiteOptions
+
+    with pytest.raises(ValueError):
+        SuiteOptions(degree=-1)
+    with pytest.raises(ValueError):
+        SuiteOptions(order=-1)
 
 
 def test_run_suite_empty_is_empty():
