@@ -231,8 +231,11 @@ class CFunction(_LinComb):
     def _print_order(e):
         return sum(e), e
 
+    def _mono_str(self, e):
+        return " ".join(f"{v}^{n}" if n > 1 else v for v, n in zip(self.vars, e) if n)
+
     def _term_str(self, e, c):
-        mono = " ".join(f"{v}^{n}" if n > 1 else v for v, n in zip(self.vars, e) if n)
+        mono = self._mono_str(e)
         cs = str(c)
         if mono:
             return _coeff_times(cs, mono)

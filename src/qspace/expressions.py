@@ -300,35 +300,11 @@ def parse(text: str, space: str = "euclid3") -> Value:
 
 
 def render(value: Value, q_value=None) -> str:
-    """Canonical text for a parse value; with q_value set, scalars are
-    evaluated numerically."""
+    """Canonical text for a parse value; with q_value set, every coefficient
+    is evaluated numerically and the monomials print as in the exact form."""
     data = value.data
     if q_value is None:
         return str(data)
     if value.kind == "scalar":
-        return str(data.eval_float(q_value))
-    out = []
-    if value.kind == "c":
-        for e, c in sorted(data.terms.items()):
-            mono = " ".join(
-                f"{v}^{n}" if n > 1 else v for v, n in zip(data.vars, e) if n
-            ) or "1"
-            out.append(f"({c.eval_float(q_value):.12g}) {mono}")
-        return " + ".join(out) if out else "0"
-    if value.kind == "nc":
-        text = []
-        from .ncalgebra import KEY_LAYOUT, _PRINT_NAMES
-
-        for k in sorted(data.terms, key=lambda kk: (sum(kk[:-1]), kk)):
-            c = data.terms[k]
-            factors = []
-            for tag, n in zip(KEY_LAYOUT[data.space], k[:-1]):
-                if n:
-                    nm = _PRINT_NAMES[data.space][tag]
-                    factors.append(nm if n == 1 else f"{nm}^{n}")
-            if k[-1]:
-                factors.append(f"L^({k[-1]}/2)")
-            mono = " ".join(factors) or "1"
-            text.append(f"({c.eval_float(q_value):.12g}) {mono}")
-        return " + ".join(text) if text else "0"
-    return str(data)
+        return f"({data.eval_float(q_value):.12g})"
+    return data.numeric_str(q_value)

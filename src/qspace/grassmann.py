@@ -46,11 +46,15 @@ class GElement(_LinComb):
     def _print_order(w):
         return len(w), w
 
+    @staticmethod
+    def _mono_str(w):
+        return " ".join(w)
+
     def _term_str(self, w, c):
         cs = str(c)
         if not w:
             return cs
-        mono = " ".join(w)
+        mono = self._mono_str(w)
         return mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"({cs}) {mono}")
 
     def __repr__(self):

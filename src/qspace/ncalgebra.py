@@ -545,7 +545,7 @@ class NCElement(_LinComb):
     def _print_order(k):
         return sum(k[:-1]), k
 
-    def _term_str(self, k, c):
+    def _mono_str(self, k):
         names = _PRINT_NAMES[self.space]
         factors = []
         for tag, n in zip(KEY_LAYOUT[self.space], k[:-1]):
@@ -558,8 +558,12 @@ class NCElement(_LinComb):
             factors.append(f"L^{h // 2}")
         elif h:
             factors.append(f"L^({h}/2)")
+        return " ".join(factors)
+
+    def _term_str(self, k, c):
+        mono = self._mono_str(k)
         cs = str(c)
-        return _coeff_times(cs, " ".join(factors)) if factors else cs
+        return _coeff_times(cs, mono) if mono else cs
 
     def __repr__(self):
         return f"NCElement[{self.space}]({self})"

@@ -49,54 +49,96 @@ class PoleError(QScalarError):
 
 
 class GaussianRational:
-    """a + b*i with a, b exact rationals."""
+    """a + b*i with a, b exact rationals.
+
+    ``re`` and ``im`` are plain ints whenever they are integral and
+    Fractions only otherwise; either way they compare and hash like the
+    equal Fraction.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = _exact(re)
+        self.im = _exact(im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.re == other and self.im == 0
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and not self.im
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gr(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _gr(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if b or d:
+            return _gr(a * c - b * d, a * d + b * c)
+        re = a * c  # two reals, by far the most common product
+        g = _new(GaussianRational)
+        g.re = re if type(re) is int else _exact(re)
+        g.im = 0
+        return g
 
     def inverse(self):
         n = self.re * self.re + self.im * self.im
         if not n:
             raise DivisionByZero("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gr(_rdiv(self.re, n), _rdiv(-self.im, n))
 
     def conj(self):
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.re, -self.im)
 
     def __complex__(self):
         return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
+
+
+_new = object.__new__
+
+
+def _exact(x):
+    """An exact rational as an int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _gr(re, im):
+    """GaussianRational from exact rationals; two ints are stored as they are."""
+    g = _new(GaussianRational)
+    if type(re) is int and type(im) is int:
+        g.re = re
+        g.im = im
+    else:
+        g.re = _exact(re)
+        g.im = _exact(im)
+    return g
+
+
+def _rdiv(a, n):
+    """The exact quotient a/n; an int when it divides, never int / int."""
+    if type(a) is int and type(n) is int:
+        return a // n if not a % n else Fraction(a, n)
+    return a / n
 
 
 _GR_ZERO = GaussianRational(0)
@@ -138,6 +180,9 @@ def _pmul(a, b):
         return {}
     if len(a) == 1:
         ((ka, ca),) = a.items()
+        if len(b) == 1:
+            ((kb, cb),) = b.items()
+            return {ka + kb: ca * cb}
         return {ka + k: ca * c for k, c in b.items()}
     if len(b) == 1:
         ((kb, cb),) = b.items()
@@ -176,11 +221,12 @@ def _pdivmod(a, b):
     """Polynomial division (nonnegative exponents) over the Gaussian field."""
     r = dict(a)
     db = _pdeg(b)
-    lb = b[db].inverse()
+    lb = b[db]
+    lb = None if lb == 1 else lb.inverse()
     quo = {}
     while r and _pdeg(r) >= db:
         dr = _pdeg(r)
-        c = r[dr] * lb
+        c = r[dr] if lb is None else r[dr] * lb
         quo[dr - db] = c
         for k, v in b.items():
             kk = k + dr - db
@@ -203,28 +249,66 @@ def _pgcd(a, b):
     return a if a else {0: _GR_ONE}
 
 
+def _lgcd(a, d):
+    """Monic gcd of a Laurent polynomial ``a`` and a polynomial ``d`` with
+    nonzero constant term, or None when it is 1.  A one-term ``d`` is a
+    constant and a one-term ``a`` a constant times a power of s, so either
+    way the gcd is 1 without a division."""
+    if len(d) == 1 or len(a) == 1:
+        return None
+    amin = min(a)
+    g = _pgcd(_pshift(a, -amin) if amin else a, d)
+    return None if len(g) == 1 else g
+
+
+def _lquo(a, g):
+    """The exact quotient of a Laurent polynomial by a polynomial factor
+    with nonzero constant term."""
+    amin = min(a)
+    if not amin:
+        return _pdivmod(a, g)[0]
+    return _pshift(_pdivmod(_pshift(a, -amin), g)[0], amin)
+
+
 _P_ONE = {0: _GR_ONE}
 
 
+def _canon(num, den):
+    """A QScalar from parts already in canonical form (not copied)."""
+    x = _new(QScalar)
+    x.num = num
+    x.den = den
+    return x
+
+
+def _coerce(x):
+    """The QScalar equal to an int or Fraction, else NotImplemented."""
+    if isinstance(x, (int, Fraction)):
+        c = _exact(x)
+        return _canon({0: _gr(c, 0)} if c else {}, _P_ONE)
+    return NotImplemented
+
+
 class QScalar:
-    """Canonical rational function of q over the Gaussian rationals."""
+    """Canonical rational function of q over the Gaussian rationals.
+
+    ``num`` and ``den`` are never mutated after construction, so canonical
+    parts (``_P_ONE`` in particular) are shared between scalars.  A
+    canonical denominator with one term is the constant 1.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _canonical=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = _P_ONE
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
         num = _pstrip(num)
         den = _pstrip(den)
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
             self.num = {}
-            self.den = dict(_P_ONE)
+            self.den = _P_ONE
             return
         # Move any pure s-power of the denominator into the numerator so the
         # denominator is an ordinary polynomial with nonzero constant term.
@@ -232,36 +316,30 @@ class QScalar:
         if dmin:
             den = _pshift(den, -dmin)
             num = _pshift(num, -dmin)
-        nmin = min(num)
-        if nmin < 0:
-            base = _pshift(num, -nmin)
-        else:
-            base = num
-        if len(den) > 1 or 0 not in den:
-            g = _pgcd(base, den)
-            if len(g) > 1 or 0 not in g or g[0] != _GR_ONE:
-                base, _ = _pdivmod(base, g)
-                den, _ = _pdivmod(den, g)
-            num = _pshift(base, min(nmin, 0))
+        if len(den) > 1:
+            g = _lgcd(num, den)
+            if g is not None:
+                num = _lquo(num, g)
+                den = _pdivmod(den, g)[0]
         lead = den[_pdeg(den)]
-        if lead != _GR_ONE:
+        if lead != 1:
             inv = lead.inverse()
             den = _pscale(den, inv)
             num = _pscale(num, inv)
         self.num = num
-        self.den = den
+        self.den = den if len(den) > 1 else _P_ONE
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(re, im=0):
         c = GaussianRational(re, im)
-        return QScalar({0: c} if c else {}, dict(_P_ONE), _canonical=True)
+        return _canon({0: c} if c else {}, _P_ONE)
 
     @staticmethod
     def q_power(half_steps: int):
         """q**(half_steps/2); exponents are tracked in units of sqrt(q)."""
-        return QScalar({half_steps: _GR_ONE}, dict(_P_ONE), _canonical=True)
+        return _canon({half_steps: _GR_ONE}, _P_ONE)
 
     # -- predicates ------------------------------------------------------
 
@@ -269,75 +347,152 @@ class QScalar:
         return not self.num
 
     def is_one(self):
-        return self.num == _P_ONE and self.den == _P_ONE
+        return len(self.den) == 1 and self.num == _P_ONE
 
     def __bool__(self):
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = QScalar.from_rational(other)
         if not isinstance(other, QScalar):
-            return NotImplemented
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        num = self.num
+        if len(self.den) == 1 and (not num or (len(num) == 1 and 0 in num and not num[0].im)):
+            # a real rational constant hashes like the equal int or Fraction
+            return hash(num[0].re) if num else 0
         return hash(
             (
-                tuple(sorted((k, c.re, c.im) for k, c in self.num.items())),
+                tuple(sorted((k, c.re, c.im) for k, c in num.items())),
                 tuple(sorted((k, c.re, c.im) for k, c in self.den.items())),
             )
         )
 
     # -- arithmetic -------------------------------------------------------
+    #
+    # Canonical parts stay canonical under these steps, so no operation
+    # below calls __init__: a sum over denominator 1 only drops zero terms,
+    # and products and quotients cancel crosswise (Henrici, J. ACM 3 (1956)
+    # 6-9) before multiplying, which leaves them reduced.
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = QScalar.from_rational(other)
         if not isinstance(other, QScalar):
-            return NotImplemented
-        if self.den == other.den:
-            return QScalar(_padd(self.num, other.num), self.den)
-        return QScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self.num, other.num
+        d1, d2 = self.den, other.den
+        if len(d1) == 1 and len(d2) == 1:
+            return _canon(_padd(n1, n2), _P_ONE)
+        if not n1:
+            return other
+        if not n2:
+            return self
+        if d1 == d2:
+            g = d1
+        elif len(d1) == 1 or len(d2) == 1:
+            g = None
+        else:
+            g = _lgcd(d1, d2)
+        if g is None:
+            # coprime denominators: the cross sum is already reduced
+            return _canon(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        e1, e2 = _pdivmod(d1, g)[0], _pdivmod(d2, g)[0]
+        num = _padd(_pmul(n1, e2), _pmul(n2, e1))
+        if not num:
+            return ZERO
+        h = _lgcd(num, g)
+        if h is not None:
+            num = _lquo(num, h)
+            d2 = _pdivmod(d2, h)[0]
+        den = _pmul(e1, d2)
+        return _canon(num, den if len(den) > 1 else _P_ONE)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QScalar.from_rational(other)
         if not isinstance(other, QScalar):
-            return NotImplemented
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
     def __neg__(self):
-        return QScalar(_pneg(self.num), dict(self.den), _canonical=True)
+        return _canon(_pneg(self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = QScalar.from_rational(other)
         if not isinstance(other, QScalar):
-            return NotImplemented
-        if not self.num or not other.num:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self.num, other.num
+        if not n1 or not n2:
             return ZERO
-        if self.den == _P_ONE and other.den == _P_ONE:
-            return QScalar(_pmul(self.num, other.num))
-        return QScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        d1, d2 = self.den, other.den
+        if len(d1) == 1 and len(d2) == 1:
+            return _canon(_pmul(n1, n2), _P_ONE)
+        g = _lgcd(n1, d2)
+        if g is not None:
+            n1, d2 = _lquo(n1, g), _pdivmod(d2, g)[0]
+        g = _lgcd(n2, d1)
+        if g is not None:
+            n2, d1 = _lquo(n2, g), _pdivmod(d1, g)[0]
+        den = _pmul(d1, d2)
+        return _canon(_pmul(n1, n2), den if len(den) > 1 else _P_ONE)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = QScalar.from_rational(other)
         if not isinstance(other, QScalar):
-            return NotImplemented
-        if other.is_zero():
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n2 = other.num
+        if not n2:
             raise DivisionByZero("division by zero scalar")
-        return QScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        n1 = self.num
+        if not n1:
+            return ZERO
+        # self / other = (n1 * d2 * s^-m) / (d1 * p2) with n2 = s^m * p2
+        m = min(n2)
+        p2 = _pshift(n2, -m)
+        d1, d2 = self.den, other.den
+        g = _lgcd(n1, p2)
+        if g is not None:
+            n1, p2 = _lquo(n1, g), _pdivmod(p2, g)[0]
+        g = _lgcd(d2, d1)
+        if g is not None:
+            d2, d1 = _pdivmod(d2, g)[0], _pdivmod(d1, g)[0]
+        num = _pmul(n1, d2)
+        if m:
+            num = _pshift(num, -m)
+        den = _pmul(d1, p2)
+        lead = den[_pdeg(den)]
+        if lead != 1:
+            inv = lead.inverse()
+            den = _pscale(den, inv)
+            num = _pscale(num, inv)
+        return _canon(num, den if len(den) > 1 else _P_ONE)
+
+    def __rtruediv__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def conj(self):
         """Complex conjugation; q itself is treated as real."""
-        return QScalar(_pconj(self.num), _pconj(self.den))
+        # an automorphism of the coefficient field: parts stay canonical
+        return _canon(_pconj(self.num), self.den if len(self.den) == 1 else _pconj(self.den))
 
     def subs_q_inverse(self):
         """The substitution q -> 1/q."""
@@ -363,10 +518,9 @@ class QScalar:
         """Evaluate at an exact rational (or Gaussian-rational) q0."""
         q0 = _as_gr(q0)
         if all(k % 2 == 0 for k in self.num) and all(k % 2 == 0 for k in self.den):
-            half = QScalar(
+            half = _canon(
                 {k // 2: c for k, c in self.num.items()},
                 {k // 2: c for k, c in self.den.items()},
-                _canonical=True,
             )
             return half._eval_exact_s(q0)
         s0 = _gr_sqrt(q0)
@@ -522,7 +676,8 @@ class _LinComb:
     ``_frame()`` returns it as the leading constructor arguments, and
     ``_mismatch`` names the exception type and message raised when two frames
     differ.  Subclasses also supply the product and, for printing,
-    ``_print_order`` and ``_term_str``.
+    ``_print_order``, ``_mono_str`` (the basis key as text, empty for the
+    unit) and ``_term_str``.
     """
 
     __slots__ = ("terms",)
@@ -567,7 +722,7 @@ class _LinComb:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, int):
+        if isinstance(c, (int, Fraction)):
             c = scalar(c)
         if not c:
             return self._like()
@@ -585,6 +740,15 @@ class _LinComb:
     def __str__(self):
         keys = sorted(self.terms, key=self._print_order)
         return _join_terms(self._term_str(k, self.terms[k]) for k in keys)
+
+    def numeric_str(self, q0):
+        """The printed form with every coefficient evaluated at q = q0."""
+        parts = []
+        for k in sorted(self.terms, key=self._print_order):
+            cs = f"({self.terms[k].eval_float(q0):.12g})"
+            mono = self._mono_str(k)
+            parts.append(f"{cs} {mono}" if mono else cs)
+        return _join_terms(parts)
 
 
 ZERO = QScalar.from_rational(0)

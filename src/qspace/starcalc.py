@@ -65,7 +65,9 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
                     w = 2 * (ef[i3] * eg[ip] + ef[im] * eg[i3])
                 e = [a + b for a, b in zip(ef, eg)]
                 e[i3] += 2 * k
-                _add_term(out, tuple(e), cf * cg * pre * QScalar.q_power(2 * w))
+                # the denominator-1 factors first: only the last product
+                # has a denominator to cancel against
+                _add_term(out, tuple(e), cf * cg * QScalar.q_power(2 * w) * pre)
     return CFunction(vars_, out)
 
 

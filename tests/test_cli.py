@@ -100,6 +100,65 @@ def test_verify_space_restricts_reports(capsys):
         assert reports and {r["space"] for r in reports} == {space}
 
 
+@pytest.fixture
+def report_spaces(monkeypatch):
+    """The space of every VerificationReport built while the test runs."""
+    from qspace import reports
+
+    built = []
+    init = reports.VerificationReport.__init__
+
+    def recording_init(self, check, space, *args, **kwargs):
+        built.append(space)
+        init(self, check, space, *args, **kwargs)
+
+    monkeypatch.setattr(reports.VerificationReport, "__init__", recording_init)
+    return built
+
+
+def test_verify_single_space_does_no_other_space_work(capsys, report_spaces):
+    # star and metric live on euclid3 only: asking for them on the line must
+    # not build a single euclid3 report (and prints nothing)
+    code, out, _ = run(capsys, "verify", "star", "metric", "--space", "line")
+    assert code == 0
+    assert out == ""
+    assert report_spaces == []
+
+
+def test_every_suite_builds_reports_only_on_requested_spaces(report_spaces):
+    from qspace.suites import SUITES, SuiteOptions, run_suite
+
+    for space in ("line", "euclid3"):
+        report_spaces.clear()
+        got = run_suite(list(SUITES), SuiteOptions(degree=1, order=1, spaces=(space,)))
+        assert got and {r.space for r in got} == {space}
+        assert set(report_spaces) == {space}
+
+
+@pytest.mark.parametrize("text, mono", [
+    ("L Xp", "Xp L"), ("L^2", "L^2"), ("L^(1/2)", "L^(1/2)"), ("L^(1/2) Xp", "Xp L^(1/2)"),
+])
+def test_q_value_rendering_keeps_exact_monomials(capsys, text, mono):
+    code, exact, _ = run(capsys, "nf", text, "--space", "euclid3")
+    assert code == 0
+    code, out, _ = run(capsys, "nf", text, "--space", "euclid3", "--q-value", "1.1")
+    assert code == 0
+    # one term: the numeric coefficient, then the monomial the exact printer uses
+    assert exact.endswith(mono)
+    cs, _, rest = out.partition(") ")
+    assert cs.startswith("(") and rest == mono
+    (c,) = parse(text, "euclid3").data.terms.values()
+    assert abs(complex(cs[1:]) - c.eval_float(1.1)) < 1e-9
+
+
+def test_q_value_rendering_of_commutative_and_constant_terms(capsys):
+    code, out, _ = run(capsys, "nf", "q x1^2 + 2", "--space", "line", "--q-value", "2")
+    assert code == 0
+    assert out == "(2+0j) + (2+0j) x1^2"
+    code, out, _ = run(capsys, "nf", "q^2", "--space", "line", "--q-value", "1.1")
+    assert out == "(1.21+0j)"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "oracle-actions", "star", "--degree", "-1"),
     ("verify", "evolution", "--order", "-1"),

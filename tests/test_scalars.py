@@ -138,3 +138,77 @@ def test_rendering_matches_reduced_fraction_style():
     assert str((Q * Q - ONE) / Q) == "q - q^-1"
     assert str(ONE / (Q + ONE)) == "1/(q + 1)"
     assert str(qpow(-2)) == "q^-2"
+
+
+def test_reflected_operators_with_ints_and_fractions():
+    assert 2 * Q == Q + Q == Q * 2
+    assert 1 - Q == ONE - Q
+    assert 1 / Q == qpow(-1)
+    assert 3 / (ONE + Q) == scalar(3) / (ONE + Q)
+    assert 1 + Q == Q + 1 == ONE + Q
+    assert Fraction(1, 2) * Q == Q / 2 == Q * Fraction(1, 2)
+    assert Fraction(1, 3) - ONE == scalar(Fraction(-2, 3))
+    assert Fraction(1, 2) / Q == QScalar.q_power(-2) / 2
+    assert Q - Fraction(1, 2) == Q - scalar(Fraction(1, 2))
+
+
+def test_equality_with_ints_and_fractions():
+    assert ONE == Fraction(1) and Fraction(1) == ONE
+    assert ONE == 1 and 1 == ONE
+    assert Q / Q == Fraction(1)
+    assert Q != Fraction(1) and Q != 1
+    assert scalar(Fraction(3, 4)) == Fraction(3, 4)
+    assert ZERO == 0 and ZERO == Fraction(0)
+    assert I != 0 and I != Fraction(0)
+    assert ONE != "1"
+
+
+def test_rational_constants_hash_like_ints_and_fractions():
+    assert hash(ONE) == hash(1)
+    assert hash(ZERO) == hash(0)
+    assert hash(scalar(-5)) == hash(-5)
+    assert hash(scalar(Fraction(3, 4))) == hash(Fraction(3, 4))
+    assert hash(Q / Q) == hash(1)
+    assert len({ONE, 1, Fraction(1), Q / Q}) == 1
+    assert {Fraction(1, 2): "half"}[scalar(Fraction(1, 2))] == "half"
+
+
+def test_gaussian_rationals_are_integer_first():
+    g = GaussianRational(Fraction(4, 2), 3)
+    assert type(g.re) is int and type(g.im) is int
+    h = GaussianRational(Fraction(1, 2)) * GaussianRational(2)
+    assert type(h.re) is int and h.re == 1
+    third = GaussianRational(3).inverse()
+    assert type(third.re) is Fraction and third.re == Fraction(1, 3)
+    assert GaussianRational(1, 1).inverse() == GaussianRational(Fraction(1, 2), Fraction(-1, 2))
+    assert type(GaussianRational(-2).inverse().inverse().re) is int
+    # compare and hash like the Fraction form; repr keeps printing Fractions
+    assert g == GaussianRational(Fraction(2), Fraction(3))
+    assert hash(g) == hash(GaussianRational(Fraction(2), Fraction(3)))
+    assert GaussianRational(2) == Fraction(2) and GaussianRational(2) == 2
+    assert repr(GaussianRational(2)) == "GaussianRational(Fraction(2, 1), Fraction(0, 1))"
+    assert all(type(c.re) is int for c in ((Q * Q - ONE) / (Q - ONE)).num.values())
+
+
+def test_fast_paths_agree_with_general_construction():
+    # products and sums of denominator-1 scalars skip canonicalisation; the
+    # general constructor, given the same parts, must change nothing
+    rng = random.Random(3)
+    xs = [_random_scalar(rng) for _ in range(40)] + [ONE + Q, LAM, LAMP, Q, -I]
+    for a in xs:
+        for b in xs[:12]:
+            for r in (a + b, a - b, a * b) + ((a / b,) if b else ()):
+                again = QScalar(r.num, r.den)
+                assert (again.num, again.den) == (r.num, r.den)
+
+
+def test_sum_over_shared_denominator_cancels_the_shared_factor():
+    # p/(f g) + (f w - p)/(f g) = w/g: the numerator of the cross sum shares
+    # the factor f with the denominators, and the sum must drop it
+    f, g, w, p = ONE + Q, Q - scalar(3), Q * Q + I, QScalar.q_power(-1) + scalar(2)
+    a = p / (f * g)
+    b = (f * w - p) / (f * g)
+    total = a + b
+    assert total == w / g
+    assert (total.num, total.den) == ((w / g).num, (w / g).den)
+    assert len(total.den) == 2
