@@ -4,7 +4,8 @@ Elements are finite QScalar-linear combinations of normal-ordered words in
 the coordinate generators, the partial derivatives, and the scaling operator.
 Normal ordering, products, derivative actions (all four one-sided variants),
 conjugation, and the transport between the two coordinate orderings all run
-through one generic adjacent-pair rewriting engine.
+through one engine: memoized insertion of one token at a time into an
+already normal-ordered word, driven by adjacent-pair rewrite rules.
 
 Two Leibniz rule sets coexist: the plain calculus and its conjugate (the
 "hatted" one).  Hatted derivatives are never stored; parsing replaces them by
@@ -265,6 +266,11 @@ class _RuleSet:
             raise ValueError(ordering)
         self.rank = {t: i for i, t in enumerate(seq)}
         self.pair_rules = pair_rules
+        # normal form of an ordered word with one token attached at an end,
+        # keyed by that word
+        self.memo = {}
+        # counit of the normal form of (token,) + ordered coordinate word
+        self.counit_memo = {}
 
     def _tag(self, tok):
         return tok[0] if isinstance(tok, tuple) else tok
@@ -302,13 +308,23 @@ def _ruleset(space, calculus, ordering):
     return rs
 
 
+# whole-word memo, keyed (space, calculus, ordering, word); words longer than
+# _NF_CACHE_MAX_LEN are normal-ordered without being stored
 _NF_CACHE = {}
+_NF_CACHE_MAX_LEN = 10
+# a rule set's insertion and counit memos are emptied when they reach this
+# many entries
+_MEMO_LIMIT = 20_000
+# the insertion recursion descends at most about this many tokens at a time
+_WARM_STEP = 64
 _STRATEGY = "leftmost"
 
 
 class rewrite_strategy:
-    """Context manager switching the pair-selection strategy; confluence
-    tests compare 'leftmost' against 'rightmost'."""
+    """Context manager choosing the insertion order: 'leftmost' folds the
+    tokens of a word in left to right, 'rightmost' right to left.  Both give
+    the same normal forms; entering and leaving empties every memo, so a
+    computation under 'rightmost' is cold and independent of earlier ones."""
 
     def __init__(self, name):
         if name not in ("leftmost", "rightmost"):
@@ -319,61 +335,127 @@ class rewrite_strategy:
         global _STRATEGY
         self.saved = _STRATEGY
         _STRATEGY = self.name
-        _NF_CACHE.clear()
+        _clear_memos()
         return self
 
     def __exit__(self, *exc):
         global _STRATEGY
         _STRATEGY = self.saved
-        _NF_CACHE.clear()
+        _clear_memos()
         return False
+
+
+def _clear_memos():
+    _NF_CACHE.clear()
+    for rs in _RULESETS.values():
+        rs.memo.clear()
+        rs.counit_memo.clear()
+
+
+def _fold(rs, terms, t, prepend):
+    """Normal form of terms * t (of t * terms when prepend), for terms a
+    {normal-ordered word: QScalar} dict; a word whose end is already in
+    order with t takes t directly."""
+    out = {}
+    for w, c in terms.items():
+        if prepend:
+            alts = rs.resolve(t, w[0]) if w else None
+        else:
+            alts = rs.resolve(w[-1], t) if w else None
+        if alts is None:
+            _add_term(out, (t,) + w if prepend else w + (t,), c)
+            continue
+        for ww, cc in _insert(rs, w, t, alts, prepend).items():
+            _add_term(out, ww, cc if c is ONE else c * cc)
+    return out
+
+
+def _insert(rs, w, t, alts, prepend):
+    """Normal form of w * t (of t * w when prepend) for a normal-ordered word
+    w whose end does not stand in order with t; alts resolves that pair.
+
+    t first moves past the tokens whose rule is a single scaled swap.  At the
+    first longer rule, every alternative's replacement is folded into the
+    rest of the word; that step is memoized on the rule set, keyed by its
+    word.  The tokens t moved past are folded back in last."""
+    n = len(w)
+    coeff = ONE
+    j = 0  # tokens t has moved past
+    while alts is not None:
+        v = w[j] if prepend else w[n - 1 - j]
+        if len(alts) > 1 or alts[0][1] != ((v, t) if prepend else (t, v)):
+            break
+        a = alts[0][0]
+        if a is not ONE:
+            coeff = a if coeff is ONE else coeff * a
+        j += 1
+        if j == n:
+            alts = None
+        elif prepend:
+            alts = rs.resolve(t, w[j])
+        else:
+            alts = rs.resolve(w[n - 1 - j], t)
+    if alts is None:
+        word = w[:j] + (t,) + w[j:] if prepend else w[:n - j] + (t,) + w[n - j:]
+        return {word: coeff}
+    if prepend:
+        passed, key, rest = w[j - 1::-1] if j else (), (t,) + w[j:], w[j + 1:]
+    else:
+        passed, key, rest = w[n - j:], w[:n - j] + (t,), w[:n - j - 1]
+    memo = rs.memo
+    terms = memo.get(key)
+    if terms is None:
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        terms = {}
+        for a, repl in alts:
+            if repl and len(rest) > _WARM_STEP:
+                # insert the first token into a shorter part of rest first:
+                # the recursion below then meets memoized entries within
+                # _WARM_STEP levels, however long the word
+                r = repl[-1] if prepend else repl[0]
+                _fold(rs, {rest[_WARM_STEP:] if prepend else rest[:-_WARM_STEP]: ONE}, r, prepend)
+            part = {rest: ONE}
+            for r in reversed(repl) if prepend else repl:
+                part = _fold(rs, part, r, prepend)
+            for ww, cc in part.items():
+                _add_term(terms, ww, cc if a is ONE else a * cc)
+        memo[key] = terms
+    for v in passed:
+        terms = _fold(rs, terms, v, prepend)
+    if coeff is not ONE:
+        terms = {ww: coeff * cc for ww, cc in terms.items()}
+    return terms
 
 
 def _normalize_word(space, calculus, ordering, word):
     """Rewrite an arbitrary token word to its normal form.
 
-    Returns {canonical word: QScalar}.  Strategy independence (choice of
-    which disordered pair to attack) is a tested property, not an assumption.
-    """
-    rs = _ruleset(space, calculus, ordering)
+    Returns {canonical word: QScalar}.  The longest ordered run at the start
+    of the word (at its end under 'rightmost') is kept as it is and the
+    remaining tokens are inserted one at a time.  The rule sets resolve
+    every overlap (a tested property), so the insertion order does not
+    change the result (Bergman's diamond lemma, Adv. Math. 29 (1978) 178)."""
     cache_key = (space, calculus, ordering, word)
     hit = _NF_CACHE.get(cache_key)
     if hit is not None:
         return hit
-
-    result = {}
-    stack = [(ONE, word)]
-    while stack:
-        coeff, w = stack.pop()
-        # find the first disordered adjacent pair under the active strategy
-        idx = -1
-        alts = None
-        positions = range(len(w) - 1)
-        if _STRATEGY == "rightmost":
-            positions = range(len(w) - 2, -1, -1)
-        for i in positions:
-            r = rs.resolve(w[i], w[i + 1])
-            if r is not None:
-                idx, alts = i, r
-                break
-        if idx < 0:
-            prev = result.get(w)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                result[w] = s
-            else:
-                result.pop(w, None)
-            continue
-        if idx > 0 and _STRATEGY == "leftmost":
-            sub = _NF_CACHE.get((space, calculus, ordering, w[idx:]))
-            if sub is not None:
-                for ww, c in sub.items():
-                    stack.append((coeff * c, w[:idx] + ww))
-                continue
-        for c, repl in alts:
-            stack.append((coeff * c, w[:idx] + repl + w[idx + 2:]))
-
-    if len(word) <= 10:
+    rs = _ruleset(space, calculus, ordering)
+    if _STRATEGY == "rightmost":
+        i = max(len(word) - 1, 0)
+        while i > 0 and rs.resolve(word[i - 1], word[i]) is None:
+            i -= 1
+        result = {word[i:]: ONE}
+        for t in reversed(word[:i]):
+            result = _fold(rs, result, t, True)
+    else:
+        i = min(len(word), 1)
+        while i < len(word) and rs.resolve(word[i - 1], word[i]) is None:
+            i += 1
+        result = {word[:i]: ONE}
+        for t in word[i:]:
+            result = _fold(rs, result, t, False)
+    if len(word) <= _NF_CACHE_MAX_LEN:
         _NF_CACHE[cache_key] = result
     return result
 
@@ -635,27 +717,51 @@ def _mirror_element(a: NCElement) -> NCElement:
     return out
 
 
+def _counit_step(rs, t, terms):
+    """t acting on the coordinate words of terms: the counit of the normal
+    form of (t,) + word, which drops the words still holding a derivative
+    and sends the scaling operator to 1."""
+    out = {}
+    memo = rs.counit_memo
+    xs = X_TOKENS[rs.space]
+    for xw, c in terms.items():
+        key = (t,) + xw
+        img = memo.get(key)
+        if img is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            img = {}
+            for w, a in _fold(rs, {xw: ONE}, t, True).items():
+                if w and isinstance(w[-1], tuple):
+                    w = w[:-1]
+                if not w or w[-1] in xs:
+                    img[w] = a
+            memo[key] = img
+        for w, a in img.items():
+            _add_term(out, w, c * a)
+    return out
+
+
 def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
+    """Left action as a module action: the operator's tokens act on the
+    coordinate words one at a time, right to left.  This is exact because
+    the kernel of the counit after normal ordering is the left ideal
+    generated by the derivatives and Lambda^(1/2) - 1."""
     space = op.space
+    rs = _ruleset(space, calculus, "xd")
     hatk = HAT_POWER[space]
-    nx = len(X_TOKENS[space])
-    nkey = len(KEY_LAYOUT[space])
-
-    def counit(key):
-        # the counit kills residual derivatives and sends the scaling
-        # operator to 1
-        return None if any(key[nx:nkey]) else key[:-1] + (0,)
-
+    fwords = {_word_of_key(space, k): c for k, c in f.terms.items()}
     out = NCElement(space)
     for kop, cop in op.terms.items():
-        wop = _word_of_key(space, kop)
         c0 = cop
         if calculus == "h":
             # stored plain derivatives = q^(-k) * hatted ones
             c0 = c0 * qpow(-hatk * op.spatial_d_count(kop))
-        for kf, cf in f.terms.items():
-            wf = _word_of_key(space, kf)
-            _add_normal_form(out.terms, space, calculus, "xd", wop + wf, c0 * cf, counit)
+        terms = fwords
+        for t in reversed(_word_of_key(space, kop)):
+            terms = _counit_step(rs, t, terms)
+        for w, c in terms.items():
+            _add_term(out.terms, _canonical_word_to_key(space, w), c0 * c)
     return out
 
 

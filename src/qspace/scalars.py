@@ -354,6 +354,11 @@ class QScalar:
 
     def __eq__(self, other):
         if not isinstance(other, QScalar):
+            if isinstance(other, float):
+                # exact, like int == float; nan and the infinities equal nothing
+                if not math.isfinite(other):
+                    return False
+                other = Fraction(other)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -488,6 +493,22 @@ class QScalar:
         if other is NotImplemented:
             return NotImplemented
         return other / self
+
+    def __pow__(self, k):
+        """Integer powers by repeated squaring; a negative power divides, so
+        ``ZERO ** -1`` raises DivisionByZero."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return ONE / self ** -k
+        out, base = ONE, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def conj(self):
         """Complex conjugation; q itself is treated as real."""

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -265,3 +268,19 @@ def test_round_trip_corpus_of_200():
         reparsed = parse(printed, space)
         assert render(reparsed) == printed, (text, printed)
         count += 1
+
+
+@pytest.mark.parametrize("word", ["Xm^12 Xp^12", "dm^6 Xm^6"])
+def test_nf_ladders_finish_quickly(word):
+    # the tree rewriter took minutes from Xm^8 Xp^8 on; insertion with
+    # merged like terms takes well under a second here
+    import qspace
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qspace.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qspace.cli", "nf", word, "--space", "euclid3"],
+        capture_output=True, text=True, timeout=60, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS
 from qspace.ncalgebra import (
     NCElement,
@@ -16,7 +17,7 @@ from qspace.ncalgebra import (
     normalize_in_calculus,
     reorder_transform,
 )
-from qspace.scalars import I, LAM, LAMP, ONE, QScalar, qpow
+from qspace.scalars import I, LAM, LAMP, ONE, QScalar, _add_term, qpow
 
 LL = LAM * LAMP
 
@@ -191,8 +192,8 @@ GENS = ["x0", "xp", "x3", "xm", "d0", "dp", "d3", "dm"]
 
 
 def test_confluence_strategy_independence():
-    # the same words normalized attacking the leftmost vs the rightmost
-    # disordered pair must agree exactly
+    # the same words normalized inserting their tokens left to right vs
+    # right to left must agree exactly
     from qspace.ncalgebra import rewrite_strategy
 
     rng = random.Random(3)
@@ -253,3 +254,195 @@ def test_act_with_mixed_operator_words():
     d3 = NCElement.generator("euclid3", "d3")
     composed = act(lam3, lift("euclid3", lower("euclid3", act(d3, f3, "left"))), "left")
     assert act(word3, f3, "left") == composed
+
+
+# -- the insertion engine against its certificate and an independent oracle --
+
+RULE_SETS = [
+    (space, calculus, ordering)
+    for space in ("line", "euclid3")
+    for calculus in ("u", "h")
+    for ordering in ("xd", "dx", "rev")
+]
+
+
+def _tokens(space):
+    return list(_nc.X_TOKENS[space]) + list(_nc.D_TOKENS[space]) + [("L", 1), ("L", -1)]
+
+
+def _tree_normal_form(rs, word, rightmost=False):
+    """Reference rewriter: expand the tree of words, always rewriting the
+    leftmost (or rightmost) disordered pair, and add up the ordered leaves.
+    No memo and no merging of like terms before the leaves."""
+    result = {}
+    stack = [(ONE, tuple(word))]
+    while stack:
+        coeff, w = stack.pop()
+        positions = range(len(w) - 1)
+        for i in reversed(positions) if rightmost else positions:
+            alts = rs.resolve(w[i], w[i + 1])
+            if alts is not None:
+                for c, repl in alts:
+                    stack.append((coeff * c, w[:i] + repl + w[i + 2:]))
+                break
+        else:
+            _add_term(result, w, coeff)
+    return result
+
+
+def _combine(parts):
+    out = {}
+    for k, word_terms in parts:
+        for w, c in word_terms.items():
+            _add_term(out, w, k * c)
+    return out
+
+
+def test_overlap_ambiguities_resolve():
+    # Bergman's diamond lemma (Adv. Math. 29 (1978) 178): the rules give a
+    # PBW basis, and every reduction order the same normal form, when each
+    # overlap a b c whose pairs (a, b) and (b, c) both rewrite reduces to
+    # one element either way
+    count = 0
+    for key in RULE_SETS:
+        rs = _nc._ruleset(*key)
+        toks = _tokens(key[0])
+        for a in toks:
+            for b in toks:
+                ab = rs.resolve(a, b)
+                if ab is None:
+                    continue
+                for c in toks:
+                    bc = rs.resolve(b, c)
+                    if bc is None:
+                        continue
+                    count += 1
+                    left = _combine((k, _nc._normalize_word(*key, r + (c,))) for k, r in ab)
+                    right = _combine((k, _nc._normalize_word(*key, (a,) + r)) for k, r in bc)
+                    assert left == right, (key, a, b, c)
+    assert count == 1152
+
+
+def _random_words(rng, space, n):
+    toks = _tokens(space)
+    return [tuple(rng.choice(toks) for _ in range(rng.randint(0, 7))) for _ in range(n)]
+
+
+def test_insertion_matches_tree_rewriter():
+    rng = random.Random(17)
+    for key in RULE_SETS:
+        rs = _nc._ruleset(*key)
+        space = key[0]
+        ladders = [("xm",) * 3 + ("xp",) * 3, ("dm",) * 3 + ("xm",) * 3] if space == "euclid3" \
+            else [("x1",) * 3 + ("d1",) * 3, ("d1",) * 3 + ("x1",) * 3]
+        words = _random_words(rng, space, 60) + ladders
+        want = [_tree_normal_form(rs, w) for w in words]
+        for strategy in ("leftmost", "rightmost"):
+            with _nc.rewrite_strategy(strategy):
+                got = [_nc._normalize_word(*key, w) for w in words]
+            for w, a, b in zip(words, got, want):
+                assert a == b, (key, strategy, w)
+        # the oracle itself does not depend on which pair it rewrites first
+        for w, b in zip(words[:20], want):
+            assert _tree_normal_form(rs, w, rightmost=True) == b, (key, w)
+
+
+def _reference_act_left(op, f, calculus):
+    """The definition: normal-order every operator word times every
+    coordinate word in full, then apply the counit."""
+    space = op.space
+    rs = _nc._ruleset(space, calculus, "xd")
+    nx = len(_nc.X_TOKENS[space])
+    out = {}
+    for kop, cop in op.terms.items():
+        c0 = cop
+        if calculus == "h":
+            c0 = c0 * qpow(-_nc.HAT_POWER[space] * op.spatial_d_count(kop))
+        for kf, cf in f.terms.items():
+            word = _nc._word_of_key(space, kop) + _nc._word_of_key(space, kf)
+            for w, c in _tree_normal_form(rs, word).items():
+                key = _nc._canonical_word_to_key(space, w)
+                if not any(key[nx:-1]):
+                    _add_term(out, key[:-1] + (0,), c0 * cf * c)
+    return NCElement(space, out)
+
+
+def _reference_act(op, f, mode):
+    if mode in ("left", "left_bar"):
+        return _reference_act_left(op, f, "u" if mode == "left" else "h")
+    # right actions: the +/- mirror transport of the other left action, one
+    # sign per derivative factor
+    space = op.space
+    nx, nd = len(_nc.X_TOKENS[space]), len(_nc.D_TOKENS[space])
+    calculus = "h" if mode == "right" else "u"
+    mf = _nc._mirror_element(f)
+    acc = NCElement.zero(space)
+    for kop, cop in op.terms.items():
+        term = _nc._mirror_element(NCElement(space, {kop: cop}))
+        part = _reference_act_left(term, mf, calculus)
+        acc = acc + (part if sum(kop[nx:nx + nd]) % 2 == 0 else -part)
+    return _nc._mirror_element(acc)
+
+
+def _random_element(rng, space, pool, max_len, terms):
+    acc = NCElement.zero(space)
+    for _ in range(terms):
+        word = tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
+        acc = acc + normal_form(space, word, coeff=QScalar.q_power(rng.randint(-3, 3)) + I)
+    return acc
+
+
+def test_act_matches_full_normal_form_then_counit():
+    rng = random.Random(23)
+    for space in ("line", "euclid3"):
+        ops = list(_nc.D_TOKENS[space]) + [("L", 1), ("L", -2)]
+        xs = list(_nc.X_TOKENS[space])
+        for _ in range(25):
+            op = _random_element(rng, space, ops, 3, 2)
+            f = _random_element(rng, space, xs, 4, 3)
+            for mode in ("left", "left_bar", "right", "right_bar"):
+                assert act(op, f, mode) == _reference_act(op, f, mode), (space, mode, op, f)
+
+
+def test_act_between_degrees_has_no_constant_term():
+    # every rule keeps x-degree minus d-degree, so a derivative word of degree
+    # n pairs to 0 with a coordinate word of degree m != n (the pairings skip
+    # these without acting)
+    import itertools
+
+    for space in ("line", "euclid3"):
+        ds, xs = _nc.D_TOKENS[space], _nc.X_TOKENS[space]
+        for n, m in itertools.product(range(4), repeat=2):
+            if n == m:
+                continue
+            for dword in itertools.islice(itertools.product(ds, repeat=n), 6):
+                for xword in itertools.islice(itertools.product(xs, repeat=m), 6):
+                    op, f = normal_form(space, dword), normal_form(space, xword)
+                    for mode in ("left", "left_bar", "right", "right_bar"):
+                        assert act(op, f, mode).constant_term() == 0, (dword, xword, mode)
+
+
+def test_ladders_do_not_blow_up():
+    # the tree rewriter needed minutes here; insertion merges like terms
+    assert len(nf("euclid3", *("xm",) * 12, *("xp",) * 12).terms) == 13
+    assert len(nf("euclid3", *("dm",) * 6, *("xm",) * 6).terms) == 176
+
+
+def test_long_words_keep_the_recursion_shallow():
+    # a token travelling through n others would recurse about 2n frames
+    # deep; insertion into shorter prefixes first keeps it near 150
+    import inspect
+    import sys
+
+    word = ("xm",) * 200 + ("xp",)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 250)
+    try:
+        results = []
+        for strategy in ("leftmost", "rightmost"):
+            with _nc.rewrite_strategy(strategy):
+                results.append(normal_form("euclid3", word))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert results[0] == results[1]
+    assert len(results[0].terms) == 2

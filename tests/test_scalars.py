@@ -212,3 +212,34 @@ def test_sum_over_shared_denominator_cancels_the_shared_factor():
     assert total == w / g
     assert (total.num, total.den) == ((w / g).num, (w / g).den)
     assert len(total.den) == 2
+
+
+def test_integer_powers():
+    assert Q ** 0 == ONE and ZERO ** 0 == ONE
+    assert Q ** 3 == Q * Q * Q == qpow(3)
+    assert QScalar.q_power(1) ** 2 == Q
+    x = (ONE + Q) / (Q - scalar(3))
+    assert x ** 5 == x * x * x * x * x
+    assert x ** -2 == ONE / (x * x)
+    assert Q ** -1 == qpow(-1)
+    assert scalar(Fraction(2, 3)) ** -3 == Fraction(27, 8)
+    assert I ** 4 == ONE and I ** 2 == -ONE
+    with pytest.raises(DivisionByZero):
+        ZERO ** -1
+    with pytest.raises(TypeError):
+        Q ** 0.5
+    with pytest.raises(TypeError):
+        Q ** Q
+
+
+def test_equality_with_floats_is_exact():
+    assert ONE == 1.0 and 1.0 == ONE
+    assert ZERO == 0.0 and ZERO == -0.0
+    assert scalar(Fraction(3, 4)) == 0.75
+    assert scalar(Fraction(1, 3)) != 1 / 3  # the float is not exactly 1/3
+    assert Q != 1.0 and I != 0.0
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        assert ONE != bad and not (ONE == bad)
+    # == agrees with hash, as for int, Fraction and float themselves
+    assert hash(ONE) == hash(1.0) and hash(scalar(Fraction(1, 2))) == hash(0.5)
+    assert len({ONE, 1.0, 1, Fraction(1)}) == 1
