@@ -14,7 +14,7 @@ the underlying framework is covered by a machine check in
 
 from .cfunc import CFunction, LatticeFunction
 from .ncalgebra import NCElement, act, lift, lower, multiply, normal_form, reorder_transform
-from .scalars import QScalar, eval_at, qfact, qnum
+from .scalars import QScalar, eval_at, qbinom, qfact, qnum
 from .suites import SUITES, SuiteOptions, run_suite
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "lower",
     "multiply",
     "normal_form",
+    "qbinom",
     "qfact",
     "qnum",
     "reorder_transform",

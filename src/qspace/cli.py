@@ -152,29 +152,32 @@ def _cmd_nf(args):
     return _emit(args, v)
 
 
+def _commutative(text, space, what):
+    """Parse a commutative polynomial argument; a scalar is the constant
+    polynomial."""
+    v = parse(text, space)
+    if v.kind == "scalar":
+        return CFunction.constant(space_vars(space), v.data)
+    if v.kind != "c":
+        raise ParseError(f"{what} apply to commutative polynomials", 0)
+    return v.data
+
+
 def _cmd_star(args):
-    f = parse(args.f, args.space)
-    g = parse(args.g, args.space)
-    for v in (f, g):
-        if v.kind not in ("c", "scalar"):
-            raise ParseError("star arguments must be commutative polynomials", 0)
-    vars_ = space_vars(args.space)
-    fd = f.data if f.kind == "c" else CFunction.constant(vars_, f.data)
-    gd = g.data if g.kind == "c" else CFunction.constant(vars_, g.data)
+    f = _commutative(args.f, args.space, "star products")
+    g = _commutative(args.g, args.space, "star products")
     ctx = StarContext(args.space, "reversed" if args.reversed_order else "standard")
-    return _emit(args, Value("c", star(ctx, fd, gd)))
+    return _emit(args, Value("c", star(ctx, f, g)))
 
 
 def _cmd_d(args):
-    v = parse(args.expr, args.space)
-    if v.kind != "c":
-        raise ParseError("derivative actions apply to commutative polynomials", 0)
+    f = _commutative(args.expr, args.space, "derivative actions")
     idx = {"p": "+", "m": "-"}.get(args.index, args.index)
     variant = _ACTION_NAMES.get(args.variant)
     if variant is None:
         print(f"unknown variant {args.variant!r}", file=sys.stderr)
         return 2
-    out = act_partial_closed(idx, variant, v.data, args.space)
+    out = act_partial_closed(idx, variant, f, args.space)
     return _emit(args, Value("c", out))
 
 
@@ -233,17 +236,13 @@ def _cmd_int(args):
 
 
 def _cmd_translate(args):
-    v = parse(args.expr, args.space)
-    if v.kind != "c":
-        raise ParseError("translations apply to commutative polynomials", 0)
-    return _emit(args, Value("c", translate(args.space, args.variant, v.data)))
+    f = _commutative(args.expr, args.space, "translations")
+    return _emit(args, Value("c", translate(args.space, args.variant, f)))
 
 
 def _cmd_antipode(args):
-    v = parse(args.expr, args.space)
-    if v.kind != "c":
-        raise ParseError("antipodes apply to commutative polynomials", 0)
-    return _emit(args, Value("c", antipode(args.space, args.variant, v.data)))
+    f = _commutative(args.expr, args.space, "antipodes")
+    return _emit(args, Value("c", antipode(args.space, args.variant, f)))
 
 
 def _cmd_exp(args):

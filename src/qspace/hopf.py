@@ -10,11 +10,14 @@ hatted Taylor identity is checked entirely in that representation.
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .cfunc import CFunction, _monomials, space_vars
-from .pairexp import classical_factorial, qexp
+from .pairexp import qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, QScalar, _add_term, qfact, qpow
+from .scalars import LAM, LAMP, ONE, QScalar, _add_term, qbinom, qnum, qpow
 
 TRANSLATE_VARIANTS = ("L", "Lbar", "R", "Rbar")
 
@@ -37,12 +40,35 @@ def doubled_vars(space):
     return xs + tuple(_Y_OF[v] for v in xs)
 
 
+@functools.lru_cache(maxsize=None)
+def _odd_qfact(l: int, a: int) -> QScalar:
+    """[[1]][[3]]...[[2l-1]] in base q^a: [[2l]]! / [[2l]]!!."""
+    out = ONE
+    for j in range(1, 2 * l, 2):
+        out = out * qnum(j, a)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _step_power(l: int, s: int, e: int) -> QScalar:
+    """l-th power of the step prefactor q^e lambda lambda', negated for the
+    inverse bases (s < 0); translations take e = s, antipodes e = -s."""
+    step = qpow(e) * LAM * LAMP
+    if s < 0:
+        step = -step
+    return step ** l
+
+
 def translate(space: str, variant: str, f: CFunction) -> CFunction:
     """q-translation of a polynomial: the finite two-leg Taylor sums.
 
     The 'Lbar' sums use the plain q-bases, 'L' the inverse ones; on the 3d
     space the 'L' formula is the +/- mirror of the 'Lbar' one and produces a
     reversed-ordering representative.
+
+    Each monomial's sum is written out in closed form: a derivative power
+    over the matching factorial is a binomial, classical or Gaussian, so
+    every coefficient is a Laurent polynomial and nothing is divided.
     """
     if variant not in TRANSLATE_VARIANTS:
         raise ValueError(f"unknown translation variant {variant!r}")
@@ -50,77 +76,47 @@ def translate(space: str, variant: str, f: CFunction) -> CFunction:
     if f.vars != want:
         f = f.restrict(want)
     out_vars = doubled_vars(space)
-    out = CFunction.zero(out_vars)
+    out = {}
     s, swap = _VARIANT_PARAMS[variant]
     if space == "line":
-        base = s
         for (n0, n1), c in f.terms.items():
-            h = CFunction(want, {(n0, n1): c})
-            hk = h
             for k in range(n0 + 1):
-                hl = hk
+                ck = math.comb(n0, k)
                 for l in range(n1 + 1):
-                    coeff = ONE / (classical_factorial(k) * qfact(l, base))
-                    xpart = CFunction.monomial(out_vars, (k, l, 0, 0), coeff)
-                    out = out + xpart * hl.embed(
-                        out_vars, {"x0": "y0", "x1": "y1"}
-                    )
-                    hl = hl.jackson_d("x1", base)
-                hk = hk.classical_d("x0")
-        return out
+                    _add_term(out, (k, l, n0 - k, n1 - l), qbinom(n1, l, s) * ck * c)
+        return CFunction(out_vars, out)
 
-    lam_l = qpow(s) * LAM * LAMP
-    if s < 0:
-        lam_l = -lam_l
+    # x-legs (x0, xp, x3, xm), then the y-legs in the same order from slot y
     vp, vm = ("xm", "xp") if swap else ("xp", "xm")
-    yp = _Y_OF[vp]
-    y_extra_idx = out_vars.index(yp)
+    ip, i3, im = want.index(vp), want.index("x3"), want.index(vm)
+    y = len(want)
+    a3, a4 = 2 * s, 4 * s
     for exps, c in f.terms.items():
-        n0 = exps[0]
-        np_ = exps[want.index(vp)]
-        n3 = exps[want.index("x3")]
-        nm = exps[want.index(vm)]
-        base_f = CFunction(want, {exps: c})
-        for k0 in range(n0 + 1):
-            for kp in range(np_ + 1):
-                for k3 in range(n3 + 1):
-                    for km in range(nm + 1):
-                        for l in range(k3 + 1):
-                            denom = (
-                                classical_factorial(k0)
-                                * qfact(2 * l, 2 * s, "double")
-                                * qfact(kp, 4 * s)
-                                * qfact(k3 - l, 2 * s)
-                                * qfact(km, 4 * s)
-                            )
-                            pre = ONE
-                            for _ in range(l):
-                                pre = pre * lam_l
-                            g = base_f
-                            for _ in range(k0):
-                                g = g.classical_d("x0")
-                            for _ in range(kp):
-                                g = g.jackson_d(vp, 4 * s)
-                            for _ in range(k3 + l):
-                                g = g.jackson_d("x3", 2 * s)
-                            for _ in range(km):
-                                g = g.jackson_d(vm, 4 * s)
-                            if g.is_zero():
-                                continue
-                            g = g.scale_var(vp, 4 * s * (k3 - l))
-                            g = g.scale_var("x3", 4 * s * km)
-                            # x-leg monomial and the extra y-leg factor
-                            xexp = [0] * len(out_vars)
-                            xexp[0] = k0
-                            xexp[out_vars.index(vp)] = kp
-                            xexp[out_vars.index("x3")] = k3 - l
-                            xexp[out_vars.index(vm)] = km + l
-                            xexp[y_extra_idx] += l
-                            xmono = CFunction.monomial(out_vars, xexp, pre / denom)
-                            out = out + xmono * g.embed(
-                                out_vars, {v: _Y_OF[v] for v in want}
-                            )
-    return out
+        n0, np_, n3, nm = exps[0], exps[ip], exps[i3], exps[im]
+        # x3 leg: j = k3 - l plain and l paired derivatives, r = n3 - j - 2l
+        # left over; [n3]!/([r]! [j]! [2l]!!) lambda_l^l
+        x3_leg = [
+            (j, l, n3 - j - 2 * l,
+             qbinom(n3, j, a3) * qbinom(n3 - j, 2 * l, a3) * _odd_qfact(l, a3)
+             * _step_power(l, s, s))
+            for l in range(n3 // 2 + 1)
+            for j in range(n3 - 2 * l + 1)
+        ]
+        for kp in range(np_ + 1):
+            cp = qbinom(np_, kp, a4)
+            for km in range(nm + 1):
+                cpm = cp * qbinom(nm, km, a4)
+                for j, l, r, c3 in x3_leg:
+                    # x3 -> q^(2s km) x3 and vp -> q^(2s j) vp on the y-legs
+                    cpm3 = cpm * c3 * QScalar.q_power(a4 * (j * (np_ - kp) + km * r))
+                    for k0 in range(n0 + 1):
+                        key = [0] * (2 * y)
+                        key[0], key[y] = k0, n0 - k0
+                        key[ip], key[y + ip] = kp, np_ - kp + l
+                        key[i3], key[y + i3] = j, r
+                        key[im], key[y + im] = km + l, nm - km
+                        _add_term(out, tuple(key), cpm3 * math.comb(n0, k0) * c)
+    return CFunction(out_vars, out)
 
 
 def antipode(space: str, variant: str, f: CFunction) -> CFunction:
@@ -129,7 +125,9 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
     On the 3d space the corrections form a finite series consuming two
     powers of the 3-coordinate per step; the exponent operator is read as
     n(n-1)-type on the +/- degrees, the reading the counit and Taylor
-    identities validate."""
+    identities validate.  Step k of a monomial x3^m3 carries
+    D_3^(2k) x3^m3 / [[2k]]!! = [[m3 over 2k]] [[1]][[3]]...[[2k-1]] x3^(m3-2k),
+    so no q-factorial is divided."""
     if variant not in TRANSLATE_VARIANTS:
         raise ValueError(f"unknown antipode variant {variant!r}")
     want = space_vars(space)
@@ -148,35 +146,21 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
     # The q-power operator is symmetric in the +/- degrees, so the mirrored
     # variants share the formula; only the base sign differs.
     ip, i3, im = want.index("xp"), want.index("x3"), want.index("xm")
-    step_pre = qpow(-s) * LAM * LAMP
-    if s < 0:
-        step_pre = -step_pre
-    out = CFunction.zero(want)
-    kmax = f.degree("x3") // 2
-    for k in range(kmax + 1):
-        pre = qpow(4 * s * k * k)
-        for _ in range(k):
-            pre = pre * step_pre
-        pre = pre / qfact(2 * k, 2 * s, "double")
-        acc = {}
-        for exps, c in f.terms.items():
-            mp, m3, mm = exps[ip], exps[i3], exps[im]
-            w = 2 * (mp * (mp - 1) + mm * (mm - 1)) + m3 * (2 * mp + 2 * mm + m3 - 1)
-            factor = QScalar.q_power(2 * s * w)
-            if sum(exps) % 2:
-                factor = -factor
-            factor = factor * QScalar.q_power(-4 * s * k * m3)  # x3 -> q^{-2k}x3
-            _add_term(acc, exps, c * factor)
-        acc = CFunction(want, acc)
-        for _ in range(2 * k):
-            acc = acc.jackson_d("x3", 2 * s)
-        if acc.is_zero():
-            continue
-        mono = [0] * len(want)
-        mono[ip] = k
-        mono[im] = k
-        out = out + acc * CFunction.monomial(want, mono, pre)
-    return out
+    a3 = 2 * s
+    out = {}
+    for exps, c in f.terms.items():
+        mp, m3, mm = exps[ip], exps[i3], exps[im]
+        w = 2 * (mp * (mp - 1) + mm * (mm - 1)) + m3 * (2 * mp + 2 * mm + m3 - 1)
+        if sum(exps) % 2:
+            c = -c
+        for k in range(m3 // 2 + 1):
+            # q^(4 s k^2) and x3 -> q^(-2k) x3 ride on the exponent weight
+            coeff = (qbinom(m3, 2 * k, a3) * _odd_qfact(k, a3) * _step_power(k, s, -s)
+                     * QScalar.q_power(2 * s * w - 4 * s * k * m3 + 8 * s * k * k))
+            key = list(exps)
+            key[ip], key[i3], key[im] = mp + k, m3 - 2 * k, mm + k
+            _add_term(out, tuple(key), coeff * c)
+    return CFunction(want, out)
 
 
 def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
@@ -192,12 +176,14 @@ def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
             ypart.append(exps[j])
             xpart[j] = 0
         _add_term(grouped.setdefault(tuple(xpart), {}), tuple(ypart), c)
-    out = CFunction.zero(out_vars)
+    out = {}
     for xpart, yterms in grouped.items():
-        g = antipode(space, variant, CFunction(want, yterms))
-        shifted = g.embed(out_vars, {v: _Y_OF[v] for v in want})
-        out = out + CFunction(out_vars, {xpart: ONE}) * shifted
-    return out
+        for ey, c in antipode(space, variant, CFunction(want, yterms)).terms.items():
+            key = list(xpart)
+            for j, n in zip(y_idx, ey):
+                key[j] += n
+            _add_term(out, tuple(key), c)
+    return CFunction(out_vars, out)
 
 
 def translated_antipoded_monomial(space, variant, exps) -> CFunction:
@@ -261,6 +247,7 @@ def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
     top = max((gf.degree() for _, gf in targets), default=0)
     setups = identities or _IDENTITY_SETUPS
     out_vars = doubled_vars(space)
+    y_idx = [out_vars.index(_Y_OF[v]) for v in want]
     for setup in setups:
         exp_variant, tvariant, avariant, rep_name = setup
         # one exponential per setup; its terms are sorted by degree, and the
@@ -269,7 +256,7 @@ def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
         leg_cache = {}
         for label, gf in targets:
             deg = gf.degree()
-            acc = CFunction.zero(out_vars)
+            acc = {}
             for exps, _dword, coeff in exp:
                 if sum(exps) > deg:
                     break
@@ -280,9 +267,16 @@ def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
                     leg_cache[exps] = translated_antipoded_monomial(
                         space, tvariant, exps
                     )
-                leg = leg_cache[exps]
-                ypoly = acted.embed(out_vars, {v: _Y_OF[v] for v in want})
-                acc = acc + (leg * ypoly).scale(coeff)
+                leg = leg_cache[exps].terms.items()
+                # leg * (acted on the y-legs) * coeff, term by term
+                for ey, cy in acted.terms.items():
+                    cy = cy * coeff
+                    for el, cl in leg:
+                        key = list(el)
+                        for j, n in zip(y_idx, ey):
+                            key[j] += n
+                        _add_term(acc, tuple(key), cl * cy)
+            acc = CFunction(out_vars, acc)
             expect = gf.embed(out_vars)
             if acc != expect:
                 rep.record(f"{exp_variant}/{tvariant}:{label}", str(acc), str(expect))

@@ -55,10 +55,11 @@ def _apply_program(f: CFunction, program) -> CFunction:
 
 
 def apply_branches(f: CFunction, branches) -> CFunction:
-    out = CFunction.zero(f.vars)
+    out = {}
     for pre, prog in branches:
-        out = out + _apply_program(f, prog).scale(pre)
-    return out
+        for e, c in _apply_program(f, prog).terms.items():
+            _add_term(out, e, c * pre)
+    return CFunction(f.vars, out)
 
 
 def _transform(branches, swap_pm=False, invert_q=False, negate=False):

@@ -32,6 +32,7 @@ __all__ = [
     "scalar",
     "qnum",
     "qfact",
+    "qbinom",
     "eval_at",
 ]
 
@@ -820,6 +821,45 @@ def qfact(n: int, a: int = 1, kind: str = "plain") -> QScalar:
             out = out * qnum(j, a)
         return out
     raise ValueError(f"unknown q-factorial kind: {kind!r}")
+
+
+_QBINOM = {}  # (n, k, a) -> [[n over k]]_{q^a}, k <= n - k
+
+
+def qbinom(n: int, k: int, a: int = 1) -> QScalar:
+    """Gaussian binomial [[n over k]]_{q^a}, a Laurent polynomial in q.
+
+    Built without division by the Pascal recurrence
+    C(m, j) = C(m-1, j-1) + q^(a j) C(m-1, j) (Kac-Cheung, Quantum Calculus,
+    2002), over integer coefficients, one row at a time and only up to column
+    min(k, n-k); the whole final column range is cached by (n, j, a).
+    Equals qfact(n, a) / (qfact(k, a) qfact(n - k, a)); zero outside 0 <= k <= n.
+    """
+    if n < 0:
+        raise ValueError("q-binomials are defined for n >= 0")
+    if a == 0:
+        raise ValueError("q-binomial base exponent must be nonzero")
+    if k < 0 or k > n:
+        return ZERO
+    k = min(k, n - k)
+    if not k:
+        return ONE
+    got = _QBINOM.get((n, k, a))
+    if got is not None:
+        return got
+    row = [{0: 1}] + [{} for _ in range(k)]
+    for m in range(1, n + 1):
+        # right to left, so row[j - 1] still holds row m - 1
+        for j in range(min(m, k), 0, -1):
+            shift = 2 * a * j
+            nxt = dict(row[j - 1])
+            for e, c in row[j].items():
+                e += shift
+                nxt[e] = nxt.get(e, 0) + c
+            row[j] = nxt
+    for j in range(1, k + 1):
+        _QBINOM[(n, j, a)] = _canon({e: _gr(c, 0) for e, c in row[j].items()}, _P_ONE)
+    return _QBINOM[(n, k, a)]
 
 
 def eval_at(x: QScalar, q0):

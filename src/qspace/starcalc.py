@@ -10,7 +10,7 @@ from __future__ import annotations
 from .cfunc import CFunction, _monomials, space_vars
 from .ncalgebra import lift, lower, reorder_transform
 from .reports import VerificationReport
-from .scalars import LAM, ONE, QScalar, _add_term, qfact
+from .scalars import LAM, ONE, QScalar, _add_term, qbinom, qnum
 
 
 class StarContext:
@@ -24,50 +24,49 @@ class StarContext:
 
 
 def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
+    """sum_k lambda^k / [[k]]! (D^k f)(D^k g), contracting xm of f with xp of
+    g (standard; base q^4) or xp of f with xm of g (reversed; base q^-4,
+    -lambda).  1/[[k]]! folds into the f leg, D^k x^a / [[k]]! being
+    [[a over k]] x^(a-k); the g leg keeps its falling product.  Every
+    factor but the input coefficients is a Laurent polynomial."""
     vars_ = space_vars("euclid3")
     i3 = vars_.index("x3")
-    ip = vars_.index("xp")
-    im = vars_.index("xm")
-    kmax = min(f.degree("xm"), g.degree("xp")) if not reversed_order else min(
-        f.degree("xp"), g.degree("xm")
-    )
+    if reversed_order:
+        fi, gi, a, lam, sign = vars_.index("xp"), vars_.index("xm"), -4, -LAM, -1
+    else:
+        fi, gi, a, lam, sign = vars_.index("xm"), vars_.index("xp"), 4, LAM, 1
+    legs = {}  # (f exponent, g exponent) -> [f leg * g leg for each k]
     out = {}
-    for k in range(kmax + 1):
-        if reversed_order:
-            fk = f
-            gk = g
-            for _ in range(k):
-                fk = fk.jackson_d("xp", -4)
-                gk = gk.jackson_d("xm", -4)
-            pre = ONE
-            for _ in range(k):
-                pre = pre * (-LAM)
-            pre = pre / qfact(k, -4)
-        else:
-            fk = f
-            gk = g
-            for _ in range(k):
-                fk = fk.jackson_d("xm", 4)
-                gk = gk.jackson_d("xp", 4)
-            pre = ONE
-            for _ in range(k):
-                pre = pre * LAM
-            pre = pre / qfact(k, 4)
-        for ef, cf in fk.terms.items():
-            for eg, cg in gk.terms.items():
+    for ef, cf in f.terms.items():
+        nf = ef[fi]
+        for eg, cg in g.terms.items():
+            ng = eg[gi]
+            pair = legs.get((nf, ng))
+            if pair is None:
+                pair = []
+                fall = lam_k = ONE
+                for k in range(min(nf, ng) + 1):
+                    if k:
+                        fall = fall * qnum(ng - k + 1, a)
+                        lam_k = lam_k * lam
+                    # lambda^k has k + 1 terms: multiplied in last, it is cheap
+                    pair.append(qbinom(nf, k, a) * fall * lam_k)
+                legs[(nf, ng)] = pair
+            c = cf * cg
+            e = [x + y for x, y in zip(ef, eg)]
+            for k, leg in enumerate(pair):
                 # exponent factor on the differentiated legs; the reversed
                 # ordering uses the full +/- mirror of the standard one (the
                 # printed reversed twin keeps the unswapped indices, which
                 # fails the round-trip oracle)
-                if reversed_order:
-                    w = -2 * (ef[i3] * eg[im] + ef[ip] * eg[i3])
-                else:
-                    w = 2 * (ef[i3] * eg[ip] + ef[im] * eg[i3])
-                e = [a + b for a, b in zip(ef, eg)]
-                e[i3] += 2 * k
+                w = 2 * sign * (ef[i3] * (ng - k) + (nf - k) * eg[i3])
+                key = list(e)
+                key[fi] -= k
+                key[gi] -= k
+                key[i3] += 2 * k
                 # the denominator-1 factors first: only the last product
                 # has a denominator to cancel against
-                _add_term(out, tuple(e), cf * cg * QScalar.q_power(2 * w) * pre)
+                _add_term(out, tuple(key), leg * QScalar.q_power(2 * w) * c)
     return CFunction(vars_, out)
 
 

@@ -52,6 +52,33 @@ def test_translate_antipode_commands(capsys):
     assert out == "(q^-1) x1^2"
 
 
+@pytest.mark.parametrize("argv,want", [
+    (("translate", "2"), "2"),
+    (("translate", "2", "--space", "line"), "2"),
+    (("antipode", "2"), "2"),
+    (("antipode", "1/(1+q)", "--variant", "L"), "1/(q + 1)"),
+    (("d", "2", "--index", "0"), "0"),
+    (("star", "2", "xp"), "2 xp"),
+    (("star", "xp", "i"), "i xp"),
+])
+def test_scalar_arguments_are_constant_polynomials(capsys, argv, want):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("translate", "Xp"),
+    ("antipode", "Xp"),
+    ("d", "Xp", "--index", "0"),
+    ("star", "Xp", "xp"),
+])
+def test_noncommutative_arguments_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "apply to commutative polynomials" in err
+
+
 def test_exp_command(capsys):
     code, out, _ = run(capsys, "exp", "--space", "line", "--degree", "1")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from qspace.scalars import (
     QScalar,
     ZERO,
     eval_at,
+    qbinom,
     qfact,
     qnum,
     qpow,
@@ -243,3 +245,33 @@ def test_equality_with_floats_is_exact():
     # == agrees with hash, as for int, Fraction and float themselves
     assert hash(ONE) == hash(1.0) and hash(scalar(Fraction(1, 2))) == hash(0.5)
     assert len({ONE, 1.0, 1, Fraction(1)}) == 1
+
+
+@pytest.mark.parametrize("a", [1, -1, 2, -2, 4, -4])
+def test_qbinom_is_the_factorial_quotient(a):
+    for n in range(13):
+        for k in range(n + 1):
+            want = qfact(n, a) / (qfact(k, a) * qfact(n - k, a))
+            got = qbinom(n, k, a)
+            assert got == want, (n, k, a)
+            assert got == qbinom(n, n - k, a)
+            assert len(got.den) == 1 and got.den == ONE.den
+            assert got.eval_exact(1) == math.comb(n, k)
+
+
+def test_qbinom_outside_the_range_is_zero():
+    assert qbinom(3, -1) == ZERO
+    assert qbinom(3, 4, -2) == ZERO
+    assert qbinom(0, 0) == ONE
+    with pytest.raises(ValueError):
+        qbinom(-1, 0)
+    with pytest.raises(ValueError):
+        qbinom(2, 1, 0)
+
+
+def test_qbinom_is_iterative():
+    # deep rows must not recurse: [[1500 over 2]]_{q^4} directly
+    got = qbinom(1500, 2, 4)
+    # at q = 1 every power of q is 1: the coefficients sum to the binomial
+    assert sum(c.re for c in got.num.values()) == math.comb(1500, 2)
+    assert got == qbinom(1500, 1498, 4)
