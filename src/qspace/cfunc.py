@@ -142,13 +142,6 @@ class CFunction(_LinComb):
             out[e] = c * QScalar.q_power(half_steps * e[i])
         return CFunction(self.vars, out)
 
-    def negate_var(self, name):
-        i = self._vi(name)
-        out = {}
-        for e, c in self.terms.items():
-            out[e] = -c if e[i] % 2 else c
-        return CFunction(self.vars, out)
-
     def subs_scalar(self, name, value: QScalar):
         """Evaluate one variable at an exact scalar value; drops the variable
         dependence but keeps the slot (exponent 0)."""
@@ -295,15 +288,6 @@ class LatticeFunction:
     def map(self, fn):
         return LatticeFunction(
             self.q0, self.cutoff, {k: fn(v) for k, v in self.samples.items()}
-        )
-
-    def pointwise(self, other, fn):
-        if abs(self.q0 - other.q0) > 1e-12 or self.cutoff != other.cutoff:
-            raise ValueError("lattices differ")
-        return LatticeFunction(
-            self.q0,
-            self.cutoff,
-            {k: fn(v, other.samples[k]) for k, v in self.samples.items()},
         )
 
 

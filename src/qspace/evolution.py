@@ -90,12 +90,6 @@ class OperatorSeries:
                 out[a + b] = out[a + b] + ca * cb
         return OperatorSeries(self.space, out)
 
-    def d_dt(self):
-        return OperatorSeries(
-            self.space,
-            [c.scale(scalar(n + 1)) for n, c in enumerate(self.coeffs[1:])],
-        )
-
     def conjugate(self):
         """Coefficient-wise conjugation; the time symbol is real."""
         return OperatorSeries(self.space, [c.conjugate() for c in self.coeffs])

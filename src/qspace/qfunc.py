@@ -178,14 +178,6 @@ def act_partial_closed(index: str, variant: str, f: CFunction, space: str,
     return apply_branches(f, branches)
 
 
-def act_word_closed(indices, variant: str, f: CFunction, space: str,
-                    rep: str = "standard") -> CFunction:
-    """Apply a derivative word; the rightmost factor acts first."""
-    for i in reversed(list(indices)):
-        f = act_partial_closed(i, variant, f, space, rep=rep)
-    return f
-
-
 # -- inverse derivatives ------------------------------------------------------
 
 

@@ -9,6 +9,11 @@ Internally a scalar is a reduced fraction of Laurent polynomials in
 ``s = q^(1/2)``; half-integer powers of q are needed for the scaling-operator
 bookkeeping.  The denominator is kept monic, with nonzero constant term, and
 coprime to the numerator, which makes the representation canonical.
+
+Each polynomial coefficient is stored as a plain number: an ``int`` when
+integral, a ``Fraction`` when real and not integral, and a
+``GaussianRational`` only when its imaginary part is nonzero, so the common
+all-integer case runs on native ints.
 """
 
 from __future__ import annotations
@@ -76,24 +81,42 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
+    # An int or Fraction operand is a real Gaussian rational; the result is
+    # always a GaussianRational.
+
     def __add__(self, other):
-        return _gr(self.re + other.re, self.im + other.im)
+        if type(other) is GaussianRational:
+            return _gr(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gr(self.re + other, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return _gr(self.re - other.re, self.im - other.im)
+        if type(other) is GaussianRational:
+            return _gr(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gr(self.re - other, self.im)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _gr(other - self.re, -self.im)
+        return NotImplemented
 
     def __neg__(self):
         return _gr(-self.re, -self.im)
 
     def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if b or d:
+        if type(other) is GaussianRational:
+            a, b, c, d = self.re, self.im, other.re, other.im
             return _gr(a * c - b * d, a * d + b * c)
-        re = a * c  # two reals, by far the most common product
-        g = _new(GaussianRational)
-        g.re = re if type(re) is int else _exact(re)
-        g.im = 0
-        return g
+        if isinstance(other, (int, Fraction)):
+            return _gr(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def inverse(self):
         n = self.re * self.re + self.im * self.im
@@ -142,33 +165,61 @@ def _rdiv(a, n):
     return a / n
 
 
-_GR_ZERO = GaussianRational(0)
-_GR_ONE = GaussianRational(1)
+def _num(x):
+    """An exact number in stored form: an int when integral, a Fraction when
+    real and not integral, a GaussianRational only with nonzero imaginary
+    part."""
+    if type(x) is int:
+        return x
+    if type(x) is GaussianRational:
+        return x if x.im else x.re
+    return _exact(x)
 
 
-def _as_gr(c):
-    if isinstance(c, GaussianRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return GaussianRational(c)
+def _as_coeff(c):
+    """An int, Fraction or GaussianRational in stored form."""
+    if isinstance(c, (int, Fraction, GaussianRational)):
+        return _num(c)
     raise TypeError(f"cannot coerce {c!r} to a Gaussian rational")
 
 
-# -- Laurent polynomials in s = q^(1/2), as {exponent: GaussianRational} --
+def _cinv(c):
+    """The inverse of a nonzero stored coefficient, in stored form."""
+    if type(c) is GaussianRational:
+        return c.inverse()
+    if not c:
+        raise DivisionByZero("inverse of zero")
+    return _exact(Fraction(1, c))
+
+
+def _cdiv(a, b):
+    """The exact quotient a / b of stored coefficients, in stored form."""
+    if type(a) is GaussianRational or type(b) is GaussianRational:
+        return _num(a * _cinv(b))
+    return _exact(_rdiv(a, b))
+
+
+# -- Laurent polynomials in s = q^(1/2), as {exponent: stored coefficient} --
 
 def _pstrip(p):
-    return {k: c for k, c in p.items() if c}
+    """p without zero coefficients, each coefficient in stored form."""
+    return {k: c if type(c) is int else _num(c) for k, c in p.items() if c}
 
 
 def _padd(a, b):
     out = dict(a)
     for k, c in b.items():
         s = out.get(k)
-        s = c if s is None else s + c
+        if s is None:
+            out[k] = c
+            continue
+        s += c
+        if type(s) is not int:
+            s = _num(s)
         if s:
             out[k] = s
         else:
-            out.pop(k, None)
+            del out[k]
     return out
 
 
@@ -183,35 +234,46 @@ def _pmul(a, b):
         ((ka, ca),) = a.items()
         if len(b) == 1:
             ((kb, cb),) = b.items()
-            return {ka + kb: ca * cb}
-        return {ka + k: ca * c for k, c in b.items()}
+            c = ca * cb
+            return {ka + kb: c if type(c) is int else _num(c)}
+        return _pscale(b, ca, ka)
     if len(b) == 1:
         ((kb, cb),) = b.items()
-        return {k + kb: c * cb for k, c in a.items()}
+        return _pscale(a, cb, kb)
     out = {}
+    get = out.get
+    items = b.items()
     for ka, ca in a.items():
-        for kb, cb in b.items():
+        for kb, cb in items:
             k = ka + kb
-            s = out.get(k)
-            v = ca * cb
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+            out[k] = get(k, 0) + ca * cb
+    return _pstrip(out)
 
 
 def _pshift(a, n):
     return {k + n: c for k, c in a.items()} if n else dict(a)
 
 
-def _pscale(a, c):
-    return {k: v * c for k, v in a.items()} if c else {}
+def _pscale(a, c, n=0):
+    """c * s^n * a for a nonzero stored coefficient c."""
+    if type(c) is int:
+        if c == 1:
+            return _pshift(a, n)
+        out = {k + n: v * c for k, v in a.items()}
+        if all(type(v) is int for v in out.values()):
+            return out
+    else:
+        out = {k + n: v * c for k, v in a.items()}
+    return {k: _num(v) for k, v in out.items()}
+
+
+def _pdivc(a, c):
+    """a divided by the nonzero stored coefficient c."""
+    return {k: _cdiv(v, c) for k, v in a.items()}
 
 
 def _pconj(a):
-    return {k: c.conj() for k, c in a.items()}
+    return {k: c.conj() if type(c) is GaussianRational else c for k, c in a.items()}
 
 
 def _pdeg(a):
@@ -223,15 +285,20 @@ def _pdivmod(a, b):
     r = dict(a)
     db = _pdeg(b)
     lb = b[db]
-    lb = None if lb == 1 else lb.inverse()
+    monic = lb == 1
     quo = {}
-    while r and _pdeg(r) >= db:
+    while r:
         dr = _pdeg(r)
-        c = r[dr] if lb is None else r[dr] * lb
-        quo[dr - db] = c
+        if dr < db:
+            break
+        c = r[dr] if monic else _cdiv(r[dr], lb)
+        shift = dr - db
+        quo[shift] = c
         for k, v in b.items():
-            kk = k + dr - db
-            s = r.get(kk, _GR_ZERO) - v * c
+            kk = k + shift
+            s = r.get(kk, 0) - v * c
+            if type(s) is not int:
+                s = _num(s)
             if s:
                 r[kk] = s
             else:
@@ -245,9 +312,10 @@ def _pgcd(a, b):
         _, r = _pdivmod(a, b)
         a, b = b, r
         if a:
-            lead = a[_pdeg(a)].inverse()
-            a = _pscale(a, lead)
-    return a if a else {0: _GR_ONE}
+            lead = a[_pdeg(a)]
+            if lead != 1:
+                a = _pdivc(a, lead)
+    return a if a else {0: 1}
 
 
 def _lgcd(a, d):
@@ -271,7 +339,14 @@ def _lquo(a, g):
     return _pshift(_pdivmod(_pshift(a, -amin), g)[0], amin)
 
 
-_P_ONE = {0: _GR_ONE}
+_P_ONE = {0: 1}
+
+
+def _hash_parts(p):
+    """A polynomial as sorted (exponent, re, im) triples."""
+    return tuple(sorted(
+        (k, c.re, c.im) if type(c) is GaussianRational else (k, c, 0) for k, c in p.items()
+    ))
 
 
 def _canon(num, den):
@@ -285,8 +360,7 @@ def _canon(num, den):
 def _coerce(x):
     """The QScalar equal to an int or Fraction, else NotImplemented."""
     if isinstance(x, (int, Fraction)):
-        c = _exact(x)
-        return _canon({0: _gr(c, 0)} if c else {}, _P_ONE)
+        return _canon({0: _exact(x)} if x else {}, _P_ONE)
     return NotImplemented
 
 
@@ -324,9 +398,8 @@ class QScalar:
                 den = _pdivmod(den, g)[0]
         lead = den[_pdeg(den)]
         if lead != 1:
-            inv = lead.inverse()
-            den = _pscale(den, inv)
-            num = _pscale(num, inv)
+            den = _pdivc(den, lead)
+            num = _pdivc(num, lead)
         self.num = num
         self.den = den if len(den) > 1 else _P_ONE
 
@@ -334,21 +407,18 @@ class QScalar:
 
     @staticmethod
     def from_rational(re, im=0):
-        c = GaussianRational(re, im)
+        c = _num(GaussianRational(re, im))
         return _canon({0: c} if c else {}, _P_ONE)
 
     @staticmethod
     def q_power(half_steps: int):
         """q**(half_steps/2); exponents are tracked in units of sqrt(q)."""
-        return _canon({half_steps: _GR_ONE}, _P_ONE)
+        return _canon({half_steps: 1}, _P_ONE)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
         return not self.num
-
-    def is_one(self):
-        return len(self.den) == 1 and self.num == _P_ONE
 
     def __bool__(self):
         return bool(self.num)
@@ -367,15 +437,12 @@ class QScalar:
 
     def __hash__(self):
         num = self.num
-        if len(self.den) == 1 and (not num or (len(num) == 1 and 0 in num and not num[0].im)):
+        if len(self.den) == 1 and (
+            not num or (len(num) == 1 and 0 in num and type(num[0]) is not GaussianRational)
+        ):
             # a real rational constant hashes like the equal int or Fraction
-            return hash(num[0].re) if num else 0
-        return hash(
-            (
-                tuple(sorted((k, c.re, c.im) for k, c in num.items())),
-                tuple(sorted((k, c.re, c.im) for k, c in self.den.items())),
-            )
-        )
+            return hash(num[0]) if num else 0
+        return hash((_hash_parts(num), _hash_parts(self.den)))
 
     # -- arithmetic -------------------------------------------------------
     #
@@ -484,9 +551,8 @@ class QScalar:
         den = _pmul(d1, p2)
         lead = den[_pdeg(den)]
         if lead != 1:
-            inv = lead.inverse()
-            den = _pscale(den, inv)
-            num = _pscale(num, inv)
+            den = _pdivc(den, lead)
+            num = _pdivc(num, lead)
         return _canon(num, den if len(den) > 1 else _P_ONE)
 
     def __rtruediv__(self, other):
@@ -525,28 +591,19 @@ class QScalar:
 
     # -- evaluation --------------------------------------------------------
 
-    def _eval_exact_s(self, s0: GaussianRational):
-        num = _GR_ZERO
-        for k, c in self.num.items():
-            num = num + c * _gr_pow(s0, k)
-        den = _GR_ZERO
-        for k, c in self.den.items():
-            den = den + c * _gr_pow(s0, k)
-        if not den:
-            raise PoleError("denominator vanishes at evaluation point")
-        return num * den.inverse()
-
     def eval_exact(self, q0) -> GaussianRational:
         """Evaluate at an exact rational (or Gaussian-rational) q0."""
-        q0 = _as_gr(q0)
+        x = _as_coeff(q0)
         if all(k % 2 == 0 for k in self.num) and all(k % 2 == 0 for k in self.den):
-            half = _canon(
-                {k // 2: c for k, c in self.num.items()},
-                {k // 2: c for k, c in self.den.items()},
-            )
-            return half._eval_exact_s(q0)
-        s0 = _gr_sqrt(q0)
-        return self._eval_exact_s(s0)
+            unit = 2
+        else:
+            x, unit = _rsqrt(x), 1
+        num = _peval(self.num, x, unit)
+        den = _peval(self.den, x, unit)
+        if not den:
+            raise PoleError("denominator vanishes at evaluation point")
+        v = _cdiv(num, den)
+        return v if type(v) is GaussianRational else _gr(v, 0)
 
     def eval_float(self, q0) -> complex:
         q0 = complex(q0)
@@ -581,56 +638,75 @@ class QScalar:
         return f"QScalar({self})"
 
 
-def _gr_pow(c: GaussianRational, k: int) -> GaussianRational:
-    if k == 0:
-        return _GR_ONE
-    base = c if k > 0 else c.inverse()
-    out = _GR_ONE
-    for _ in range(abs(k)):
-        out = out * base
-    return out
+def _cpow(x, n):
+    """x ** n for a stored coefficient x and an int n, in stored form."""
+    if n < 0:
+        x, n = _cinv(x), -n
+    if type(x) is not GaussianRational:
+        return _exact(x ** n)
+    out = 1
+    while n:
+        if n & 1:
+            out = x * out
+        n >>= 1
+        if n:
+            x = x * x
+    return _num(out)
 
 
-def _gr_sqrt(c: GaussianRational) -> GaussianRational:
-    if c.im:
+def _peval(p, x, unit):
+    """The Laurent polynomial p at s = x^(1/unit) (``unit`` divides every
+    exponent), by Horner's rule over the exponents in descending order."""
+    if not p:
+        return 0
+    ks = sorted(p, reverse=True)
+    acc = p[ks[0]]
+    for prev, k in zip(ks, ks[1:]):
+        acc = acc * _cpow(x, (prev - k) // unit) + p[k]
+    return _num(acc * _cpow(x, ks[-1] // unit))
+
+
+def _rsqrt(x):
+    """The exact rational square root of a stored coefficient."""
+    if type(x) is GaussianRational:
         raise QScalarError("exact evaluation needs sqrt of a complex rational")
-    f = c.re
-    if f < 0:
+    if x < 0:
         raise QScalarError("exact evaluation at negative q is not supported")
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn != f.numerator or rd * rd != f.denominator:
+    rn = math.isqrt(x.numerator)
+    rd = math.isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
         raise QScalarError(
             "half-integer powers of q present and q0 has no rational square root"
         )
-    return GaussianRational(Fraction(rn, rd))
+    return _exact(Fraction(rn, rd))
 
 
-def _coeff_to_str(c: GaussianRational, need_one=False):
-    """Render a Gaussian rational the expression grammar can read back."""
-    if c.re and c.im:
-        re = str(c.re) if c.re.denominator == 1 else f"({c.re})"
-        im = f"{abs(c.im)}i" if abs(c.im) != 1 else "i"
-        if abs(c.im) != 1 and c.im.denominator != 1:
-            im = f"({abs(c.im)})i"
-        sign = "+" if c.im > 0 else "-"
-        return f"({re}{sign}{im})"
-    if c.im:
-        if c.im == 1:
+def _coeff_to_str(c, need_one=False):
+    """Render a stored coefficient the expression grammar can read back."""
+    if type(c) is GaussianRational:
+        re, im = c.re, c.im
+        if re:
+            re = str(re) if re.denominator == 1 else f"({re})"
+            ims = f"{abs(im)}i" if abs(im) != 1 else "i"
+            if abs(im) != 1 and im.denominator != 1:
+                ims = f"({abs(im)})i"
+            sign = "+" if im > 0 else "-"
+            return f"({re}{sign}{ims})"
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        if c.im.denominator != 1:
-            return f"({c.im})i"
-        return f"{c.im}i"
-    if c.re == 1 and not need_one:
+        if im.denominator != 1:
+            return f"({im})i"
+        return f"{im}i"
+    if c == 1 and not need_one:
         return ""
-    if c.re == -1 and not need_one:
+    if c == -1 and not need_one:
         return "-"
-    if c.re.denominator != 1:
-        sign = "-" if c.re < 0 else ""
-        return f"{sign}({abs(c.re)})"
-    return str(c.re)
+    if c.denominator != 1:
+        sign = "-" if c < 0 else ""
+        return f"{sign}({abs(c)})"
+    return str(c)
 
 
 def _poly_to_str(p):
@@ -801,7 +877,7 @@ def qnum(n: int, a: int = 1) -> QScalar:
         raise ValueError("q-numbers are defined for n >= 0")
     if a == 0:
         raise ValueError("q-number base exponent must be nonzero")
-    return QScalar({2 * a * k: _GR_ONE for k in range(n)})
+    return _canon({2 * a * k: 1 for k in range(n)}, _P_ONE)
 
 
 def qfact(n: int, a: int = 1, kind: str = "plain") -> QScalar:
@@ -858,7 +934,7 @@ def qbinom(n: int, k: int, a: int = 1) -> QScalar:
                 nxt[e] = nxt.get(e, 0) + c
             row[j] = nxt
     for j in range(1, k + 1):
-        _QBINOM[(n, j, a)] = _canon({e: _gr(c, 0) for e, c in row[j].items()}, _P_ONE)
+        _QBINOM[(n, j, a)] = _canon(row[j], _P_ONE)
     return _QBINOM[(n, k, a)]
 
 

@@ -68,14 +68,21 @@ def _random_scalars(seed, count):
 
 
 def assert_canonical(x):
-    """The invariants of the canonical form, and the int-first coefficients."""
+    """The invariants of the canonical form, and the stored coefficients: an
+    int, a Fraction that is not integral, or a GaussianRational with nonzero
+    imaginary part whose parts are int-first in the same way."""
     if not x.num:
-        assert x.den == {0: GaussianRational(1)}
+        assert x.den == {0: 1} and type(x.den[0]) is int
         return
     assert x.num and x.den and min(x.den) == 0 and x.den[max(x.den)] == 1
     for c in list(x.num.values()) + list(x.den.values()):
         assert c
-        for part in (c.re, c.im):
+        if type(c) is GaussianRational:
+            assert c.im
+            parts = (c.re, c.im)
+        else:
+            parts = (c,)
+        for part in parts:
             assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
     # the general constructor, fed the same parts, changes nothing
     again = QScalar(x.num, x.den)
@@ -85,13 +92,14 @@ def assert_canonical(x):
 # -- sympy oracle ------------------------------------------------------------
 
 
+def _sym_coeff(c):
+    re, im = (c.re, c.im) if type(c) is GaussianRational else (c, 0)
+    return (sympy.Rational(Fraction(re).numerator, Fraction(re).denominator)
+            + sympy.I * sympy.Rational(Fraction(im).numerator, Fraction(im).denominator))
+
+
 def _sym_poly(p, s):
-    return sum(
-        (sympy.Rational(Fraction(c.re).numerator, Fraction(c.re).denominator)
-         + sympy.I * sympy.Rational(Fraction(c.im).numerator, Fraction(c.im).denominator))
-        * s ** k
-        for k, c in p.items()
-    )
+    return sum(_sym_coeff(c) * s ** k for k, c in p.items())
 
 
 def _sym(x, s):

@@ -189,7 +189,7 @@ def test_gaussian_rationals_are_integer_first():
     assert hash(g) == hash(GaussianRational(Fraction(2), Fraction(3)))
     assert GaussianRational(2) == Fraction(2) and GaussianRational(2) == 2
     assert repr(GaussianRational(2)) == "GaussianRational(Fraction(2, 1), Fraction(0, 1))"
-    assert all(type(c.re) is int for c in ((Q * Q - ONE) / (Q - ONE)).num.values())
+    assert all(type(c) is int for c in ((Q * Q - ONE) / (Q - ONE)).num.values())
 
 
 def test_fast_paths_agree_with_general_construction():
@@ -273,5 +273,5 @@ def test_qbinom_is_iterative():
     # deep rows must not recurse: [[1500 over 2]]_{q^4} directly
     got = qbinom(1500, 2, 4)
     # at q = 1 every power of q is 1: the coefficients sum to the binomial
-    assert sum(c.re for c in got.num.values()) == math.comb(1500, 2)
+    assert sum(got.num.values()) == math.comb(1500, 2)
     assert got == qbinom(1500, 1498, 4)
