@@ -265,7 +265,8 @@ def test_eval_exact_is_not_quadratic_in_the_degree():
     x = qbinom(1500, 2, 4)  # 2,997 terms, top exponent 23,968
     start = time.perf_counter()
     assert x.eval_exact(1) == math.comb(1500, 2)
-    # one power per term took about 6 s here; Horner's rule takes milliseconds
+    # raising s one factor at a time per term took about 6 s on a 2-core
+    # host; Horner's rule takes milliseconds
     assert time.perf_counter() - start < 1.0
     assert x.eval_exact(Fraction(1, 2)) == GaussianRational(
         sum(c * Fraction(1, 2) ** (k // 2) for k, c in x.num.items())
