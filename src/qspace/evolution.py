@@ -3,11 +3,15 @@ satisfy, Heisenberg dynamics, whole-space q-integrals, integration by parts,
 and the sesquilinear forms.
 
 Time is a commutative formal symbol (its braiding is trivial), so evolution
-operators are polynomials in t with normal-ordered spatial coefficients."""
+operators are polynomials in t with normal-ordered spatial coefficients.
+The checks expand every time dependence as scalars keyed by the powers of
+the Hamiltonian they multiply, sum those scalars first, and only then turn
+each key into an element through the Hamiltonian's power table."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .cfunc import (
     CFunction,
@@ -24,16 +28,50 @@ from .scalars import I, ONE, QScalar, ZERO, _add_term, qpow, scalar
 
 class Hamiltonian:
     """A spatial operator; hermiticity is verified at construction when
-    asserted."""
+    asserted.
+
+    The instance keeps the tables the evolution checks share, filled on
+    first use: the powers H^n, each computed as H^(n-1) * H, their
+    conjugates, and the products H^a H^b and conj(H^a) H^b.  Every product
+    is normal-ordered by the engine, once per key; none is taken to be
+    H^(a+b), so comparing the two stays an exact check.  ``op`` is read-only
+    so the tables cannot go stale."""
 
     def __init__(self, op: NCElement, hermitian: bool = False):
         if not op.is_spatial():
             raise ValueError("Hamiltonians must not involve time or scaling factors")
         if hermitian and op.conjugate() != op:
             raise ValueError("operator is not hermitian under the conjugation")
-        self.op = op
+        self._op = op
         self.hermitian = hermitian
         self.space = op.space
+        self._powers = [NCElement.one(op.space)]
+        self._conjugates = {}
+        self._products = {}
+
+    @property
+    def op(self) -> NCElement:
+        return self._op
+
+    def power(self, n: int) -> NCElement:
+        """H^n, built as H^(n-1) * H."""
+        powers = self._powers
+        while len(powers) <= n:
+            powers.append(powers[-1] * self.op)
+        return powers[n]
+
+    def product(self, a: int, b: int, conjugate: bool = False) -> NCElement:
+        """H^a H^b, or conj(H^a) H^b when ``conjugate`` is set."""
+        key = (a, b, conjugate)
+        p = self._products.get(key)
+        if p is None:
+            left = self.power(a)
+            if conjugate:
+                if a not in self._conjugates:
+                    self._conjugates[a] = left.conjugate()
+                left = self._conjugates[a]
+            p = self._products[key] = left * self.power(b)
+        return p
 
 
 def free_hamiltonian(space: str) -> Hamiltonian:
@@ -111,21 +149,31 @@ class OperatorSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def build_U(H: Hamiltonian, order: int, direction: str = "forward") -> OperatorSeries:
-    """Truncated evolution operator: coefficient n is (-+ i)^n H^n / n!."""
+_UNITS = {"forward": -I, "inverse": I}
+
+
+def _phases(order: int, direction: str = "forward"):
+    """The scalars (-+ i)^n / n!, n = 0..order, that multiply H^n in U."""
+    if direction not in _UNITS:
+        raise ValueError(f"unknown direction {direction!r}")
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    unit = I if direction == "inverse" else -I
-    coeffs = [NCElement.one(H.space)]
-    power = NCElement.one(H.space)
+    unit = _UNITS[direction]
+    out = [ONE]
     fac = ONE
     phase = ONE
     for n in range(1, order + 1):
-        power = power * H.op
         fac = fac * scalar(n)
         phase = phase * unit
-        coeffs.append(power.scale(phase / fac))
-    return OperatorSeries(H.space, coeffs)
+        out.append(phase / fac)
+    return out
+
+
+def build_U(H: Hamiltonian, order: int, direction: str = "forward") -> OperatorSeries:
+    """Truncated evolution operator: coefficient n is (-+ i)^n H^n / n!."""
+    return OperatorSeries(
+        H.space, [H.power(n).scale(c) for n, c in enumerate(_phases(order, direction))]
+    )
 
 
 def schrodinger_residual(U: OperatorSeries, H: Hamiltonian) -> VerificationReport:
@@ -139,42 +187,83 @@ def schrodinger_residual(U: OperatorSeries, H: Hamiltonian) -> VerificationRepor
         rhs = H.op * U.coeff(n)
         if lhs != rhs:
             rep.record(f"left family, t^{n}", str(lhs), str(rhs))
-    UR = build_U(H, order, direction="inverse")  # exp(+iHt), the right-handed operator
+    phases = _phases(order, "inverse")  # exp(+iHt), the right-handed operator
     for n in range(order):
-        lhs = UR.coeff(n + 1).scale(-I * scalar(n + 1))
-        rhs = UR.coeff(n) * H.op
+        lhs = H.power(n + 1).scale(phases[n + 1] * -I * scalar(n + 1))
+        rhs = H.product(n, 1).scale(phases[n])
         if lhs != rhs:
             rep.record(f"right family, t^{n}", str(lhs), str(rhs))
     return rep
 
 
-def _binomial(n, k):
-    out = 1
-    for j in range(1, k + 1):
-        out = out * (n - j + 1) // j
-    return out
-
-
-def _expand_two_times(space, series: OperatorSeries, sign_second: int, order):
-    """Expand sum_n c_n (t + sign * t')^n as {(a, b): NCElement}."""
+def _two_times(order):
+    """U(t, t') = sum_n c_n H^n (t - t')^n as {(j, k): s}: the monomial
+    t^j t'^k carries s H^(j+k)."""
     out = {}
-    for n, c in enumerate(series.coeffs):
-        if n > order or c.is_zero():
-            continue
+    for n, c in enumerate(_phases(order)):
         for j in range(n + 1):
-            coeff = scalar(_binomial(n, j) * (sign_second ** (n - j)))
-            _add_term(out, (j, n - j), c.scale(coeff))
+            out[(j, n - j)] = c * ((-1) ** (n - j) * comb(n, j))
     return out
 
 
-def _mul_bivariate(space, A, B, order):
+def _times(X, Y, order, monomial):
+    """The product of two expansions, truncated at total time degree order,
+    as {time monomial: {(a, b): s}} where (a, b) stands for H^a H^b.  All
+    scalars meeting on one product are summed before any element is
+    touched."""
     out = {}
-    for (a1, a2), ca in A.items():
-        for (b1, b2), cb in B.items():
-            if a1 + a2 + b1 + b2 > order:
-                continue
-            _add_term(out, (a1 + b1, a2 + b2), ca * cb)
+    for (a1, a2), s in X.items():
+        for (b1, b2), r in Y.items():
+            if a1 + a2 + b1 + b2 <= order:
+                terms = out.setdefault(monomial(a1, a2, b1, b2), {})
+                _add_term(terms, (a1 + a2, b1 + b2), s * r)
     return out
+
+
+def _element(H, terms, conjugate=False):
+    """The sum of s H^a H^b over {(a, b): s} (conj(H^a) H^b when conjugate
+    is set), or of s H^n over {n: s}."""
+    acc = {}
+    for key, s in terms.items():
+        el = H.power(key) if isinstance(key, int) else H.product(*key, conjugate)
+        for k, c in el.terms.items():
+            _add_term(acc, k, c * s)
+    return NCElement(H.space, acc)
+
+
+def _compare(rep, H, lhs, rhs, label, conjugate=False):
+    """Record every time monomial at which the two expansions differ."""
+    for k in sorted(set(lhs) | set(rhs)):
+        left = _element(H, lhs.get(k, {}), conjugate)
+        right = _element(H, rhs.get(k, {}))
+        if left != right:
+            rep.record(label(k), str(left), str(right))
+
+
+def _compose_sides(order):
+    """The expansions compose_check compares: U(t,t'') U(t'',t') and U(t,t')
+    keyed by the exponents of (t, t'', t'), and U(t,t') U(t',t) and 1 keyed
+    by those of (t, t')."""
+    E = _two_times(order)
+    compose = _times(E, E, order, lambda a1, a2, b1, b2: (a1, a2 + b1, b2))
+    direct = {(a, 0, b): {a + b: s} for (a, b), s in E.items()}
+    reverse = {(b, a): s for (a, b), s in E.items()}
+    inverse = _times(E, reverse, order, lambda a1, a2, b1, b2: (a1 + b1, a2 + b2))
+    return compose, direct, inverse, {(0, 0): {0: ONE}}
+
+
+def _at(poly, values):
+    """An expansion with its time symbols set to the given scalars, as a
+    single entry under the empty monomial."""
+    out = {}
+    for key, terms in poly.items():
+        v = ONE
+        for exp, val in zip(key, values):
+            for _ in range(exp):
+                v = v * val
+        for k, s in terms.items():
+            _add_term(out, k, s * v)
+    return {(): out}
 
 
 def compose_check(H: Hamiltonian, order: int, t_points=None) -> VerificationReport:
@@ -184,56 +273,21 @@ def compose_check(H: Hamiltonian, order: int, t_points=None) -> VerificationRepo
     With t_points = (t, t'', t') the same comparison is additionally made at
     those scalar time values (exact substitution)."""
     rep = VerificationReport("composition", H.space)
-    U = build_U(H, order)
-    # U(t,t'') has time polynomial (t - t''), U(t'',t') has (t'' - t');
-    # track exponents of (t, t'', t') as triples via two bivariate passes.
-    A = _expand_two_times(H.space, U, -1, order)   # (t, t'')
-    B = _expand_two_times(H.space, U, -1, order)   # (t'', t')
-    lhs = {}
-    for (a1, a2), ca in A.items():
-        for (b1, b2), cb in B.items():
-            if a1 + a2 + b1 + b2 > order:
-                continue
-            _add_term(lhs, (a1, a2 + b1, b2), ca * cb)
-    rhs = {}
-    for (a, b), c in _expand_two_times(H.space, U, -1, order).items():
-        rhs[(a, 0, b)] = c
-    keys = set(lhs) | set(rhs)
-    zero = NCElement.zero(H.space)
-    for k in sorted(keys):
-        if lhs.get(k, zero) != rhs.get(k, zero):
-            rep.record(f"compose t^{k[0]} t''^{k[1]} t'^{k[2]}",
-                       str(lhs.get(k, zero)), str(rhs.get(k, zero)))
-    # inverse law U(t,t') U(t',t) = 1
-    C = _expand_two_times(H.space, U, -1, order)
-    D = {(b, a): c for (a, b), c in C.items()}
-    prod = _mul_bivariate(H.space, C, D, order)
-    one = NCElement.one(H.space)
-    for k, v in prod.items():
-        want = one if k == (0, 0) else NCElement.zero(H.space)
-        if v != want:
-            rep.record(f"inverse law t^{k[0]} t'^{k[1]}", str(v), str(want))
-    if (0, 0) not in prod:
-        rep.record("inverse law constant term", "0", "1")
-
+    lhs, rhs, inverse, one = _compose_sides(order)
+    _compare(rep, H, lhs, rhs, lambda k: f"compose t^{k[0]} t''^{k[1]} t'^{k[2]}")
+    _compare(rep, H, inverse, one, lambda k: f"inverse law t^{k[0]} t'^{k[1]}")
     if t_points is not None:
-        t, t2, t1 = t_points  # (t, t'', t')
-
-        def at(poly, values):
-            acc = NCElement.zero(H.space)
-            for key, c in poly.items():
-                s = ONE
-                for exp, val in zip(key, values):
-                    for _ in range(exp):
-                        s = s * val
-                acc = acc + c.scale(s)
-            return acc
-
-        lnum = at(lhs, (t, t2, t1))
-        rnum = at(rhs, (t, t2, t1))
-        if lnum != rnum:
-            rep.record(f"composition at {t_points}", str(lnum), str(rnum))
+        _compare(rep, H, _at(lhs, t_points), _at(rhs, t_points),
+                 lambda k: f"composition at {t_points}")
     return rep
+
+
+def _unitarity_sides(order):
+    """conj(U(t)) U(t) keyed by the exponent of t, and 1."""
+    c = _phases(order)
+    left = {(n, 0): s.conj() for n, s in enumerate(c)}
+    right = {(n, 0): s for n, s in enumerate(c)}
+    return _times(left, right, order, lambda a1, a2, b1, b2: (a1 + b1,)), {(0,): {0: ONE}}
 
 
 def unitarity_check(H: Hamiltonian, order: int) -> VerificationReport:
@@ -244,12 +298,8 @@ def unitarity_check(H: Hamiltonian, order: int) -> VerificationReport:
         rep.status = "skipped"
         rep.note("generator not declared hermitian")
         return rep
-    U = build_U(H, order)
-    prod = U.conjugate().mul_truncated(U, order)
-    for n in range(order + 1):
-        want = NCElement.one(H.space) if n == 0 else NCElement.zero(H.space)
-        if prod.coeff(n) != want:
-            rep.record(f"t^{n}", str(prod.coeff(n)), str(want))
+    prod, one = _unitarity_sides(order)
+    _compare(rep, H, prod, one, lambda k: f"t^{k[0]}", conjugate=True)
     return rep
 
 
@@ -257,10 +307,15 @@ def heisenberg_evolve(O: NCElement, H: Hamiltonian, order: int) -> OperatorSerie
     """The conjugated-observable series U^-1 O U, truncated."""
     if O.space != H.space:
         raise ValueError("observable and Hamiltonian live on different spaces")
-    Uf = build_U(H, order)
-    Ui = build_U(H, order, direction="inverse")
-    mid = OperatorSeries(H.space, [O])
-    return Ui.mul_truncated(mid, order).mul_truncated(Uf, order)
+    inv, fwd = _phases(order, "inverse"), _phases(order)
+    acc = [{} for _ in range(order + 1)]
+    for a in range(order + 1):
+        left = H.power(a) * O
+        for b in range(order + 1 - a):
+            s = inv[a] * fwd[b]
+            for k, c in (left * H.power(b)).terms.items():
+                _add_term(acc[a + b], k, c * s)
+    return OperatorSeries(H.space, [NCElement(H.space, terms) for terms in acc])
 
 
 def heisenberg_check(O: NCElement, H: Hamiltonian, order: int) -> VerificationReport:
@@ -283,36 +338,40 @@ def _integrate_time_poly(coeffs):
     return out
 
 
+def _dyson_sides(H, order):
+    """The iterated-integral coefficients, the integral-equation
+    coefficients and the series U itself, each for t^0..t^order."""
+    U = build_U(H, order)
+    # iterated integrals: i^-n H^n int dt1...dtn 1 = i^-n H^n t^n/n!
+    iterated = [U.coeff(0)]
+    phase = ONE
+    tpoly = [ONE]
+    for n in range(1, order + 1):
+        phase = phase / I
+        tpoly = _integrate_time_poly(tpoly)  # t^n/n! built step by step
+        iterated.append(H.power(n).scale(phase * tpoly[n]))
+    # integral equation iteration: U_{k+1} = 1 - i int_0^t H U_k.  Pass k
+    # reproduces coefficients 0..k and adds coefficient k + 1 as -i/(k+1)
+    # times H times coefficient k, so the passes reduce to one chain of
+    # left multiplications by H.
+    integral = [NCElement.one(H.space)]
+    for n in range(1, order + 1):
+        integral.append((H.op * integral[-1]).scale(-I / scalar(n)))
+    return iterated, integral, U.coeffs
+
+
 def dyson_check(H: Hamiltonian, order: int) -> VerificationReport:
     """The iterated-integral solution and the integral equation, both
     evaluated symbolically, reproduce the exponential series."""
     rep = VerificationReport("dyson", H.space)
-    U = build_U(H, order)
-    # iterated integrals: i^-n H^n int dt1...dtn 1 = i^-n H^n t^n/n!
-    power = NCElement.one(H.space)
-    phase = ONE
-    tpoly = [ONE]
+    iterated, integral, U = _dyson_sides(H, order)
     for n in range(1, order + 1):
-        power = power * H.op
-        phase = phase / I
-        tpoly = _integrate_time_poly(tpoly)  # t^n/n! built step by step
-        coeff = power.scale(phase * tpoly[n])
-        if coeff != U.coeff(n):
-            rep.record(f"iterated integral t^{n}", str(coeff), str(U.coeff(n)))
-    # integral equation iteration: U_{k+1} = 1 - i int_0^t H U_k
-    approx = OperatorSeries(H.space, [NCElement.one(H.space)])
-    for _ in range(order):
-        new_coeffs = [NCElement.one(H.space)]
-        for n, c in enumerate(approx.coeffs):
-            if n + 1 > order:
-                break
-            new_coeffs.append((H.op * c).scale(-I / scalar(n + 1)))
-        approx = OperatorSeries(H.space, new_coeffs)
+        if iterated[n] != U[n]:
+            rep.record(f"iterated integral t^{n}", str(iterated[n]), str(U[n]))
     for n in range(order + 1):
-        if approx.coeff(n) != U.coeff(n):
-            rep.record(f"integral equation t^{n}", str(approx.coeff(n)), str(U.coeff(n)))
+        if integral[n] != U[n]:
+            rep.record(f"integral equation t^{n}", str(integral[n]), str(U[n]))
     return rep
-
 
 def schrodinger_wave_check(H: Hamiltonian, phi0: CFunction, order: int) -> VerificationReport:
     """For the evolved wave function the picture equation holds order by

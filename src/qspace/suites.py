@@ -158,31 +158,34 @@ def suite_star(opts: SuiteOptions):
     vars_ = space_vars("euclid3")
     monos = _monomials(vars_, opts.degree)
     ctx = starcalc.StarContext("euclid3")
+    mono = {e: CFunction.monomial(vars_, e) for e in monos}
+    pairs = {}  # (e1, e2) -> the star product of the two monomials, made once
+
+    def pair(e1, e2):
+        if (e1, e2) not in pairs:
+            pairs[(e1, e2)] = starcalc.star(ctx, mono[e1], mono[e2])
+        return pairs[(e1, e2)]
+
     for ef in monos:
-        f = CFunction.monomial(vars_, ef)
         for eg in monos:
             if sum(ef) + sum(eg) > opts.degree:
                 continue
-            g = CFunction.monomial(vars_, eg)
-            fg = starcalc.star(ctx, f, g)
+            fg = pair(ef, eg)
             for eh in monos:
                 if sum(ef) + sum(eg) + sum(eh) > opts.degree:
                     continue
-                h = CFunction.monomial(vars_, eh)
-                lhs = starcalc.star(ctx, fg, h)
-                rhs = starcalc.star(ctx, f, starcalc.star(ctx, g, h))
+                lhs = starcalc.star(ctx, fg, mono[eh])
+                rhs = starcalc.star(ctx, mono[ef], pair(eg, eh))
                 if lhs != rhs:
                     rep.record(f"{ef},{eg},{eh}", str(lhs), str(rhs))
     out.append(rep)
 
     limit = VerificationReport("star-classical-limit", "euclid3")
     for ef in monos:
-        f = CFunction.monomial(vars_, ef)
         for eg in monos:
             if sum(ef) + sum(eg) > opts.degree:
                 continue
-            g = CFunction.monomial(vars_, eg)
-            if starcalc.star(ctx, f, g).eval_coeffs_exact(1) != (f * g).eval_coeffs_exact(1):
+            if pair(ef, eg).eval_coeffs_exact(1) != (mono[ef] * mono[eg]).eval_coeffs_exact(1):
                 limit.record(f"{ef},{eg}", "", "")
     out.append(limit)
     return out

@@ -311,3 +311,20 @@ def test_nf_ladders_finish_quickly(word):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+# -- golden evolve output ------------------------------------------------------
+
+_GOLDEN_EVOLVE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_evolve.json")
+
+
+def _golden_evolve():
+    with open(_GOLDEN_EVOLVE, encoding="utf-8") as fh:
+        return sorted(json.load(fh).items())
+
+
+@pytest.mark.parametrize("command,stdout", _golden_evolve())
+def test_evolve_json_matches_recorded_output(capsys, command, stdout):
+    # recorded from the term-by-term evolution checks, before the power table
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == stdout

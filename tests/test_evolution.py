@@ -6,6 +6,13 @@ import pytest
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, LatticeFunction
 from qspace.evolution import (
     Hamiltonian,
+    OperatorSeries,
+    _at,
+    _compose_sides,
+    _dyson_sides,
+    _element,
+    _integrate_time_poly,
+    _unitarity_sides,
     build_U,
     compose_check,
     dyson_check,
@@ -24,7 +31,8 @@ from qspace.evolution import (
 )
 from qspace.hopf import time_taylor
 from qspace.ncalgebra import NCElement, normal_form
-from qspace.scalars import GaussianRational, I, ONE, QScalar, scalar, qpow
+from qspace.reports import VerificationReport
+from qspace.scalars import GaussianRational, I, ONE, QScalar, _add_term, scalar, qpow
 
 
 def test_hamiltonian_guards():
@@ -184,3 +192,267 @@ def test_sesquilinear_primed_and_hermiticity_question():
     comb2, per2 = sesquilinear_line(g, f, "1", 1.1, 1e-10)
     # real integrands: the L-geometry values agree under the swap
     assert abs(per["L"] - per2["L"]) < 1e-9 * max(1.0, abs(per["L"]))
+
+
+def test_build_U_rejects_unknown_direction():
+    H = free_hamiltonian("line")
+    with pytest.raises(ValueError, match="direction"):
+        build_U(H, 2, "backwards")
+    with pytest.raises(ValueError):
+        build_U(H, -1)
+
+
+def test_power_table_and_product_cache():
+    # a generator that is not hermitian, so conj(H^a) H^b and H^a H^b differ
+    H = Hamiltonian(normal_form("line", ("x1", "d1", "d1")))
+    assert H.op.conjugate() != H.op
+    power = NCElement.one("line")
+    for n in range(4):
+        assert H.power(n) == power
+        power = power * H.op
+    for a in range(3):
+        for b in range(3):
+            want = H.power(a) * H.power(b)
+            conj = H.power(a).conjugate() * H.power(b)
+            assert conj != want or a == 0
+            assert H.product(a, b) == want
+            assert H.product(a, b, conjugate=True) == conj
+            assert H.product(a, b) == want
+    with pytest.raises(AttributeError):
+        H.op = NCElement.zero("line")
+
+
+# -- the term-by-term checks, restated as oracles ----------------------------
+#
+# The evolution checks multiply cached products of powers of H under summed
+# scalars.  The functions below restate the checks they replaced: every
+# coefficient is a scaled power built as power * H, and every time monomial
+# of a product series multiplies those scaled elements pair by pair.  Each
+# returns its report with the expansions it compared.
+
+
+def _oracle_build_U(H, order, direction="forward"):
+    unit = I if direction == "inverse" else -I
+    coeffs = [NCElement.one(H.space)]
+    power = NCElement.one(H.space)
+    fac = ONE
+    phase = ONE
+    for n in range(1, order + 1):
+        power = power * H.op
+        fac = fac * scalar(n)
+        phase = phase * unit
+        coeffs.append(power.scale(phase / fac))
+    return OperatorSeries(H.space, coeffs)
+
+
+def _oracle_binomial(n, k):
+    out = 1
+    for j in range(1, k + 1):
+        out = out * (n - j + 1) // j
+    return out
+
+
+def _oracle_expand_two_times(space, series, sign_second, order):
+    out = {}
+    for n, c in enumerate(series.coeffs):
+        if n > order or c.is_zero():
+            continue
+        for j in range(n + 1):
+            coeff = scalar(_oracle_binomial(n, j) * (sign_second ** (n - j)))
+            _add_term(out, (j, n - j), c.scale(coeff))
+    return out
+
+
+def _oracle_mul_bivariate(space, A, B, order):
+    out = {}
+    for (a1, a2), ca in A.items():
+        for (b1, b2), cb in B.items():
+            if a1 + a2 + b1 + b2 > order:
+                continue
+            _add_term(out, (a1 + b1, a2 + b2), ca * cb)
+    return out
+
+
+def _oracle_compose(H, order, t_points=None):
+    rep = VerificationReport("composition", H.space)
+    U = _oracle_build_U(H, order)
+    A = _oracle_expand_two_times(H.space, U, -1, order)
+    B = _oracle_expand_two_times(H.space, U, -1, order)
+    lhs = {}
+    for (a1, a2), ca in A.items():
+        for (b1, b2), cb in B.items():
+            if a1 + a2 + b1 + b2 > order:
+                continue
+            _add_term(lhs, (a1, a2 + b1, b2), ca * cb)
+    rhs = {}
+    for (a, b), c in _oracle_expand_two_times(H.space, U, -1, order).items():
+        rhs[(a, 0, b)] = c
+    keys = set(lhs) | set(rhs)
+    zero = NCElement.zero(H.space)
+    for k in sorted(keys):
+        if lhs.get(k, zero) != rhs.get(k, zero):
+            rep.record(f"compose t^{k[0]} t''^{k[1]} t'^{k[2]}",
+                       str(lhs.get(k, zero)), str(rhs.get(k, zero)))
+    C = _oracle_expand_two_times(H.space, U, -1, order)
+    D = {(b, a): c for (a, b), c in C.items()}
+    prod = _oracle_mul_bivariate(H.space, C, D, order)
+    one = NCElement.one(H.space)
+    for k, v in prod.items():
+        want = one if k == (0, 0) else NCElement.zero(H.space)
+        if v != want:
+            rep.record(f"inverse law t^{k[0]} t'^{k[1]}", str(v), str(want))
+    if (0, 0) not in prod:
+        rep.record("inverse law constant term", "0", "1")
+    points = None
+    if t_points is not None:
+        t, t2, t1 = t_points
+
+        def at(poly, values):
+            acc = NCElement.zero(H.space)
+            for key, c in poly.items():
+                s = ONE
+                for exp, val in zip(key, values):
+                    for _ in range(exp):
+                        s = s * val
+                acc = acc + c.scale(s)
+            return acc
+
+        lnum = at(lhs, (t, t2, t1))
+        rnum = at(rhs, (t, t2, t1))
+        if lnum != rnum:
+            rep.record(f"composition at {t_points}", str(lnum), str(rnum))
+        points = (lnum, rnum)
+    return rep, lhs, rhs, prod, points
+
+
+def _oracle_unitarity(H, order):
+    rep = VerificationReport("unitarity", H.space)
+    U = _oracle_build_U(H, order)
+    prod = U.conjugate().mul_truncated(U, order)
+    for n in range(order + 1):
+        want = NCElement.one(H.space) if n == 0 else NCElement.zero(H.space)
+        if prod.coeff(n) != want:
+            rep.record(f"t^{n}", str(prod.coeff(n)), str(want))
+    return rep, prod.coeffs
+
+
+def _oracle_dyson(H, order):
+    rep = VerificationReport("dyson", H.space)
+    U = _oracle_build_U(H, order)
+    power = NCElement.one(H.space)
+    phase = ONE
+    tpoly = [ONE]
+    iterated = [NCElement.one(H.space)]
+    for n in range(1, order + 1):
+        power = power * H.op
+        phase = phase / I
+        tpoly = _integrate_time_poly(tpoly)
+        coeff = power.scale(phase * tpoly[n])
+        iterated.append(coeff)
+        if coeff != U.coeff(n):
+            rep.record(f"iterated integral t^{n}", str(coeff), str(U.coeff(n)))
+    approx = OperatorSeries(H.space, [NCElement.one(H.space)])
+    for _ in range(order):
+        new_coeffs = [NCElement.one(H.space)]
+        for n, c in enumerate(approx.coeffs):
+            if n + 1 > order:
+                break
+            new_coeffs.append((H.op * c).scale(-I / scalar(n + 1)))
+        approx = OperatorSeries(H.space, new_coeffs)
+    for n in range(order + 1):
+        if approx.coeff(n) != U.coeff(n):
+            rep.record(f"integral equation t^{n}", str(approx.coeff(n)), str(U.coeff(n)))
+    return rep, iterated, approx.coeffs, U.coeffs
+
+
+def _realized(H, poly, conjugate=False):
+    """An expansion turned into elements, zero entries left out as the
+    oracles leave them out."""
+    out = {k: _element(H, terms, conjugate) for k, terms in poly.items()}
+    return {k: v for k, v in out.items() if v}
+
+
+def _failures(rep):
+    return sorted((f.indices, f.lhs, f.rhs) for f in rep.failures)
+
+
+_POINTS = (scalar(2), scalar(-1), scalar(Fraction(1, 3)))
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+@pytest.mark.parametrize("order", range(6))
+def test_checks_match_term_by_term_oracles(space, order):
+    H = free_hamiltonian(space)
+    assert build_U(H, order).coeffs == _oracle_build_U(H, order).coeffs
+    assert build_U(H, order, "inverse").coeffs == _oracle_build_U(H, order, "inverse").coeffs
+
+    rep, lhs, rhs, prod, points = _oracle_compose(H, order, _POINTS)
+    new_lhs, new_rhs, new_inverse, _one = _compose_sides(order)
+    assert _realized(H, new_lhs) == lhs
+    assert _realized(H, new_rhs) == rhs
+    assert _realized(H, new_inverse) == prod
+    assert (_realized(H, _at(new_lhs, _POINTS)).get((), NCElement.zero(space)),
+            _realized(H, _at(new_rhs, _POINTS)).get((), NCElement.zero(space))) == points
+    assert compose_check(H, order, t_points=_POINTS).to_json() == rep.to_json()
+
+    rep, coeffs = _oracle_unitarity(H, order)
+    new_prod, _one = _unitarity_sides(order)
+    assert _realized(H, new_prod, conjugate=True) == {
+        (n,): c for n, c in enumerate(coeffs) if c
+    }
+    assert unitarity_check(H, order).to_json() == rep.to_json()
+
+    rep, iterated, integral, U = _oracle_dyson(H, order)
+    assert _dyson_sides(H, order) == (iterated, integral, U)
+    assert dyson_check(H, order).to_json() == rep.to_json()
+
+
+def test_compose_oracle_matches_at_degenerate_time_points():
+    H = free_hamiltonian("euclid3")
+    points = (scalar(Fraction(1, 2)), scalar(Fraction(1, 2)), scalar(Fraction(1, 2)))
+    rep = compose_check(H, 3, t_points=points)
+    assert rep.passed
+    assert rep.to_json() == _oracle_compose(H, 3, points)[0].to_json()
+
+
+# -- planted faults ------------------------------------------------------------
+
+
+@pytest.fixture
+def faulty_product(monkeypatch):
+    """Make NCElement products drop the term of one long word pair: a word
+    of H times a word of H^2, for the free Hamiltonian on the given space.
+    Products H^n * H, which build the power table, never meet that pair."""
+    def plant(space):
+        H = free_hamiltonian(space)
+        pair = (max(H.op.terms), max((H.op * H.op).terms))
+        plain = NCElement.__mul__
+
+        def mul(self, other):
+            if not isinstance(other, NCElement):
+                return plain(self, other)
+            out = NCElement(self.space)
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    if (k1, k2) != pair:
+                        out = out + plain(NCElement(self.space, {k1: c1}),
+                                          NCElement(self.space, {k2: c2}))
+            return out
+
+        monkeypatch.setattr(NCElement, "__mul__", mul)
+        return free_hamiltonian(space)
+
+    return plant
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_planted_fault_fails_every_product_check(space, faulty_product):
+    H = faulty_product(space)
+    compose = compose_check(H, 4)
+    oracle = _oracle_compose(H, 4)[0]
+    assert compose.status == oracle.status == "fail"
+    assert _failures(compose) == _failures(oracle)
+    for check, restated in ((unitarity_check, _oracle_unitarity), (dyson_check, _oracle_dyson)):
+        rep = check(H, 4)
+        assert rep.status == "fail"
+        assert _failures(rep) == _failures(restated(H, 4)[0])
