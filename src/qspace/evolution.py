@@ -383,16 +383,10 @@ def schrodinger_wave_check(H: Hamiltonian, phi0: CFunction, order: int) -> Verif
     rep = VerificationReport("schrodinger-wave", H.space)
     space = H.space
     phi = lift(space, phi0)
-    coeffs = []
-    power = NCElement.one(space)
-    phase = ONE
-    fac = ONE
-    for n in range(order + 1):
-        if n:
-            power = power * H.op
-            phase = phase * (-I)
-            fac = fac * scalar(n)
-        coeffs.append(lower(space, act(power, phi, "left")).scale(phase / fac))
+    coeffs = [
+        lower(space, act(H.power(n), phi, "left")).scale(c)
+        for n, c in enumerate(_phases(order))
+    ]
     for n in range(order):
         lhs = coeffs[n + 1].scale(I * scalar(n + 1))
         rhs = lower(space, act(H.op, lift(space, coeffs[n]), "left"))

@@ -7,6 +7,15 @@ conjugation, and the transport between the two coordinate orderings all run
 through one engine: memoized insertion of one token at a time into an
 already normal-ordered word, driven by adjacent-pair rewrite rules.
 
+Tokens are only ever appended.  Where a token enters a word from the left
+(the derivative actions, and every insertion under
+rewrite_strategy('rightmost')) it is appended to the reversed word on the
+rule set of the opposite algebra, whose rules are the mirrored ones.  The
+strategy is a per-context setting (a ContextVar); the memos are shared by
+every thread.  Conjugation and the +/- mirror behind the right-sided
+calculi are one word transport: reverse the word, map each generator,
+normal-order again.
+
 Two Leibniz rule sets coexist: the plain calculus and its conjugate (the
 "hatted" one).  Hatted derivatives are never stored; parsing replaces them by
 their q-power multiples of the plain derivatives, and the hatted rule set is
@@ -14,6 +23,8 @@ selected through the action mode instead.
 """
 
 from __future__ import annotations
+
+from contextvars import ContextVar
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
@@ -81,10 +92,8 @@ def _swap(a, b):
 def _build_xx_rules(space, reverse=False):
     r = {}
     if space == LINE:
-        if reverse:
-            r[("x0", "x1")] = _swap("x0", "x1")
-        else:
-            r[("x1", "x0")] = _swap("x1", "x0")
+        # a single spatial generator has only one ordering
+        r[("x1", "x0")] = _swap("x1", "x0")
         return r
     if not reverse:
         # canonical order x0 xp x3 xm
@@ -234,42 +243,48 @@ def _lam_weight(space, tag):
 
 
 class _RuleSet:
-    """Rank order plus pair rules; one per (space, calculus, ordering)."""
+    """Rank order plus pair rules; one per (space, calculus, ordering,
+    opposite).
 
-    def __init__(self, space, calculus, ordering):
+    The opposite rule set is that of the opposite algebra, on reversed
+    words: each rule (a, b) -> r becomes (b, a) -> reversed r, the rank
+    order is reversed and commuting Lambda^(1/2) past a generator picks up
+    the inverse factor.  Appending to reversed words on it is prepending on
+    the original words."""
+
+    def __init__(self, space, calculus, ordering, opposite=False):
         self.space = space
         self.ordering = ordering
         xs = list(X_TOKENS[space])
         ds = list(D_TOKENS[space])
         if ordering == "xd":
             seq = xs + ds + [_LAM_TAG]
-            pair_rules = {}
-            pair_rules.update(_build_xx_rules(space))
-            pair_rules.update(_build_dd_rules(space))
-            pair_rules.update(_build_leibniz(space, calculus))
         elif ordering == "dx":
             seq = ds + [_LAM_TAG] + xs
-            pair_rules = {}
-            pair_rules.update(_build_xx_rules(space))
-            pair_rules.update(_build_dd_rules(space))
-            pair_rules.update(_invert_leibniz(space, calculus))
         elif ordering == "rev":
-            if space == LINE:
-                seq = xs + ds + [_LAM_TAG]
-                pair_rules = dict(_build_xx_rules(space))
-            else:
-                seq = ["x0", "xm", "x3", "xp"] + ds + [_LAM_TAG]
-                pair_rules = dict(_build_xx_rules(space, reverse=True))
-            pair_rules.update(_build_dd_rules(space))
-            pair_rules.update(_build_leibniz(space, calculus))
+            seq = xs[:1] + xs[:0:-1] + ds + [_LAM_TAG]
         else:
             raise ValueError(ordering)
+        pair_rules = _build_xx_rules(space, reverse=ordering == "rev")
+        pair_rules.update(_build_dd_rules(space))
+        leibniz = _invert_leibniz if ordering == "dx" else _build_leibniz
+        pair_rules.update(leibniz(space, calculus))
+        sign = 1
+        if opposite:
+            seq = seq[::-1]
+            pair_rules = {
+                (b, a): [(c, r[::-1]) for c, r in alts]
+                for (a, b), alts in pair_rules.items()
+            }
+            sign = -1
         self.rank = {t: i for i, t in enumerate(seq)}
         self.pair_rules = pair_rules
-        # normal form of an ordered word with one token attached at an end,
-        # keyed by that word
+        self.lam_weight = {t: sign * _lam_weight(space, t) for t in xs + ds}
+        # normal form of an ordered word with one token appended, keyed by
+        # that word
         self.memo = {}
-        # counit of the normal form of (token,) + ordered coordinate word
+        # counit of the normal form of a reversed coordinate word with one
+        # token appended (used on the opposite rule sets only)
         self.counit_memo = {}
 
     def _tag(self, tok):
@@ -284,13 +299,11 @@ class _RuleSet:
         if ta == _LAM_TAG:
             if self.rank[_LAM_TAG] < self.rank[tb]:
                 return None
-            w = _lam_weight(self.space, tb)
-            return [(_QL(w * a[1]), (b, a))]
+            return [(_QL(self.lam_weight[tb] * a[1]), (b, a))]
         if tb == _LAM_TAG:
             if self.rank[ta] < self.rank[_LAM_TAG]:
                 return None
-            w = _lam_weight(self.space, ta)
-            return [(_QL(-w * b[1]), (b, a))]
+            return [(_QL(-self.lam_weight[ta] * b[1]), (b, a))]
         if self.rank[ta] <= self.rank[tb]:
             return None
         return self.pair_rules[(ta, tb)]
@@ -299,12 +312,11 @@ class _RuleSet:
 _RULESETS = {}
 
 
-def _ruleset(space, calculus, ordering):
-    key = (space, calculus, ordering)
+def _ruleset(space, calculus, ordering, opposite=False):
+    key = (space, calculus, ordering, opposite)
     rs = _RULESETS.get(key)
     if rs is None:
-        rs = _RuleSet(*key)
-        _RULESETS[key] = rs
+        rs = _RULESETS.setdefault(key, _RuleSet(*key))
     return rs
 
 
@@ -317,13 +329,14 @@ _NF_CACHE_MAX_LEN = 10
 _MEMO_LIMIT = 20_000
 # the insertion recursion descends at most about this many tokens at a time
 _WARM_STEP = 64
-_STRATEGY = "leftmost"
+_STRATEGY = ContextVar("rewrite_strategy", default="leftmost")
 
 
 class rewrite_strategy:
-    """Context manager choosing the insertion order: 'leftmost' folds the
-    tokens of a word in left to right, 'rightmost' right to left.  Both give
-    the same normal forms; entering and leaving empties every memo, so a
+    """Context manager choosing the insertion order in the current context:
+    'leftmost' folds the tokens of a word in left to right, 'rightmost'
+    folds the reversed word in on the opposite rule set.  Both give the
+    same normal forms; entering and leaving empties every memo, so a
     computation under 'rightmost' is cold and independent of earlier ones."""
 
     def __init__(self, name):
@@ -332,76 +345,59 @@ class rewrite_strategy:
         self.name = name
 
     def __enter__(self):
-        global _STRATEGY
-        self.saved = _STRATEGY
-        _STRATEGY = self.name
+        self.token = _STRATEGY.set(self.name)
         _clear_memos()
         return self
 
     def __exit__(self, *exc):
-        global _STRATEGY
-        _STRATEGY = self.saved
+        _STRATEGY.reset(self.token)
         _clear_memos()
         return False
 
 
 def _clear_memos():
     _NF_CACHE.clear()
-    for rs in _RULESETS.values():
+    for rs in list(_RULESETS.values()):
         rs.memo.clear()
         rs.counit_memo.clear()
 
 
-def _fold(rs, terms, t, prepend):
-    """Normal form of terms * t (of t * terms when prepend), for terms a
-    {normal-ordered word: QScalar} dict; a word whose end is already in
-    order with t takes t directly."""
+def _fold(rs, terms, t):
+    """Normal form of terms * t, for terms a {normal-ordered word: QScalar}
+    dict; a word whose last token is already in order with t takes t
+    directly."""
     out = {}
     for w, c in terms.items():
-        if prepend:
-            alts = rs.resolve(t, w[0]) if w else None
-        else:
-            alts = rs.resolve(w[-1], t) if w else None
+        alts = rs.resolve(w[-1], t) if w else None
         if alts is None:
-            _add_term(out, (t,) + w if prepend else w + (t,), c)
+            _add_term(out, w + (t,), c)
             continue
-        for ww, cc in _insert(rs, w, t, alts, prepend).items():
+        for ww, cc in _insert(rs, w, t, alts).items():
             _add_term(out, ww, cc if c is ONE else c * cc)
     return out
 
 
-def _insert(rs, w, t, alts, prepend):
-    """Normal form of w * t (of t * w when prepend) for a normal-ordered word
-    w whose end does not stand in order with t; alts resolves that pair.
+def _insert(rs, w, t, alts):
+    """Normal form of w * t for a normal-ordered word w whose last token
+    does not stand in order with t; alts resolves that pair.
 
-    t first moves past the tokens whose rule is a single scaled swap.  At the
-    first longer rule, every alternative's replacement is folded into the
-    rest of the word; that step is memoized on the rule set, keyed by its
-    word.  The tokens t moved past are folded back in last."""
-    n = len(w)
+    t first moves left past the tokens whose rule is a single scaled swap.
+    At the first longer rule, every alternative's replacement is folded into
+    the rest of the word; that step is memoized on the rule set, keyed by
+    its word.  The tokens t moved past are folded back in last."""
+    i = len(w)  # t stands right after w[:i]
     coeff = ONE
-    j = 0  # tokens t has moved past
     while alts is not None:
-        v = w[j] if prepend else w[n - 1 - j]
-        if len(alts) > 1 or alts[0][1] != ((v, t) if prepend else (t, v)):
+        if len(alts) > 1 or alts[0][1] != (t, w[i - 1]):
             break
         a = alts[0][0]
         if a is not ONE:
             coeff = a if coeff is ONE else coeff * a
-        j += 1
-        if j == n:
-            alts = None
-        elif prepend:
-            alts = rs.resolve(t, w[j])
-        else:
-            alts = rs.resolve(w[n - 1 - j], t)
+        i -= 1
+        alts = rs.resolve(w[i - 1], t) if i else None
     if alts is None:
-        word = w[:j] + (t,) + w[j:] if prepend else w[:n - j] + (t,) + w[n - j:]
-        return {word: coeff}
-    if prepend:
-        passed, key, rest = w[j - 1::-1] if j else (), (t,) + w[j:], w[j + 1:]
-    else:
-        passed, key, rest = w[n - j:], w[:n - j] + (t,), w[:n - j - 1]
+        return {w[:i] + (t,) + w[i:]: coeff}
+    passed, key, rest = w[i:], w[:i] + (t,), w[:i - 1]
     memo = rs.memo
     terms = memo.get(key)
     if terms is None:
@@ -413,16 +409,15 @@ def _insert(rs, w, t, alts, prepend):
                 # insert the first token into a shorter part of rest first:
                 # the recursion below then meets memoized entries within
                 # _WARM_STEP levels, however long the word
-                r = repl[-1] if prepend else repl[0]
-                _fold(rs, {rest[_WARM_STEP:] if prepend else rest[:-_WARM_STEP]: ONE}, r, prepend)
+                _fold(rs, {rest[:-_WARM_STEP]: ONE}, repl[0])
             part = {rest: ONE}
-            for r in reversed(repl) if prepend else repl:
-                part = _fold(rs, part, r, prepend)
+            for r in repl:
+                part = _fold(rs, part, r)
             for ww, cc in part.items():
                 _add_term(terms, ww, cc if a is ONE else a * cc)
         memo[key] = terms
     for v in passed:
-        terms = _fold(rs, terms, v, prepend)
+        terms = _fold(rs, terms, v)
     if coeff is not ONE:
         terms = {ww: coeff * cc for ww, cc in terms.items()}
     return terms
@@ -432,29 +427,26 @@ def _normalize_word(space, calculus, ordering, word):
     """Rewrite an arbitrary token word to its normal form.
 
     Returns {canonical word: QScalar}.  The longest ordered run at the start
-    of the word (at its end under 'rightmost') is kept as it is and the
-    remaining tokens are inserted one at a time.  The rule sets resolve
+    of the word is kept as it is and the remaining tokens are appended one
+    at a time.  Under 'rightmost' the reversed word is normal-ordered on the
+    opposite rule set and the result reversed back.  The rule sets resolve
     every overlap (a tested property), so the insertion order does not
     change the result (Bergman's diamond lemma, Adv. Math. 29 (1978) 178)."""
     cache_key = (space, calculus, ordering, word)
     hit = _NF_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    rs = _ruleset(space, calculus, ordering)
-    if _STRATEGY == "rightmost":
-        i = max(len(word) - 1, 0)
-        while i > 0 and rs.resolve(word[i - 1], word[i]) is None:
-            i -= 1
-        result = {word[i:]: ONE}
-        for t in reversed(word[:i]):
-            result = _fold(rs, result, t, True)
-    else:
-        i = min(len(word), 1)
-        while i < len(word) and rs.resolve(word[i - 1], word[i]) is None:
-            i += 1
-        result = {word[:i]: ONE}
-        for t in word[i:]:
-            result = _fold(rs, result, t, False)
+    rightmost = _STRATEGY.get() == "rightmost"
+    rs = _ruleset(space, calculus, ordering, rightmost)
+    w = word[::-1] if rightmost else word
+    i = min(len(w), 1)
+    while i < len(w) and rs.resolve(w[i - 1], w[i]) is None:
+        i += 1
+    result = {w[:i]: ONE}
+    for t in w[i:]:
+        result = _fold(rs, result, t)
+    if rightmost:
+        result = {ww[::-1]: c for ww, c in result.items()}
     if len(word) <= _NF_CACHE_MAX_LEN:
         _NF_CACHE[cache_key] = result
     return result
@@ -606,20 +598,7 @@ class NCElement(_LinComb):
         coefficients are complex-conjugated, and the result is re-ordered in
         the plain calculus.
         """
-        out = NCElement(self.space)
-        for k, c in self.terms.items():
-            word = _word_of_key(self.space, k)
-            coeff = c.conj()
-            toks = []
-            for tok in reversed(word):
-                if isinstance(tok, tuple):
-                    toks.append((_LAM_TAG, -tok[1]))
-                    continue
-                f, t = _CONJ_MAP[self.space][tok]
-                coeff = coeff * f
-                toks.append(t)
-            _add_normal_form(out.terms, self.space, "u", "xd", tuple(toks), coeff)
-        return out
+        return _transport(self, _CONJ_MAP[self.space], conj=True)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -660,7 +639,8 @@ _PRINT_NAMES = {
 }
 
 # conjugation: token -> (scalar factor, image token); metric raises/lowers
-# the 3d spatial indices, derivatives pick up a sign.
+# the 3d spatial indices, derivatives pick up a sign.  The reversal of the
+# word and the inversion of the scaling operator come with the transport.
 _CONJ_MAP = {
     LINE: {
         "x0": (ONE, "x0"),
@@ -681,6 +661,45 @@ _CONJ_MAP = {
 }
 
 
+# the +/- index swap behind the right-sided calculi; no line tag carries an
+# index it could swap
+_PM_SWAP = {"xp": "xm", "xm": "xp", "dp": "dm", "dm": "dp"}
+# the same swap in the form of _CONJ_MAP, for the mirror transport
+_MIRROR_MAP = {
+    space: {t: (ONE, _PM_SWAP.get(t, t)) for t in layout}
+    for space, layout in KEY_LAYOUT.items()
+}
+
+
+def _transport_word(word, tokmap):
+    """Reverse a token word, send each generator through tokmap (tag ->
+    (scalar factor, image tag)) and invert the scaling operator; returns
+    (product of the factors, image word).  No normal ordering is applied."""
+    coeff = ONE
+    toks = []
+    for tok in reversed(word):
+        if isinstance(tok, tuple):
+            toks.append((_LAM_TAG, -tok[1]))
+            continue
+        f, t = tokmap[tok]
+        if f is not ONE:
+            coeff = coeff * f
+        toks.append(t)
+    return coeff, tuple(toks)
+
+
+def _transport(a: NCElement, tokmap, conj=False) -> NCElement:
+    """The word transport of a, re-ordered in the plain calculus; conj
+    also complex-conjugates the coefficients."""
+    out = NCElement(a.space)
+    for k, c in a.terms.items():
+        f, word = _transport_word(_word_of_key(a.space, k), tokmap)
+        if conj:
+            c = c.conj()
+        _add_normal_form(out.terms, a.space, "u", "xd", word, c if f is ONE else c * f)
+    return out
+
+
 def normal_form(space, word, coeff=ONE):
     """Public entry: normal-order a word of generator tags (plain calculus)."""
     return NCElement.from_word(space, word, coeff)
@@ -690,51 +709,39 @@ def multiply(a: NCElement, b: NCElement) -> NCElement:
     return a * b
 
 
-ACTION_MODES = ("left", "left_bar", "right", "right_bar")
-
-# left mode -> calculus. The barred action runs on the hatted rule set after
-# the stored derivatives are re-expressed through the hatted ones.
-_LEFT_CALCULUS = {"left": "u", "left_bar": "h"}
-
-# the +/- index swap behind the right-sided calculi; no line tag carries an
-# index it could swap
-_PM_SWAP = {"xp": "xm", "xm": "xp", "dp": "dm", "dm": "dp"}
+# action mode -> calculus of the left action that carries it.  The barred
+# left action runs on the hatted rule set after the stored derivatives are
+# re-expressed through the hatted ones; a right action is the mirror
+# transport of the other left action.
+_MODE_CALCULUS = {"left": "u", "left_bar": "h", "right": "h", "right_bar": "u"}
+ACTION_MODES = tuple(_MODE_CALCULUS)
 
 
 def _mirror_element(a: NCElement) -> NCElement:
     """Word reversal combined with the +/- index swap and inversion of the
     scaling operator; the transport the right-sided calculi are built from."""
-    out = NCElement(a.space)
-    for k, c in a.terms.items():
-        word = _word_of_key(a.space, k)
-        toks = []
-        for tok in reversed(word):
-            if isinstance(tok, tuple):
-                toks.append((_LAM_TAG, -tok[1]))
-            else:
-                toks.append(_PM_SWAP.get(tok, tok))
-        _add_normal_form(out.terms, a.space, "u", "xd", tuple(toks), c)
-    return out
+    return _transport(a, _MIRROR_MAP[a.space])
 
 
 def _counit_step(rs, t, terms):
-    """t acting on the coordinate words of terms: the counit of the normal
-    form of (t,) + word, which drops the words still holding a derivative
-    and sends the scaling operator to 1."""
+    """t acting on the reversed coordinate words of terms, on the opposite
+    rule set rs: the counit of the normal form of word + (t,), which drops
+    the words still holding a derivative and sends the scaling operator
+    to 1."""
     out = {}
     memo = rs.counit_memo
     xs = X_TOKENS[rs.space]
     for xw, c in terms.items():
-        key = (t,) + xw
+        key = xw + (t,)
         img = memo.get(key)
         if img is None:
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
             img = {}
-            for w, a in _fold(rs, {xw: ONE}, t, True).items():
-                if w and isinstance(w[-1], tuple):
-                    w = w[:-1]
-                if not w or w[-1] in xs:
+            for w, a in _fold(rs, {xw: ONE}, t).items():
+                if w and isinstance(w[0], tuple):
+                    w = w[1:]
+                if not w or w[0] in xs:
                     img[w] = a
             memo[key] = img
         for w, a in img.items():
@@ -746,11 +753,13 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
     """Left action as a module action: the operator's tokens act on the
     coordinate words one at a time, right to left.  This is exact because
     the kernel of the counit after normal ordering is the left ideal
-    generated by the derivatives and Lambda^(1/2) - 1."""
+    generated by the derivatives and Lambda^(1/2) - 1.  The coordinate
+    words are kept reversed, so each token is appended on the opposite
+    rule set."""
     space = op.space
-    rs = _ruleset(space, calculus, "xd")
+    rs = _ruleset(space, calculus, "xd", True)
     hatk = HAT_POWER[space]
-    fwords = {_word_of_key(space, k): c for k, c in f.terms.items()}
+    fwords = {_word_of_key(space, k)[::-1]: c for k, c in f.terms.items()}
     out = NCElement(space)
     for kop, cop in op.terms.items():
         c0 = cop
@@ -783,20 +792,16 @@ def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
         raise PurityError("action operator must be free of coordinates")
     if not f.is_coordinate():
         raise PurityError("acted function must be a pure coordinate element")
-    if mode in _LEFT_CALCULUS:
-        return _act_left(op, f, _LEFT_CALCULUS[mode])
-
+    calculus = _MODE_CALCULUS[mode]
+    if mode.startswith("left"):
+        return _act_left(op, f, calculus)
+    # act is linear in the operator: mirror the sign-adjusted operator once
     nx = len(X_TOKENS[op.space])
     nd = len(D_TOKENS[op.space])
-    mf = _mirror_element(f)
-    calculus = "left_bar" if mode == "right" else "left"
-    acc = NCElement(op.space)
-    for kop, cop in op.terms.items():
-        term = NCElement(op.space, {kop: cop})
-        sign = -ONE if sum(kop[nx:nx + nd]) % 2 else ONE
-        part = _act_left(_mirror_element(term), mf, _LEFT_CALCULUS[calculus])
-        acc = acc + part.scale(sign)
-    return _mirror_element(acc)
+    signed = NCElement(op.space, {
+        k: -c if sum(k[nx:nx + nd]) % 2 else c for k, c in op.terms.items()
+    })
+    return _mirror_element(_act_left(_mirror_element(signed), _mirror_element(f), calculus))
 
 
 # -- ordering isomorphisms ------------------------------------------------------
@@ -853,16 +858,7 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
 def conjugate_word_formal(space, word):
     """Conjugate a token word formally: reverse, map generators, collect the
     scalar factor.  No normal ordering is applied."""
-    coeff = ONE
-    toks = []
-    for tok in reversed(tuple(word)):
-        if isinstance(tok, tuple):
-            toks.append((_LAM_TAG, -tok[1]))
-            continue
-        f, t = _CONJ_MAP[space][tok]
-        coeff = coeff * f
-        toks.append(t)
-    return coeff, tuple(toks)
+    return _transport_word(tuple(word), _CONJ_MAP[space])
 
 
 def normalize_in_calculus(space, calculus, word, coeff=ONE, reexpress_hats=False):

@@ -72,8 +72,7 @@ def coord_word_element(space, exps, reversed_order: bool) -> NCElement:
     if not reversed_order or space == "line":
         word = []
         for i, v in enumerate(vars_):
-            word.extend([{"x0": "x0", "x1": "x1", "xp": "xp",
-                          "x3": "x3", "xm": "xm"}[v]] * exps[i])
+            word.extend([v] * exps[i])
         return NCElement.from_word(space, tuple(word))
     word = (
         ("x0",) * exps[0] + ("xm",) * exps[3] + ("x3",) * exps[2] + ("xp",) * exps[1]

@@ -43,6 +43,8 @@ def _apply_program(f: CFunction, program) -> CFunction:
             f = f.jackson_antiderivative(step[1], step[2])
         elif op == "classical_d":
             f = f.classical_d(step[1])
+        elif op == "classical_Dinv":
+            f = f.classical_antiderivative(step[1])
         elif op == "scale":
             f = f.scale_var(step[1], step[2])
         elif op == "mul":
@@ -213,15 +215,6 @@ def _inverse_branches(space, index, degree3):
     raise ValueError(index)
 
 
-def _apply_program_inv(f, program):
-    for step in program:
-        if step[0] == "classical_Dinv":
-            f = f.classical_antiderivative(step[1])
-        else:
-            f = _apply_program(f, (step,))
-    return f
-
-
 def act_inverse_partial(index: str, variant: str, f: CFunction, space: str,
                         rep: str = "standard") -> CFunction:
     """Left/right actions of the inverse partial derivatives on polynomials.
@@ -253,10 +246,7 @@ def act_inverse_partial(index: str, variant: str, f: CFunction, space: str,
         branches = _transform(hat, swap_pm=True, negate=True)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    out = CFunction.zero(f.vars)
-    for pre, prog in branches:
-        out = out + _apply_program_inv(f, prog).scale(pre)
-    return out
+    return apply_branches(f, branches)
 
 
 # -- misc closed-form operations ----------------------------------------------

@@ -107,11 +107,7 @@ class RMatrix:
         self.labels = labels(space)
         self.dim = len(self.labels)
         self.mat = mat
-        self._pair_index = {
-            (a, b): i * self.dim + j
-            for i, a in enumerate(self.labels)
-            for j, b in enumerate(self.labels)
-        }
+        self._pair_index = _pair_idx(space)
 
     def entry(self, upper, lower):
         """R^{upper}_{lower} with upper/lower label pairs like ('+', '3')."""

@@ -618,9 +618,6 @@ class QScalar:
 
     # -- rendering ----------------------------------------------------------
 
-    def _poly_str(self, p):
-        return _poly_to_str(p)
-
     def __str__(self):
         if not self.num:
             return "0"

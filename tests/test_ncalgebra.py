@@ -446,3 +446,100 @@ def test_long_words_keep_the_recursion_shallow():
         sys.setrecursionlimit(saved)
     assert results[0] == results[1]
     assert len(results[0].terms) == 2
+
+
+def test_verify_all_under_rightmost_matches_reference():
+    # every suite with the tokens inserted right to left: conjugation,
+    # mirrored right actions, ordering transports and the star round trips
+    # all run on the opposite rule sets and must print the recorded output
+    import json
+    import os
+
+    from qspace.suites import SUITES, run_suite
+
+    with _nc.rewrite_strategy("rightmost"):
+        reports = run_suite(list(SUITES))
+    reference = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                             "perfbench", "reference", "verify_all.json")
+    with open(reference) as fh:
+        assert json.dumps([r.to_json() for r in reports], indent=2) + "\n" == fh.read()
+
+
+def _thread_jobs():
+    from qspace.starcalc import StarContext
+
+    rng = random.Random(41)
+    jobs = []
+    for space in ("line", "euclid3"):
+        xs, ds = list(_nc.X_TOKENS[space]), list(_nc.D_TOKENS[space])
+        jobs += [("nf", (space, w)) for w in _random_words(rng, space, 30)]
+        for _ in range(6):
+            op = _random_element(rng, space, ds + [("L", 1)], 3, 2)
+            f = _random_element(rng, space, xs, 4, 2)
+            jobs += [("act", (op, f, mode)) for mode in _nc.ACTION_MODES]
+    xs = list(_nc.X_TOKENS["euclid3"])
+    for ordering in ("standard", "reversed"):
+        for _ in range(8):
+            f, g = (lower("euclid3", _random_element(rng, "euclid3", xs, 3, 2)) for _ in "fg")
+            jobs.append(("star", (StarContext("euclid3", ordering), f, g)))
+    return jobs
+
+
+def _run_job(job):
+    from qspace.starcalc import star
+
+    kind, args = job
+    return {"nf": normal_form, "act": act, "star": star}[kind](*args)
+
+
+def test_threads_get_the_serial_results():
+    # threads share the memos; one of them empties them by entering and
+    # leaving rewrite_strategy("rightmost") while the others read and fill
+    # them, and the rule sets are created by the threads themselves
+    import sys
+    import threading
+
+    jobs = _thread_jobs()
+    serial = [_run_job(job) for job in jobs]
+    _nc._clear_memos()
+    _nc._RULESETS.clear()
+    n_threads = 8
+    results = [None] * n_threads
+    errors = []
+    barrier = threading.Barrier(n_threads)
+
+    def worker(n):
+        order = list(range(len(jobs)))
+        random.Random(n).shuffle(order)
+        got = {}
+        try:
+            barrier.wait()
+            if n == 0:
+                for start in range(0, len(order), 20):
+                    with _nc.rewrite_strategy("rightmost"):
+                        for i in order[start:start + 20]:
+                            got[i] = _run_job(jobs[i])
+            else:
+                for i in order:
+                    got[i] = _run_job(jobs[i])
+                    # the strategy is a per-context setting
+                    assert _nc._STRATEGY.get() == "leftmost"
+        except Exception as exc:  # reported by the main thread
+            errors.append((n, exc))
+        results[n] = got
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(saved)
+    assert not errors, errors
+    for n, got in enumerate(results):
+        assert len(got) == len(jobs), n
+        for i, value in got.items():
+            assert value == serial[i], (n, jobs[i])
