@@ -10,6 +10,7 @@ each key into an element through the Hamiltonian's power table."""
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -35,7 +36,9 @@ class Hamiltonian:
     conjugates, and the products H^a H^b and conj(H^a) H^b.  Every product
     is normal-ordered by the engine, once per key; none is taken to be
     H^(a+b), so comparing the two stays an exact check.  ``op`` is read-only
-    so the tables cannot go stale."""
+    so the tables cannot go stale.  An entry is only ever added under the
+    instance's lock, so threads may share a Hamiltonian; a present entry is
+    read without it."""
 
     def __init__(self, op: NCElement, hermitian: bool = False):
         if not op.is_spatial():
@@ -48,6 +51,7 @@ class Hamiltonian:
         self._powers = [NCElement.one(op.space)]
         self._conjugates = {}
         self._products = {}
+        self._lock = threading.RLock()  # product() calls power() holding it
 
     @property
     def op(self) -> NCElement:
@@ -56,8 +60,10 @@ class Hamiltonian:
     def power(self, n: int) -> NCElement:
         """H^n, built as H^(n-1) * H."""
         powers = self._powers
-        while len(powers) <= n:
-            powers.append(powers[-1] * self.op)
+        if n >= len(powers):
+            with self._lock:
+                while len(powers) <= n:
+                    powers.append(powers[-1] * self.op)
         return powers[n]
 
     def product(self, a: int, b: int, conjugate: bool = False) -> NCElement:
@@ -65,12 +71,15 @@ class Hamiltonian:
         key = (a, b, conjugate)
         p = self._products.get(key)
         if p is None:
-            left = self.power(a)
-            if conjugate:
-                if a not in self._conjugates:
-                    self._conjugates[a] = left.conjugate()
-                left = self._conjugates[a]
-            p = self._products[key] = left * self.power(b)
+            with self._lock:
+                p = self._products.get(key)
+                if p is None:
+                    left = self.power(a)
+                    if conjugate:
+                        if a not in self._conjugates:
+                            self._conjugates[a] = left.conjugate()
+                        left = self._conjugates[a]
+                    p = self._products[key] = left * self.power(b)
         return p
 
 

@@ -1,13 +1,24 @@
 """Expression parser and canonical printer for the CLI.
 
-Grammar: expr := term (('+'|'-') term)*; term := factor factor* with
-juxtaposition as multiplication ('*' and scalar '/' also accepted);
-factor := atom ['^' int]; atom := integer | name | '(' expr ')'.
+Grammar:
+    expr   := ['+'|'-'] term (('+'|'-') term)*
+    term   := factor (['*'|'/'] factor)*      juxtaposition multiplies
+    factor := '-' factor | atom ['^' exponent]
+    atom   := integer | name | '(' expr ')'
+    exponent := ['-'] integer | '(' ['-'] integer ['/' integer] ')'
+
+A unary minus binds looser than '^' everywhere: -x3^2 is -(x3^2), also
+after '+' or '*'.  '/' divides scalars only.  Negative powers apply to
+scalars and L, half-integer powers (k/2) to q and L.
 
 Capitalized coordinate names and derivative names build noncommutative
 elements (factor order is preserved), lowercase coordinates build
 commutative polynomials, theta names build Grassmann elements; mixing the
-kinds in one expression is rejected.
+kinds in one expression is rejected.  A term is one monomial: its scalar
+factors multiply one coefficient, its coordinate powers add into one
+exponent vector, and its generators form one word that is normal-ordered
+once.  Parenthesised values and Grassmann generators multiply as elements,
+in order.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ import re
 from .cfunc import CFunction, space_vars
 from .grassmann import GElement
 from .ncalgebra import HAT_POWER, NCElement
-from .scalars import I, LAM, LAMP, ONE, Q, QScalar, scalar
+from .scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, scalar
 
 
 class ParseError(ValueError):
@@ -26,25 +37,21 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*/^]))")
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*/^])|(\S)")
 
 
 def _tokenize(text):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        if m.group(1):
-            out.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            out.append(("name", m.group(2), m.start(2)))
+    for m in _TOKEN_RE.finditer(text):
+        num, name, op, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start())
+        if num is not None:
+            out.append(("int", int(num), m.start()))
+        elif name is not None:
+            out.append(("name", name, m.start()))
         else:
-            out.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+            out.append(("op", op, m.start()))
     out.append(("end", None, len(text)))
     return out
 
@@ -64,19 +71,31 @@ class Value:
         return Value("scalar", c)
 
 
-def _nc_name_table(space):
-    names = {}
+# A factor is a piece of a monomial: ("scalar", c); ("x", (i, n)) for the
+# i-th commutative coordinate to the n; ("w", (tokens, c)) for a word of
+# noncommutative generators times c; or (kind, element) for anything else.
+_PIECE_KIND = {"x": "c", "w": "nc"}
+_NAME_TABLES = {}  # space -> {name: factor}, built on first use
+
+
+def _name_table(space):
+    table = _NAME_TABLES.get(space)
+    if table is not None:
+        return table
     xs = space_vars(space)
-    caps = {"x0": "X0", "x1": "X1", "xp": "Xp", "x3": "X3", "xm": "Xm"}
-    tags = {"X0": "x0", "X1": "x1", "Xp": "xp", "X3": "x3", "Xm": "xm"}
-    for v in xs:
-        names[caps[v]] = ("x", tags[caps[v]])
-    ds = {"line": ("d0", "d1"), "euclid3": ("d0", "dp", "d3", "dm")}[space]
-    for d in ds:
-        names[d] = ("d", d)
-        names["dh" + d[1:]] = ("dh", d)
-    names["L"] = ("L", None)
-    return names
+    table = {"q": ("scalar", Q), "i": ("scalar", I), "lambda": ("scalar", LAM),
+             "lambda_plus": ("scalar", LAMP)}
+    for i, v in enumerate(xs):
+        table[v] = ("x", (i, 1))
+        table["X" + v[1:]] = ("w", ((v,), ONE))
+    for th in ("th0", "th1", "dth0", "dth1"):
+        table[th] = ("g", th)
+    hat = QScalar.q_power(2 * HAT_POWER[space])
+    for d in {"line": ("d0", "d1"), "euclid3": ("d0", "dp", "d3", "dm")}[space]:
+        table[d] = ("w", ((d,), ONE))
+        table["dh" + d[1:]] = ("w", ((d,), ONE if d == "d0" else hat))
+    table["L"] = ("w", ((("L", 2),), ONE))
+    return _NAME_TABLES.setdefault(space, table)
 
 
 class _Parser:
@@ -84,7 +103,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.space = space
-        self.nc_names = _nc_name_table(space)
+        self.names = _name_table(space)
 
     def peek(self):
         return self.toks[self.i]
@@ -99,40 +118,14 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
 
-    # -- value algebra -------------------------------------------------------
-
-    def _mul(self, a: Value, b: Value, pos) -> Value:
-        if a.kind == "scalar" and b.kind == "scalar":
-            return Value("scalar", a.data * b.data)
-        if a.kind == "scalar":
-            return Value(b.kind, b.data.scale(a.data))
-        if b.kind == "scalar":
-            return Value(a.kind, a.data.scale(b.data))
-        if a.kind != b.kind:
-            raise ParseError(
-                "cannot mix commutative and noncommutative variables", pos
-            )
-        return Value(a.kind, a.data * b.data)
-
-    def _add(self, a: Value, b: Value, sign, pos) -> Value:
-        if a.kind == "scalar" and b.kind != "scalar":
-            a = self._promote(a, b.kind)
-        if b.kind == "scalar" and a.kind != "scalar":
-            b = self._promote(b, a.kind)
-        if a.kind != b.kind:
-            raise ParseError("cannot add values of different kinds", pos)
-        if a.kind == "scalar":
-            return Value("scalar", a.data + b.data if sign > 0 else a.data - b.data)
-        return Value(a.kind, a.data + b.data if sign > 0 else a.data - b.data)
-
-    def _promote(self, v: Value, kind) -> Value:
-        c = v.data
+    def _promote(self, c, kind):
+        """The scalar c as an element of the given kind."""
         if kind == "c":
-            return Value("c", CFunction.constant(space_vars(self.space), c))
+            return CFunction.constant(space_vars(self.space), c)
         if kind == "nc":
-            return Value("nc", NCElement.scalar_term(self.space, c))
+            return NCElement.scalar_term(self.space, c)
         if kind == "g":
-            return Value("g", GElement.one().scale(c))
+            return GElement.one().scale(c)
         raise AssertionError(kind)
 
     # -- grammar -------------------------------------------------------------
@@ -146,39 +139,85 @@ class _Parser:
 
     def expr(self) -> Value:
         kind, val, pos = self.peek()
-        sign = 1
         if kind == "op" and val in "+-":
             self.take()
-            sign = -1 if val == "-" else 1
-        v = self.term()
-        if sign < 0:
-            v = self._mul(Value.of_scalar(scalar(-1)), v, pos)
+        v = self.term(negate=kind == "op" and val == "-")
+        terms = None  # the sum's own dict, made when a second term arrives
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                v = self._add(v, rhs, 1 if val == "+" else -1, pos)
-            else:
-                return v
+            if kind != "op" or val not in "+-":
+                return v if terms is None else Value(v.kind, v.data._like(terms))
+            self.take()
+            rhs = self.term(negate=val == "-")
+            if v.kind == "scalar" and rhs.kind == "scalar":
+                v = Value.of_scalar(v.data + rhs.data)
+                continue
+            if v.kind == "scalar":
+                v = Value(rhs.kind, self._promote(v.data, rhs.kind))
+            elif rhs.kind == "scalar":
+                rhs = Value(v.kind, self._promote(rhs.data, v.kind))
+            if v.kind != rhs.kind:
+                raise ParseError("cannot add values of different kinds", pos)
+            if terms is None:
+                terms = dict(v.data.terms)
+            for k, c in rhs.data.terms.items():
+                _add_term(terms, k, c)
 
-    def term(self) -> Value:
-        v = self.factor()
+    def term(self, negate=False) -> Value:
+        """One monomial: a coefficient, an exponent vector or a generator
+        word, times the element-valued factors; a pending word is turned
+        into an element before each such factor, so factor order is kept."""
+        coeff = -ONE if negate else ONE
+        vkind, exps, word, elem = "scalar", None, [], None
+        op, pos = None, None
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
+            while self.peek()[:2] == ("op", "-"):  # looser than '^'
                 self.take()
-                v = self._mul(v, self.factor(), pos)
-            elif kind == "op" and val == "/":
-                self.take()
-                rhs = self.factor()
-                if v.kind != "scalar" or rhs.kind != "scalar":
+                coeff = -coeff
+            fkind, data = self.factor()
+            if op == "/":
+                if vkind != "scalar" or fkind != "scalar":
                     raise ParseError("division is defined for scalars only", pos)
-                v = Value("scalar", v.data / rhs.data)
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
-                v = self._mul(v, self.factor(), pos)
+                coeff = coeff / data
+            elif fkind == "scalar":
+                coeff = data if coeff is ONE else coeff * data
             else:
-                return v
+                fk = _PIECE_KIND.get(fkind, fkind)
+                if vkind not in ("scalar", fk):
+                    raise ParseError(
+                        "cannot mix commutative and noncommutative variables", pos
+                    )
+                vkind = fk
+                if fkind == "x":
+                    if exps is None:
+                        exps = [0] * len(space_vars(self.space))
+                    exps[data[0]] += data[1]
+                elif fkind == "w":
+                    word += data[0]
+                    if data[1] is not ONE:
+                        coeff = coeff * data[1]
+                else:
+                    if word:
+                        elem = _times(elem, NCElement.from_word(self.space, word))
+                        word = []
+                    elem = _times(elem, data)
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "*/":
+                self.take()
+                op = val
+            elif kind in ("int", "name") or (kind == "op" and val == "("):
+                op = None
+            else:
+                break
+        if vkind == "scalar":
+            return Value.of_scalar(coeff)
+        if vkind == "c" and exps is not None:
+            mono = CFunction(space_vars(self.space), {tuple(exps): coeff})
+        elif vkind == "nc" and (word or elem is None):
+            mono = NCElement.from_word(self.space, word, coeff)
+        else:
+            return Value(vkind, elem.scale(coeff))
+        return Value(vkind, _times(elem, mono))
 
     def _exponent(self):
         kind, val, pos = self.take()
@@ -211,87 +250,78 @@ class _Parser:
             return num, den
         raise ParseError("expected integer exponent", pos)
 
-    def factor(self) -> Value:
-        v = self.atom()
+    def factor(self):
+        fkind, data = self.atom()
         kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            num, den = self._exponent()
-            return self._power(v, num, den, pos)
-        return v
-
-    def _power(self, v: Value, num, den, pos) -> Value:
+        if kind != "op" or val != "^":
+            return fkind, data
+        self.take()
+        num, den = self._exponent()
         if den not in (None, 1, 2):
             raise ParseError("only half-integer exponents are supported", pos)
-        if den == 2:
-            if v.kind == "scalar" and v.data == Q:
-                return Value("scalar", QScalar.q_power(num))
-            if v.kind == "nc" and _is_lambda_gen(v.data):
-                return Value("nc", NCElement.generator(self.space, "L", num))
+        half = den == 2
+        if fkind == "scalar":
+            if half:
+                if data != Q:
+                    raise ParseError("half-integer powers apply to q and L only", pos)
+                return fkind, QScalar.q_power(num)
+            return fkind, QScalar.q_power(2 * num) if data is Q else data ** num
+        lam = _lambda_steps(fkind, data)
+        if lam is not None:  # L to a power, in half-steps
+            steps = lam * num
+            if half:
+                if steps % 2:
+                    raise ParseError("only half-integer exponents are supported", pos)
+                steps //= 2
+            return "w", (((("L", steps),) if steps else ()), ONE)
+        if half:
             raise ParseError("half-integer powers apply to q and L only", pos)
         if num < 0:
-            if v.kind == "scalar":
-                out = ONE
-                for _ in range(-num):
-                    out = out / v.data
-                return Value("scalar", out)
-            if v.kind == "nc" and _is_lambda_gen(v.data):
-                return Value("nc", NCElement.generator(self.space, "L", 2 * num))
             raise ParseError("negative powers apply to scalars and L only", pos)
-        if v.kind == "scalar":
-            out = ONE
-            for _ in range(num):
-                out = out * v.data
-            return Value("scalar", out)
-        out = None
-        base = v.data
-        for _ in range(num):
-            out = base if out is None else out * base
-        if out is None:  # x^0
-            return self._promote(Value.of_scalar(ONE), v.kind)
-        return Value(v.kind, out)
+        if fkind == "x":
+            return fkind, (data[0], num)
+        if fkind == "w":
+            return fkind, (data[0] * num, data[1] ** num)
+        if not num:
+            return fkind, self._promote(ONE, fkind)
+        out = data
+        for _ in range(num - 1):
+            out = out * data
+        return fkind, out
 
-    def atom(self) -> Value:
+    def atom(self):
         kind, val, pos = self.take()
         if kind == "int":
-            return Value.of_scalar(scalar(val))
+            return "scalar", scalar(val)
         if kind == "op" and val == "(":
             v = self.expr()
             self.expect_op(")")
-            return v
-        if kind == "op" and val == "-":
-            return self._mul(Value.of_scalar(scalar(-1)), self.atom(), pos)
+            return v.kind, v.data
         if kind != "name":
             raise ParseError("expected a value", pos)
-        name = val
-        if name == "q":
-            return Value.of_scalar(Q)
-        if name == "i":
-            return Value.of_scalar(I)
-        if name == "lambda":
-            return Value.of_scalar(LAM)
-        if name == "lambda_plus":
-            return Value.of_scalar(LAMP)
-        if name in space_vars(self.space):
-            return Value("c", CFunction.var(space_vars(self.space), name))
-        if name in ("th0", "th1", "dth0", "dth1"):
-            return Value("g", GElement.gen(name))
-        if name in self.nc_names:
-            what, tag = self.nc_names[name]
-            if what == "L":
-                return Value("nc", NCElement.generator(self.space, "L", 2))
-            el = NCElement.generator(self.space, tag)
-            if what == "dh" and tag != "d0":
-                el = el.scale(QScalar.q_power(2 * HAT_POWER[self.space]))
-            return Value("nc", el)
-        raise ParseError(f"unknown name {name!r} for space {self.space}", pos)
+        got = self.names.get(val)
+        if got is None:
+            raise ParseError(f"unknown name {val!r} for space {self.space}", pos)
+        if got[0] == "g":
+            return "g", GElement.gen(got[1])
+        return got
 
 
-def _is_lambda_gen(el: NCElement) -> bool:
-    if len(el.terms) != 1:
-        return False
-    ((k, c),) = el.terms.items()
-    return c == ONE and all(n == 0 for n in k[:-1]) and k[-1] != 0
+def _times(elem, other):
+    return other if elem is None else elem * other
+
+
+def _lambda_steps(fkind, data):
+    """The half-step exponent of L or of a power of it in parentheses,
+    else None."""
+    if fkind == "w":  # a generator name: one token
+        tok = data[0][0]
+        return tok[1] if isinstance(tok, tuple) else None
+    if fkind == "nc" and len(data.terms) == 1:
+        ((k, c),) = data.terms.items()
+        if c == ONE and not any(k[:-1]) and k[-1]:
+            return k[-1]
+    return None
 
 
 def parse(text: str, space: str = "euclid3") -> Value:

@@ -228,6 +228,17 @@ def test_half_power_round_trips():
     assert render(parse(render(n), "euclid3")) == render(n)
 
 
+@pytest.mark.parametrize("space,text,want", [
+    ("euclid3", "x0 + -x3^2", "x0 - x3^2"),
+    ("line", "1 + -2^2", "-3"),
+    ("euclid3", "Xp * -Xm^2", "-Xp Xm^2"),
+    ("euclid3", "-x3^2", "-x3^2"),
+    ("euclid3", "(-x3)^2", "x3^2"),
+])
+def test_unary_minus_binds_looser_than_power(space, text, want):
+    assert render(parse(text, space)) == want
+
+
 def test_q_value_rendering(capsys):
     code, out, _ = run(capsys, "nf", "q^2 Xp", "--space", "euclid3",
                        "--q-value", "1.1")

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -220,6 +222,46 @@ def test_power_table_and_product_cache():
             assert H.product(a, b) == want
     with pytest.raises(AttributeError):
         H.op = NCElement.zero("line")
+
+
+def test_threads_share_the_power_and_product_tables():
+    # four threads meet at a barrier, then fill one fresh Hamiltonian's
+    # tables at once; a lost update would leave a wrong or duplicated power
+    serial = free_hamiltonian("line")
+    want_power, want_product = serial.power(4), serial.product(2, 2)
+    want = {"power": want_power, "product": want_product}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            H = free_hamiltonian("line")
+            barrier = threading.Barrier(4, timeout=30)
+            results, errors = [], []
+
+            def work(first_power):
+                try:
+                    barrier.wait()
+                    calls = [("power", lambda: H.power(4)), ("product", lambda: H.product(2, 2))]
+                    for name, call in calls if first_power else calls[::-1]:
+                        results.append((name, call()))
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(k % 2 == 0,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert len(H._powers) == 5
+            for n in range(1, 5):
+                assert H._powers[n] == H._powers[n - 1] * H.op
+            assert len(results) == 8
+            assert all(r == want[name] for name, r in results)
+            assert H.power(4) == want_power and H.product(2, 2) == want_product
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- the term-by-term checks, restated as oracles ----------------------------
