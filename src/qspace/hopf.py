@@ -213,22 +213,35 @@ _DWORD_SEQ = {
 }
 
 
-def _apply_exp_word(space, exps, action_variant, g, rep):
-    """Contract one exponential derivative leg with g via the closed forms.
+def _exp_word_actions(space, exp, action_variant, g, rep):
+    """Each derivative word of the exponential, up to g's degree, acting on
+    g via the closed forms: a dict from exponent tuple to acted polynomial.
 
     Left words act rightmost-first, right words leftmost-first; the hatted
-    words run through the indices reversely, matching their basis order."""
+    words run through the indices reversely, matching their basis order.
+    A word is its prefix (the last-acting index lowered by one) followed by
+    one step, so each entry is one action on its prefix's entry; exp is
+    sorted by degree, so the prefix is always there."""
     hat = action_variant in ("left_bar", "right")
     seq = _DWORD_SEQ[(space, True)] if (hat and space == "euclid3") else _DWORD_SEQ[space]
-    vars_ = space_vars(space)
-    order = list(seq)
     if action_variant.startswith("left"):
-        order = order[::-1]  # rightmost factor first
-    for idx, var in order:
-        n = exps[vars_.index(var)]
-        for _ in range(n):
-            g = act_partial_closed(idx, action_variant, g, space, rep=rep)
-    return g
+        seq = seq[::-1]  # rightmost factor first
+    vars_ = space_vars(space)
+    last_first = [(idx, vars_.index(var)) for idx, var in reversed(seq)]
+    deg = g.degree()
+    acted_by = {}
+    for exps, _dword, _coeff in exp:
+        if sum(exps) > deg:
+            break
+        if not any(exps):
+            acted_by[exps] = g
+            continue
+        idx, j = next((idx, j) for idx, j in last_first if exps[j])
+        prefix = acted_by[exps[:j] + (exps[j] - 1,) + exps[j + 1:]]
+        acted_by[exps] = prefix if prefix.is_zero() else act_partial_closed(
+            idx, action_variant, prefix, space, rep=rep
+        )
+    return acted_by
 
 
 def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
@@ -255,12 +268,12 @@ def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
         exp = qexp(space, exp_variant, top)
         leg_cache = {}
         for label, gf in targets:
-            deg = gf.degree()
+            acted_by = _exp_word_actions(space, exp, avariant, gf, rep_name)
             acc = {}
             for exps, _dword, coeff in exp:
-                if sum(exps) > deg:
-                    break
-                acted = _apply_exp_word(space, exps, avariant, gf, rep_name)
+                acted = acted_by.get(exps)
+                if acted is None:
+                    break  # past g's degree
                 if acted.is_zero():
                     continue
                 if exps not in leg_cache:

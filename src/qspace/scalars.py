@@ -79,7 +79,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # An int or Fraction operand is a real Gaussian rational; the result is
     # always a GaussianRational.
@@ -511,6 +512,12 @@ class QScalar:
         if not n1 or not n2:
             return ZERO
         d1, d2 = self.den, other.den
+        # a factor of one gives the other operand itself: parts are never
+        # mutated, so sharing the object is safe
+        if n2 == _P_ONE and len(d2) == 1:
+            return self
+        if n1 == _P_ONE and len(d1) == 1:
+            return other
         if len(d1) == 1 and len(d2) == 1:
             return _canon(_pmul(n1, n2), _P_ONE)
         g = _lgcd(n1, d2)

@@ -23,6 +23,11 @@ class StarContext:
         self.ordering = ordering
 
 
+# (f exponent, g exponent, reversed_order) -> [f leg * g leg for each k],
+# filled on first use; a pure key, like the q-binomials' table
+_STAR_LEGS = {}
+
+
 def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
     """sum_k lambda^k / [[k]]! (D^k f)(D^k g), contracting xm of f with xp of
     g (standard; base q^4) or xp of f with xm of g (reversed; base q^-4,
@@ -35,13 +40,12 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
         fi, gi, a, lam, sign = vars_.index("xp"), vars_.index("xm"), -4, -LAM, -1
     else:
         fi, gi, a, lam, sign = vars_.index("xm"), vars_.index("xp"), 4, LAM, 1
-    legs = {}  # (f exponent, g exponent) -> [f leg * g leg for each k]
     out = {}
     for ef, cf in f.terms.items():
         nf = ef[fi]
         for eg, cg in g.terms.items():
             ng = eg[gi]
-            pair = legs.get((nf, ng))
+            pair = _STAR_LEGS.get((nf, ng, reversed_order))
             if pair is None:
                 pair = []
                 fall = lam_k = ONE
@@ -51,7 +55,8 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
                         lam_k = lam_k * lam
                     # lambda^k has k + 1 terms: multiplied in last, it is cheap
                     pair.append(qbinom(nf, k, a) * fall * lam_k)
-                legs[(nf, ng)] = pair
+                # stored whole, so a racing thread can only store an equal list
+                _STAR_LEGS[(nf, ng, reversed_order)] = pair
             c = cf * cg
             e = [x + y for x, y in zip(ef, eg)]
             for k, leg in enumerate(pair):
@@ -98,12 +103,13 @@ def star_oracle_check(max_degree: int, space: str = "euclid3") -> VerificationRe
     rep = VerificationReport("star-oracle", space)
     vars_ = space_vars(space)
     monos = _monomials(vars_, max_degree)
+    deg = {e: sum(e) for e in monos}
     for ordering in ("standard", "reversed"):
         ctx = StarContext(space, ordering)
         for ef in monos:
             f = CFunction.monomial(vars_, ef)
             for eg in monos:
-                if sum(ef) + sum(eg) > max_degree:
+                if deg[ef] + deg[eg] > max_degree:
                     continue
                 g = CFunction.monomial(vars_, eg)
                 got = star(ctx, f, g)

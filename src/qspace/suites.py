@@ -159,6 +159,7 @@ def suite_star(opts: SuiteOptions):
     monos = _monomials(vars_, opts.degree)
     ctx = starcalc.StarContext("euclid3")
     mono = {e: CFunction.monomial(vars_, e) for e in monos}
+    deg = {e: sum(e) for e in monos}
     pairs = {}  # (e1, e2) -> the star product of the two monomials, made once
 
     def pair(e1, e2):
@@ -168,11 +169,12 @@ def suite_star(opts: SuiteOptions):
 
     for ef in monos:
         for eg in monos:
-            if sum(ef) + sum(eg) > opts.degree:
+            dfg = deg[ef] + deg[eg]
+            if dfg > opts.degree:
                 continue
             fg = pair(ef, eg)
             for eh in monos:
-                if sum(ef) + sum(eg) + sum(eh) > opts.degree:
+                if dfg + deg[eh] > opts.degree:
                     continue
                 lhs = starcalc.star(ctx, fg, mono[eh])
                 rhs = starcalc.star(ctx, mono[ef], pair(eg, eh))
@@ -183,7 +185,7 @@ def suite_star(opts: SuiteOptions):
     limit = VerificationReport("star-classical-limit", "euclid3")
     for ef in monos:
         for eg in monos:
-            if sum(ef) + sum(eg) > opts.degree:
+            if deg[ef] + deg[eg] > opts.degree:
                 continue
             if pair(ef, eg).eval_coeffs_exact(1) != (mono[ef] * mono[eg]).eval_coeffs_exact(1):
                 limit.record(f"{ef},{eg}", "", "")

@@ -3,7 +3,11 @@ import itertools
 import pytest
 
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, space_vars
+from qspace.cfunc import _monomials
 from qspace.hopf import (
+    _DWORD_SEQ,
+    _IDENTITY_SETUPS,
+    _exp_word_actions,
     antipode,
     antipode_on_y_legs,
     doubled_vars,
@@ -11,6 +15,8 @@ from qspace.hopf import (
     time_taylor,
     translate,
 )
+from qspace.pairexp import qexp
+from qspace.qfunc import act_partial_closed
 from qspace.scalars import GaussianRational, LAM, LAMP, ONE, ZERO, qpow, scalar
 
 
@@ -146,3 +152,39 @@ def test_taylor_identities_trivial_and_degree_one():
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 def test_taylor_identities_degree_two(space):
     assert taylor_identity_check(space, max_degree=2).passed
+
+
+def _apply_exp_word(space, exps, action_variant, g, rep):
+    """Oracle: one exponential derivative word applied to g from scratch,
+    one closed-form action per derivative factor (the per-word loop the
+    prefix-shared table replaced)."""
+    hat = action_variant in ("left_bar", "right")
+    seq = _DWORD_SEQ[(space, True)] if (hat and space == "euclid3") else _DWORD_SEQ[space]
+    vars_ = space_vars(space)
+    order = list(seq)
+    if action_variant.startswith("left"):
+        order = order[::-1]  # rightmost factor first
+    for idx, var in order:
+        n = exps[vars_.index(var)]
+        for _ in range(n):
+            g = act_partial_closed(idx, action_variant, g, space, rep=rep)
+    return g
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_prefix_shared_word_actions_match_words_applied_from_scratch(space):
+    want = space_vars(space)
+    targets = [CFunction.monomial(want, e) for e in _monomials(want, 3)]
+    # one multi-term target with a non-unit coefficient
+    targets.append(CFunction.monomial(want, (1,) * 2 + (0,) * (len(want) - 2))
+                   + CFunction.monomial(want, (0,) * (len(want) - 1) + (3,), qpow(2))
+                   - CFunction.monomial(want, (0,) * (len(want) - 2) + (1, 0)))
+    for exp_variant, _tvariant, avariant, rep in _IDENTITY_SETUPS:
+        exp = qexp(space, exp_variant, 3)
+        for g in targets:
+            got = _exp_word_actions(space, exp, avariant, g, rep)
+            words = [exps for exps, _w, _c in exp if sum(exps) <= g.degree()]
+            assert list(got) == words
+            for exps in words:
+                assert got[exps] == _apply_exp_word(space, exps, avariant, g, rep), (
+                    exp_variant, g, exps)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qspace.scalars import ONE, ZERO, DivisionByZero, GaussianRational, QScalar
+from qspace.scalars import ONE, ZERO, DivisionByZero, GaussianRational, Q, QScalar, qpow, scalar
 
 try:
     import sympy
@@ -215,3 +215,22 @@ def test_mixed_int_and_fraction_operands(a, n, d):
         assert r / a == QScalar.from_rational(r) / a
     if n:
         assert a / r == a * QScalar.from_rational(1 / r)
+
+
+# the ones a product can meet; a product by one is the other operand itself
+# (a zero product is the shared zero)
+_UNITS = (ONE, scalar(1), Q / Q, qpow(0), 1, Fraction(1))
+
+
+@field_property(_scalars)
+def test_products_by_one(x):
+    for u in _UNITS:
+        assert x * u is x or x.is_zero()
+        for got in (x * u, u * x):
+            assert type(got) is QScalar
+            assert got == x and hash(got) == hash(x)
+            assert_canonical(got)
+    # a numerator of one over a nontrivial denominator is not a one
+    w = ONE / (Q + ONE)
+    assert w.num == {0: 1}
+    assert x * w * (Q + ONE) == x and w * x * (Q + ONE) == x

@@ -175,6 +175,17 @@ def test_rational_constants_hash_like_ints_and_fractions():
     assert {Fraction(1, 2): "half"}[scalar(Fraction(1, 2))] == "half"
 
 
+def test_real_gaussian_rationals_hash_like_ints_and_fractions():
+    assert ONE.eval_exact(1) == 1
+    assert len({ONE.eval_exact(1), 1}) == 1
+    assert hash(GaussianRational(Fraction(3, 4))) == hash(Fraction(3, 4))
+    assert hash(GaussianRational(-5, 0)) == hash(-5)
+    assert {Fraction(1, 2): "half"}[GaussianRational(Fraction(1, 2))] == "half"
+    # a nonzero imaginary part still hashes the pair
+    assert GaussianRational(1, 1) != 1
+    assert hash(GaussianRational(2, 3)) == hash(GaussianRational(Fraction(4, 2), 3))
+
+
 def test_gaussian_rationals_are_integer_first():
     g = GaussianRational(Fraction(4, 2), 3)
     assert type(g.re) is int and type(g.im) is int

@@ -2,6 +2,7 @@ import itertools
 
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS
 from qspace.ncalgebra import reorder_transform
+from qspace import starcalc
 from qspace.starcalc import StarContext, star, star_oracle_check
 from qspace.scalars import LAM, ONE, qpow
 
@@ -76,3 +77,27 @@ def test_ordering_transport_intertwines_products():
             lhs = star(CTX_REV, uf, ug)
             rhs = reorder_transform("euclid3", star(CTX, f, g), "to_reversed")
             assert lhs == rhs, (ef, eg)
+
+
+def test_star_leg_table_gives_the_same_products_cold_and_warm():
+    # xm^n * xp^n contracts in the standard ordering, xp^n * xm^n in the
+    # reversed one; both factor orders in both orderings share leg exponents
+    # (n, n), so a table key without the ordering would hand one ordering
+    # the other's legs
+    cases = [
+        (ctx, mono((0, 0, 0, n)), mono((0, n, 0, 0)))
+        for n in range(9)
+        for ctx in (CTX, CTX_REV)
+    ]
+    cases += [(ctx, g, f) for ctx, f, g in cases]
+    starcalc._STAR_LEGS.clear()
+    warm = [star(ctx, f, g) for ctx, f, g in cases]
+    cold = []
+    for ctx, f, g in cases:
+        starcalc._STAR_LEGS.clear()
+        cold.append(star(ctx, f, g))
+    assert warm == cold
+    assert [star(ctx, f, g) for ctx, f, g in cases] == cold
+    assert star(CTX, mono((0, 0, 0, 1)), mono((0, 1, 0, 0))) == (
+        mono((0, 1, 0, 1)) + mono((0, 0, 2, 0), LAM)
+    )
