@@ -267,14 +267,22 @@ class LatticeFunction:
             if any(n and j != i for j, n in enumerate(e)):
                 raise ValueError("polynomial must depend on a single variable")
         window = cutoff if window is None else window
+        # each coefficient is evaluated once; the per-point products and the
+        # sum run in the order of eval_float, so the samples are the same
+        terms = [(c.eval_float(q0), e[i]) for e, c in f.terms.items()]
         samples = {}
         for k in range(-cutoff, cutoff + 1):
             for sign in (1, -1):
                 if abs(k) > window:
                     samples[(sign, k)] = 0j
                 else:
-                    x = sign * q0 ** k
-                    samples[(sign, k)] = f.eval_float(q0, {name: x})
+                    x = complex(sign * q0 ** k)
+                    total = 0j
+                    for v, n in terms:
+                        if n:
+                            v *= x ** n
+                        total += v
+                    samples[(sign, k)] = total
         return LatticeFunction(q0, cutoff, samples)
 
     def value(self, sign, k):

@@ -4,17 +4,20 @@ Elements are finite QScalar-linear combinations of normal-ordered words in
 the coordinate generators, the partial derivatives, and the scaling operator.
 Normal ordering, products, derivative actions (all four one-sided variants),
 conjugation, and the transport between the two coordinate orderings all run
-through one engine: memoized insertion of one token at a time into an
+through one engine: memoized insertion of one token run at a time into an
 already normal-ordered word, driven by adjacent-pair rewrite rules.
 
+A normal-ordered word holds each generator in one run, so the engine keeps
+it as a count key read in its rule set's rank order: a word is a tuple of
+run lengths, and a key of NCElement is the same tuple in KEY_LAYOUT order.
 Tokens are only ever appended.  Where a token enters a word from the left
 (the derivative actions, and every insertion under
 rewrite_strategy('rightmost')) it is appended to the reversed word on the
 rule set of the opposite algebra, whose rules are the mirrored ones.  The
 strategy is a per-context setting (a ContextVar); the memos are shared by
-every thread.  Conjugation and the +/- mirror behind the right-sided
-calculi are one word transport: reverse the word, map each generator,
-normal-order again.
+every thread.  Conjugation, the +/- mirror behind the right-sided calculi
+and the ordering transport read each key's normal-ordered image from one
+table of rows.
 
 Two Leibniz rule sets coexist: the plain calculus and its conjugate (the
 "hatted" one).  Hatted derivatives are never stored; parsing replaces them by
@@ -25,6 +28,7 @@ selected through the action mode instead.
 from __future__ import annotations
 
 from contextvars import ContextVar
+from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
@@ -45,6 +49,8 @@ KEY_LAYOUT = {
 }
 
 _LAM_TAG = "L"
+# the tag of each entry of a stored key
+_KEY_TAGS = {space: layout + (_LAM_TAG,) for space, layout in KEY_LAYOUT.items()}
 
 
 class SpaceMismatch(ValueError):
@@ -56,16 +62,13 @@ class PurityError(ValueError):
 
 
 def _word_of_key(space, key):
+    """The token word of a stored key (the engine itself never decodes)."""
     toks = []
     for tag, n in zip(KEY_LAYOUT[space], key[:-1]):
         toks.extend([tag] * n)
     if key[-1]:
         toks.append((_LAM_TAG, key[-1]))
     return tuple(toks)
-
-
-def _key_of_counts(space, counts, lam):
-    return tuple(counts.get(tag, 0) for tag in KEY_LAYOUT[space]) + (lam,)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +245,19 @@ def _lam_weight(space, tag):
     return 4 if tag.startswith("x") else -4
 
 
+def _rank_rule(alts, swapped, rank):
+    """A pair rule in rank form: the int exponent e when the rule is the
+    plain swap to the pair swapped times q^(e/2), else the alternatives
+    with their replacements as ranks."""
+    if len(alts) == 1:
+        c, repl = alts[0]
+        if repl == swapped and len(c.num) == 1 and len(c.den) == 1:
+            ((e, a),) = c.num.items()
+            if a == 1:
+                return e
+    return tuple((c, tuple(rank[r] for r in repl)) for c, repl in alts)
+
+
 class _RuleSet:
     """Rank order plus pair rules; one per (space, calculus, ordering,
     opposite).
@@ -250,10 +266,16 @@ class _RuleSet:
     words: each rule (a, b) -> r becomes (b, a) -> reversed r, the rank
     order is reversed and commuting Lambda^(1/2) past a generator picks up
     the inverse factor.  Appending to reversed words on it is prepending on
-    the original words."""
+    the original words.
+
+    The engine reads the rules by rank: a word is the tuple of its run
+    lengths in rank order (the scaling operator's entry is its half-step
+    exponent), a token is its rank, and rules[a][t] for a > t is either the
+    int exponent e of a plain scaled swap a t -> q^(e/2) t a (per token of
+    each run; for the scaling operator per half-step) or the alternatives
+    (coefficient, replacement ranks)."""
 
     def __init__(self, space, calculus, ordering, opposite=False):
-        self.space = space
         self.ordering = ordering
         xs = list(X_TOKENS[space])
         ds = list(D_TOKENS[space])
@@ -277,14 +299,37 @@ class _RuleSet:
                 for (a, b), alts in pair_rules.items()
             }
             sign = -1
-        self.rank = {t: i for i, t in enumerate(seq)}
+        self.rank = rank = {t: i for i, t in enumerate(seq)}
         self.pair_rules = pair_rules
         self.lam_weight = {t: sign * _lam_weight(space, t) for t in xs + ds}
-        # normal form of an ordered word with one token appended, keyed by
-        # that word
+        self.size = len(seq)
+        self.zero = (0,) * len(seq)
+        lam = rank[_LAM_TAG]
+        rules = [[None] * len(seq) for _ in seq]
+        for a, ta in enumerate(seq):
+            for t, tt in enumerate(seq[:a]):
+                if a == lam:
+                    rules[a][t] = self.lam_weight[tt]
+                elif t == lam:
+                    rules[a][t] = -self.lam_weight[ta]
+                else:
+                    rules[a][t] = _rank_rule(pair_rules[(ta, tt)], (tt, ta), rank)
+        self.rules = rules
+        layout = _KEY_TAGS[space]
+        # stored key <-> rank key
+        self.to_rank = itemgetter(*(layout.index(t) for t in seq))
+        self.to_key = itemgetter(*(rank[t] for t in layout))
+        # the ranks of the derivatives and of the scaling operator, whose
+        # entries the counit reads
+        self.d_ranks = itemgetter(*(rank[t] for t in ds))
+        self.lam = lam
+        # normal form of an ordered word up to its first run that does not
+        # let a token pass by a plain swap, with that token appended; keyed
+        # by the word's rank key up to that run, then the token
         self.memo = {}
         # counit of the normal form of a reversed coordinate word with one
-        # token appended (used on the opposite rule sets only)
+        # token run appended, keyed by the word's rank key, the token and
+        # the run (used on the opposite rule sets only)
         self.counit_memo = {}
 
     def _tag(self, tok):
@@ -320,15 +365,14 @@ def _ruleset(space, calculus, ordering, opposite=False):
     return rs
 
 
-# whole-word memo, keyed (space, calculus, ordering, word); words longer than
-# _NF_CACHE_MAX_LEN are normal-ordered without being stored
+# whole-word memo, keyed (space, calculus, ordering, word) and holding
+# {stored key: QScalar}; words longer than _NF_CACHE_MAX_LEN are
+# normal-ordered without being stored
 _NF_CACHE = {}
 _NF_CACHE_MAX_LEN = 10
-# a rule set's insertion and counit memos are emptied when they reach this
-# many entries
+# a rule set's insertion and counit memos, and the transport table, are
+# emptied when they reach this many entries
 _MEMO_LIMIT = 20_000
-# the insertion recursion descends at most about this many tokens at a time
-_WARM_STEP = 64
 _STRATEGY = ContextVar("rewrite_strategy", default="leftmost")
 
 
@@ -336,8 +380,9 @@ class rewrite_strategy:
     """Context manager choosing the insertion order in the current context:
     'leftmost' folds the tokens of a word in left to right, 'rightmost'
     folds the reversed word in on the opposite rule set.  Both give the
-    same normal forms; entering and leaving empties every memo, so a
-    computation under 'rightmost' is cold and independent of earlier ones."""
+    same normal forms; entering and leaving empties every memo and table,
+    so a computation under 'rightmost' is cold and independent of earlier
+    ones."""
 
     def __init__(self, name):
         if name not in ("leftmost", "rightmost"):
@@ -357,122 +402,175 @@ class rewrite_strategy:
 
 def _clear_memos():
     _NF_CACHE.clear()
+    _TRANSPORT.clear()
     for rs in list(_RULESETS.values()):
         rs.memo.clear()
         rs.counit_memo.clear()
 
 
-def _fold(rs, terms, t):
-    """Normal form of terms * t, for terms a {normal-ordered word: QScalar}
-    dict; a word whose last token is already in order with t takes t
-    directly."""
+def _fold(rs, terms, t, n=1):
+    """Normal form of terms * t^n, for terms a {rank key: QScalar} dict of
+    normal-ordered words and t a rank; for the scaling operator n is the
+    half-step exponent, otherwise the number of tokens.
+
+    The run passes each run above its rank whose rule is a plain scaled swap
+    in one step, summing the q-exponent as an int; a word with no other run
+    in its way takes it directly."""
     out = {}
     for w, c in terms.items():
-        alts = rs.resolve(w[-1], t) if w else None
-        if alts is None:
-            _add_term(out, w + (t,), c)
+        r, e = _walk(rs, w, t)
+        if r == t:
+            if e:
+                c = c * QScalar.q_power(e * n)
+            _add_term(out, w[:t] + (w[t] + n,) + w[t + 1:], c)
             continue
-        for ww, cc in _insert(rs, w, t, alts).items():
+        for ww, cc in _insert(rs, w, t, n, r, e).items():
             _add_term(out, ww, cc if c is ONE else c * cc)
     return out
 
 
-def _insert(rs, w, t, alts):
-    """Normal form of w * t for a normal-ordered word w whose last token
-    does not stand in order with t; alts resolves that pair.
+def _walk(rs, w, t):
+    """(r, e): r is the rank of the first run of w, from the top, that a
+    token t does not pass by a plain swap (t itself when it passes all the
+    runs above its rank), and e the q-exponent with which it passes the
+    runs above r."""
+    rules = rs.rules
+    e = 0
+    r = rs.size - 1
+    while r > t:
+        k = w[r]
+        if k:
+            s = rules[r][t]
+            if s.__class__ is not int:
+                break
+            e += s * k
+        r -= 1
+    return r, e
 
-    t first moves left past the tokens whose rule is a single scaled swap.
-    At the first longer rule, every alternative's replacement is folded into
-    the rest of the word; that step is memoized on the rule set, keyed by
-    its word.  The tokens t moved past are folded back in last."""
-    i = len(w)  # t stands right after w[:i]
-    coeff = ONE
-    while alts is not None:
-        if len(alts) > 1 or alts[0][1] != (t, w[i - 1]):
-            break
-        a = alts[0][0]
-        if a is not ONE:
-            coeff = a if coeff is ONE else coeff * a
-        i -= 1
-        alts = rs.resolve(w[i - 1], t) if i else None
-    if alts is None:
-        return {w[:i] + (t,) + w[i:]: coeff}
-    passed, key, rest = w[i:], w[:i] + (t,), w[:i - 1]
-    memo = rs.memo
-    terms = memo.get(key)
+
+def _insert(rs, w, t, n, r, e):
+    """Normal form of the word w times t^n, where the run at rank r is the
+    first one t does not pass by a plain swap and the runs above it pass
+    each token t with the q-exponent e.
+
+    One token meets that run at a time.  The memo holds the normal form of
+    the word up to the run with t appended; the runs t passed are folded
+    back in after it.  Of a longer run, the tokens still to come pass each
+    word that no longer stands in their way in one step."""
+    if n > 1:
+        out = {}
+        terms = {w: ONE}
+        while n:
+            terms = _fold(rs, terms, t)
+            n -= 1
+            if not n:
+                break
+            rest = {}
+            for ww, cc in terms.items():
+                r, e = _walk(rs, ww, t)
+                if r == t:
+                    _add_term(out, ww[:t] + (ww[t] + n,) + ww[t + 1:],
+                              cc * QScalar.q_power(e * n) if e else cc)
+                else:
+                    rest[ww] = cc
+            terms = rest
+        for ww, cc in terms.items():
+            _add_term(out, ww, cc)
+        return out
+    head = w[:r + 1]
+    terms = rs.memo.get(head + (t,))
     if terms is None:
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        terms = {}
-        for a, repl in alts:
-            if repl and len(rest) > _WARM_STEP:
-                # insert the first token into a shorter part of rest first:
-                # the recursion below then meets memoized entries within
-                # _WARM_STEP levels, however long the word
-                _fold(rs, {rest[:-_WARM_STEP]: ONE}, repl[0])
-            part = {rest: ONE}
-            for r in repl:
-                part = _fold(rs, part, r)
-            for ww, cc in part.items():
-                _add_term(terms, ww, cc if a is ONE else a * cc)
-        memo[key] = terms
-    for v in passed:
-        terms = _fold(rs, terms, v)
-    if coeff is not ONE:
-        terms = {ww: coeff * cc for ww, cc in terms.items()}
+        terms = _fill(rs, head, t)
+    for rr in range(r + 1, rs.size):
+        m = w[rr]
+        if m:
+            terms = _fold(rs, terms, rr, m)
+    if e:
+        f = QScalar.q_power(e)
+        terms = {ww: cc * f for ww, cc in terms.items()}
     return terms
 
 
-def _normalize_word(space, calculus, ordering, word):
-    """Rewrite an arbitrary token word to its normal form.
+def _fill(rs, head, t):
+    """The memo entry for the word head (a rank key ending at its last run)
+    with t appended.  The entries for the same word with that run shortened
+    are filled first, from the shortest missing one up: each entry's
+    recursion then meets the entry one token shorter in the memo, so the
+    recursion depth does not grow with the length of a run."""
+    memo = rs.memo
+    pre, k = head[:-1], head[-1]
+    j = k
+    while j > 1 and pre + (j - 1, t) not in memo:
+        j -= 1
+    pad = (0,) * (rs.size - len(head))
+    alts = rs.rules[len(pre)][t]
+    for m in range(j, k + 1):
+        base = pre + (m - 1,) + pad
+        terms = {}
+        for a, repl in alts:
+            part = {base: ONE}
+            for u in repl:
+                part = _fold(rs, part, u)
+            for ww, cc in part.items():
+                _add_term(terms, ww, cc if a is ONE else a * cc)
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        memo[pre + (m, t)] = terms
+    return terms
 
-    Returns {canonical word: QScalar}.  The longest ordered run at the start
-    of the word is kept as it is and the remaining tokens are appended one
-    at a time.  Under 'rightmost' the reversed word is normal-ordered on the
-    opposite rule set and the result reversed back.  The rule sets resolve
-    every overlap (a tested property), so the insertion order does not
-    change the result (Bergman's diamond lemma, Adv. Math. 29 (1978) 178)."""
+
+def _runs_of_word(word):
+    """A token word as runs [(tag, n)]; adjacent scaling-operator tokens
+    merge into one run whose n is the summed half-step exponent."""
+    runs = []
+    for tok in word:
+        tag, n = tok if isinstance(tok, tuple) else (tok, 1)
+        if runs and runs[-1][0] == tag:
+            runs[-1] = (tag, runs[-1][1] + n)
+        else:
+            runs.append((tag, n))
+    return runs
+
+
+def _normal_runs(space, calculus, ordering, runs):
+    """Normal form {stored key: QScalar} of the word with runs [(tag, n)].
+
+    Under 'rightmost' the reversed word is normal-ordered on the opposite
+    rule set.  The rule sets resolve every overlap (a tested property), so
+    the insertion order does not change the result (Bergman's diamond
+    lemma, Adv. Math. 29 (1978) 178)."""
+    rightmost = _STRATEGY.get() == "rightmost"
+    rs = _ruleset(space, calculus, ordering, rightmost)
+    rank = rs.rank
+    terms = {rs.zero: ONE}
+    for tag, n in (reversed(runs) if rightmost else runs):
+        if n:
+            terms = _fold(rs, terms, rank[tag], n)
+    to_key = rs.to_key
+    return {to_key(w): c for w, c in terms.items()}
+
+
+def _normalize_word(space, calculus, ordering, word):
+    """Rewrite an arbitrary token word to its normal form {stored key:
+    QScalar}, through the whole-word memo."""
     cache_key = (space, calculus, ordering, word)
     hit = _NF_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    rightmost = _STRATEGY.get() == "rightmost"
-    rs = _ruleset(space, calculus, ordering, rightmost)
-    w = word[::-1] if rightmost else word
-    i = min(len(w), 1)
-    while i < len(w) and rs.resolve(w[i - 1], w[i]) is None:
-        i += 1
-    result = {w[:i]: ONE}
-    for t in w[i:]:
-        result = _fold(rs, result, t)
-    if rightmost:
-        result = {ww[::-1]: c for ww, c in result.items()}
+    result = _normal_runs(space, calculus, ordering, _runs_of_word(word))
     if len(word) <= _NF_CACHE_MAX_LEN:
         _NF_CACHE[cache_key] = result
     return result
 
 
-def _canonical_word_to_key(space, word):
-    counts = {}
-    lam = 0
-    for tok in word:
-        if isinstance(tok, tuple):
-            lam += tok[1]
-        else:
-            counts[tok] = counts.get(tok, 0) + 1
-    return _key_of_counts(space, counts, lam)
+def _runs_of_key(space, key):
+    """A stored key as the runs [(tag, n)] of its word."""
+    return [(tag, n) for tag, n in zip(_KEY_TAGS[space], key) if n]
 
 
-def _add_normal_form(terms, space, calculus, ordering, word, coeff, project=None):
-    """Accumulate coeff times the normal form of word into terms, keyed by
-    exponent keys; project maps each key to the stored one, or to None to
-    drop the term."""
-    for w, c in _normalize_word(space, calculus, ordering, word).items():
-        key = _canonical_word_to_key(space, w)
-        if project is not None:
-            key = project(key)
-            if key is None:
-                continue
+def _add_normal_form(terms, space, calculus, ordering, word, coeff):
+    """Accumulate coeff times the normal form of word into terms."""
+    for key, c in _normalize_word(space, calculus, ordering, word).items():
         _add_term(terms, key, coeff * c)
 
 
@@ -543,30 +641,27 @@ class NCElement(_LinComb):
         self._checked(other)
         out = NCElement(self.space)
         for k1, c1 in self.terms.items():
-            w1 = _word_of_key(self.space, k1)
+            runs = _runs_of_key(self.space, k1)
             for k2, c2 in other.terms.items():
-                w2 = _word_of_key(self.space, k2)
-                _add_normal_form(out.terms, self.space, "u", "xd", w1 + w2, c1 * c2)
+                c = c1 * c2
+                word = runs + _runs_of_key(self.space, k2)
+                for k, cc in _normal_runs(self.space, "u", "xd", word).items():
+                    _add_term(out.terms, k, c * cc)
         return out
 
     __rmul__ = _LinComb.scale
 
     # -- structure queries ----------------------------------------------------
 
-    def _split_key(self, key):
-        nx = len(X_TOKENS[self.space])
-        return key[:nx], key[nx:-1], key[-1]
-
     def is_coordinate(self):
-        return all(
-            not any(d) and lam == 0
-            for _, d, lam in (self._split_key(k) for k in self.terms)
-        )
+        """No derivative and no scaling operator in any term."""
+        nx = len(X_TOKENS[self.space])
+        return not any(any(k[nx:]) for k in self.terms)
 
     def is_operator(self):
-        return all(
-            not any(x) for x, _, _ in (self._split_key(k) for k in self.terms)
-        )
+        """No coordinate in any term."""
+        nx = len(X_TOKENS[self.space])
+        return not any(any(k[:nx]) for k in self.terms)
 
     def is_spatial(self):
         """No time coordinate, no time derivative, no scaling operator."""
@@ -598,7 +693,7 @@ class NCElement(_LinComb):
         coefficients are complex-conjugated, and the result is re-ordered in
         the plain calculus.
         """
-        return _transport(self, _CONJ_MAP[self.space], conj=True)
+        return _transport(self, "conj")
 
     # -- rendering ------------------------------------------------------------------
 
@@ -671,32 +766,63 @@ _MIRROR_MAP = {
 }
 
 
-def _transport_word(word, tokmap):
-    """Reverse a token word, send each generator through tokmap (tag ->
-    (scalar factor, image tag)) and invert the scaling operator; returns
-    (product of the factors, image word).  No normal ordering is applied."""
+# the word transports, by name
+_WORD_MAPS = {"conj": _CONJ_MAP, "mirror": _MIRROR_MAP}
+# normal-ordered images of stored keys under a transport, keyed (space,
+# transport name, key); each row is a tuple of (key, QScalar) pairs.  The
+# names are those of _WORD_MAPS and the two reorder_transform directions,
+# whose keys are coordinate exponents
+_TRANSPORT = {}
+
+
+def _transport_row(space, name, key):
+    """The row of key under the transport name, from the table."""
+    row = _TRANSPORT.get((space, name, key))
+    if row is not None:
+        return row
     coeff = ONE
-    toks = []
-    for tok in reversed(word):
-        if isinstance(tok, tuple):
-            toks.append((_LAM_TAG, -tok[1]))
-            continue
-        f, t = tokmap[tok]
-        if f is not ONE:
-            coeff = coeff * f
-        toks.append(t)
-    return coeff, tuple(toks)
+    if name in _WORD_MAPS:
+        # the reversed word, each generator mapped, the scaling operator
+        # inverted
+        tokmap = _WORD_MAPS[name][space]
+        runs = []
+        for tag, n in reversed(_runs_of_key(space, key)):
+            if tag == _LAM_TAG:
+                runs.append((tag, -n))
+                continue
+            f, image = tokmap[tag]
+            if f is not ONE:
+                coeff = coeff * f ** n
+            runs.append((image, n))
+        ordering = "xd"
+    elif name == "to_reversed":
+        # the standard word, expanded in the reversed PBW basis
+        runs = list(zip(("x0", "xp", "x3", "xm"), key))
+        ordering = "rev"
+    else:
+        # the reversed-ordering word the exponents denote
+        runs = list(zip(("x0", "xm", "x3", "xp"), (key[0], key[3], key[2], key[1])))
+        ordering = "xd"
+    nf = _normal_runs(space, "u", ordering, runs)
+    if name not in _WORD_MAPS:
+        nf = {k[:len(key)]: c for k, c in nf.items()}
+    row = tuple((k, coeff * c) for k, c in nf.items())
+    if len(_TRANSPORT) >= _MEMO_LIMIT:
+        _TRANSPORT.clear()
+    _TRANSPORT[(space, name, key)] = row
+    return row
 
 
-def _transport(a: NCElement, tokmap, conj=False) -> NCElement:
-    """The word transport of a, re-ordered in the plain calculus; conj
-    also complex-conjugates the coefficients."""
+def _transport(a: NCElement, name) -> NCElement:
+    """The word transport name ('conj' or 'mirror') of a, re-ordered in the
+    plain calculus; conjugation also complex-conjugates the coefficients."""
     out = NCElement(a.space)
+    conj = name == "conj"
     for k, c in a.terms.items():
-        f, word = _transport_word(_word_of_key(a.space, k), tokmap)
         if conj:
             c = c.conj()
-        _add_normal_form(out.terms, a.space, "u", "xd", word, c if f is ONE else c * f)
+        for kk, cc in _transport_row(a.space, name, k):
+            _add_term(out.terms, kk, c * cc)
     return out
 
 
@@ -720,46 +846,47 @@ ACTION_MODES = tuple(_MODE_CALCULUS)
 def _mirror_element(a: NCElement) -> NCElement:
     """Word reversal combined with the +/- index swap and inversion of the
     scaling operator; the transport the right-sided calculi are built from."""
-    return _transport(a, _MIRROR_MAP[a.space])
+    return _transport(a, "mirror")
 
 
-def _counit_step(rs, t, terms):
-    """t acting on the reversed coordinate words of terms, on the opposite
-    rule set rs: the counit of the normal form of word + (t,), which drops
-    the words still holding a derivative and sends the scaling operator
-    to 1."""
+def _counit_step(rs, t, n, terms):
+    """The run t^n acting on the reversed coordinate words of terms (rank
+    keys on the opposite rule set rs): the counit of the normal form of
+    each word times t^n, which drops the words still holding a derivative
+    and sends the scaling operator to 1."""
     out = {}
     memo = rs.counit_memo
-    xs = X_TOKENS[rs.space]
+    d_ranks, lam = rs.d_ranks, rs.lam
     for xw, c in terms.items():
-        key = xw + (t,)
+        key = xw + (t, n)
         img = memo.get(key)
         if img is None:
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
-            img = {}
-            for w, a in _fold(rs, {xw: ONE}, t).items():
-                if w and isinstance(w[0], tuple):
-                    w = w[1:]
-                if not w or w[0] in xs:
-                    img[w] = a
+            img = tuple(
+                (w[:lam] + (0,) + w[lam + 1:], a)
+                for w, a in _fold(rs, {xw: ONE}, t, n).items()
+                if not any(d_ranks(w))
+            )
             memo[key] = img
-        for w, a in img.items():
+        for w, a in img:
             _add_term(out, w, c * a)
     return out
 
 
 def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
     """Left action as a module action: the operator's tokens act on the
-    coordinate words one at a time, right to left.  This is exact because
-    the kernel of the counit after normal ordering is the left ideal
-    generated by the derivatives and Lambda^(1/2) - 1.  The coordinate
-    words are kept reversed, so each token is appended on the opposite
-    rule set."""
+    coordinate words one run at a time, right to left.  This is exact
+    because the kernel of the counit after normal ordering is the left
+    ideal generated by the derivatives and Lambda^(1/2) - 1.  The
+    coordinate words are kept reversed, so each run is appended on the
+    opposite rule set, whose rank order reads the reversed operator word
+    left to right."""
     space = op.space
     rs = _ruleset(space, calculus, "xd", True)
     hatk = HAT_POWER[space]
-    fwords = {_word_of_key(space, k)[::-1]: c for k, c in f.terms.items()}
+    to_rank, to_key = rs.to_rank, rs.to_key
+    fwords = {to_rank(k): c for k, c in f.terms.items()}
     out = NCElement(space)
     for kop, cop in op.terms.items():
         c0 = cop
@@ -767,10 +894,18 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
             # stored plain derivatives = q^(-k) * hatted ones
             c0 = c0 * qpow(-hatk * op.spatial_d_count(kop))
         terms = fwords
-        for t in reversed(_word_of_key(space, kop)):
-            terms = _counit_step(rs, t, terms)
+        for t, n in enumerate(to_rank(kop)):
+            if not n:
+                continue
+            if t == rs.lam:
+                terms = _counit_step(rs, t, n, terms)
+            else:
+                # one derivative at a time: the words the counit drops are
+                # not carried into the next step
+                for _ in range(n):
+                    terms = _counit_step(rs, t, 1, terms)
         for w, c in terms.items():
-            _add_term(out.terms, _canonical_word_to_key(space, w), c0 * c)
+            _add_term(out.terms, to_key(w), c0 * c)
     return out
 
 
@@ -834,21 +969,14 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
     want = space_vars(space)
     if f.vars != want:
         f = f.restrict(want)
-    nx = len(want)
     if space == LINE:
         return f  # a single spatial generator has only one ordering
     if direction not in ("to_reversed", "to_standard"):
         raise ValueError(f"unknown direction {direction!r}")
     out = {}
     for e, c in f.terms.items():
-        x0, xp, x3, xm = ("x0",) * e[0], ("xp",) * e[1], ("x3",) * e[2], ("xm",) * e[3]
-        if direction == "to_reversed":
-            # the standard word, expanded in the reversed PBW basis
-            word, ordering = x0 + xp + x3 + xm, "rev"
-        else:
-            # the reversed-ordering word the exponents denote
-            word, ordering = x0 + xm + x3 + xp, "xd"
-        _add_normal_form(out, space, "u", ordering, word, c, lambda k: k[:nx])
+        for k, cc in _transport_row(space, direction, e):
+            _add_term(out, k, c * cc)
     return CFunction(want, out)
 
 
@@ -856,9 +984,21 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
 
 
 def conjugate_word_formal(space, word):
-    """Conjugate a token word formally: reverse, map generators, collect the
-    scalar factor.  No normal ordering is applied."""
-    return _transport_word(tuple(word), _CONJ_MAP[space])
+    """Conjugate a token word formally: reverse it, send each generator
+    through the conjugation map and invert the scaling operator; returns
+    (product of the factors, image word).  No normal ordering is applied."""
+    tokmap = _CONJ_MAP[space]
+    coeff = ONE
+    toks = []
+    for tok in reversed(tuple(word)):
+        if isinstance(tok, tuple):
+            toks.append((_LAM_TAG, -tok[1]))
+            continue
+        f, t = tokmap[tok]
+        if f is not ONE:
+            coeff = coeff * f
+        toks.append(t)
+    return coeff, tuple(toks)
 
 
 def normalize_in_calculus(space, calculus, word, coeff=ONE, reexpress_hats=False):

@@ -141,6 +141,25 @@ def test_integrate_whole_line_zero_and_variants():
     assert abs(vL.real - direct) < 1e-9
 
 
+def test_lattice_samples_equal_pointwise_evaluation():
+    # the coefficients are evaluated once per call; every sample must still
+    # be the very float eval_float gives at its point
+    q0, cutoff, window = 1.1, 40, 25
+    f = CFunction(LINE_VARS, {
+        (0, 0): scalar(Fraction(5, 7)),
+        (0, 1): qpow(2) - ONE,
+        (0, 3): QScalar.q_power(1) + 2 - I * qpow(-1) / 3,
+        (0, 4): qpow(-3) / (ONE + qpow(1)),
+    })
+    lat = LatticeFunction.from_cfunction(f, "x1", q0, cutoff, window)
+    assert len(lat.samples) == 2 * (2 * cutoff + 1)
+    for (sign, k), v in lat.samples.items():
+        want = f.eval_float(q0, {"x1": sign * q0 ** k}) if abs(k) <= window else 0j
+        assert v == want, (sign, k)
+    with pytest.raises(ValueError):
+        LatticeFunction.from_cfunction(f * CFunction.monomial(LINE_VARS, (1, 0)), "x1", q0, 5)
+
+
 def test_integrate_whole_e3_separable():
     q0 = 1.1
     leg = LatticeFunction.from_callable(lambda x: math.exp(-x * x), q0, 300)

@@ -290,6 +290,23 @@ def _tree_normal_form(rs, word, rightmost=False):
     return result
 
 
+def _key_of_word(space, word):
+    """The stored key of a normal-ordered token word: its generator counts
+    in KEY_LAYOUT order, then the scaling operator's half-step exponent."""
+    layout = _nc.KEY_LAYOUT[space]
+    counts = [0] * (len(layout) + 1)
+    for tok in word:
+        if isinstance(tok, tuple):
+            counts[-1] += tok[1]
+        else:
+            counts[layout.index(tok)] += 1
+    return tuple(counts)
+
+
+def _keyed(space, word_terms):
+    return {_key_of_word(space, w): c for w, c in word_terms.items()}
+
+
 def _combine(parts):
     out = {}
     for k, word_terms in parts:
@@ -336,7 +353,7 @@ def test_insertion_matches_tree_rewriter():
         ladders = [("xm",) * 3 + ("xp",) * 3, ("dm",) * 3 + ("xm",) * 3] if space == "euclid3" \
             else [("x1",) * 3 + ("d1",) * 3, ("d1",) * 3 + ("x1",) * 3]
         words = _random_words(rng, space, 60) + ladders
-        want = [_tree_normal_form(rs, w) for w in words]
+        want = [_keyed(space, _tree_normal_form(rs, w)) for w in words]
         for strategy in ("leftmost", "rightmost"):
             with _nc.rewrite_strategy(strategy):
                 got = [_nc._normalize_word(*key, w) for w in words]
@@ -344,7 +361,7 @@ def test_insertion_matches_tree_rewriter():
                 assert a == b, (key, strategy, w)
         # the oracle itself does not depend on which pair it rewrites first
         for w, b in zip(words[:20], want):
-            assert _tree_normal_form(rs, w, rightmost=True) == b, (key, w)
+            assert _keyed(space, _tree_normal_form(rs, w, rightmost=True)) == b, (key, w)
 
 
 def _reference_act_left(op, f, calculus):
@@ -361,7 +378,7 @@ def _reference_act_left(op, f, calculus):
         for kf, cf in f.terms.items():
             word = _nc._word_of_key(space, kop) + _nc._word_of_key(space, kf)
             for w, c in _tree_normal_form(rs, word).items():
-                key = _nc._canonical_word_to_key(space, w)
+                key = _key_of_word(space, w)
                 if not any(key[nx:-1]):
                     _add_term(out, key[:-1] + (0,), c0 * cf * c)
     return NCElement(space, out)
