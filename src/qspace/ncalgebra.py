@@ -79,8 +79,9 @@ def _word_of_key(space, key):
 # of (space, calculus, ordering); 'u' is the plain calculus, 'h' the hatted
 # one (rules for the conjugate derivatives, still written on the 'd' tokens).
 # Orderings: 'xd' puts coordinates before derivatives (the storage order),
-# 'dx' puts derivatives first (used by the right actions), 'rev' orders the
-# spatial coordinates reversely (used by the ordering transport).
+# 'rev' orders the spatial coordinates reversely (used by the ordering
+# transport).  The right actions need no ordering of their own: they run
+# through the +/- mirror transport.
 # ---------------------------------------------------------------------------
 
 _Q = qpow
@@ -185,57 +186,6 @@ def _build_leibniz(space, calculus):
     return r
 
 
-def _invert_leibniz(space, calculus):
-    """Rules for a coordinate standing left of a derivative (x, d) -> ...,
-    obtained by solving the Leibniz rules for the X-d ordered product."""
-    r = {}
-    if space == LINE:
-        r[("x0", "d0")] = [(-ONE, ()), (ONE, ("d0", "x0"))]
-        r[("x1", "d0")] = _swap("x1", "d0")
-        r[("x0", "d1")] = _swap("x0", "d1")
-        if calculus == "u":
-            r[("x1", "d1")] = [(-_Q(-1), ()), (_Q(-1), ("d1", "x1"))]
-        else:
-            r[("x1", "d1")] = [(-_Q(1), ()), (_Q(1), ("d1", "x1"))]
-        return r
-    r[("x0", "d0")] = [(-ONE, ()), (ONE, ("d0", "x0"))]
-    for xa in ("xp", "x3", "xm"):
-        r[(xa, "d0")] = _swap(xa, "d0")
-    for da in ("dp", "d3", "dm"):
-        r[("x0", da)] = _swap("x0", da)
-    if calculus == "u":
-        r[("xp", "dp")] = [(-_Q(-4), ()), (_Q(-4), ("dp", "xp"))]
-        r[("x3", "dp")] = [(_Q(-2), ("dp", "x3"))]
-        r[("xm", "dp")] = _swap("xm", "dp")
-        r[("xp", "d3")] = [(_Q(-2), ("d3", "xp"))]
-        r[("x3", "d3")] = [(-_Q(-2), ()), (_Q(-2), ("d3", "x3")), (-_LL, ("xp", "dp"))]
-        r[("xm", "d3")] = [(_Q(-2), ("d3", "xm")), (-_Q(-1) * _LL, ("x3", "dp"))]
-        r[("xp", "dm")] = _swap("xp", "dm")
-        r[("x3", "dm")] = [(_Q(-2), ("dm", "x3")), (-_Q(-1) * _LL, ("xp", "d3"))]
-        r[("xm", "dm")] = [
-            (-_Q(-4), ()),
-            (_Q(-4), ("dm", "xm")),
-            (-_Q(-2) * _LL, ("x3", "d3")),
-            (-_Q(-3) * LAM * _LL, ("xp", "dp")),
-        ]
-    else:
-        r[("xm", "dp")] = _swap("xm", "dp")
-        r[("x3", "dp")] = [(_Q(2), ("dp", "x3")), (_Q(1) * _LL, ("xm", "d3"))]
-        r[("xp", "dp")] = [
-            (-_Q(4), ()),
-            (_Q(4), ("dp", "xp")),
-            (_Q(2) * _LL, ("x3", "d3")),
-            (-_Q(3) * LAM * _LL, ("xm", "dm")),
-        ]
-        r[("xm", "d3")] = [(_Q(2), ("d3", "xm"))]
-        r[("x3", "d3")] = [(-_Q(2), ()), (_Q(2), ("d3", "x3")), (_LL, ("xm", "dm"))]
-        r[("xp", "d3")] = [(_Q(2), ("d3", "xp")), (_Q(1) * _LL, ("x3", "dm"))]
-        r[("xp", "dm")] = _swap("xp", "dm")
-        r[("x3", "dm")] = [(_Q(2), ("dm", "x3"))]
-        r[("xm", "dm")] = [(-_Q(4), ()), (_Q(4), ("dm", "xm"))]
-    return r
-
-
 def _lam_weight(space, tag):
     """Commuting Lambda^(1/2) past tag picks up q^(w/2) with this w."""
     if tag == "x0" or tag == "d0":
@@ -281,16 +231,13 @@ class _RuleSet:
         ds = list(D_TOKENS[space])
         if ordering == "xd":
             seq = xs + ds + [_LAM_TAG]
-        elif ordering == "dx":
-            seq = ds + [_LAM_TAG] + xs
         elif ordering == "rev":
             seq = xs[:1] + xs[:0:-1] + ds + [_LAM_TAG]
         else:
             raise ValueError(ordering)
         pair_rules = _build_xx_rules(space, reverse=ordering == "rev")
         pair_rules.update(_build_dd_rules(space))
-        leibniz = _invert_leibniz if ordering == "dx" else _build_leibniz
-        pair_rules.update(leibniz(space, calculus))
+        pair_rules.update(_build_leibniz(space, calculus))
         sign = 1
         if opposite:
             seq = seq[::-1]
@@ -370,8 +317,8 @@ def _ruleset(space, calculus, ordering, opposite=False):
 # normal-ordered without being stored
 _NF_CACHE = {}
 _NF_CACHE_MAX_LEN = 10
-# a rule set's insertion and counit memos, and the transport table, are
-# emptied when they reach this many entries
+# the whole-word memo, a rule set's insertion and counit memos, and the
+# transport table are each emptied when they reach this many entries
 _MEMO_LIMIT = 20_000
 _STRATEGY = ContextVar("rewrite_strategy", default="leftmost")
 
@@ -559,6 +506,8 @@ def _normalize_word(space, calculus, ordering, word):
         return hit
     result = _normal_runs(space, calculus, ordering, _runs_of_word(word))
     if len(word) <= _NF_CACHE_MAX_LEN:
+        if len(_NF_CACHE) >= _MEMO_LIMIT:
+            _NF_CACHE.clear()
         _NF_CACHE[cache_key] = result
     return result
 

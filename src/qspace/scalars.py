@@ -10,16 +10,22 @@ Internally a scalar is a reduced fraction of Laurent polynomials in
 bookkeeping.  The denominator is kept monic, with nonzero constant term, and
 coprime to the numerator, which makes the representation canonical.
 
-Each polynomial coefficient is stored as a plain number: an ``int`` when
-integral, a ``Fraction`` when real and not integral, and a
-``GaussianRational`` only when its imaginary part is nonzero, so the common
-all-integer case runs on native ints.
+A polynomial with integer coefficients is a plain ``{exponent: int}`` dict.
+Any other polynomial is kept in content form: integer dicts over one
+positive integer denominator, one dict when real and two (real and
+imaginary parts) when not, so products and sums run on native ints and
+divide out one gcd at the end (Knuth, TAOCP Vol. 2, 4.6.1).  The public
+``num``/``den`` show each coefficient as a plain number instead: an ``int``
+when integral, a ``Fraction`` when real and not integral, and a
+``GaussianRational`` only when its imaginary part is nonzero.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from types import MappingProxyType
 
 __all__ = [
     "GaussianRational",
@@ -200,7 +206,96 @@ def _cdiv(a, b):
     return _exact(_rdiv(a, b))
 
 
-# -- Laurent polynomials in s = q^(1/2), as {exponent: stored coefficient} --
+# -- Laurent polynomials in s = q^(1/2) -------------------------------------
+#
+# The kernels take and return a polynomial in one of two forms:
+# * a plain dict {exponent: int} when every coefficient is an integer;
+# * the content form (re, im, d): int dicts over one int denominator d > 0,
+#   with gcd(d, every coefficient) = 1.  ``im`` is None for a real
+#   polynomial (then d > 1); otherwise it has the keys of ``re`` in the same
+#   order and some nonzero value, so ``im and f(im)`` keeps None as None.
+#   A key is present exactly when its coefficient (re[k] + i im[k]) / d is
+#   nonzero.
+# Every form is unique, so == on the parts is equality of polynomials.  The
+# keys keep the order a loop over stored coefficients {exponent: int |
+# Fraction | GaussianRational} builds (a product by first appearance, left
+# factor outside): eval_float sums in that order, and the numeric reports
+# depend on it.  The stored form is what ``QScalar.num``/``den`` show and
+# what the rare gcd and division paths (_pdivmod, _pgcd) compute in.
+
+
+def _pparts(p):
+    """(re, im, d) of a polynomial in either form; im is None when real."""
+    return (p, None, 1) if type(p) is dict else p
+
+
+def _pkeys(p):
+    return p if type(p) is dict else p[0]
+
+
+def _plen(p):
+    return len(p) if type(p) is dict else len(p[0])
+
+
+def _preduce(re, im, d):
+    """The polynomial (re + i im) / d, for int dicts with no key zero in
+    both and an int d > 0, with the content's gcd divided out."""
+    if im is not None and not any(im.values()):
+        im = None
+    if d != 1:
+        g = math.gcd(d, *re.values())
+        if g != 1 and im is not None:
+            g = math.gcd(g, *im.values())
+        if g != 1:
+            d //= g
+            re = {k: v // g for k, v in re.items()}
+            if im is not None:
+                im = {k: v // g for k, v in im.items()}
+    return re if im is None and d == 1 else (re, im, d)
+
+
+def _from_stored(p):
+    """The polynomial with the stored coefficients of p (none zero)."""
+    vals = p.values()
+    for c in vals:
+        if type(c) is not int:
+            break
+    else:
+        return p
+    d = 1
+    gauss = False
+    for c in vals:
+        if type(c) is GaussianRational:
+            gauss = True
+            d = math.lcm(d, c.re.denominator, c.im.denominator)
+        else:
+            d = math.lcm(d, c.denominator)
+    # d is the least common denominator, so the content is already coprime
+    re = {}
+    im = {} if gauss else None
+    for k, c in p.items():
+        if type(c) is GaussianRational:
+            re[k] = c.re.numerator * (d // c.re.denominator)
+            im[k] = c.im.numerator * (d // c.im.denominator)
+        else:
+            re[k] = c.numerator * (d // c.denominator)
+            if gauss:
+                im[k] = 0
+    return (re, im, d)
+
+
+def _to_stored(p):
+    """p as {exponent: stored coefficient}, in the same key order."""
+    if type(p) is dict:
+        return p
+    re, im, d = p
+    if im is None:
+        return {k: _rdiv(x, d) for k, x in re.items()}
+    return {
+        k: _gr(_rdiv(x, d), _rdiv(y, d)) if y else _rdiv(x, d)
+        for (k, x), y in zip(re.items(), im.values())
+    }
+
 
 def _pstrip(p):
     """p without zero coefficients, each coefficient in stored form."""
@@ -208,6 +303,8 @@ def _pstrip(p):
 
 
 def _padd(a, b):
+    if type(a) is not dict or type(b) is not dict:
+        return _cadd(a, b)
     out = dict(a)
     for k, c in b.items():
         s = out.get(k)
@@ -215,8 +312,6 @@ def _padd(a, b):
             out[k] = c
             continue
         s += c
-        if type(s) is not int:
-            s = _num(s)
         if s:
             out[k] = s
         else:
@@ -224,19 +319,71 @@ def _padd(a, b):
     return out
 
 
+def _cadd(a, b):
+    """a + b when either is in content form: both brought to the least
+    common denominator, added as ints, then reduced."""
+    if not a:
+        return b
+    if not b:
+        return a
+    ra, ia, da = _pparts(a)
+    rb, ib, db = _pparts(b)
+    fa = db // math.gcd(da, db)
+    fb = da * fa // db
+    re = {k: v * fa for k, v in ra.items()} if fa != 1 else dict(ra)
+    get = re.get
+    if ia is None and ib is None:
+        for k, v in rb.items():
+            v *= fb
+            s = get(k)
+            if s is None:
+                re[k] = v
+                continue
+            s += v
+            if s:
+                re[k] = s
+            else:
+                del re[k]
+        return _preduce(re, None, da * fa)
+    if ia is None:
+        im = dict.fromkeys(ra, 0)
+    else:
+        im = {k: v * fa for k, v in ia.items()} if fa != 1 else dict(ia)
+    for (k, u), v in zip(rb.items(), repeat(0) if ib is None else ib.values()):
+        u *= fb
+        v *= fb
+        s = get(k)
+        if s is None:
+            re[k] = u
+            im[k] = v
+            continue
+        s += u
+        t = im[k] + v
+        if s or t:
+            re[k] = s
+            im[k] = t
+        else:
+            del re[k], im[k]
+    return _preduce(re, im, da * fa)
+
+
 def _pneg(a):
-    return {k: -c for k, c in a.items()}
+    if type(a) is dict:
+        return {k: -c for k, c in a.items()}
+    re, im, d = a
+    return {k: -v for k, v in re.items()}, im and {k: -v for k, v in im.items()}, d
 
 
 def _pmul(a, b):
     if not a or not b:
         return {}
+    if type(a) is not dict or type(b) is not dict:
+        return _cmul(a, b)
     if len(a) == 1:
         ((ka, ca),) = a.items()
         if len(b) == 1:
             ((kb, cb),) = b.items()
-            c = ca * cb
-            return {ka + kb: c if type(c) is int else _num(c)}
+            return {ka + kb: ca * cb}
         return _pscale(b, ca, ka)
     if len(b) == 1:
         ((kb, cb),) = b.items()
@@ -248,33 +395,99 @@ def _pmul(a, b):
         for kb, cb in items:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    return _pstrip(out)
+    return {k: c for k, c in out.items() if c}
+
+
+def _cmul(a, b):
+    """a * b for nonzero a, b when either is in content form: the int
+    product over the product of the denominators, then reduced.  The keys
+    come in the order of the integer loop above: by first appearance, a's
+    terms outside and b's inside."""
+    ra, ia, da = _pparts(a)
+    rb, ib, db = _pparts(b)
+    if ia is None and ib is None:
+        return _preduce(_pmul(ra, rb), None, da * db)
+    # a product by one term has the other factor's key order, either way
+    # round, and keeps every key: a Gaussian product of nonzero terms is
+    # nonzero
+    if len(ra) == 1:
+        ra, ia, rb, ib = rb, ib, ra, ia
+    if len(rb) == 1:
+        ((kb, u),) = rb.items()
+        v = 0 if ib is None else ib[kb]
+        if ia is None:
+            re = {k + kb: x * u for k, x in ra.items()}
+            im = {k + kb: x * v for k, x in ra.items()}
+        else:
+            pairs = list(zip(ra.items(), ia.values()))
+            re = {k + kb: x * u - y * v for (k, x), y in pairs}
+            im = {k + kb: x * v + y * u for (k, x), y in pairs}
+        return _preduce(re, im, da * db)
+    re, im = {}, {}
+    rget, iget = re.get, im.get
+    bs = [(k, u, v) for (k, u), v in zip(rb.items(), repeat(0) if ib is None else ib.values())]
+    for (ka, x), y in zip(ra.items(), repeat(0) if ia is None else ia.values()):
+        for kb, u, v in bs:
+            k = ka + kb
+            re[k] = rget(k, 0) + x * u - y * v
+            im[k] = iget(k, 0) + x * v + y * u
+    for k in [k for k, s in re.items() if not s and not im[k]]:
+        del re[k], im[k]
+    return _preduce(re, im, da * db)
 
 
 def _pshift(a, n):
-    return {k + n: c for k, c in a.items()} if n else dict(a)
+    if type(a) is dict:
+        return {k + n: c for k, c in a.items()} if n else dict(a)
+    if not n:
+        return a
+    re, im, d = a
+    return {k + n: v for k, v in re.items()}, im and {k + n: v for k, v in im.items()}, d
 
 
 def _pscale(a, c, n=0):
-    """c * s^n * a for a nonzero stored coefficient c."""
-    if type(c) is int:
-        if c == 1:
-            return _pshift(a, n)
-        out = {k + n: v * c for k, v in a.items()}
-        if all(type(v) is int for v in out.values()):
-            return out
-    else:
-        out = {k + n: v * c for k, v in a.items()}
-    return {k: _num(v) for k, v in out.items()}
+    """c * s^n * a for an int dict a and a nonzero int c."""
+    if c == 1:
+        return _pshift(a, n)
+    return {k + n: v * c for k, v in a.items()}
+
+
+def _pconj(a):
+    if type(a) is dict or a[1] is None:
+        return a
+    re, im, d = a
+    return (re, {k: -v for k, v in im.items()}, d)
+
+
+def _plead(p):
+    """The leading coefficient of a nonzero polynomial, stored."""
+    if type(p) is dict:
+        return p[max(p)]
+    re, im, d = p
+    k = max(re)
+    y = 0 if im is None else im[k]
+    return _gr(_rdiv(re[k], d), _rdiv(y, d)) if y else _rdiv(re[k], d)
+
+
+def _pmonic(p, lead):
+    """p divided by the nonzero stored coefficient lead."""
+    if type(lead) is GaussianRational:
+        return _pmul(p, _from_stored({0: lead.inverse()}))
+    # times the denominator m of lead = n/m, over n
+    re, im, d = _pparts(p)
+    n, m = lead.numerator, lead.denominator
+    if n < 0:
+        n, m = -n, -m
+    im = im and {k: v * m for k, v in im.items()}
+    return _preduce({k: v * m for k, v in re.items()}, im, d * n)
+
+
+# -- the gcd and division paths, on stored coefficients ----------------------
 
 
 def _pdivc(a, c):
     """a divided by the nonzero stored coefficient c."""
     return {k: _cdiv(v, c) for k, v in a.items()}
-
-
-def _pconj(a):
-    return {k: c.conj() if type(c) is GaussianRational else c for k, c in a.items()}
 
 
 def _pdeg(a):
@@ -319,25 +532,50 @@ def _pgcd(a, b):
     return a if a else {0: 1}
 
 
+def _pquo(a, g):
+    """The exact quotient of a polynomial by a monic factor g."""
+    if type(a) is dict and type(g) is dict:
+        # division by a monic integer polynomial stays over the integers
+        return _pdivmod(a, g)[0]
+    return _from_stored(_pdivmod(_to_stored(a), _to_stored(g))[0])
+
+
 def _lgcd(a, d):
     """Monic gcd of a Laurent polynomial ``a`` and a polynomial ``d`` with
     nonzero constant term, or None when it is 1.  A one-term ``d`` is a
     constant and a one-term ``a`` a constant times a power of s, so either
     way the gcd is 1 without a division."""
-    if len(d) == 1 or len(a) == 1:
+    if _plen(d) == 1 or _plen(a) == 1:
         return None
+    a = _to_stored(a)
     amin = min(a)
-    g = _pgcd(_pshift(a, -amin) if amin else a, d)
-    return None if len(g) == 1 else g
+    g = _pgcd(_pshift(a, -amin) if amin else a, _to_stored(d))
+    return None if len(g) == 1 else _from_stored(g)
 
 
 def _lquo(a, g):
     """The exact quotient of a Laurent polynomial by a polynomial factor
     with nonzero constant term."""
-    amin = min(a)
+    amin = min(_pkeys(a))
     if not amin:
-        return _pdivmod(a, g)[0]
-    return _pshift(_pdivmod(_pshift(a, -amin), g)[0], amin)
+        return _pquo(a, g)
+    return _pshift(_pquo(_pshift(a, -amin), g), amin)
+
+
+def _pfloat(p, s0):
+    """The sum of complex(c) * s0 ** k over the stored coefficients c of p,
+    in key order, without building them."""
+    if type(p) is dict:
+        return sum(complex(c) * s0 ** k for k, c in p.items())
+    re, im, d = p
+    if im is None:
+        return sum(complex(x / d) * s0 ** k for k, x in re.items())
+    # complex(GaussianRational) term by term; an int quotient x / d rounds
+    # exactly as float(Fraction(x, d)) does
+    return sum(
+        (complex(x / d) + 1j * complex(y / d) if y else complex(x / d)) * s0 ** k
+        for (k, x), y in zip(re.items(), im.values())
+    )
 
 
 _P_ONE = {0: 1}
@@ -353,63 +591,81 @@ def _hash_parts(p):
 def _canon(num, den):
     """A QScalar from parts already in canonical form (not copied)."""
     x = _new(QScalar)
-    x.num = num
-    x.den = den
+    x._n = num
+    x._d = den
     return x
+
+
+def _constant(c):
+    """The polynomial with the one stored coefficient c at exponent 0."""
+    if type(c) is int:
+        return {0: c} if c else {}
+    return _from_stored({0: c})
 
 
 def _coerce(x):
     """The QScalar equal to an int or Fraction, else NotImplemented."""
     if isinstance(x, (int, Fraction)):
-        return _canon({0: _exact(x)} if x else {}, _P_ONE)
+        return _canon(_constant(_exact(x)), _P_ONE)
     return NotImplemented
 
 
 class QScalar:
     """Canonical rational function of q over the Gaussian rationals.
 
-    ``num`` and ``den`` are never mutated after construction, so canonical
-    parts (``_P_ONE`` in particular) are shared between scalars.  A
-    canonical denominator with one term is the constant 1.
+    The parts are never mutated after construction, so canonical parts
+    (``_P_ONE`` in particular) are shared between scalars; ``num`` and
+    ``den`` show them as read-only mappings.  A canonical denominator with
+    one term is the constant 1, and is ``_P_ONE`` itself.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = _P_ONE
-        num = _pstrip(num)
-        den = _pstrip(den)
+        num = _from_stored(_pstrip(num))
+        den = _P_ONE if den is None else _from_stored(_pstrip(den))
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
-            self.num = {}
-            self.den = _P_ONE
+            self._n = {}
+            self._d = _P_ONE
             return
         # Move any pure s-power of the denominator into the numerator so the
         # denominator is an ordinary polynomial with nonzero constant term.
-        dmin = min(den)
+        dmin = min(_pkeys(den))
         if dmin:
             den = _pshift(den, -dmin)
             num = _pshift(num, -dmin)
-        if len(den) > 1:
+        if _plen(den) > 1:
             g = _lgcd(num, den)
             if g is not None:
                 num = _lquo(num, g)
-                den = _pdivmod(den, g)[0]
-        lead = den[_pdeg(den)]
+                den = _pquo(den, g)
+        lead = _plead(den)
         if lead != 1:
-            den = _pdivc(den, lead)
-            num = _pdivc(num, lead)
-        self.num = num
-        self.den = den if len(den) > 1 else _P_ONE
+            den = _pmonic(den, lead)
+            num = _pmonic(num, lead)
+        self._n = num
+        self._d = den if _plen(den) > 1 else _P_ONE
+
+    @property
+    def num(self):
+        """The numerator as a read-only {exponent: coefficient} mapping; a
+        coefficient is an int, a non-integral Fraction, or a
+        GaussianRational with nonzero imaginary part."""
+        return MappingProxyType(_to_stored(self._n))
+
+    @property
+    def den(self):
+        """The denominator, read-only like ``num``: a polynomial in s with
+        nonzero constant term and leading coefficient 1."""
+        return MappingProxyType(_to_stored(self._d))
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(re, im=0):
-        c = _num(GaussianRational(re, im))
-        return _canon({0: c} if c else {}, _P_ONE)
+        return _canon(_constant(_num(GaussianRational(re, im))), _P_ONE)
 
     @staticmethod
     def q_power(half_steps: int):
@@ -419,10 +675,10 @@ class QScalar:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
-        return not self.num
+        return not self._n
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __eq__(self, other):
         if not isinstance(other, QScalar):
@@ -434,16 +690,18 @@ class QScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        num = self.num
-        if len(self.den) == 1 and (
+        num = self._n
+        if type(num) is not dict:
+            num = _to_stored(num)
+        if self._d is _P_ONE and (
             not num or (len(num) == 1 and 0 in num and type(num[0]) is not GaussianRational)
         ):
             # a real rational constant hashes like the equal int or Fraction
             return hash(num[0]) if num else 0
-        return hash((_hash_parts(num), _hash_parts(self.den)))
+        return hash((_hash_parts(num), _hash_parts(_to_stored(self._d))))
 
     # -- arithmetic -------------------------------------------------------
     #
@@ -457,9 +715,9 @@ class QScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        n1, n2 = self.num, other.num
-        d1, d2 = self.den, other.den
-        if len(d1) == 1 and len(d2) == 1:
+        n1, n2 = self._n, other._n
+        d1, d2 = self._d, other._d
+        if d1 is _P_ONE and d2 is _P_ONE:
             return _canon(_padd(n1, n2), _P_ONE)
         if not n1:
             return other
@@ -467,23 +725,23 @@ class QScalar:
             return self
         if d1 == d2:
             g = d1
-        elif len(d1) == 1 or len(d2) == 1:
+        elif d1 is _P_ONE or d2 is _P_ONE:
             g = None
         else:
             g = _lgcd(d1, d2)
         if g is None:
             # coprime denominators: the cross sum is already reduced
             return _canon(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
-        e1, e2 = _pdivmod(d1, g)[0], _pdivmod(d2, g)[0]
+        e1, e2 = _pquo(d1, g), _pquo(d2, g)
         num = _padd(_pmul(n1, e2), _pmul(n2, e1))
         if not num:
             return ZERO
         h = _lgcd(num, g)
         if h is not None:
             num = _lquo(num, h)
-            d2 = _pdivmod(d2, h)[0]
+            d2 = _pquo(d2, h)
         den = _pmul(e1, d2)
-        return _canon(num, den if len(den) > 1 else _P_ONE)
+        return _canon(num, den if _plen(den) > 1 else _P_ONE)
 
     __radd__ = __add__
 
@@ -501,33 +759,33 @@ class QScalar:
         return other + (-self)
 
     def __neg__(self):
-        return _canon(_pneg(self.num), self.den)
+        return _canon(_pneg(self._n), self._d)
 
     def __mul__(self, other):
         if not isinstance(other, QScalar):
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        n1, n2 = self.num, other.num
+        n1, n2 = self._n, other._n
         if not n1 or not n2:
             return ZERO
-        d1, d2 = self.den, other.den
+        d1, d2 = self._d, other._d
         # a factor of one gives the other operand itself: parts are never
         # mutated, so sharing the object is safe
-        if n2 == _P_ONE and len(d2) == 1:
+        if n2 == _P_ONE and d2 is _P_ONE:
             return self
-        if n1 == _P_ONE and len(d1) == 1:
+        if n1 == _P_ONE and d1 is _P_ONE:
             return other
-        if len(d1) == 1 and len(d2) == 1:
+        if d1 is _P_ONE and d2 is _P_ONE:
             return _canon(_pmul(n1, n2), _P_ONE)
         g = _lgcd(n1, d2)
         if g is not None:
-            n1, d2 = _lquo(n1, g), _pdivmod(d2, g)[0]
+            n1, d2 = _lquo(n1, g), _pquo(d2, g)
         g = _lgcd(n2, d1)
         if g is not None:
-            n2, d1 = _lquo(n2, g), _pdivmod(d1, g)[0]
+            n2, d1 = _lquo(n2, g), _pquo(d1, g)
         den = _pmul(d1, d2)
-        return _canon(_pmul(n1, n2), den if len(den) > 1 else _P_ONE)
+        return _canon(_pmul(n1, n2), den if _plen(den) > 1 else _P_ONE)
 
     __rmul__ = __mul__
 
@@ -536,31 +794,35 @@ class QScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        n2 = other.num
+        n2 = other._n
         if not n2:
             raise DivisionByZero("division by zero scalar")
-        n1 = self.num
+        n1 = self._n
         if not n1:
             return ZERO
         # self / other = (n1 * d2 * s^-m) / (d1 * p2) with n2 = s^m * p2
-        m = min(n2)
+        m = min(_pkeys(n2))
         p2 = _pshift(n2, -m)
-        d1, d2 = self.den, other.den
+        d1, d2 = self._d, other._d
         g = _lgcd(n1, p2)
         if g is not None:
-            n1, p2 = _lquo(n1, g), _pdivmod(p2, g)[0]
+            n1, p2 = _lquo(n1, g), _pquo(p2, g)
         g = _lgcd(d2, d1)
         if g is not None:
-            d2, d1 = _pdivmod(d2, g)[0], _pdivmod(d1, g)[0]
+            d2, d1 = _pquo(d2, g), _pquo(d1, g)
         num = _pmul(n1, d2)
         if m:
             num = _pshift(num, -m)
         den = _pmul(d1, p2)
-        lead = den[_pdeg(den)]
+        if _plen(den) == 1:
+            # a constant: the quotient's denominator is 1
+            (lead,) = _to_stored(den).values()
+            return _canon(num if lead == 1 else _pmonic(num, lead), _P_ONE)
+        lead = _plead(den)
         if lead != 1:
-            den = _pdivc(den, lead)
-            num = _pdivc(num, lead)
-        return _canon(num, den if len(den) > 1 else _P_ONE)
+            den = _pmonic(den, lead)
+            num = _pmonic(num, lead)
+        return _canon(num, den)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -587,13 +849,13 @@ class QScalar:
     def conj(self):
         """Complex conjugation; q itself is treated as real."""
         # an automorphism of the coefficient field: parts stay canonical
-        return _canon(_pconj(self.num), self.den if len(self.den) == 1 else _pconj(self.den))
+        return _canon(_pconj(self._n), _pconj(self._d))
 
     def subs_q_inverse(self):
         """The substitution q -> 1/q."""
         return QScalar(
-            {-k: c for k, c in self.num.items()},
-            {-k: c for k, c in self.den.items()},
+            {-k: c for k, c in _to_stored(self._n).items()},
+            {-k: c for k, c in _to_stored(self._d).items()},
         )
 
     # -- evaluation --------------------------------------------------------
@@ -601,12 +863,13 @@ class QScalar:
     def eval_exact(self, q0) -> GaussianRational:
         """Evaluate at an exact rational (or Gaussian-rational) q0."""
         x = _as_coeff(q0)
-        if all(k % 2 == 0 for k in self.num) and all(k % 2 == 0 for k in self.den):
+        num, den = _to_stored(self._n), _to_stored(self._d)
+        if all(k % 2 == 0 for k in num) and all(k % 2 == 0 for k in den):
             unit = 2
         else:
             x, unit = _rsqrt(x), 1
-        num = _peval(self.num, x, unit)
-        den = _peval(self.den, x, unit)
+        num = _peval(num, x, unit)
+        den = _peval(den, x, unit)
         if not den:
             raise PoleError("denominator vanishes at evaluation point")
         v = _cdiv(num, den)
@@ -617,8 +880,8 @@ class QScalar:
         if q0 == 0:
             raise PoleError("q = 0 is outside the domain")
         s0 = q0 ** 0.5
-        num = sum(complex(c) * s0 ** k for k, c in self.num.items())
-        den = sum(complex(c) * s0 ** k for k, c in self.den.items())
+        num = _pfloat(self._n, s0)
+        den = _pfloat(self._d, s0)
         if abs(den) < 1e-300:
             raise PoleError("denominator vanishes at evaluation point")
         return num / den
@@ -626,15 +889,19 @@ class QScalar:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self):
-        if not self.num:
+        num = self._n
+        if not num:
             return "0"
-        ns = _poly_to_str(self.num)
-        if self.den == _P_ONE:
+        if type(num) is not dict:
+            num = _to_stored(num)
+        ns = _poly_to_str(num)
+        if self._d is _P_ONE:
             return ns
-        ds = _poly_to_str(self.den)
-        if len(self.num) > 1:
+        den = _to_stored(self._d)
+        ds = _poly_to_str(den)
+        if len(num) > 1:
             ns = f"({ns})"
-        if len(self.den) > 1:
+        if len(den) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

@@ -262,7 +262,7 @@ RULE_SETS = [
     (space, calculus, ordering)
     for space in ("line", "euclid3")
     for calculus in ("u", "h")
-    for ordering in ("xd", "dx", "rev")
+    for ordering in ("xd", "rev")
 ]
 
 
@@ -337,7 +337,7 @@ def test_overlap_ambiguities_resolve():
                     left = _combine((k, _nc._normalize_word(*key, r + (c,))) for k, r in ab)
                     right = _combine((k, _nc._normalize_word(*key, (a,) + r)) for k, r in bc)
                     assert left == right, (key, a, b, c)
-    assert count == 1152
+    assert count == 768
 
 
 def _random_words(rng, space, n):

@@ -1,10 +1,12 @@
 """The unboxed Laurent-polynomial kernels against the boxed ones they replace.
 
-Coefficients of ``QScalar.num``/``QScalar.den`` are stored as an ``int``, a
+Coefficients of ``QScalar.num``/``QScalar.den`` are shown as an ``int``, a
 non-integral ``Fraction``, or a ``GaussianRational`` with nonzero imaginary
-part.  The kernels below are restated from the earlier scalar core, where
-every coefficient was a ``GaussianRational``; both sides run on the same
-seeded random polynomials and are compared after boxing every coefficient.
+part; ``_padd``/``_pmul`` take and return the kernels' own form, so they are
+called here through ``_from_stored``/``_to_stored``.  The kernels below are
+restated from the earlier scalar core, where every coefficient was a
+``GaussianRational``; both sides run on the same seeded random polynomials
+and are compared after boxing every coefficient.
 """
 
 import math
@@ -18,10 +20,12 @@ from qspace.scalars import (
     Q,
     GaussianRational,
     QScalar,
+    _from_stored,
     _padd,
     _pdivmod,
     _pgcd,
     _pmul,
+    _to_stored,
     qbinom,
     qnum,
     scalar,
@@ -199,18 +203,24 @@ _CANCELLING = [
 ]
 
 
+def stored_kernel(kernel):
+    """A kernel on stored-coefficient dicts."""
+    return lambda a, b: _to_stored(kernel(_from_stored(a), _from_stored(b)))
+
+
 def test_padd_and_pmul_match_the_boxed_kernels():
+    padd, pmul = stored_kernel(_padd), stored_kernel(_pmul)
     cases = list(_pairs(21, 400, -5, 5)) + _CANCELLING
     cases += [(b, {k: -c for k, c in a.items()}) for a, b in _CANCELLING]
     for a, b in cases:
-        for got, want in ((_padd(a, b), boxed_padd(box(a), box(b))),
-                          (_pmul(a, b), boxed_pmul(box(a), box(b)))):
+        for got, want in ((padd(a, b), boxed_padd(box(a), box(b))),
+                          (pmul(a, b), boxed_pmul(box(a), box(b)))):
             assert_stored(got)
             assert box(got) == want, (a, b, got, want)
     # the cancelling products end up real, and integral where they can
-    assert _pmul(*_CANCELLING[0]) == {0: 1, 2: 1}
-    assert all(type(c) is int for c in _pmul(*_CANCELLING[0]).values())
-    assert _pmul(*_CANCELLING[3]) == {0: 1} and type(_pmul(*_CANCELLING[3])[0]) is int
+    assert pmul(*_CANCELLING[0]) == {0: 1, 2: 1}
+    assert all(type(c) is int for c in pmul(*_CANCELLING[0]).values())
+    assert pmul(*_CANCELLING[3]) == {0: 1} and type(pmul(*_CANCELLING[3])[0]) is int
 
 
 def test_pdivmod_and_pgcd_match_the_boxed_kernels():

@@ -3,16 +3,32 @@
 Random rational functions of s = q^(1/2) with Gaussian-rational
 coefficients are compared with sympy's ``cancel`` (canonical numerator and
 denominator after + - * /), and hypothesis checks the field axioms on the
-same generator.  Both are test-only dependencies; each test is skipped when
-its oracle is missing.
+same generator and the content-form core against the stored-coefficient
+core restated below.  Both are test-only dependencies; each test is skipped
+when its oracle is missing.
 """
 
+import math
 import random
+import struct
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from qspace.scalars import ONE, ZERO, DivisionByZero, GaussianRational, Q, QScalar, qpow, scalar
+from qspace.scalars import (
+    ONE,
+    ZERO,
+    DivisionByZero,
+    GaussianRational,
+    Q,
+    QScalar,
+    _pdivmod,
+    _pgcd,
+    _poly_to_str,
+    qpow,
+    scalar,
+)
 
 try:
     import sympy
@@ -169,12 +185,12 @@ def _scalars():
     return st.composite(lambda draw: gen_scalar(lambda lo, hi: draw(st.integers(lo, hi))))()
 
 
-def field_property(*strategies):
+def field_property(*strategies, examples=60):
     """``given`` the strategies (passed as thunks) under fixed, repeatable
     settings; a skip when hypothesis is missing."""
     if given is None:
         return pytest.mark.skip(reason="hypothesis is not installed")
-    run = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    run = settings(max_examples=examples, deadline=None, derandomize=True, database=None)
     return lambda f: run(given(*(make() for make in strategies))(f))
 
 
@@ -234,3 +250,308 @@ def test_products_by_one(x):
     w = ONE / (Q + ONE)
     assert w.num == {0: 1}
     assert x * w * (Q + ONE) == x and w * x * (Q + ONE) == x
+
+
+# -- the stored-coefficient core, restated ------------------------------------
+#
+# Before the content form every polynomial was one dict of stored
+# coefficients: an int, a non-integral Fraction, or a GaussianRational with
+# nonzero imaginary part.  Its kernels and QScalar arithmetic are restated
+# below (the division and gcd kernels, unchanged on stored coefficients, are
+# the module's).  The content form must give the same parts in the same key
+# order, and the same str, hash, eval_exact and, bit for bit, eval_float,
+# which sums in key order.
+
+
+def _st(x):
+    """An exact number in stored form."""
+    if type(x) is GaussianRational:
+        if x.im:
+            return x
+        x = x.re
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _box(c):
+    return c if type(c) is GaussianRational else GaussianRational(c)
+
+
+def _st_div(a, b):
+    return _st(_box(a) * _box(b).inverse())
+
+
+def _st_shift(p, n):
+    return {k + n: c for k, c in p.items()}
+
+
+def _st_padd(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+            continue
+        s = _st(s + c)
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _st_pmul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) == 1:
+        ((ka, ca),) = a.items()
+        return {k + ka: _st(v * ca) for k, v in b.items()}
+    if len(b) == 1:
+        ((kb, cb),) = b.items()
+        return {k + kb: _st(v * cb) for k, v in a.items()}
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+    return {k: _st(c) for k, c in out.items() if c}
+
+
+def _st_lgcd(a, d):
+    if len(d) == 1 or len(a) == 1:
+        return None
+    g = _pgcd(_st_shift(a, -min(a)), d)
+    return None if len(g) == 1 else g
+
+
+def _st_lquo(a, g):
+    amin = min(a)
+    return _st_shift(_pdivmod(_st_shift(a, -amin), g)[0], amin)
+
+
+def _st_quo(a, g):
+    return _pdivmod(a, g)[0]
+
+
+def _st_monic(num, den):
+    lead = den[max(den)]
+    if lead != 1:
+        den = {k: _st_div(c, lead) for k, c in den.items()}
+        num = {k: _st_div(c, lead) for k, c in num.items()}
+    return num, den if len(den) > 1 else {0: 1}
+
+
+def st_new(num, den):
+    num = {k: _st(c) for k, c in num.items() if c}
+    den = {k: _st(c) for k, c in den.items() if c}
+    if not num:
+        return {}, {0: 1}
+    dmin = min(den)
+    den, num = _st_shift(den, -dmin), _st_shift(num, -dmin)
+    if len(den) > 1:
+        g = _st_lgcd(num, den)
+        if g is not None:
+            num, den = _st_lquo(num, g), _st_quo(den, g)
+    return _st_monic(num, den)
+
+
+def st_add(x, y):
+    (n1, d1), (n2, d2) = x, y
+    if len(d1) == 1 and len(d2) == 1:
+        return _st_padd(n1, n2), d1
+    if not n1:
+        return y
+    if not n2:
+        return x
+    g = d1 if d1 == d2 else None if len(d1) == 1 or len(d2) == 1 else _st_lgcd(d1, d2)
+    if g is None:
+        return _st_padd(_st_pmul(n1, d2), _st_pmul(n2, d1)), _st_pmul(d1, d2)
+    e1, e2 = _st_quo(d1, g), _st_quo(d2, g)
+    num = _st_padd(_st_pmul(n1, e2), _st_pmul(n2, e1))
+    if not num:
+        return {}, {0: 1}
+    h = _st_lgcd(num, g)
+    if h is not None:
+        num, d2 = _st_lquo(num, h), _st_quo(d2, h)
+    den = _st_pmul(e1, d2)
+    return num, den if len(den) > 1 else {0: 1}
+
+
+def st_neg(x):
+    return {k: -c for k, c in x[0].items()}, x[1]
+
+
+def st_mul(x, y):
+    (n1, d1), (n2, d2) = x, y
+    if not n1 or not n2:
+        return {}, {0: 1}
+    g = _st_lgcd(n1, d2)
+    if g is not None:
+        n1, d2 = _st_lquo(n1, g), _st_quo(d2, g)
+    g = _st_lgcd(n2, d1)
+    if g is not None:
+        n2, d1 = _st_lquo(n2, g), _st_quo(d1, g)
+    den = _st_pmul(d1, d2)
+    return _st_pmul(n1, n2), den if len(den) > 1 else {0: 1}
+
+
+def st_div(x, y):
+    (n1, d1), (n2, d2) = x, y
+    if not n1:
+        return {}, {0: 1}
+    m = min(n2)
+    p2 = _st_shift(n2, -m)
+    g = _st_lgcd(n1, p2)
+    if g is not None:
+        n1, p2 = _st_lquo(n1, g), _st_quo(p2, g)
+    g = _st_lgcd(d2, d1)
+    if g is not None:
+        d2, d1 = _st_quo(d2, g), _st_quo(d1, g)
+    return _st_monic(_st_shift(_st_pmul(n1, d2), -m), _st_pmul(d1, p2))
+
+
+def st_conj(x):
+    return tuple({k: c.conj() if type(c) is GaussianRational else c for k, c in p.items()}
+                 for p in x)
+
+
+def st_hash(x):
+    num, den = x
+    if len(den) == 1 and (
+        not num or (len(num) == 1 and 0 in num and type(num[0]) is not GaussianRational)
+    ):
+        return hash(num[0]) if num else 0
+    parts = [tuple(sorted((k, c.re, c.im) if type(c) is GaussianRational else (k, c, 0)
+                          for k, c in p.items())) for p in x]
+    return hash(tuple(parts))
+
+
+def st_str(x):
+    num, den = x
+    if not num:
+        return "0"
+    ns = _poly_to_str(num)
+    if den == {0: 1}:
+        return ns
+    ds = _poly_to_str(den)
+    if len(num) > 1:
+        ns = f"({ns})"
+    if len(den) > 1:
+        ds = f"({ds})"
+    return f"{ns}/{ds}"
+
+
+def st_eval_float(x, q0):
+    s0 = complex(q0) ** 0.5
+    num, den = (sum(complex(c) * s0 ** k for k, c in p.items()) for p in x)
+    return num / den
+
+
+def st_eval_exact(x, q0):
+    """The value at a rational q0 that is a perfect square."""
+    q0 = Fraction(q0)
+    s0 = Fraction(isqrt(q0.numerator), isqrt(q0.denominator))
+    num, den = (sum((_box(c) * s0 ** k for k, c in p.items()), GaussianRational(0)) for p in x)
+    return num * den.inverse()
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def assert_same_as_stored(x, st):
+    """x is the restated core's (num, den), part for part and key for key."""
+    num, den = st
+    for got, want in ((x.num, num), (x.den, den)):
+        assert list(got.items()) == list(want.items()), (x, st)
+        for c, w in zip(got.values(), want.values()):
+            assert type(c) is type(w)
+            if type(c) is GaussianRational:
+                assert (type(c.re), type(c.im)) == (type(w.re), type(w.im))
+    assert str(x) == st_str(st)
+    assert hash(x) == st_hash(st)
+    # == compares the parts as the kernels keep them, so a scalar built
+    # another way from the same canonical parts must compare equal
+    assert x == QScalar(num, den)
+    for q0 in (Fraction(9, 4),):
+        try:
+            want = st_eval_exact(st, q0)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                x.eval_exact(q0)
+            continue
+        got = x.eval_exact(q0)
+        assert got == want and (type(got.re), type(got.im)) == (type(want.re), type(want.im))
+    for q0 in (0.7, -0.45 + 0.2j):
+        assert _bits(x.eval_float(q0)) == _bits(st_eval_float(st, q0)), (x, q0)
+
+
+# Coefficient denominators share factors, so sums and products meet common
+# factors of their contents and denominators.
+_DENOMS = (1, 1, 1, 2, 3, 4, 6, 12)
+
+
+def gen_stored(draw_int):
+    """A random (num, den) of stored-coefficient dicts, not yet canonical:
+    Laurent exponents, rational and Gaussian coefficients over the
+    denominators above, and a common factor about half the time."""
+
+    def coeff():
+        re = Fraction(draw_int(-9, 9), _DENOMS[draw_int(0, 7)])
+        im = Fraction(draw_int(-4, 4), _DENOMS[draw_int(0, 7)]) if not draw_int(0, 2) else 0
+        return _st(GaussianRational(re, im))
+
+    def poly(lo, hi, most):
+        p = {draw_int(lo, hi): coeff() for _ in range(draw_int(1, most))}
+        return {k: c for k, c in p.items() if c} or {lo: 1}
+
+    num = poly(-5, 5, 5)
+    if draw_int(0, 2):
+        den = {0: _st(Fraction(draw_int(1, 12), _DENOMS[draw_int(0, 7)]))}
+    else:
+        den = poly(-2, 3, 3)
+    if draw_int(0, 1):
+        common = poly(0, 2, 2)
+        num, den = _st_pmul(num, common), _st_pmul(den, common)
+    return num, den
+
+
+def _pair_of(num, den):
+    return QScalar(num, den), st_new(num, den)
+
+
+def _stored_cases():
+    return st.composite(lambda draw: gen_stored(lambda lo, hi: draw(st.integers(lo, hi))))()
+
+
+@field_property(_stored_cases, _stored_cases, _stored_cases, examples=25)
+def test_content_form_matches_the_stored_core(a, b, c):
+    (x, sx), (y, sy), (z, sz) = _pair_of(*a), _pair_of(*b), _pair_of(*c)
+    for got, want in ((x, sx), (y, sy), (-x, st_neg(sx)), (x.conj(), st_conj(sx)),
+                      (x + y, st_add(sx, sy)), (x - y, st_add(sx, st_neg(sy))),
+                      (x * y, st_mul(sx, sy)), (x * y + z, st_add(st_mul(sx, sy), sz)),
+                      ((x + y) * z, st_mul(st_add(sx, sy), sz))):
+        assert_same_as_stored(got, want)
+    if y:
+        assert_same_as_stored(x / y, st_div(sx, sy))
+        assert_same_as_stored(z * (x / y) + x, st_add(st_mul(sz, st_div(sx, sy)), sx))
+
+
+@field_property(_stored_cases, _stored_cases, lambda: st.integers(-12, 12), examples=25)
+def test_content_form_sums_that_cancel(a, b, n):
+    # x + y - y back to x, then to zero, to the integer n and to a real
+    # value: the imaginary parts and the denominators cancel on the way
+    (x, sx), (y, sy) = _pair_of(*a), _pair_of(*b)
+    ny = st_neg(sy)
+    assert_same_as_stored((x + y) + -y, st_add(st_add(sx, sy), ny))
+    assert_same_as_stored(x + -x, st_add(sx, st_neg(sx)))
+    sn = st_new({0: n}, {0: 1})
+    assert_same_as_stored((y + n) + -y, st_add(st_add(sy, sn), ny))
+    real_part = {k: _st(_box(c).re) for k, c in a[0].items()}
+    real, sreal = QScalar(real_part), st_new(real_part, {0: 1})
+    assert_same_as_stored((real + y) + -y, st_add(st_add(sreal, sy), ny))
+    # the evolution check's products: a polynomial times a Gaussian constant
+    for k in (2, 5):
+        re, im = Fraction(1, math.factorial(k)), Fraction(n, 2 ** k)
+        g, sg = scalar(re, im), st_new({0: _st(GaussianRational(re, im))}, {0: 1})
+        assert_same_as_stored(x * g, st_mul(sx, sg))
+        assert_same_as_stored(x * g + y * g, st_add(st_mul(sx, sg), st_mul(sy, sg)))

@@ -286,3 +286,26 @@ def test_qbinom_is_iterative():
     # at q = 1 every power of q is 1: the coefficients sum to the binomial
     assert sum(got.num.values()) == math.comb(1500, 2)
     assert got == qbinom(1500, 1498, 4)
+
+
+def test_parts_are_read_only():
+    x = (Q + scalar(Fraction(1, 2), 1)) / (Q + 3)
+    assert Q.num == {2: 1} and I.num[0] == GaussianRational(0, 1)
+    for part in (x.num, x.den, Q.num, ONE.den, ZERO.num, I.num):
+        with pytest.raises(TypeError):
+            part[0] = 2
+        with pytest.raises(TypeError):
+            del part[next(iter(part), 0)]
+    with pytest.raises(AttributeError):
+        x.num = {0: 1}
+    # the shown parts still rebuild the scalar
+    again = QScalar(x.num, x.den)
+    assert again == x and (again.num, again.den) == (x.num, x.den)
+
+
+def test_mutating_a_shared_part_cannot_corrupt_later_results():
+    # the denominator 1 is one dict shared by every polynomial scalar
+    x = qpow(1) + 1
+    with pytest.raises(TypeError):
+        x.den[0] = 2
+    assert ((Q + 1) * (Q + 1)).eval_exact(1) == 4
