@@ -11,17 +11,12 @@ from __future__ import annotations
 import itertools
 
 from .scalars import ONE, QScalar, _add_term, _coeff_times, _LinComb, qnum, scalar
+from .spaces import E3, LINE, X_TOKENS
 
-LINE_VARS = ("x0", "x1")
-E3_VARS = ("x0", "xp", "x3", "xm")
-
-
-def space_vars(space: str):
-    if space == "line":
-        return LINE_VARS
-    if space == "euclid3":
-        return E3_VARS
-    raise ValueError(f"unknown space {space!r}")
+LINE_VARS = X_TOKENS[LINE]
+E3_VARS = X_TOKENS[E3]
+# the coordinate variables of a space, in the standard ordering
+space_vars = X_TOKENS.__getitem__
 
 
 def _monomials(variables, max_degree):

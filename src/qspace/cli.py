@@ -25,6 +25,7 @@ from .expressions import ParseError, Value, parse, render
 from .hopf import antipode, translate
 from .pairexp import qexp
 from .qfunc import act_partial_closed
+from .spaces import E3, SPACES, SUFFIX_LABEL
 from .starcalc import StarContext, star
 from .suites import SUITES, SuiteOptions, run_suite
 
@@ -36,7 +37,7 @@ _ACTION_NAMES = {
 
 
 def _add_common(p, degree=False, order=False):
-    p.add_argument("--space", choices=("line", "euclid3"), default="euclid3")
+    p.add_argument("--space", choices=SPACES, default=E3)
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--q-value", type=float, default=None,
                    help="print scalars evaluated at this numeric q")
@@ -57,7 +58,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*", help=f"suite names: {', '.join(sorted(SUITES))}")
     p.add_argument("--all", action="store_true", help="run every suite")
-    p.add_argument("--space", choices=("line", "euclid3"), default=None,
+    p.add_argument("--space", choices=SPACES, default=None,
                    help="restrict to one space")
     p.add_argument("--json", action="store_true")
     p.add_argument("--degree", type=int, default=4)
@@ -125,7 +126,7 @@ def _emit(args, value: Value):
 
 def _cmd_verify(args):
     names = list(SUITES) if args.all or not args.suites else args.suites
-    spaces = (args.space,) if args.space else ("line", "euclid3")
+    spaces = (args.space,) if args.space else SPACES
     opts = SuiteOptions(degree=args.degree, order=args.order, tol=args.tol,
                         q0=args.q0, spaces=spaces)
     try:
@@ -172,7 +173,7 @@ def _cmd_star(args):
 
 def _cmd_d(args):
     f = _commutative(args.expr, args.space, "derivative actions")
-    idx = {"p": "+", "m": "-"}.get(args.index, args.index)
+    idx = SUFFIX_LABEL.get(args.index, args.index)
     variant = _ACTION_NAMES.get(args.variant)
     if variant is None:
         print(f"unknown variant {args.variant!r}", file=sys.stderr)

@@ -25,6 +25,7 @@ from .ncalgebra import NCElement, act, lift, lower
 from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
 from .reports import VerificationReport
 from .scalars import I, ONE, QScalar, ZERO, _add_term, qpow, scalar
+from .spaces import E3, LINE, REVERSED, SPATIAL_D, X_TOKENS
 
 
 class Hamiltonian:
@@ -85,15 +86,13 @@ class Hamiltonian:
 
 def free_hamiltonian(space: str) -> Hamiltonian:
     """-1/2 of the invariant derivative square; the default demo generator."""
-    if space == "line":
-        op = NCElement.from_word("line", ("d1", "d1")).scale(
+    if space == LINE:
+        op = NCElement.from_word(LINE, ("d1", "d1")).scale(
             QScalar.from_rational(Fraction(-1, 2))
         )
         return Hamiltonian(op, hermitian=True)
     half = QScalar.from_rational(Fraction(1, 2))
-    dp = NCElement.generator("euclid3", "dp")
-    d3 = NCElement.generator("euclid3", "d3")
-    dm = NCElement.generator("euclid3", "dm")
+    dp, d3, dm = (NCElement.generator(space, d) for d in SPATIAL_D[space])
     quad = (dp * dm).scale(-qpow(1)) + (dm * dp).scale(-qpow(-1)) + d3 * d3
     return Hamiltonian(quad.scale(-half), hermitian=True)
 
@@ -414,13 +413,14 @@ _WHOLE_LINE = {
     "R": (-1, -1),
 }
 
+_E3_AXES, _E3_AXES_REVERSED = X_TOKENS[E3][1:], REVERSED[E3][1:]
 _WHOLE_E3 = {
     # variant -> (prefactor, per-axis base, axis order), sign per the printed
     # minus identities for the right-handed measures
-    "L": (lambda: qpow(-6) * QScalar.from_rational(Fraction(1, 4)), 2, ("xp", "x3", "xm"), 1),
-    "Lbar": (lambda: qpow(6) * QScalar.from_rational(Fraction(1, 4)), -2, ("xm", "x3", "xp"), 1),
-    "Rbar": (lambda: qpow(-6) * QScalar.from_rational(Fraction(1, 4)), 2, ("xp", "x3", "xm"), -1),
-    "R": (lambda: qpow(6) * QScalar.from_rational(Fraction(1, 4)), -2, ("xm", "x3", "xp"), -1),
+    "L": (lambda: qpow(-6) * QScalar.from_rational(Fraction(1, 4)), 2, _E3_AXES, 1),
+    "Lbar": (lambda: qpow(6) * QScalar.from_rational(Fraction(1, 4)), -2, _E3_AXES_REVERSED, 1),
+    "Rbar": (lambda: qpow(-6) * QScalar.from_rational(Fraction(1, 4)), 2, _E3_AXES, -1),
+    "R": (lambda: qpow(6) * QScalar.from_rational(Fraction(1, 4)), -2, _E3_AXES_REVERSED, -1),
 }
 
 

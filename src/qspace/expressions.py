@@ -27,8 +27,9 @@ import re
 
 from .cfunc import CFunction, space_vars
 from .grassmann import GElement
-from .ncalgebra import HAT_POWER, NCElement
+from .ncalgebra import NCElement
 from .scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, scalar
+from .spaces import HAT_D_TOKENS, HAT_POWER, PRINT_NAMES
 
 
 class ParseError(ValueError):
@@ -83,16 +84,17 @@ def _name_table(space):
     if table is not None:
         return table
     xs = space_vars(space)
+    names = PRINT_NAMES[space]
     table = {"q": ("scalar", Q), "i": ("scalar", I), "lambda": ("scalar", LAM),
              "lambda_plus": ("scalar", LAMP)}
     for i, v in enumerate(xs):
         table[v] = ("x", (i, 1))
-        table["X" + v[1:]] = ("w", ((v,), ONE))
+        table[names[v]] = ("w", ((v,), ONE))
     for th in ("th0", "th1", "dth0", "dth1"):
         table[th] = ("g", th)
     hat = QScalar.q_power(2 * HAT_POWER[space])
-    for d in {"line": ("d0", "d1"), "euclid3": ("d0", "dp", "d3", "dm")}[space]:
-        table[d] = ("w", ((d,), ONE))
+    for d in HAT_D_TOKENS[space]:
+        table[names[d]] = ("w", ((d,), ONE))
         table["dh" + d[1:]] = ("w", ((d,), ONE if d == "d0" else hat))
     table["L"] = ("w", ((("L", 2),), ONE))
     return _NAME_TABLES.setdefault(space, table)

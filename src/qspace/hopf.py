@@ -18,6 +18,7 @@ from .pairexp import qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
 from .scalars import LAM, LAMP, ONE, QScalar, _add_term, qbinom, qnum, qpow
+from .spaces import LABEL_OF, REVERSED, X_TOKENS, Y_OF
 
 TRANSLATE_VARIANTS = ("L", "Lbar", "R", "Rbar")
 
@@ -32,12 +33,10 @@ _VARIANT_PARAMS = {
     "R": (-1, False),
 }
 
-_Y_OF = {"x0": "y0", "x1": "y1", "xp": "yp", "x3": "y3", "xm": "ym"}
-
 
 def doubled_vars(space):
     xs = space_vars(space)
-    return xs + tuple(_Y_OF[v] for v in xs)
+    return xs + tuple(Y_OF[v] for v in xs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +166,7 @@ def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
     """Apply the antipode operator to the y-legs of a translated function."""
     out_vars = t.vars
     want = space_vars(space)
-    y_idx = [out_vars.index(_Y_OF[v]) for v in want]
+    y_idx = [out_vars.index(Y_OF[v]) for v in want]
     grouped = {}
     for exps, c in t.terms.items():
         xpart = list(exps)
@@ -206,11 +205,12 @@ _IDENTITY_SETUPS = (
     ("dhat_x", "R", "right", "reversed"),
 )
 
-_DWORD_SEQ = {
-    "line": (("0", "x0"), ("1", "x1")),
-    "euclid3": (("0", "x0"), ("-", "xm"), ("3", "x3"), ("+", "xp")),
-    ("euclid3", True): (("0", "x0"), ("+", "xp"), ("3", "x3"), ("-", "xm")),
-}
+
+def _dword_seq(space, hat):
+    """The (index label, coordinate) factors of an exponential's derivative
+    words, leftmost first: the hatted words run through the standard
+    ordering, the plain ones through the reversed one."""
+    return tuple((LABEL_OF[v], v) for v in (X_TOKENS if hat else REVERSED)[space])
 
 
 def _exp_word_actions(space, exp, action_variant, g, rep):
@@ -222,8 +222,7 @@ def _exp_word_actions(space, exp, action_variant, g, rep):
     A word is its prefix (the last-acting index lowered by one) followed by
     one step, so each entry is one action on its prefix's entry; exp is
     sorted by degree, so the prefix is always there."""
-    hat = action_variant in ("left_bar", "right")
-    seq = _DWORD_SEQ[(space, True)] if (hat and space == "euclid3") else _DWORD_SEQ[space]
+    seq = _dword_seq(space, action_variant in ("left_bar", "right"))
     if action_variant.startswith("left"):
         seq = seq[::-1]  # rightmost factor first
     vars_ = space_vars(space)
@@ -260,7 +259,7 @@ def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
     top = max((gf.degree() for _, gf in targets), default=0)
     setups = identities or _IDENTITY_SETUPS
     out_vars = doubled_vars(space)
-    y_idx = [out_vars.index(_Y_OF[v]) for v in want]
+    y_idx = [out_vars.index(Y_OF[v]) for v in want]
     for setup in setups:
         exp_variant, tvariant, avariant, rep_name = setup
         # one exponential per setup; its terms are sorted by degree, and the

@@ -32,21 +32,10 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
-
-LINE = "line"
-E3 = "euclid3"
-
-# token tags
-X_TOKENS = {LINE: ("x0", "x1"), E3: ("x0", "xp", "x3", "xm")}
-D_TOKENS = {LINE: ("d0", "d1"), E3: ("d0", "dm", "d3", "dp")}
-SPATIAL_D = {LINE: ("d1",), E3: ("dp", "d3", "dm")}
-HAT_POWER = {LINE: 1, E3: 6}  # hatted spatial derivative = q^k * plain one
-
-# exponent-key layouts (the stored normal form)
-KEY_LAYOUT = {
-    LINE: ("x0", "x1", "d0", "d1"),
-    E3: ("x0", "xp", "x3", "xm", "d0", "dm", "d3", "dp"),
-}
+from .spaces import (
+    D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
+    X_TOKENS, SpaceTable,
+)
 
 _LAM_TAG = "L"
 # the tag of each entry of a stored key
@@ -146,9 +135,9 @@ def _build_leibniz(space, calculus):
             r[("d1", "x1")] = [(ONE, ()), (_Q(-1), ("x1", "d1"))]
         return r
     r[("d0", "x0")] = [(ONE, ()), (ONE, ("x0", "d0"))]
-    for xa in ("xp", "x3", "xm"):
+    for xa in X_TOKENS[space][1:]:
         r[("d0", xa)] = _swap("d0", xa)
-    for da in ("dp", "d3", "dm"):
+    for da in SPATIAL_D[space]:
         r[(da, "x0")] = _swap(da, "x0")
     if calculus == "u":
         r[("dp", "xp")] = [(ONE, ()), (_Q(4), ("xp", "dp"))]
@@ -227,14 +216,11 @@ class _RuleSet:
 
     def __init__(self, space, calculus, ordering, opposite=False):
         self.ordering = ordering
-        xs = list(X_TOKENS[space])
-        ds = list(D_TOKENS[space])
-        if ordering == "xd":
-            seq = xs + ds + [_LAM_TAG]
-        elif ordering == "rev":
-            seq = xs[:1] + xs[:0:-1] + ds + [_LAM_TAG]
-        else:
+        if ordering not in ("xd", "rev"):
             raise ValueError(ordering)
+        xs = list((X_TOKENS if ordering == "xd" else REVERSED)[space])
+        ds = list(D_TOKENS[space])
+        seq = xs + ds + [_LAM_TAG]
         pair_rules = _build_xx_rules(space, reverse=ordering == "rev")
         pair_rules.update(_build_dd_rules(space))
         pair_rules.update(_build_leibniz(space, calculus))
@@ -651,7 +637,7 @@ class NCElement(_LinComb):
         return sum(k[:-1]), k
 
     def _mono_str(self, k):
-        names = _PRINT_NAMES[self.space]
+        names = PRINT_NAMES[self.space]
         factors = []
         for tag, n in zip(KEY_LAYOUT[self.space], k[:-1]):
             if n:
@@ -674,18 +660,10 @@ class NCElement(_LinComb):
         return f"NCElement[{self.space}]({self})"
 
 
-_PRINT_NAMES = {
-    LINE: {"x0": "X0", "x1": "X1", "d0": "d0", "d1": "d1"},
-    E3: {
-        "x0": "X0", "xp": "Xp", "x3": "X3", "xm": "Xm",
-        "d0": "d0", "dp": "dp", "d3": "d3", "dm": "dm",
-    },
-}
-
 # conjugation: token -> (scalar factor, image token); metric raises/lowers
 # the 3d spatial indices, derivatives pick up a sign.  The reversal of the
 # word and the inversion of the scaling operator come with the transport.
-_CONJ_MAP = {
+_CONJ_MAP = SpaceTable({
     LINE: {
         "x0": (ONE, "x0"),
         "x1": (ONE, "x1"),
@@ -702,15 +680,13 @@ _CONJ_MAP = {
         "d3": (-ONE, "d3"),
         "dm": (qpow(-1), "dp"),
     },
-}
+})
 
 
-# the +/- index swap behind the right-sided calculi; no line tag carries an
-# index it could swap
-_PM_SWAP = {"xp": "xm", "xm": "xp", "dp": "dm", "dm": "dp"}
-# the same swap in the form of _CONJ_MAP, for the mirror transport
+# the +/- index swap behind the right-sided calculi, in the form of
+# _CONJ_MAP, for the mirror transport
 _MIRROR_MAP = {
-    space: {t: (ONE, _PM_SWAP.get(t, t)) for t in layout}
+    space: {t: (ONE, PM_SWAP.get(t, t)) for t in layout}
     for space, layout in KEY_LAYOUT.items()
 }
 
@@ -746,11 +722,11 @@ def _transport_row(space, name, key):
         ordering = "xd"
     elif name == "to_reversed":
         # the standard word, expanded in the reversed PBW basis
-        runs = list(zip(("x0", "xp", "x3", "xm"), key))
+        runs = list(zip(X_TOKENS[space], key))
         ordering = "rev"
     else:
         # the reversed-ordering word the exponents denote
-        runs = list(zip(("x0", "xm", "x3", "xp"), (key[0], key[3], key[2], key[1])))
+        runs = [(x, key[X_TOKENS[space].index(x)]) for x in REVERSED[space]]
         ordering = "xd"
     nf = _normal_runs(space, "u", ordering, runs)
     if name not in _WORD_MAPS:

@@ -11,26 +11,15 @@ reconstruction test pins these down.
 from __future__ import annotations
 
 from .cfunc import CFunction, _monomials, space_vars
-from .ncalgebra import HAT_POWER, NCElement, act
+from .ncalgebra import NCElement, act
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, _add_term, qfact, qpow, scalar
+from .spaces import D_TOKENS, HAT_D_TOKENS, HAT_POWER, REVERSED, X_TOKENS
 
 PAIR_VARIANTS = ("L_Rbar", "Lbar_R")
 EXP_VARIANTS = ("x_d", "x_dhat", "d_x", "dhat_x")
 
 _FACT_BASES = {"line": {"x1": 1}, "euclid3": {"xp": 4, "x3": 2, "xm": 4}}
-_DWORD_ORDER = {  # derivative word, leftmost first; the paired basis order
-    "line": ("d0", "d1"),
-    "euclid3": ("d0", "dm", "d3", "dp"),
-}
-_DWORD_ORDER_HAT = {  # the hatted basis words run through the indices reversely
-    "line": ("d0", "d1"),
-    "euclid3": ("d0", "dp", "d3", "dm"),
-}
-_EXP_KEY = {  # coordinate variable feeding each derivative slot
-    "line": {"d0": "x0", "d1": "x1"},
-    "euclid3": {"d0": "x0", "dp": "xp", "d3": "x3", "dm": "xm"},
-}
 
 
 def classical_factorial(n: int) -> QScalar:
@@ -51,13 +40,18 @@ def _norm_factor(space, exps, inv: bool) -> QScalar:
 
 
 def deriv_word_element(space, exps, hatted: bool) -> NCElement:
-    """The normal-ordered derivative word for monomial exponents; hatted
-    words are stored through their q-power multiples of the plain ones."""
+    """The normal-ordered derivative word for monomial exponents, through
+    the indices in the reversed ordering (hatted words: the standard one);
+    hatted words are stored through their q-power multiples of the plain
+    ones."""
     vars_ = space_vars(space)
-    order = _DWORD_ORDER_HAT[space] if hatted else _DWORD_ORDER[space]
+    if hatted:
+        order, dtags = X_TOKENS[space], HAT_D_TOKENS[space]
+    else:
+        order, dtags = REVERSED[space], D_TOKENS[space]
     word = []
-    for d in order:
-        word.extend([d] * exps[vars_.index(_EXP_KEY[space][d])])
+    for v, d in zip(order, dtags):
+        word.extend([d] * exps[vars_.index(v)])
     el = NCElement.from_word(space, tuple(word))
     if hatted:
         spatial = sum(exps[1:])
@@ -69,15 +63,10 @@ def coord_word_element(space, exps, reversed_order: bool) -> NCElement:
     """The coordinate basis word: standard ordering, or the reversed one the
     hatted pairings run against."""
     vars_ = space_vars(space)
-    if not reversed_order or space == "line":
-        word = []
-        for i, v in enumerate(vars_):
-            word.extend([v] * exps[i])
-        return NCElement.from_word(space, tuple(word))
-    word = (
-        ("x0",) * exps[0] + ("xm",) * exps[3] + ("x3",) * exps[2] + ("xp",) * exps[1]
-    )
-    return NCElement.from_word(space, word)
+    word = []
+    for v in REVERSED[space] if reversed_order else vars_:
+        word.extend([v] * exps[vars_.index(v)])
+    return NCElement.from_word(space, tuple(word))
 
 
 class TensorSeries:

@@ -4,18 +4,22 @@ inverses, argument scalings, braided products on the line, and the
 q-constancy test.
 
 The representations for one side/calculus are written down once (the left
-action of the plain derivatives); every other variant is generated from them
-by the mechanical index/base substitutions and frozen below.  The generated
-line variants are diff-tested against the explicitly printed ones in the
-test suite, and all variants are cross-checked against the normal-ordering
-engine, which serves as the independent oracle.
+actions of the plain derivatives and of their inverses); every other variant
+is generated from them by one derivation, the mechanical index/base
+substitutions, and frozen on first use.  The generated line variants are
+diff-tested against the explicitly printed ones in the test suite, and all
+variants are cross-checked against the normal-ordering engine, which serves
+as the independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .cfunc import CFunction, space_vars
-from .ncalgebra import _PM_SWAP, reorder_transform
+from .ncalgebra import reorder_transform
 from .scalars import LAM, ONE, QScalar, _add_term, qpow
+from .spaces import E3, LABELS, LINE, PM_LABEL_SWAP, PM_SWAP, Y_OF, SpaceTable
 
 VARIANTS = ("left", "left_bar", "right", "right_bar")
 
@@ -78,21 +82,21 @@ def _transform(branches, swap_pm=False, invert_q=False, negate=False):
             if op in ("D", "Dinv"):
                 v, a = step[1], step[2]
                 if swap_pm:
-                    v = _PM_SWAP.get(v, v)
+                    v = PM_SWAP.get(v, v)
                 if invert_q:
                     a = -a
                 steps.append((op, v, a))
             elif op == "scale":
                 v, h = step[1], step[2]
                 if swap_pm:
-                    v = _PM_SWAP.get(v, v)
+                    v = PM_SWAP.get(v, v)
                 if invert_q:
                     h = -h
                 steps.append((op, v, h))
             elif op == "mul":
                 mono, c = step[1], step[2]
                 if swap_pm:
-                    mono = {_PM_SWAP.get(v, v): n for v, n in mono.items()}
+                    mono = {PM_SWAP.get(v, v): n for v, n in mono.items()}
                 if invert_q:
                     c = c.subs_q_inverse()
                 steps.append((op, mono, c))
@@ -102,14 +106,13 @@ def _transform(branches, swap_pm=False, invert_q=False, negate=False):
     return out
 
 
-def _base_left_reps(space):
-    """Left actions of the plain derivatives (the anchor data)."""
-    if space == "line":
-        return {
-            "0": [(ONE, (("classical_d", "x0"),))],
-            "1": [(ONE, (("D", "x1", 1),))],
-        }
-    return {
+_ANCHORS = SpaceTable({
+    # left actions of the plain derivatives (the anchor data)
+    LINE: {
+        "0": [(ONE, (("classical_d", "x0"),))],
+        "1": [(ONE, (("D", "x1", 1),))],
+    },
+    E3: {
         "0": [(ONE, (("classical_d", "x0"),))],
         "+": [(ONE, (("D", "xp", 4),))],
         "3": [(ONE, (("scale", "xp", 4), ("D", "x3", 2)))],
@@ -117,39 +120,55 @@ def _base_left_reps(space):
             (ONE, (("scale", "x3", 4), ("D", "xm", 4))),
             (LAM, (("D", "x3", 2), ("D", "x3", 2), ("mul", {"xp": 1}, ONE))),
         ],
-    }
+    },
+})
 
 
-_CONJ_INDEX = {"+": "-", "-": "+", "3": "3", "0": "0", "1": "1"}
+def _variants(left):
+    """The four one-sided variants of the left actions ``left`` ({index
+    label: branches}), keyed (label, variant).
 
-
-def _build_reps(space):
-    left = _base_left_reps(space)
+    left_bar is the hatted derivative with the conjugate index, via the
+    (+/-, q) -> (-/+, 1/q) transition; right_bar comes from left and right
+    from left_bar by the +/- swap plus a sign.  The substitutions carry the
+    inverse of an action to the inverse of its image, so the inverse
+    derivatives go through the same derivation."""
     reps = {}
     for i, br in left.items():
         reps[(i, "left")] = br
-    # left_bar: the hatted derivative with the conjugate index, via the
-    # (+/- , q) -> (-/+, 1/q) transition
     for i, br in left.items():
-        reps[(_CONJ_INDEX[i], "left_bar")] = _transform(br, swap_pm=True, invert_q=True)
-    # right_bar from left, right from left_bar: the +/- swap plus a sign
+        reps[(PM_LABEL_SWAP.get(i, i), "left_bar")] = _transform(br, swap_pm=True, invert_q=True)
     for i in left:
-        reps[(_CONJ_INDEX[i], "right_bar")] = _transform(
-            reps[(i, "left")], swap_pm=True, negate=True
-        )
-        reps[(_CONJ_INDEX[i], "right")] = _transform(
-            reps[(i, "left_bar")], swap_pm=True, negate=True
-        )
+        j = PM_LABEL_SWAP.get(i, i)
+        reps[(j, "right_bar")] = _transform(reps[(i, "left")], swap_pm=True, negate=True)
+        reps[(j, "right")] = _transform(reps[(i, "left_bar")], swap_pm=True, negate=True)
     return reps
 
 
-_REPS = {"line": None, "euclid3": None}
-
-
+@functools.lru_cache(maxsize=None)
 def _reps(space):
-    if _REPS[space] is None:
-        _REPS[space] = _build_reps(space)
-    return _REPS[space]
+    return _variants(_ANCHORS[space])
+
+
+def _act(reps_of, index, variant, f, space, rep):
+    """Apply the branches reps_of(f)[(index, variant)] to f.  rep names the
+    normal ordering f represents: hatted-calculus operators are native to
+    the reversed ordering and get conjugated by the ordering transport when
+    applied to a standard-ordering representative."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    back = None
+    if space == E3 and (rep == "standard") == (variant in _REVERSED_NATIVE):
+        there, back = "to_reversed", "to_standard"
+        if rep != "standard":
+            there, back = back, there
+        f = reorder_transform(space, f, there)
+    try:
+        branches = reps_of(f)[(str(index), variant)]
+    except KeyError:
+        raise ValueError(f"unknown derivative index {index!r} for {space}")
+    out = apply_branches(f, branches)
+    return out if back is None else reorder_transform(space, out, back)
 
 
 def act_partial_closed(index: str, variant: str, f: CFunction, space: str,
@@ -157,27 +176,10 @@ def act_partial_closed(index: str, variant: str, f: CFunction, space: str,
     """Closed-form action of one partial derivative.
 
     'left'/'right_bar' act with the plain derivative, 'left_bar'/'right'
-    with the hatted one, matching the four printed one-sided calculi.  rep
-    names the normal ordering the argument represents: hatted-calculus
-    operators are native to the reversed ordering and get conjugated by the
-    ordering transport when applied to a standard-ordering representative.
+    with the hatted one, matching the four printed one-sided calculi; rep
+    names the normal ordering the argument represents.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    index = str(index)
-    reps = _reps(space)
-    try:
-        branches = reps[(index, variant)]
-    except KeyError:
-        raise ValueError(f"unknown derivative index {index!r} for {space}")
-    conjugated = (rep == "standard") == (variant in _REVERSED_NATIVE)
-    if conjugated and space == "euclid3":
-        f = reorder_transform(space, f, "to_reversed" if rep == "standard" else "to_standard")
-        out = apply_branches(f, branches)
-        return reorder_transform(
-            space, out, "to_standard" if rep == "standard" else "to_reversed"
-        )
-    return apply_branches(f, branches)
+    return _act(lambda g: _reps(space), index, variant, f, space, rep)
 
 
 # -- inverse derivatives ------------------------------------------------------
@@ -187,32 +189,33 @@ def _inverse_branches(space, index, degree3):
     """Branches for the left action of an inverse derivative; for the '-'
     direction the correction series is finite on polynomials, each term
     eating two powers of the 3-coordinate."""
-    if space == "line":
-        if index == "0":
-            return [(ONE, (("classical_Dinv", "x0"),))]
-        if index == "1":
-            return [(ONE, (("Dinv", "x1", 1),))]
-        raise ValueError(index)
     if index == "0":
         return [(ONE, (("classical_Dinv", "x0"),))]
+    if space == LINE:
+        return [(ONE, (("Dinv", "x1", 1),))]
     if index == "+":
         return [(ONE, (("Dinv", "xp", 4),))]
     if index == "3":
         # the inverse pairs with the q^2 base of the forward action
         return [(ONE, (("scale", "xp", -4), ("Dinv", "x3", 2)))]
-    if index == "-":
-        branches = []
-        for k in range(degree3 // 2 + 1):
-            steps = [("scale", "x3", -4 * (k + 1))]
-            steps += [("Dinv", "xm", 4)] * (k + 1)
-            steps += [("D", "x3", 2)] * (2 * k)
-            steps.append(("mul", {"xp": k}, ONE))
-            pre = qpow(2 * k * (k + 1))
-            for _ in range(k):
-                pre = pre * (-LAM)
-            branches.append((pre, tuple(steps)))
-        return branches
-    raise ValueError(index)
+    branches = []  # index '-'
+    for k in range(degree3 // 2 + 1):
+        steps = [("scale", "x3", -4 * (k + 1))]
+        steps += [("Dinv", "xm", 4)] * (k + 1)
+        steps += [("D", "x3", 2)] * (2 * k)
+        steps.append(("mul", {"xp": k}, ONE))
+        pre = qpow(2 * k * (k + 1))
+        for _ in range(k):
+            pre = pre * (-LAM)
+        branches.append((pre, tuple(steps)))
+    return branches
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_reps(space, degree3):
+    """The four variants of the inverse derivatives, exact on polynomials of
+    degree below degree3 in the 3-coordinate."""
+    return _variants({i: _inverse_branches(space, i, degree3) for i in LABELS[space]})
 
 
 def act_inverse_partial(index: str, variant: str, f: CFunction, space: str,
@@ -221,32 +224,8 @@ def act_inverse_partial(index: str, variant: str, f: CFunction, space: str,
 
     The correction series terminates on polynomials, so the result is exact;
     the matching forward action returns the input (inverse property)."""
-    index = str(index)
-    conjugated = (rep == "standard") == (variant in _REVERSED_NATIVE)
-    if conjugated and space == "euclid3":
-        g = reorder_transform(space, f, "to_reversed" if rep == "standard" else "to_standard")
-        out = act_inverse_partial(index, variant, g, space,
-                                  rep="reversed" if rep == "standard" else "standard")
-        return reorder_transform(
-            space, out, "to_standard" if rep == "standard" else "to_reversed"
-        )
-    deg3 = f.degree("x3") if space == "euclid3" else 0
-    base = {
-        i: _inverse_branches(space, i, deg3 + 2)
-        for i in (("0", "1") if space == "line" else ("0", "+", "3", "-"))
-    }
-    if variant == "left":
-        branches = base[index]
-    elif variant == "left_bar":
-        branches = _transform(base[_CONJ_INDEX[index]], swap_pm=True, invert_q=True)
-    elif variant == "right_bar":
-        branches = _transform(base[_CONJ_INDEX[index]], swap_pm=True, negate=True)
-    elif variant == "right":
-        hat = _transform(base[_CONJ_INDEX[index]], swap_pm=True, invert_q=True)
-        branches = _transform(hat, swap_pm=True, negate=True)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return apply_branches(f, branches)
+    return _act(lambda g: _inverse_reps(space, g.degree("x3") + 2 if space == E3 else 2),
+                index, variant, f, space, rep)
 
 
 # -- misc closed-form operations ----------------------------------------------
@@ -271,10 +250,10 @@ def braided_product_line(f: CFunction, g: CFunction, variant: str) -> CFunction:
     Output variables are (y0, y1, x0, x1): the g-leg crosses to the left,
     and each monomial pair picks up q^{+/- deg_y1(g) deg_x1(f)}.
     """
-    if f.vars != space_vars("line") or g.vars != space_vars("line"):
+    if f.vars != space_vars(LINE) or g.vars != space_vars(LINE):
         raise ValueError("braided products are implemented for the line only")
     sign = {"L": -1, "Lbar": 1}[variant]
-    out_vars = ("y0", "y1", "x0", "x1")
+    out_vars = tuple(Y_OF[v] for v in f.vars) + f.vars
     out = {}
     for ef, cf in f.terms.items():
         for eg, cg in g.terms.items():
@@ -287,6 +266,6 @@ def is_qconstant(f: CFunction) -> bool:
     """Constant from the q-deformed point of view: both left derivative
     actions annihilate the function."""
     return (
-        act_partial_closed("0", "left", f, "line").is_zero()
-        and act_partial_closed("1", "left", f, "line").is_zero()
+        act_partial_closed("0", "left", f, LINE).is_zero()
+        and act_partial_closed("1", "left", f, LINE).is_zero()
     )

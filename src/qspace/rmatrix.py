@@ -10,10 +10,13 @@ data.
 from __future__ import annotations
 
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, ZERO, _add_term, qpow, scalar
+from .scalars import LAM, LAMP, ONE, ZERO, _add_term, _coeff_times, _LinComb, qpow, scalar
+from .spaces import E3, LABELS, LINE, SpaceTable
 
-LINE_LABELS = ("0", "1")
-E3_LABELS = ("0", "+", "3", "-")
+# the index labels of a space, in the standard ordering
+labels = LABELS.__getitem__
+# the spatial labels of the 3d space
+_E3_SPATIAL = LABELS[E3][1:]
 
 TIME_BLOCK_NOTE = (
     "extended 3d braiding: the printed 7x7 time block is typeset "
@@ -22,62 +25,39 @@ TIME_BLOCK_NOTE = (
 )
 
 
-def labels(space):
-    if space == "line":
-        return LINE_LABELS
-    if space == "euclid3":
-        return E3_LABELS
-    raise ValueError(f"unknown space {space!r}")
+class QMatrix(_LinComb):
+    """Square n x n matrix over the scalar field, sparse: terms maps each
+    (row, column) pair to its nonzero entry."""
 
+    __slots__ = ("n",)
+    _mismatch = (ValueError, "matrix sizes differ")
 
-class QMatrix:
-    """Dense square matrix over the scalar field, dict-backed and sparse."""
-
-    __slots__ = ("n", "data")
-
-    def __init__(self, n, data=None):
+    def __init__(self, n, terms=None):
         self.n = n
-        self.data = {}
-        if data:
-            for k, v in data.items():
-                if v:
-                    self.data[k] = v
+        super().__init__(terms)
+
+    def _frame(self):
+        return (self.n,)
 
     @staticmethod
     def identity(n):
         return QMatrix(n, {(i, i): ONE for i in range(n)})
 
     def get(self, i, j):
-        return self.data.get((i, j), ZERO)
+        return self.terms.get((i, j), ZERO)
 
     def set(self, i, j, v):
         if v:
-            self.data[(i, j)] = v
+            self.terms[(i, j)] = v
         else:
-            self.data.pop((i, j), None)
-
-    def __add__(self, other):
-        out = QMatrix(self.n, self.data)
-        for k, v in other.data.items():
-            _add_term(out.data, k, v)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = scalar(c)
-        if not c:
-            return QMatrix(self.n)
-        return QMatrix(self.n, {k: v * c for k, v in self.data.items()})
+            self.terms.pop((i, j), None)
 
     def __mul__(self, other):
         by_row = {}
-        for (i, k), v in self.data.items():
+        for (i, k), v in self.terms.items():
             by_row.setdefault(i, []).append((k, v))
         by_k = {}
-        for (k, j), v in other.data.items():
+        for (k, j), v in other.terms.items():
             by_k.setdefault(k, []).append((j, v))
         out = QMatrix(self.n)
         for i, row in by_row.items():
@@ -86,17 +66,20 @@ class QMatrix:
                 for j, w in by_k.get(k, ()):
                     _add_term(acc, j, v * w)
             for j, s in acc.items():
-                out.data[(i, j)] = s
+                out.terms[(i, j)] = s
         return out
 
-    def __eq__(self, other):
-        return self.n == other.n and self.data == other.data
-
-    def is_zero(self):
-        return not self.data
-
     def entries(self):
-        return self.data.items()
+        return self.terms.items()
+
+    # text form: the entries times matrix units E[i,j], row by row
+    _print_order = staticmethod(tuple)
+
+    def _mono_str(self, k):
+        return "E[%d,%d]" % k
+
+    def _term_str(self, k, c):
+        return _coeff_times(str(c), self._mono_str(k))
 
 
 class RMatrix:
@@ -130,8 +113,6 @@ def build_R(space) -> RMatrix:
         m.set(idx[("1", "0")], idx[("0", "1")], ONE)
         m.set(idx[("1", "1")], idx[("1", "1")], qpow(1))
         return RMatrix(space, m)
-    if space != "euclid3":
-        raise ValueError(f"unknown space {space!r}")
     ll = LAM * LAMP
     m = QMatrix(16)
 
@@ -160,16 +141,20 @@ def build_R(space) -> RMatrix:
     )
     # time block: trivial braiding (see TIME_BLOCK_NOTE)
     m.set(idx[("0", "0")], idx[("0", "0")], ONE)
-    for a in ("+", "3", "-"):
+    for a in _E3_SPATIAL:
         m.set(idx[("0", a)], idx[(a, "0")], ONE)
         m.set(idx[(a, "0")], idx[("0", a)], ONE)
     return RMatrix(space, m)
 
 
+_EIGENVALUES = SpaceTable({
+    LINE: lambda: {"P-": ONE, "P+": -ONE, "P0": qpow(1)},
+    E3: lambda: {"P+": ONE, "P-": -qpow(-4), "P0": qpow(-6), "P'": -ONE},
+})
+
+
 def eigenvalues(space):
-    if space == "line":
-        return {"P-": ONE, "P+": -ONE, "P0": qpow(1)}
-    return {"P+": ONE, "P-": -qpow(-4), "P0": qpow(-6), "P'": -ONE}
+    return _EIGENVALUES[space]()
 
 
 class ProjectorSet:
@@ -197,7 +182,7 @@ def build_projectors(space) -> ProjectorSet:
         Pm = ((R + Id) * (R - Id.scale(q))).scale(ONE / (scalar(2) * (ONE - q)))
         P0 = ((R + Id) * (R - Id)).scale(ONE / ((q + ONE) * (q - ONE)))
         projs = {"P+": Pp, "P-": Pm, "P0": P0}
-    elif space == "euclid3":
+    else:
         q4, q6 = qpow(-4), qpow(-6)
         Pp = ((R + Id.scale(q4)) * (R - Id.scale(q6)) * (R + Id)).scale(
             ONE / (scalar(2) * (ONE + q4) * (ONE - q6))
@@ -212,8 +197,6 @@ def build_projectors(space) -> ProjectorSet:
             ONE / (scalar(2) * (q4 - ONE) * (ONE + q6))
         )
         projs = {"P+": Pp, "P-": Pm, "P0": P0, "P'": Pq}
-    else:
-        raise ValueError(f"unknown space {space!r}")
     return ProjectorSet(space, projs, eigenvalues(space))
 
 
@@ -224,7 +207,7 @@ def check_ybe(R: RMatrix) -> VerificationReport:
     n3 = d ** 3
     r12 = QMatrix(n3)
     r23 = QMatrix(n3)
-    for (ij, kl), v in R.mat.data.items():
+    for (ij, kl), v in R.mat.terms.items():
         i, j = divmod(ij, d)
         k, l = divmod(kl, d)
         for m in range(d):
@@ -235,7 +218,7 @@ def check_ybe(R: RMatrix) -> VerificationReport:
     diff = lhs - rhs
     if not diff.is_zero():
         ls = labels(R.space)
-        for (a, b), v in sorted(diff.data.items())[:20]:
+        for (a, b), v in sorted(diff.terms.items())[:20]:
             def trip(x):
                 i, r = divmod(x, d * d)
                 j, k = divmod(r, d)
@@ -255,14 +238,14 @@ def spectral_check(R: RMatrix, P: ProjectorSet) -> VerificationReport:
         acc = acc + proj.scale(P.eigenvalues[name])
     if acc != R.mat:
         diff = acc - R.mat
-        for k, v in sorted(diff.data.items())[:10]:
+        for k, v in sorted(diff.terms.items())[:10]:
             rep.record(k, str(acc.get(*k)), str(R.mat.get(*k)))
     Id = QMatrix.identity(R.mat.n)
     minpoly = Id
     for name in P.projectors:
         minpoly = minpoly * (R.mat - Id.scale(P.eigenvalues[name]))
     if not minpoly.is_zero():
-        for k, v in sorted(minpoly.data.items())[:10]:
+        for k, v in sorted(minpoly.terms.items())[:10]:
             rep.record(k, str(v), "0")
     return rep
 
@@ -330,7 +313,7 @@ def relations_from_projectors(space) -> list:
     for name in which:
         proj = P.projectors[name]
         by_row = {}
-        for (r, c), v in proj.data.items():
+        for (r, c), v in proj.terms.items():
             by_row.setdefault(r, {})[c] = v
         rows.extend(by_row.values())
 
@@ -396,7 +379,7 @@ def metric_from_P0() -> QuantumMetric:
     P = build_projectors("euclid3")
     P0 = P.projectors["P0"]
     idx = _pair_idx("euclid3")
-    spatial = ("+", "3", "-")
+    spatial = _E3_SPATIAL
     block = {}
     for a in spatial:
         for b in spatial:
@@ -441,7 +424,7 @@ def metric_from_P0() -> QuantumMetric:
 
 def metric_check(g: QuantumMetric) -> VerificationReport:
     rep = VerificationReport("metric", "euclid3")
-    spatial = ("+", "3", "-")
+    spatial = _E3_SPATIAL
     allowed = {("+", "-"), ("-", "+"), ("3", "3")}
     for k in list(g.lower) + list(g.upper):
         if k not in allowed:

@@ -23,8 +23,9 @@ class StarContext:
         self.ordering = ordering
 
 
-# (f exponent, g exponent, reversed_order) -> [f leg * g leg for each k],
-# filled on first use; a pure key, like the q-binomials' table
+# (f exponent, g exponent, reversed_order) -> (f leg * g leg for each k),
+# filled on first use; a pure key, like the q-binomials' table.  Entries are
+# tuples: every caller receives the same one, and none can change it
 _STAR_LEGS = {}
 
 
@@ -55,8 +56,8 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
                         lam_k = lam_k * lam
                     # lambda^k has k + 1 terms: multiplied in last, it is cheap
                     pair.append(qbinom(nf, k, a) * fall * lam_k)
-                # stored whole, so a racing thread can only store an equal list
-                _STAR_LEGS[(nf, ng, reversed_order)] = pair
+                # stored whole, so a racing thread can only store an equal entry
+                pair = _STAR_LEGS[(nf, ng, reversed_order)] = tuple(pair)
             c = cf * cg
             e = [x + y for x, y in zip(ef, eg)]
             for k, leg in enumerate(pair):

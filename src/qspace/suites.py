@@ -9,11 +9,10 @@ from fractions import Fraction
 
 from . import evolution, grassmann, hopf, pairexp, qfunc, rmatrix, starcalc
 from .cfunc import CFunction, LatticeFunction, _monomials, jackson_integral_numeric, space_vars
-from .ncalgebra import HAT_POWER, NCElement, act, lift, lower, qpow
+from .ncalgebra import NCElement, act, lift, lower, qpow
 from .reports import VerificationReport
 from .scalars import GaussianRational, LAM, ONE, ZERO, scalar
-
-SPACES = ("line", "euclid3")
+from .spaces import D_OF_LABEL, HAT_POWER, SPACES
 
 NOTE_TIME_BLOCK = rmatrix.TIME_BLOCK_NOTE
 NOTE_LEI_SUBSCRIPTS = (
@@ -123,15 +122,12 @@ def suite_metric(opts: SuiteOptions):
     return [rmatrix.metric_check(g)]
 
 
-_DTAGS = {"line": {"0": "d0", "1": "d1"}, "euclid3": {"0": "d0", "+": "dp", "3": "d3", "-": "dm"}}
-
-
 def suite_oracle_actions(opts: SuiteOptions):
     out = []
     for space in opts.spaces:
         rep = VerificationReport("oracle-actions", space)
         vars_ = space_vars(space)
-        for idx, dtag in _DTAGS[space].items():
+        for idx, dtag in D_OF_LABEL[space].items():
             for variant in ("left", "left_bar", "right", "right_bar"):
                 D = NCElement.generator(space, dtag)
                 if variant in ("left_bar", "right") and idx != "0":

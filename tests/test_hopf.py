@@ -5,8 +5,8 @@ import pytest
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, space_vars
 from qspace.cfunc import _monomials
 from qspace.hopf import (
-    _DWORD_SEQ,
     _IDENTITY_SETUPS,
+    _dword_seq,
     _exp_word_actions,
     antipode,
     antipode_on_y_legs,
@@ -158,10 +158,8 @@ def _apply_exp_word(space, exps, action_variant, g, rep):
     """Oracle: one exponential derivative word applied to g from scratch,
     one closed-form action per derivative factor (the per-word loop the
     prefix-shared table replaced)."""
-    hat = action_variant in ("left_bar", "right")
-    seq = _DWORD_SEQ[(space, True)] if (hat and space == "euclid3") else _DWORD_SEQ[space]
     vars_ = space_vars(space)
-    order = list(seq)
+    order = list(_dword_seq(space, action_variant in ("left_bar", "right")))
     if action_variant.startswith("left"):
         order = order[::-1]  # rightmost factor first
     for idx, var in order:

@@ -150,7 +150,7 @@ def test_inverse_property(space):
             continue
         f = CFunction.monomial(vars_, exps, scalar(rng.randint(1, 3)))
         for idx in indices:
-            for variant in ("left", "right_bar"):
+            for variant in ("left", "left_bar", "right", "right_bar"):
                 g = act_inverse_partial(idx, variant, f, space)
                 assert act_partial_closed(idx, variant, g, space) == f, (idx, variant, exps)
 

@@ -42,6 +42,16 @@ def test_yang_baxter_identity_matrix():
     assert check_ybe(R).passed
 
 
+def test_qmatrix_is_a_linear_combination_of_matrix_units():
+    a = QMatrix(2, {(0, 0): ONE, (0, 1): qpow(1), (1, 0): ZERO})
+    assert a.terms == {(0, 0): ONE, (0, 1): qpow(1)}  # zero entries dropped
+    assert (a - a).is_zero() and (a + a) == a.scale(2)
+    assert a - QMatrix.identity(2) == QMatrix(2, {(0, 1): qpow(1), (1, 1): -ONE})
+    assert str(a) == "E[0,0] + q E[0,1]"
+    with pytest.raises(ValueError):
+        a + QMatrix.identity(3)
+
+
 def test_line_projector_entries():
     P = build_projectors("line")
     half = scalar(1) / scalar(2)

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS
 from qspace.ncalgebra import reorder_transform
 from qspace import starcalc
@@ -101,3 +103,14 @@ def test_star_leg_table_gives_the_same_products_cold_and_warm():
     assert star(CTX, mono((0, 0, 0, 1)), mono((0, 1, 0, 0))) == (
         mono((0, 1, 0, 1)) + mono((0, 0, 2, 0), LAM)
     )
+
+
+def test_star_leg_entries_cannot_be_changed():
+    # every caller shares the table's entries, so they are immutable
+    starcalc._STAR_LEGS.clear()
+    want = star(CTX, mono((0, 0, 0, 2)), mono((0, 2, 0, 0)))
+    assert starcalc._STAR_LEGS
+    for entry in starcalc._STAR_LEGS.values():
+        with pytest.raises(TypeError):
+            entry[0] = ONE
+    assert star(CTX, mono((0, 0, 0, 2)), mono((0, 2, 0, 0))) == want

@@ -12,9 +12,10 @@ import random
 import pytest
 
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
-from qspace.hopf import TRANSLATE_VARIANTS, _VARIANT_PARAMS, _Y_OF, antipode, doubled_vars, translate
+from qspace.hopf import TRANSLATE_VARIANTS, _VARIANT_PARAMS, antipode, doubled_vars, translate
 from qspace.pairexp import classical_factorial
 from qspace.scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, qfact, qpow
+from qspace.spaces import Y_OF
 from qspace.starcalc import _star_e3
 
 
@@ -46,7 +47,7 @@ def _old_translate(space, variant, f):
     if s < 0:
         lam_l = -lam_l
     vp, vm = ("xm", "xp") if swap else ("xp", "xm")
-    yp = _Y_OF[vp]
+    yp = Y_OF[vp]
     y_extra_idx = out_vars.index(yp)
     for exps, c in f.terms.items():
         n0 = exps[0]
@@ -91,7 +92,7 @@ def _old_translate(space, variant, f):
                             xexp[y_extra_idx] += l
                             xmono = CFunction.monomial(out_vars, xexp, pre / denom)
                             out = out + xmono * g.embed(
-                                out_vars, {v: _Y_OF[v] for v in want}
+                                out_vars, {v: Y_OF[v] for v in want}
                             )
     return out
 
