@@ -313,57 +313,38 @@ def _geometric_sum(term_fn, k_start, k_max, tol):
     raise NonConvergentSum("series did not decay below tolerance within the cutoff")
 
 
+# bounds -> (sign of the axis, whether the sum walks toward the origin): '0_x'
+# and 'x_inf' integrate on the positive axis from/to x = q0^k0, 'x_0' and
+# 'minusinf_x' are their negative-axis twins at x = -q0^k0
+_BOUNDS = {
+    "0_x": (1, True),
+    "x_inf": (1, False),
+    "x_0": (-1, True),
+    "minusinf_x": (-1, False),
+}
+
+
 def jackson_integral_numeric(f: LatticeFunction, a: int, bounds: str, tol: float,
                              k0: int = 0) -> complex:
-    """Numeric Jackson integral of a lattice function.
-
-    bounds selects the printed geometric sums: '0_x' and 'x_inf' integrate on
-    the positive axis from/to the lattice point x = q0^k0; 'x_0' and
-    'minusinf_x' are their negative-axis twins at x = -q0^k0.
-    """
+    """Numeric Jackson integral of a lattice function: the printed geometric
+    sum of x f(x) over the points x q^(-+a k) between the bounds, toward the
+    origin or toward the infinite end of the axis."""
     if a == 0:
         raise ValueError("Jackson integral base exponent must be nonzero")
+    if bounds not in _BOUNDS:
+        raise ValueError(f"unknown bounds {bounds!r}")
+    sign, inward = _BOUNDS[bounds]
     q0 = f.q0
     aa = abs(a)
     qa = q0 ** aa
+    step = -aa if inward else aa
 
-    if bounds in ("0_x", "x_inf"):
-        sign = 1
-    elif bounds in ("x_0", "minusinf_x"):
-        sign = -1
-    else:
-        raise ValueError(f"unknown bounds {bounds!r}")
+    def term(k):
+        kk = k0 + step * k
+        return sign * q0 ** kk * f.value(sign, kk)
 
-    def down(k):  # x * q^(-a k), shrinking toward 0
-        kk = k0 - aa * k
-        x = sign * q0 ** kk
-        return x * f.value(sign, kk)
-
-    def up(k):  # x * q^(a k), growing toward the infinite end
-        kk = k0 + aa * k
-        x = sign * q0 ** kk
-        return x * f.value(sign, kk)
-
-    if a > 0:
-        if bounds == "0_x":
-            return -(1 - qa) * _geometric_sum(down, 1, 2 * f.cutoff, tol)
-        if bounds == "x_inf":
-            return -(1 - qa) * _geometric_sum(up, 0, 2 * f.cutoff, tol)
-        if bounds == "x_0":
-            return (1 - qa) * _geometric_sum(down, 1, 2 * f.cutoff, tol)
-        if bounds == "minusinf_x":
-            return (1 - qa) * _geometric_sum(up, 0, 2 * f.cutoff, tol)
-    else:
-        qia = 1 - qa ** -1
-        if bounds == "0_x":
-            return qia * _geometric_sum(down, 0, 2 * f.cutoff, tol)
-        if bounds == "x_inf":
-            return qia * _geometric_sum(up, 1, 2 * f.cutoff, tol)
-        if bounds == "x_0":
-            return -qia * _geometric_sum(down, 0, 2 * f.cutoff, tol)
-        if bounds == "minusinf_x":
-            return -qia * _geometric_sum(up, 1, 2 * f.cutoff, tol)
-    raise AssertionError
+    pref = -(1 - qa) if a > 0 else 1 - qa ** -1
+    return sign * pref * _geometric_sum(term, int((a > 0) == inward), 2 * f.cutoff, tol)
 
 
 def jackson_integral_whole_line(f: LatticeFunction, a: int, tol: float) -> complex:

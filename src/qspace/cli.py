@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cfunc import CFunction, LatticeFunction, NonConvergentSum, jackson_integral_numeric, space_vars
@@ -188,44 +189,58 @@ def _parse_bound(text):
     return float(text)
 
 
-def _cmd_int(args):
+# (--from, --to) -> Jackson bounds, with "x" for the bound at a lattice point
+_INT_BOUNDS = {
+    ("0", "x"): "0_x",
+    ("x", "inf"): "x_inf",
+    ("x", "0"): "x_0",
+    ("-inf", "x"): "minusinf_x",
+}
+
+
+def _read_samples(path):
+    """The 'k value' lines of a samples file as {(1, k): f(q^k)}; blank lines
+    and lines starting with '#' are skipped."""
     samples = {}
-    with open(args.samples) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            k_str, val_str = line.split()[:2]
-            samples[(1, int(k_str))] = complex(float(val_str))
+            if len(fields) < 2:
+                raise ValueError(f"line {n}: expected 'k value', got {line.strip()!r}")
+            try:
+                samples[(1, int(fields[0]))] = complex(float(fields[1]))
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from None
+    if not samples:
+        raise ValueError("no 'k value' lines")
+    return samples
+
+
+def _cmd_int(args):
+    try:
+        samples = _read_samples(args.samples)
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"error: samples file {args.samples}: {reason}", file=sys.stderr)
+        return 2
     kmax = max(abs(k) for _, k in samples)
     for k in range(-kmax, kmax + 1):
         samples.setdefault((1, k), 0j)
         samples.setdefault((-1, k), 0j)
     lat = LatticeFunction(args.q0, kmax, samples)
-    lower = _parse_bound(args.lower)
-    upper = _parse_bound(args.upper)
-
-    def k_of(x):
-        import math
-
-        k = round(math.log(abs(x)) / math.log(args.q0))
-        if abs(args.q0 ** k - abs(x)) > 1e-9 * abs(x):
-            raise ValueError(f"{x} is not a lattice point of q0={args.q0}")
-        return k
-
+    ends = (_parse_bound(args.lower), _parse_bound(args.upper))
+    bounds = _INT_BOUNDS.get(tuple("x" if isinstance(e, float) else e for e in ends))
+    if bounds is None:
+        print("unsupported bound combination", file=sys.stderr)
+        return 2
+    x = next(e for e in ends if isinstance(e, float))
     try:
-        if lower == "0" and isinstance(upper, float):
-            val = jackson_integral_numeric(lat, args.a, "0_x", args.tol, k0=k_of(upper))
-        elif upper == "inf" and isinstance(lower, float):
-            val = jackson_integral_numeric(lat, args.a, "x_inf", args.tol, k0=k_of(lower))
-        elif upper == "0" and isinstance(lower, float):
-            val = jackson_integral_numeric(lat, args.a, "x_0", args.tol, k0=k_of(lower))
-        elif lower == "-inf" and isinstance(upper, float):
-            val = jackson_integral_numeric(lat, args.a, "minusinf_x", args.tol,
-                                           k0=k_of(upper))
-        else:
-            print("unsupported bound combination", file=sys.stderr)
-            return 2
+        k0 = round(math.log(abs(x)) / math.log(args.q0))
+        if abs(args.q0 ** k0 - abs(x)) > 1e-9 * abs(x):
+            raise ValueError(f"{x} is not a lattice point of q0={args.q0}")
+        val = jackson_integral_numeric(lat, args.a, bounds, args.tol, k0=k0)
     except (NonConvergentSum, ValueError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ each key into an element through the Hamiltonian's power table."""
 
 from __future__ import annotations
 
+import itertools
 import threading
 from fractions import Fraction
 from math import comb
@@ -405,27 +406,21 @@ def schrodinger_wave_check(H: Hamiltonian, phi0: CFunction, order: int) -> Verif
 
 # -- whole-space integrals -------------------------------------------------------
 
-_WHOLE_LINE = {
-    # variant -> (base exponent a, overall sign)
-    "L": (1, 1),
-    "Lbar": (-1, 1),
-    "Rbar": (1, -1),
-    "R": (-1, -1),
+# the four integration geometries: variant -> (derivative action, base
+# exponent a, overall sign).  The line integrates with base q^a, the 3d
+# space with base q^(2a) on each axis; the right-handed measures carry the
+# printed minus identities
+_GEOMETRIES = {
+    "L": ("left", 1, 1),
+    "Lbar": ("left_bar", -1, 1),
+    "R": ("right", -1, -1),
+    "Rbar": ("right_bar", 1, -1),
 }
-
-_E3_AXES, _E3_AXES_REVERSED = X_TOKENS[E3][1:], REVERSED[E3][1:]
-_WHOLE_E3 = {
-    # variant -> (prefactor, per-axis base, axis order), sign per the printed
-    # minus identities for the right-handed measures
-    "L": (lambda: qpow(-6) * QScalar.from_rational(Fraction(1, 4)), 2, _E3_AXES, 1),
-    "Lbar": (lambda: qpow(6) * QScalar.from_rational(Fraction(1, 4)), -2, _E3_AXES_REVERSED, 1),
-    "Rbar": (lambda: qpow(-6) * QScalar.from_rational(Fraction(1, 4)), 2, _E3_AXES, -1),
-    "R": (lambda: qpow(6) * QScalar.from_rational(Fraction(1, 4)), -2, _E3_AXES_REVERSED, -1),
-}
+_BASE_OF_MODE = {mode: a for mode, a, _ in _GEOMETRIES.values()}
 
 
 def integrate_whole_line(f: LatticeFunction, variant: str, tol: float) -> complex:
-    a, sign = _WHOLE_LINE[variant]
+    _, a, sign = _GEOMETRIES[variant]
     return sign * jackson_integral_whole_line(f, a, tol)
 
 
@@ -437,63 +432,54 @@ class SeparableLattice3:
 
 
 def integrate_whole_e3(f: SeparableLattice3, variant: str, tol: float) -> complex:
-    pref, base, axes, sign = _WHOLE_E3[variant]
-    total = complex(pref().eval_float(f.legs["xp"].q0))
-    for axis in axes:
-        total *= jackson_integral_whole_line(f.legs[axis], base, tol)
+    """q^(-6a)/4 times the whole-line integrals of the three legs with base
+    q^(2a), taken in the standard axis order for a = 1 and the reversed one
+    for a = -1."""
+    _, a, sign = _GEOMETRIES[variant]
+    pref = qpow(-6 * a) * QScalar.from_rational(Fraction(1, 4))
+    total = complex(pref.eval_float(f.legs["xp"].q0))
+    for axis in (X_TOKENS if a == 1 else REVERSED)[E3][1:]:
+        total *= jackson_integral_whole_line(f.legs[axis], 2 * a, tol)
     return sign * total
 
 
 # -- integration by parts ----------------------------------------------------------
 
-IBP_VARIANTS = (
-    ("left", "0"),
-    ("left", "1"),
-    ("left_bar", "0"),
-    ("left_bar", "1"),
-    ("right", "0"),
-    ("right", "1"),
-    ("right_bar", "0"),
-    ("right_bar", "1"),
+IBP_VARIANTS = tuple(
+    itertools.product((mode for mode, _, _ in _GEOMETRIES.values()), "01")
 )
 
 
-def _definite(space, F: CFunction, var: str, a: QScalar, b: QScalar) -> CFunction:
-    return F.subs_scalar(var, b) - F.subs_scalar(var, a)
+def _ibp_sides(variant, idx, f, g, integrate):
+    """The two integrals of the integration-by-parts identity for the
+    derivative of index idx, the boundary term left out: left actions give
+    (D f) g and (scaled f)(D g), right actions f (D g) and (D f)(scaled g).
+    The scaling is x1 -> q^a x1 for index 1 and none for index 0."""
+    half_steps = 2 * _BASE_OF_MODE[variant] if idx == "1" else 0
+
+    def D(h):
+        return act_partial_closed(idx, variant, h, LINE)
+
+    if variant.startswith("left"):
+        return integrate(D(f) * g), integrate(scale_arg(f, "x1", half_steps) * D(g))
+    return integrate(f * D(g)), integrate(D(f) * scale_arg(g, "x1", half_steps))
 
 
 def ibp_check(f: CFunction, g: CFunction, a: QScalar, b: QScalar) -> VerificationReport:
     """The eight printed integration-by-parts identities on the line,
-    checked exactly on polynomials with scalar endpoints."""
-    rep = VerificationReport("integration-by-parts", "line")
-    space = "line"
-
-    def D(variant, idx, h):
-        return act_partial_closed(idx, variant, h, space)
-
-    def Dinv_def(variant, idx, h, var):
-        F = act_inverse_partial(idx, variant, h, space)
-        return _definite(space, F, var, a, b)
-
+    checked exactly on polynomials with scalar endpoints: the integral of
+    one side equals the boundary term minus the integral of the other."""
+    rep = VerificationReport("integration-by-parts", LINE)
     for variant, idx in IBP_VARIANTS:
-        var = "x0" if idx == "0" else "x1"
-        boundary = _definite(space, f * g, var, a, b)
-        if variant.startswith("left"):
-            # (D f) g integrated = boundary - (scaled f)(D g) integrated
-            if idx == "0":
-                scaled = f
-            else:
-                scaled = scale_arg(f, "x1", 2 if variant == "left" else -2)
-            lhs = Dinv_def(variant, idx, D(variant, idx, f) * g, var)
-            rhs = boundary - Dinv_def(variant, idx, scaled * D(variant, idx, g), var)
-        else:
-            # f (g D) integrated = boundary - (f D)(scaled g) integrated
-            if idx == "0":
-                scaled = g
-            else:
-                scaled = scale_arg(g, "x1", -2 if variant == "right" else 2)
-            lhs = Dinv_def(variant, idx, f * D(variant, idx, g), var)
-            rhs = boundary - Dinv_def(variant, idx, D(variant, idx, f) * scaled, var)
+        var = space_vars(LINE)[int(idx)]
+
+        def definite(F):
+            return F.subs_scalar(var, b) - F.subs_scalar(var, a)
+
+        lhs, rest = _ibp_sides(
+            variant, idx, f, g, lambda h: definite(act_inverse_partial(idx, variant, h, LINE))
+        )
+        rhs = definite(f * g) - rest
         if lhs != rhs:
             rep.record(f"{variant} d{idx}", str(lhs), str(rhs))
     return rep
@@ -502,36 +488,23 @@ def ibp_check(f: CFunction, g: CFunction, a: QScalar, b: QScalar) -> Verificatio
 def ibp_check_numeric(q0: float, tol: float, cutoff: int = 120) -> VerificationReport:
     """Numeric spot check of the space-direction identities on a finite
     lattice interval, with the integrals evaluated as geometric sums."""
-    rep = VerificationReport("integration-by-parts-numeric", "line")
-    f = CFunction.monomial(space_vars("line"), (0, 1))
-    g = CFunction.monomial(space_vars("line"), (0, 2))
+    rep = VerificationReport("integration-by-parts-numeric", LINE)
+    f = CFunction.monomial(space_vars(LINE), (0, 1))
+    g = CFunction.monomial(space_vars(LINE), (0, 2))
     k_lo, k_hi = -6, 4  # interval [q0^-6, q0^4] on the positive axis
-
-    def num_jackson(h: CFunction, base: int, sign: int):
-        lat = LatticeFunction.from_cfunction(h, "x1", q0, cutoff)
-        up = jackson_integral_numeric(lat, base, "0_x", tol, k0=k_hi)
-        low = jackson_integral_numeric(lat, base, "0_x", tol, k0=k_lo)
-        return sign * (up - low)
-
     boundary = (f * g).eval_float(q0, {"x0": 0.0, "x1": q0 ** k_hi}) - (
         f * g
     ).eval_float(q0, {"x0": 0.0, "x1": q0 ** k_lo})
-    for variant, base, sign in (
-        ("left", 1, 1),
-        ("left_bar", -1, 1),
-        ("right", -1, -1),
-        ("right_bar", 1, -1),
-    ):
-        Df = act_partial_closed("1", variant, f, "line")
-        Dg = act_partial_closed("1", variant, g, "line")
-        if variant.startswith("left"):
-            scaled_f = scale_arg(f, "x1", 2 if variant == "left" else -2)
-            lhs = num_jackson(Df * g, base, sign)
-            rhs = boundary - num_jackson(scaled_f * Dg, base, sign)
-        else:
-            scaled_g = scale_arg(g, "x1", -2 if variant == "right" else 2)
-            lhs = num_jackson(f * Dg, base, sign)
-            rhs = boundary - num_jackson(Df * scaled_g, base, sign)
+    for variant, base, sign in _GEOMETRIES.values():
+
+        def lattice_sum(h):
+            lat = LatticeFunction.from_cfunction(h, "x1", q0, cutoff)
+            up = jackson_integral_numeric(lat, base, "0_x", tol, k0=k_hi)
+            low = jackson_integral_numeric(lat, base, "0_x", tol, k0=k_lo)
+            return sign * (up - low)
+
+        lhs, rest = _ibp_sides(variant, "1", f, g, lattice_sum)
+        rhs = boundary - rest
         if abs(lhs - rhs) > 1e-9:
             rep.record(variant, str(lhs), str(rhs))
     return rep
@@ -559,7 +532,7 @@ def sesquilinear_line(f: CFunction, g: CFunction, form: str, q0: float,
     else:
         integrand = conjugate_function("line", f) * g
     lat = LatticeFunction.from_cfunction(integrand, "x1", q0, cutoff, window=window)
-    values = {v: integrate_whole_line(lat, v, tol) for v in ("L", "Lbar", "R", "Rbar")}
+    values = {v: integrate_whole_line(lat, v, tol) for v in _GEOMETRIES}
     base = form[:1]
     if base == "1":
         combined = 0.5j * (values["L"] + values["Rbar"])

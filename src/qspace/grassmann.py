@@ -146,13 +146,18 @@ class SuperNumber:
 
 
 def g_deriv_int(f: SuperNumber, mode: str, as_integral: bool = False) -> QScalar:
-    """Left actions return the soul, right actions its negative; integration
-    along each geometry coincides with the matching differentiation."""
-    if mode in ("left", "left_bar"):
-        return f.soul
-    if mode in ("right", "right_bar"):
-        return -f.soul
-    raise ValueError(f"unknown mode {mode!r}")
+    """Left actions return the soul, right actions its negative.  The
+    integral is computed on its own, as the pairing of dth1 with
+    body + soul th1 in the mode's calculus (negated for the right modes);
+    it coincides with the derivative."""
+    if mode not in ("left", "left_bar", "right", "right_bar"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if as_integral:
+        f_el = GElement({(): f.body, ("th1",): f.soul})
+        value = _pair_deriv_first(GElement.gen("dth1"), f_el, mode.endswith("_bar"))
+    else:
+        value = f.soul
+    return value if mode.startswith("left") else -value
 
 
 def g_translate(f: SuperNumber):

@@ -20,6 +20,7 @@ class StarContext:
         if ordering not in ("standard", "reversed"):
             raise ValueError(f"unknown ordering {ordering!r}")
         self.space = space
+        self.vars = space_vars(space)  # an unknown space fails here, not in star
         self.ordering = ordering
 
 
@@ -78,7 +79,7 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
 
 def star(ctx: StarContext, f: CFunction, g: CFunction) -> CFunction:
     """The star product; on the line it is the plain commutative product."""
-    want = space_vars(ctx.space)
+    want = ctx.vars
     if f.vars != want:
         f = f.restrict(want)
     if g.vars != want:

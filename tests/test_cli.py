@@ -258,6 +258,41 @@ def test_int_command(tmp_path, capsys):
     assert abs(float(out) - 1 / 2.1) < 1e-9
 
 
+@pytest.mark.parametrize("content, where", [
+    (None, "No such file or directory"),
+    ("# nothing but a comment\n\n", "no 'k value' lines"),
+    ("0 1.0\n1 1.1\n2\n", "line 3: expected 'k value', got '2'"),
+    ("0 1.0\n# k value\n1 abc\n", "line 3: could not convert string to float: 'abc'"),
+], ids=["missing", "empty", "one-field", "not-a-number"])
+def test_int_bad_samples_file_is_a_usage_error(tmp_path, capsys, content, where):
+    path = tmp_path / "samples.txt"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "int", "--from", "0", "--to", "1", "--q", "1.1",
+                         "--samples", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: samples file {path}: {where}"
+
+
+def test_int_bound_pairs(tmp_path, capsys):
+    # f(x) = x on the positive axis: int_0^1 x d_q x = 1/[[2]] at q0
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{k} {1.1 ** k}\n" for k in range(-300, 1)))
+    code, out, _ = run(capsys, "int", "--from", "0", "--to", "1", "--q", "1.1",
+                       "--samples", str(path))
+    assert (code, abs(float(out) - 1 / 2.1) < 1e-9) == (0, True)
+    # the negative axis carries no samples, so both of its bounds integrate 0
+    for lower, upper in (("-1", "0"), ("-inf", "-1")):
+        # written --from=..., since argparse takes a lone "-inf" for an option
+        code, out, _ = run(capsys, "int", f"--from={lower}", f"--to={upper}", "--q", "1.1",
+                           "--samples", str(path))
+        assert (code, float(out)) == (0, 0.0)
+    code, _, err = run(capsys, "int", "--from", "0", "--to", "inf", "--q", "1.1",
+                       "--samples", str(path))
+    assert (code, err) == (2, "unsupported bound combination")
+
+
 def test_evolve_command(capsys):
     code, out, _ = run(capsys, "evolve", "--H", "free", "--order", "3",
                        "--space", "line", "--observable", "X1")

@@ -100,6 +100,7 @@ _F = CFunction.monomial(E3_VARS, (0, 1, 0, 0))
     lambda s: build_R(s),
     lambda s: parse("xp", s),
     lambda s: star(StarContext(s), _F, _F),
+    lambda s: StarContext(s),
     lambda s: reorder_transform(s, _F, "to_reversed"),
     lambda s: cfunc.space_vars(s),
     lambda s: rmatrix.labels(s),
@@ -107,8 +108,8 @@ _F = CFunction.monomial(E3_VARS, (0, 1, 0, 0))
     lambda s: ncalgebra.conjugate_word_formal(s, ("xp",)),
 ], ids=[
     "free_hamiltonian", "act_inverse_partial", "act_partial_closed", "generator", "one",
-    "normal_form", "translate", "qexp", "build_R", "parse", "star", "reorder_transform",
-    "space_vars", "labels", "eigenvalues", "conjugate_word_formal",
+    "normal_form", "translate", "qexp", "build_R", "parse", "star", "StarContext",
+    "reorder_transform", "space_vars", "labels", "eigenvalues", "conjugate_word_formal",
 ])
 def test_unknown_space_raises_one_error(call):
     with pytest.raises(ValueError, match=r"^unknown space 'foo'$"):
