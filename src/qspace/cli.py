@@ -184,17 +184,25 @@ def _cmd_d(args):
 
 
 def _parse_bound(text):
+    """'0', 'inf' or '-inf' as written, else a nonzero finite float."""
     if text in ("0", "inf", "-inf"):
         return text
-    return float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x) or not x:
+        raise ValueError(f"bound {text!r} is not 0, inf, -inf or a nonzero lattice point")
+    return x
 
 
-# (--from, --to) -> Jackson bounds, with "x" for the bound at a lattice point
+# (--from, --to) -> (Jackson bounds, sign of the axis), with "x" for the
+# bound at a lattice point x = sign * q0^k0
 _INT_BOUNDS = {
-    ("0", "x"): "0_x",
-    ("x", "inf"): "x_inf",
-    ("x", "0"): "x_0",
-    ("-inf", "x"): "minusinf_x",
+    ("0", "x"): ("0_x", 1),
+    ("x", "inf"): ("x_inf", 1),
+    ("x", "0"): ("x_0", -1),
+    ("-inf", "x"): ("minusinf_x", -1),
 }
 
 
@@ -218,28 +226,43 @@ def _read_samples(path):
     return samples
 
 
+def _usage_error(text):
+    print(text, file=sys.stderr)
+    return 2
+
+
 def _cmd_int(args):
     try:
         samples = _read_samples(args.samples)
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        print(f"error: samples file {args.samples}: {reason}", file=sys.stderr)
-        return 2
+        return _usage_error(f"error: samples file {args.samples}: {reason}")
     kmax = max(abs(k) for _, k in samples)
     for k in range(-kmax, kmax + 1):
         samples.setdefault((1, k), 0j)
         samples.setdefault((-1, k), 0j)
-    lat = LatticeFunction(args.q0, kmax, samples)
-    ends = (_parse_bound(args.lower), _parse_bound(args.upper))
-    bounds = _INT_BOUNDS.get(tuple("x" if isinstance(e, float) else e for e in ends))
-    if bounds is None:
-        print("unsupported bound combination", file=sys.stderr)
-        return 2
-    x = next(e for e in ends if isinstance(e, float))
     try:
-        k0 = round(math.log(abs(x)) / math.log(args.q0))
-        if abs(args.q0 ** k0 - abs(x)) > 1e-9 * abs(x):
-            raise ValueError(f"{x} is not a lattice point of q0={args.q0}")
+        lat = LatticeFunction(args.q0, kmax, samples)
+    except ValueError as exc:
+        return _usage_error(f"error: --q {args.q0}: {exc}")
+    try:
+        ends = (_parse_bound(args.lower), _parse_bound(args.upper))
+    except ValueError as exc:
+        return _usage_error(f"error: {exc}")
+    pair = _INT_BOUNDS.get(tuple("x" if isinstance(e, float) else e for e in ends))
+    if pair is None:
+        return _usage_error("unsupported bound combination")
+    bounds, sign = pair
+    x = next(e for e in ends if isinstance(e, float))
+    if (x > 0) != (sign > 0):
+        return _usage_error(
+            f"error: bound {x} is not on the {'positive' if sign > 0 else 'negative'} axis"
+            f" that --from {args.lower} --to {args.upper} integrates on"
+        )
+    k0 = round(math.log(abs(x)) / math.log(args.q0))
+    if abs(args.q0 ** k0 - abs(x)) > 1e-9 * abs(x):
+        return _usage_error(f"error: bound {x} is not a lattice point of q0={args.q0}")
+    try:
         val = jackson_integral_numeric(lat, args.a, bounds, args.tol, k0=k0)
     except (NonConvergentSum, ValueError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
@@ -331,8 +354,23 @@ _COMMANDS = {
 }
 
 
+def _joined_bounds(argv):
+    """argv with '--from -inf' joined into '--from=-inf' (and so for --to):
+    argparse takes a lone '-inf' for an option, not for a value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--from", "--to") and arg[:1] == "-" and arg[1:2] != "-":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["int"]:
+        argv = _joined_bounds(argv)
     args = ap.parse_args(argv)
     if min(getattr(args, "degree", 0), getattr(args, "order", 0)) < 0:
         ap.error("--degree and --order must be nonnegative")

@@ -62,49 +62,43 @@ class GElement(_LinComb):
 
 
 def _rules(a, b):
-    """Rewrite for the disordered adjacent pair (a, b); None when ordered."""
+    """Rewrite for the disordered adjacent pair (a, b) of two coordinates or
+    two derivatives; None when ordered."""
     if a == b:
         return []  # squares vanish
-    ra, rb = _ORDER[a], _ORDER[b]
-    if ra <= rb and not (a.startswith("dth") and b.startswith("th")):
+    if _ORDER[a] <= _ORDER[b]:
         return None
-    if a.startswith("th") and b.startswith("th"):
-        return [(-ONE, (b, a))]
-    if a.startswith("dth") and b.startswith("dth"):
-        return [(-ONE, (b, a))]
-    # derivative past a coordinate: Leibniz with the braiding matrix
-    if a == "dth0" and b == "th0":
-        return [(ONE, ()), (-ONE, ("th0", "dth0"))]
-    if a == "dth0" and b == "th1":
-        return [(-ONE, ("th1", "dth0"))]
-    if a == "dth1" and b == "th0":
-        return [(-ONE, ("th0", "dth1"))]
-    if a == "dth1" and b == "th1":
-        return [(ONE, ()), (-qpow(1), ("th1", "dth1"))]
-    raise AssertionError((a, b))
+    return [(-ONE, (b, a))]
 
 
-_HAT_RULES = {
-    ("dth0", "th0"): [(ONE, ()), (-ONE, ("th0", "dth0"))],
-    ("dth0", "th1"): [(-ONE, ("th1", "dth0"))],
-    ("dth1", "th0"): [(-ONE, ("th0", "dth1"))],
-    ("dth1", "th1"): [(ONE, ()), (-qpow(-1), ("th1", "dth1"))],
-}
+def _leibniz(c):
+    """Derivative past a coordinate: Leibniz with the braiding matrix, -c
+    the coefficient of th1 dth1."""
+    return {
+        ("dth0", "th0"): [(ONE, ()), (-ONE, ("th0", "dth0"))],
+        ("dth0", "th1"): [(-ONE, ("th1", "dth0"))],
+        ("dth1", "th0"): [(-ONE, ("th0", "dth1"))],
+        ("dth1", "th1"): [(ONE, ()), (-c, ("th1", "dth1"))],
+    }
+
+
+# hatted -> the Leibniz table of that calculus
+_LEIBNIZ = {False: _leibniz(qpow(1)), True: _leibniz(qpow(-1))}
 
 
 def _normalize(word, hatted=False):
+    leibniz = _LEIBNIZ[hatted]
     out = {}
     stack = [(ONE, tuple(word))]
     while stack:
         coeff, w = stack.pop()
         for i in range(len(w) - 1):
             pair = (w[i], w[i + 1])
-            if hatted and pair in _HAT_RULES and w[i].startswith("dth"):
-                alts = _HAT_RULES[pair] if w[i] != w[i + 1] else []
-            else:
-                alts = _rules(*pair)
+            alts = leibniz.get(pair)
             if alts is None:
-                continue
+                alts = _rules(*pair)
+                if alts is None:
+                    continue
             for c, repl in alts:
                 stack.append((coeff * c, w[:i] + repl + w[i + 2:]))
             break
@@ -169,22 +163,30 @@ def g_antipode(f: SuperNumber) -> SuperNumber:
     return SuperNumber(f.body, -f.soul)
 
 
+# pairing kind -> (coordinate word first, hatted calculus)
+_PAIRINGS = {
+    "plain": (False, False),
+    "hat": (False, True),
+    "coord_first": (True, False),
+    "coord_first_hat": (True, True),
+}
+
+
 def g_pairing(kind: str) -> dict:
     """The printed pairing values on generators and the two-index words,
     computed by the act-then-counit procedure in the rewriting engine."""
+    if kind not in _PAIRINGS:
+        raise ValueError(f"unknown pairing kind {kind!r}")
+    coord_first, hatted = _PAIRINGS[kind]
     out = {}
     for i in (0, 1):
         for j in (0, 1):
             d = GElement.gen(f"dth{i}")
             th = GElement.gen(f"th{j}")
-            if kind == "plain":
-                out[(i, j)] = _pair_deriv_first(d, th, hatted=False)
-            elif kind == "hat":
-                out[(i, j)] = _pair_deriv_first(d, th, hatted=True)
-            elif kind == "coord_first":
-                out[(i, j)] = _pair_coord_first(th, d, hatted=False)
-            elif kind == "coord_first_hat":
-                out[(i, j)] = _pair_coord_first(th, d, hatted=True)
+            if coord_first:
+                out[(i, j)] = _pair_coord_first(th, d, hatted)
+            else:
+                out[(i, j)] = _pair_deriv_first(d, th, hatted)
     return out
 
 
@@ -209,17 +211,23 @@ def _pair_coord_first(th: GElement, d: GElement, hatted: bool) -> QScalar:
     return total
 
 
+_COORD_FIRST_EXP = [((), (), ONE), (("th1",), ("dth1",), ONE)]
+_DERIV_FIRST_EXP = [((), (), ONE), (("dth1",), ("th1",), -ONE)]
+# variant -> its terms (coordinate word, derivative word, coefficient); both
+# calculi give the same truncated series
+_EXPONENTIALS = {
+    "x_d": _COORD_FIRST_EXP,
+    "x_dhat": _COORD_FIRST_EXP,
+    "d_x": _DERIV_FIRST_EXP,
+    "dhat_x": _DERIV_FIRST_EXP,
+}
+
+
 def g_exponential(variant: str):
     """The four truncated exponentials; nilpotency cuts them at one term."""
-    if variant == "x_d":
-        return [((), (), ONE), (("th1",), ("dth1",), ONE)]
-    if variant == "x_dhat":
-        return [((), (), ONE), (("th1",), ("dth1",), ONE)]
-    if variant == "d_x":
-        return [((), (), ONE), (("dth1",), ("th1",), -ONE)]
-    if variant == "dhat_x":
-        return [((), (), ONE), (("dth1",), ("th1",), -ONE)]
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in _EXPONENTIALS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return list(_EXPONENTIALS[variant])
 
 
 def g_delta(variant: str) -> SuperNumber:

@@ -220,8 +220,9 @@ def _cdiv(a, b):
 # keys keep the order a loop over stored coefficients {exponent: int |
 # Fraction | GaussianRational} builds (a product by first appearance, left
 # factor outside): eval_float sums in that order, and the numeric reports
-# depend on it.  The stored form is what ``QScalar.num``/``den`` show and
-# what the rare gcd and division paths (_pdivmod, _pgcd) compute in.
+# depend on it.  The stored form is only read and shown at the public edge:
+# the QScalar constructor, num/den, str, hash, eval_exact and
+# subs_q_inverse.
 
 
 def _pparts(p):
@@ -459,85 +460,59 @@ def _pconj(a):
     return (re, {k: -v for k, v in im.items()}, d)
 
 
-def _plead(p):
-    """The leading coefficient of a nonzero polynomial, stored."""
-    if type(p) is dict:
-        return p[max(p)]
-    re, im, d = p
+def _pmonic(p, by):
+    """p divided by the leading coefficient of the nonzero polynomial by;
+    p itself when that coefficient is 1."""
+    re, im, m = _pparts(by)
     k = max(re)
-    y = 0 if im is None else im[k]
-    return _gr(_rdiv(re[k], d), _rdiv(y, d)) if y else _rdiv(re[k], d)
-
-
-def _pmonic(p, lead):
-    """p divided by the nonzero stored coefficient lead."""
-    if type(lead) is GaussianRational:
-        return _pmul(p, _from_stored({0: lead.inverse()}))
-    # times the denominator m of lead = n/m, over n
+    x, y = re[k], 0 if im is None else im[k]
     re, im, d = _pparts(p)
-    n, m = lead.numerator, lead.denominator
-    if n < 0:
-        n, m = -n, -m
-    im = im and {k: v * m for k, v in im.items()}
-    return _preduce({k: v * m for k, v in re.items()}, im, d * n)
-
-
-# -- the gcd and division paths, on stored coefficients ----------------------
-
-
-def _pdivc(a, c):
-    """a divided by the nonzero stored coefficient c."""
-    return {k: _cdiv(v, c) for k, v in a.items()}
-
-
-def _pdeg(a):
-    return max(a) if a else None
+    if not y:
+        # times m / x, the sign moved into the numerator
+        if x == m:
+            return p
+        if x < 0:
+            x, m = -x, -m
+        return _preduce(
+            {k: v * m for k, v in re.items()}, im and {k: v * m for k, v in im.items()}, d * x
+        )
+    # times m (x - iy) / (x^2 + y^2)
+    pairs = list(zip(re.items(), repeat(0) if im is None else im.values()))
+    return _preduce(
+        {k: (u * x + v * y) * m for (k, u), v in pairs},
+        {k: (v * x - u * y) * m for (k, u), v in pairs},
+        d * (x * x + y * y),
+    )
 
 
 def _pdivmod(a, b):
-    """Polynomial division (nonnegative exponents) over the Gaussian field."""
-    r = dict(a)
-    db = _pdeg(b)
-    lb = b[db]
-    monic = lb == 1
-    quo = {}
+    """Quotient and remainder of a by a monic b (nonnegative exponents); the
+    quotient's keys come in descending order."""
+    db = max(_pkeys(b))
+    quo, r = {}, a
     while r:
-        dr = _pdeg(r)
+        dr = max(_pkeys(r))
         if dr < db:
             break
-        c = r[dr] if monic else _cdiv(r[dr], lb)
-        shift = dr - db
-        quo[shift] = c
-        for k, v in b.items():
-            kk = k + shift
-            s = r.get(kk, 0) - v * c
-            if type(s) is not int:
-                s = _num(s)
-            if s:
-                r[kk] = s
-            else:
-                r.pop(kk, None)
+        # the leading term of the remainder, shifted down by deg b
+        re, im, d = _pparts(r)
+        t = _preduce({dr - db: re[dr]}, im and {dr - db: im[dr]}, d)
+        quo = _padd(quo, t)
+        r = _padd(r, _pneg(_pmul(t, b)))
     return quo, r
 
 
 def _pgcd(a, b):
-    a, b = dict(a), dict(b)
+    """The monic gcd of two polynomials (nonnegative exponents), b nonzero."""
     while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-        if a:
-            lead = a[_pdeg(a)]
-            if lead != 1:
-                a = _pdivc(a, lead)
-    return a if a else {0: 1}
+        b = _pmonic(b, b)
+        a, b = b, _pdivmod(a, b)[1]
+    return a
 
 
 def _pquo(a, g):
     """The exact quotient of a polynomial by a monic factor g."""
-    if type(a) is dict and type(g) is dict:
-        # division by a monic integer polynomial stays over the integers
-        return _pdivmod(a, g)[0]
-    return _from_stored(_pdivmod(_to_stored(a), _to_stored(g))[0])
+    return _pdivmod(a, g)[0]
 
 
 def _lgcd(a, d):
@@ -547,10 +522,8 @@ def _lgcd(a, d):
     way the gcd is 1 without a division."""
     if _plen(d) == 1 or _plen(a) == 1:
         return None
-    a = _to_stored(a)
-    amin = min(a)
-    g = _pgcd(_pshift(a, -amin) if amin else a, _to_stored(d))
-    return None if len(g) == 1 else _from_stored(g)
+    g = _pgcd(_pshift(a, -min(_pkeys(a))), d)
+    return None if _plen(g) == 1 else g
 
 
 def _lquo(a, g):
@@ -641,10 +614,7 @@ class QScalar:
             if g is not None:
                 num = _lquo(num, g)
                 den = _pquo(den, g)
-        lead = _plead(den)
-        if lead != 1:
-            den = _pmonic(den, lead)
-            num = _pmonic(num, lead)
+        num, den = _pmonic(num, den), _pmonic(den, den)
         self._n = num
         self._d = den if _plen(den) > 1 else _P_ONE
 
@@ -814,15 +784,11 @@ class QScalar:
         if m:
             num = _pshift(num, -m)
         den = _pmul(d1, p2)
+        num = _pmonic(num, den)
         if _plen(den) == 1:
             # a constant: the quotient's denominator is 1
-            (lead,) = _to_stored(den).values()
-            return _canon(num if lead == 1 else _pmonic(num, lead), _P_ONE)
-        lead = _plead(den)
-        if lead != 1:
-            den = _pmonic(den, lead)
-            num = _pmonic(num, lead)
-        return _canon(num, den)
+            return _canon(num, _P_ONE)
+        return _canon(num, _pmonic(den, den))
 
     def __rtruediv__(self, other):
         other = _coerce(other)

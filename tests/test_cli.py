@@ -293,6 +293,43 @@ def test_int_bound_pairs(tmp_path, capsys):
     assert (code, err) == (2, "unsupported bound combination")
 
 
+def test_int_negative_bound_written_with_a_space(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{k} {1.1 ** k}\n" for k in range(-300, 1)))
+    got = [run(capsys, "int", *lower, "--to", "-1.21", "--q", "1.1", "--samples", str(path))
+           for lower in (("--from", "-inf"), ("--from=-inf",))]
+    assert got[0] == got[1]
+    code, out, err = got[0]
+    assert (code, float(out), err) == (0, 0.0, "")
+
+
+@pytest.mark.parametrize("bounds, where", [
+    (("--from", "0", "--to", "abc"), "error: bound 'abc' is not 0, inf, -inf or a nonzero lattice point"),
+    (("--from", "0", "--to", "0.0"), "error: bound '0.0' is not 0, inf, -inf or a nonzero lattice point"),
+    (("--from", "0", "--to=-1.21"),
+     "error: bound -1.21 is not on the positive axis that --from 0 --to -1.21 integrates on"),
+    (("--from", "1.21", "--to", "0"),
+     "error: bound 1.21 is not on the negative axis that --from 1.21 --to 0 integrates on"),
+    (("--from", "0", "--to", "1.5"), "error: bound 1.5 is not a lattice point of q0=1.1"),
+], ids=["not-a-number", "zero-lattice-point", "negative-on-positive-axis",
+        "positive-on-negative-axis", "off-the-lattice"])
+def test_int_bad_bound_is_a_usage_error(tmp_path, capsys, bounds, where):
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{k} {1.1 ** k}\n" for k in range(-300, 1)))
+    code, out, err = run(capsys, "int", *bounds, "--q", "1.1", "--samples", str(path))
+    assert (code, out, err) == (2, "", where)
+
+
+@pytest.mark.parametrize("q0", ["1", "0.5", "-2", "nan"])
+def test_int_bad_q_is_a_usage_error(tmp_path, capsys, q0):
+    path = tmp_path / "samples.txt"
+    path.write_text("0 1.0\n")
+    code, out, err = run(capsys, "int", "--from", "0", "--to", "1", "--q", q0,
+                         "--samples", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: --q {float(q0)}: lattice base q0 must exceed 1"
+
+
 def test_evolve_command(capsys):
     code, out, _ = run(capsys, "evolve", "--H", "free", "--order", "3",
                        "--space", "line", "--observable", "X1")

@@ -1,3 +1,5 @@
+import pytest
+
 from qspace.grassmann import (
     GElement,
     SuperNumber,
@@ -64,6 +66,13 @@ def test_pairings():
         for i in (0, 1):
             for j in (0, 1):
                 assert vals[(i, j)] == (-ONE if i == j else ZERO)
+
+
+def test_unknown_pairing_kind_or_variant_raises():
+    with pytest.raises(ValueError, match="unknown pairing kind 'hatted'"):
+        g_pairing("hatted")
+    with pytest.raises(ValueError, match="unknown variant 'x_D'"):
+        g_exponential("x_D")
 
 
 def test_exponentials_and_deltas():

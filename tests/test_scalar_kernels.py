@@ -2,8 +2,9 @@
 
 Coefficients of ``QScalar.num``/``QScalar.den`` are shown as an ``int``, a
 non-integral ``Fraction``, or a ``GaussianRational`` with nonzero imaginary
-part; ``_padd``/``_pmul`` take and return the kernels' own form, so they are
-called here through ``_from_stored``/``_to_stored``.  The kernels below are
+part; ``_padd``/``_pmul`` and the division and gcd kernels take and return
+the kernels' own form, so they are called here through
+``_from_stored``/``_to_stored``.  The kernels below are
 restated from the earlier scalar core, where every coefficient was a
 ``GaussianRational``; both sides run on the same seeded random polynomials
 and are compared after boxing every coefficient.
@@ -24,6 +25,7 @@ from qspace.scalars import (
     _padd,
     _pdivmod,
     _pgcd,
+    _pmonic,
     _pmul,
     _to_stored,
     qbinom,
@@ -223,26 +225,70 @@ def test_padd_and_pmul_match_the_boxed_kernels():
     assert pmul(*_CANCELLING[3]) == {0: 1} and type(pmul(*_CANCELLING[3])[0]) is int
 
 
+def boxed_pmonic(p, by):
+    return boxed_pscale(p, by[boxed_pdeg(by)].inverse())
+
+
+def unbox(p):
+    return {k: stored(c.re, c.im) for k, c in p.items()}
+
+
+# Divisions that reach the corners of the kernels: Gaussian, negative and
+# fractional leads, one-term divisors, a divisor equal to the dividend, and
+# remainders that cancel to a constant or to zero.
+_DIVISIONS = [
+    ({0: 1, 2: 3}, {0: 1, 1: stored(0, 2)}),
+    ({0: stored(1, 1), 1: 5, 3: stored(0, -1)}, {0: 2, 1: stored(Fraction(1, 2), -1)}),
+    ({0: 4, 1: 1, 2: 7}, {0: 1, 2: -3}),
+    ({0: Fraction(1, 3), 3: -2}, {1: Fraction(-5, 6), 0: 1}),
+    ({0: 3, 2: stored(1, 1)}, {2: stored(0, -3)}),
+    ({1: 5, 4: Fraction(2, 3)}, {0: -7}),
+    ({0: 1, 1: stored(2, 1), 2: -4}, {0: 1, 1: stored(2, 1), 2: -4}),
+    # (q+1)(q+2) + 5 over q+1 and over (q+1)(q+2): remainders 5
+    ({0: 7, 1: 3, 2: 1}, {0: 1, 1: 1}),
+    ({0: 7, 1: 3, 2: 1}, {0: 2, 1: 3, 2: 1}),
+    ({0: stored(2, 1), 1: stored(Fraction(1, 2), 1), 2: 2}, {0: stored(0, 1), 1: 2}),
+    ({0: stored(-1, 1), 1: 1, 2: stored(0, 1), 3: 1}, {0: stored(0, 1), 1: 1}),
+    ({0: stored(0, 2), 1: stored(2, 1), 2: 1}, {0: stored(0, -1), 1: stored(-1, 2), 2: 2}),
+]
+
+
 def test_pdivmod_and_pgcd_match_the_boxed_kernels():
+    monic = stored_kernel(_pmonic)
+    pgcd = stored_kernel(_pgcd)
     rng = random.Random(22)
-    cases = list(_pairs(23, 300, 0, 6))
+    cases = list(_pairs(23, 300, 0, 6)) + _DIVISIONS
+    cases += [(b, a) for a, b in _DIVISIONS]
     # pairs with a common factor, so the gcd has something to find
     for _ in range(60):
         common = random_poly(rng, 0, 3, rng.choice(("int", "frac", "gauss")))
         a = random_poly(rng, 0, 3, rng.choice(("int", "gauss")))
         b = random_poly(rng, 0, 3, rng.choice(("int", "frac")))
-        cases.append((boxed_pmul(box(a), box(common)), boxed_pmul(box(b), box(common))))
+        cases.append((unbox(boxed_pmul(box(a), box(common))),
+                      unbox(boxed_pmul(box(b), box(common)))))
     for a, b in cases:
-        a = {k: stored(c.re, c.im) if isinstance(c, GaussianRational) else c for k, c in a.items()}
-        b = {k: stored(c.re, c.im) if isinstance(c, GaussianRational) else c for k, c in b.items()}
-        quo, rem = _pdivmod(a, b)
-        want_quo, want_rem = boxed_pdivmod(box(a), box(b))
+        bm = boxed_pmonic(box(b), box(b))
+        for got, want in ((monic(b, b), bm), (monic(a, b), boxed_pmonic(box(a), box(b)))):
+            assert_stored(got)
+            assert box(got) == want and list(got) == list(want), (a, b)
+        quo, rem = _pdivmod(_from_stored(a), _from_stored(unbox(bm)))
+        quo, rem = _to_stored(quo), _to_stored(rem)
+        want_quo, want_rem = boxed_pdivmod(box(a), bm)
         assert_stored(quo)
         assert_stored(rem)
         assert (box(quo), box(rem)) == (want_quo, want_rem), (a, b)
-        g = _pgcd(a, b)
+        assert list(quo) == list(want_quo), (a, b)
+        # the gcd takes the divisor as it comes, not made monic
+        g = pgcd(a, b)
         assert_stored(g)
         assert box(g) == boxed_pgcd(box(a), box(b)), (a, b)
+    # a monic divisor equal to the dividend, and a remainder that cancels to 5
+    p = {0: 1, 1: 2, 2: 1}
+    assert _pdivmod(p, p) == ({0: 1}, {})
+    assert _pdivmod({0: 7, 1: 3, 2: 1}, {0: 2, 1: 3, 2: 1}) == ({0: 1}, {0: 5})
+    # (q + i)(q + 2) and the non-monic (q + i)(2q - 1) share q + i
+    assert pgcd(*_DIVISIONS[-1]) == {0: stored(0, 1), 1: 1}
+    assert pgcd(*_DIVISIONS[7]) == {0: 1}
 
 
 def test_eval_exact_matches_the_boxed_evaluation():

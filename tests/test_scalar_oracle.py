@@ -23,8 +23,6 @@ from qspace.scalars import (
     GaussianRational,
     Q,
     QScalar,
-    _pdivmod,
-    _pgcd,
     _poly_to_str,
     qpow,
     scalar,
@@ -256,11 +254,10 @@ def test_products_by_one(x):
 #
 # Before the content form every polynomial was one dict of stored
 # coefficients: an int, a non-integral Fraction, or a GaussianRational with
-# nonzero imaginary part.  Its kernels and QScalar arithmetic are restated
-# below (the division and gcd kernels, unchanged on stored coefficients, are
-# the module's).  The content form must give the same parts in the same key
-# order, and the same str, hash, eval_exact and, bit for bit, eval_float,
-# which sums in key order.
+# nonzero imaginary part.  Its kernels, the division and gcd kernels among
+# them, and QScalar arithmetic are restated below.  The content form must
+# give the same parts in the same key order, and the same str, hash,
+# eval_exact and, bit for bit, eval_float, which sums in key order.
 
 
 def _st(x):
@@ -316,20 +313,51 @@ def _st_pmul(a, b):
     return {k: _st(c) for k, c in out.items() if c}
 
 
+def _st_pdivmod(a, b):
+    """Division with remainder (nonnegative exponents) over the Gaussian
+    field; the quotient's keys come in descending order."""
+    r = dict(a)
+    db = max(b)
+    lb = b[db]
+    quo = {}
+    while r and max(r) >= db:
+        dr = max(r)
+        c = r[dr] if lb == 1 else _st_div(r[dr], lb)
+        quo[dr - db] = c
+        for k, v in b.items():
+            kk = k + dr - db
+            s = _st(r.get(kk, 0) - v * c)
+            if s:
+                r[kk] = s
+            else:
+                r.pop(kk, None)
+    return quo, r
+
+
+def _st_pgcd(a, b):
+    a, b = dict(a), dict(b)
+    while b:
+        a, b = b, _st_pdivmod(a, b)[1]
+        lead = a[max(a)]
+        if lead != 1:
+            a = {k: _st_div(c, lead) for k, c in a.items()}
+    return a
+
+
 def _st_lgcd(a, d):
     if len(d) == 1 or len(a) == 1:
         return None
-    g = _pgcd(_st_shift(a, -min(a)), d)
+    g = _st_pgcd(_st_shift(a, -min(a)), d)
     return None if len(g) == 1 else g
 
 
 def _st_lquo(a, g):
     amin = min(a)
-    return _st_shift(_pdivmod(_st_shift(a, -amin), g)[0], amin)
+    return _st_shift(_st_pdivmod(_st_shift(a, -amin), g)[0], amin)
 
 
 def _st_quo(a, g):
-    return _pdivmod(a, g)[0]
+    return _st_pdivmod(a, g)[0]
 
 
 def _st_monic(num, den):
