@@ -9,6 +9,7 @@ sets appearing in translations, and symbolic integration endpoints.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .scalars import ONE, QScalar, _add_term, _coeff_times, _LinComb, qnum, scalar
 from .spaces import E3, LINE, X_TOKENS
@@ -241,6 +242,8 @@ class LatticeFunction:
     def __init__(self, q0: float, cutoff: int, samples=None):
         if not q0 > 1:
             raise ValueError("lattice base q0 must exceed 1")
+        if q0 == math.inf:
+            raise ValueError("lattice base q0 must be finite")
         self.q0 = float(q0)
         self.cutoff = int(cutoff)
         self.samples = dict(samples or {})

@@ -245,6 +245,8 @@ def _cmd_int(args):
         lat = LatticeFunction(args.q0, kmax, samples)
     except ValueError as exc:
         return _usage_error(f"error: --q {args.q0}: {exc}")
+    if not args.a:
+        return _usage_error("error: --a 0: the base exponent must be nonzero")
     try:
         ends = (_parse_bound(args.lower), _parse_bound(args.upper))
     except ValueError as exc:
@@ -263,7 +265,8 @@ def _cmd_int(args):
     if abs(args.q0 ** k0 - abs(x)) > 1e-9 * abs(x):
         return _usage_error(f"error: bound {x} is not a lattice point of q0={args.q0}")
     try:
-        val = jackson_integral_numeric(lat, args.a, bounds, args.tol, k0=k0)
+        # + 0j: the sum of zero samples times the axis sign -1 is -0.0
+        val = jackson_integral_numeric(lat, args.a, bounds, args.tol, k0=k0) + 0j
     except (NonConvergentSum, ValueError) as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1

@@ -306,6 +306,8 @@ _NF_CACHE_MAX_LEN = 10
 # the whole-word memo, a rule set's insertion and counit memos, and the
 # transport table are each emptied when they reach this many entries
 _MEMO_LIMIT = 20_000
+# tables other modules build from normal forms: emptied with the memos
+_DERIVED_TABLES = []
 _STRATEGY = ContextVar("rewrite_strategy", default="leftmost")
 
 
@@ -339,6 +341,8 @@ def _clear_memos():
     for rs in list(_RULESETS.values()):
         rs.memo.clear()
         rs.counit_memo.clear()
+    for table in _DERIVED_TABLES:
+        table.clear()
 
 
 def _fold(rs, terms, t, n=1):

@@ -11,9 +11,9 @@ reconstruction test pins these down.
 from __future__ import annotations
 
 from .cfunc import CFunction, _monomials, space_vars
-from .ncalgebra import NCElement, act
+from .ncalgebra import _DERIVED_TABLES, _MEMO_LIMIT, NCElement, act
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, _add_term, qfact, qpow, scalar
+from .scalars import ONE, QScalar, _add_term, qfact, qnum, qpow, scalar
 from .spaces import D_TOKENS, HAT_D_TOKENS, HAT_POWER, REVERSED, X_TOKENS
 
 PAIR_VARIANTS = ("L_Rbar", "Lbar_R")
@@ -97,6 +97,29 @@ class TensorSeries:
         return "  +  ".join(parts) if parts else "0"
 
 
+# (space, hatted, exps) -> (1 / norm factor, derivative word rows), filled on
+# first use.  Entries are tuples of immutable values, stored whole; every
+# qexp call builds new elements from them.  The rows are normal forms, so the
+# table is emptied with ncalgebra's memos, and whole at _MEMO_LIMIT entries
+_EXP_TERMS = {}
+_DERIVED_TABLES.append(_EXP_TERMS)
+
+
+def _exp_term(space, hat, exps, made, bases):
+    """One table entry.  The coefficient is its prefix's (one index lowered
+    by one, read from made) over that index's factor, by the recurrence
+    [[n]]! = [[n]] [[n-1]]!; bases gives each index's q-number base, 0 for
+    the classical x0 factorial."""
+    j = next((j for j, n in enumerate(exps) if n), None)
+    if j is None:
+        coeff = ONE
+    else:
+        n = exps[j]
+        prefix = made[exps[:j] + (n - 1,) + exps[j + 1:]][0]
+        coeff = prefix / (qnum(n, bases[j]) if bases[j] else scalar(n))
+    return coeff, tuple(deriv_word_element(space, exps, hat).terms.items())
+
+
 def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     """The four q-exponential variants, truncated at total degree.
 
@@ -104,7 +127,8 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     factorial coefficients), 'x_dhat' with hatted words (inverse bases); the
     flipped variants put the derivative leg first and are dual to the
     coordinate-first pairings, whose printed values carry a sign per
-    derivative factor.
+    derivative factor.  Terms come sorted by degree from the term table;
+    each call returns new elements.
     """
     if variant not in EXP_VARIANTS:
         raise ValueError(f"unknown exponential variant {variant!r}")
@@ -113,13 +137,24 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     vars_ = space_vars(space)
     hat = variant in ("x_dhat", "dhat_x")
     flipped = variant in ("d_x", "dhat_x")
+    sign = -1 if hat else 1
+    bases = [sign * _FACT_BASES[space].get(v, 0) for v in vars_]
+    # a prefix has one degree less, so it is made (or read) before its use
+    made = {}
     terms = []
-    for exps in _monomials(vars_, degree_bound):
-        c = ONE / _norm_factor(space, exps, inv=hat)
+    for exps in sorted(_monomials(vars_, degree_bound), key=lambda e: (sum(e), e)):
+        key = (space, hat, exps)
+        entry = _EXP_TERMS.get(key)
+        if entry is None:
+            entry = _exp_term(space, hat, exps, made, bases)
+            if len(_EXP_TERMS) >= _MEMO_LIMIT:
+                _EXP_TERMS.clear()
+            _EXP_TERMS[key] = entry
+        made[exps] = entry
+        coeff, rows = entry
         if flipped and sum(exps) % 2:
-            c = -c
-        terms.append((exps, deriv_word_element(space, exps, hat), c))
-    terms.sort(key=lambda t: (sum(t[0]), t[0]))
+            coeff = -coeff
+        terms.append((exps, NCElement(space, dict(rows)), coeff))
     return TensorSeries(space, variant, degree_bound, terms)
 
 

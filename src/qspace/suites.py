@@ -14,7 +14,6 @@ from .reports import VerificationReport
 from .scalars import GaussianRational, LAM, ONE, ZERO, scalar
 from .spaces import D_OF_LABEL, HAT_POWER, SPACES
 
-NOTE_TIME_BLOCK = rmatrix.TIME_BLOCK_NOTE
 NOTE_LEI_SUBSCRIPTS = (
     "the printed hatted time rules end in stray subscripts (a 3-index and a "
     "bare derivative); time centrality of the hatted calculus is implemented"

@@ -330,6 +330,34 @@ def test_int_bad_q_is_a_usage_error(tmp_path, capsys, q0):
     assert err == f"error: --q {float(q0)}: lattice base q0 must exceed 1"
 
 
+def test_int_infinite_q_is_a_usage_error(tmp_path, capsys):
+    # a nan --q is one of test_int_bad_q_is_a_usage_error's rows
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{k} {1.1 ** k}\n" for k in range(-300, 1)))
+    code, out, err = run(capsys, "int", "--from", "0", "--to", "1", "--q", "inf",
+                         "--samples", str(path))
+    assert (code, out, err) == (2, "", "error: --q inf: lattice base q0 must be finite")
+
+
+def test_int_zero_base_exponent_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{k} {1.1 ** k}\n" for k in range(-300, 1)))
+    code, out, err = run(capsys, "int", "--from", "0", "--to", "1", "--q", "1.1", "--a", "0",
+                         "--samples", str(path))
+    assert (code, out, err) == (2, "", "error: --a 0: the base exponent must be nonzero")
+
+
+def test_int_zero_on_the_negative_axis_prints_unsigned_zero(tmp_path, capsys):
+    # samples on the positive axis only: both negative-axis integrals are 0
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{k} {1.1 ** k}\n" for k in range(-300, 1)))
+    for bounds in (("--from", "-inf", "--to", "-1.21"), ("--from=-1.21", "--to", "0")):
+        got = run(capsys, "int", *bounds, "--q", "1.1", "--samples", str(path))
+        assert got == (0, "0.0", "")
+        got = run(capsys, "int", *bounds, "--q", "1.1", "--samples", str(path), "--json")
+        assert got == (0, '{"value": [0.0, 0.0]}', "")
+
+
 def test_evolve_command(capsys):
     code, out, _ = run(capsys, "evolve", "--H", "free", "--order", "3",
                        "--space", "line", "--observable", "X1")

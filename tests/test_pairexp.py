@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
-from qspace.cfunc import CFunction, E3_VARS, LINE_VARS
-from qspace.ncalgebra import NCElement, PurityError, lift, normal_form
+from qspace import pairexp
+from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
+from qspace.ncalgebra import NCElement, PurityError, lift, normal_form, rewrite_strategy
 from qspace.pairexp import (
+    EXP_VARIANTS,
+    _EXP_TERMS,
+    _norm_factor,
     classical_factorial,
     coord_word_element,
     deriv_word_element,
@@ -112,3 +118,87 @@ def test_hatted_words_follow_reversed_basis_order():
     dw = deriv_word_element("euclid3", (0, 1, 1, 0), True)
     explicit = normal_form("euclid3", ("dp", "d3")).scale(qpow(12))
     assert dw == explicit
+
+
+# -- the term table -------------------------------------------------------------
+
+_CALLS = [(space, variant, degree) for space in ("line", "euclid3")
+          for variant in EXP_VARIANTS for degree in range(6)]
+
+
+def _direct(space, variant, degree):
+    """The exponential term by term: the factorial product, its reciprocal,
+    the normal-ordered word and the sign of the flipped variants."""
+    hat = variant in ("x_dhat", "dhat_x")
+    flipped = variant in ("d_x", "dhat_x")
+    out = []
+    for exps in sorted(_monomials(space_vars(space), degree), key=lambda e: (sum(e), e)):
+        c = ONE / _norm_factor(space, exps, hat)
+        if flipped and sum(exps) % 2:
+            c = -c
+        out.append((exps, deriv_word_element(space, exps, hat), c))
+    return out
+
+
+def _data(terms):
+    return [(exps, dict(dword.terms), coeff, str(coeff)) for exps, dword, coeff in terms]
+
+
+@pytest.fixture(scope="module")
+def direct():
+    return {call: _data(_direct(*call)) for call in _CALLS}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_qexp_table_matches_the_direct_construction(direct, order):
+    calls = list(_CALLS)
+    if order == "descending":
+        calls.reverse()
+    elif order == "shuffled":
+        random.Random(16).shuffle(calls)
+    for _ in range(2):  # a cold table, then a table filled by the first pass
+        _EXP_TERMS.clear()
+        for call in calls:
+            assert _data(qexp(*call).terms) == direct[call], call
+        for call in calls:
+            assert _data(qexp(*call).terms) == direct[call], call
+
+
+def test_qexp_builds_no_factorial_product(direct, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("qexp built a factorial product")
+
+    monkeypatch.setattr(pairexp, "_norm_factor", forbidden)
+    monkeypatch.setattr(pairexp, "qfact", forbidden)
+    _EXP_TERMS.clear()
+    for call in _CALLS:
+        assert _data(qexp(*call).terms) == direct[call], call
+
+
+def test_changing_a_returned_series_leaves_the_table_alone(direct):
+    call = ("euclid3", "dhat_x", 3)
+    series = qexp(*call)
+    for _exps, dword, _coeff in series:
+        dword.terms.clear()
+    series.terms.pop()
+    assert _data(qexp(*call).terms) == direct[call]
+    assert _data(qexp(*call[:2], 2).terms) == direct[call[:2] + (2,)]
+
+
+def test_table_stays_within_its_limit(direct, monkeypatch):
+    monkeypatch.setattr(pairexp, "_MEMO_LIMIT", 5)
+    _EXP_TERMS.clear()
+    for call in (("euclid3", "x_dhat", 5), ("line", "d_x", 5)):
+        # the table is emptied many times during the build; the prefixes
+        # of the entries made in this call are not lost
+        assert _data(qexp(*call).terms) == direct[call], call
+        assert len(_EXP_TERMS) <= 5
+
+
+def test_rewrite_strategy_empties_the_table(direct):
+    qexp("line", "x_d", 3)
+    assert _EXP_TERMS
+    with rewrite_strategy("rightmost"):
+        assert not _EXP_TERMS
+        assert _data(qexp("line", "x_d", 3).terms) == direct[("line", "x_d", 3)]
+    assert not _EXP_TERMS
