@@ -203,9 +203,10 @@ class CFunction(_LinComb):
     # -- evaluation -----------------------------------------------------------
 
     def eval_float(self, q0, point):
-        """Evaluate at numeric q0 and a point given as {var: complex}."""
+        """Evaluate at numeric q0 and a point given as {var: complex}, summing
+        over ``monomials()`` in order."""
         total = 0j
-        for e, c in self.terms.items():
+        for e, c in self.monomials():
             v = c.eval_float(q0)
             for name, n in zip(self.vars, e):
                 if n:
@@ -214,6 +215,7 @@ class CFunction(_LinComb):
         return total
 
     def monomials(self):
+        """The (exponents, coefficient) terms, exponent tuples ascending."""
         return sorted(self.terms.items(), key=lambda t: t[0])
 
     @staticmethod
@@ -266,8 +268,8 @@ class LatticeFunction:
                 raise ValueError("polynomial must depend on a single variable")
         window = cutoff if window is None else window
         # each coefficient is evaluated once; the per-point products and the
-        # sum run in the order of eval_float, so the samples are the same
-        terms = [(c.eval_float(q0), e[i]) for e, c in f.terms.items()]
+        # sum run as in eval_float, so the samples are its values
+        terms = [(c.eval_float(q0), e[i]) for e, c in f.monomials()]
         samples = {}
         for k in range(-cutoff, cutoff + 1):
             for sign in (1, -1):

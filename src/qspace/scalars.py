@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
 from types import MappingProxyType
 
 __all__ = [
@@ -212,17 +211,13 @@ def _cdiv(a, b):
 # * a plain dict {exponent: int} when every coefficient is an integer;
 # * the content form (re, im, d): int dicts over one int denominator d > 0,
 #   with gcd(d, every coefficient) = 1.  ``im`` is None for a real
-#   polynomial (then d > 1); otherwise it has the keys of ``re`` in the same
-#   order and some nonzero value, so ``im and f(im)`` keeps None as None.
-#   A key is present exactly when its coefficient (re[k] + i im[k]) / d is
-#   nonzero.
+#   polynomial (then d > 1); otherwise it has the keys of ``re`` and some
+#   nonzero value, so ``im and f(im)`` keeps None as None.  A key is
+#   present exactly when its coefficient (re[k] + i im[k]) / d is nonzero.
 # Every form is unique, so == on the parts is equality of polynomials.  The
-# keys keep the order a loop over stored coefficients {exponent: int |
-# Fraction | GaussianRational} builds (a product by first appearance, left
-# factor outside): eval_float sums in that order, and the numeric reports
-# depend on it.  The stored form is only read and shown at the public edge:
-# the QScalar constructor, num/den, str, hash, eval_exact and
-# subs_q_inverse.
+# stored form {exponent: int | Fraction | GaussianRational} is only read and
+# shown at the public edge: the QScalar constructor, num/den, str, hash,
+# eval_exact, eval_float and subs_q_inverse.
 
 
 def _pparts(p):
@@ -286,15 +281,15 @@ def _from_stored(p):
 
 
 def _to_stored(p):
-    """p as {exponent: stored coefficient}, in the same key order."""
+    """p as {exponent: stored coefficient}, in ascending exponent order."""
     if type(p) is dict:
-        return p
+        return {k: p[k] for k in sorted(p)}
     re, im, d = p
     if im is None:
-        return {k: _rdiv(x, d) for k, x in re.items()}
+        return {k: _rdiv(re[k], d) for k in sorted(re)}
     return {
-        k: _gr(_rdiv(x, d), _rdiv(y, d)) if y else _rdiv(x, d)
-        for (k, x), y in zip(re.items(), im.values())
+        k: _gr(_rdiv(re[k], d), _rdiv(im[k], d)) if im[k] else _rdiv(re[k], d)
+        for k in sorted(re)
     }
 
 
@@ -306,6 +301,8 @@ def _pstrip(p):
 def _padd(a, b):
     if type(a) is not dict or type(b) is not dict:
         return _cadd(a, b)
+    if len(a) < len(b):
+        a, b = b, a
     out = dict(a)
     for k, c in b.items():
         s = out.get(k)
@@ -327,6 +324,8 @@ def _cadd(a, b):
         return b
     if not b:
         return a
+    if _plen(a) < _plen(b):
+        a, b = b, a
     ra, ia, da = _pparts(a)
     rb, ib, db = _pparts(b)
     fa = db // math.gcd(da, db)
@@ -350,9 +349,9 @@ def _cadd(a, b):
         im = dict.fromkeys(ra, 0)
     else:
         im = {k: v * fa for k, v in ia.items()} if fa != 1 else dict(ia)
-    for (k, u), v in zip(rb.items(), repeat(0) if ib is None else ib.values()):
+    for k, u in rb.items():
         u *= fb
-        v *= fb
+        v = 0 if ib is None else ib[k] * fb
         s = get(k)
         if s is None:
             re[k] = u
@@ -401,16 +400,13 @@ def _pmul(a, b):
 
 def _cmul(a, b):
     """a * b for nonzero a, b when either is in content form: the int
-    product over the product of the denominators, then reduced.  The keys
-    come in the order of the integer loop above: by first appearance, a's
-    terms outside and b's inside."""
+    product over the product of the denominators, then reduced."""
     ra, ia, da = _pparts(a)
     rb, ib, db = _pparts(b)
     if ia is None and ib is None:
         return _preduce(_pmul(ra, rb), None, da * db)
-    # a product by one term has the other factor's key order, either way
-    # round, and keeps every key: a Gaussian product of nonzero terms is
-    # nonzero
+    # a product by one term keeps every key of the other factor: a Gaussian
+    # product of nonzero terms is nonzero
     if len(ra) == 1:
         ra, ia, rb, ib = rb, ib, ra, ia
     if len(rb) == 1:
@@ -420,14 +416,14 @@ def _cmul(a, b):
             re = {k + kb: x * u for k, x in ra.items()}
             im = {k + kb: x * v for k, x in ra.items()}
         else:
-            pairs = list(zip(ra.items(), ia.values()))
-            re = {k + kb: x * u - y * v for (k, x), y in pairs}
-            im = {k + kb: x * v + y * u for (k, x), y in pairs}
+            re = {k + kb: x * u - ia[k] * v for k, x in ra.items()}
+            im = {k + kb: x * v + ia[k] * u for k, x in ra.items()}
         return _preduce(re, im, da * db)
     re, im = {}, {}
     rget, iget = re.get, im.get
-    bs = [(k, u, v) for (k, u), v in zip(rb.items(), repeat(0) if ib is None else ib.values())]
-    for (ka, x), y in zip(ra.items(), repeat(0) if ia is None else ia.values()):
+    bs = [(k, u, 0 if ib is None else ib[k]) for k, u in rb.items()]
+    for ka, x in ra.items():
+        y = 0 if ia is None else ia[ka]
         for kb, u, v in bs:
             k = ka + kb
             re[k] = rget(k, 0) + x * u - y * v
@@ -477,17 +473,16 @@ def _pmonic(p, by):
             {k: v * m for k, v in re.items()}, im and {k: v * m for k, v in im.items()}, d * x
         )
     # times m (x - iy) / (x^2 + y^2)
-    pairs = list(zip(re.items(), repeat(0) if im is None else im.values()))
+    terms = [(k, u, 0 if im is None else im[k]) for k, u in re.items()]
     return _preduce(
-        {k: (u * x + v * y) * m for (k, u), v in pairs},
-        {k: (v * x - u * y) * m for (k, u), v in pairs},
+        {k: (u * x + v * y) * m for k, u, v in terms},
+        {k: (v * x - u * y) * m for k, u, v in terms},
         d * (x * x + y * y),
     )
 
 
 def _pdivmod(a, b):
-    """Quotient and remainder of a by a monic b (nonnegative exponents); the
-    quotient's keys come in descending order."""
+    """Quotient and remainder of a by a monic b (nonnegative exponents)."""
     db = max(_pkeys(b))
     quo, r = {}, a
     while r:
@@ -498,7 +493,7 @@ def _pdivmod(a, b):
         re, im, d = _pparts(r)
         t = _preduce({dr - db: re[dr]}, im and {dr - db: im[dr]}, d)
         quo = _padd(quo, t)
-        r = _padd(r, _pneg(_pmul(t, b)))
+        r = _padd(r, _pmul(_pneg(t), b))
     return quo, r
 
 
@@ -537,28 +532,18 @@ def _lquo(a, g):
 
 def _pfloat(p, s0):
     """The sum of complex(c) * s0 ** k over the stored coefficients c of p,
-    in key order, without building them."""
-    if type(p) is dict:
-        return sum(complex(c) * s0 ** k for k, c in p.items())
-    re, im, d = p
-    if im is None:
-        return sum(complex(x / d) * s0 ** k for k, x in re.items())
-    # complex(GaussianRational) term by term; an int quotient x / d rounds
-    # exactly as float(Fraction(x, d)) does
-    return sum(
-        (complex(x / d) + 1j * complex(y / d) if y else complex(x / d)) * s0 ** k
-        for (k, x), y in zip(re.items(), im.values())
-    )
+    in ascending exponent order, so equal polynomials give equal floats."""
+    return sum(complex(c) * s0 ** k for k, c in _to_stored(p).items())
 
 
 _P_ONE = {0: 1}
 
 
 def _hash_parts(p):
-    """A polynomial as sorted (exponent, re, im) triples."""
-    return tuple(sorted(
+    """A stored polynomial as (exponent, re, im) triples."""
+    return tuple(
         (k, c.re, c.im) if type(c) is GaussianRational else (k, c, 0) for k, c in p.items()
-    ))
+    )
 
 
 def _canon(num, den):
@@ -620,9 +605,9 @@ class QScalar:
 
     @property
     def num(self):
-        """The numerator as a read-only {exponent: coefficient} mapping; a
-        coefficient is an int, a non-integral Fraction, or a
-        GaussianRational with nonzero imaginary part."""
+        """The numerator as a read-only {exponent: coefficient} mapping,
+        exponents ascending; a coefficient is an int, a non-integral
+        Fraction, or a GaussianRational with nonzero imaginary part."""
         return MappingProxyType(_to_stored(self._n))
 
     @property
@@ -663,9 +648,7 @@ class QScalar:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        num = self._n
-        if type(num) is not dict:
-            num = _to_stored(num)
+        num = _to_stored(self._n)
         if self._d is _P_ONE and (
             not num or (len(num) == 1 and 0 in num and type(num[0]) is not GaussianRational)
         ):

@@ -270,14 +270,13 @@ def test_pdivmod_and_pgcd_match_the_boxed_kernels():
         bm = boxed_pmonic(box(b), box(b))
         for got, want in ((monic(b, b), bm), (monic(a, b), boxed_pmonic(box(a), box(b)))):
             assert_stored(got)
-            assert box(got) == want and list(got) == list(want), (a, b)
+            assert box(got) == want, (a, b)
         quo, rem = _pdivmod(_from_stored(a), _from_stored(unbox(bm)))
         quo, rem = _to_stored(quo), _to_stored(rem)
         want_quo, want_rem = boxed_pdivmod(box(a), bm)
         assert_stored(quo)
         assert_stored(rem)
         assert (box(quo), box(rem)) == (want_quo, want_rem), (a, b)
-        assert list(quo) == list(want_quo), (a, b)
         # the gcd takes the divisor as it comes, not made monic
         g = pgcd(a, b)
         assert_stored(g)

@@ -3,9 +3,10 @@
 Random rational functions of s = q^(1/2) with Gaussian-rational
 coefficients are compared with sympy's ``cancel`` (canonical numerator and
 denominator after + - * /), and hypothesis checks the field axioms on the
-same generator and the content-form core against the stored-coefficient
-core restated below.  Both are test-only dependencies; each test is skipped
-when its oracle is missing.
+same generator, the content-form core against the stored-coefficient core
+restated below, and that equal scalars and polynomials built in different
+orders evaluate to the same floats.  Both are test-only dependencies; each
+test is skipped when its oracle is missing.
 """
 
 import math
@@ -16,6 +17,7 @@ from math import isqrt
 
 import pytest
 
+from qspace.cfunc import CFunction, LatticeFunction
 from qspace.scalars import (
     ONE,
     ZERO,
@@ -256,8 +258,8 @@ def test_products_by_one(x):
 # coefficients: an int, a non-integral Fraction, or a GaussianRational with
 # nonzero imaginary part.  Its kernels, the division and gcd kernels among
 # them, and QScalar arithmetic are restated below.  The content form must
-# give the same parts in the same key order, and the same str, hash,
-# eval_exact and, bit for bit, eval_float, which sums in key order.
+# give the same parts, and the same str, hash, eval_exact and, bit for bit,
+# eval_float, which sums in ascending exponent order.
 
 
 def _st(x):
@@ -470,7 +472,7 @@ def st_str(x):
 
 def st_eval_float(x, q0):
     s0 = complex(q0) ** 0.5
-    num, den = (sum(complex(c) * s0 ** k for k, c in p.items()) for p in x)
+    num, den = (sum(complex(p[k]) * s0 ** k for k in sorted(p)) for p in x)
     return num / den
 
 
@@ -490,8 +492,9 @@ def assert_same_as_stored(x, st):
     """x is the restated core's (num, den), part for part and key for key."""
     num, den = st
     for got, want in ((x.num, num), (x.den, den)):
-        assert list(got.items()) == list(want.items()), (x, st)
-        for c, w in zip(got.values(), want.values()):
+        assert list(got.items()) == sorted(want.items()), (x, st)
+        for k, c in got.items():
+            w = want[k]
             assert type(c) is type(w)
             if type(c) is GaussianRational:
                 assert (type(c.re), type(c.im)) == (type(w.re), type(w.im))
@@ -583,3 +586,80 @@ def test_content_form_sums_that_cancel(a, b, n):
         g, sg = scalar(re, im), st_new({0: _st(GaussianRational(re, im))}, {0: 1})
         assert_same_as_stored(x * g, st_mul(sx, sg))
         assert_same_as_stored(x * g + y * g, st_add(st_mul(sx, sg), st_mul(sy, sg)))
+
+
+# -- numeric evaluation depends on the value alone ---------------------------
+#
+# Equal values built in different orders (keys given in another order,
+# operands swapped, terms summed in another order) show the same parts in
+# the same order and evaluate to the same float bits.
+
+_Q0S = (1.7, 0.3 + 0.9j)
+
+
+def _reordered_cases():
+    """A stored (num, den) as drawn, and again with the keys of each part in
+    a drawn order."""
+
+    def case(draw):
+        parts = gen_stored(lambda lo, hi: draw(st.integers(lo, hi)))
+        return parts, tuple(dict(draw(st.permutations(list(p.items())))) for p in parts)
+
+    return st.composite(case)()
+
+
+def assert_same_views(x, y):
+    assert x == y
+    assert list(x.num.items()) == list(y.num.items()), (x, y)
+    assert list(x.den.items()) == list(y.den.items()), (x, y)
+    assert str(x) == str(y) and hash(x) == hash(y)
+    for q0 in _Q0S:
+        assert _bits(x.eval_float(q0)) == _bits(y.eval_float(q0)), (x, q0)
+
+
+@field_property(_reordered_cases, _reordered_cases, examples=40)
+def test_equal_scalars_evaluate_identically(a, b):
+    (x, x2), (y, y2) = (tuple(QScalar(*parts) for parts in case) for case in (a, b))
+    assert list(x.num) == sorted(x.num) and list(x.den) == sorted(x.den)
+    assert_same_views(x, x2)
+    assert_same_views(x + y, y2 + x2)
+    assert_same_views(x * y, y2 * x2)
+    assert_same_views(x * y + x, x2 + y2 * x2)
+
+
+def _reordered_terms():
+    """Drawn (e0, e1, scalar) terms, and the same terms in a drawn order."""
+
+    def case(draw):
+        terms = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), _scalars()),
+                              min_size=1, max_size=6))
+        return terms, draw(st.permutations(terms))
+
+    return st.composite(case)()
+
+
+def _summed(variables, terms):
+    """The sum of the monomials, added one at a time in the order given."""
+    out = CFunction.zero(variables)
+    for e0, e1, c in terms:
+        out = out + CFunction.monomial(variables, (e0, e1)[: len(variables)], c)
+    return out
+
+
+@field_property(_reordered_terms, examples=40)
+def test_equal_cfunctions_evaluate_identically(case):
+    terms, reordered = case
+    point = {"x0": 0.37 + 0.2j, "x1": -1.3, "x": 0.8 - 0.5j}
+    for variables in (("x0", "x1"), ("x",)):
+        f, g = _summed(variables, terms), _summed(variables, reordered)
+        assert f == g
+        for q0 in _Q0S:
+            assert _bits(f.eval_float(q0, point)) == _bits(g.eval_float(q0, point)), (f, q0)
+    # f and g are now the one-variable sums: sample them on a lattice
+    q0 = 1.3
+    got = LatticeFunction.from_cfunction(f, "x", q0, 3).samples
+    want = LatticeFunction.from_cfunction(g, "x", q0, 3).samples
+    assert [_bits(v) for v in got.values()] == [_bits(v) for v in want.values()], f
+    # each sample is eval_float at its lattice point
+    for (sign, k), v in got.items():
+        assert _bits(v) == _bits(f.eval_float(q0, {"x": sign * q0 ** k})), (f, sign, k)
