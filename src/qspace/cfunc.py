@@ -293,11 +293,6 @@ class LatticeFunction:
                 f"sample at {'+' if sign > 0 else '-'}q0^{k} is outside the lattice cutoff"
             )
 
-    def map(self, fn):
-        return LatticeFunction(
-            self.q0, self.cutoff, {k: fn(v) for k, v in self.samples.items()}
-        )
-
 
 def _geometric_sum(term_fn, k_start, k_max, tol):
     """Sum term_fn(k) for k >= k_start until three consecutive terms fall

@@ -114,18 +114,6 @@ class OperatorSeries:
             return self.coeffs[n]
         return NCElement.zero(self.space)
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OperatorSeries(
-            self.space, [self.coeff(k) + other.coeff(k) for k in range(n)]
-        )
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OperatorSeries(
-            self.space, [self.coeff(k) - other.coeff(k) for k in range(n)]
-        )
-
     def mul_truncated(self, other, order):
         out = [NCElement.zero(self.space) for _ in range(order + 1)]
         for a, ca in enumerate(self.coeffs):
@@ -140,13 +128,6 @@ class OperatorSeries:
     def conjugate(self):
         """Coefficient-wise conjugation; the time symbol is real."""
         return OperatorSeries(self.space, [c.conjugate() for c in self.coeffs])
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(k) == other.coeff(k) for k in range(n))
 
     def __str__(self):
         parts = []

@@ -10,18 +10,14 @@ from __future__ import annotations
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, ZERO, _add_term, _LinComb, qpow, scalar
 
-# generator tags: th0, th1, dth0, dth1 (exponents are 0 or 1)
-_ORDER = {"th0": 0, "th1": 1, "dth0": 2, "dth1": 3}
+# the generator tags in normal order (exponents are 0 or 1)
+_GENERATORS = ("th0", "th1", "dth0", "dth1")
 
 
 class GElement(_LinComb):
     """Linear combination of normal-ordered Grassmann words."""
 
     __slots__ = ()
-
-    @staticmethod
-    def zero():
-        return GElement()
 
     @staticmethod
     def one():
@@ -61,20 +57,15 @@ class GElement(_LinComb):
         return str(self)
 
 
-def _rules(a, b):
-    """Rewrite for the disordered adjacent pair (a, b) of two coordinates or
-    two derivatives; None when ordered."""
-    if a == b:
-        return []  # squares vanish
-    if _ORDER[a] <= _ORDER[b]:
-        return None
-    return [(-ONE, (b, a))]
-
-
-def _leibniz(c):
-    """Derivative past a coordinate: Leibniz with the braiding matrix, -c
-    the coefficient of th1 dth1."""
+def _rule_table(c):
+    """The rewrite of each disordered adjacent pair, in the calculus whose
+    Leibniz rule has -c for the coefficient of th1 dth1: squares vanish,
+    two coordinates or two derivatives anticommute, and a derivative passes
+    a coordinate by the Leibniz rule with the braiding matrix."""
     return {
+        **{(a, a): [] for a in _GENERATORS},
+        ("th1", "th0"): [(-ONE, ("th0", "th1"))],
+        ("dth1", "dth0"): [(-ONE, ("dth0", "dth1"))],
         ("dth0", "th0"): [(ONE, ()), (-ONE, ("th0", "dth0"))],
         ("dth0", "th1"): [(-ONE, ("th1", "dth0"))],
         ("dth1", "th0"): [(-ONE, ("th0", "dth1"))],
@@ -82,26 +73,22 @@ def _leibniz(c):
     }
 
 
-# hatted -> the Leibniz table of that calculus
-_LEIBNIZ = {False: _leibniz(qpow(1)), True: _leibniz(qpow(-1))}
+# hatted -> the rule table of that calculus
+_RULE_TABLES = {False: _rule_table(qpow(1)), True: _rule_table(qpow(-1))}
 
 
 def _normalize(word, hatted=False):
-    leibniz = _LEIBNIZ[hatted]
+    rules = _RULE_TABLES[hatted]
     out = {}
     stack = [(ONE, tuple(word))]
     while stack:
         coeff, w = stack.pop()
         for i in range(len(w) - 1):
-            pair = (w[i], w[i + 1])
-            alts = leibniz.get(pair)
-            if alts is None:
-                alts = _rules(*pair)
-                if alts is None:
-                    continue
-            for c, repl in alts:
-                stack.append((coeff * c, w[:i] + repl + w[i + 2:]))
-            break
+            alts = rules.get(w[i:i + 2])
+            if alts is not None:
+                for c, repl in alts:
+                    stack.append((coeff * c, w[:i] + repl + w[i + 2:]))
+                break
         else:
             _add_term(out, w, coeff)
     return out
@@ -125,16 +112,6 @@ class SuperNumber:
     def __eq__(self, other):
         return self.body == other.body and self.soul == other.soul
 
-    def __mul__(self, other):
-        # (theta1)^2 = 0 kills the soul-soul term
-        return SuperNumber(
-            self.body * other.body,
-            self.body * other.soul + self.soul * other.body,
-        )
-
-    def __add__(self, other):
-        return SuperNumber(self.body + other.body, self.soul + other.soul)
-
     def __str__(self):
         return f"({self.body}) + ({self.soul}) th1"
 
@@ -148,7 +125,7 @@ def g_deriv_int(f: SuperNumber, mode: str, as_integral: bool = False) -> QScalar
         raise ValueError(f"unknown mode {mode!r}")
     if as_integral:
         f_el = GElement({(): f.body, ("th1",): f.soul})
-        value = _pair_deriv_first(GElement.gen("dth1"), f_el, mode.endswith("_bar"))
+        value = _pair(GElement.gen("dth1"), f_el, mode.endswith("_bar"))
     else:
         value = f.soul
     return value if mode.startswith("left") else -value
@@ -181,33 +158,21 @@ def g_pairing(kind: str) -> dict:
     out = {}
     for i in (0, 1):
         for j in (0, 1):
-            d = GElement.gen(f"dth{i}")
-            th = GElement.gen(f"th{j}")
-            if coord_first:
-                out[(i, j)] = _pair_coord_first(th, d, hatted)
-            else:
-                out[(i, j)] = _pair_deriv_first(d, th, hatted)
+            out[(i, j)] = _pair(
+                GElement.gen(f"dth{i}"), GElement.gen(f"th{j}"), hatted, coord_first
+            )
     return out
 
 
-def _pair_deriv_first(d: GElement, th: GElement, hatted: bool) -> QScalar:
+def _pair(d: GElement, th: GElement, hatted: bool, coord_first=False) -> QScalar:
+    """The counit of d th normal-ordered in the calculus.  Coordinate-first
+    pairings carry one sign per derivative factor, the mirror of the
+    bosonic case."""
     total = ZERO
     for w1, c1 in d.terms.items():
+        sign = -ONE if coord_first and len(w1) % 2 else ONE
         for w2, c2 in th.terms.items():
-            res = g_normal_form(w1 + w2, hatted=hatted)
-            total = total + c1 * c2 * res.counit()
-    return total
-
-
-def _pair_coord_first(th: GElement, d: GElement, hatted: bool) -> QScalar:
-    """Coordinate-first pairings carry one sign per derivative factor, the
-    mirror of the bosonic case."""
-    total = ZERO
-    for w2, c2 in d.terms.items():
-        sign = -ONE if len(w2) % 2 else ONE
-        for w1, c1 in th.terms.items():
-            res = g_normal_form(w2 + w1, hatted=hatted)
-            total = total + c1 * c2 * res.counit() * sign
+            total = total + c1 * c2 * g_normal_form(w1 + w2, hatted=hatted).counit() * sign
     return total
 
 
@@ -321,10 +286,7 @@ def grassmann_suite() -> VerificationReport:
         (("dth0", "dth1"), ("th1", "th0"), True, True),
     ]
     for dword, thword, hatted, coord_first in pairs:
-        # coordinate-first pairings carry one sign per derivative factor
-        sign = -ONE if (coord_first and len(dword) % 2) else ONE
-        res = g_normal_form(tuple(dword) + tuple(thword), hatted=hatted)
-        total = res.counit() * sign
+        total = _pair(GElement({dword: ONE}), GElement({thword: ONE}), hatted, coord_first)
         rep.require(total == ONE, f"pair {dword}|{thword}", str(total), "1")
 
     # exponentials and delta functions

@@ -611,9 +611,6 @@ class NCElement(_LinComb):
             k[i_x0] == 0 and k[i_d0] == 0 and k[-1] == 0 for k in self.terms
         )
 
-    def degree(self):
-        return max((sum(k[:-1]) for k in self.terms), default=0)
-
     def constant_term(self):
         zero_key = (0,) * len(KEY_LAYOUT[self.space]) + (0,)
         return self.terms.get(zero_key, ZERO)

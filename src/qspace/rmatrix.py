@@ -9,9 +9,10 @@ data.
 
 from __future__ import annotations
 
+from .ncalgebra import NCElement
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, ZERO, _add_term, _coeff_times, _LinComb, qpow, scalar
-from .spaces import E3, LABELS, LINE, SpaceTable
+from .scalars import LAM, LAMP, ONE, ZERO, _add_term, _coeff_times, _LinComb, qpow
+from .spaces import E3, LABELS, LINE, X_TOKENS, SpaceTable
 
 # the index labels of a space, in the standard ordering
 labels = LABELS.__getitem__
@@ -68,9 +69,6 @@ class QMatrix(_LinComb):
             for j, s in acc.items():
                 out.terms[(i, j)] = s
         return out
-
-    def entries(self):
-        return self.terms.items()
 
     # text form: the entries times matrix units E[i,j], row by row
     _print_order = staticmethod(tuple)
@@ -168,36 +166,26 @@ class ProjectorSet:
 
 
 def build_projectors(space) -> ProjectorSet:
-    """Spectral projectors from the printed polynomial formulas.
+    """Spectral projectors interpolated from the eigenvalue table: the
+    projector of eigenvalue lam is the product over the other eigenvalues
+    mu of (R - mu) / (lam - mu).
 
-    The eigenvalue attached to each projector is computed by evaluating the
-    formula's numerator, not read off the subscript (on the line the '+'
-    projector belongs to eigenvalue -1).
+    Each projector's eigenvalue is read from the table, not off the
+    subscript (on the line the '+' projector belongs to eigenvalue -1).
     """
     R = build_R(space).mat
     Id = QMatrix.identity(R.n)
-    q = qpow(1)
-    if space == "line":
-        Pp = ((R - Id) * (R - Id.scale(q))).scale(ONE / (scalar(2) * (ONE + q)))
-        Pm = ((R + Id) * (R - Id.scale(q))).scale(ONE / (scalar(2) * (ONE - q)))
-        P0 = ((R + Id) * (R - Id)).scale(ONE / ((q + ONE) * (q - ONE)))
-        projs = {"P+": Pp, "P-": Pm, "P0": P0}
-    else:
-        q4, q6 = qpow(-4), qpow(-6)
-        Pp = ((R + Id.scale(q4)) * (R - Id.scale(q6)) * (R + Id)).scale(
-            ONE / (scalar(2) * (ONE + q4) * (ONE - q6))
-        )
-        Pm = ((R - Id) * (R - Id.scale(q6)) * (R + Id)).scale(
-            ONE / ((ONE + q4) * (q4 + q6) * (ONE - q4))
-        )
-        P0 = ((R - Id) * (R + Id.scale(q4)) * (R + Id)).scale(
-            ONE / ((q6 - ONE) * (q6 + q4) * (q6 + ONE))
-        )
-        Pq = ((R - Id) * (R + Id.scale(q4)) * (R - Id.scale(q6))).scale(
-            ONE / (scalar(2) * (q4 - ONE) * (ONE + q6))
-        )
-        projs = {"P+": Pp, "P-": Pm, "P0": P0, "P'": Pq}
-    return ProjectorSet(space, projs, eigenvalues(space))
+    evs = eigenvalues(space)
+    shifted = {name: R - Id.scale(ev) for name, ev in evs.items()}
+    projs = {}
+    for name, lam in evs.items():
+        num, den = Id, ONE
+        for other, mu in evs.items():
+            if other != name:
+                num = num * shifted[other]
+                den = den * (lam - mu)
+        projs[name] = num.scale(ONE / den)
+    return ProjectorSet(space, projs, evs)
 
 
 def check_ybe(R: RMatrix) -> VerificationReport:
@@ -277,21 +265,6 @@ class RewriteRule:
     def __init__(self, lhs, rhs_terms):
         self.lhs = tuple(lhs)            # pair of labels
         self.rhs = dict(rhs_terms)       # {label pair: QScalar}
-
-    def __str__(self):
-        def mono(pair):
-            return f"X{pair[0]}X{pair[1]}"
-        parts = []
-        for pair, c in sorted(self.rhs.items()):
-            cs = str(c)
-            if cs == "1":
-                parts.append(mono(pair))
-            else:
-                parts.append(f"({cs}) {mono(pair)}")
-        return f"{mono(self.lhs)} -> " + (" + ".join(parts) if parts else "0")
-
-    def __eq__(self, other):
-        return self.lhs == other.lhs and self.rhs == other.rhs
 
 
 def relations_from_projectors(space) -> list:
@@ -423,18 +396,23 @@ def metric_from_P0() -> QuantumMetric:
 
 
 def metric_check(g: QuantumMetric) -> VerificationReport:
+    """Only the (+-), (-+) and (33) entries are nonzero, the lower metric is
+    the one the engine's conjugation lowers a coordinate index with,
+    conj(X^A) = g_{AB} X^B, and the upper metric is its inverse."""
     rep = VerificationReport("metric", "euclid3")
     spatial = _E3_SPATIAL
     allowed = {("+", "-"), ("-", "+"), ("3", "3")}
     for k in list(g.lower) + list(g.upper):
         if k not in allowed:
             rep.record(k, "nonzero entry", "0")
-    expected = {("+", "-"): -qpow(1), ("-", "+"): -qpow(-1), ("3", "3"): ONE}
-    for k, v in expected.items():
-        if g.up(*k) != v:
-            rep.record(f"g^{k}", str(g.up(*k)), str(v))
-        if g.low(*k) != v:
-            rep.record(f"g_{k}", str(g.low(*k)), str(v))
+    x_of = dict(zip(LABELS[E3], X_TOKENS[E3]))
+    for a in spatial:
+        lowered = NCElement.zero(E3)
+        for b in spatial:
+            lowered = lowered + NCElement.generator(E3, x_of[b]).scale(g.low(a, b))
+        conj = NCElement.generator(E3, x_of[a]).conjugate()
+        if lowered != conj:
+            rep.record(f"conj X{a}", str(lowered), str(conj))
     for a in spatial:
         for c in spatial:
             s = ZERO

@@ -484,7 +484,8 @@ def _pmonic(p, by):
 def _pdivmod(a, b):
     """Quotient and remainder of a by a monic b (nonnegative exponents)."""
     db = max(_pkeys(b))
-    quo, r = {}, a
+    neg_b = _pneg(b)
+    terms, r = [], a
     while r:
         dr = max(_pkeys(r))
         if dr < db:
@@ -492,9 +493,23 @@ def _pdivmod(a, b):
         # the leading term of the remainder, shifted down by deg b
         re, im, d = _pparts(r)
         t = _preduce({dr - db: re[dr]}, im and {dr - db: im[dr]}, d)
-        quo = _padd(quo, t)
-        r = _padd(r, _pmul(_pneg(t), b))
-    return quo, r
+        terms.append(t)
+        r = _padd(r, _pmul(t, neg_b))
+    if len(terms) < 2:
+        return (terms[0] if terms else {}), r
+    # the quotient's terms have distinct exponents: they are summed once,
+    # over their least common denominator
+    terms = [_pparts(t) for t in terms]
+    d = math.lcm(*[td for _, _, td in terms])
+    re = {}
+    im = {} if any(tim is not None for _, tim, _ in terms) else None
+    for tre, tim, td in terms:
+        f = d // td
+        for k, v in tre.items():
+            re[k] = v * f
+            if im is not None:
+                im[k] = tim[k] * f if tim else 0
+    return _preduce(re, im, d), r
 
 
 def _pgcd(a, b):

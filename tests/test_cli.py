@@ -366,6 +366,68 @@ def test_evolve_command(capsys):
     assert "[PASS] heisenberg" in out
 
 
+def test_exp_json_lists_terms(capsys):
+    code, out, _ = run(capsys, "exp", "--space", "line", "--degree", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["space"], payload["variant"], payload["degree"]) == ("line", "xd", 1)
+    assert payload["terms"] == [
+        {"coordinate_exponents": [0, 0], "derivative_word": "1", "coefficient": "1"},
+        {"coordinate_exponents": [0, 1], "derivative_word": "d1", "coefficient": "1"},
+        {"coordinate_exponents": [1, 0], "derivative_word": "d0", "coefficient": "1"},
+    ]
+
+
+def test_evolve_json_with_an_operator_generator_and_observable(capsys):
+    code, out, _ = run(capsys, "evolve", "--H", "d1 d1", "--observable", "X1",
+                       "--space", "line", "--order", "2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"U", "reports", "observable"}
+    assert payload["U"] == ["1", "-i d1^2", "(-(1/2)) d1^4"]
+    assert payload["observable"][:2] == ["X1", "(i q + i) d1 + (i q^2 - i) X1 d1^2"]
+    assert [r["check"] for r in payload["reports"]] == [
+        "schrodinger", "composition", "unitarity", "dyson", "heisenberg"]
+    assert all(r["status"] == "pass" for r in payload["reports"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("--H", "x1"),
+    ("--H", "2"),
+    ("--observable", "x1^2"),
+    ("--observable", "q"),
+])
+def test_evolve_commutative_or_scalar_operator_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "evolve", "--space", "line", "--order", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "must be a noncommutative operator" in err
+
+
+def test_d_unknown_variant_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "d", "x1", "--index", "1", "--variant", "bogus",
+                         "--space", "line")
+    assert (code, out, err) == (2, "", "unknown variant 'bogus'")
+
+
+def test_nf_json(capsys):
+    code, out, _ = run(capsys, "nf", "d1 X1", "--space", "line", "--json")
+    assert code == 0
+    assert json.loads(out) == {"kind": "nc", "text": "1 + q X1 d1"}
+    code, out, _ = run(capsys, "nf", "x1^2", "--space", "line", "--json")
+    assert json.loads(out) == {"kind": "c", "text": "x1^2"}
+
+
+def test_verify_text_prints_notes(capsys):
+    code, out, _ = run(capsys, "verify", "relations", "--space", "line")
+    assert code == 0
+    assert out.splitlines() == [
+        "[PASS] relations [line]",
+        "    note: the line antisymmetrizer carries the printed '+' subscript; "
+        "relation projectors are selected by eigenvalue",
+    ]
+
+
 # -- the canonical-print corpus ------------------------------------------------
 
 _SCALARS = ["1", "2", "3/4", "q", "q^2", "q^-1", "i", "lambda", "lambda_plus"]

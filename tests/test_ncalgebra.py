@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from qspace import grassmann
 from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS
 from qspace.ncalgebra import (
@@ -315,29 +317,67 @@ def _combine(parts):
     return out
 
 
+def _overlaps(resolve, normalize, toks):
+    """Bergman's diamond lemma (Adv. Math. 29 (1978) 178): the rules give a
+    PBW basis, and every reduction order the same normal form, when each
+    overlap a b c whose pairs (a, b) and (b, c) both rewrite reduces to one
+    element either way.  resolve(a, b) is the rule of a pair, a list of
+    (coefficient, replacement) or None; normalize(word) a normal form as a
+    dict.  Returns the number of overlaps and those that do not resolve."""
+    count, failing = 0, []
+    for a in toks:
+        for b in toks:
+            ab = resolve(a, b)
+            if ab is None:
+                continue
+            for c in toks:
+                bc = resolve(b, c)
+                if bc is None:
+                    continue
+                count += 1
+                left = _combine((k, normalize(r + (c,))) for k, r in ab)
+                right = _combine((k, normalize((a,) + r)) for k, r in bc)
+                if left != right:
+                    failing.append((a, b, c))
+    return count, failing
+
+
 def test_overlap_ambiguities_resolve():
-    # Bergman's diamond lemma (Adv. Math. 29 (1978) 178): the rules give a
-    # PBW basis, and every reduction order the same normal form, when each
-    # overlap a b c whose pairs (a, b) and (b, c) both rewrite reduces to
-    # one element either way
     count = 0
     for key in RULE_SETS:
         rs = _nc._ruleset(*key)
-        toks = _tokens(key[0])
-        for a in toks:
-            for b in toks:
-                ab = rs.resolve(a, b)
-                if ab is None:
-                    continue
-                for c in toks:
-                    bc = rs.resolve(b, c)
-                    if bc is None:
-                        continue
-                    count += 1
-                    left = _combine((k, _nc._normalize_word(*key, r + (c,))) for k, r in ab)
-                    right = _combine((k, _nc._normalize_word(*key, (a,) + r)) for k, r in bc)
-                    assert left == right, (key, a, b, c)
+        n, failing = _overlaps(
+            rs.resolve, lambda word, key=key: _nc._normalize_word(*key, word), _tokens(key[0])
+        )
+        assert failing == [], key
+        count += n
     assert count == 768
+
+
+@pytest.mark.parametrize("hatted", [False, True])
+def test_grassmann_overlaps_fail_only_where_dth1_th1_meets_a_square(hatted):
+    # the Leibniz coefficient -q (-q^-1 hatted) of th1 dth1 agrees with the
+    # vanishing squares only at q = 1, so the two overlaps of the rule for
+    # dth1 th1 with a square do not resolve; every other overlap does
+    rules = grassmann._RULE_TABLES[hatted]
+    n, failing = _overlaps(
+        lambda a, b: rules.get((a, b)),
+        lambda word: grassmann._normalize(word, hatted),
+        grassmann._GENERATORS,
+    )
+    assert n == 20
+    assert sorted(failing) == [("dth1", "dth1", "th1"), ("dth1", "th1", "th1")]
+
+
+def test_grassmann_products_without_a_repeated_generator_associate():
+    words = [w for r in range(5) for w in itertools.combinations(grassmann._GENERATORS, r)]
+    el = {w: grassmann.GElement({w: ONE}) for w in words}
+    count = 0
+    for a, b, c in itertools.product(words, repeat=3):
+        if len(set(a + b + c)) == len(a + b + c):
+            count += 1
+            assert (el[a] * el[b]) * el[c] == el[a] * (el[b] * el[c]), (a, b, c)
+    assert count == 256
 
 
 def _random_words(rng, space, n):

@@ -60,6 +60,35 @@ def test_line_projector_entries():
     assert P.projectors["P+"].get(1, 2) == -half
 
 
+def _printed_projectors(space):
+    """The printed polynomial formulas of the projectors in R."""
+    R = build_R(space).mat
+    Id = QMatrix.identity(R.n)
+    q = qpow(1)
+    if space == "line":
+        return {
+            "P+": ((R - Id) * (R - Id.scale(q))).scale(ONE / (scalar(2) * (ONE + q))),
+            "P-": ((R + Id) * (R - Id.scale(q))).scale(ONE / (scalar(2) * (ONE - q))),
+            "P0": ((R + Id) * (R - Id)).scale(ONE / ((q + ONE) * (q - ONE))),
+        }
+    q4, q6 = qpow(-4), qpow(-6)
+    return {
+        "P+": ((R + Id.scale(q4)) * (R - Id.scale(q6)) * (R + Id)).scale(
+            ONE / (scalar(2) * (ONE + q4) * (ONE - q6))),
+        "P-": ((R - Id) * (R - Id.scale(q6)) * (R + Id)).scale(
+            ONE / ((ONE + q4) * (q4 + q6) * (ONE - q4))),
+        "P0": ((R - Id) * (R + Id.scale(q4)) * (R + Id)).scale(
+            ONE / ((q6 - ONE) * (q6 + q4) * (q6 + ONE))),
+        "P'": ((R - Id) * (R + Id.scale(q4)) * (R - Id.scale(q6))).scale(
+            ONE / (scalar(2) * (q4 - ONE) * (ONE + q6))),
+    }
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_interpolated_projectors_match_the_printed_formulas(space):
+    assert build_projectors(space).projectors == _printed_projectors(space)
+
+
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 def test_projector_algebra(space):
     assert projector_algebra_check(build_projectors(space)).passed
@@ -102,6 +131,9 @@ def test_metric_entries():
     assert g.up("+", "-") == -qpow(1)
     assert g.up("-", "+") == -qpow(-1)
     assert g.up("3", "3") == ONE
+    assert g.low("+", "-") == -qpow(1)
+    assert g.low("-", "+") == -qpow(-1)
+    assert g.low("3", "3") == ONE
     assert metric_check(g).passed
 
 

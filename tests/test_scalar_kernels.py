@@ -266,6 +266,12 @@ def test_pdivmod_and_pgcd_match_the_boxed_kernels():
         b = random_poly(rng, 0, 3, rng.choice(("int", "frac")))
         cases.append((unbox(boxed_pmul(box(a), box(common))),
                       unbox(boxed_pmul(box(b), box(common)))))
+    # quotients of 300 int terms and of 150 terms i^k / 3, real and imaginary
+    long_quotients = [({600: 1, 0: -1}, {2: 1, 0: -1}),
+                      ({450: Fraction(1, 3), 0: 1}, {3: 1, 0: stored(0, 1)})]
+    for (a, b), n in zip(long_quotients, (300, 150)):
+        assert len(_to_stored(_pdivmod(_from_stored(a), _from_stored(b))[0])) == n
+    cases += long_quotients
     for a, b in cases:
         bm = boxed_pmonic(box(b), box(b))
         for got, want in ((monic(b, b), bm), (monic(a, b), boxed_pmonic(box(a), box(b)))):
