@@ -12,29 +12,44 @@ the underlying framework is covered by a machine check in
 :mod:`qspace.suites`, runnable through the ``qspace verify`` CLI.
 """
 
-from .cfunc import CFunction, LatticeFunction
-from .ncalgebra import NCElement, act, lift, lower, multiply, normal_form, reorder_transform
-from .scalars import QScalar, eval_at, qbinom, qfact, qnum
-from .suites import SUITES, SuiteOptions, run_suite
+import importlib
 
-__all__ = [
-    "CFunction",
-    "LatticeFunction",
-    "NCElement",
-    "QScalar",
-    "act",
-    "eval_at",
-    "lift",
-    "lower",
-    "multiply",
-    "normal_form",
-    "qbinom",
-    "qfact",
-    "qnum",
-    "reorder_transform",
-    "run_suite",
-    "SUITES",
-    "SuiteOptions",
-]
+# each export and the module it lives in; a layer is imported when one of its
+# names is first read, so `import qspace` compiles none of them (PEP 562)
+_EXPORTS = {
+    "CFunction": "cfunc",
+    "LatticeFunction": "cfunc",
+    "NCElement": "ncalgebra",
+    "act": "ncalgebra",
+    "lift": "ncalgebra",
+    "lower": "ncalgebra",
+    "multiply": "ncalgebra",
+    "normal_form": "ncalgebra",
+    "reorder_transform": "ncalgebra",
+    "QScalar": "scalars",
+    "eval_at": "scalars",
+    "qbinom": "scalars",
+    "qfact": "scalars",
+    "qnum": "scalars",
+    "SUITES": "suites",
+    "SuiteOptions": "suites",
+    "run_suite": "suites",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        home = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

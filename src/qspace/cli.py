@@ -1,7 +1,8 @@
 """Command-line interface: expression tools and the verification runner.
 
 Exit codes: 0 when everything passes, 1 on a verification failure, 2 on
-usage or parse errors."""
+usage or parse errors.  Each command imports the layers it uses when it
+runs, so that a process compiles only those."""
 
 from __future__ import annotations
 
@@ -10,25 +11,7 @@ import json
 import math
 import sys
 
-from .cfunc import CFunction, LatticeFunction, NonConvergentSum, jackson_integral_numeric, space_vars
-from .evolution import (
-    Hamiltonian,
-    build_U,
-    compose_check,
-    dyson_check,
-    free_hamiltonian,
-    heisenberg_check,
-    heisenberg_evolve,
-    schrodinger_residual,
-    unitarity_check,
-)
-from .expressions import ParseError, Value, parse, render
-from .hopf import antipode, translate
-from .pairexp import qexp
-from .qfunc import act_partial_closed
 from .spaces import E3, SPACES, SUFFIX_LABEL
-from .starcalc import StarContext, star
-from .suites import SUITES, SuiteOptions, run_suite
 
 _EXP_NAMES = {"xd": "x_d", "xdh": "x_dhat", "dx": "d_x", "dhx": "dhat_x"}
 _ACTION_NAMES = {
@@ -49,7 +32,14 @@ def _add_common(p, degree=False, order=False):
         p.add_argument("--order", type=int, default=4)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The argument parser.  The verify help lists the suite names only when
+    command is "verify", so that no other command imports the suites."""
+    suites_help = None
+    if command == "verify":
+        from .suites import SUITES
+
+        suites_help = f"suite names: {', '.join(sorted(SUITES))}"
     ap = argparse.ArgumentParser(
         prog="qspace",
         description="exact computer algebra for two q-deformed quantum spaces",
@@ -57,7 +47,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suites", nargs="*", help=f"suite names: {', '.join(sorted(SUITES))}")
+    p.add_argument("suites", nargs="*", help=suites_help)
     p.add_argument("--all", action="store_true", help="run every suite")
     p.add_argument("--space", choices=SPACES, default=None,
                    help="restrict to one space")
@@ -117,7 +107,9 @@ def build_parser():
     return ap
 
 
-def _emit(args, value: Value):
+def _emit(args, value):
+    from .expressions import render
+
     if getattr(args, "json", False):
         print(json.dumps({"kind": value.kind, "text": render(value, args.q_value)}))
     else:
@@ -126,6 +118,8 @@ def _emit(args, value: Value):
 
 
 def _cmd_verify(args):
+    from .suites import SUITES, SuiteOptions, run_suite
+
     names = list(SUITES) if args.all or not args.suites else args.suites
     spaces = (args.space,) if args.space else SPACES
     opts = SuiteOptions(degree=args.degree, order=args.order, tol=args.tol,
@@ -148,6 +142,8 @@ def _cmd_verify(args):
 
 
 def _cmd_nf(args):
+    from .expressions import Value, parse
+
     v = parse(args.expr, args.space)
     if v.kind == "c":
         v = Value("c", v.data)  # commutative input is already normal
@@ -157,6 +153,9 @@ def _cmd_nf(args):
 def _commutative(text, space, what):
     """Parse a commutative polynomial argument; a scalar is the constant
     polynomial."""
+    from .cfunc import CFunction, space_vars
+    from .expressions import ParseError, parse
+
     v = parse(text, space)
     if v.kind == "scalar":
         return CFunction.constant(space_vars(space), v.data)
@@ -166,6 +165,9 @@ def _commutative(text, space, what):
 
 
 def _cmd_star(args):
+    from .expressions import Value
+    from .starcalc import StarContext, star
+
     f = _commutative(args.f, args.space, "star products")
     g = _commutative(args.g, args.space, "star products")
     ctx = StarContext(args.space, "reversed" if args.reversed_order else "standard")
@@ -173,6 +175,9 @@ def _cmd_star(args):
 
 
 def _cmd_d(args):
+    from .expressions import Value
+    from .qfunc import act_partial_closed
+
     f = _commutative(args.expr, args.space, "derivative actions")
     idx = SUFFIX_LABEL.get(args.index, args.index)
     variant = _ACTION_NAMES.get(args.variant)
@@ -232,6 +237,8 @@ def _usage_error(text):
 
 
 def _cmd_int(args):
+    from .cfunc import LatticeFunction, NonConvergentSum, jackson_integral_numeric
+
     try:
         samples = _read_samples(args.samples)
     except (OSError, ValueError) as exc:
@@ -278,16 +285,25 @@ def _cmd_int(args):
 
 
 def _cmd_translate(args):
+    from .expressions import Value
+    from .hopf import translate
+
     f = _commutative(args.expr, args.space, "translations")
     return _emit(args, Value("c", translate(args.space, args.variant, f)))
 
 
 def _cmd_antipode(args):
+    from .expressions import Value
+    from .hopf import antipode
+
     f = _commutative(args.expr, args.space, "antipodes")
     return _emit(args, Value("c", antipode(args.space, args.variant, f)))
 
 
 def _cmd_exp(args):
+    from .cfunc import space_vars
+    from .pairexp import qexp
+
     series = qexp(args.space, _EXP_NAMES[args.variant], args.degree)
     if args.json:
         vars_ = space_vars(args.space)
@@ -306,6 +322,19 @@ def _cmd_exp(args):
 
 
 def _cmd_evolve(args):
+    from .evolution import (
+        Hamiltonian,
+        build_U,
+        compose_check,
+        dyson_check,
+        free_hamiltonian,
+        heisenberg_check,
+        heisenberg_evolve,
+        schrodinger_residual,
+        unitarity_check,
+    )
+    from .expressions import ParseError, parse
+
     if args.generator == "free":
         H = free_hamiltonian(args.space)
     else:
@@ -370,8 +399,8 @@ def _joined_bounds(argv):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv else None)
     if argv[:1] == ["int"]:
         argv = _joined_bounds(argv)
     args = ap.parse_args(argv)
@@ -379,10 +408,12 @@ def main(argv=None) -> int:
         ap.error("--degree and --order must be nonnegative")
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError) as exc:
+        from .expressions import ParseError
+
+        if isinstance(exc, ParseError):
+            print(f"parse error: {exc}", file=sys.stderr)
+            return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,8 @@ data.
 
 from __future__ import annotations
 
+import functools
+
 from .ncalgebra import NCElement
 from .reports import VerificationReport
 from .scalars import LAM, LAMP, ONE, ZERO, _add_term, _coeff_times, _LinComb, qpow
@@ -165,6 +167,7 @@ class ProjectorSet:
         return list(self.projectors)
 
 
+@functools.lru_cache(maxsize=None)
 def build_projectors(space) -> ProjectorSet:
     """Spectral projectors interpolated from the eigenvalue table: the
     projector of eigenvalue lam is the product over the other eigenvalues
@@ -172,6 +175,8 @@ def build_projectors(space) -> ProjectorSet:
 
     Each projector's eigenvalue is read from the table, not off the
     subscript (on the line the '+' projector belongs to eigenvalue -1).
+    Built once per space: every caller shares the set, so none may change
+    its dicts or a matrix's terms.
     """
     R = build_R(space).mat
     Id = QMatrix.identity(R.n)

@@ -144,3 +144,13 @@ def test_metric_trace():
         for b in ("+", "3", "-"):
             total = total + g.up(a, b) * g.low(a, b)
     assert total == qpow(2) + ONE + qpow(-2)
+
+
+def test_projectors_are_built_once_per_space():
+    # the projectors, relations and metric suites share one build per space
+    from qspace.suites import run_suite
+
+    build_projectors.cache_clear()
+    reports = run_suite(["projectors", "relations", "metric"])
+    assert all(r.passed for r in reports)
+    assert build_projectors.cache_info().misses == 2
