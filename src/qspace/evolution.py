@@ -61,6 +61,8 @@ class Hamiltonian:
 
     def power(self, n: int) -> NCElement:
         """H^n, built as H^(n-1) * H."""
+        if n < 0:
+            raise ValueError(f"negative power {n} of a Hamiltonian")
         powers = self._powers
         if n >= len(powers):
             with self._lock:

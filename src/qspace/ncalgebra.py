@@ -19,10 +19,13 @@ every thread.  Conjugation, the +/- mirror behind the right-sided calculi
 and the ordering transport read each key's normal-ordered image from one
 table of rows.
 
-Two Leibniz rule sets coexist: the plain calculus and its conjugate (the
-"hatted" one).  Hatted derivatives are never stored; parsing replaces them by
-their q-power multiples of the plain derivatives, and the hatted rule set is
-selected through the action mode instead.
+Two rule tables are written out: the coordinate relations in the standard
+ordering and the Leibniz rules of the plain calculus.  The reversed ordering
+and the conjugate ("hatted") calculus come from them by the transition
+(+/-, q) -> (-/+, 1/q), and the derivatives obey the coordinate relations
+with their indices swapped.  Hatted derivatives are never stored; parsing
+replaces them by their q-power multiples of the plain derivatives, and the
+hatted rule set is selected through the action mode instead.
 """
 
 from __future__ import annotations
@@ -64,13 +67,14 @@ def _word_of_key(space, key):
 # rewrite rule tables
 #
 # A rule maps a disordered adjacent token pair to a list of
-# (coefficient, replacement token tuple) alternatives.  Tables are functions
-# of (space, calculus, ordering); 'u' is the plain calculus, 'h' the hatted
-# one (rules for the conjugate derivatives, still written on the 'd' tokens).
-# Orderings: 'xd' puts coordinates before derivatives (the storage order),
-# 'rev' orders the spatial coordinates reversely (used by the ordering
-# transport).  The right actions need no ordering of their own: they run
-# through the +/- mirror transport.
+# (coefficient, replacement token tuple) alternatives.  Two tables are
+# printed: the coordinate relations in the standard ordering and the
+# Leibniz rules of the plain calculus.  The others come from these: the
+# reversed ordering of the coordinates and the hatted calculus (its rules
+# for the conjugate derivatives, still written on the 'd' tokens) by the
+# transition (+/-, q) -> (-/+, 1/q), and the derivative relations as the
+# coordinate relations with the indices swapped.  The right actions need no
+# table of their own: they run through the +/- mirror transport.
 # ---------------------------------------------------------------------------
 
 _Q = qpow
@@ -82,97 +86,63 @@ def _swap(a, b):
     return [(ONE, (b, a))]
 
 
-def _build_xx_rules(space, reverse=False):
-    r = {}
+def _build_xx_rules(space):
+    """Coordinate relations in the standard order x0 xp x3 xm."""
     if space == LINE:
-        # a single spatial generator has only one ordering
-        r[("x1", "x0")] = _swap("x1", "x0")
-        return r
-    if not reverse:
-        # canonical order x0 xp x3 xm
-        r[("xp", "x0")] = _swap("xp", "x0")
-        r[("x3", "x0")] = _swap("x3", "x0")
-        r[("xm", "x0")] = _swap("xm", "x0")
-        r[("x3", "xp")] = [(_Q(2), ("xp", "x3"))]
-        r[("xm", "x3")] = [(_Q(2), ("x3", "xm"))]
-        r[("xm", "xp")] = [(ONE, ("xp", "xm")), (LAM, ("x3", "x3"))]
-    else:
-        # reversed spatial order x0 xm x3 xp
-        r[("xp", "x0")] = _swap("xp", "x0")
-        r[("x3", "x0")] = _swap("x3", "x0")
-        r[("xm", "x0")] = _swap("xm", "x0")
-        r[("x3", "xm")] = [(_Q(-2), ("xm", "x3"))]
-        r[("xp", "x3")] = [(_Q(-2), ("x3", "xp"))]
-        r[("xp", "xm")] = [(ONE, ("xm", "xp")), (-LAM, ("x3", "x3"))]
-    return r
+        return {("x1", "x0"): _swap("x1", "x0")}
+    return {
+        ("xp", "x0"): _swap("xp", "x0"),
+        ("x3", "x0"): _swap("x3", "x0"),
+        ("xm", "x0"): _swap("xm", "x0"),
+        ("x3", "xp"): [(_Q(2), ("xp", "x3"))],
+        ("xm", "x3"): [(_Q(2), ("x3", "xm"))],
+        ("xm", "xp"): [(ONE, ("xp", "xm")), (LAM, ("x3", "x3"))],
+    }
 
 
-def _build_dd_rules(space):
-    r = {}
-    if space == LINE:
-        r[("d1", "d0")] = _swap("d1", "d0")
-        return r
-    # canonical order d0 dm d3 dp
-    r[("dm", "d0")] = _swap("dm", "d0")
-    r[("d3", "d0")] = _swap("d3", "d0")
-    r[("dp", "d0")] = _swap("dp", "d0")
-    r[("d3", "dm")] = [(_Q(2), ("dm", "d3"))]
-    r[("dp", "d3")] = [(_Q(2), ("d3", "dp"))]
-    r[("dp", "dm")] = [(ONE, ("dm", "dp")), (LAM, ("d3", "d3"))]
-    return r
-
-
-def _build_leibniz(space, calculus):
-    """Rules for a derivative standing left of a coordinate (d, x) -> ..."""
-    r = {}
-    if space == LINE:
-        r[("d0", "x0")] = [(ONE, ()), (ONE, ("x0", "d0"))]
-        r[("d0", "x1")] = _swap("d0", "x1")
-        r[("d1", "x0")] = _swap("d1", "x0")
-        if calculus == "u":
-            r[("d1", "x1")] = [(ONE, ()), (_Q(1), ("x1", "d1"))]
-        else:
-            r[("d1", "x1")] = [(ONE, ()), (_Q(-1), ("x1", "d1"))]
-        return r
-    r[("d0", "x0")] = [(ONE, ()), (ONE, ("x0", "d0"))]
+def _build_leibniz(space):
+    """Plain Leibniz rules for a derivative left of a coordinate (d, x)."""
+    r = {("d0", "x0"): [(ONE, ()), (ONE, ("x0", "d0"))]}
     for xa in X_TOKENS[space][1:]:
         r[("d0", xa)] = _swap("d0", xa)
     for da in SPATIAL_D[space]:
         r[(da, "x0")] = _swap(da, "x0")
-    if calculus == "u":
-        r[("dp", "xp")] = [(ONE, ()), (_Q(4), ("xp", "dp"))]
-        r[("dp", "x3")] = [(_Q(2), ("x3", "dp"))]
-        r[("dp", "xm")] = _swap("dp", "xm")
-        r[("d3", "xp")] = [(_Q(2), ("xp", "d3"))]
-        r[("d3", "x3")] = [(ONE, ()), (_Q(2), ("x3", "d3")), (_Q(2) * _LL, ("xp", "dp"))]
-        r[("d3", "xm")] = [(_Q(2), ("xm", "d3")), (_Q(1) * _LL, ("x3", "dp"))]
-        r[("dm", "xp")] = _swap("dm", "xp")
-        r[("dm", "x3")] = [(_Q(2), ("x3", "dm")), (_Q(1) * _LL, ("xp", "d3"))]
-        r[("dm", "xm")] = [
-            (ONE, ()),
-            (_Q(4), ("xm", "dm")),
-            (_Q(2) * _LL, ("x3", "d3")),
-            (_Q(1) * LAM * _LL, ("xp", "dp")),
-        ]
-    else:
-        # the (dp, x3) correction coefficient is q^-1 lam lam+: the printed
-        # q lam lam+ fails the overlap consistency on dp x3 xp and does not
-        # match the conjugation transport of the plain calculus
-        r[("dp", "xm")] = _swap("dp", "xm")
-        r[("dp", "x3")] = [(_Q(-2), ("x3", "dp")), (-_Q(-1) * _LL, ("xm", "d3"))]
-        r[("dp", "xp")] = [
-            (ONE, ()),
-            (_Q(-4), ("xp", "dp")),
-            (-_Q(-2) * _LL, ("x3", "d3")),
-            (_Q(-1) * LAM * _LL, ("xm", "dm")),
-        ]
-        r[("d3", "xm")] = [(_Q(-2), ("xm", "d3"))]
-        r[("d3", "x3")] = [(ONE, ()), (_Q(-2), ("x3", "d3")), (-_Q(-2) * _LL, ("xm", "dm"))]
-        r[("d3", "xp")] = [(_Q(-2), ("xp", "d3")), (-_Q(-1) * _LL, ("x3", "dm"))]
-        r[("dm", "xp")] = _swap("dm", "xp")
-        r[("dm", "x3")] = [(_Q(-2), ("x3", "dm"))]
-        r[("dm", "xm")] = [(ONE, ()), (_Q(-4), ("xm", "dm"))]
+    if space == LINE:
+        r[("d1", "x1")] = [(ONE, ()), (_Q(1), ("x1", "d1"))]
+        return r
+    r[("dp", "xp")] = [(ONE, ()), (_Q(4), ("xp", "dp"))]
+    r[("dp", "x3")] = [(_Q(2), ("x3", "dp"))]
+    r[("dp", "xm")] = _swap("dp", "xm")
+    r[("d3", "xp")] = [(_Q(2), ("xp", "d3"))]
+    r[("d3", "x3")] = [(ONE, ()), (_Q(2), ("x3", "d3")), (_Q(2) * _LL, ("xp", "dp"))]
+    r[("d3", "xm")] = [(_Q(2), ("xm", "d3")), (_Q(1) * _LL, ("x3", "dp"))]
+    r[("dm", "xp")] = _swap("dm", "xp")
+    r[("dm", "x3")] = [(_Q(2), ("x3", "dm")), (_Q(1) * _LL, ("xp", "d3"))]
+    r[("dm", "xm")] = [
+        (ONE, ()),
+        (_Q(4), ("xm", "dm")),
+        (_Q(2) * _LL, ("x3", "d3")),
+        (_Q(1) * LAM * _LL, ("xp", "dp")),
+    ]
     return r
+
+
+def _transition(rules):
+    """The rules under (+/-, q) -> (-/+, 1/q): every tag through PM_SWAP,
+    every coefficient through q -> 1/q.
+
+    It takes the standard ordering to the reversed one and the plain
+    calculus to the hatted one.  On the hatted rule for dp x3 it gives the
+    correction coefficient q^-1 lam lam+ where the printed rule has
+    q lam lam+: the printed one fails the overlap consistency on dp x3 xp
+    and does not match the conjugation transport of the plain calculus."""
+    def swap(toks):
+        return tuple(PM_SWAP.get(t, t) for t in toks)
+
+    return {
+        swap(pair): [(c.subs_q_inverse(), swap(repl)) for c, repl in alts]
+        for pair, alts in rules.items()
+    }
 
 
 def _lam_weight(space, tag):
@@ -216,14 +186,21 @@ class _RuleSet:
 
     def __init__(self, space, calculus, ordering, opposite=False):
         self.ordering = ordering
-        if ordering not in ("xd", "rev"):
-            raise ValueError(ordering)
+        if ordering not in ("xd", "rev") or calculus not in ("u", "h"):
+            raise ValueError((calculus, ordering))
         xs = list((X_TOKENS if ordering == "xd" else REVERSED)[space])
         ds = list(D_TOKENS[space])
         seq = xs + ds + [_LAM_TAG]
-        pair_rules = _build_xx_rules(space, reverse=ordering == "rev")
-        pair_rules.update(_build_dd_rules(space))
-        pair_rules.update(_build_leibniz(space, calculus))
+        xx = _build_xx_rules(space)
+        pair_rules = _transition(xx) if ordering == "rev" else dict(xx)
+        # the derivatives obey the coordinate relations, indices swapped
+        x_to_d = dict(zip(X_TOKENS[space], D_TOKENS[space]))
+        for (a, b), alts in xx.items():
+            pair_rules[(x_to_d[a], x_to_d[b])] = [
+                (c, tuple(x_to_d[t] for t in repl)) for c, repl in alts
+            ]
+        leibniz = _build_leibniz(space)
+        pair_rules.update(_transition(leibniz) if calculus == "h" else leibniz)
         sign = 1
         if opposite:
             seq = seq[::-1]
@@ -554,6 +531,8 @@ class NCElement(_LinComb):
         layout = KEY_LAYOUT[space]
         if tag not in layout:
             raise ValueError(f"unknown generator {tag!r} for space {space!r}")
+        if power < 0:
+            raise ValueError(f"negative power {power} of generator {tag!r}")
         key = [0] * len(layout) + [0]
         key[layout.index(tag)] = power
         return NCElement(space, {tuple(key): ONE})

@@ -217,7 +217,7 @@ def _cdiv(a, b):
 # Every form is unique, so == on the parts is equality of polynomials.  The
 # stored form {exponent: int | Fraction | GaussianRational} is only read and
 # shown at the public edge: the QScalar constructor, num/den, str, hash,
-# eval_exact, eval_float and subs_q_inverse.
+# eval_exact and eval_float.
 
 
 def _pparts(p):
@@ -447,6 +447,14 @@ def _pscale(a, c, n=0):
     if c == 1:
         return _pshift(a, n)
     return {k + n: v * c for k, v in a.items()}
+
+
+def _preflect(a, n):
+    """s^n a(1/s)."""
+    if type(a) is dict:
+        return {n - k: v for k, v in a.items()}
+    re, im, d = a
+    return {n - k: v for k, v in re.items()}, im and {n - k: v for k, v in im.items()}, d
 
 
 def _pconj(a):
@@ -816,11 +824,20 @@ class QScalar:
         return _canon(_pconj(self._n), _pconj(self._d))
 
     def subs_q_inverse(self):
-        """The substitution q -> 1/q."""
-        return QScalar(
-            {-k: c for k, c in _to_stored(self._n).items()},
-            {-k: c for k, c in _to_stored(self._d).items()},
-        )
+        """The substitution q -> 1/q, that is s -> 1/s.
+
+        An automorphism of the field, so a reduced fraction stays reduced:
+        both parts are reflected, shifted by the degree of the denominator
+        so its constant term is its old leading coefficient 1, and divided
+        by its new leading coefficient."""
+        num, den = self._n, self._d
+        if den is _P_ONE:
+            if not num or _pkeys(num).keys() == {0}:
+                return self  # a constant is fixed
+            return _canon(_preflect(num, 0), _P_ONE)
+        m = max(_pkeys(den))
+        num, den = _preflect(num, m), _preflect(den, m)
+        return _canon(_pmonic(num, den), _pmonic(den, den))
 
     # -- evaluation --------------------------------------------------------
 

@@ -243,6 +243,18 @@ def test_power_table_and_product_cache():
         H.op = NCElement.zero("line")
 
 
+def test_negative_powers_and_products_are_rejected():
+    H = free_hamiltonian("line")
+    H.power(3)
+    for call in (lambda: H.power(-1), lambda: H.product(-1, 0), lambda: H.product(0, -2),
+                 lambda: H.product(-1, 1, conjugate=True)):
+        with pytest.raises(ValueError):
+            call()
+    # nothing was cached under a negative index
+    assert not any(a < 0 or b < 0 for a, b, _ in H._products)
+    assert H.power(3) == H.op * H.op * H.op
+
+
 def test_threads_share_the_power_and_product_tables():
     # four threads meet at a barrier, then fill one fresh Hamiltonian's
     # tables at once; a lost update would leave a wrong or duplicated power

@@ -28,6 +28,18 @@ def nf(space, *word):
     return normal_form(space, word)
 
 
+def test_generator_rejects_a_negative_power_of_a_coordinate_or_derivative():
+    for tag in ("x0", "xp", "dm"):
+        with pytest.raises(ValueError):
+            NCElement.generator("euclid3", tag, -1)
+    with pytest.raises(ValueError):
+        NCElement.generator("line", "d1", -2)
+    assert NCElement.generator("euclid3", "xp", 0) == NCElement.one("euclid3")
+    # the scaling operator takes any half-step
+    half_inverse = NCElement.generator("line", "L", -1)
+    assert half_inverse * NCElement.generator("line", "L", 1) == NCElement.one("line")
+
+
 def test_printed_rewrites():
     assert nf("euclid3", "x3", "xp") == nf("euclid3", "xp", "x3").scale(qpow(2))
     e = nf("euclid3", "dp", "xp")
@@ -266,6 +278,123 @@ RULE_SETS = [
     for calculus in ("u", "h")
     for ordering in ("xd", "rev")
 ]
+
+
+# The rule tables as printed, the derived ones included: the engine states
+# only the standard coordinate relations and the plain Leibniz rules and
+# derives the rest by the (+/-, q) -> (-/+, 1/q) transition and the index
+# swap x -> d.  Each table maps a pair to its alternatives, in order.
+_Q = qpow
+_LINE_TABLES = {
+    "xx": {("x1", "x0"): [(ONE, ("x0", "x1"))]},
+    "xx_rev": {("x1", "x0"): [(ONE, ("x0", "x1"))]},
+    "dd": {("d1", "d0"): [(ONE, ("d0", "d1"))]},
+    "leibniz": {
+        ("d0", "x0"): [(ONE, ()), (ONE, ("x0", "d0"))],
+        ("d0", "x1"): [(ONE, ("x1", "d0"))],
+        ("d1", "x0"): [(ONE, ("x0", "d1"))],
+        ("d1", "x1"): [(ONE, ()), (_Q(1), ("x1", "d1"))],
+    },
+    "leibniz_hat": {
+        ("d0", "x0"): [(ONE, ()), (ONE, ("x0", "d0"))],
+        ("d0", "x1"): [(ONE, ("x1", "d0"))],
+        ("d1", "x0"): [(ONE, ("x0", "d1"))],
+        ("d1", "x1"): [(ONE, ()), (_Q(-1), ("x1", "d1"))],
+    },
+}
+_E3_TIME = {
+    ("d0", "x0"): [(ONE, ()), (ONE, ("x0", "d0"))],
+    ("d0", "xp"): [(ONE, ("xp", "d0"))],
+    ("d0", "x3"): [(ONE, ("x3", "d0"))],
+    ("d0", "xm"): [(ONE, ("xm", "d0"))],
+    ("dp", "x0"): [(ONE, ("x0", "dp"))],
+    ("d3", "x0"): [(ONE, ("x0", "d3"))],
+    ("dm", "x0"): [(ONE, ("x0", "dm"))],
+}
+_E3_TABLES = {
+    "xx": {
+        ("xp", "x0"): [(ONE, ("x0", "xp"))],
+        ("x3", "x0"): [(ONE, ("x0", "x3"))],
+        ("xm", "x0"): [(ONE, ("x0", "xm"))],
+        ("x3", "xp"): [(_Q(2), ("xp", "x3"))],
+        ("xm", "x3"): [(_Q(2), ("x3", "xm"))],
+        ("xm", "xp"): [(ONE, ("xp", "xm")), (LAM, ("x3", "x3"))],
+    },
+    "xx_rev": {
+        ("xp", "x0"): [(ONE, ("x0", "xp"))],
+        ("x3", "x0"): [(ONE, ("x0", "x3"))],
+        ("xm", "x0"): [(ONE, ("x0", "xm"))],
+        ("x3", "xm"): [(_Q(-2), ("xm", "x3"))],
+        ("xp", "x3"): [(_Q(-2), ("x3", "xp"))],
+        ("xp", "xm"): [(ONE, ("xm", "xp")), (-LAM, ("x3", "x3"))],
+    },
+    "dd": {
+        ("dm", "d0"): [(ONE, ("d0", "dm"))],
+        ("d3", "d0"): [(ONE, ("d0", "d3"))],
+        ("dp", "d0"): [(ONE, ("d0", "dp"))],
+        ("d3", "dm"): [(_Q(2), ("dm", "d3"))],
+        ("dp", "d3"): [(_Q(2), ("d3", "dp"))],
+        ("dp", "dm"): [(ONE, ("dm", "dp")), (LAM, ("d3", "d3"))],
+    },
+    "leibniz": {
+        **_E3_TIME,
+        ("dp", "xp"): [(ONE, ()), (_Q(4), ("xp", "dp"))],
+        ("dp", "x3"): [(_Q(2), ("x3", "dp"))],
+        ("dp", "xm"): [(ONE, ("xm", "dp"))],
+        ("d3", "xp"): [(_Q(2), ("xp", "d3"))],
+        ("d3", "x3"): [(ONE, ()), (_Q(2), ("x3", "d3")), (_Q(2) * LL, ("xp", "dp"))],
+        ("d3", "xm"): [(_Q(2), ("xm", "d3")), (_Q(1) * LL, ("x3", "dp"))],
+        ("dm", "xp"): [(ONE, ("xp", "dm"))],
+        ("dm", "x3"): [(_Q(2), ("x3", "dm")), (_Q(1) * LL, ("xp", "d3"))],
+        ("dm", "xm"): [
+            (ONE, ()),
+            (_Q(4), ("xm", "dm")),
+            (_Q(2) * LL, ("x3", "d3")),
+            (_Q(1) * LAM * LL, ("xp", "dp")),
+        ],
+    },
+    "leibniz_hat": {
+        **_E3_TIME,
+        ("dp", "xm"): [(ONE, ("xm", "dp"))],
+        # q^-1 lam lam+, where the source prints q lam lam+
+        ("dp", "x3"): [(_Q(-2), ("x3", "dp")), (-_Q(-1) * LL, ("xm", "d3"))],
+        ("dp", "xp"): [
+            (ONE, ()),
+            (_Q(-4), ("xp", "dp")),
+            (-_Q(-2) * LL, ("x3", "d3")),
+            (_Q(-1) * LAM * LL, ("xm", "dm")),
+        ],
+        ("d3", "xm"): [(_Q(-2), ("xm", "d3"))],
+        ("d3", "x3"): [(ONE, ()), (_Q(-2), ("x3", "d3")), (-_Q(-2) * LL, ("xm", "dm"))],
+        ("d3", "xp"): [(_Q(-2), ("xp", "d3")), (-_Q(-1) * LL, ("x3", "dm"))],
+        ("dm", "xp"): [(ONE, ("xp", "dm"))],
+        ("dm", "x3"): [(_Q(-2), ("x3", "dm"))],
+        ("dm", "xm"): [(ONE, ()), (_Q(-4), ("xm", "dm"))],
+    },
+}
+_TABLES = {"line": _LINE_TABLES, "euclid3": _E3_TABLES}
+
+
+@pytest.mark.parametrize("space, calculus, ordering", RULE_SETS)
+def test_derived_rule_tables_match_the_printed_ones(space, calculus, ordering):
+    tables = _TABLES[space]
+    want = {
+        **tables["xx" if ordering == "xd" else "xx_rev"],
+        **tables["dd"],
+        **tables["leibniz" if calculus == "u" else "leibniz_hat"],
+    }
+    got = _nc._RuleSet(space, calculus, ordering).pair_rules
+    assert sorted(got) == sorted(want)
+    for pair, alts in want.items():
+        # the alternatives in order, each coefficient exactly
+        assert got[pair] == alts, pair
+
+
+def test_rule_sets_reject_an_unknown_calculus_or_ordering():
+    with pytest.raises(ValueError):
+        _nc._RuleSet("euclid3", "x", "xd")
+    with pytest.raises(ValueError):
+        _nc._RuleSet("euclid3", "u", "dx")
 
 
 def _tokens(space):

@@ -21,6 +21,7 @@ from qspace.scalars import (
     Q,
     GaussianRational,
     QScalar,
+    _P_ONE,
     _from_stored,
     _padd,
     _pdivmod,
@@ -320,6 +321,38 @@ def test_eval_exact_matches_the_boxed_evaluation():
     # a Gaussian q0 on even exponents, and a real value still boxed
     assert (Q + I).eval_exact(GaussianRational(1, 1)) == GaussianRational(1, 2)
     assert type(qnum(3).eval_exact(1)) is GaussianRational
+
+
+def boxed_subs_q_inverse(x):
+    """q -> 1/q through the constructor: the stored parts with negated
+    exponents, reduced afresh."""
+    return QScalar({-k: c for k, c in x.num.items()}, {-k: c for k, c in x.den.items()})
+
+
+def test_subs_q_inverse_matches_the_constructor_path():
+    rng = random.Random(26)
+    kinds = ("int", "frac", "gauss")
+    checked = 0
+    for _ in range(300):
+        num = random_poly(rng, -6, 6, rng.choice(kinds))
+        den = random_poly(rng, -3, 5, rng.choice(kinds))
+        x = QScalar(num, den)
+        checked += len(x.den) > 1
+        got = x.subs_q_inverse()
+        want = boxed_subs_q_inverse(x)
+        # the same canonical parts the constructor gives
+        assert got._n == want._n and got._d == want._d, x
+        assert (got._d is _P_ONE) == (len(got.den) == 1)
+        assert_stored(got.num)
+        assert_stored(got.den)
+        if len(got.den) > 1:
+            assert min(got.den) == 0 and got.den[max(got.den)] == 1
+        back = got.subs_q_inverse()
+        assert back._n == x._n and back._d == x._d
+    assert checked > 200
+    # a constant is fixed, and q-free constants stay shared
+    assert ONE.subs_q_inverse() is ONE
+    assert (Q + I).subs_q_inverse() == 1 / Q + I
 
 
 def test_eval_exact_is_not_quadratic_in_the_degree():
