@@ -8,6 +8,7 @@ sets appearing in translations, and symbolic integration endpoints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -28,6 +29,13 @@ def _monomials(variables, max_degree):
         for e in itertools.product(range(max_degree + 1), repeat=len(variables))
         if sum(e) <= max_degree
     ]
+
+
+@functools.lru_cache(maxsize=4096)
+def _mono_text(variables, e):
+    """The monomial with exponent tuple e in the variables, as printed; empty
+    for the unit."""
+    return " ".join(f"{v}^{n}" if n > 1 else v for v, n in zip(variables, e) if n)
 
 
 class NonConvergentSum(ArithmeticError):
@@ -223,14 +231,17 @@ class CFunction(_LinComb):
         return sum(e), e
 
     def _mono_str(self, e):
-        return " ".join(f"{v}^{n}" if n > 1 else v for v, n in zip(self.vars, e) if n)
+        return _mono_text(self.vars, e)
 
     def _term_str(self, e, c):
-        mono = self._mono_str(e)
-        cs = str(c)
+        mono = _mono_text(self.vars, e)
         if mono:
-            return _coeff_times(cs, mono)
-        return f"({cs})" if any(op in cs[1:] for op in "+-/") and "/" not in cs else cs
+            return _coeff_times(c, mono)
+        cs = str(c)
+        # a sum in parentheses, a quotient as it is
+        if "/" not in cs and (cs.find("+", 1) > 0 or cs.find("-", 1) > 0):
+            return f"({cs})"
+        return cs
 
     def __repr__(self):
         return f"CFunction({self})"

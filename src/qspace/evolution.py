@@ -61,6 +61,8 @@ class Hamiltonian:
 
     def power(self, n: int) -> NCElement:
         """H^n, built as H^(n-1) * H."""
+        if not isinstance(n, int):
+            raise TypeError(f"power of a Hamiltonian must be an int, not {n!r}")
         if n < 0:
             raise ValueError(f"negative power {n} of a Hamiltonian")
         powers = self._powers
@@ -72,6 +74,9 @@ class Hamiltonian:
 
     def product(self, a: int, b: int, conjugate: bool = False) -> NCElement:
         """H^a H^b, or conj(H^a) H^b when ``conjugate`` is set."""
+        if not (isinstance(a, int) and isinstance(b, int)):
+            # checked before the cache, where 1.0 would find the entry of 1
+            raise TypeError(f"powers of a Hamiltonian must be ints, not {a!r} and {b!r}")
         key = (a, b, conjugate)
         p = self._products.get(key)
         if p is None:

@@ -9,7 +9,10 @@ Grammar:
 
 A unary minus binds looser than '^' everywhere: -x3^2 is -(x3^2), also
 after '+' or '*'.  '/' divides scalars only.  Negative powers apply to
-scalars and L, half-integer powers (k/2) to q and L.
+scalars and L, half-integer powers (k/2) to q and L.  An exponent literal
+(k in k/2 too) is at most MAX_EXPONENT = 10000 in absolute value; a larger
+one is a ParseError at its '^'.  Every ParseError carries the exact offset
+of the offending character or token, or the length of the text at its end.
 
 Capitalized coordinate names and derivative names build noncommutative
 elements (factor order is preserved), lowercase coordinates build
@@ -23,13 +26,15 @@ in order.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 
 from .cfunc import CFunction, space_vars
 from .grassmann import GElement
-from .ncalgebra import NCElement
+from .ncalgebra import NCElement, _add_normal_form
 from .scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, scalar
-from .spaces import HAT_D_TOKENS, HAT_POWER, PRINT_NAMES
+from .spaces import HAT_D_TOKENS, HAT_POWER, KEY_LAYOUT, PRINT_NAMES
 
 
 class ParseError(ValueError):
@@ -38,23 +43,34 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*/^])|(\S)")
+# A token is a run of digits, a name or an operator; blanks separate them.
+# The first character tells the alternatives apart and each takes its
+# longest run, so one match walks the text once, without backtracking, and
+# stops at the first character that no token or blank covers.
+_LEXICON_RE = re.compile(r"(?:\d+|[A-Za-z][A-Za-z0-9_]*|[()+\-*/^]|\s)*")
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9_]*|[()+\-*/^]")
+_END = ""  # the token after the last one
+# the tokens after which a term has no further factor
+_TERM_ENDS = frozenset((_END, ")", "+", "-", "^"))
+# an exponent literal beyond this, in absolute value, is a ParseError
+MAX_EXPONENT = 10_000
 
 
-def _tokenize(text):
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        num, name, op, bad = m.groups()
-        if bad is not None:
-            raise ParseError(f"unexpected character {bad!r}", m.start())
-        if num is not None:
-            out.append(("int", int(num), m.start()))
-        elif name is not None:
-            out.append(("name", name, m.start()))
-        else:
-            out.append(("op", op, m.start()))
-    out.append(("end", None, len(text)))
-    return out
+def _position(text, index):
+    """The offset in text of its token number index, or the length of the
+    text for the token after the last; found only for an error message."""
+    for m in itertools.islice(_TOKEN_RE.finditer(text), index, None):
+        return m.start()
+    return len(text)
+
+
+def _exponent_literal(tok):
+    """The value of a digit token in an exponent; a token longer than int()
+    converts is beyond any bound."""
+    try:
+        return int(tok)
+    except ValueError:
+        return math.inf
 
 
 class Value:
@@ -67,16 +83,15 @@ class Value:
         self.kind = kind
         self.data = data
 
-    @staticmethod
-    def of_scalar(c):
-        return Value("scalar", c)
-
 
 # A factor is a piece of a monomial: ("scalar", c); ("x", (i, n)) for the
 # i-th commutative coordinate to the n; ("w", (tokens, c)) for a word of
 # noncommutative generators times c; or (kind, element) for anything else.
 _PIECE_KIND = {"x": "c", "w": "nc"}
-_NAME_TABLES = {}  # space -> {name: factor}, built on first use
+_MINUS_ONE = -ONE
+# integer literal -> factor, shared canonical scalars for the small ones
+_INT_FACTORS = {str(n): ("scalar", scalar(n)) for n in range(16)}
+_NAME_TABLES = {}  # space -> {name or small integer literal: factor}, built on first use
 
 
 def _name_table(space):
@@ -86,7 +101,7 @@ def _name_table(space):
     xs = space_vars(space)
     names = PRINT_NAMES[space]
     table = {"q": ("scalar", Q), "i": ("scalar", I), "lambda": ("scalar", LAM),
-             "lambda_plus": ("scalar", LAMP)}
+             "lambda_plus": ("scalar", LAMP), **_INT_FACTORS}
     for i, v in enumerate(xs):
         table[v] = ("x", (i, 1))
         table[names[v]] = ("w", ((v,), ONE))
@@ -101,93 +116,130 @@ def _name_table(space):
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text, as plain strings;
+    ``i`` indexes the next token.  A bad character is reported before any
+    grammar error."""
+
     def __init__(self, text, space):
-        self.toks = _tokenize(text)
+        end = _LEXICON_RE.match(text).end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}", end)
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append(_END)
         self.i = 0
         self.space = space
         self.names = _name_table(space)
 
-    def peek(self):
-        return self.toks[self.i]
+    def _error(self, message, index):
+        return ParseError(message, _position(self.text, index))
 
-    def take(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def _unit_key(self, kind):
+        if kind == "c":
+            return (0,) * len(space_vars(self.space))
+        if kind == "nc":
+            return (0,) * (len(KEY_LAYOUT[self.space]) + 1)
+        return ()
 
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
+    def _element(self, kind, terms):
+        """The element of the given kind with these terms (not copied)."""
+        if kind == "c":
+            el = CFunction(space_vars(self.space))
+        elif kind == "nc":
+            el = NCElement(self.space)
+        else:
+            el = GElement()
+        el.terms = terms
+        return el
 
     def _promote(self, c, kind):
         """The scalar c as an element of the given kind."""
-        if kind == "c":
-            return CFunction.constant(space_vars(self.space), c)
-        if kind == "nc":
-            return NCElement.scalar_term(self.space, c)
-        if kind == "g":
-            return GElement.one().scale(c)
-        raise AssertionError(kind)
+        return self._element(kind, {self._unit_key(kind): c} if c else {})
+
+    def _accumulate(self, terms, kind, coeff, key, elem):
+        """Add one term, as returned by ``term``, into the dict terms."""
+        if elem is not None:
+            for k, c in elem.terms.items():
+                _add_term(terms, k, c)
+        elif kind == "c":
+            _add_term(terms, key, coeff)
+        else:
+            _add_normal_form(terms, self.space, "u", "xd", tuple(key), coeff)
 
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> Value:
-        v = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input", pos)
-        return v
+        kind, data = self.expr()
+        if self.toks[self.i] != _END:
+            raise self._error("trailing input", self.i)
+        return Value(kind, data)
 
-    def expr(self) -> Value:
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-        v = self.term(negate=kind == "op" and val == "-")
-        terms = None  # the sum's own dict, made when a second term arrives
-        while True:
-            kind, val, pos = self.peek()
-            if kind != "op" or val not in "+-":
-                return v if terms is None else Value(v.kind, v.data._like(terms))
-            self.take()
-            rhs = self.term(negate=val == "-")
-            if v.kind == "scalar" and rhs.kind == "scalar":
-                v = Value.of_scalar(v.data + rhs.data)
+    def expr(self):
+        """A sum, as (kind, data).  Scalar terms add as scalars until the
+        first other term; from then on every term adds its monomials into
+        one dict, made into one element at the end."""
+        toks = self.toks
+        sign = toks[self.i]
+        if sign == "+" or sign == "-":
+            self.i += 1
+        kind, coeff, key, elem = self.term(sign == "-")
+        sign = toks[self.i]
+        if sign != "+" and sign != "-" and elem is not None:
+            return kind, elem
+        total = terms = None
+        if kind == "scalar":
+            total = coeff
+        else:
+            terms = {}
+            self._accumulate(terms, kind, coeff, key, elem)
+        while sign == "+" or sign == "-":
+            at = self.i
+            self.i = at + 1
+            rkind, coeff, key, elem = self.term(sign == "-")
+            sign = toks[self.i]
+            if rkind == "scalar":
+                if terms is None:
+                    total = total + coeff
+                else:
+                    _add_term(terms, self._unit_key(kind), coeff)
                 continue
-            if v.kind == "scalar":
-                v = Value(rhs.kind, self._promote(v.data, rhs.kind))
-            elif rhs.kind == "scalar":
-                rhs = Value(v.kind, self._promote(rhs.data, v.kind))
-            if v.kind != rhs.kind:
-                raise ParseError("cannot add values of different kinds", pos)
             if terms is None:
-                terms = dict(v.data.terms)
-            for k, c in rhs.data.terms.items():
-                _add_term(terms, k, c)
+                kind = rkind
+                terms = {self._unit_key(kind): total} if total else {}
+            elif rkind != kind:
+                raise self._error("cannot add values of different kinds", at)
+            self._accumulate(terms, rkind, coeff, key, elem)
+        if terms is None:
+            return "scalar", total
+        return kind, self._element(kind, terms)
 
-    def term(self, negate=False) -> Value:
-        """One monomial: a coefficient, an exponent vector or a generator
-        word, times the element-valued factors; a pending word is turned
-        into an element before each such factor, so factor order is kept."""
-        coeff = -ONE if negate else ONE
+    def term(self, negate):
+        """One monomial, as (kind, coeff, key, elem): a scalar coeff; coeff
+        times an exponent tuple or a generator word (key); or the element
+        elem (coeff and key None) once an element-valued factor came, with
+        the coefficient and the monomial multiplied in.  A pending word is
+        turned into an element before each such factor, so factor order is
+        kept."""
+        toks = self.toks
+        coeff = _MINUS_ONE if negate else ONE
         vkind, exps, word, elem = "scalar", None, [], None
-        op, pos = None, None
+        div, at = False, None  # after '/'; the token just before the factor
         while True:
-            while self.peek()[:2] == ("op", "-"):  # looser than '^'
-                self.take()
+            while toks[self.i] == "-":  # looser than '^'
+                self.i += 1
                 coeff = -coeff
             fkind, data = self.factor()
-            if op == "/":
+            if div:
                 if vkind != "scalar" or fkind != "scalar":
-                    raise ParseError("division is defined for scalars only", pos)
+                    raise self._error("division is defined for scalars only", at)
                 coeff = coeff / data
             elif fkind == "scalar":
                 coeff = data if coeff is ONE else coeff * data
             else:
                 fk = _PIECE_KIND.get(fkind, fkind)
-                if vkind not in ("scalar", fk):
-                    raise ParseError(
-                        "cannot mix commutative and noncommutative variables", pos
+                if vkind != "scalar" and vkind != fk:
+                    raise self._error(
+                        "cannot mix commutative and noncommutative variables", at
                     )
                 vkind = fk
                 if fkind == "x":
@@ -203,69 +255,93 @@ class _Parser:
                         elem = _times(elem, NCElement.from_word(self.space, word))
                         word = []
                     elem = _times(elem, data)
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                op = val
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
-                op = None
-            else:
+            at = self.i
+            tok = toks[at]
+            if tok == "*" or tok == "/":
+                self.i = at + 1
+                div = tok == "/"
+            elif tok in _TERM_ENDS:
                 break
+            else:  # juxtaposition
+                div = False
         if vkind == "scalar":
-            return Value.of_scalar(coeff)
+            return vkind, coeff, None, None
+        if elem is None:
+            return vkind, coeff, tuple(exps) if vkind == "c" else word, None
         if vkind == "c" and exps is not None:
-            mono = CFunction(space_vars(self.space), {tuple(exps): coeff})
-        elif vkind == "nc" and (word or elem is None):
-            mono = NCElement.from_word(self.space, word, coeff)
+            elem = elem * CFunction(space_vars(self.space), {tuple(exps): coeff})
+        elif vkind == "nc" and word:
+            elem = elem * NCElement.from_word(self.space, word, coeff)
         else:
-            return Value(vkind, elem.scale(coeff))
-        return Value(vkind, _times(elem, mono))
+            elem = elem.scale(coeff)
+        return vkind, None, None, elem
 
     def _exponent(self):
-        kind, val, pos = self.take()
-        if kind == "op" and val == "-":
-            kind, val, pos = self.take()
-            if kind != "int":
-                raise ParseError("expected integer exponent", pos)
-            return -val, None
-        if kind == "int":
-            return val, None
-        if kind == "op" and val == "(":
-            sign = 1
-            kind, val, pos = self.take()
-            if kind == "op" and val == "-":
-                sign = -1
-                kind, val, pos = self.take()
-            if kind != "int":
-                raise ParseError("expected integer exponent", pos)
-            num = sign * val
-            kind2, val2, pos2 = self.take()
-            den = 1
-            if kind2 == "op" and val2 == "/":
-                kind3, val3, pos3 = self.take()
-                if kind3 != "int":
-                    raise ParseError("expected exponent denominator", pos3)
-                den = val3
-                self.expect_op(")")
-            elif not (kind2 == "op" and val2 == ")"):
-                raise ParseError("expected ')'", pos2)
-            return num, den
-        raise ParseError("expected integer exponent", pos)
+        toks = self.toks
+        i = self.i
+        tok = toks[i]
+        if tok == "-":
+            i += 1
+            tok = toks[i]
+            if not tok.isdecimal():
+                raise self._error("expected integer exponent", i)
+            self.i = i + 1
+            return -_exponent_literal(tok), None
+        if tok.isdecimal():
+            self.i = i + 1
+            return _exponent_literal(tok), None
+        if tok != "(":
+            raise self._error("expected integer exponent", i)
+        sign = 1
+        i += 1
+        tok = toks[i]
+        if tok == "-":
+            sign = -1
+            i += 1
+            tok = toks[i]
+        if not tok.isdecimal():
+            raise self._error("expected integer exponent", i)
+        num = sign * _exponent_literal(tok)
+        i += 1
+        den = 1
+        if toks[i] == "/":
+            i += 1
+            tok = toks[i]
+            if not tok.isdecimal():
+                raise self._error("expected exponent denominator", i)
+            den = _exponent_literal(tok)
+            i += 1
+        if toks[i] != ")":
+            raise self._error("expected ')'", i)
+        self.i = i + 1
+        return num, den
 
     def factor(self):
-        fkind, data = self.atom()
-        kind, val, pos = self.peek()
-        if kind != "op" or val != "^":
-            return fkind, data
-        self.take()
+        """An atom, raised to its power when '^' follows."""
+        toks = self.toks
+        i = self.i
+        tok = toks[i]
+        self.i = i + 1
+        got = self.names.get(tok)
+        if got is None:
+            got = self._atom(tok, i)
+        elif got[0] == "g":
+            got = "g", GElement.gen(got[1])
+        at = self.i
+        if toks[at] != "^":
+            return got
+        fkind, data = got
+        self.i = at + 1
         num, den = self._exponent()
         if den not in (None, 1, 2):
-            raise ParseError("only half-integer exponents are supported", pos)
+            raise self._error("only half-integer exponents are supported", at)
+        if abs(num) > MAX_EXPONENT:
+            raise self._error(f"exponents are bounded by {MAX_EXPONENT} in absolute value", at)
         half = den == 2
         if fkind == "scalar":
             if half:
                 if data != Q:
-                    raise ParseError("half-integer powers apply to q and L only", pos)
+                    raise self._error("half-integer powers apply to q and L only", at)
                 return fkind, QScalar.q_power(num)
             return fkind, QScalar.q_power(2 * num) if data is Q else data ** num
         lam = _lambda_steps(fkind, data)
@@ -273,13 +349,13 @@ class _Parser:
             steps = lam * num
             if half:
                 if steps % 2:
-                    raise ParseError("only half-integer exponents are supported", pos)
+                    raise self._error("only half-integer exponents are supported", at)
                 steps //= 2
             return "w", (((("L", steps),) if steps else ()), ONE)
         if half:
-            raise ParseError("half-integer powers apply to q and L only", pos)
+            raise self._error("half-integer powers apply to q and L only", at)
         if num < 0:
-            raise ParseError("negative powers apply to scalars and L only", pos)
+            raise self._error("negative powers apply to scalars and L only", at)
         if fkind == "x":
             return fkind, (data[0], num)
         if fkind == "w":
@@ -291,22 +367,20 @@ class _Parser:
             out = out * data
         return fkind, out
 
-    def atom(self):
-        kind, val, pos = self.take()
-        if kind == "int":
-            return "scalar", scalar(val)
-        if kind == "op" and val == "(":
-            v = self.expr()
-            self.expect_op(")")
-            return v.kind, v.data
-        if kind != "name":
-            raise ParseError("expected a value", pos)
-        got = self.names.get(val)
-        if got is None:
-            raise ParseError(f"unknown name {val!r} for space {self.space}", pos)
-        if got[0] == "g":
-            return "g", GElement.gen(got[1])
-        return got
+    def _atom(self, tok, i):
+        """The atom at token i that the name table does not hold: an
+        expression in parentheses or an integer literal."""
+        if tok == "(":
+            got = self.expr()
+            if self.toks[self.i] != ")":
+                raise self._error("expected ')'", self.i)
+            self.i += 1
+            return got
+        if tok.isdecimal():
+            return "scalar", scalar(int(tok))
+        if tok[:1].isalpha():
+            raise self._error(f"unknown name {tok!r} for space {self.space}", i)
+        raise self._error("expected a value", i)
 
 
 def _times(elem, other):

@@ -30,6 +30,7 @@ hatted rule set is selected through the action mode instead.
 
 from __future__ import annotations
 
+import functools
 from contextvars import ContextVar
 from operator import itemgetter
 
@@ -525,6 +526,10 @@ class NCElement(_LinComb):
 
     @staticmethod
     def generator(space, tag, power=1):
+        """The generator tag to an int power; the scaling operator's power
+        counts half-steps and may be negative."""
+        if not isinstance(power, int):
+            raise TypeError(f"power of generator {tag!r} must be an int, not {power!r}")
         if tag == _LAM_TAG:
             k = (0,) * len(KEY_LAYOUT[space]) + (power,)
             return NCElement(space, {k: ONE})
@@ -617,27 +622,33 @@ class NCElement(_LinComb):
         return sum(k[:-1]), k
 
     def _mono_str(self, k):
-        names = PRINT_NAMES[self.space]
-        factors = []
-        for tag, n in zip(KEY_LAYOUT[self.space], k[:-1]):
-            if n:
-                factors.append(names[tag] if n == 1 else f"{names[tag]}^{n}")
-        h = k[-1]
-        if h == 2:
-            factors.append("L")
-        elif h and h % 2 == 0:
-            factors.append(f"L^{h // 2}")
-        elif h:
-            factors.append(f"L^({h}/2)")
-        return " ".join(factors)
+        return _mono_text(self.space, k)
 
     def _term_str(self, k, c):
-        mono = self._mono_str(k)
-        cs = str(c)
-        return _coeff_times(cs, mono) if mono else cs
+        mono = _mono_text(self.space, k)
+        return _coeff_times(c, mono) if mono else str(c)
 
     def __repr__(self):
         return f"NCElement[{self.space}]({self})"
+
+
+@functools.lru_cache(maxsize=4096)
+def _mono_text(space, k):
+    """The normal-ordered word with stored key k, as printed; empty for the
+    unit."""
+    names = PRINT_NAMES[space]
+    factors = []
+    for tag, n in zip(KEY_LAYOUT[space], k[:-1]):
+        if n:
+            factors.append(names[tag] if n == 1 else f"{names[tag]}^{n}")
+    h = k[-1]
+    if h == 2:
+        factors.append("L")
+    elif h and h % 2 == 0:
+        factors.append(f"L^{h // 2}")
+    elif h:
+        factors.append(f"L^({h}/2)")
+    return " ".join(factors)
 
 
 # conjugation: token -> (scalar factor, image token); metric raises/lowers

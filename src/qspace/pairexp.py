@@ -10,7 +10,7 @@ reconstruction test pins these down.
 
 from __future__ import annotations
 
-from .cfunc import CFunction, _monomials, space_vars
+from .cfunc import CFunction, _mono_text, _monomials, space_vars
 from .ncalgebra import _DERIVED_TABLES, _MEMO_LIMIT, NCElement, act
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, _add_term, qfact, qnum, qpow, scalar
@@ -85,9 +85,7 @@ class TensorSeries:
         vars_ = space_vars(self.space)
         parts = []
         for exps, dword, coeff in self.terms:
-            mono = " ".join(
-                f"{v}^{n}" if n > 1 else v for v, n in zip(vars_, exps) if n
-            ) or "1"
+            mono = _mono_text(vars_, exps) or "1"
             cs = str(coeff)
             lhs, rhs = (mono, dword) if self.variant.startswith("x") else (dword, mono)
             if cs == "1":

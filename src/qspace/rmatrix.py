@@ -79,7 +79,7 @@ class QMatrix(_LinComb):
         return "E[%d,%d]" % k
 
     def _term_str(self, k, c):
-        return _coeff_times(str(c), self._mono_str(k))
+        return _coeff_times(c, self._mono_str(k))
 
 
 class RMatrix:

@@ -23,6 +23,7 @@ when integral, a ``Fraction`` when real and not integral, and a
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -873,16 +874,14 @@ class QScalar:
         num = self._n
         if not num:
             return "0"
-        if type(num) is not dict:
-            num = _to_stored(num)
-        ns = _poly_to_str(num)
-        if self._d is _P_ONE:
+        ns = _int_poly_to_str(num) if type(num) is dict else _poly_to_str(_to_stored(num))
+        den = self._d
+        if den is _P_ONE:
             return ns
-        den = _to_stored(self._d)
-        ds = _poly_to_str(den)
-        if len(num) > 1:
+        ds = _int_poly_to_str(den) if type(den) is dict else _poly_to_str(_to_stored(den))
+        if _plen(num) > 1:
             ns = f"({ns})"
-        if len(den) > 1:
+        if _plen(den) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -961,23 +960,64 @@ def _coeff_to_str(c, need_one=False):
     return str(c)
 
 
+def _q_text(k):
+    """The printed power of q for the exponent k in half-steps."""
+    if k == 0:
+        return ""
+    if k == 2:
+        return "q"
+    if k % 2 == 0:
+        return f"q^{k // 2}"
+    return f"q^({k}/2)"
+
+
+# exponent in half-steps -> _q_text, for the exponents printed most
+_Q_TEXTS = {k: _q_text(k) for k in range(-64, 65)}
+
+
 def _poly_to_str(p):
     parts = []
     for k in sorted(p, reverse=True):
         c = p[k]
-        if k == 0:
-            mono = ""
-        elif k == 2:
-            mono = "q"
-        elif k % 2 == 0:
-            mono = f"q^{k // 2}"
-        else:
-            mono = f"q^({Fraction(k, 2)})"
+        mono = _q_text(k)
         cs = _coeff_to_str(c, need_one=(mono == ""))
         if cs in ("", "-") and mono == "":
             cs = "1" if cs == "" else "-1"
         parts.append(f"{cs} {mono}" if mono and cs.endswith("i") else cs + mono)
     return _join_terms(parts)
+
+
+def _int_poly_to_str(p):
+    """_poly_to_str of a nonzero polynomial with int coefficients, printed
+    straight from the dict."""
+    if len(p) == 1:
+        for k, c in p.items():
+            return _int_term_str(k, c)
+    parts = []
+    for k in sorted(p, reverse=True):
+        c = p[k]
+        text = _int_term_str(k, c)
+        if not parts:
+            parts.append(text)
+        elif c < 0:
+            parts.append(" - " + text[1:])
+        else:
+            parts.append(" + " + text)
+    return "".join(parts)
+
+
+def _int_term_str(k, c):
+    """The int c times q to the k half-steps, as _poly_to_str prints it."""
+    mono = _Q_TEXTS.get(k)
+    if mono is None:
+        mono = _q_text(k)
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return "-" + mono
+    return f"{c}{mono}"
 
 
 def _join_terms(terms):
@@ -993,15 +1033,32 @@ def _join_terms(terms):
     return "".join(parts) or "0"
 
 
-def _coeff_times(cs, mono):
-    """A rendered coefficient times a nonempty rendered monomial."""
+def _coeff_times(c, mono):
+    """The scalar c times a nonempty rendered monomial, as printed.  A
+    one-term int coefficient is printed straight from its dict: it needs
+    parentheses exactly when its power of q is negative or a half."""
+    num = c._n
+    if c._d is _P_ONE and type(num) is dict and len(num) == 1:
+        for k, v in num.items():
+            if k:
+                cs = _int_term_str(k, v)
+                return f"({cs}) {mono}" if k < 0 or k % 2 else f"{cs} {mono}"
+            if v == 1:
+                return mono
+            return f"-{mono}" if v == -1 else f"{v} {mono}"
+    cs = str(c)
     if cs == "1":
         return mono
     if cs == "-1":
         return f"-{mono}"
-    if any(ch in cs[1:] for ch in "+- /") or cs.startswith("("):
+    if _NEEDS_PARENS(cs):
         return f"({cs}) {mono}"
     return f"{cs} {mono}"
+
+
+# a rendered coefficient that opens with '(' or has a sign, blank or '/'
+# after its first character
+_NEEDS_PARENS = re.compile(r"^\(|.[-+ /]", re.S).search
 
 
 # -- sparse linear combinations -------------------------------------------------
@@ -1088,8 +1145,12 @@ class _LinComb:
         return out
 
     def __str__(self):
-        keys = sorted(self.terms, key=self._print_order)
-        return _join_terms(self._term_str(k, self.terms[k]) for k in keys)
+        terms = self.terms
+        if len(terms) == 1:
+            for k, c in terms.items():
+                return self._term_str(k, c)
+        keys = sorted(terms, key=self._print_order)
+        return _join_terms([self._term_str(k, terms[k]) for k in keys])
 
     def numeric_str(self, q0):
         """The printed form with every coefficient evaluated at q = q0."""

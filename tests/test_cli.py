@@ -91,6 +91,49 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def _timed_main(*argv):
+    """Exit code, seconds spent in main and stderr of one command run in a
+    fresh interpreter; the subprocess timeout turns a hang into a failure."""
+    import qspace
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qspace.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, time\nfrom qspace.cli import main\nt = time.perf_counter()\n"
+            f"c = main({list(argv)!r})\nprint(time.perf_counter() - t)\nsys.exit(c)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env, check=False)
+    return proc.returncode, float(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "Xm^99999999999999999999"),
+    ("star", "xm^99999999999999999999", "xp"),
+])
+def test_an_exponent_beyond_the_bound_is_a_usage_error(argv):
+    # nf used to fail with an index-size error, star to run qbinom's rows
+    # 10^20 times
+    code, seconds, err = _timed_main(*argv)
+    assert code == 2, err
+    assert "parse error: exponents are bounded by 10000" in err
+    assert seconds < 1.0
+
+
+def test_the_exponent_bound_applies_to_every_literal():
+    from qspace.expressions import MAX_EXPONENT, ParseError
+
+    assert MAX_EXPONENT == 10_000
+    assert str(parse("q^10000", "line").data) == "q^10000"
+    assert str(parse("q^(-10000/2)", "line").data) == "q^-5000"
+    assert str(parse("X1^10000", "line").data) == "X1^10000"
+    # the bound is on the literal, also on k in k/2, and is checked at the
+    # '^' after the exponent's syntax; a literal too long for int() is over it
+    for text, pos in [("q^10001", 1), ("x1 X1^-10001", 5), ("2 q^(10001/2)", 3),
+                      ("L^(-20000/2)", 1), ("x1^" + "9" * 5000, 2)]:
+        with pytest.raises(ParseError, match="exponents are bounded by 10000") as info:
+            parse(text, "line")
+        assert info.value.pos == pos, text
+
+
 def test_mixing_error_exit_code(capsys):
     code, _, err = run(capsys, "nf", "x1 X1", "--space", "line")
     assert code == 2

@@ -255,6 +255,19 @@ def test_negative_powers_and_products_are_rejected():
     assert H.power(3) == H.op * H.op * H.op
 
 
+def test_a_power_that_is_not_an_int_is_rejected():
+    H = free_hamiltonian("line")
+    for n in (1.0, 0.5, Fraction(2)):
+        with pytest.raises(TypeError, match="power of a Hamiltonian must be an int"):
+            H.power(n)
+    assert len(H._powers) == 1  # nothing was built past H^0
+    assert H.power(2) == H.op * H.op
+    H.product(1, 0)
+    for a, b in ((1.0, 0), (1, 0.0)):  # also where (1, 0) is cached
+        with pytest.raises(TypeError, match="powers of a Hamiltonian must be ints"):
+            H.product(a, b)
+
+
 def test_threads_share_the_power_and_product_tables():
     # four threads meet at a barrier, then fill one fresh Hamiltonian's
     # tables at once; a lost update would leave a wrong or duplicated power

@@ -40,6 +40,13 @@ def test_generator_rejects_a_negative_power_of_a_coordinate_or_derivative():
     assert half_inverse * NCElement.generator("line", "L", 1) == NCElement.one("line")
 
 
+@pytest.mark.parametrize("tag,power", [("xp", 1.5), ("L", 0.5), ("dm", 2.0), ("x1", "2")])
+def test_generator_rejects_a_power_that_is_not_an_int(tag, power):
+    space = "line" if tag == "x1" else "euclid3"
+    with pytest.raises(TypeError, match=f"power of generator '{tag}' must be an int"):
+        NCElement.generator(space, tag, power)
+
+
 def test_printed_rewrites():
     assert nf("euclid3", "x3", "xp") == nf("euclid3", "xp", "x3").scale(qpow(2))
     e = nf("euclid3", "dp", "xp")

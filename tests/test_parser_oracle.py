@@ -10,6 +10,12 @@ position) on malformed ones.  Inputs with a unary minus right after a
 binary operator or '*' are left out: there the two parsers differ on
 purpose (tests/test_cli.py pins the new reading).  The two other
 deliberate differences are pinned by test_deliberate_differences.
+
+Token positions are now found only when an error is raised.  So the noisy
+corpus (other blanks, digits of other scripts, stray characters, cut tails)
+is also run through the replaced parser over the tokenizer that came next,
+restated below, which found every position with one finditer pass: both
+must raise the same errors at the same positions.
 """
 
 from __future__ import annotations
@@ -307,6 +313,43 @@ def oracle_parse(text, space):
     return _Parser(text, space).parse()
 
 
+# -- the tokenizer that followed, unchanged --------------------------------------
+#
+# One finditer pass made (kind, value, position) tuples and pointed at a bad
+# character itself, not at the blank before it.  Over it the replaced parser
+# gives every position the current parser must give, also on noisy text.
+
+_FINDITER_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()+\-*/^])|(\S)")
+
+
+def _finditer_tokenize(text):
+    out = []
+    for m in _FINDITER_RE.finditer(text):
+        num, name, op, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start())
+        if num is not None:
+            out.append(("int", int(num), m.start()))
+        elif name is not None:
+            out.append(("name", name, m.start()))
+        else:
+            out.append(("op", op, m.start()))
+    out.append(("end", None, len(text)))
+    return out
+
+
+class _FinditerParser(_Parser):
+    def __init__(self, text, space):
+        self.toks = _finditer_tokenize(text)
+        self.i = 0
+        self.space = space
+        self.nc_names = _nc_name_table(space)
+
+
+def finditer_oracle_parse(text, space):
+    return _FinditerParser(text, space).parse()
+
+
 # -- random expressions ----------------------------------------------------------
 
 _SCALAR_FACTORS = [
@@ -408,6 +451,53 @@ def test_corpus_covers_the_grammar():
         assert any(needle in t for t in texts), needle
     # no unary minus right after a binary operator or '*'
     assert not any(re.search(r"[-+*] -", t) for t in texts)
+
+
+# blanks, Unicode decimal digits of the same value, and characters no token
+# covers (a '_' or a letter outside ASCII may also join or end a name)
+_BLANKS = (" ", "  ", "   ", "\t", "\n", " \t ", "\r\n", "\u00a0", "\u2003")
+_DIGITS = {d: (chr(0x0660 + int(d)), chr(0xFF10 + int(d)), chr(0x0966 + int(d))) for d in "0123456789"}
+_STRAY = "#$%&!?@~;,.=[]{}'\"_é\u03bb\u00b2"
+
+
+def _noisy(rng, text):
+    """text with its blanks changed, blanks put before operators, digits of
+    numbers written in other scripts, a stray character or a cut tail."""
+    parts = []
+    for m in re.finditer(r"\d+|[A-Za-z][A-Za-z0-9_]*|\s+|.", text):
+        piece = m.group()
+        if piece.isspace():
+            piece = rng.choice(_BLANKS)
+        elif piece.isdigit():
+            piece = "".join(rng.choice(_DIGITS[d]) if rng.random() < 0.3 else d for d in piece)
+        elif not piece[0].isalpha() and rng.random() < 0.15:
+            piece = rng.choice(_BLANKS) + piece
+        parts.append(piece)
+    out = rng.choice(("", "", "\t", " ")) + "".join(parts) + rng.choice(("", "", " ", "\n"))
+    if rng.random() < 0.3:
+        at = rng.randint(0, len(out))
+        out = out[:at] + rng.choice(_STRAY) + out[at:]
+    if rng.random() < 0.3:
+        out = out[:rng.randint(0, len(out))]
+    return out
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_noisy_text_matches_the_finditer_tokenizer(seed):
+    rng = random.Random(seed)
+    errors, values = set(), 0
+    for space, text in _corpus(seed, 320):
+        noisy = _noisy(rng, text)
+        new = _outcome(expressions.parse, noisy, space)
+        old = _outcome(finditer_oracle_parse, noisy, space)
+        assert new[0] == old[0], (space, noisy, new, old)
+        assert new[1:] == old[1:], (space, noisy)
+        if new[0] == "error":
+            errors.add(re.match(r"[a-z ]*[a-z]", new[2]).group())
+        else:
+            values += 1
+    assert values > 120
+    assert {"unexpected character", "expected a value", "unknown name", "expected"} <= errors
 
 
 @pytest.mark.parametrize("space,text", [
