@@ -377,7 +377,10 @@ class _Parser:
             self.i += 1
             return got
         if tok.isdecimal():
-            return "scalar", scalar(int(tok))
+            try:
+                return "scalar", scalar(int(tok))
+            except ValueError:
+                raise self._error("integer literal too long", i) from None
         if tok[:1].isalpha():
             raise self._error(f"unknown name {tok!r} for space {self.space}", i)
         raise self._error("expected a value", i)

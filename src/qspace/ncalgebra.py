@@ -78,8 +78,6 @@ def _word_of_key(space, key):
 # table of their own: they run through the +/- mirror transport.
 # ---------------------------------------------------------------------------
 
-_Q = qpow
-_QL = lambda n: QScalar.q_power(n)  # power in units of sqrt(q)
 _LL = LAM * LAMP
 
 
@@ -95,8 +93,8 @@ def _build_xx_rules(space):
         ("xp", "x0"): _swap("xp", "x0"),
         ("x3", "x0"): _swap("x3", "x0"),
         ("xm", "x0"): _swap("xm", "x0"),
-        ("x3", "xp"): [(_Q(2), ("xp", "x3"))],
-        ("xm", "x3"): [(_Q(2), ("x3", "xm"))],
+        ("x3", "xp"): [(qpow(2), ("xp", "x3"))],
+        ("xm", "x3"): [(qpow(2), ("x3", "xm"))],
         ("xm", "xp"): [(ONE, ("xp", "xm")), (LAM, ("x3", "x3"))],
     }
 
@@ -109,21 +107,21 @@ def _build_leibniz(space):
     for da in SPATIAL_D[space]:
         r[(da, "x0")] = _swap(da, "x0")
     if space == LINE:
-        r[("d1", "x1")] = [(ONE, ()), (_Q(1), ("x1", "d1"))]
+        r[("d1", "x1")] = [(ONE, ()), (qpow(1), ("x1", "d1"))]
         return r
-    r[("dp", "xp")] = [(ONE, ()), (_Q(4), ("xp", "dp"))]
-    r[("dp", "x3")] = [(_Q(2), ("x3", "dp"))]
+    r[("dp", "xp")] = [(ONE, ()), (qpow(4), ("xp", "dp"))]
+    r[("dp", "x3")] = [(qpow(2), ("x3", "dp"))]
     r[("dp", "xm")] = _swap("dp", "xm")
-    r[("d3", "xp")] = [(_Q(2), ("xp", "d3"))]
-    r[("d3", "x3")] = [(ONE, ()), (_Q(2), ("x3", "d3")), (_Q(2) * _LL, ("xp", "dp"))]
-    r[("d3", "xm")] = [(_Q(2), ("xm", "d3")), (_Q(1) * _LL, ("x3", "dp"))]
+    r[("d3", "xp")] = [(qpow(2), ("xp", "d3"))]
+    r[("d3", "x3")] = [(ONE, ()), (qpow(2), ("x3", "d3")), (qpow(2) * _LL, ("xp", "dp"))]
+    r[("d3", "xm")] = [(qpow(2), ("xm", "d3")), (qpow(1) * _LL, ("x3", "dp"))]
     r[("dm", "xp")] = _swap("dm", "xp")
-    r[("dm", "x3")] = [(_Q(2), ("x3", "dm")), (_Q(1) * _LL, ("xp", "d3"))]
+    r[("dm", "x3")] = [(qpow(2), ("x3", "dm")), (qpow(1) * _LL, ("xp", "d3"))]
     r[("dm", "xm")] = [
         (ONE, ()),
-        (_Q(4), ("xm", "dm")),
-        (_Q(2) * _LL, ("x3", "d3")),
-        (_Q(1) * LAM * _LL, ("xp", "dp")),
+        (qpow(4), ("xm", "dm")),
+        (qpow(2) * _LL, ("x3", "d3")),
+        (qpow(1) * LAM * _LL, ("xp", "dp")),
     ]
     return r
 
@@ -237,11 +235,11 @@ class _RuleSet:
         # normal form of an ordered word up to its first run that does not
         # let a token pass by a plain swap, with that token appended; keyed
         # by the word's rank key up to that run, then the token
-        self.memo = {}
+        self.memo = _memo()
         # counit of the normal form of a reversed coordinate word with one
         # token run appended, keyed by the word's rank key, the token and
         # the run (used on the opposite rule sets only)
-        self.counit_memo = {}
+        self.counit_memo = _memo()
 
     def _tag(self, tok):
         return tok[0] if isinstance(tok, tuple) else tok
@@ -255,14 +253,37 @@ class _RuleSet:
         if ta == _LAM_TAG:
             if self.rank[_LAM_TAG] < self.rank[tb]:
                 return None
-            return [(_QL(self.lam_weight[tb] * a[1]), (b, a))]
+            return [(QScalar.q_power(self.lam_weight[tb] * a[1]), (b, a))]
         if tb == _LAM_TAG:
             if self.rank[ta] < self.rank[_LAM_TAG]:
                 return None
-            return [(_QL(-self.lam_weight[ta] * b[1]), (b, a))]
+            return [(QScalar.q_power(-self.lam_weight[ta] * b[1]), (b, a))]
         if self.rank[ta] <= self.rank[tb]:
             return None
         return self.pair_rules[(ta, tb)]
+
+
+# every memo of normal forms and every table built from them: each is
+# emptied whole when it reaches _MEMO_LIMIT entries, and all of them when
+# rewrite_strategy is entered or left
+_MEMOS = []
+_MEMO_LIMIT = 20_000
+
+
+def _memo():
+    """A new memo table, registered so that _clear_memos empties it."""
+    table = {}
+    _MEMOS.append(table)
+    return table
+
+
+def _remember(table, key, value):
+    """Store value in a memo table under key, emptying the table first when
+    it is full; returns value."""
+    if len(table) >= _MEMO_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
 
 
 _RULESETS = {}
@@ -279,13 +300,8 @@ def _ruleset(space, calculus, ordering, opposite=False):
 # whole-word memo, keyed (space, calculus, ordering, word) and holding
 # {stored key: QScalar}; words longer than _NF_CACHE_MAX_LEN are
 # normal-ordered without being stored
-_NF_CACHE = {}
+_NF_CACHE = _memo()
 _NF_CACHE_MAX_LEN = 10
-# the whole-word memo, a rule set's insertion and counit memos, and the
-# transport table are each emptied when they reach this many entries
-_MEMO_LIMIT = 20_000
-# tables other modules build from normal forms: emptied with the memos
-_DERIVED_TABLES = []
 _STRATEGY = ContextVar("rewrite_strategy", default="leftmost")
 
 
@@ -314,12 +330,7 @@ class rewrite_strategy:
 
 
 def _clear_memos():
-    _NF_CACHE.clear()
-    _TRANSPORT.clear()
-    for rs in list(_RULESETS.values()):
-        rs.memo.clear()
-        rs.counit_memo.clear()
-    for table in _DERIVED_TABLES:
+    for table in _MEMOS:
         table.clear()
 
 
@@ -329,18 +340,26 @@ def _fold(rs, terms, t, n=1):
     half-step exponent, otherwise the number of tokens.
 
     The run passes each run above its rank whose rule is a plain scaled swap
-    in one step, summing the q-exponent as an int; a word with no other run
-    in its way takes it directly."""
+    in one step, summing the q-exponent as an int.  Each pass attaches all n
+    remaining tokens to every word with no other run in their way, and
+    inserts one token into each other word; the last token's results go
+    straight into the output.  The scaling operator always passes directly."""
     out = {}
-    for w, c in terms.items():
-        r, e = _walk(rs, w, t)
-        if r == t:
-            if e:
-                c = c * QScalar.q_power(e * n)
-            _add_term(out, w[:t] + (w[t] + n,) + w[t + 1:], c)
-            continue
-        for ww, cc in _insert(rs, w, t, n, r, e).items():
-            _add_term(out, ww, cc if c is ONE else c * cc)
+    while terms:
+        rest = {} if n > 1 else out
+        for w, c in terms.items():
+            r, e = _walk(rs, w, t)
+            if r == t:
+                if e:
+                    c = c * QScalar.q_power(e * n)
+                _add_term(out, w[:t] + (w[t] + n,) + w[t + 1:], c)
+                continue
+            for ww, cc in _insert(rs, w, t, r, e).items():
+                _add_term(rest, ww, cc if c is ONE else c * cc)
+        if rest is out:
+            break
+        terms = rest
+        n -= 1
     return out
 
 
@@ -363,35 +382,13 @@ def _walk(rs, w, t):
     return r, e
 
 
-def _insert(rs, w, t, n, r, e):
-    """Normal form of the word w times t^n, where the run at rank r is the
-    first one t does not pass by a plain swap and the runs above it pass
-    each token t with the q-exponent e.
+def _insert(rs, w, t, r, e):
+    """Normal form of the word w times the token t, where the run at rank r
+    is the first one t does not pass by a plain swap and the runs above it
+    pass t with the q-exponent e.
 
-    One token meets that run at a time.  The memo holds the normal form of
-    the word up to the run with t appended; the runs t passed are folded
-    back in after it.  Of a longer run, the tokens still to come pass each
-    word that no longer stands in their way in one step."""
-    if n > 1:
-        out = {}
-        terms = {w: ONE}
-        while n:
-            terms = _fold(rs, terms, t)
-            n -= 1
-            if not n:
-                break
-            rest = {}
-            for ww, cc in terms.items():
-                r, e = _walk(rs, ww, t)
-                if r == t:
-                    _add_term(out, ww[:t] + (ww[t] + n,) + ww[t + 1:],
-                              cc * QScalar.q_power(e * n) if e else cc)
-                else:
-                    rest[ww] = cc
-            terms = rest
-        for ww, cc in terms.items():
-            _add_term(out, ww, cc)
-        return out
+    The memo holds the normal form of the word up to the run with t
+    appended; the runs t passed are folded back in after it."""
     head = w[:r + 1]
     terms = rs.memo.get(head + (t,))
     if terms is None:
@@ -428,9 +425,7 @@ def _fill(rs, head, t):
                 part = _fold(rs, part, u)
             for ww, cc in part.items():
                 _add_term(terms, ww, cc if a is ONE else a * cc)
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        memo[pre + (m, t)] = terms
+        _remember(memo, pre + (m, t), terms)
     return terms
 
 
@@ -474,9 +469,7 @@ def _normalize_word(space, calculus, ordering, word):
         return hit
     result = _normal_runs(space, calculus, ordering, _runs_of_word(word))
     if len(word) <= _NF_CACHE_MAX_LEN:
-        if len(_NF_CACHE) >= _MEMO_LIMIT:
-            _NF_CACHE.clear()
-        _NF_CACHE[cache_key] = result
+        _remember(_NF_CACHE, cache_key, result)
     return result
 
 
@@ -688,7 +681,7 @@ _WORD_MAPS = {"conj": _CONJ_MAP, "mirror": _MIRROR_MAP}
 # transport name, key); each row is a tuple of (key, QScalar) pairs.  The
 # names are those of _WORD_MAPS and the two reorder_transform directions,
 # whose keys are coordinate exponents
-_TRANSPORT = {}
+_TRANSPORT = _memo()
 
 
 def _transport_row(space, name, key):
@@ -722,11 +715,8 @@ def _transport_row(space, name, key):
     nf = _normal_runs(space, "u", ordering, runs)
     if name not in _WORD_MAPS:
         nf = {k[:len(key)]: c for k, c in nf.items()}
-    row = tuple((k, coeff * c) for k, c in nf.items())
-    if len(_TRANSPORT) >= _MEMO_LIMIT:
-        _TRANSPORT.clear()
-    _TRANSPORT[(space, name, key)] = row
-    return row
+    return _remember(_TRANSPORT, (space, name, key),
+                     tuple((k, coeff * c) for k, c in nf.items()))
 
 
 def _transport(a: NCElement, name) -> NCElement:
@@ -777,14 +767,11 @@ def _counit_step(rs, t, n, terms):
         key = xw + (t, n)
         img = memo.get(key)
         if img is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            img = tuple(
+            img = _remember(memo, key, tuple(
                 (w[:lam] + (0,) + w[lam + 1:], a)
                 for w, a in _fold(rs, {xw: ONE}, t, n).items()
                 if not any(d_ranks(w))
-            )
-            memo[key] = img
+            ))
         for w, a in img:
             _add_term(out, w, c * a)
     return out

@@ -11,7 +11,7 @@ reconstruction test pins these down.
 from __future__ import annotations
 
 from .cfunc import CFunction, _mono_text, _monomials, space_vars
-from .ncalgebra import _DERIVED_TABLES, _MEMO_LIMIT, NCElement, act
+from .ncalgebra import NCElement, _memo, _remember, act
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, _add_term, qfact, qnum, qpow, scalar
 from .spaces import D_TOKENS, HAT_D_TOKENS, HAT_POWER, REVERSED, X_TOKENS
@@ -98,9 +98,8 @@ class TensorSeries:
 # (space, hatted, exps) -> (1 / norm factor, derivative word rows), filled on
 # first use.  Entries are tuples of immutable values, stored whole; every
 # qexp call builds new elements from them.  The rows are normal forms, so the
-# table is emptied with ncalgebra's memos, and whole at _MEMO_LIMIT entries
-_EXP_TERMS = {}
-_DERIVED_TABLES.append(_EXP_TERMS)
+# table is one of ncalgebra's memos
+_EXP_TERMS = _memo()
 
 
 def _exp_term(space, hat, exps, made, bases):
@@ -144,10 +143,7 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
         key = (space, hat, exps)
         entry = _EXP_TERMS.get(key)
         if entry is None:
-            entry = _exp_term(space, hat, exps, made, bases)
-            if len(_EXP_TERMS) >= _MEMO_LIMIT:
-                _EXP_TERMS.clear()
-            _EXP_TERMS[key] = entry
+            entry = _remember(_EXP_TERMS, key, _exp_term(space, hat, exps, made, bases))
         made[exps] = entry
         coeff, rows = entry
         if flipped and sum(exps) % 2:

@@ -1221,7 +1221,8 @@ def qbinom(n: int, k: int, a: int = 1) -> QScalar:
     Built without division by the Pascal recurrence
     C(m, j) = C(m-1, j-1) + q^(a j) C(m-1, j) (Kac-Cheung, Quantum Calculus,
     2002), over integer coefficients, one row at a time and only up to column
-    min(k, n-k); the whole final column range is cached by (n, j, a).
+    min(k, n-k); the whole final column range is cached by (n, j, a).  The
+    column k = 1 is the q-number qnum(n, a) and is cached alone.
     Equals qfact(n, a) / (qfact(k, a) qfact(n - k, a)); zero outside 0 <= k <= n.
     """
     if n < 0:
@@ -1235,6 +1236,9 @@ def qbinom(n: int, k: int, a: int = 1) -> QScalar:
         return ONE
     got = _QBINOM.get((n, k, a))
     if got is not None:
+        return got
+    if k == 1:
+        got = _QBINOM[(n, 1, a)] = qnum(n, a)
         return got
     row = [{0: 1}] + [{} for _ in range(k)]
     for m in range(1, n + 1):

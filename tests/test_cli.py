@@ -91,6 +91,13 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_an_integer_literal_too_long_for_int_is_a_parse_error(capsys):
+    # int() refuses more than 4300 digits; that used to exit 1 with its message
+    code, _, err = run(capsys, "nf", "Xm " + "9" * 5000 + " Xp")
+    assert code == 2
+    assert err == "parse error: integer literal too long (at position 3)"
+
+
 def _timed_main(*argv):
     """Exit code, seconds spent in main and stderr of one command run in a
     fresh interpreter; the subprocess timeout turns a hang into a failure."""
@@ -116,6 +123,13 @@ def test_an_exponent_beyond_the_bound_is_a_usage_error(argv):
     assert code == 2, err
     assert "parse error: exponents are bounded by 10000" in err
     assert seconds < 1.0
+
+
+def test_star_by_a_coordinate_builds_no_binomial_rows():
+    # [[n over 1]] is the q-number; building n Pascal rows for it took 8.8 s
+    code, seconds, err = _timed_main("star", "xm^10000", "xp")
+    assert code == 0, err
+    assert seconds < 2.0
 
 
 def test_the_exponent_bound_applies_to_every_literal():

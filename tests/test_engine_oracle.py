@@ -15,6 +15,7 @@ import pytest
 from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS
 from qspace.ncalgebra import NCElement, act, lift, lower, multiply, normal_form, reorder_transform
+from qspace.pairexp import _EXP_TERMS, qexp
 from qspace.scalars import I, ONE, QScalar, _add_term
 
 _WARM_STEP = 64
@@ -282,8 +283,18 @@ def test_tables_stay_bounded(monkeypatch):
     f = lift(space, lower(space, _random_element(rng, space, list(_nc.X_TOKENS[space]), 4, 3)))
     op = _random_element(rng, space, list(_nc.D_TOKENS[space]), 3, 2)
     got = act(op, f, "left")
-    for rs in _nc._RULESETS.values():
-        assert len(rs.memo) <= 5 and len(rs.counit_memo) <= 5
+    got_exp = list(qexp(space, "x_dhat", 3))
+    # every table is registered, each one was filled and none is over the limit
+    rulesets = list(_nc._RULESETS.values())
+    named = [_nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
+    registered = named + [rs.memo for rs in rulesets] + [rs.counit_memo for rs in rulesets]
+    assert all(any(t is m for m in _nc._MEMOS) for t in registered)
+    assert all(named)
+    assert any(rs.memo for rs in rulesets) and any(rs.counit_memo for rs in rulesets)
+    for table in _nc._MEMOS:
+        assert len(table) <= 5
     _nc._clear_memos()
+    assert not any(_nc._MEMOS)
     monkeypatch.undo()
     assert got == act(op, f, "left")
+    assert got_exp == list(qexp(space, "x_dhat", 3))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qspace import pairexp
+from qspace import ncalgebra, pairexp
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
 from qspace.ncalgebra import NCElement, PurityError, lift, normal_form, rewrite_strategy
 from qspace.pairexp import (
@@ -186,7 +186,7 @@ def test_changing_a_returned_series_leaves_the_table_alone(direct):
 
 
 def test_table_stays_within_its_limit(direct, monkeypatch):
-    monkeypatch.setattr(pairexp, "_MEMO_LIMIT", 5)
+    monkeypatch.setattr(ncalgebra, "_MEMO_LIMIT", 5)
     _EXP_TERMS.clear()
     for call in (("euclid3", "x_dhat", 5), ("line", "d_x", 5)):
         # the table is emptied many times during the build; the prefixes
