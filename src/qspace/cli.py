@@ -1,8 +1,10 @@
 """Command-line interface: expression tools and the verification runner.
 
-Exit codes: 0 when everything passes, 1 on a verification failure, 2 on
-usage or parse errors.  Each command imports the layers it uses when it
-runs, so that a process compiles only those."""
+Exit codes: 0 when everything passes, 1 on a verification failure or when
+a command raises ValueError or ArithmeticError (an unknown derivative
+index, a division by zero), 2 on usage or parse errors.  Each command
+imports the layers it uses when it runs, so that a process compiles only
+those."""
 
 from __future__ import annotations
 
@@ -11,13 +13,12 @@ import json
 import math
 import sys
 
-from .spaces import E3, SPACES, SUFFIX_LABEL
+from .spaces import CALCULI, E3, SPACES, SUFFIX_LABEL
 
-_EXP_NAMES = {"xd": "x_d", "xdh": "x_dhat", "dx": "d_x", "dhx": "dhat_x"}
-_ACTION_NAMES = {
-    "left": "left", "left_bar": "left_bar", "right": "right",
-    "right_bar": "right_bar", "leftbar": "left_bar", "rightbar": "right_bar",
-}
+# the command-line spellings: exponentials without the underscore and with
+# "hat" cut to "h"; action modes as named and without the underscore
+_EXP_NAMES = {row[2].replace("_", "").replace("hat", "h"): row[2] for row in CALCULI.values()}
+_ACTION_NAMES = {name: mode for mode in CALCULI for name in (mode, mode.replace("_", ""))}
 
 
 def _add_common(p, degree=False, order=False):

@@ -26,7 +26,7 @@ from .ncalgebra import NCElement, act, lift, lower
 from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
 from .reports import VerificationReport
 from .scalars import I, ONE, QScalar, ZERO, _add_term, qpow, scalar
-from .spaces import E3, LINE, REVERSED, SPATIAL_D, X_TOKENS
+from .spaces import CALCULI, E3, LINE, REVERSED, SPATIAL_D, X_TOKENS
 
 
 class Hamiltonian:
@@ -120,21 +120,6 @@ class OperatorSeries:
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
         return NCElement.zero(self.space)
-
-    def mul_truncated(self, other, order):
-        out = [NCElement.zero(self.space) for _ in range(order + 1)]
-        for a, ca in enumerate(self.coeffs):
-            if a > order or ca.is_zero():
-                continue
-            for b, cb in enumerate(other.coeffs):
-                if a + b > order or cb.is_zero():
-                    continue
-                out[a + b] = out[a + b] + ca * cb
-        return OperatorSeries(self.space, out)
-
-    def conjugate(self):
-        """Coefficient-wise conjugation; the time symbol is real."""
-        return OperatorSeries(self.space, [c.conjugate() for c in self.coeffs])
 
     def __str__(self):
         parts = []
@@ -396,13 +381,10 @@ def schrodinger_wave_check(H: Hamiltonian, phi0: CFunction, order: int) -> Verif
 
 # the four integration geometries: variant -> (derivative action, base
 # exponent a, overall sign).  The line integrates with base q^a, the 3d
-# space with base q^(2a) on each axis; the right-handed measures carry the
-# printed minus identities
+# space with base q^(2a) on each axis, a = -1 in the hatted calculus; the
+# right-handed measures carry the printed minus identities
 _GEOMETRIES = {
-    "L": ("left", 1, 1),
-    "Lbar": ("left_bar", -1, 1),
-    "R": ("right", -1, -1),
-    "Rbar": ("right_bar", 1, -1),
+    row[4]: (mode, -1 if row[0] else 1, -1 if row[1] else 1) for mode, row in CALCULI.items()
 }
 _BASE_OF_MODE = {mode: a for mode, a, _ in _GEOMETRIES.values()}
 
@@ -448,7 +430,7 @@ def _ibp_sides(variant, idx, f, g, integrate):
     def D(h):
         return act_partial_closed(idx, variant, h, LINE)
 
-    if variant.startswith("left"):
+    if not CALCULI[variant][1]:
         return integrate(D(f) * g), integrate(scale_arg(f, "x1", half_steps) * D(g))
     return integrate(f * D(g)), integrate(D(f) * scale_arg(g, "x1", half_steps))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, ZERO, _add_term, _LinComb, qpow, scalar
+from .spaces import CALCULI
 
 # the generator tags in normal order (exponents are 0 or 1)
 _GENERATORS = ("th0", "th1", "dth0", "dth1")
@@ -121,14 +122,15 @@ def g_deriv_int(f: SuperNumber, mode: str, as_integral: bool = False) -> QScalar
     integral is computed on its own, as the pairing of dth1 with
     body + soul th1 in the mode's calculus (negated for the right modes);
     it coincides with the derivative."""
-    if mode not in ("left", "left_bar", "right", "right_bar"):
+    if mode not in CALCULI:
         raise ValueError(f"unknown mode {mode!r}")
+    hatted, right = CALCULI[mode][:2]
     if as_integral:
         f_el = GElement({(): f.body, ("th1",): f.soul})
-        value = _pair(GElement.gen("dth1"), f_el, mode.endswith("_bar"))
+        value = _pair(GElement.gen("dth1"), f_el, hatted)
     else:
         value = f.soul
-    return value if mode.startswith("left") else -value
+    return -value if right else value
 
 
 def g_translate(f: SuperNumber):
@@ -178,13 +180,11 @@ def _pair(d: GElement, th: GElement, hatted: bool, coord_first=False) -> QScalar
 
 _COORD_FIRST_EXP = [((), (), ONE), (("th1",), ("dth1",), ONE)]
 _DERIV_FIRST_EXP = [((), (), ONE), (("dth1",), ("th1",), -ONE)]
-# variant -> its terms (coordinate word, derivative word, coefficient); both
-# calculi give the same truncated series
+# variant -> its terms (coordinate word, derivative word, coefficient): the
+# right calculi's exponentials put the derivative leg first; both calculi
+# give the same truncated series
 _EXPONENTIALS = {
-    "x_d": _COORD_FIRST_EXP,
-    "x_dhat": _COORD_FIRST_EXP,
-    "d_x": _DERIV_FIRST_EXP,
-    "dhat_x": _DERIV_FIRST_EXP,
+    row[2]: _DERIV_FIRST_EXP if row[1] else _COORD_FIRST_EXP for row in CALCULI.values()
 }
 
 
@@ -200,7 +200,7 @@ def g_delta(variant: str) -> SuperNumber:
     matching measure.  Left measures extract the soul, right measures its
     negative; all four land on the odd coordinate of the other leg."""
     terms = g_exponential(variant)
-    left_measure = variant in ("x_d", "x_dhat")
+    left_measure = _EXPONENTIALS[variant] is _COORD_FIRST_EXP
     body = ZERO
     soul = ZERO
     for first, second, coeff in terms:
@@ -290,7 +290,7 @@ def grassmann_suite() -> VerificationReport:
         rep.require(total == ONE, f"pair {dword}|{thword}", str(total), "1")
 
     # exponentials and delta functions
-    for variant in ("x_d", "x_dhat", "d_x", "dhat_x"):
+    for variant in _EXPONENTIALS:
         terms = g_exponential(variant)
         rep.require(len(terms) == 2, f"exp {variant} truncation", str(len(terms)), "2")
         delta = g_delta(variant)

@@ -14,23 +14,22 @@ import functools
 import math
 
 from .cfunc import CFunction, _monomials, space_vars
-from .pairexp import qexp
+from .pairexp import _EXP_MODE, qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
 from .scalars import LAM, LAMP, ONE, QScalar, _add_term, qbinom, qnum, qpow
-from .spaces import LABEL_OF, REVERSED, X_TOKENS, Y_OF
+from .spaces import CALCULI, LABEL_OF, REVERSED, X_TOKENS, Y_OF
 
-TRANSLATE_VARIANTS = ("L", "Lbar", "R", "Rbar")
+TRANSLATE_VARIANTS = tuple(sorted(row[3] for row in CALCULI.values()))
 
-# variant -> (base sign, +/- index swap).  The left-handed pair is printed;
-# the right-handed legs are the +/- mirror (the opposite coproducts), the
-# combination the right-sided Taylor identities single out.  On the line the
-# swap is vacuous and R/Rbar coincide with L/Lbar.
+# variant -> (base sign, +/- index swap): the hatted calculus takes the
+# inverse bases, and the index swap holds for the hatted left and the plain
+# right variant.  The left-handed pair is printed; the right-handed legs are
+# the +/- mirror (the opposite coproducts), the combination the right-sided
+# Taylor identities single out.  On the line the swap is vacuous and R/Rbar
+# coincide with L/Lbar.
 _VARIANT_PARAMS = {
-    "Lbar": (1, False),
-    "L": (-1, True),
-    "Rbar": (1, True),
-    "R": (-1, False),
+    row[3]: (-1 if row[0] else 1, row[0] != row[1]) for row in CALCULI.values()
 }
 
 
@@ -197,12 +196,12 @@ def time_taylor(f: CFunction, t0: QScalar) -> CFunction:
     return f.shift_var("x0", t0)
 
 
-_IDENTITY_SETUPS = (
-    # (exp variant, translation/antipode variant, action variant, native rep)
-    ("x_d", "Lbar", "left", "standard"),
-    ("x_dhat", "L", "left_bar", "reversed"),
-    ("d_x", "Rbar", "right_bar", "standard"),
-    ("dhat_x", "R", "right", "reversed"),
+# (exp variant, translation/antipode variant, action variant, native rep):
+# each calculus's exponential, translation and derivative action, in the
+# normal ordering its closed forms are native to
+_IDENTITY_SETUPS = tuple(
+    (exp, CALCULI[mode][3], mode, "reversed" if CALCULI[mode][0] else "standard")
+    for exp, mode in _EXP_MODE.items()
 )
 
 
@@ -222,8 +221,9 @@ def _exp_word_actions(space, exp, action_variant, g, rep):
     A word is its prefix (the last-acting index lowered by one) followed by
     one step, so each entry is one action on its prefix's entry; exp is
     sorted by degree, so the prefix is always there."""
-    seq = _dword_seq(space, action_variant in ("left_bar", "right"))
-    if action_variant.startswith("left"):
+    hatted, right = CALCULI[action_variant][:2]
+    seq = _dword_seq(space, hatted)
+    if not right:
         seq = seq[::-1]  # rightmost factor first
     vars_ = space_vars(space)
     last_first = [(idx, vars_.index(var)) for idx, var in reversed(seq)]
@@ -243,8 +243,8 @@ def _exp_word_actions(space, exp, action_variant, g, rep):
     return acted_by
 
 
-def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
-                          identities=None) -> VerificationReport:
+def taylor_identity_check(space: str, g: CFunction = None,
+                          max_degree: int = 3) -> VerificationReport:
     """End-to-end Taylor reconstruction: the exponential's coordinate leg is
     translated against the antipoded y-leg, its derivative leg acts on g,
     and the contraction must rebuild g on the x-legs exactly."""
@@ -257,11 +257,9 @@ def taylor_identity_check(space: str, g: CFunction = None, max_degree: int = 3,
             g = g.restrict(want)
         targets = [("poly", g)]
     top = max((gf.degree() for _, gf in targets), default=0)
-    setups = identities or _IDENTITY_SETUPS
     out_vars = doubled_vars(space)
     y_idx = [out_vars.index(Y_OF[v]) for v in want]
-    for setup in setups:
-        exp_variant, tvariant, avariant, rep_name = setup
+    for exp_variant, tvariant, avariant, rep_name in _IDENTITY_SETUPS:
         # one exponential per setup; its terms are sorted by degree, and the
         # prefix up to a target's degree is the exponential truncated there
         exp = qexp(space, exp_variant, top)

@@ -37,7 +37,7 @@ from operator import itemgetter
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
 from .spaces import (
-    D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
+    CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
     X_TOKENS, SpaceTable,
 )
 
@@ -536,7 +536,7 @@ class NCElement(_LinComb):
         return NCElement(space, {tuple(key): ONE})
 
     @staticmethod
-    def from_word(space, word, coeff=ONE, calculus="u"):
+    def from_word(space, word, coeff=ONE):
         """Normal-order an arbitrary word of generator tags."""
         known = set(KEY_LAYOUT[space])
         for tok in word:
@@ -546,7 +546,7 @@ class NCElement(_LinComb):
                     f"generator {tag!r} does not live on space {space!r}"
                 )
         out = NCElement(space)
-        _add_normal_form(out.terms, space, calculus, "xd", tuple(word), coeff)
+        _add_normal_form(out.terms, space, "u", "xd", tuple(word), coeff)
         return out
 
     # -- ring structure -----------------------------------------------------
@@ -741,12 +741,7 @@ def multiply(a: NCElement, b: NCElement) -> NCElement:
     return a * b
 
 
-# action mode -> calculus of the left action that carries it.  The barred
-# left action runs on the hatted rule set after the stored derivatives are
-# re-expressed through the hatted ones; a right action is the mirror
-# transport of the other left action.
-_MODE_CALCULUS = {"left": "u", "left_bar": "h", "right": "h", "right_bar": "u"}
-ACTION_MODES = tuple(_MODE_CALCULUS)
+ACTION_MODES = tuple(CALCULI)
 
 
 def _mirror_element(a: NCElement) -> NCElement:
@@ -830,8 +825,12 @@ def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
         raise PurityError("action operator must be free of coordinates")
     if not f.is_coordinate():
         raise PurityError("acted function must be a pure coordinate element")
-    calculus = _MODE_CALCULUS[mode]
-    if mode.startswith("left"):
+    # a hatted mode runs on the hatted rule set after the stored derivatives
+    # are re-expressed through the hatted ones; a right mode is the mirror
+    # transport of the left action of its calculus
+    hatted, right = CALCULI[mode][:2]
+    calculus = "h" if hatted else "u"
+    if not right:
         return _act_left(op, f, calculus)
     # act is linear in the operator: mirror the sign-adjusted operator once
     nx = len(X_TOKENS[op.space])

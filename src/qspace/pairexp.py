@@ -14,10 +14,15 @@ from .cfunc import CFunction, _mono_text, _monomials, space_vars
 from .ncalgebra import NCElement, _memo, _remember, act
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, _add_term, qfact, qnum, qpow, scalar
-from .spaces import D_TOKENS, HAT_D_TOKENS, HAT_POWER, REVERSED, X_TOKENS
+from .spaces import CALCULI, D_TOKENS, HAT_D_TOKENS, HAT_POWER, REVERSED, X_TOKENS
 
 PAIR_VARIANTS = ("L_Rbar", "Lbar_R")
-EXP_VARIANTS = ("x_d", "x_dhat", "d_x", "dhat_x")
+# exponential variant -> the action mode of its calculus: coordinate-first
+# (left) before derivative-first, plain before hatted
+_EXP_MODE = {
+    row[2]: mode for mode, row in sorted(CALCULI.items(), key=lambda it: (it[1][1], it[1][0]))
+}
+EXP_VARIANTS = tuple(_EXP_MODE)
 
 _FACT_BASES = {"line": {"x1": 1}, "euclid3": {"xp": 4, "x3": 2, "xm": 4}}
 
@@ -87,7 +92,7 @@ class TensorSeries:
         for exps, dword, coeff in self.terms:
             mono = _mono_text(vars_, exps) or "1"
             cs = str(coeff)
-            lhs, rhs = (mono, dword) if self.variant.startswith("x") else (dword, mono)
+            lhs, rhs = (dword, mono) if CALCULI[_EXP_MODE[self.variant]][1] else (mono, dword)
             if cs == "1":
                 parts.append(f"{lhs} (x) {rhs}")
             else:
@@ -132,8 +137,7 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     vars_ = space_vars(space)
-    hat = variant in ("x_dhat", "dhat_x")
-    flipped = variant in ("d_x", "dhat_x")
+    hat, flipped = CALCULI[_EXP_MODE[variant]][:2]
     sign = -1 if hat else 1
     bases = [sign * _FACT_BASES[space].get(v, 0) for v in vars_]
     # a prefix has one degree less, so it is made (or read) before its use
@@ -152,22 +156,17 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     return TensorSeries(space, variant, degree_bound, terms)
 
 
-_PAIR_MODES = {
-    # (variant, deriv_first) -> action mode used by act-then-evaluate-at-zero
-    ("L_Rbar", True): "left",
-    ("Lbar_R", True): "left_bar",
-    ("L_Rbar", False): "right_bar",
-    ("Lbar_R", False): "right",
-}
+# (hatted, acts from the right) -> action mode
+_MODE_OF = {row[:2]: mode for mode, row in CALCULI.items()}
 
 
 def pair(space, variant, u: NCElement, v: NCElement, order: str = "deriv_first") -> QScalar:
     """Dual pairing of a derivative word against a coordinate word, computed
-    by acting and evaluating at the origin."""
+    by acting and evaluating at the origin: 'Lbar_R' in the hatted calculus,
+    from the left when the derivative word comes first."""
     if variant not in PAIR_VARIANTS:
         raise ValueError(f"unknown pairing variant {variant!r}")
-    deriv_first = order == "deriv_first"
-    mode = _PAIR_MODES[(variant, deriv_first)]
+    mode = _MODE_OF[(variant == "Lbar_R", order != "deriv_first")]
     res = act(u, v, mode)
     return res.constant_term()
 
@@ -175,13 +174,13 @@ def pair(space, variant, u: NCElement, v: NCElement, order: str = "deriv_first")
 def kronecker_check(space, variant: str, degree_bound: int) -> VerificationReport:
     """Duality of the exponential legs: contracting the derivative leg with a
     monomial and evaluating at the origin rebuilds the monomial through the
-    coordinate leg with coefficient one."""
+    coordinate leg with coefficient one.  The pairing is the left or right
+    action of the exponential's own calculus."""
     rep = VerificationReport(f"qexp-kronecker-{variant}", space)
     exp = qexp(space, variant, degree_bound)
     vars_ = space_vars(space)
-    deriv_first = variant in ("d_x", "dhat_x")
-    hat = variant in ("x_dhat", "dhat_x")
-    mode = _PAIR_MODES[("Lbar_R" if hat else "L_Rbar", not deriv_first)]
+    mode = _EXP_MODE[variant]
+    hat = CALCULI[mode][0]
     for target in _monomials(vars_, degree_bound):
         # the hatted tower pairs against the reversed-ordering basis words
         v = coord_word_element(space, target, reversed_order=hat)

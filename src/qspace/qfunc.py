@@ -19,14 +19,9 @@ import functools
 from .cfunc import CFunction, space_vars
 from .ncalgebra import reorder_transform
 from .scalars import LAM, ONE, QScalar, _add_term, qpow
-from .spaces import E3, LABELS, LINE, PM_LABEL_SWAP, PM_SWAP, Y_OF, SpaceTable
+from .spaces import CALCULI, E3, LABELS, LINE, PM_LABEL_SWAP, PM_SWAP, Y_OF, SpaceTable
 
-VARIANTS = ("left", "left_bar", "right", "right_bar")
-
-# The hatted-calculus representations produced by the substitution rules act
-# on reversed-ordering representatives; on the standard ordering they are
-# conjugated by the ordering transport.
-_REVERSED_NATIVE = ("left_bar", "right")
+VARIANTS = tuple(CALCULI)
 
 # An operator program is a list of primitive steps applied left to right:
 #   ("D", var, a)        Jackson derivative with base q^a
@@ -152,13 +147,14 @@ def _reps(space):
 
 def _act(reps_of, index, variant, f, space, rep):
     """Apply the branches reps_of(f)[(index, variant)] to f.  rep names the
-    normal ordering f represents: hatted-calculus operators are native to
-    the reversed ordering and get conjugated by the ordering transport when
-    applied to a standard-ordering representative."""
+    normal ordering f represents: the hatted-calculus operators produced by
+    the substitution rules are native to the reversed ordering and get
+    conjugated by the ordering transport when applied to a standard-ordering
+    representative, and the plain ones the other way round."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     back = None
-    if space == E3 and (rep == "standard") == (variant in _REVERSED_NATIVE):
+    if space == E3 and (rep == "standard") == CALCULI[variant][0]:
         there, back = "to_reversed", "to_standard"
         if rep != "standard":
             there, back = back, there

@@ -5,8 +5,9 @@ Three literals define them: the coordinate generators in the standard
 normal ordering, the index label of each generator suffix, and the power of
 q relating a hatted spatial derivative to the plain one.  Every other
 per-space table of the package is derived from these at import.  A table
-keyed by space name raises ValueError for any other name.  Data only: the
-module imports nothing from the package.
+keyed by space name raises ValueError for any other name.  A fourth literal
+names the four one-sided calculi the spaces carry.  Data only: the module
+imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -34,6 +35,16 @@ X_TOKENS = SpaceTable({LINE: ("x0", "x1"), E3: ("x0", "xp", "x3", "xm")})
 SUFFIX_LABEL = {"p": "+", "m": "-"}
 # hatted spatial derivative = q^k times the plain one
 HAT_POWER = SpaceTable({LINE: 1, E3: 6})
+# the four one-sided calculi: the plain and the hatted calculus, each acting
+# from the left and from the right.  Action mode -> (hatted, acts from the
+# right, q-exponential, translation, integration geometry); translations and
+# geometries read L/Lbar the other way round
+CALCULI = {
+    "left": (False, False, "x_d", "Lbar", "L"),
+    "left_bar": (True, False, "x_dhat", "L", "Lbar"),
+    "right": (True, True, "dhat_x", "R", "R"),
+    "right_bar": (False, True, "d_x", "Rbar", "Rbar"),
+}
 
 # -- derived tables -----------------------------------------------------------
 

@@ -12,7 +12,7 @@ from .cfunc import CFunction, LatticeFunction, _monomials, jackson_integral_nume
 from .ncalgebra import NCElement, act, lift, lower, normal_form, qpow
 from .reports import VerificationReport
 from .scalars import GaussianRational, ONE, ZERO, scalar
-from .spaces import D_OF_LABEL, HAT_POWER, LABELS, SPACES, X_TOKENS
+from .spaces import CALCULI, D_OF_LABEL, HAT_POWER, LABELS, SPACES, X_TOKENS
 
 NOTE_LEI_SUBSCRIPTS = (
     "the printed hatted time rules end in stray subscripts (a 3-index and a "
@@ -120,9 +120,9 @@ def suite_oracle_actions(opts: SuiteOptions):
         rep = VerificationReport("oracle-actions", space)
         vars_ = space_vars(space)
         for idx, dtag in D_OF_LABEL[space].items():
-            for variant in ("left", "left_bar", "right", "right_bar"):
+            for variant in CALCULI:
                 D = NCElement.generator(space, dtag)
-                if variant in ("left_bar", "right") and idx != "0":
+                if CALCULI[variant][0] and idx != "0":
                     D = D.scale(qpow(HAT_POWER[space]))
                 for e in _monomials(vars_, opts.degree):
                     f = CFunction.monomial(vars_, e)
@@ -243,7 +243,7 @@ def suite_pairings(opts: SuiteOptions):
         out.append(rep)
         for variant in pairexp.EXP_VARIANTS:
             krep = pairexp.kronecker_check(space, variant, deg if space == "line" else 3)
-            if variant in ("d_x", "dhat_x"):
+            if CALCULI[pairexp._EXP_MODE[variant]][1]:
                 krep.note(NOTE_FLIPPED_EXP)
             out.append(krep)
     if "line" not in opts.spaces:

@@ -1,5 +1,6 @@
 import pytest
 
+from qspace import grassmann
 from qspace.grassmann import (
     GElement,
     SuperNumber,
@@ -43,6 +44,26 @@ def test_supernumber_actions():
     # integration coincides with differentiation
     for mode in ("left", "left_bar", "right", "right_bar"):
         assert g_deriv_int(f, mode, as_integral=True) == g_deriv_int(f, mode)
+
+
+def test_integrals_pair_in_the_calculus_of_their_mode(monkeypatch):
+    # the plain calculus carries left and right_bar, the hatted one
+    # left_bar and right, as in every other layer
+    seen = []
+    inner = grassmann._pair
+
+    def recording(d, th, hatted, coord_first=False):
+        seen.append(hatted)
+        return inner(d, th, hatted, coord_first)
+
+    monkeypatch.setattr(grassmann, "_pair", recording)
+    f = SuperNumber(scalar(3), scalar(5))
+    modes = ("left", "left_bar", "right", "right_bar")
+    for mode in modes:
+        g_deriv_int(f, mode, as_integral=True)
+    assert dict(zip(modes, seen)) == {
+        "left": False, "left_bar": True, "right": True, "right_bar": False,
+    }
 
 
 def test_translation_and_antipode():

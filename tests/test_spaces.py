@@ -1,9 +1,11 @@
 """The per-space table: every derived name, order and map pinned to the
-literals it replaces, and one error for an unknown space."""
+literals it replaces, and one error for an unknown space.  The same for the
+calculus table and the per-layer tables derived from it."""
 
 import pytest
 
-from qspace import cfunc, ncalgebra, rmatrix, spaces, suites
+from qspace import cfunc, cli, evolution, grassmann, hopf, ncalgebra, pairexp, qfunc, rmatrix
+from qspace import spaces, suites
 from qspace.cfunc import CFunction, E3_VARS
 from qspace.evolution import free_hamiltonian
 from qspace.expressions import parse
@@ -114,3 +116,110 @@ _F = CFunction.monomial(E3_VARS, (0, 1, 0, 0))
 def test_unknown_space_raises_one_error(call):
     with pytest.raises(ValueError, match=r"^unknown space 'foo'$"):
         call("foo")
+
+
+# -- the calculus table --------------------------------------------------------
+
+# the per-layer tables the calculus table replaced, restated verbatim
+_MODE_CALCULUS = {"left": "u", "left_bar": "h", "right": "h", "right_bar": "u"}
+_REVERSED_NATIVE = ("left_bar", "right")
+_PAIR_MODES = {
+    ("L_Rbar", True): "left",
+    ("Lbar_R", True): "left_bar",
+    ("L_Rbar", False): "right_bar",
+    ("Lbar_R", False): "right",
+}
+_VARIANT_PARAMS = {"Lbar": (1, False), "L": (-1, True), "Rbar": (1, True), "R": (-1, False)}
+_IDENTITY_SETUPS = (
+    ("x_d", "Lbar", "left", "standard"),
+    ("x_dhat", "L", "left_bar", "reversed"),
+    ("d_x", "Rbar", "right_bar", "standard"),
+    ("dhat_x", "R", "right", "reversed"),
+)
+_GEOMETRIES = {
+    "L": ("left", 1, 1),
+    "Lbar": ("left_bar", -1, 1),
+    "R": ("right", -1, -1),
+    "Rbar": ("right_bar", 1, -1),
+}
+_COORD_FIRST_EXP = [((), (), 1), (("th1",), ("dth1",), 1)]
+_DERIV_FIRST_EXP = [((), (), 1), (("dth1",), ("th1",), -1)]
+_EXPONENTIALS = {
+    "x_d": _COORD_FIRST_EXP,
+    "x_dhat": _COORD_FIRST_EXP,
+    "d_x": _DERIV_FIRST_EXP,
+    "dhat_x": _DERIV_FIRST_EXP,
+}
+_ACTION_NAMES = {
+    "left": "left", "left_bar": "left_bar", "right": "right",
+    "right_bar": "right_bar", "leftbar": "left_bar", "rightbar": "right_bar",
+}
+_EXP_NAMES = {"xd": "x_d", "xdh": "x_dhat", "dx": "d_x", "dhx": "dhat_x"}
+
+
+def _recording(monkeypatch, module, name, pick):
+    """Wrap module.name so that every call appends pick(*args) to the
+    returned list."""
+    seen = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(pick(*args, **kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_calculus_tables_match_the_literals_they_replace():
+    modes = ("left", "left_bar", "right", "right_bar")
+    assert ncalgebra.ACTION_MODES == qfunc.VARIANTS == modes
+    assert pairexp.EXP_VARIANTS == ("x_d", "x_dhat", "d_x", "dhat_x")
+    assert hopf.TRANSLATE_VARIANTS == ("L", "Lbar", "R", "Rbar")
+    assert hopf._VARIANT_PARAMS == _VARIANT_PARAMS
+    assert hopf._IDENTITY_SETUPS == _IDENTITY_SETUPS
+    # the geometry order is the order of sesquilinear_line's per-geometry dict
+    _same(evolution._GEOMETRIES, _GEOMETRIES)
+    assert {v: grassmann.g_exponential(v) for v in grassmann._EXPONENTIALS} == _EXPONENTIALS
+    assert cli._ACTION_NAMES == _ACTION_NAMES
+    assert cli._EXP_NAMES == _EXP_NAMES
+
+
+def test_actions_run_in_the_calculi_the_replaced_literals_named(monkeypatch):
+    calculi = _recording(monkeypatch, ncalgebra, "_act_left", lambda op, f, calculus: calculus)
+    mirrored = _recording(monkeypatch, ncalgebra, "_mirror_element", lambda a: True)
+    op = NCElement.generator(E3, "dp")
+    f = NCElement.generator(E3, "xp")
+    for mode in ncalgebra.ACTION_MODES:
+        calculi.clear()
+        mirrored.clear()
+        ncalgebra.act(op, f, mode)
+        assert calculi == [_MODE_CALCULUS[mode]], mode
+        assert bool(mirrored) == (not mode.startswith("left")), mode
+
+
+def test_closed_forms_transport_the_orderings_the_replaced_literal_named(monkeypatch):
+    transports = _recording(monkeypatch, qfunc, "reorder_transform",
+                            lambda space, f, direction: direction)
+    for variant in qfunc.VARIANTS:
+        for rep in ("standard", "reversed"):
+            transports.clear()
+            act_partial_closed("+", variant, _F, E3, rep=rep)
+            native = "reversed" if variant in _REVERSED_NATIVE else "standard"
+            assert bool(transports) == (rep != native), (variant, rep)
+
+
+def test_pairings_act_in_the_modes_the_replaced_literal_named(monkeypatch):
+    modes = _recording(monkeypatch, pairexp, "act", lambda u, v, mode: mode)
+    u = NCElement.generator(E3, "dp")
+    v = NCElement.generator(E3, "xp")
+    for (variant, deriv_first), want in _PAIR_MODES.items():
+        modes.clear()
+        pairexp.pair(E3, variant, u, v, "deriv_first" if deriv_first else "coord_first")
+        assert modes == [want], (variant, deriv_first)
+    for variant in pairexp.EXP_VARIANTS:
+        modes.clear()
+        pairexp.kronecker_check(LINE, variant, 1)
+        hat = variant in ("x_dhat", "dhat_x")
+        deriv_first = variant in ("d_x", "dhat_x")
+        assert set(modes) == {_PAIR_MODES[("Lbar_R" if hat else "L_Rbar", not deriv_first)]}
