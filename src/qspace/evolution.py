@@ -11,7 +11,6 @@ each key into an element through the Hamiltonian's power table."""
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 from math import comb
 
@@ -38,9 +37,9 @@ class Hamiltonian:
     conjugates, and the products H^a H^b and conj(H^a) H^b.  Every product
     is normal-ordered by the engine, once per key; none is taken to be
     H^(a+b), so comparing the two stays an exact check.  ``op`` is read-only
-    so the tables cannot go stale.  An entry is only ever added under the
-    instance's lock, so threads may share a Hamiltonian; a present entry is
-    read without it."""
+    so the tables cannot go stale.  Threads may share a Hamiltonian: each
+    entry is computed whole and stored with ``setdefault``, so a race only
+    computes an equal value, and every caller gets the first one stored."""
 
     def __init__(self, op: NCElement, hermitian: bool = False):
         if not op.is_spatial():
@@ -50,27 +49,28 @@ class Hamiltonian:
         self._op = op
         self.hermitian = hermitian
         self.space = op.space
-        self._powers = [NCElement.one(op.space)]
+        self._powers = {0: NCElement.one(op.space)}
         self._conjugates = {}
         self._products = {}
-        self._lock = threading.RLock()  # product() calls power() holding it
 
     @property
     def op(self) -> NCElement:
         return self._op
 
     def power(self, n: int) -> NCElement:
-        """H^n, built as H^(n-1) * H."""
+        """H^n, built as H^(n-1) * H from the largest power stored."""
         if not isinstance(n, int):
             raise TypeError(f"power of a Hamiltonian must be an int, not {n!r}")
         if n < 0:
             raise ValueError(f"negative power {n} of a Hamiltonian")
         powers = self._powers
-        if n >= len(powers):
-            with self._lock:
-                while len(powers) <= n:
-                    powers.append(powers[-1] * self.op)
-        return powers[n]
+        m = n
+        while m not in powers:  # H^0 always is
+            m -= 1
+        p = powers[m]
+        for k in range(m + 1, n + 1):
+            p = powers.setdefault(k, p * self.op)
+        return p
 
     def product(self, a: int, b: int, conjugate: bool = False) -> NCElement:
         """H^a H^b, or conj(H^a) H^b when ``conjugate`` is set."""
@@ -80,15 +80,10 @@ class Hamiltonian:
         key = (a, b, conjugate)
         p = self._products.get(key)
         if p is None:
-            with self._lock:
-                p = self._products.get(key)
-                if p is None:
-                    left = self.power(a)
-                    if conjugate:
-                        if a not in self._conjugates:
-                            self._conjugates[a] = left.conjugate()
-                        left = self._conjugates[a]
-                    p = self._products[key] = left * self.power(b)
+            left = self.power(a)
+            if conjugate:
+                left = self._conjugates.get(a) or self._conjugates.setdefault(a, left.conjugate())
+            p = self._products.setdefault(key, left * self.power(b))
         return p
 
 

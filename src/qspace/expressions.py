@@ -26,15 +26,16 @@ in order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 
 from .cfunc import CFunction, space_vars
 from .grassmann import GElement
-from .ncalgebra import NCElement, _add_normal_form
+from .ncalgebra import NCElement, _add_normal_form, hat_factor
 from .scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, scalar
-from .spaces import HAT_D_TOKENS, HAT_POWER, KEY_LAYOUT, PRINT_NAMES
+from .spaces import HAT_D_TOKENS, KEY_LAYOUT, PRINT_NAMES
 
 
 class ParseError(ValueError):
@@ -91,13 +92,9 @@ _PIECE_KIND = {"x": "c", "w": "nc"}
 _MINUS_ONE = -ONE
 # integer literal -> factor, shared canonical scalars for the small ones
 _INT_FACTORS = {str(n): ("scalar", scalar(n)) for n in range(16)}
-_NAME_TABLES = {}  # space -> {name or small integer literal: factor}, built on first use
-
-
+@functools.cache
 def _name_table(space):
-    table = _NAME_TABLES.get(space)
-    if table is not None:
-        return table
+    """{name or small integer literal: factor} of a space."""
     xs = space_vars(space)
     names = PRINT_NAMES[space]
     table = {"q": ("scalar", Q), "i": ("scalar", I), "lambda": ("scalar", LAM),
@@ -107,12 +104,12 @@ def _name_table(space):
         table[names[v]] = ("w", ((v,), ONE))
     for th in ("th0", "th1", "dth0", "dth1"):
         table[th] = ("g", th)
-    hat = QScalar.q_power(2 * HAT_POWER[space])
+    hat = hat_factor(space, 1)
     for d in HAT_D_TOKENS[space]:
         table[names[d]] = ("w", ((d,), ONE))
         table["dh" + d[1:]] = ("w", ((d,), ONE if d == "d0" else hat))
     table["L"] = ("w", ((("L", 2),), ONE))
-    return _NAME_TABLES.setdefault(space, table)
+    return table
 
 
 class _Parser:

@@ -10,14 +10,13 @@ hatted Taylor identity is checked entirely in that representation.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .cfunc import CFunction, _monomials, space_vars
 from .pairexp import _EXP_MODE, qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, QScalar, _add_term, qbinom, qnum, qpow
+from .scalars import LAM, LAMP, ONE, QScalar, _add_term, _memo, _remember, qbinom, qnum, qpow
 from .spaces import CALCULI, LABEL_OF, REVERSED, X_TOKENS, Y_OF
 
 TRANSLATE_VARIANTS = tuple(sorted(row[3] for row in CALCULI.values()))
@@ -38,23 +37,26 @@ def doubled_vars(space):
     return xs + tuple(Y_OF[v] for v in xs)
 
 
-@functools.lru_cache(maxsize=None)
+_ODD_QFACTS, _STEP_POWERS = _memo(), _memo()  # keyed by the arguments
+
+
 def _odd_qfact(l: int, a: int) -> QScalar:
     """[[1]][[3]]...[[2l-1]] in base q^a: [[2l]]! / [[2l]]!!."""
-    out = ONE
-    for j in range(1, 2 * l, 2):
-        out = out * qnum(j, a)
+    out = _ODD_QFACTS.get((l, a))
+    if out is None:
+        odd = (qnum(j, a) for j in range(1, 2 * l, 2))
+        out = _remember(_ODD_QFACTS, (l, a), math.prod(odd, start=ONE))
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _step_power(l: int, s: int, e: int) -> QScalar:
     """l-th power of the step prefactor q^e lambda lambda', negated for the
     inverse bases (s < 0); translations take e = s, antipodes e = -s."""
-    step = qpow(e) * LAM * LAMP
-    if s < 0:
-        step = -step
-    return step ** l
+    out = _STEP_POWERS.get((l, s, e))
+    if out is None:
+        step = qpow(e) * LAM * LAMP
+        out = _remember(_STEP_POWERS, (l, s, e), (-step if s < 0 else step) ** l)
+    return out
 
 
 def translate(space: str, variant: str, f: CFunction) -> CFunction:

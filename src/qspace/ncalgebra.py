@@ -36,6 +36,7 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
+from .scalars import _clear_memos, _memo, _remember
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
     X_TOKENS, SpaceTable,
@@ -183,7 +184,7 @@ class _RuleSet:
     each run; for the scaling operator per half-step) or the alternatives
     (coefficient, replacement ranks)."""
 
-    def __init__(self, space, calculus, ordering, opposite=False):
+    def __init__(self, space, calculus, ordering, opposite):
         self.ordering = ordering
         if ordering not in ("xd", "rev") or calculus not in ("u", "h"):
             raise ValueError((calculus, ordering))
@@ -263,38 +264,8 @@ class _RuleSet:
         return self.pair_rules[(ta, tb)]
 
 
-# every memo of normal forms and every table built from them: each is
-# emptied whole when it reaches _MEMO_LIMIT entries, and all of them when
-# rewrite_strategy is entered or left
-_MEMOS = []
-_MEMO_LIMIT = 20_000
-
-
-def _memo():
-    """A new memo table, registered so that _clear_memos empties it."""
-    table = {}
-    _MEMOS.append(table)
-    return table
-
-
-def _remember(table, key, value):
-    """Store value in a memo table under key, emptying the table first when
-    it is full; returns value."""
-    if len(table) >= _MEMO_LIMIT:
-        table.clear()
-    table[key] = value
-    return value
-
-
-_RULESETS = {}
-
-
-def _ruleset(space, calculus, ordering, opposite=False):
-    key = (space, calculus, ordering, opposite)
-    rs = _RULESETS.get(key)
-    if rs is None:
-        rs = _RULESETS.setdefault(key, _RuleSet(*key))
-    return rs
+# every call passes all four arguments, so a rule set has one cache key
+_ruleset = functools.cache(_RuleSet)
 
 
 # whole-word memo, keyed (space, calculus, ordering, word) and holding
@@ -327,11 +298,6 @@ class rewrite_strategy:
         _STRATEGY.reset(self.token)
         _clear_memos()
         return False
-
-
-def _clear_memos():
-    for table in _MEMOS:
-        table.clear()
 
 
 def _fold(rs, terms, t, n=1):
@@ -744,6 +710,11 @@ def multiply(a: NCElement, b: NCElement) -> NCElement:
 ACTION_MODES = tuple(CALCULI)
 
 
+def hat_factor(space, n):
+    """q^(HAT_POWER[space] n): n hatted spatial derivatives over the plain ones."""
+    return qpow(HAT_POWER[space] * n)
+
+
 def _mirror_element(a: NCElement) -> NCElement:
     """Word reversal combined with the +/- index swap and inversion of the
     scaling operator; the transport the right-sided calculi are built from."""
@@ -782,7 +753,6 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
     left to right."""
     space = op.space
     rs = _ruleset(space, calculus, "xd", True)
-    hatk = HAT_POWER[space]
     to_rank, to_key = rs.to_rank, rs.to_key
     fwords = {to_rank(k): c for k, c in f.terms.items()}
     out = NCElement(space)
@@ -790,7 +760,7 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
         c0 = cop
         if calculus == "h":
             # stored plain derivatives = q^(-k) * hatted ones
-            c0 = c0 * qpow(-hatk * op.spatial_d_count(kop))
+            c0 = c0 * hat_factor(space, -op.spatial_d_count(kop))
         terms = fwords
         for t, n in enumerate(to_rank(kop)):
             if not n:
@@ -913,7 +883,7 @@ def normalize_in_calculus(space, calculus, word, coeff=ONE, reexpress_hats=False
     word = tuple(word)
     if reexpress_hats:
         spatial = sum(1 for t in word if not isinstance(t, tuple) and t in SPATIAL_D[space])
-        coeff = coeff * qpow(-HAT_POWER[space] * spatial)
+        coeff = coeff * hat_factor(space, -spatial)
     out = NCElement(space)
     _add_normal_form(out.terms, space, calculus, "xd", word, coeff)
     return out

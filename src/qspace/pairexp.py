@@ -11,10 +11,10 @@ reconstruction test pins these down.
 from __future__ import annotations
 
 from .cfunc import CFunction, _mono_text, _monomials, space_vars
-from .ncalgebra import NCElement, _memo, _remember, act
+from .ncalgebra import NCElement, act, hat_factor
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, _add_term, qfact, qnum, qpow, scalar
-from .spaces import CALCULI, D_TOKENS, HAT_D_TOKENS, HAT_POWER, REVERSED, X_TOKENS
+from .scalars import ONE, QScalar, _add_term, _memo, _remember, qfact, qnum, scalar
+from .spaces import CALCULI, D_TOKENS, HAT_D_TOKENS, REVERSED, X_TOKENS
 
 PAIR_VARIANTS = ("L_Rbar", "Lbar_R")
 # exponential variant -> the action mode of its calculus: coordinate-first
@@ -59,8 +59,7 @@ def deriv_word_element(space, exps, hatted: bool) -> NCElement:
         word.extend([d] * exps[vars_.index(v)])
     el = NCElement.from_word(space, tuple(word))
     if hatted:
-        spatial = sum(exps[1:])
-        el = el.scale(qpow(HAT_POWER[space] * spatial))
+        el = el.scale(hat_factor(space, sum(exps[1:])))
     return el
 
 
@@ -103,7 +102,7 @@ class TensorSeries:
 # (space, hatted, exps) -> (1 / norm factor, derivative word rows), filled on
 # first use.  Entries are tuples of immutable values, stored whole; every
 # qexp call builds new elements from them.  The rows are normal forms, so the
-# table is one of ncalgebra's memos
+# table is a registered memo
 _EXP_TERMS = _memo()
 
 
@@ -163,10 +162,12 @@ _MODE_OF = {row[:2]: mode for mode, row in CALCULI.items()}
 def pair(space, variant, u: NCElement, v: NCElement, order: str = "deriv_first") -> QScalar:
     """Dual pairing of a derivative word against a coordinate word, computed
     by acting and evaluating at the origin: 'Lbar_R' in the hatted calculus,
-    from the left when the derivative word comes first."""
+    from the left for order 'deriv_first', from the right for 'coord_first'."""
     if variant not in PAIR_VARIANTS:
         raise ValueError(f"unknown pairing variant {variant!r}")
-    mode = _MODE_OF[(variant == "Lbar_R", order != "deriv_first")]
+    if order not in ("deriv_first", "coord_first"):
+        raise ValueError(f"unknown pairing order {order!r}")
+    mode = _MODE_OF[(variant == "Lbar_R", order == "coord_first")]
     res = act(u, v, mode)
     return res.constant_term()
 

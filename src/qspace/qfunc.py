@@ -18,7 +18,7 @@ import functools
 
 from .cfunc import CFunction, space_vars
 from .ncalgebra import reorder_transform
-from .scalars import LAM, ONE, QScalar, _add_term, qpow
+from .scalars import LAM, ONE, QScalar, _add_term, _memo, _remember, qpow
 from .spaces import CALCULI, E3, LABELS, LINE, PM_LABEL_SWAP, PM_SWAP, Y_OF, SpaceTable
 
 VARIANTS = tuple(CALCULI)
@@ -140,7 +140,7 @@ def _variants(left):
     return reps
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _reps(space):
     return _variants(_ANCHORS[space])
 
@@ -207,11 +207,17 @@ def _inverse_branches(space, index, degree3):
     return branches
 
 
-@functools.lru_cache(maxsize=64)
+_INVERSE_REPS = _memo()  # (space, degree3) -> _inverse_reps(space, degree3)
+
+
 def _inverse_reps(space, degree3):
     """The four variants of the inverse derivatives, exact on polynomials of
     degree below degree3 in the 3-coordinate."""
-    return _variants({i: _inverse_branches(space, i, degree3) for i in LABELS[space]})
+    reps = _INVERSE_REPS.get((space, degree3))
+    if reps is None:
+        reps = _remember(_INVERSE_REPS, (space, degree3), _variants(
+            {i: _inverse_branches(space, i, degree3) for i in LABELS[space]}))
+    return reps
 
 
 def act_inverse_partial(index: str, variant: str, f: CFunction, space: str,

@@ -167,7 +167,7 @@ class ProjectorSet:
         return list(self.projectors)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def build_projectors(space) -> ProjectorSet:
     """Spectral projectors interpolated from the eigenvalue table: the
     projector of eigenvalue lam is the product over the other eigenvalues

@@ -1212,7 +1212,35 @@ def qfact(n: int, a: int = 1, kind: str = "plain") -> QScalar:
     raise ValueError(f"unknown q-factorial kind: {kind!r}")
 
 
-_QBINOM = {}  # (n, k, a) -> [[n over k]]_{q^a}, k <= n - k
+# every value memo of the package, from the rewrite engine's to the
+# q-binomials: each is emptied whole when it reaches _MEMO_LIMIT entries,
+# and all of them when rewrite_strategy is entered or left
+_MEMOS = []
+_MEMO_LIMIT = 20_000
+
+
+def _memo():
+    """A new memo table, registered so that _clear_memos empties it."""
+    table = {}
+    _MEMOS.append(table)
+    return table
+
+
+def _remember(table, key, value):
+    """Store value in a memo table under key, emptying the table first when
+    it is full; returns value."""
+    if len(table) >= _MEMO_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _clear_memos():
+    for table in _MEMOS:
+        table.clear()
+
+
+_QBINOM = _memo()  # (n, k, a) -> [[n over k]]_{q^a}, k <= n - k
 
 
 def qbinom(n: int, k: int, a: int = 1) -> QScalar:
@@ -1238,8 +1266,7 @@ def qbinom(n: int, k: int, a: int = 1) -> QScalar:
     if got is not None:
         return got
     if k == 1:
-        got = _QBINOM[(n, 1, a)] = qnum(n, a)
-        return got
+        return _remember(_QBINOM, (n, 1, a), qnum(n, a))
     row = [{0: 1}] + [{} for _ in range(k)]
     for m in range(1, n + 1):
         # right to left, so row[j - 1] still holds row m - 1
@@ -1251,8 +1278,8 @@ def qbinom(n: int, k: int, a: int = 1) -> QScalar:
                 nxt[e] = nxt.get(e, 0) + c
             row[j] = nxt
     for j in range(1, k + 1):
-        _QBINOM[(n, j, a)] = _canon(row[j], _P_ONE)
-    return _QBINOM[(n, k, a)]
+        got = _remember(_QBINOM, (n, j, a), _canon(row[j], _P_ONE))
+    return got
 
 
 def eval_at(x: QScalar, q0):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .cfunc import CFunction, _monomials, space_vars
 from .ncalgebra import lift, lower, reorder_transform
 from .reports import VerificationReport
-from .scalars import LAM, ONE, QScalar, _add_term, qbinom, qnum
+from .scalars import LAM, ONE, QScalar, _add_term, _memo, _remember, qbinom, qnum
 
 
 class StarContext:
@@ -27,7 +27,7 @@ class StarContext:
 # (f exponent, g exponent, reversed_order) -> (f leg * g leg for each k),
 # filled on first use; a pure key, like the q-binomials' table.  Entries are
 # tuples: every caller receives the same one, and none can change it
-_STAR_LEGS = {}
+_STAR_LEGS = _memo()
 
 
 def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
@@ -58,7 +58,7 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
                     # lambda^k has k + 1 terms: multiplied in last, it is cheap
                     pair.append(qbinom(nf, k, a) * fall * lam_k)
                 # stored whole, so a racing thread can only store an equal entry
-                pair = _STAR_LEGS[(nf, ng, reversed_order)] = tuple(pair)
+                pair = _remember(_STAR_LEGS, (nf, ng, reversed_order), tuple(pair))
             c = cf * cg
             e = [x + y for x, y in zip(ef, eg)]
             for k, leg in enumerate(pair):

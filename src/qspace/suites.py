@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from . import evolution, grassmann, hopf, pairexp, qfunc, rmatrix, starcalc
 from .cfunc import CFunction, LatticeFunction, _monomials, jackson_integral_numeric, space_vars
-from .ncalgebra import NCElement, act, lift, lower, normal_form, qpow
+from .ncalgebra import NCElement, act, hat_factor, lift, lower, normal_form
 from .reports import VerificationReport
 from .scalars import GaussianRational, ONE, ZERO, scalar
-from .spaces import CALCULI, D_OF_LABEL, HAT_POWER, LABELS, SPACES, X_TOKENS
+from .spaces import CALCULI, D_OF_LABEL, LABELS, SPACES, X_TOKENS
 
 NOTE_LEI_SUBSCRIPTS = (
     "the printed hatted time rules end in stray subscripts (a 3-index and a "
@@ -123,7 +123,7 @@ def suite_oracle_actions(opts: SuiteOptions):
             for variant in CALCULI:
                 D = NCElement.generator(space, dtag)
                 if CALCULI[variant][0] and idx != "0":
-                    D = D.scale(qpow(HAT_POWER[space]))
+                    D = D.scale(hat_factor(space, 1))
                 for e in _monomials(vars_, opts.degree):
                     f = CFunction.monomial(vars_, e)
                     closed = qfunc.act_partial_closed(idx, variant, f, space)

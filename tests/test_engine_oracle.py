@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from qspace import hopf, qfunc, scalars, starcalc
 from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS
 from qspace.ncalgebra import NCElement, act, lift, lower, multiply, normal_form, reorder_transform
@@ -259,7 +260,7 @@ def test_a_planted_row_does_not_survive_a_strategy_switch():
 
 
 def test_whole_word_memo_stays_bounded(monkeypatch):
-    monkeypatch.setattr(_nc, "_MEMO_LIMIT", 5)
+    monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
     _nc._clear_memos()
     rng = random.Random(106)
     words = {_random_word(rng, _tokens("euclid3"), 4) for _ in range(40)}
@@ -272,7 +273,7 @@ def test_whole_word_memo_stays_bounded(monkeypatch):
 
 
 def test_tables_stay_bounded(monkeypatch):
-    monkeypatch.setattr(_nc, "_MEMO_LIMIT", 5)
+    monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
     _nc._clear_memos()
     rng = random.Random(105)
     space = "euclid3"
@@ -285,16 +286,50 @@ def test_tables_stay_bounded(monkeypatch):
     got = act(op, f, "left")
     got_exp = list(qexp(space, "x_dhat", 3))
     # every table is registered, each one was filled and none is over the limit
-    rulesets = list(_nc._RULESETS.values())
+    rulesets = [
+        _nc._ruleset(space, calculus, ordering, opposite)
+        for calculus in ("u", "h") for ordering in ("xd", "rev") for opposite in (False, True)
+    ]
     named = [_nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
     registered = named + [rs.memo for rs in rulesets] + [rs.counit_memo for rs in rulesets]
-    assert all(any(t is m for m in _nc._MEMOS) for t in registered)
+    assert all(any(t is m for m in scalars._MEMOS) for t in registered)
     assert all(named)
     assert any(rs.memo for rs in rulesets) and any(rs.counit_memo for rs in rulesets)
-    for table in _nc._MEMOS:
+    for table in scalars._MEMOS:
         assert len(table) <= 5
     _nc._clear_memos()
-    assert not any(_nc._MEMOS)
+    assert not any(scalars._MEMOS)
     monkeypatch.undo()
     assert got == act(op, f, "left")
     assert got_exp == list(qexp(space, "x_dhat", 3))
+
+
+def _fill_value_tables():
+    """Results read through the q-binomial, star-leg, translation-factor and
+    inverse-representation tables."""
+    got = [scalars.qbinom(n, k, a) for n in range(9) for k in range(n + 1) for a in (1, -4)]
+    mono = [CFunction.monomial(E3_VARS, e) for e in ((1, 2, 3, 1), (0, 1, 4, 2), (2, 3, 2, 0))]
+    for ordering in ("standard", "reversed"):
+        ctx = starcalc.StarContext("euclid3", ordering)
+        got += [starcalc.star(ctx, f, g) for f in mono for g in mono]
+    for variant in hopf.TRANSLATE_VARIANTS:
+        got += [hopf.translate("euclid3", variant, f) for f in mono]
+        got += [hopf.antipode("euclid3", variant, f) for f in mono]
+    got += [qfunc.act_inverse_partial(i, "left", f, "euclid3") for i in "+3-" for f in mono]
+    return got
+
+
+def test_value_tables_stay_bounded_and_follow_rewrite_strategy(monkeypatch):
+    want = _fill_value_tables()
+    monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
+    _nc._clear_memos()
+    tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
+              qfunc._INVERSE_REPS]
+    assert all(any(t is m for m in scalars._MEMOS) for t in tables)
+    assert _fill_value_tables() == want
+    assert all(0 < len(t) <= 5 for t in tables)
+    with _nc.rewrite_strategy("rightmost"):
+        assert not any(tables)
+        assert _fill_value_tables() == want
+        assert all(tables)
+    assert not any(tables)

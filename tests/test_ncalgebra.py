@@ -390,7 +390,7 @@ def test_derived_rule_tables_match_the_printed_ones(space, calculus, ordering):
         **tables["dd"],
         **tables["leibniz" if calculus == "u" else "leibniz_hat"],
     }
-    got = _nc._RuleSet(space, calculus, ordering).pair_rules
+    got = _nc._RuleSet(space, calculus, ordering, False).pair_rules
     assert sorted(got) == sorted(want)
     for pair, alts in want.items():
         # the alternatives in order, each coefficient exactly
@@ -399,9 +399,9 @@ def test_derived_rule_tables_match_the_printed_ones(space, calculus, ordering):
 
 def test_rule_sets_reject_an_unknown_calculus_or_ordering():
     with pytest.raises(ValueError):
-        _nc._RuleSet("euclid3", "x", "xd")
+        _nc._RuleSet("euclid3", "x", "xd", False)
     with pytest.raises(ValueError):
-        _nc._RuleSet("euclid3", "u", "dx")
+        _nc._RuleSet("euclid3", "u", "dx", False)
 
 
 def _tokens(space):
@@ -481,7 +481,7 @@ def _overlaps(resolve, normalize, toks):
 def test_overlap_ambiguities_resolve():
     count = 0
     for key in RULE_SETS:
-        rs = _nc._ruleset(*key)
+        rs = _nc._ruleset(*key, False)
         n, failing = _overlaps(
             rs.resolve, lambda word, key=key: _nc._normalize_word(*key, word), _tokens(key[0])
         )
@@ -524,7 +524,7 @@ def _random_words(rng, space, n):
 def test_insertion_matches_tree_rewriter():
     rng = random.Random(17)
     for key in RULE_SETS:
-        rs = _nc._ruleset(*key)
+        rs = _nc._ruleset(*key, False)
         space = key[0]
         ladders = [("xm",) * 3 + ("xp",) * 3, ("dm",) * 3 + ("xm",) * 3] if space == "euclid3" \
             else [("x1",) * 3 + ("d1",) * 3, ("d1",) * 3 + ("x1",) * 3]
@@ -544,7 +544,7 @@ def _reference_act_left(op, f, calculus):
     """The definition: normal-order every operator word times every
     coordinate word in full, then apply the counit."""
     space = op.space
-    rs = _nc._ruleset(space, calculus, "xd")
+    rs = _nc._ruleset(space, calculus, "xd", False)
     nx = len(_nc.X_TOKENS[space])
     out = {}
     for kop, cop in op.terms.items():
@@ -695,7 +695,7 @@ def test_threads_get_the_serial_results():
     jobs = _thread_jobs()
     serial = [_run_job(job) for job in jobs]
     _nc._clear_memos()
-    _nc._RULESETS.clear()
+    _nc._ruleset.cache_clear()
     n_threads = 8
     results = [None] * n_threads
     errors = []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qspace import ncalgebra, pairexp
+from qspace import pairexp, scalars
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
 from qspace.ncalgebra import NCElement, PurityError, lift, normal_form, rewrite_strategy
 from qspace.pairexp import (
@@ -186,7 +186,7 @@ def test_changing_a_returned_series_leaves_the_table_alone(direct):
 
 
 def test_table_stays_within_its_limit(direct, monkeypatch):
-    monkeypatch.setattr(ncalgebra, "_MEMO_LIMIT", 5)
+    monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
     _EXP_TERMS.clear()
     for call in (("euclid3", "x_dhat", 5), ("line", "d_x", 5)):
         # the table is emptied many times during the build; the prefixes
@@ -202,3 +202,11 @@ def test_rewrite_strategy_empties_the_table(direct):
         assert not _EXP_TERMS
         assert _data(qexp("line", "x_d", 3).terms) == direct[("line", "x_d", 3)]
     assert not _EXP_TERMS
+
+
+def test_an_unknown_pairing_order_is_rejected():
+    dp = normal_form("euclid3", ("dp",))
+    xp = normal_form("euclid3", ("xp",))
+    assert pair("euclid3", "L_Rbar", dp, xp, order="deriv_first") == ONE
+    with pytest.raises(ValueError, match="unknown pairing order"):
+        pair("euclid3", "L_Rbar", dp, xp, order="deriv-first")
