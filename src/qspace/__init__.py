@@ -23,11 +23,9 @@ _EXPORTS = {
     "act": "ncalgebra",
     "lift": "ncalgebra",
     "lower": "ncalgebra",
-    "multiply": "ncalgebra",
     "normal_form": "ncalgebra",
     "reorder_transform": "ncalgebra",
     "QScalar": "scalars",
-    "eval_at": "scalars",
     "qbinom": "scalars",
     "qfact": "scalars",
     "qnum": "scalars",

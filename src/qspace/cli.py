@@ -21,10 +21,21 @@ _EXP_NAMES = {row[2].replace("_", "").replace("hat", "h"): row[2] for row in CAL
 _ACTION_NAMES = {name: mode for mode in CALCULI for name in (mode, mode.replace("_", ""))}
 
 
+def _q_number(text):
+    """The type of --q-value and verify --q0: a finite, nonzero number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or not value:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonzero number")
+    return value
+
+
 def _add_common(p, degree=False, order=False):
     p.add_argument("--space", choices=SPACES, default=E3)
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.add_argument("--q-value", type=float, default=None,
+    p.add_argument("--q-value", type=_q_number, default=None,
                    help="print scalars evaluated at this numeric q")
     p.add_argument("--tol", type=float, default=1e-10)
     if degree:
@@ -56,7 +67,7 @@ def build_parser(command=None):
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--q0", type=float, default=1.1)
+    p.add_argument("--q0", type=_q_number, default=1.1)
 
     p = sub.add_parser("nf", help="normal-order a noncommutative expression")
     p.add_argument("expr")

@@ -25,7 +25,7 @@ from .ncalgebra import NCElement, act, lift, lower
 from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
 from .reports import VerificationReport
 from .scalars import I, ONE, QScalar, ZERO, _add_term, qpow, scalar
-from .spaces import CALCULI, E3, LINE, REVERSED, SPATIAL_D, X_TOKENS
+from .spaces import CALCULI, LINE, SPATIAL_D
 
 
 class Hamiltonian:
@@ -389,22 +389,15 @@ def integrate_whole_line(f: LatticeFunction, variant: str, tol: float) -> comple
     return sign * jackson_integral_whole_line(f, a, tol)
 
 
-class SeparableLattice3:
-    """Product lattice function f+(x+) f3(x3) f-(x-) on the 3d space."""
-
-    def __init__(self, fp: LatticeFunction, f3: LatticeFunction, fm: LatticeFunction):
-        self.legs = {"xp": fp, "x3": f3, "xm": fm}
-
-
-def integrate_whole_e3(f: SeparableLattice3, variant: str, tol: float) -> complex:
-    """q^(-6a)/4 times the whole-line integrals of the three legs with base
-    q^(2a), taken in the standard axis order for a = 1 and the reversed one
-    for a = -1."""
+def integrate_whole_e3(fp, f3, fm, variant: str, tol: float) -> complex:
+    """The integral of fp(x+) f3(x3) fm(x-), three lattice functions: q^(-6a)/4
+    times their whole-line integrals with base q^(2a), taken in the standard
+    axis order for a = 1 and the reversed one for a = -1."""
     _, a, sign = _GEOMETRIES[variant]
     pref = qpow(-6 * a) * QScalar.from_rational(Fraction(1, 4))
-    total = complex(pref.eval_float(f.legs["xp"].q0))
-    for axis in (X_TOKENS if a == 1 else REVERSED)[E3][1:]:
-        total *= jackson_integral_whole_line(f.legs[axis], 2 * a, tol)
+    total = complex(pref.eval_float(fp.q0))
+    for leg in (fp, f3, fm) if a == 1 else (fm, f3, fp):
+        total *= jackson_integral_whole_line(leg, 2 * a, tol)
     return sign * total
 
 

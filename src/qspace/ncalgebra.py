@@ -703,10 +703,6 @@ def normal_form(space, word, coeff=ONE):
     return NCElement.from_word(space, word, coeff)
 
 
-def multiply(a: NCElement, b: NCElement) -> NCElement:
-    return a * b
-
-
 ACTION_MODES = tuple(CALCULI)
 
 
@@ -852,25 +848,7 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
     return CFunction(want, out)
 
 
-# -- formal-word helpers (used by the relation-transport tests) -----------------
-
-
-def conjugate_word_formal(space, word):
-    """Conjugate a token word formally: reverse it, send each generator
-    through the conjugation map and invert the scaling operator; returns
-    (product of the factors, image word).  No normal ordering is applied."""
-    tokmap = _CONJ_MAP[space]
-    coeff = ONE
-    toks = []
-    for tok in reversed(tuple(word)):
-        if isinstance(tok, tuple):
-            toks.append((_LAM_TAG, -tok[1]))
-            continue
-        f, t = tokmap[tok]
-        if f is not ONE:
-            coeff = coeff * f
-        toks.append(t)
-    return coeff, tuple(toks)
+# -- one calculus's normal ordering (the benchmark's nf-ladder calls it) --------
 
 
 def normalize_in_calculus(space, calculus, word, coeff=ONE, reexpress_hats=False):

@@ -1,7 +1,6 @@
 """Closed-form q-calculus on commutative functions: Jackson derivatives and
 integrals, the operator representations of the partial derivatives and their
-inverses, argument scalings, braided products on the line, and the
-q-constancy test.
+inverses, and argument scalings.
 
 The representations for one side/calculus are written down once (the left
 actions of the plain derivatives and of their inverses); every other variant
@@ -16,10 +15,10 @@ from __future__ import annotations
 
 import functools
 
-from .cfunc import CFunction, space_vars
+from .cfunc import CFunction
 from .ncalgebra import reorder_transform
-from .scalars import LAM, ONE, QScalar, _add_term, _memo, _remember, qpow
-from .spaces import CALCULI, E3, LABELS, LINE, PM_LABEL_SWAP, PM_SWAP, Y_OF, SpaceTable
+from .scalars import LAM, ONE, _add_term, _memo, _remember, qpow
+from .spaces import CALCULI, E3, LABELS, LINE, PM_LABEL_SWAP, PM_SWAP, SpaceTable
 
 VARIANTS = tuple(CALCULI)
 
@@ -230,44 +229,9 @@ def act_inverse_partial(index: str, variant: str, f: CFunction, space: str,
                 index, variant, f, space, rep)
 
 
-# -- misc closed-form operations ----------------------------------------------
-
-
-def jackson_d(f: CFunction, var: str, a: int) -> CFunction:
-    return f.jackson_d(var, a)
-
-
-def jackson_antiderivative(f: CFunction, var: str, a: int) -> CFunction:
-    return f.jackson_antiderivative(var, a)
+# -- the scaling operator (evolution calls it by name: a test swaps in a fake) --
 
 
 def scale_arg(f: CFunction, var: str, half_steps: int) -> CFunction:
     """The scaling-operator action: substitute var -> q^(half_steps/2) var."""
     return f.scale_var(var, half_steps)
-
-
-def braided_product_line(f: CFunction, g: CFunction, variant: str) -> CFunction:
-    """Braided product of line functions living on distinct tensor legs.
-
-    Output variables are (y0, y1, x0, x1): the g-leg crosses to the left,
-    and each monomial pair picks up q^{+/- deg_y1(g) deg_x1(f)}.
-    """
-    if f.vars != space_vars(LINE) or g.vars != space_vars(LINE):
-        raise ValueError("braided products are implemented for the line only")
-    sign = {"L": -1, "Lbar": 1}[variant]
-    out_vars = tuple(Y_OF[v] for v in f.vars) + f.vars
-    out = {}
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            factor = QScalar.q_power(2 * sign * eg[1] * ef[1])
-            _add_term(out, (eg[0], eg[1], ef[0], ef[1]), cf * cg * factor)
-    return CFunction(out_vars, out)
-
-
-def is_qconstant(f: CFunction) -> bool:
-    """Constant from the q-deformed point of view: both left derivative
-    actions annihilate the function."""
-    return (
-        act_partial_closed("0", "left", f, LINE).is_zero()
-        and act_partial_closed("1", "left", f, LINE).is_zero()
-    )

@@ -44,7 +44,6 @@ __all__ = [
     "qnum",
     "qfact",
     "qbinom",
-    "eval_at",
 ]
 
 
@@ -1281,11 +1280,3 @@ def qbinom(n: int, k: int, a: int = 1) -> QScalar:
         got = _remember(_QBINOM, (n, j, a), _canon(row[j], _P_ONE))
     return got
 
-
-def eval_at(x: QScalar, q0):
-    """Numeric value of a scalar at q = q0 (exact if q0 is rational)."""
-    if isinstance(x, QScalar):
-        if isinstance(q0, (int, Fraction, GaussianRational)):
-            return x.eval_exact(q0)
-        return x.eval_float(q0)
-    raise TypeError("eval_at expects a QScalar")

@@ -142,8 +142,8 @@ def test_criterion_08_jackson_calculus():
     ok = True
     for n in range(7):
         f = CFunction.monomial(vars_, (0, n))
-        F = qfunc.jackson_antiderivative(f, "x1", 1)
-        ok &= qfunc.jackson_d(F, "x1", 1) == f
+        F = f.jackson_antiderivative("x1", 1)
+        ok &= F.jackson_d("x1", 1) == f
     q0 = 1.1
     lat = LatticeFunction.from_cfunction(
         CFunction.monomial(vars_, (0, 1)), "x1", q0, 800

@@ -259,6 +259,19 @@ def test_negative_degree_or_order_is_usage_error(capsys, argv):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.0"])
+@pytest.mark.parametrize("argv", [
+    ("nf", "Xm", "--q-value"),
+    ("evolve", "--q-value"),
+    ("verify", "numeric-integrals", "--q0"),
+])
+def test_non_finite_or_zero_q_is_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    assert "is not a finite nonzero number" in capsys.readouterr().err
+
+
 def test_suite_options_reject_negative_bounds():
     from qspace.suites import SuiteOptions
 

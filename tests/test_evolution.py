@@ -28,7 +28,6 @@ from qspace.evolution import (
     schrodinger_residual,
     schrodinger_wave_check,
     sesquilinear_line,
-    SeparableLattice3,
     unitarity_check,
 )
 from qspace.hopf import time_taylor
@@ -180,9 +179,8 @@ def test_lattice_samples_equal_pointwise_evaluation():
 def test_integrate_whole_e3_separable():
     q0 = 1.1
     leg = LatticeFunction.from_callable(lambda x: math.exp(-x * x), q0, 300)
-    f = SeparableLattice3(leg, leg, leg)
-    vL = integrate_whole_e3(f, "L", 1e-12)
-    vRb = integrate_whole_e3(f, "Rbar", 1e-12)
+    vL = integrate_whole_e3(leg, leg, leg, "L", 1e-12)
+    vRb = integrate_whole_e3(leg, leg, leg, "Rbar", 1e-12)
     assert abs(vL + vRb) < 1e-9
     one_axis = (q0 ** 2 - 1) * sum(
         q0 ** (2 * k) * 2 * math.exp(-(q0 ** (2 * k)) ** 2) for k in range(-450, 150)

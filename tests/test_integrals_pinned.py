@@ -21,7 +21,6 @@ from qspace.cfunc import (
     jackson_integral_numeric,
 )
 from qspace.evolution import (
-    SeparableLattice3,
     ibp_check,
     ibp_check_numeric,
     integrate_whole_e3,
@@ -163,13 +162,13 @@ E3_PINS = {
 def test_whole_e3_integrals_pinned():
     # three different legs, so the axis order shows in the rounding
     q0 = 1.1
-    f = SeparableLattice3(
+    legs = (
         LatticeFunction.from_callable(lambda x: math.exp(-x * x), q0, 300),
         LatticeFunction.from_callable(lambda x: math.exp(-2 * x * x) * (1 + x), q0, 300),
         LatticeFunction.from_callable(lambda x: 1 / (1 + x ** 4), q0, 300),
     )
     for variant, want in E3_PINS.items():
-        assert repr(integrate_whole_e3(f, variant, 1e-12)) == want
+        assert repr(integrate_whole_e3(*legs, variant, 1e-12)) == want
 
 
 _PER = {

@@ -8,10 +8,6 @@ from qspace.ncalgebra import NCElement, act, lift, lower
 from qspace.qfunc import (
     act_inverse_partial,
     act_partial_closed,
-    braided_product_line,
-    is_qconstant,
-    jackson_antiderivative,
-    jackson_d,
     scale_arg,
 )
 from qspace.scalars import LAM, ONE, QScalar, qpow, scalar
@@ -23,9 +19,9 @@ def mono(vars_, exps, coeff=ONE):
 
 def test_jackson_derivative_examples():
     f = mono(LINE_VARS, (0, 2))
-    assert jackson_d(f, "x1", 1) == mono(LINE_VARS, (0, 1), ONE + qpow(1))
+    assert f.jackson_d("x1", 1) == mono(LINE_VARS, (0, 1), ONE + qpow(1))
     g = mono(LINE_VARS, (3, 0))
-    assert jackson_d(g, "x1", 1).is_zero()
+    assert g.jackson_d("x1", 1).is_zero()
 
 
 def test_jackson_matches_difference_quotient_numerically():
@@ -38,7 +34,7 @@ def test_jackson_matches_difference_quotient_numerically():
         }
         f = CFunction(LINE_VARS, terms)
         a = rng.choice([1, 2, -1])
-        df = jackson_d(f, "x1", a)
+        df = f.jackson_d("x1", a)
         for x in (0.7, 1.3):
             fx = f.eval_float(q0, {"x0": 0.5, "x1": x})
             fqx = f.eval_float(q0, {"x0": 0.5, "x1": (q0 ** a) * x})
@@ -52,16 +48,16 @@ def test_jackson_classical_limit():
     for n0 in range(3):
         for n1 in range(6):
             f = mono(LINE_VARS, (n0, n1))
-            got = jackson_d(f, "x1", 1).eval_coeffs_exact(1)
+            got = f.jackson_d("x1", 1).eval_coeffs_exact(1)
             want = f.classical_d("x1").eval_coeffs_exact(1)
             assert got == want, (n0, n1)
 
 
 def test_antiderivative_examples_and_inverse():
     one = CFunction.constant(LINE_VARS, 1)
-    assert jackson_antiderivative(one, "x1", 1) == mono(LINE_VARS, (0, 1))
+    assert one.jackson_antiderivative("x1", 1) == mono(LINE_VARS, (0, 1))
     x = mono(LINE_VARS, (0, 1))
-    assert jackson_antiderivative(x, "x1", 1) == mono(
+    assert x.jackson_antiderivative("x1", 1) == mono(
         LINE_VARS, (0, 2), ONE / (ONE + qpow(1))
     )
     rng = random.Random(17)
@@ -71,7 +67,7 @@ def test_antiderivative_examples_and_inverse():
             for _ in range(4)
         }
         f = CFunction(LINE_VARS, terms)
-        assert jackson_d(jackson_antiderivative(f, "x1", 2), "x1", 2) == f
+        assert f.jackson_antiderivative("x1", 2).jackson_d("x1", 2) == f
 
 
 def test_closed_action_examples():
@@ -99,10 +95,10 @@ def test_generated_line_variants_match_printed_forms():
         }
         f = CFunction(LINE_VARS, terms)
         checks = [
-            ("1", "left", jackson_d(f, "x1", 1)),
-            ("1", "left_bar", jackson_d(f, "x1", -1)),
-            ("1", "right", -jackson_d(f, "x1", -1)),
-            ("1", "right_bar", -jackson_d(f, "x1", 1)),
+            ("1", "left", f.jackson_d("x1", 1)),
+            ("1", "left_bar", f.jackson_d("x1", -1)),
+            ("1", "right", -f.jackson_d("x1", -1)),
+            ("1", "right_bar", -f.jackson_d("x1", 1)),
             ("0", "left", f.classical_d("x0")),
             ("0", "left_bar", f.classical_d("x0")),
             ("0", "right", -f.classical_d("x0")),
@@ -168,32 +164,17 @@ def test_scale_commutes_with_jackson():
         f = mono(LINE_VARS, (0, n))
         for a in (1, 2, -1):
             for s in (2, 4, -2):
-                lhs = jackson_d(scale_arg(f, "x1", s), "x1", a)
-                rhs = scale_arg(jackson_d(f, "x1", a), "x1", s).scale(QScalar.q_power(s))
+                lhs = scale_arg(f, "x1", s).jackson_d("x1", a)
+                rhs = scale_arg(f.jackson_d("x1", a), "x1", s).scale(QScalar.q_power(s))
                 assert lhs == rhs, (n, a, s)
 
 
-def test_braided_product_examples():
-    x1 = mono(LINE_VARS, (0, 1))
-    got = braided_product_line(x1, x1, "Lbar")
-    assert got == CFunction.monomial(("y0", "y1", "x0", "x1"), (0, 1, 0, 1), qpow(1))
-    one = CFunction.constant(LINE_VARS, 1)
-    g = mono(LINE_VARS, (1, 2))
-    got = braided_product_line(one, g, "Lbar")
-    assert got == CFunction.monomial(("y0", "y1", "x0", "x1"), (1, 2, 0, 0))
-    x0 = mono(LINE_VARS, (1, 0))
-    y1 = mono(LINE_VARS, (0, 1))
-    got = braided_product_line(x0, y1, "L")
-    assert got == CFunction.monomial(("y0", "y1", "x0", "x1"), (0, 1, 1, 0))
-
-
-def test_braided_product_rejects_euclid3():
-    f = CFunction.monomial(E3_VARS, (0, 1, 0, 0))
-    with pytest.raises(ValueError):
-        braided_product_line(f, f, "L")
-
-
 def test_qconstant():
-    assert is_qconstant(CFunction.constant(LINE_VARS, 5))
-    assert not is_qconstant(mono(LINE_VARS, (0, 1)))
-    assert not is_qconstant(mono(LINE_VARS, (1, 0)) + mono(LINE_VARS, (0, 1)))
+    # q-constant: both left derivative actions annihilate the function
+    def qconstant(f):
+        return (act_partial_closed("0", "left", f, "line").is_zero()
+                and act_partial_closed("1", "left", f, "line").is_zero())
+
+    assert qconstant(CFunction.constant(LINE_VARS, 5))
+    assert not qconstant(mono(LINE_VARS, (0, 1)))
+    assert not qconstant(mono(LINE_VARS, (1, 0)) + mono(LINE_VARS, (0, 1)))

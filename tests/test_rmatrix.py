@@ -1,5 +1,9 @@
+import json
+
 import pytest
 
+from qspace import suites
+from qspace.cli import main
 from qspace.rmatrix import (
     QMatrix,
     RMatrix,
@@ -40,6 +44,32 @@ def test_yang_baxter(space):
 def test_yang_baxter_identity_matrix():
     R = RMatrix("line", QMatrix.identity(4))
     assert check_ybe(R).passed
+
+
+def _broken_line_ybe():
+    """check_ybe on the line braiding with one entry added: E[00,11] = 1."""
+    R = build_R("line")
+    m = QMatrix(R.mat.n, dict(R.mat.terms))
+    m.set(0, 3, ONE)
+    return check_ybe(RMatrix("line", m))
+
+
+def test_yang_baxter_failure_report():
+    rep = _broken_line_ybe()
+    assert rep.status == "fail" and not rep.passed
+    assert [f.indices for f in rep.failures] == ["(001,111)", "(100,111)"]
+    assert rep.to_json()["failures"] == [
+        {"indices": "(001,111)", "lhs": "q^2", "rhs": "1"},
+        {"indices": "(100,111)", "lhs": "1", "rhs": "q^2"},
+    ]
+    assert rep.summary_line().endswith("(2 failing)")
+
+
+def test_verify_exits_1_on_a_failing_report(monkeypatch, capsys):
+    rep = _broken_line_ybe()
+    monkeypatch.setitem(suites.SUITES, "ybe", lambda opts: [rep])
+    assert main(["verify", "ybe", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [rep.to_json()]
 
 
 def test_qmatrix_is_a_linear_combination_of_matrix_units():

@@ -15,7 +15,6 @@ from qspace.scalars import (
     Q,
     QScalar,
     ZERO,
-    eval_at,
     qbinom,
     qfact,
     qnum,
@@ -69,9 +68,9 @@ def test_double_factorial_rejects_odd():
 
 
 def test_eval_examples():
-    assert eval_at(LAM, 1) == GaussianRational(0)
-    assert eval_at(qnum(3, 1), 1) == GaussianRational(3)
-    assert abs(eval_at(qnum(2, 1), 1.1) - 2.1) < 1e-12
+    assert LAM.eval_exact(1) == GaussianRational(0)
+    assert qnum(3, 1).eval_exact(1) == GaussianRational(3)
+    assert abs(qnum(2, 1).eval_float(1.1) - 2.1) < 1e-12
 
 
 def test_eval_pole():
@@ -94,7 +93,7 @@ def test_classical_limit_of_qnumbers():
         for a in range(-4, 5):
             if a == 0:
                 continue
-            assert eval_at(qnum(n, a), 1) == GaussianRational(n)
+            assert qnum(n, a).eval_exact(1) == GaussianRational(n)
 
 
 def _random_scalar(rng):

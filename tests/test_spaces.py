@@ -15,6 +15,7 @@ from qspace.pairexp import qexp
 from qspace.qfunc import act_inverse_partial, act_partial_closed
 from qspace.rmatrix import build_R
 from qspace.starcalc import StarContext, star
+from test_ncalgebra import conjugate_word_formal
 
 LINE, E3 = "line", "euclid3"
 
@@ -107,7 +108,7 @@ _F = CFunction.monomial(E3_VARS, (0, 1, 0, 0))
     lambda s: cfunc.space_vars(s),
     lambda s: rmatrix.labels(s),
     lambda s: rmatrix.eigenvalues(s),
-    lambda s: ncalgebra.conjugate_word_formal(s, ("xp",)),
+    lambda s: conjugate_word_formal(s, ("xp",)),
 ], ids=[
     "free_hamiltonian", "act_inverse_partial", "act_partial_closed", "generator", "one",
     "normal_form", "translate", "qexp", "build_R", "parse", "star", "StarContext",

@@ -3,6 +3,7 @@ fresh interpreter, so modules imported by other tests do not count."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -97,3 +98,33 @@ assert seen[0] is SUITES
 """
     assert "qspace.suites" in _loaded_after(code)
 
+
+
+def _readme_api():
+    """The README's Library API section: {name: module} for every listed name."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        m = re.match(r"- `qspace\.(\w+)`: (.*)$", line)
+        if m:
+            for name in re.findall(r"`(\w+)`", m.group(2)):
+                listed[name] = m.group(1)
+    return listed
+
+
+def test_readme_lists_the_public_surface():
+    import importlib
+
+    listed = _readme_api()
+    assert set(listed) == set(qspace.__all__) | {"integrate_whole_e3", "rewrite_strategy"}
+    for name, home in listed.items():
+        assert qspace._EXPORTS.get(name, home) == home, name
+        assert hasattr(importlib.import_module(f"qspace.{home}"), name), name
+
+
+@pytest.mark.parametrize("name", ["multiply", "eval_at"])
+def test_removed_wrappers_are_not_exported(name):
+    with pytest.raises(AttributeError):
+        getattr(qspace, name)
