@@ -1,10 +1,11 @@
 """Command-line interface: expression tools and the verification runner.
 
 Exit codes: 0 when everything passes, 1 on a verification failure or when
-a command raises ValueError or ArithmeticError (an unknown derivative
-index, a division by zero), 2 on usage or parse errors.  Each command
-imports the layers it uses when it runs, so that a process compiles only
-those."""
+a command raises ValueError or ArithmeticError (a division by zero, a sum
+that does not converge), 2 on usage or parse errors: an unknown option, an
+option outside its domain (a derivative index or variant the space does not
+have, a --tol that is not finite and positive).  Each command imports the
+layers it uses when it runs, so that a process compiles only those."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import json
 import math
 import sys
 
-from .spaces import CALCULI, E3, SPACES, SUFFIX_LABEL
+from .spaces import CALCULI, E3, LABELS, SPACES, SUFFIX_LABEL
 
 # the command-line spellings: exponentials without the underscore and with
 # "hat" cut to "h"; action modes as named and without the underscore
@@ -21,27 +22,35 @@ _EXP_NAMES = {row[2].replace("_", "").replace("hat", "h"): row[2] for row in CAL
 _ACTION_NAMES = {name: mode for mode in CALCULI for name in (mode, mode.replace("_", ""))}
 
 
-def _q_number(text):
-    """The type of --q-value and verify --q0: a finite, nonzero number."""
+def _finite(text, what, ok):
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value) or not value:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonzero number")
+    if not math.isfinite(value) or not ok(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite {what} number")
     return value
 
 
-def _add_common(p, degree=False, order=False):
+def _q_number(text):
+    """The type of --q-value and verify --q0: a finite, nonzero number."""
+    return _finite(text, "nonzero", bool)
+
+
+def _tolerance(text):
+    """The type of verify --tol and int --tol: a finite, positive number."""
+    return _finite(text, "positive", lambda value: value > 0)
+
+
+def _add_common(p):
     p.add_argument("--space", choices=SPACES, default=E3)
     p.add_argument("--json", action="store_true", help="emit JSON")
+
+
+def _add_rendered(p):
+    _add_common(p)
     p.add_argument("--q-value", type=_q_number, default=None,
                    help="print scalars evaluated at this numeric q")
-    p.add_argument("--tol", type=float, default=1e-10)
-    if degree:
-        p.add_argument("--degree", type=int, default=4)
-    if order:
-        p.add_argument("--order", type=int, default=4)
 
 
 def build_parser(command=None):
@@ -66,25 +75,25 @@ def build_parser(command=None):
     p.add_argument("--json", action="store_true")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--q0", type=_q_number, default=1.1)
 
     p = sub.add_parser("nf", help="normal-order a noncommutative expression")
     p.add_argument("expr")
-    _add_common(p)
+    _add_rendered(p)
 
     p = sub.add_parser("star", help="star product of two commutative polynomials")
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--reversed", action="store_true", dest="reversed_order")
-    _add_common(p)
+    _add_rendered(p)
 
     p = sub.add_parser("d", help="closed-form derivative action")
     p.add_argument("expr")
     p.add_argument("--index", required=True, help="0, 1, +, 3, - (or p/m)")
     p.add_argument("--variant", default="left",
                    help="left, left_bar, right, right_bar")
-    _add_common(p)
+    _add_rendered(p)
 
     p = sub.add_parser("int", help="numeric Jackson integral of lattice samples")
     p.add_argument("--from", dest="lower", required=True, help="0, x, inf or -inf")
@@ -93,29 +102,31 @@ def build_parser(command=None):
     p.add_argument("--a", type=int, default=1, help="base exponent of the scale")
     p.add_argument("--samples", required=True,
                    help="file of 'k value' lines: f(q^k) = value")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("translate", help="q-translation of a polynomial")
     p.add_argument("expr")
     p.add_argument("--variant", choices=("L", "Lbar"), default="Lbar")
-    _add_common(p)
+    _add_rendered(p)
 
     p = sub.add_parser("antipode", help="q-antipode of a polynomial")
     p.add_argument("expr")
     p.add_argument("--variant", choices=("L", "Lbar"), default="Lbar")
-    _add_common(p)
+    _add_rendered(p)
 
     p = sub.add_parser("exp", help="print a truncated q-exponential")
     p.add_argument("--variant", choices=sorted(_EXP_NAMES), default="xd")
-    _add_common(p, degree=True)
+    _add_common(p)
+    p.add_argument("--degree", type=int, default=4)
 
     p = sub.add_parser("evolve", help="evolution-operator series and checks")
     p.add_argument("--H", dest="generator", default="free",
                    help="'free' or a spatial operator expression")
     p.add_argument("--observable", default=None,
                    help="spatial operator expression to evolve")
-    _add_common(p, order=True)
+    _add_common(p)
+    p.add_argument("--order", type=int, default=4)
     return ap
 
 
@@ -192,10 +203,11 @@ def _cmd_d(args):
 
     f = _commutative(args.expr, args.space, "derivative actions")
     idx = SUFFIX_LABEL.get(args.index, args.index)
+    if idx not in LABELS[args.space]:
+        return _usage_error(f"unknown derivative index {args.index!r} for {args.space}")
     variant = _ACTION_NAMES.get(args.variant)
     if variant is None:
-        print(f"unknown variant {args.variant!r}", file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown variant {args.variant!r}")
     out = act_partial_closed(idx, variant, f, args.space)
     return _emit(args, Value("c", out))
 

@@ -95,10 +95,8 @@ def _normalize(word, hatted=False):
     return out
 
 
-def g_normal_form(word, coeff=ONE, hatted=False) -> GElement:
-    return GElement(
-        {w: coeff * c for w, c in _normalize(tuple(word), hatted=hatted).items()}
-    )
+def g_normal_form(word, hatted=False) -> GElement:
+    return GElement(_normalize(tuple(word), hatted=hatted))
 
 
 class SuperNumber:

@@ -245,19 +245,14 @@ def _exp_word_actions(space, exp, action_variant, g, rep):
     return acted_by
 
 
-def taylor_identity_check(space: str, g: CFunction = None,
-                          max_degree: int = 3) -> VerificationReport:
-    """End-to-end Taylor reconstruction: the exponential's coordinate leg is
-    translated against the antipoded y-leg, its derivative leg acts on g,
-    and the contraction must rebuild g on the x-legs exactly."""
+def taylor_identity_check(space: str, max_degree: int = 3) -> VerificationReport:
+    """End-to-end Taylor reconstruction on every monomial g up to max_degree:
+    the exponential's coordinate leg is translated against the antipoded
+    y-leg, its derivative leg acts on g, and the contraction must rebuild g
+    on the x-legs exactly."""
     rep = VerificationReport("hopf-taylor", space)
     want = space_vars(space)
-    if g is None:
-        targets = [(str(e), CFunction.monomial(want, e)) for e in _monomials(want, max_degree)]
-    else:
-        if g.vars != want:
-            g = g.restrict(want)
-        targets = [("poly", g)]
+    targets = [(str(e), CFunction.monomial(want, e)) for e in _monomials(want, max_degree)]
     top = max((gf.degree() for _, gf in targets), default=0)
     out_vars = doubled_vars(space)
     y_idx = [out_vars.index(Y_OF[v]) for v in want]

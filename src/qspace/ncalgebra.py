@@ -233,14 +233,16 @@ class _RuleSet:
         # entries the counit reads
         self.d_ranks = itemgetter(*(rank[t] for t in ds))
         self.lam = lam
-        # normal form of an ordered word up to its first run that does not
-        # let a token pass by a plain swap, with that token appended; keyed
-        # by the word's rank key up to that run, then the token
-        self.memo = _memo()
+        # the two memos are the rule set's own, stored into through
+        # _remember and dropped with it.  Normal form of an ordered word up
+        # to its first run that does not let a token pass by a plain swap,
+        # with that token appended; keyed by the word's rank key up to that
+        # run, then the token
+        self.memo = {}
         # counit of the normal form of a reversed coordinate word with one
         # token run appended, keyed by the word's rank key, the token and
         # the run (used on the opposite rule sets only)
-        self.counit_memo = _memo()
+        self.counit_memo = {}
 
     def _tag(self, tok):
         return tok[0] if isinstance(tok, tuple) else tok
@@ -280,9 +282,9 @@ class rewrite_strategy:
     """Context manager choosing the insertion order in the current context:
     'leftmost' folds the tokens of a word in left to right, 'rightmost'
     folds the reversed word in on the opposite rule set.  Both give the
-    same normal forms; entering and leaving empties every memo and table,
-    so a computation under 'rightmost' is cold and independent of earlier
-    ones."""
+    same normal forms; entering and leaving empties every memo and table
+    and drops the rule sets with their memos, so a computation under
+    'rightmost' is cold and independent of earlier ones."""
 
     def __init__(self, name):
         if name not in ("leftmost", "rightmost"):
@@ -292,11 +294,13 @@ class rewrite_strategy:
     def __enter__(self):
         self.token = _STRATEGY.set(self.name)
         _clear_memos()
+        _ruleset.cache_clear()
         return self
 
     def __exit__(self, *exc):
         _STRATEGY.reset(self.token)
         _clear_memos()
+        _ruleset.cache_clear()
         return False
 
 
@@ -851,17 +855,9 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
 # -- one calculus's normal ordering (the benchmark's nf-ladder calls it) --------
 
 
-def normalize_in_calculus(space, calculus, word, coeff=ONE, reexpress_hats=False):
+def normalize_in_calculus(space, calculus, word, coeff=ONE):
     """Normal-order a word under a chosen rule set; returns NCElement whose
-    keys are read against the *stored* token names.
-
-    With reexpress_hats the plain spatial derivative tokens are read as
-    q^(-k) times the hatted generators first (the identification the hatted
-    calculus is built on), which is what relation-transport checks need."""
-    word = tuple(word)
-    if reexpress_hats:
-        spatial = sum(1 for t in word if not isinstance(t, tuple) and t in SPATIAL_D[space])
-        coeff = coeff * hat_factor(space, -spatial)
+    keys are read against the *stored* token names."""
     out = NCElement(space)
-    _add_normal_form(out.terms, space, calculus, "xd", word, coeff)
+    _add_normal_form(out.terms, space, calculus, "xd", tuple(word), coeff)
     return out

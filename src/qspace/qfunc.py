@@ -219,14 +219,13 @@ def _inverse_reps(space, degree3):
     return reps
 
 
-def act_inverse_partial(index: str, variant: str, f: CFunction, space: str,
-                        rep: str = "standard") -> CFunction:
+def act_inverse_partial(index: str, variant: str, f: CFunction, space: str) -> CFunction:
     """Left/right actions of the inverse partial derivatives on polynomials.
 
     The correction series terminates on polynomials, so the result is exact;
     the matching forward action returns the input (inverse property)."""
     return _act(lambda g: _inverse_reps(space, g.degree("x3") + 2 if space == E3 else 2),
-                index, variant, f, space, rep)
+                index, variant, f, space, "standard")
 
 
 # -- the scaling operator (evolution calls it by name: a test swaps in a fake) --

@@ -1211,9 +1211,10 @@ def qfact(n: int, a: int = 1, kind: str = "plain") -> QScalar:
     raise ValueError(f"unknown q-factorial kind: {kind!r}")
 
 
-# every value memo of the package, from the rewrite engine's to the
-# q-binomials: each is emptied whole when it reaches _MEMO_LIMIT entries,
-# and all of them when rewrite_strategy is entered or left
+# every module-level value memo of the package, from the rewrite engine's to
+# the q-binomials: each is emptied whole when it reaches _MEMO_LIMIT entries,
+# and all of them when rewrite_strategy is entered or left.  A rule set's
+# memos are its own dicts, stored into through _remember and dropped with it
 _MEMOS = []
 _MEMO_LIMIT = 20_000
 

@@ -11,6 +11,7 @@ from .cfunc import CFunction, _monomials, space_vars
 from .ncalgebra import lift, lower, reorder_transform
 from .reports import VerificationReport
 from .scalars import LAM, ONE, QScalar, _add_term, _memo, _remember, qbinom, qnum
+from .spaces import E3
 
 
 class StarContext:
@@ -99,9 +100,11 @@ def _roundtrip(space, ordering, f, g):
     return reorder_transform(space, prod, "to_reversed")
 
 
-def star_oracle_check(max_degree: int, space: str = "euclid3") -> VerificationReport:
-    """Compare the star product against the normal-ordering round trip for
-    every monomial pair up to the total degree bound, in both orderings."""
+def star_oracle_check(max_degree: int) -> VerificationReport:
+    """Compare the star product on euclid3 against the normal-ordering round
+    trip for every monomial pair up to the total degree bound, in both
+    orderings."""
+    space = E3
     rep = VerificationReport("star-oracle", space)
     vars_ = space_vars(space)
     monos = _monomials(vars_, max_degree)

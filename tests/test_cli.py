@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from qspace import cli
 from qspace.cli import main
 from qspace.expressions import parse, render
 
@@ -262,7 +264,7 @@ def test_negative_degree_or_order_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.0"])
 @pytest.mark.parametrize("argv", [
     ("nf", "Xm", "--q-value"),
-    ("evolve", "--q-value"),
+    ("d", "x3", "--index", "3", "--q-value"),
     ("verify", "numeric-integrals", "--q0"),
 ])
 def test_non_finite_or_zero_q_is_usage_error(capsys, argv, value):
@@ -478,6 +480,85 @@ def test_d_unknown_variant_is_a_usage_error(capsys):
     code, out, err = run(capsys, "d", "x1", "--index", "1", "--variant", "bogus",
                          "--space", "line")
     assert (code, out, err) == (2, "", "unknown variant 'bogus'")
+
+
+def test_d_unknown_index_is_a_usage_error(capsys):
+    from qspace.cfunc import CFunction, LINE_VARS
+    from qspace.qfunc import act_partial_closed
+
+    code, out, err = run(capsys, "d", "x1", "--space", "line", "--index", "3")
+    assert (code, out, err) == (2, "", "unknown derivative index '3' for line")
+    # library callers still get a ValueError
+    with pytest.raises(ValueError, match="unknown derivative index '3' for line"):
+        act_partial_closed("3", "left", CFunction.var(LINE_VARS, "x1"), "line")
+
+
+def _samples_file(tmp_path, q0=1.1):
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{k} {q0 ** k}\n" for k in range(-220, 80)))
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["verify", "int"])
+def test_tol_outside_its_domain_is_a_usage_error(tmp_path, capsys, command, value):
+    argv = {
+        "verify": ["verify", "numeric-integrals"],
+        "int": ["int", "--from", "0", "--to", "1", "--q", "1.1",
+                "--samples", _samples_file(tmp_path)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", value])
+    assert exc.value.code == 2
+    assert f"{value!r} is not a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "Xm", "--tol", "1"),
+    ("star", "xp", "xm", "--tol", "1"),
+    ("exp", "--q-value", "2"),
+    ("exp", "--tol", "1"),
+    ("evolve", "--q-value", "1.1"),
+    ("evolve", "--tol", "1"),
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which attributes are read."""
+
+    reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            _ReadRecorder.reads.add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_option_has_a_reader(tmp_path, capsys):
+    argvs = {
+        "verify": ["ybe", "--space", "line"],
+        "nf": ["x1", "--space", "line"],
+        "star": ["x1", "x1", "--space", "line"],
+        "d": ["x1", "--index", "1", "--space", "line"],
+        "int": ["--from", "0", "--to", "1", "--q", "1.1", "--samples", _samples_file(tmp_path)],
+        "translate": ["x1", "--space", "line"],
+        "antipode": ["x1", "--space", "line"],
+        "exp": ["--degree", "1", "--space", "line"],
+        "evolve": ["--order", "1", "--space", "line"],
+    }
+    assert set(argvs) == set(cli._COMMANDS)
+    for command, argv in argvs.items():
+        args = cli.build_parser(command).parse_args([command, *argv], namespace=_ReadRecorder())
+        options = set(vars(args)) - {"command"}
+        _ReadRecorder.reads.clear()
+        assert cli._COMMANDS[command](args) == 0
+        capsys.readouterr()
+        assert options - _ReadRecorder.reads == set(), command
 
 
 def test_nf_json(capsys):

@@ -9,6 +9,7 @@ of the engine are all checked against code that has none of them.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -275,6 +276,7 @@ def test_whole_word_memo_stays_bounded(monkeypatch):
 def test_tables_stay_bounded(monkeypatch):
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
     _nc._clear_memos()
+    _nc._ruleset.cache_clear()
     rng = random.Random(105)
     space = "euclid3"
     for _ in range(20):
@@ -285,23 +287,53 @@ def test_tables_stay_bounded(monkeypatch):
     op = _random_element(rng, space, list(_nc.D_TOKENS[space]), 3, 2)
     got = act(op, f, "left")
     got_exp = list(qexp(space, "x_dhat", 3))
-    # every table is registered, each one was filled and none is over the limit
+    # every module-level table is registered and every rule set owns its
+    # memos; each table was filled and none is over the limit
     rulesets = [
         _nc._ruleset(space, calculus, ordering, opposite)
         for calculus in ("u", "h") for ordering in ("xd", "rev") for opposite in (False, True)
     ]
     named = [_nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
-    registered = named + [rs.memo for rs in rulesets] + [rs.counit_memo for rs in rulesets]
-    assert all(any(t is m for m in scalars._MEMOS) for t in registered)
+    owned = [rs.memo for rs in rulesets] + [rs.counit_memo for rs in rulesets]
+    assert all(any(t is m for m in scalars._MEMOS) for t in named)
+    assert not any(t is m for m in scalars._MEMOS for t in owned)
     assert all(named)
     assert any(rs.memo for rs in rulesets) and any(rs.counit_memo for rs in rulesets)
-    for table in scalars._MEMOS:
+    for table in scalars._MEMOS + owned:
         assert len(table) <= 5
-    _nc._clear_memos()
-    assert not any(scalars._MEMOS)
+    # entering the strategy empties every registered table and drops the
+    # rule sets with their memos
+    with _nc.rewrite_strategy("leftmost"):
+        assert not any(scalars._MEMOS)
+        assert _nc._ruleset.cache_info().currsize == 0
     monkeypatch.undo()
     assert got == act(op, f, "left")
     assert got_exp == list(qexp(space, "x_dhat", 3))
+
+
+def test_rebuilt_rule_sets_leave_no_tables_behind():
+    # the module-level tables of every layer; a rule set's memos go with it
+    tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
+              qfunc._INVERSE_REPS, _nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
+    key = ("euclid3", "u", "xd", False)
+    for _ in range(50):
+        _nc._ruleset.cache_clear()
+        _nc._ruleset(*key)
+    # 8 threads racing on a cold key may each build a rule set
+    _nc._ruleset.cache_clear()
+    barrier = threading.Barrier(8)
+
+    def build():
+        barrier.wait()
+        _nc._ruleset(*key)
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(scalars._MEMOS) == len(tables)
+    assert all(any(t is m for m in scalars._MEMOS) for t in tables)
 
 
 def _fill_value_tables():

@@ -142,13 +142,6 @@ def test_time_taylor():
     assert time_taylor(spatial, scalar(5)) == spatial
 
 
-def test_taylor_identities_trivial_and_degree_one():
-    one = CFunction.constant(LINE_VARS, 1)
-    assert taylor_identity_check("line", g=one).passed
-    g = CFunction.var(E3_VARS, "x3")
-    assert taylor_identity_check("euclid3", g=g).passed
-
-
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 def test_taylor_identities_degree_two(space):
     assert taylor_identity_check(space, max_degree=2).passed

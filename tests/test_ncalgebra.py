@@ -18,6 +18,7 @@ from qspace.ncalgebra import (
     reorder_transform,
 )
 from qspace.scalars import I, LAM, LAMP, ONE, QScalar, _add_term, qpow
+from qspace.spaces import SPATIAL_D
 
 LL = LAM * LAMP
 
@@ -172,12 +173,15 @@ def conjugate_word_formal(space, word):
 def _conjugate_relation_in_hatted(space, lhs_words, rhs_words):
     """Formally conjugate both sides of a relation and simplify in the
     hatted calculus, reading the conjugated derivatives through the hatted
-    generators."""
+    generators: a word with k plain spatial derivatives carries
+    hat_factor(space, -k), the identification the hatted calculus is built
+    on."""
     def side(words):
         acc = NCElement.zero(space)
         for c, w in words:
             cw, ww = conjugate_word_formal(space, w)
-            acc = acc + normalize_in_calculus(space, "h", ww, c * cw, reexpress_hats=True)
+            k = sum(1 for t in ww if not isinstance(t, tuple) and t in SPATIAL_D[space])
+            acc = acc + normalize_in_calculus(space, "h", ww, c * cw * _nc.hat_factor(space, -k))
         return acc
 
     return side(lhs_words), side(rhs_words)

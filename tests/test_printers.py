@@ -79,7 +79,8 @@ def _gelements(rng):
     out = []
     for _ in range(10):
         word = tuple(rng.choice(_G_TOKENS) for _ in range(rng.randint(0, 4)))
-        out.append(g_normal_form(word, _scalar(rng), hatted=rng.random() < 0.5))
+        c = _scalar(rng)  # drawn first, as the recorded strings were
+        out.append(g_normal_form(word, hatted=rng.random() < 0.5).scale(c))
     a, b = out[-1], out[-2]
     out += [a + b, a - b, a * b, a.scale(_scalar(rng)), a - a]
     return out
@@ -100,7 +101,7 @@ def _edge_cases():
     for c in (ONE, -ONE, LAMP, -LAMP, ONE / LAMP, I * LAMP, scalar(Fraction(-3, 4))):
         out.append(CFunction.constant(LINE_VARS, c) + CFunction.var(LINE_VARS, "x1", 2, c))
         out.append(normal_form("euclid3", ("xp", "dm"), c) + normal_form("euclid3", (), c))
-        out.append(g_normal_form(("th1", "dth1"), c) + g_normal_form((), c))
+        out.append(g_normal_form(("th1", "dth1")).scale(c) + g_normal_form(()).scale(c))
     return out
 
 
