@@ -4,8 +4,9 @@ Exit codes: 0 when everything passes, 1 on a verification failure or when
 a command raises ValueError or ArithmeticError (a division by zero, a sum
 that does not converge), 2 on usage or parse errors: an unknown option, an
 option outside its domain (a derivative index or variant the space does not
-have, a --tol that is not finite and positive).  Each command imports the
-layers it uses when it runs, so that a process compiles only those."""
+have, a --tol that is not finite and positive, a verify --degree above 8).
+Each command imports the layers it uses when it runs, so that a process
+compiles only those."""
 
 from __future__ import annotations
 
@@ -42,6 +43,23 @@ def _tolerance(text):
     return _finite(text, "positive", lambda value: value > 0)
 
 
+# the largest verify --degree: the star suite's cost grows about fivefold
+# per two degrees, so a mistyped degree fails at once instead of running on
+_MAX_VERIFY_DEGREE = 8
+
+
+def _verify_degree(text):
+    """The type of verify --degree: an integer from 0 to _MAX_VERIFY_DEGREE."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= _MAX_VERIFY_DEGREE:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a nonnegative integer at most {_MAX_VERIFY_DEGREE}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--space", choices=SPACES, default=E3)
     p.add_argument("--json", action="store_true", help="emit JSON")
@@ -73,7 +91,7 @@ def build_parser(command=None):
     p.add_argument("--space", choices=SPACES, default=None,
                    help="restrict to one space")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_verify_degree, default=4)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--q0", type=_q_number, default=1.1)

@@ -4,7 +4,9 @@ q-deformed Euclidean space, each defined once.
 Three literals define them: the coordinate generators in the standard
 normal ordering, the index label of each generator suffix, and the power of
 q relating a hatted spatial derivative to the plain one.  Every other
-per-space table of the package is derived from these at import.  A table
+per-space table of the package is derived from these at import, among them
+GRADE, the weight (time degree, spatial degree, charge) that every rewrite
+rule keeps and that decides which pairings can be nonzero.  A table
 keyed by space name raises ValueError for any other name.  A fourth literal
 names the four one-sided calculi the spaces carry.  Data only: the module
 imports nothing from the package.
@@ -83,3 +85,18 @@ D_OF_LABEL = SpaceTable({s: {LABEL_OF[d]: d for d in ds} for s, ds in HAT_D_TOKE
 _MIRROR = dict(zip(SUFFIX_LABEL, reversed(SUFFIX_LABEL)))
 PM_SWAP = {t: t[0] + _MIRROR[t[1:]] for t in LABEL_OF if t[1:] in _MIRROR}
 PM_LABEL_SWAP = {SUFFIX_LABEL[a]: SUFFIX_LABEL[b] for a, b in _MIRROR.items()}
+
+# generator tag -> its grade (time degree, spatial degree, charge).  A
+# coordinate weighs one in its degree, with the charge of its index label
+# ('+' -> 1, '-' -> -1, else 0); a derivative weighs minus the coordinate it
+# pairs with; the scaling operator, which no table here names, weighs 0.
+# Every rewrite rule keeps the grade and the counit keeps only grade 0, so a
+# derivative word pairs to zero with a coordinate word unless their grades
+# sum to zero
+_CHARGE = {label: (-1) ** i for i, label in enumerate(SUFFIX_LABEL.values())}
+GRADE = {
+    t: tuple(sign * w for w in (int(i == 0), int(i > 0), _CHARGE.get(LABEL_OF[x], 0)))
+    for s in SPACES
+    for i, x in enumerate(X_TOKENS[s])
+    for t, sign in ((x, 1), (HAT_D_TOKENS[s][i], -1))
+}

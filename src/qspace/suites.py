@@ -11,7 +11,7 @@ from . import evolution, grassmann, hopf, pairexp, qfunc, rmatrix, starcalc
 from .cfunc import CFunction, LatticeFunction, _monomials, jackson_integral_numeric, space_vars
 from .ncalgebra import NCElement, act, hat_factor, lift, lower, normal_form
 from .reports import VerificationReport
-from .scalars import GaussianRational, ONE, ZERO, scalar
+from .scalars import GaussianRational, ONE, ZERO, _add_term, scalar
 from .spaces import CALCULI, D_OF_LABEL, LABELS, SPACES, X_TOKENS
 
 NOTE_LEI_SUBSCRIPTS = (
@@ -155,6 +155,14 @@ def suite_star(opts: SuiteOptions):
             pairs[(e1, e2)] = starcalc.star(ctx, mono[e1], mono[e2])
         return pairs[(e1, e2)]
 
+    def combine(parts):
+        """The sum of c * p over the (scalar, function) pairs given."""
+        out = {}
+        for c, p in parts:
+            for k, a in p.terms.items():
+                _add_term(out, k, c * a)
+        return CFunction(vars_, out)
+
     for ef in monos:
         for eg in monos:
             dfg = deg[ef] + deg[eg]
@@ -164,8 +172,11 @@ def suite_star(opts: SuiteOptions):
             for eh in monos:
                 if dfg + deg[eh] > opts.degree:
                     continue
-                lhs = starcalc.star(ctx, fg, mono[eh])
-                rhs = starcalc.star(ctx, mono[ef], pair(eg, eh))
+                # both sides by bilinearity from the pair table: the star
+                # product keeps total degree, so every monomial m of a
+                # product is in monos
+                lhs = combine((c, pair(m, eh)) for m, c in fg.terms.items())
+                rhs = combine((c, pair(ef, m)) for m, c in pair(eg, eh).terms.items())
                 if lhs != rhs:
                     rep.record(f"{ef},{eg},{eh}", str(lhs), str(rhs))
     out.append(rep)

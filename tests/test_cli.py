@@ -261,6 +261,20 @@ def test_negative_degree_or_order_is_usage_error(capsys, argv):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["9", "10", "99999999999999999999"])
+def test_verify_degree_above_eight_is_usage_error(capsys, value):
+    """The parser rejects the degree, so no suite starts; exp --degree and
+    evolve --order keep no upper bound."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser("verify").parse_args(["verify", "star", "--degree", value])
+    assert exc.value.code == 2
+    assert f"argument --degree: '{value}' is not a nonnegative integer at most 8" in (
+        capsys.readouterr().err)
+    assert cli.build_parser("verify").parse_args(["verify", "--degree", "8"]).degree == 8
+    assert cli.build_parser("exp").parse_args(["exp", "--degree", value]).degree == int(value)
+    assert cli.build_parser("evolve").parse_args(["evolve", "--order", value]).order == int(value)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.0"])
 @pytest.mark.parametrize("argv", [
     ("nf", "Xm", "--q-value"),

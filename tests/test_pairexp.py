@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from qspace import pairexp, scalars
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
-from qspace.ncalgebra import NCElement, PurityError, lift, normal_form, rewrite_strategy
+from qspace.ncalgebra import (
+    NCElement, PurityError, _RuleSet, act, lift, normal_form, rewrite_strategy,
+)
 from qspace.pairexp import (
     EXP_VARIANTS,
     _EXP_TERMS,
@@ -16,7 +19,9 @@ from qspace.pairexp import (
     pair,
     qexp,
 )
-from qspace.scalars import ONE, qfact, qpow, scalar
+from qspace.reports import VerificationReport
+from qspace.scalars import ONE, _add_term, qfact, qpow, scalar
+from qspace.spaces import CALCULI, GRADE, HAT_D_TOKENS, SPACES
 
 
 def test_pairing_examples():
@@ -110,6 +115,55 @@ def test_kronecker_line(variant):
 @pytest.mark.parametrize("variant", ["x_d", "x_dhat", "d_x", "dhat_x"])
 def test_kronecker_euclid3(variant):
     assert kronecker_check("euclid3", variant, 2).passed
+
+
+# -- the grade skip of the Kronecker check ---------------------------------------
+
+
+def test_every_rule_keeps_the_grade():
+    """Both sides of every rewrite alternative of the 16 rule sets have one
+    grade: the premise of the pairings kronecker_check skips."""
+    def grade(toks):
+        return tuple(sum(GRADE[t][i] for t in toks) for i in range(3))
+
+    count = 0
+    for key in itertools.product(SPACES, ("u", "h"), ("xd", "rev"), (False, True)):
+        for lhs, alts in _RuleSet(*key).pair_rules.items():
+            for _c, repl in alts:
+                assert grade(repl) == grade(lhs), (key, lhs, repl)
+                count += 1
+    assert count == 376
+
+
+@pytest.mark.parametrize("variant", EXP_VARIANTS)
+@pytest.mark.parametrize("space, degree", [("euclid3", 3), ("line", 4)])
+def test_graded_kronecker_matches_the_full_loop(space, degree, variant):
+    """The check's earlier loop, which pairs every term of the target's
+    degree, is the oracle: every pairing the grade skips is zero, the grade
+    skips some, and the reports agree."""
+    vars_ = space_vars(space)
+    mode = pairexp._EXP_MODE[variant]
+    rep = VerificationReport(f"qexp-kronecker-{variant}", space)
+    skipped = 0
+    for target in _monomials(vars_, degree):
+        v = coord_word_element(space, target, reversed_order=CALCULI[mode][0])
+        want_grade = tuple(-g for g in pairexp._grade(vars_, target))
+        acc = {}
+        for exps, dword, coeff in qexp(space, variant, degree):
+            if sum(exps) != sum(target):
+                continue
+            val = act(dword, v, mode).constant_term()
+            if pairexp._grade(HAT_D_TOKENS[space], exps) != want_grade:
+                assert not val, (target, exps)
+                skipped += 1
+            if val:
+                _add_term(acc, exps, coeff * val)
+        acc = CFunction(vars_, acc)
+        want = CFunction.monomial(vars_, target)
+        if acc != want:
+            rep.record(f"{variant}:{target}", str(acc), str(want))
+    assert skipped
+    assert kronecker_check(space, variant, degree).to_json() == rep.to_json()
 
 
 def test_hatted_words_follow_reversed_basis_order():
