@@ -383,6 +383,8 @@ def _cmd_evolve(args):
         v = parse(args.generator, args.space)
         if v.kind != "nc":
             raise ParseError("the generator must be a noncommutative operator", 0)
+        if not v.data.is_spatial():
+            return _usage_error("error: Hamiltonians must not involve time or scaling factors")
         H = Hamiltonian(v.data, hermitian=v.data.conjugate() == v.data)
     U = build_U(H, args.order)
     reports = [

@@ -3,7 +3,10 @@ polynomials through the ordering isomorphisms.
 
 Both orderings are implemented; the rewriting engine provides the
 independent oracle (round-tripping the product through normal ordering must
-give the same coefficients)."""
+give the same coefficients).  `star_checks` builds the engine's product of
+every monomial pair once, reads the reversed ordering's oracle from that table
+by bilinearity, and checks associativity on the x0-free triples only, x0
+being central."""
 
 from __future__ import annotations
 
@@ -90,35 +93,78 @@ def star(ctx: StarContext, f: CFunction, g: CFunction) -> CFunction:
     return _star_e3(f, g, ctx.ordering == "reversed")
 
 
-def _roundtrip(space, ordering, f, g):
-    """Oracle: multiply the lifted elements and read the product back."""
-    if ordering == "standard":
-        return lower(space, lift(space, f) * lift(space, g))
-    fu = reorder_transform(space, f, "to_standard")
-    gu = reorder_transform(space, g, "to_standard")
-    prod = lower(space, lift(space, fu) * lift(space, gu))
-    return reorder_transform(space, prod, "to_reversed")
+def _combine(parts):
+    """The terms of sum c * p over the (scalar, terms) pairs given."""
+    out = {}
+    for c, p in parts:
+        for k, v in p.items():
+            _add_term(out, k, c * v)
+    return out
 
 
-def star_oracle_check(max_degree: int) -> VerificationReport:
-    """Compare the star product on euclid3 against the normal-ordering round
-    trip for every monomial pair up to the total degree bound, in both
-    orderings."""
+def star_checks(max_degree: int) -> list:
+    """[star-oracle, star-associativity, star-classical-limit] on euclid3, for
+    every monomial pair (triple) up to the total degree bound, read from two
+    tables made once: the standard star product of every pair and the
+    engine's product lower(lift f * lift g) of the same pair."""
     space = E3
-    rep = VerificationReport("star-oracle", space)
     vars_ = space_vars(space)
     monos = _monomials(vars_, max_degree)
+    mono = {e: CFunction.monomial(vars_, e) for e in monos}
     deg = {e: sum(e) for e in monos}
-    for ordering in ("standard", "reversed"):
-        ctx = StarContext(space, ordering)
-        for ef in monos:
-            f = CFunction.monomial(vars_, ef)
-            for eg in monos:
-                if deg[ef] + deg[eg] > max_degree:
-                    continue
-                g = CFunction.monomial(vars_, eg)
-                got = star(ctx, f, g)
-                want = _roundtrip(space, ordering, f, g)
-                if got != want:
-                    rep.record(f"{ordering}:{ef}*{eg}", str(got), str(want))
-    return rep
+    pairs = [(e1, e2) for e1 in monos for e2 in monos if deg[e1] + deg[e2] <= max_degree]
+    std = StarContext(space)
+    table = {p: star(std, mono[p[0]], mono[p[1]]) for p in pairs}
+    engine = {p: lower(space, lift(space, mono[p[0]]) * lift(space, mono[p[1]])) for p in pairs}
+
+    oracle = VerificationReport("star-oracle", space)
+    for e1, e2 in pairs:
+        got, want = table[(e1, e2)], engine[(e1, e2)]
+        if got != want:
+            oracle.record(f"standard:{e1}*{e2}", str(got), str(want))
+    # the reversed product against the engine by bilinearity: lift, the
+    # product and lower are linear, and the ordering transport keeps degree,
+    # so every pair (a, b) of the factors' standard images is in the table
+    rev = StarContext(space, "reversed")
+    unrev = {e: reorder_transform(space, mono[e], "to_standard").terms for e in monos}
+    for e1, e2 in pairs:
+        got = star(rev, mono[e1], mono[e2])
+        prod = _combine(
+            (ca * cb, engine[(a, b)].terms)
+            for a, ca in unrev[e1].items()
+            for b, cb in unrev[e2].items()
+        )
+        want = reorder_transform(space, CFunction(vars_, prod), "to_reversed")
+        if got != want:
+            oracle.record(f"reversed:{e1}*{e2}", str(got), str(want))
+
+    assoc = VerificationReport("star-associativity", space)
+    # x0 (the first variable) is central: x0^i u * x0^j v = x0^(i+j) (u * v)
+    # on every pair.  By bilinearity both sides of associativity for x0^a f,
+    # x0^b g, x0^c h are then x0^(a+b+c) times those for f, g, h, so only the
+    # triples free of x0 are looped over
+    for e1, e2 in pairs:
+        n = e1[0] + e2[0]
+        if n:
+            base = table[((0,) + e1[1:], (0,) + e2[1:])]
+            want = {(k[0] + n,) + k[1:]: c for k, c in base.terms.items()}
+            if table[(e1, e2)].terms != want:
+                assoc.record(f"x0:{e1},{e2}", str(table[(e1, e2)]), str(CFunction(vars_, want)))
+    # the x0-free monomials of degree <= r, for each r
+    free = [[e for e in monos if not e[0] and deg[e] <= r] for r in range(max_degree + 1)]
+    for ef in free[max_degree]:
+        for eg in free[max_degree - deg[ef]]:
+            fg = table[(ef, eg)].terms
+            for eh in free[max_degree - deg[ef] - deg[eg]]:
+                # both sides by bilinearity from the table: the star product
+                # keeps total degree, so every monomial m of a product is in it
+                lhs = _combine((c, table[(m, eh)].terms) for m, c in fg.items())
+                rhs = _combine((c, table[(ef, m)].terms) for m, c in table[(eg, eh)].terms.items())
+                if lhs != rhs:
+                    assoc.record(f"{ef},{eg},{eh}", str(CFunction(vars_, lhs)), str(CFunction(vars_, rhs)))
+
+    limit = VerificationReport("star-classical-limit", space)
+    for e1, e2 in pairs:
+        if table[(e1, e2)].eval_coeffs_exact(1) != (mono[e1] * mono[e2]).eval_coeffs_exact(1):
+            limit.record(f"{e1},{e2}", "", "")
+    return [oracle, assoc, limit]

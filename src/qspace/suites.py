@@ -11,7 +11,7 @@ from . import evolution, grassmann, hopf, pairexp, qfunc, rmatrix, starcalc
 from .cfunc import CFunction, LatticeFunction, _monomials, jackson_integral_numeric, space_vars
 from .ncalgebra import NCElement, act, hat_factor, lift, lower, normal_form
 from .reports import VerificationReport
-from .scalars import GaussianRational, ONE, ZERO, _add_term, scalar
+from .scalars import GaussianRational, ONE, ZERO, scalar
 from .spaces import CALCULI, D_OF_LABEL, LABELS, SPACES, X_TOKENS
 
 NOTE_LEI_SUBSCRIPTS = (
@@ -140,55 +140,8 @@ def suite_oracle_actions(opts: SuiteOptions):
 def suite_star(opts: SuiteOptions):
     if "euclid3" not in opts.spaces:
         return []
-    out = [starcalc.star_oracle_check(opts.degree)]
+    out = starcalc.star_checks(opts.degree)
     out[0].note(NOTE_REVERSED_STAR)
-    rep = VerificationReport("star-associativity", "euclid3")
-    vars_ = space_vars("euclid3")
-    monos = _monomials(vars_, opts.degree)
-    ctx = starcalc.StarContext("euclid3")
-    mono = {e: CFunction.monomial(vars_, e) for e in monos}
-    deg = {e: sum(e) for e in monos}
-    pairs = {}  # (e1, e2) -> the star product of the two monomials, made once
-
-    def pair(e1, e2):
-        if (e1, e2) not in pairs:
-            pairs[(e1, e2)] = starcalc.star(ctx, mono[e1], mono[e2])
-        return pairs[(e1, e2)]
-
-    def combine(parts):
-        """The sum of c * p over the (scalar, function) pairs given."""
-        out = {}
-        for c, p in parts:
-            for k, a in p.terms.items():
-                _add_term(out, k, c * a)
-        return CFunction(vars_, out)
-
-    for ef in monos:
-        for eg in monos:
-            dfg = deg[ef] + deg[eg]
-            if dfg > opts.degree:
-                continue
-            fg = pair(ef, eg)
-            for eh in monos:
-                if dfg + deg[eh] > opts.degree:
-                    continue
-                # both sides by bilinearity from the pair table: the star
-                # product keeps total degree, so every monomial m of a
-                # product is in monos
-                lhs = combine((c, pair(m, eh)) for m, c in fg.terms.items())
-                rhs = combine((c, pair(ef, m)) for m, c in pair(eg, eh).terms.items())
-                if lhs != rhs:
-                    rep.record(f"{ef},{eg},{eh}", str(lhs), str(rhs))
-    out.append(rep)
-
-    limit = VerificationReport("star-classical-limit", "euclid3")
-    for ef in monos:
-        for eg in monos:
-            if deg[ef] + deg[eg] > opts.degree:
-                continue
-            if pair(ef, eg).eval_coeffs_exact(1) != (mono[ef] * mono[eg]).eval_coeffs_exact(1):
-                limit.record(f"{ef},{eg}", "", "")
-    out.append(limit)
     return out
 
 

@@ -110,7 +110,7 @@ def test_criterion_05_oracle_actions():
 
 
 def test_criterion_06_star_oracle_and_associativity():
-    ok = starcalc.star_oracle_check(4).passed
+    ok = starcalc.star_checks(4)[0].passed
     vars_ = space_vars("euclid3")
     ctx = starcalc.StarContext("euclid3")
     monos = _monomials(vars_, 4)

@@ -490,6 +490,12 @@ def test_evolve_commutative_or_scalar_operator_is_a_usage_error(capsys, argv):
     assert len(err.splitlines()) == 1 and "must be a noncommutative operator" in err
 
 
+@pytest.mark.parametrize("generator", ["1/2 L", "X0 dm dp", "d0"])
+def test_evolve_generator_with_time_or_scaling_is_a_usage_error(capsys, generator):
+    code, out, err = run(capsys, "evolve", "--H", generator, "--order", "1")
+    assert (code, out, err) == (2, "", "error: Hamiltonians must not involve time or scaling factors")
+
+
 def test_d_unknown_variant_is_a_usage_error(capsys):
     code, out, err = run(capsys, "d", "x1", "--index", "1", "--variant", "bogus",
                          "--space", "line")

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from qspace.cfunc import CFunction, E3_VARS, LINE_VARS
-from qspace.ncalgebra import reorder_transform
+from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials
+from qspace.ncalgebra import lift, lower, reorder_transform
 from qspace import starcalc
-from qspace.starcalc import StarContext, star, star_oracle_check
-from qspace.scalars import LAM, ONE, qpow
+from qspace.reports import VerificationReport
+from qspace.starcalc import StarContext, star, star_checks
+from qspace.scalars import LAM, ONE, _add_term, qpow
 
 CTX = StarContext("euclid3")
 CTX_REV = StarContext("euclid3", "reversed")
@@ -36,8 +37,8 @@ def test_line_star_is_plain_product():
 
 
 def test_oracle_degree_zero_and_three():
-    assert star_oracle_check(0).passed
-    assert star_oracle_check(3).passed
+    assert star_checks(0)[0].passed
+    assert star_checks(3)[0].passed
 
 
 def test_time_centrality():
@@ -114,3 +115,85 @@ def test_star_leg_entries_cannot_be_changed():
         with pytest.raises(TypeError):
             entry[0] = ONE
     assert star(CTX, mono((0, 0, 0, 2)), mono((0, 2, 0, 0))) == want
+
+
+def _full_loop_reports(max_degree):
+    """The three star reports by the earlier loops: each pair's engine round
+    trip in both orderings, and every triple, x0 or not, by bilinearity from
+    the pair table."""
+    space = "euclid3"
+
+    def roundtrip(ordering, f, g):
+        if ordering == "standard":
+            return lower(space, lift(space, f) * lift(space, g))
+        fu = reorder_transform(space, f, "to_standard")
+        gu = reorder_transform(space, g, "to_standard")
+        prod = lower(space, lift(space, fu) * lift(space, gu))
+        return reorder_transform(space, prod, "to_reversed")
+
+    def combine(parts):
+        out = {}
+        for c, p in parts:
+            for k, a in p.terms.items():
+                _add_term(out, k, c * a)
+        return CFunction(E3_VARS, out)
+
+    monos = _monomials(E3_VARS, max_degree)
+    pairs = [(ef, eg) for ef in monos for eg in monos if sum(ef) + sum(eg) <= max_degree]
+    oracle = VerificationReport("star-oracle", space)
+    for ordering in ("standard", "reversed"):
+        ctx = StarContext(space, ordering)
+        for ef, eg in pairs:
+            got = star(ctx, mono(ef), mono(eg))
+            want = roundtrip(ordering, mono(ef), mono(eg))
+            if got != want:
+                oracle.record(f"{ordering}:{ef}*{eg}", str(got), str(want))
+    pair = {(ef, eg): star(CTX, mono(ef), mono(eg)) for ef, eg in pairs}
+    assoc = VerificationReport("star-associativity", space)
+    associators = 0
+    for (ef, eg), fg in pair.items():
+        for eh in [e for e in monos if sum(ef) + sum(eg) + sum(e) <= max_degree]:
+            lhs = combine((c, pair[(m, eh)]) for m, c in fg.terms.items())
+            rhs = combine((c, pair[(ef, m)]) for m, c in pair[(eg, eh)].terms.items())
+            associators += 1
+            if lhs != rhs:
+                assoc.record(f"{ef},{eg},{eh}", str(lhs), str(rhs))
+    limit = VerificationReport("star-classical-limit", space)
+    for (ef, eg), fg in pair.items():
+        if fg.eval_coeffs_exact(1) != (mono(ef) * mono(eg)).eval_coeffs_exact(1):
+            limit.record(f"{ef},{eg}", "", "")
+    return [oracle, assoc, limit], associators
+
+
+def test_star_checks_match_the_full_loops():
+    # a triple is twelve exponents of sum <= 3: C(15, 3) = 455 of them, of
+    # which star_checks loops over the C(12, 3) = 220 free of x0
+    old, associators = _full_loop_reports(3)
+    assert associators == 455
+    assert all(r.passed for r in old)  # every associator is zero, x0 or not
+    assert [r.to_json() for r in star_checks(3)] == [r.to_json() for r in old]
+
+
+def test_star_checks_report_a_non_central_time_coordinate(monkeypatch):
+    # a product whose first factor holds x0^a picks up q^(2a): x0 is then no
+    # longer central, which only the x0-pair check can see, since the
+    # triples looped over are x0-free
+    exact = starcalc._star_e3
+
+    def skewed(f, g, reversed_order):
+        out = {}
+        for e, c in f.terms.items():
+            part = exact(CFunction(f.vars, {e: c}), g, reversed_order)
+            for k, v in part.terms.items():
+                _add_term(out, k, v * qpow(2 * e[0]))
+        return CFunction(f.vars, out)
+
+    monkeypatch.setattr(starcalc, "_star_e3", skewed)
+    oracle, assoc, limit = star_checks(4)
+    monos = _monomials(E3_VARS, 4)
+    skewed_pairs = [f"x0:{e1},{e2}" for e1 in monos for e2 in monos
+                    if e1[0] and sum(e1) + sum(e2) <= 4]
+    assert len(skewed_pairs) == 165
+    assert [f.indices for f in assoc.failures] == skewed_pairs
+    assert not oracle.passed and len(oracle.failures) == 330
+    assert limit.passed  # q^(2a) is 1 at q = 1
