@@ -1,5 +1,17 @@
+"""Closed-form q-calculus on commutative functions.
+
+``test_closed_forms_match_recorded_strings`` compares every closed-form
+action (forward actions on both representatives, and the inverse
+derivatives) with the strings recorded in ``golden_closed_forms.json``.
+Regenerate them only for an intended change of the results:
+``PYTHONPATH=src python tests/test_qfunc.py --record``.
+"""
+
 import itertools
+import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -10,7 +22,10 @@ from qspace.qfunc import (
     act_partial_closed,
     scale_arg,
 )
-from qspace.scalars import LAM, ONE, QScalar, qpow, scalar
+from qspace.cfunc import _monomials
+from qspace.scalars import LAM, ONE, Q, QScalar, qpow, scalar
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_closed_forms.json")
 
 
 def mono(vars_, exps, coeff=ONE):
@@ -178,3 +193,41 @@ def test_qconstant():
     assert qconstant(CFunction.constant(LINE_VARS, 5))
     assert not qconstant(mono(LINE_VARS, (0, 1)))
     assert not qconstant(mono(LINE_VARS, (1, 0)) + mono(LINE_VARS, (0, 1)))
+
+
+# -- the recorded closed forms ----------------------------------------------------
+
+# every monomial to this total degree, times q + 3: a unit coefficient would
+# hide a missing q -> 1/q substitution
+_GOLDEN_DEGREE = {"euclid3": 3, "line": 5}
+
+
+def closed_forms():
+    out = {}
+    for space, degree in _GOLDEN_DEGREE.items():
+        vars_ = space_vars(space)
+        for e in _monomials(vars_, degree):
+            f = CFunction.monomial(vars_, e, Q + scalar(3))
+            for idx in _DTAGS[space]:
+                for variant in ("left", "left_bar", "right", "right_bar"):
+                    key = f"{space} {idx} {variant} {','.join(map(str, e))}"
+                    for rep in ("standard", "reversed"):
+                        out[f"{key} {rep}"] = str(act_partial_closed(idx, variant, f, space, rep))
+                    out[f"{key} inverse"] = str(act_inverse_partial(idx, variant, f, space))
+    return out
+
+
+def test_closed_forms_match_recorded_strings():
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    got = closed_forms()
+    assert got.keys() == want.keys()
+    for key, text in got.items():
+        assert text == want[key], key
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--record"]:
+        with open(GOLDEN, "w") as fh:
+            json.dump(closed_forms(), fh, indent=0, ensure_ascii=False)
+            fh.write("\n")
