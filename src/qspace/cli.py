@@ -4,7 +4,8 @@ Exit codes: 0 when everything passes, 1 on a verification failure or when
 a command raises ValueError or ArithmeticError (a division by zero, a sum
 that does not converge), 2 on usage or parse errors: an unknown option, an
 option outside its domain (a derivative index or variant the space does not
-have, a --tol that is not finite and positive, a verify --degree above 8).
+have, a --tol that is not finite and positive, a verify --degree above 8,
+a verify --q0 outside 1.1 to 1.3).
 Each command imports the layers it uses when it runs, so that a process
 compiles only those."""
 
@@ -34,8 +35,23 @@ def _finite(text, what, ok):
 
 
 def _q_number(text):
-    """The type of --q-value and verify --q0: a finite, nonzero number."""
+    """The type of --q-value: a finite, nonzero number."""
     return _finite(text, "nonzero", bool)
+
+
+# the lattice bases verify --q0 takes: the numeric suite sums its lattice
+# series from q0^-900 and samples x^3 up to q0^800, so a smaller base runs
+# off the lattice cutoff and a larger one overflows a float
+_VERIFY_Q0 = (1.1, 1.3)
+
+
+def _verify_q0(text):
+    """The type of verify --q0: a number in the closed interval _VERIFY_Q0."""
+    value = _q_number(text)
+    lo, hi = _VERIFY_Q0
+    if not lo <= value <= hi:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a lattice base from {lo} to {hi}")
+    return value
 
 
 def _tolerance(text):
@@ -94,7 +110,7 @@ def build_parser(command=None):
     p.add_argument("--degree", type=_verify_degree, default=4)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
-    p.add_argument("--q0", type=_q_number, default=1.1)
+    p.add_argument("--q0", type=_verify_q0, default=1.1)
 
     p = sub.add_parser("nf", help="normal-order a noncommutative expression")
     p.add_argument("expr")

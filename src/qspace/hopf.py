@@ -17,19 +17,16 @@ from .pairexp import _EXP_MODE, qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
 from .scalars import LAM, LAMP, ONE, QScalar, _add_term, _memo, _remember, qbinom, qnum, qpow
-from .spaces import CALCULI, LABEL_OF, REVERSED, X_TOKENS, Y_OF
+from .spaces import CALCULI, LABEL_OF, REVERSED, SUBSTITUTION, X_TOKENS, Y_OF
 
 TRANSLATE_VARIANTS = tuple(sorted(row[3] for row in CALCULI.values()))
 
-# variant -> (base sign, +/- index swap): the hatted calculus takes the
-# inverse bases, and the index swap holds for the hatted left and the plain
-# right variant.  The left-handed pair is printed; the right-handed legs are
-# the +/- mirror (the opposite coproducts), the combination the right-sided
-# Taylor identities single out.  On the line the swap is vacuous and R/Rbar
+# variant -> (base sign, +/- index swap) of the action mode it belongs to.
+# The left-handed pair is printed; the right-handed legs are the +/- mirror
+# (the opposite coproducts), the combination the right-sided Taylor
+# identities single out.  On the line the swap is vacuous and R/Rbar
 # coincide with L/Lbar.
-_VARIANT_PARAMS = {
-    row[3]: (-1 if row[0] else 1, row[0] != row[1]) for row in CALCULI.values()
-}
+_VARIANT_PARAMS = {CALCULI[mode][3]: params for mode, params in SUBSTITUTION.items()}
 
 
 def doubled_vars(space):

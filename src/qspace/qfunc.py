@@ -1,168 +1,107 @@
-"""Closed-form q-calculus on commutative functions: Jackson derivatives and
-integrals, the operator representations of the partial derivatives and their
-inverses, and argument scalings.
+"""Closed-form q-calculus on commutative functions: the actions of the
+partial derivatives and of their inverses, and argument scalings.
 
-The representations for one side/calculus are written down once (the left
-actions of the plain derivatives and of their inverses); every other variant
-is generated from them by one derivation, the mechanical index/base
-substitutions, and frozen on first use.  The generated line variants are
-diff-tested against the explicitly printed ones in the test suite, and all
-variants are cross-checked against the normal-ordering engine, which serves
-as the independent oracle.
+The left actions of the plain derivatives and of their inverses are written
+down once, as functions of (f, x, s): x names the variables standing in for
+xp and xm, and s is the sign of every q-exponent.  The substitution rules
+(+/-, q) -> (-/+, 1/q) of spaces.SUBSTITUTION give the other three one-sided
+calculi from them: a hatted action takes s = -1, a mirrored one the
+conjugate index label with xp and xm exchanged, and a right action the
+opposite sign.  The printed line formulas are diff-tested against these in
+the test suite, and all variants are cross-checked against the
+normal-ordering engine, which serves as the independent oracle.
 """
 
 from __future__ import annotations
 
-import functools
-
 from .cfunc import CFunction
 from .ncalgebra import reorder_transform
-from .scalars import LAM, ONE, _add_term, _memo, _remember, qpow
-from .spaces import CALCULI, E3, LABELS, LINE, PM_LABEL_SWAP, PM_SWAP, SpaceTable
+from .scalars import LAM, qpow
+from .spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION, SpaceTable
 
 VARIANTS = tuple(CALCULI)
 
-# An operator program is a list of primitive steps applied left to right:
-#   ("D", var, a)        Jackson derivative with base q^a
-#   ("Dinv", var, a)     its monomial antiderivative
-#   ("classical_d", var) the ordinary time derivative
-#   ("scale", var, h)    substitution var -> q^(h/2) var
-#   ("mul", {var: n}, c) multiplication by c * monomial
-# A representation is a list of (QScalar prefactor, program) branches whose
-# results are summed.
+# the values of x: the plain variables and their +/- mirror
+_X, _X_MIRRORED = ("xp", "xm"), ("xm", "xp")
 
 
-def _apply_program(f: CFunction, program) -> CFunction:
-    for step in program:
-        op = step[0]
-        if op == "D":
-            f = f.jackson_d(step[1], step[2])
-        elif op == "Dinv":
-            f = f.jackson_antiderivative(step[1], step[2])
-        elif op == "classical_d":
-            f = f.classical_d(step[1])
-        elif op == "classical_Dinv":
-            f = f.classical_antiderivative(step[1])
-        elif op == "scale":
-            f = f.scale_var(step[1], step[2])
-        elif op == "mul":
-            mono, c = step[1], step[2]
-            exps = [mono.get(v, 0) for v in f.vars]
-            f = f * CFunction.monomial(f.vars, exps, c)
-        else:
-            raise ValueError(f"unknown program step {op!r}")
-    return f
+def _d_time(f, x, s):
+    return f.classical_d("x0")
 
 
-def apply_branches(f: CFunction, branches) -> CFunction:
-    out = {}
-    for pre, prog in branches:
-        for e, c in _apply_program(f, prog).terms.items():
-            _add_term(out, e, c * pre)
-    return CFunction(f.vars, out)
+def _d_time_inverse(f, x, s):
+    return f.classical_antiderivative("x0")
 
 
-def _transform(branches, swap_pm=False, invert_q=False, negate=False):
-    """The printed substitution rules acting on an operator program."""
-    out = []
-    for pre, prog in branches:
-        if invert_q:
-            pre = pre.subs_q_inverse()
-        if negate:
-            pre = -pre
-        steps = []
-        for step in prog:
-            op = step[0]
-            if op in ("D", "Dinv"):
-                v, a = step[1], step[2]
-                if swap_pm:
-                    v = PM_SWAP.get(v, v)
-                if invert_q:
-                    a = -a
-                steps.append((op, v, a))
-            elif op == "scale":
-                v, h = step[1], step[2]
-                if swap_pm:
-                    v = PM_SWAP.get(v, v)
-                if invert_q:
-                    h = -h
-                steps.append((op, v, h))
-            elif op == "mul":
-                mono, c = step[1], step[2]
-                if swap_pm:
-                    mono = {PM_SWAP.get(v, v): n for v, n in mono.items()}
-                if invert_q:
-                    c = c.subs_q_inverse()
-                steps.append((op, mono, c))
-            else:
-                steps.append(step)
-        out.append((pre, tuple(steps)))
+def _d_minus(f, x, s):
+    lam_xp = CFunction.var(f.vars, x[0], 1, s * LAM)
+    return (f.scale_var("x3", 4 * s).jackson_d(x[1], 4 * s)
+            + f.jackson_d("x3", 2 * s).jackson_d("x3", 2 * s) * lam_xp)
+
+
+def _d_minus_inverse(f, x, s):
+    """The correction series is finite on polynomials: term k eats 2k powers
+    of the 3-coordinate."""
+    out = CFunction.zero(f.vars)
+    for k in range(f.degree("x3") // 2 + 1):
+        g = f.scale_var("x3", -4 * s * (k + 1))
+        for _ in range(k + 1):
+            g = g.jackson_antiderivative(x[1], 4 * s)
+        for _ in range(2 * k):
+            g = g.jackson_d("x3", 2 * s)
+        out = out + g * CFunction.var(f.vars, x[0], k, qpow(2 * s * k * (k + 1)) * (-s * LAM) ** k)
     return out
 
 
-_ANCHORS = SpaceTable({
-    # left actions of the plain derivatives (the anchor data)
-    LINE: {
-        "0": [(ONE, (("classical_d", "x0"),))],
-        "1": [(ONE, (("D", "x1", 1),))],
-    },
+# index label -> the left action of the plain derivative
+_LEFT = SpaceTable({
+    LINE: {"0": _d_time, "1": lambda f, x, s: f.jackson_d("x1", s)},
     E3: {
-        "0": [(ONE, (("classical_d", "x0"),))],
-        "+": [(ONE, (("D", "xp", 4),))],
-        "3": [(ONE, (("scale", "xp", 4), ("D", "x3", 2)))],
-        "-": [
-            (ONE, (("scale", "x3", 4), ("D", "xm", 4))),
-            (LAM, (("D", "x3", 2), ("D", "x3", 2), ("mul", {"xp": 1}, ONE))),
-        ],
+        "0": _d_time,
+        "+": lambda f, x, s: f.jackson_d(x[0], 4 * s),
+        "3": lambda f, x, s: f.scale_var(x[0], 4 * s).jackson_d("x3", 2 * s),
+        "-": _d_minus,
+    },
+})
+
+# index label -> the left action of its inverse; the '3' inverse pairs with
+# the q^2 base of the forward action
+_LEFT_INVERSE = SpaceTable({
+    LINE: {"0": _d_time_inverse, "1": lambda f, x, s: f.jackson_antiderivative("x1", s)},
+    E3: {
+        "0": _d_time_inverse,
+        "+": lambda f, x, s: f.jackson_antiderivative(x[0], 4 * s),
+        "3": lambda f, x, s: f.scale_var(x[0], -4 * s).jackson_antiderivative("x3", 2 * s),
+        "-": _d_minus_inverse,
     },
 })
 
 
-def _variants(left):
-    """The four one-sided variants of the left actions ``left`` ({index
-    label: branches}), keyed (label, variant).
-
-    left_bar is the hatted derivative with the conjugate index, via the
-    (+/-, q) -> (-/+, 1/q) transition; right_bar comes from left and right
-    from left_bar by the +/- swap plus a sign.  The substitutions carry the
-    inverse of an action to the inverse of its image, so the inverse
-    derivatives go through the same derivation."""
-    reps = {}
-    for i, br in left.items():
-        reps[(i, "left")] = br
-    for i, br in left.items():
-        reps[(PM_LABEL_SWAP.get(i, i), "left_bar")] = _transform(br, swap_pm=True, invert_q=True)
-    for i in left:
-        j = PM_LABEL_SWAP.get(i, i)
-        reps[(j, "right_bar")] = _transform(reps[(i, "left")], swap_pm=True, negate=True)
-        reps[(j, "right")] = _transform(reps[(i, "left_bar")], swap_pm=True, negate=True)
-    return reps
-
-
-@functools.cache
-def _reps(space):
-    return _variants(_ANCHORS[space])
-
-
-def _act(reps_of, index, variant, f, space, rep):
-    """Apply the branches reps_of(f)[(index, variant)] to f.  rep names the
-    normal ordering f represents: the hatted-calculus operators produced by
-    the substitution rules are native to the reversed ordering and get
-    conjugated by the ordering transport when applied to a standard-ordering
-    representative, and the plain ones the other way round."""
+def _act(actions, index, variant, f, space, rep):
+    """Apply the variant's image of the left action actions[space][index] to
+    f.  rep names the normal ordering f represents: the hatted-calculus
+    operators produced by the substitution rules are native to the reversed
+    ordering and get conjugated by the ordering transport when applied to a
+    standard-ordering representative, and the plain ones the other way
+    round."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    hatted, right = CALCULI[variant][:2]
+    s, mirrored = SUBSTITUTION[variant]
     back = None
-    if space == E3 and (rep == "standard") == CALCULI[variant][0]:
+    if space == E3 and (rep == "standard") == hatted:
         there, back = "to_reversed", "to_standard"
         if rep != "standard":
             there, back = back, there
         f = reorder_transform(space, f, there)
+    label = str(index)
     try:
-        branches = reps_of(f)[(str(index), variant)]
+        action = actions[space][PM_LABEL_SWAP.get(label, label) if mirrored else label]
     except KeyError:
         raise ValueError(f"unknown derivative index {index!r} for {space}")
-    out = apply_branches(f, branches)
+    out = action(f, _X_MIRRORED if mirrored else _X, s)
+    if right:
+        out = -out
     return out if back is None else reorder_transform(space, out, back)
 
 
@@ -174,49 +113,7 @@ def act_partial_closed(index: str, variant: str, f: CFunction, space: str,
     with the hatted one, matching the four printed one-sided calculi; rep
     names the normal ordering the argument represents.
     """
-    return _act(lambda g: _reps(space), index, variant, f, space, rep)
-
-
-# -- inverse derivatives ------------------------------------------------------
-
-
-def _inverse_branches(space, index, degree3):
-    """Branches for the left action of an inverse derivative; for the '-'
-    direction the correction series is finite on polynomials, each term
-    eating two powers of the 3-coordinate."""
-    if index == "0":
-        return [(ONE, (("classical_Dinv", "x0"),))]
-    if space == LINE:
-        return [(ONE, (("Dinv", "x1", 1),))]
-    if index == "+":
-        return [(ONE, (("Dinv", "xp", 4),))]
-    if index == "3":
-        # the inverse pairs with the q^2 base of the forward action
-        return [(ONE, (("scale", "xp", -4), ("Dinv", "x3", 2)))]
-    branches = []  # index '-'
-    for k in range(degree3 // 2 + 1):
-        steps = [("scale", "x3", -4 * (k + 1))]
-        steps += [("Dinv", "xm", 4)] * (k + 1)
-        steps += [("D", "x3", 2)] * (2 * k)
-        steps.append(("mul", {"xp": k}, ONE))
-        pre = qpow(2 * k * (k + 1))
-        for _ in range(k):
-            pre = pre * (-LAM)
-        branches.append((pre, tuple(steps)))
-    return branches
-
-
-_INVERSE_REPS = _memo()  # (space, degree3) -> _inverse_reps(space, degree3)
-
-
-def _inverse_reps(space, degree3):
-    """The four variants of the inverse derivatives, exact on polynomials of
-    degree below degree3 in the 3-coordinate."""
-    reps = _INVERSE_REPS.get((space, degree3))
-    if reps is None:
-        reps = _remember(_INVERSE_REPS, (space, degree3), _variants(
-            {i: _inverse_branches(space, i, degree3) for i in LABELS[space]}))
-    return reps
+    return _act(_LEFT, index, variant, f, space, rep)
 
 
 def act_inverse_partial(index: str, variant: str, f: CFunction, space: str) -> CFunction:
@@ -224,8 +121,7 @@ def act_inverse_partial(index: str, variant: str, f: CFunction, space: str) -> C
 
     The correction series terminates on polynomials, so the result is exact;
     the matching forward action returns the input (inverse property)."""
-    return _act(lambda g: _inverse_reps(space, g.degree("x3") + 2 if space == E3 else 2),
-                index, variant, f, space, "standard")
+    return _act(_LEFT_INVERSE, index, variant, f, space, "standard")
 
 
 # -- the scaling operator (evolution calls it by name: a test swaps in a fake) --

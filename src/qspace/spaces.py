@@ -86,6 +86,12 @@ _MIRROR = dict(zip(SUFFIX_LABEL, reversed(SUFFIX_LABEL)))
 PM_SWAP = {t: t[0] + _MIRROR[t[1:]] for t in LABEL_OF if t[1:] in _MIRROR}
 PM_LABEL_SWAP = {SUFFIX_LABEL[a]: SUFFIX_LABEL[b] for a, b in _MIRROR.items()}
 
+# action mode -> (base sign, +/- mirror): the substitution rules
+# (+/-, q) -> (-/+, 1/q) that carry the plain left calculus to the mode's.
+# The hatted calculus takes the inverse bases, and the mirror holds for the
+# hatted left and the plain right mode
+SUBSTITUTION = {mode: (-1 if row[0] else 1, row[0] != row[1]) for mode, row in CALCULI.items()}
+
 # generator tag -> its grade (time degree, spatial degree, charge).  A
 # coordinate weighs one in its degree, with the charge of its index label
 # ('+' -> 1, '-' -> -1, else 0); a derivative weighs minus the coordinate it

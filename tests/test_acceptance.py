@@ -16,6 +16,7 @@ from qspace.cli import main
 from qspace.expressions import parse, render
 from qspace.ncalgebra import NCElement, act, lift, lower, normal_form
 from qspace.scalars import GaussianRational, LAM, ONE, qpow, scalar
+from qspace.spaces import CALCULI, D_OF_LABEL, HAT_POWER
 
 SPACES = ("line", "euclid3")
 
@@ -82,21 +83,17 @@ def test_criterion_04_metric():
     _report("criterion 4: quantum metric from the trace projector", ok)
 
 
-_DTAGS = {"line": {"0": "d0", "1": "d1"}, "euclid3": {"0": "d0", "+": "dp", "3": "d3", "-": "dm"}}
-_HATP = {"line": 1, "euclid3": 6}
-
-
 def test_criterion_05_oracle_actions():
     t0 = time.time()
     checks = 0
     ok = True
     for space in SPACES:
         vars_ = space_vars(space)
-        for idx, dtag in _DTAGS[space].items():
+        for idx, dtag in D_OF_LABEL[space].items():
             for variant in ("left", "left_bar", "right", "right_bar"):
                 D = NCElement.generator(space, dtag)
-                if variant in ("left_bar", "right") and idx != "0":
-                    D = D.scale(qpow(_HATP[space]))
+                if CALCULI[variant][0] and idx != "0":
+                    D = D.scale(qpow(HAT_POWER[space]))
                 for e in _monomials(vars_, 4):
                     f = CFunction.monomial(vars_, e)
                     closed = qfunc.act_partial_closed(idx, variant, f, space)

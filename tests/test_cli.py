@@ -288,6 +288,25 @@ def test_non_finite_or_zero_q_is_usage_error(capsys, argv, value):
     assert "is not a finite nonzero number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1.0999", "1.3001", "2", "1", "0.5", "-1.1", "10"])
+def test_verify_q0_outside_its_interval_is_usage_error(capsys, value):
+    """Outside 1.1 to 1.3 the numeric suite runs off its lattice cutoff or
+    overflows a float, so the parser rejects the base before any suite
+    starts."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "numeric-integrals", "--q0", value])
+    assert exc.value.code == 2
+    assert f"argument --q0: '{value}' is not a lattice base from 1.1 to 1.3" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["1.1", "1.3"])
+def test_verify_q0_at_either_end_runs_the_numeric_suite(capsys, value):
+    code, out, _ = run(capsys, "verify", "numeric-integrals", "--q0", value, "--json")
+    assert code == 0
+    assert [r["status"] for r in json.loads(out)] == ["pass"] * 5
+
+
 def test_suite_options_reject_negative_bounds():
     from qspace.suites import SuiteOptions
 

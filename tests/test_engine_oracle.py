@@ -314,7 +314,7 @@ def test_tables_stay_bounded(monkeypatch):
 def test_rebuilt_rule_sets_leave_no_tables_behind():
     # the module-level tables of every layer; a rule set's memos go with it
     tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
-              qfunc._INVERSE_REPS, _nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
+              _nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
     key = ("euclid3", "u", "xd", False)
     for _ in range(50):
         _nc._ruleset.cache_clear()
@@ -337,8 +337,8 @@ def test_rebuilt_rule_sets_leave_no_tables_behind():
 
 
 def _fill_value_tables():
-    """Results read through the q-binomial, star-leg, translation-factor and
-    inverse-representation tables."""
+    """Results read through the q-binomial, star-leg and translation-factor
+    tables, and inverse derivatives, which hold no table of their own."""
     got = [scalars.qbinom(n, k, a) for n in range(9) for k in range(n + 1) for a in (1, -4)]
     mono = [CFunction.monomial(E3_VARS, e) for e in ((1, 2, 3, 1), (0, 1, 4, 2), (2, 3, 2, 0))]
     for ordering in ("standard", "reversed"):
@@ -355,8 +355,7 @@ def test_value_tables_stay_bounded_and_follow_rewrite_strategy(monkeypatch):
     want = _fill_value_tables()
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
     _nc._clear_memos()
-    tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
-              qfunc._INVERSE_REPS]
+    tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS]
     assert all(any(t is m for m in scalars._MEMOS) for t in tables)
     assert _fill_value_tables() == want
     assert all(0 < len(t) <= 5 for t in tables)

@@ -15,15 +15,15 @@ import sys
 
 import pytest
 
-from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, space_vars
+from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
 from qspace.ncalgebra import NCElement, act, lift, lower
 from qspace.qfunc import (
     act_inverse_partial,
     act_partial_closed,
     scale_arg,
 )
-from qspace.cfunc import _monomials
 from qspace.scalars import LAM, ONE, Q, QScalar, qpow, scalar
+from qspace.spaces import CALCULI, D_OF_LABEL, HAT_POWER
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_closed_forms.json")
 
@@ -123,18 +123,14 @@ def test_generated_line_variants_match_printed_forms():
             assert act_partial_closed(idx, variant, f, "line") == want, (idx, variant)
 
 
-_DTAGS = {"line": {"0": "d0", "1": "d1"}, "euclid3": {"0": "d0", "+": "dp", "3": "d3", "-": "dm"}}
-_HATP = {"line": 1, "euclid3": 6}
-
-
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 def test_oracle_equivalence_low_degree(space):
     vars_ = space_vars(space)
-    for idx, dtag in _DTAGS[space].items():
+    for idx, dtag in D_OF_LABEL[space].items():
         for variant in ("left", "left_bar", "right", "right_bar"):
             D = NCElement.generator(space, dtag)
-            if variant in ("left_bar", "right") and idx != "0":
-                D = D.scale(qpow(_HATP[space]))
+            if CALCULI[variant][0] and idx != "0":
+                D = D.scale(qpow(HAT_POWER[space]))
             for e in itertools.product(range(3), repeat=len(vars_)):
                 if sum(e) > 2:
                     continue
@@ -154,7 +150,7 @@ def test_inverse_examples():
 def test_inverse_property(space):
     rng = random.Random(23)
     vars_ = space_vars(space)
-    indices = list(_DTAGS[space])
+    indices = list(D_OF_LABEL[space])
     for _ in range(30):
         exps = tuple(rng.randint(0, 2) for _ in vars_)
         if sum(exps) > 4:
@@ -208,7 +204,7 @@ def closed_forms():
         vars_ = space_vars(space)
         for e in _monomials(vars_, degree):
             f = CFunction.monomial(vars_, e, Q + scalar(3))
-            for idx in _DTAGS[space]:
+            for idx in D_OF_LABEL[space]:
                 for variant in ("left", "left_bar", "right", "right_bar"):
                     key = f"{space} {idx} {variant} {','.join(map(str, e))}"
                     for rep in ("standard", "reversed"):

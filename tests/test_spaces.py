@@ -131,6 +131,11 @@ _PAIR_MODES = {
     ("Lbar_R", False): "right",
 }
 _VARIANT_PARAMS = {"Lbar": (1, False), "L": (-1, True), "Rbar": (1, True), "R": (-1, False)}
+# (base sign, +/- mirror): the hatted calculus takes the inverse bases, and
+# the mirror holds for the hatted left and the plain right mode
+_SUBSTITUTION = {
+    "left": (1, False), "left_bar": (-1, True), "right": (-1, False), "right_bar": (1, True),
+}
 _IDENTITY_SETUPS = (
     ("x_d", "Lbar", "left", "standard"),
     ("x_dhat", "L", "left_bar", "reversed"),
@@ -177,6 +182,7 @@ def test_calculus_tables_match_the_literals_they_replace():
     assert ncalgebra.ACTION_MODES == qfunc.VARIANTS == modes
     assert pairexp.EXP_VARIANTS == ("x_d", "x_dhat", "d_x", "dhat_x")
     assert hopf.TRANSLATE_VARIANTS == ("L", "Lbar", "R", "Rbar")
+    _same(spaces.SUBSTITUTION, _SUBSTITUTION)
     assert hopf._VARIANT_PARAMS == _VARIANT_PARAMS
     assert hopf._IDENTITY_SETUPS == _IDENTITY_SETUPS
     # the geometry order is the order of sesquilinear_line's per-geometry dict
