@@ -1,5 +1,5 @@
-"""Commutative polynomials with QScalar coefficients, plus lattice-sampled
-functions for the numeric Jackson integrals.
+"""Commutative polynomials with QScalar coefficients, plus Jackson integrals
+on the lattice +-q^k: exact for polynomials, float for sampled functions.
 
 A CFunction carries its own variable tuple, so the same class serves the
 plain coordinate functions (x0, x1) / (x0, xp, x3, xm), the doubled variable
@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 
-from .scalars import ONE, QScalar, _add_term, _coeff_times, _LinComb, qnum, scalar
+from .scalars import ONE, ZERO, QScalar, _add_term, _coeff_times, _LinComb, qnum, qpow, scalar
 from .spaces import E3, LINE, X_TOKENS
 
 LINE_VARS = X_TOKENS[LINE]
@@ -160,6 +160,14 @@ class CFunction(_LinComb):
                 _add_term(out, e[:i] + (0,) + e[i + 1:], v)
         return CFunction(self.vars, out)
 
+    def value_at(self, name, value: QScalar) -> QScalar:
+        """The value at an exact scalar of a polynomial in one variable."""
+        unit = (0,) * len(self.vars)
+        terms = self.subs_scalar(name, value).terms
+        if terms.keys() - {unit}:
+            raise ValueError("polynomial must depend on a single variable")
+        return terms.get(unit, ZERO)
+
     def shift_var(self, name, t0: QScalar):
         """Substitute x -> x + t0 (classical binomial shift)."""
         i = self._vi(name)
@@ -269,33 +277,6 @@ class LatticeFunction:
                 samples[(sign, k)] = complex(fn(sign * q0 ** k))
         return LatticeFunction(q0, cutoff, samples)
 
-    @staticmethod
-    def from_cfunction(f: CFunction, name: str, q0, cutoff, window=None):
-        """Sample a one-variable polynomial; outside the window it is treated
-        as zero, which makes whole-line integrals of the window convergent."""
-        i = f.vars.index(name)
-        for e in f.terms:
-            if any(n and j != i for j, n in enumerate(e)):
-                raise ValueError("polynomial must depend on a single variable")
-        window = cutoff if window is None else window
-        # each coefficient is evaluated once; the per-point products and the
-        # sum run as in eval_float, so the samples are its values
-        terms = [(c.eval_float(q0), e[i]) for e, c in f.monomials()]
-        samples = {}
-        for k in range(-cutoff, cutoff + 1):
-            for sign in (1, -1):
-                if abs(k) > window:
-                    samples[(sign, k)] = 0j
-                else:
-                    x = complex(sign * q0 ** k)
-                    total = 0j
-                    for v, n in terms:
-                        if n:
-                            v *= x ** n
-                        total += v
-                    samples[(sign, k)] = total
-        return LatticeFunction(q0, cutoff, samples)
-
     def value(self, sign, k):
         try:
             return self.samples[(sign, k)]
@@ -367,3 +348,18 @@ def jackson_integral_whole_line(f: LatticeFunction, a: int, tol: float) -> compl
         f, a, "minusinf_x", tol
     )
     return pos + neg
+
+
+def jackson_weight(a: int) -> QScalar:
+    """The weight of a Jackson sum with base q^a: q^a - 1 for a > 0 and
+    1 - q^a for a < 0, as jackson_integral_numeric takes it at q0."""
+    if a == 0:
+        raise ValueError("Jackson integral base exponent must be nonzero")
+    return qpow(a) - ONE if a > 0 else ONE - qpow(a)
+
+
+def lattice_sum(h: CFunction, name: str, ks, signs=(1,)) -> QScalar:
+    """The exact sum of q^k h(s q^k) over k in ks and the axis signs s, for a
+    polynomial h in the one variable ``name``: a Jackson sum on the lattice
+    without its weight."""
+    return sum((qpow(k) * h.value_at(name, s * qpow(k)) for k in ks for s in signs), ZERO)

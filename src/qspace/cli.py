@@ -39,9 +39,9 @@ def _q_number(text):
     return _finite(text, "nonzero", bool)
 
 
-# the lattice bases verify --q0 takes: the numeric suite sums its lattice
-# series from q0^-900 and samples x^3 up to q0^800, so a smaller base runs
-# off the lattice cutoff and a larger one overflows a float
+# the documented lattice bases of verify --q0, read by the one float report,
+# the whole-line integral of exp(-x^2): below about 1.07 its 400-point lattice
+# runs off the cutoff (NonConvergentSum), above about 2.8 a float overflows
 _VERIFY_Q0 = (1.1, 1.3)
 
 

@@ -838,13 +838,13 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
     'to_reversed' re-reads a standard-ordering function as one for the
     reversed spatial ordering; 'to_standard' is the inverse.
     """
+    if direction not in ("to_reversed", "to_standard"):
+        raise ValueError(f"unknown direction {direction!r}")
     want = space_vars(space)
     if f.vars != want:
         f = f.restrict(want)
     if space == LINE:
         return f  # a single spatial generator has only one ordering
-    if direction not in ("to_reversed", "to_standard"):
-        raise ValueError(f"unknown direction {direction!r}")
     out = {}
     for e, c in f.terms.items():
         for k, cc in _transport_row(space, direction, e):

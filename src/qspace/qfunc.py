@@ -86,6 +86,8 @@ def _act(actions, index, variant, f, space, rep):
     round."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if rep not in ("standard", "reversed"):
+        raise ValueError(f"unknown rep {rep!r}")
     hatted, right = CALCULI[variant][:2]
     s, mirrored = SUBSTITUTION[variant]
     back = None

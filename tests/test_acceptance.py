@@ -142,15 +142,14 @@ def test_criterion_08_jackson_calculus():
         F = f.jackson_antiderivative("x1", 1)
         ok &= F.jackson_d("x1", 1) == f
     q0 = 1.1
-    lat = LatticeFunction.from_cfunction(
-        CFunction.monomial(vars_, (0, 1)), "x1", q0, 800
-    )
+    x = CFunction.monomial(vars_, (0, 1))
+    lat = LatticeFunction.from_callable(lambda p: x.eval_float(q0, {"x1": p}), q0, 800)
     val = jackson_integral_numeric(lat, 1, "0_x", 1e-12)
     ok &= abs(val.real - 1 / (1 + q0)) < 1e-10
     f = CFunction(vars_, {(0, 1): ONE})
     g = CFunction(vars_, {(0, 1): ONE, (1, 0): scalar(2)})
     ok &= evolution.ibp_check(f, g, scalar(Fraction(1, 2)), scalar(3)).passed
-    ok &= evolution.ibp_check_numeric(q0, 1e-12).passed
+    ok &= evolution.ibp_check_numeric().passed
     _report("criterion 8: Jackson inverse pair, numeric integral, eight IBP identities", ok)
 
 

@@ -290,9 +290,8 @@ def test_non_finite_or_zero_q_is_usage_error(capsys, argv, value):
 
 @pytest.mark.parametrize("value", ["1.0999", "1.3001", "2", "1", "0.5", "-1.1", "10"])
 def test_verify_q0_outside_its_interval_is_usage_error(capsys, value):
-    """Outside 1.1 to 1.3 the numeric suite runs off its lattice cutoff or
-    overflows a float, so the parser rejects the base before any suite
-    starts."""
+    """1.1 to 1.3 is the documented range of the whole-line bump's lattice
+    base, so the parser rejects any other base before any suite starts."""
     with pytest.raises(SystemExit) as exc:
         main(["verify", "numeric-integrals", "--q0", value])
     assert exc.value.code == 2

@@ -1,17 +1,20 @@
-"""The numeric q-integrals pinned bit for bit.
+"""The q-integrals on the lattice, float and exact.
 
-The Jackson sum is compared by repr with the eight-branch form it was first
-written in, restated below as the oracle; the whole-line, whole-e3 and
-sesquilinear values are compared with the reprs they had when the four
-integration geometries were first put in one table.  A broken scaling makes
-both integration-by-parts checks fail, each with its recorded sides."""
+The float Jackson sum is compared by repr with the eight-branch form it was
+first written in, restated below as the oracle; the whole-line, whole-e3 and
+sesquilinear float values are compared with the reprs they had when the four
+integration geometries were first put in one table.  The exact lattice sums
+of polynomials agree with that float path at q0 = 1.1, 1.2 and 1.3, and with
+the closed geometric sums.  A broken scaling makes both integration-by-parts
+checks fail, each with its recorded sides, and so does a wrong lattice
+weight."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from qspace import evolution
+from qspace import cfunc, evolution, suites
 from qspace.cfunc import (
     CFunction,
     LatticeFunction,
@@ -19,15 +22,20 @@ from qspace.cfunc import (
     NonConvergentSum,
     _geometric_sum,
     jackson_integral_numeric,
+    jackson_weight,
+    lattice_sum,
 )
 from qspace.evolution import (
+    _GEOMETRIES,
+    _ibp_sides,
+    conjugate_function,
     ibp_check,
     ibp_check_numeric,
     integrate_whole_e3,
     integrate_whole_line,
     sesquilinear_line,
 )
-from qspace.scalars import I, ONE, qpow, scalar
+from qspace.scalars import I, ONE, ZERO, qnum, qpow, scalar
 
 BOUNDS = ("0_x", "x_inf", "x_0", "minusinf_x")
 BASES = (1, -1, 2, -2, 3, -3)
@@ -84,6 +92,19 @@ def _outcome(fn, *args, **kwargs):
         return (type(exc), str(exc))
 
 
+def _sampled(h, q0, cutoff, window=None):
+    """The float samples of a one-variable polynomial, h.eval_float at each
+    lattice point +-q0^k, and zero outside |k| <= window."""
+    window = cutoff if window is None else window
+
+    def value(x):
+        if abs(math.log(abs(x), q0)) > window + 0.5:
+            return 0.0
+        return h.eval_float(q0, {"x1": x})
+
+    return LatticeFunction.from_callable(value, q0, cutoff)
+
+
 def _lattices():
     q0 = 1.1
     gauss = LatticeFunction.from_callable(
@@ -94,7 +115,7 @@ def _lattices():
         (0, 1): qpow(1) - I,
         (0, 3): qpow(-2) / 7,
     })
-    rational = LatticeFunction.from_cfunction(h, "x1", q0, 120, window=25)
+    rational = _sampled(h, q0, 120, window=25)
     return {"gaussian": gauss, "rational": rational}
 
 
@@ -145,7 +166,7 @@ def test_whole_line_integrals_pinned():
     })
     lattices = {
         "gaussian": LatticeFunction.from_callable(lambda x: math.exp(-x * x), q0, 400),
-        "rational": LatticeFunction.from_cfunction(h, "x1", q0, 200, window=30),
+        "rational": _sampled(h, q0, 200, window=30),
     }
     for (name, variant), want in LINE_PINS.items():
         assert repr(integrate_whole_line(lattices[name], variant, 1e-12)) == want
@@ -185,16 +206,105 @@ _PER_PRIMED = {
 }
 
 
+_F = CFunction(LINE_VARS, {(0, 1): ONE + I, (0, 2): qpow(1)})
+_G = CFunction(LINE_VARS, {(0, 0): scalar(3), (0, 1): qpow(-1) * I})
+
+
+def _integrand(f, g, form):
+    """conj(f) g, or f conj(g) for a primed form."""
+    if form.endswith("p"):
+        return f * conjugate_function("line", g)
+    return conjugate_function("line", f) * g
+
+
 @pytest.mark.parametrize("form, per_geometry", [
     ("1", _PER), ("2", _PER), ("1p", _PER_PRIMED), ("2p", _PER_PRIMED),
 ])
 def test_sesquilinear_values_pinned(form, per_geometry):
-    f = CFunction(LINE_VARS, {(0, 1): ONE + I, (0, 2): qpow(1)})
-    g = CFunction(LINE_VARS, {(0, 0): scalar(3), (0, 1): qpow(-1) * I})
-    comb, per = sesquilinear_line(f, g, form, 1.1, 1e-10)
-    assert repr(comb) == "0j"
+    # the float path keeps its reprs; the exact values agree with them
+    lat = _sampled(_integrand(_F, _G, form), 1.1, 200, window=30)
+    floats = {v: integrate_whole_line(lat, v, 1e-10) for v in _GEOMETRIES}
+    assert {k: repr(v) for k, v in floats.items()} == per_geometry
+    comb, per = sesquilinear_line(_F, _G, form)
+    assert comb == 0
     assert list(per) == list(per_geometry)
-    assert {k: repr(v) for k, v in per.items()} == per_geometry
+    for v, value in per.items():
+        assert abs(value.eval_float(1.1) - floats[v]) <= 1e-14 * abs(floats[v]), v
+
+
+def _closed_window_sum(h, window, signs):
+    """Sum of q^k h(s q^k) over |k| <= window by the closed geometric sums:
+    each monomial c x^n gives c s^n (r^(w+1) - r^-w)/(r - 1), r = q^(n+1)."""
+    total = ZERO
+    for (_, n), c in h.terms.items():
+        r = qpow(n + 1)
+        geometric = (r ** (window + 1) - r ** -window) / (r - 1)
+        total = total + c * sum((s ** n for s in signs), ZERO) * geometric
+    return total
+
+
+@pytest.mark.parametrize("form", ["1", "1p"])
+def test_lattice_sum_matches_the_closed_geometric_sums(form):
+    h = _integrand(_F, _G, form)
+    for signs in ((1,), (-1,), (1, -1)):
+        for window in (0, 3, 30):
+            got = lattice_sum(h, "x1", range(-window, window + 1), signs)
+            assert got == _closed_window_sum(h, window, signs), (signs, window)
+    assert lattice_sum(h, "x1", range(0)) == 0
+
+
+def test_lattice_sum_takes_one_variable_only():
+    h = CFunction(LINE_VARS, {(0, 2): ONE, (1, 1): scalar(3)})
+    with pytest.raises(ValueError, match="single variable"):
+        lattice_sum(h, "x1", range(-2, 3))
+
+
+def test_jackson_weight():
+    assert jackson_weight(1) == qpow(1) - 1
+    assert jackson_weight(-1) == 1 - qpow(-1)
+    assert jackson_weight(2) == qpow(2) - 1
+    assert jackson_weight(-2) == 1 - qpow(-2)
+    with pytest.raises(ValueError, match="nonzero"):
+        jackson_weight(0)
+
+
+@pytest.mark.parametrize("q0", [1.1, 1.2, 1.3])
+def test_exact_reports_agree_with_the_float_path(q0, monkeypatch):
+    """The float Jackson sums of the eval_float samples, the old path of the
+    three reports, against their exact values at q0."""
+    # jackson-numeric: int_0^1 x^n, a geometric series in the lattice
+    for n in range(4):
+        lat = _sampled(CFunction.monomial(LINE_VARS, (0, n)), q0, 800)
+        want = (ONE / qnum(n + 1)).eval_float(q0)
+        assert abs(jackson_integral_numeric(lat, 1, "0_x", 1e-12) - want) <= 1e-9 * abs(want)
+    # integration-by-parts-numeric: both integrals of every geometry on
+    # [q0^-6, q0^4], as the report takes them
+    integrals = []
+
+    def recording(variant, idx, f, g, integrate):
+        for h in _ibp_sides(variant, idx, f, g, lambda h: h):
+            integrals.append((variant, h, integrate(h)))
+        return _ibp_sides(variant, idx, f, g, integrate)
+
+    monkeypatch.setattr(evolution, "_ibp_sides", recording)
+    report = ibp_check_numeric()
+    assert len(integrals) == 8
+    geometry = {mode: (a, sign) for mode, a, sign in _GEOMETRIES.values()}
+    for variant, h, exact in integrals:
+        a, sign = geometry[variant]
+        lat = _sampled(h, q0, 120)
+        up = jackson_integral_numeric(lat, a, "0_x", 1e-12, k0=4)
+        low = jackson_integral_numeric(lat, a, "0_x", 1e-12, k0=-6)
+        want = sign * (up - low)
+        assert abs(exact.eval_float(q0) - want) <= 1e-9 * abs(want), (variant, str(h))
+    assert report.passed
+    # sesquilinear: the per-geometry whole-line integrals of the window
+    for form in ("1", "2p"):
+        lat = _sampled(_integrand(_F, _G, form), q0, 200, window=30)
+        _, per = sesquilinear_line(_F, _G, form)
+        for v, value in per.items():
+            want = integrate_whole_line(lat, v, 1e-12)
+            assert abs(value.eval_float(q0) - want) <= 1e-9 * abs(want), (form, v)
 
 
 def test_broken_scaling_fails_both_ibp_checks(monkeypatch):
@@ -202,7 +312,7 @@ def test_broken_scaling_fails_both_ibp_checks(monkeypatch):
     g = f + CFunction.monomial(LINE_VARS, (1, 0), scalar(2))
     a, b = scalar(Fraction(1, 2)), scalar(3)
     assert ibp_check(f, g, a, b).passed
-    assert ibp_check_numeric(1.1, 1e-12).passed
+    assert ibp_check_numeric().passed
     monkeypatch.setattr(evolution, "scale_arg", lambda h, var, half_steps: h)
     exact = ibp_check(f, g, a, b)
     assert [(x.indices, x.lhs, x.rhs) for x in exact.failures] == [
@@ -211,11 +321,60 @@ def test_broken_scaling_fails_both_ibp_checks(monkeypatch):
         ("right d1", "(35/4)q/(q + 1)", "(35/4)/(q + 1)"),
         ("right_bar d1", "(35/4)/(q + 1)", "(35/4)q/(q + 1)"),
     ]
-    numeric = ibp_check_numeric(1.1, 1e-12)
-    # the lattice sums of both sides, bit for bit
+    numeric = ibp_check_numeric()
+    # the exact lattice sums of both sides
     assert [(x.indices, x.lhs, x.rhs) for x in numeric.failures] == [
-        ("left", "(0.8938276697316585+0j)", "(1.081531480375307+0j)"),
-        ("left_bar", "(1.0815314803753067+0j)", "(0.8938276697316603+0j)"),
-        ("right", "(2.064741917080129-0j)", "(1.8770381064364825+0j)"),
-        ("right_bar", "(1.877038106436482-0j)", "(2.0647419170801307+0j)"),
+        ("left", _SUM_A, _SUM_B),
+        ("left_bar", _SUM_B, _SUM_A),
+        ("right", _SUM_C, _SUM_D),
+        ("right_bar", _SUM_D, _SUM_C),
+    ]
+
+
+_SUM_A = (
+    "q^10 - q^9 + q^7 - q^6 + q^4 - q^3 + q - 1 + q^-2 - q^-3 + q^-5 - q^-6"
+    " + q^-8 - q^-9 + q^-11 - q^-12 + q^-14 - q^-15 + q^-17 - q^-18"
+)
+_SUM_B = (
+    "q^12 - q^11 + q^9 - q^8 + q^6 - q^5 + q^3 - q^2 + 1 - q^-1 + q^-3 - q^-4"
+    " + q^-6 - q^-7 + q^-9 - q^-10 + q^-12 - q^-13 + q^-15 - q^-16"
+)
+_SUM_C = (
+    "q^12 - q^10 + q^9 - q^7 + q^6 - q^4 + q^3 - q + 1 - q^-2 + q^-3 - q^-5"
+    " + q^-6 - q^-8 + q^-9 - q^-11 + q^-12 - q^-14 + q^-15 - q^-17"
+)
+_SUM_D = (
+    "q^11 - q^9 + q^8 - q^6 + q^5 - q^3 + q^2 - 1 + q^-1 - q^-3 + q^-4 - q^-6"
+    " + q^-7 - q^-9 + q^-10 - q^-12 + q^-13 - q^-15 + q^-16 - q^-18"
+)
+
+
+def test_wrong_lattice_weight_fails_the_lattice_checks(monkeypatch):
+    """The weight q - 1 of the base-q sums planted as q: the lattice
+    integration-by-parts check reports the two base-q geometries, and
+    jackson-numeric every power."""
+    exact_weight = cfunc.jackson_weight
+
+    def planted(a):
+        return qpow(a) if a > 0 else exact_weight(a)
+
+    monkeypatch.setattr(evolution, "jackson_weight", planted)
+    monkeypatch.setattr(suites, "jackson_weight", planted)
+    numeric = ibp_check_numeric()
+    assert [(x.indices, x.lhs, x.rhs) for x in numeric.failures] == [
+        ("left",
+         "q^10 + q^7 + q^4 + q + q^-2 + q^-5 + q^-8 + q^-11 + q^-14 + q^-17",
+         "-q^11 - q^9 - q^8 - q^6 - q^5 - q^3 - q^2 - 1 - q^-1 - q^-3 - q^-4"
+         " - q^-6 - q^-7 - q^-9 - q^-10 - q^-12 - q^-13 - q^-15 - q^-16 - q^-18"),
+        ("right_bar",
+         "q^11 + q^10 + q^8 + q^7 + q^5 + q^4 + q^2 + q + q^-1 + q^-2 + q^-4"
+         " + q^-5 + q^-7 + q^-8 + q^-10 + q^-11 + q^-13 + q^-14 + q^-16 + q^-17",
+         "-q^9 - q^6 - q^3 - 1 - q^-3 - q^-6 - q^-9 - q^-12 - q^-15 - q^-18"),
+    ]
+    reports = {r.check: r for r in suites.suite_numeric_integrals(suites.SuiteOptions())}
+    assert [x.indices for x in reports["jackson-numeric"].failures] == [
+        f"int_0^1 x^{n}" for n in range(4)
+    ]
+    assert [name for name, r in reports.items() if not r.passed] == [
+        "jackson-numeric", "integration-by-parts-numeric",
     ]

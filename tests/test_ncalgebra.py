@@ -420,6 +420,16 @@ def test_derived_rule_tables_match_the_printed_ones(space, calculus, ordering):
         assert got[pair] == alts, pair
 
 
+@pytest.mark.parametrize("space, variables", [("line", LINE_VARS), ("euclid3", E3_VARS)])
+def test_reorder_transform_rejects_an_unknown_direction(space, variables):
+    # the line has one ordering, but a misspelt direction is still an error
+    f = CFunction.monomial(variables, (0,) + (1,) * (len(variables) - 1))
+    with pytest.raises(ValueError, match="unknown direction 'bogus'"):
+        reorder_transform(space, f, "bogus")
+    for direction in ("to_reversed", "to_standard"):
+        reorder_transform(space, f, direction)
+
+
 def test_rule_sets_reject_an_unknown_calculus_or_ordering():
     with pytest.raises(ValueError):
         _nc._RuleSet("euclid3", "x", "xd", False)

@@ -162,6 +162,20 @@ def test_inverse_property(space):
                 assert act_partial_closed(idx, variant, g, space) == f, (idx, variant, exps)
 
 
+@pytest.mark.parametrize("space", ["euclid3", "line"])
+def test_unknown_rep_is_rejected(space):
+    # a misspelt representative used to be read as the reversed ordering on
+    # euclid3 and ignored on the line
+    f = mono(E3_VARS, (0, 1, 1, 0)) if space == "euclid3" else mono(LINE_VARS, (0, 2))
+    index = "+" if space == "euclid3" else "1"
+    for variant in ("left", "left_bar", "right", "right_bar"):
+        with pytest.raises(ValueError, match="unknown rep 'bogus'"):
+            act_partial_closed(index, variant, f, space, rep="bogus")
+        if space == "line":  # one ordering, so both representatives act alike
+            assert act_partial_closed(index, variant, f, space, rep="reversed") == (
+                act_partial_closed(index, variant, f, space))
+
+
 def test_scale_arg():
     f = mono(LINE_VARS, (0, 2))
     assert scale_arg(f, "x1", 2) == mono(LINE_VARS, (0, 2), qpow(2))

@@ -657,8 +657,8 @@ def test_equal_cfunctions_evaluate_identically(case):
             assert _bits(f.eval_float(q0, point)) == _bits(g.eval_float(q0, point)), (f, q0)
     # f and g are now the one-variable sums: sample them on a lattice
     q0 = 1.3
-    got = LatticeFunction.from_cfunction(f, "x", q0, 3).samples
-    want = LatticeFunction.from_cfunction(g, "x", q0, 3).samples
+    got = LatticeFunction.from_callable(lambda x: f.eval_float(q0, {"x": x}), q0, 3).samples
+    want = LatticeFunction.from_callable(lambda x: g.eval_float(q0, {"x": x}), q0, 3).samples
     assert [_bits(v) for v in got.values()] == [_bits(v) for v in want.values()], f
     # each sample is eval_float at its lattice point
     for (sign, k), v in got.items():
