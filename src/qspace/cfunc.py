@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .scalars import ONE, ZERO, QScalar, _add_term, _coeff_times, _LinComb, qnum, qpow, scalar
-from .spaces import E3, LINE, X_TOKENS
+from .spaces import E3, LINE, X_TOKENS, check_option
 
 LINE_VARS = X_TOKENS[LINE]
 E3_VARS = X_TOKENS[E3]
@@ -323,8 +323,7 @@ def jackson_integral_numeric(f: LatticeFunction, a: int, bounds: str, tol: float
     origin or toward the infinite end of the axis."""
     if a == 0:
         raise ValueError("Jackson integral base exponent must be nonzero")
-    if bounds not in _BOUNDS:
-        raise ValueError(f"unknown bounds {bounds!r}")
+    check_option("bounds", bounds, _BOUNDS)
     sign, inward = _BOUNDS[bounds]
     q0 = f.q0
     aa = abs(a)

@@ -4,7 +4,7 @@ Exit codes: 0 when everything passes, 1 on a verification failure or when
 a command raises ValueError or ArithmeticError (a division by zero, a sum
 that does not converge), 2 on usage or parse errors: an unknown option, an
 option outside its domain (a derivative index or variant the space does not
-have, a --tol that is not finite and positive, a verify --degree above 8,
+have, an int --tol that is not finite and positive, a verify --degree above 8,
 a verify --q0 outside 1.1 to 1.3).
 Each command imports the layers it uses when it runs, so that a process
 compiles only those."""
@@ -55,7 +55,7 @@ def _verify_q0(text):
 
 
 def _tolerance(text):
-    """The type of verify --tol and int --tol: a finite, positive number."""
+    """The type of int --tol: a finite, positive number."""
     return _finite(text, "positive", lambda value: value > 0)
 
 
@@ -109,7 +109,6 @@ def build_parser(command=None):
     p.add_argument("--json", action="store_true")
     p.add_argument("--degree", type=_verify_degree, default=4)
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--q0", type=_verify_q0, default=1.1)
 
     p = sub.add_parser("nf", help="normal-order a noncommutative expression")
@@ -179,8 +178,7 @@ def _cmd_verify(args):
 
     names = list(SUITES) if args.all or not args.suites else args.suites
     spaces = (args.space,) if args.space else SPACES
-    opts = SuiteOptions(degree=args.degree, order=args.order, tol=args.tol,
-                        q0=args.q0, spaces=spaces)
+    opts = SuiteOptions(degree=args.degree, order=args.order, q0=args.q0, spaces=spaces)
     try:
         reports = run_suite(names, opts)
     except KeyError as exc:

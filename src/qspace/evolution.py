@@ -26,7 +26,7 @@ from .ncalgebra import NCElement, act, lift, lower
 from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
 from .reports import VerificationReport
 from .scalars import I, ONE, QScalar, ZERO, _add_term, qpow, scalar
-from .spaces import CALCULI, LINE, SPATIAL_D
+from .spaces import CALCULI, LINE, SPATIAL_D, check_option
 
 
 class Hamiltonian:
@@ -132,8 +132,7 @@ _UNITS = {"forward": -I, "inverse": I}
 
 def _phases(order: int, direction: str = "forward"):
     """The scalars (-+ i)^n / n!, n = 0..order, that multiply H^n in U."""
-    if direction not in _UNITS:
-        raise ValueError(f"unknown direction {direction!r}")
+    check_option("direction", direction, _UNITS)
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     unit = _UNITS[direction]
@@ -364,8 +363,14 @@ _GEOMETRIES = {
 _BASE_OF_MODE = {mode: a for mode, a, _ in _GEOMETRIES.values()}
 
 
+def _geometry(variant):
+    """The (base exponent, sign) of an integration geometry."""
+    check_option("integration geometry", variant, _GEOMETRIES)
+    return _GEOMETRIES[variant][1:]
+
+
 def integrate_whole_line(f: LatticeFunction, variant: str, tol: float) -> complex:
-    _, a, sign = _GEOMETRIES[variant]
+    a, sign = _geometry(variant)
     return sign * jackson_integral_whole_line(f, a, tol)
 
 
@@ -373,7 +378,7 @@ def integrate_whole_e3(fp, f3, fm, variant: str, tol: float) -> complex:
     """The integral of fp(x+) f3(x3) fm(x-), three lattice functions: q^(-6a)/4
     times their whole-line integrals with base q^(2a), taken in the standard
     axis order for a = 1 and the reversed one for a = -1."""
-    _, a, sign = _GEOMETRIES[variant]
+    a, sign = _geometry(variant)
     pref = qpow(-6 * a) * QScalar.from_rational(Fraction(1, 4))
     total = complex(pref.eval_float(fp.q0))
     for leg in (fp, f3, fm) if a == 1 else (fm, f3, fp):
@@ -460,8 +465,7 @@ def sesquilinear_line(f: CFunction, g: CFunction, form: str):
     The printed minus identities make the averaged forms vanish identically;
     both the averaged value and the per-geometry values are returned so the
     content stays visible."""
-    if form[:1] not in ("1", "2"):
-        raise ValueError(f"unknown form {form!r}")
+    check_option("form", form, ("1", "1p", "2", "2p"))
     if form.endswith("p"):
         integrand = f * conjugate_function("line", g)
     else:

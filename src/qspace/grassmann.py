@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, ZERO, _add_term, _LinComb, qpow, scalar
-from .spaces import CALCULI
+from .spaces import CALCULI, check_option
 
 # the generator tags in normal order (exponents are 0 or 1)
 _GENERATORS = ("th0", "th1", "dth0", "dth1")
@@ -120,8 +120,7 @@ def g_deriv_int(f: SuperNumber, mode: str, as_integral: bool = False) -> QScalar
     integral is computed on its own, as the pairing of dth1 with
     body + soul th1 in the mode's calculus (negated for the right modes);
     it coincides with the derivative."""
-    if mode not in CALCULI:
-        raise ValueError(f"unknown mode {mode!r}")
+    check_option("mode", mode, CALCULI)
     hatted, right = CALCULI[mode][:2]
     if as_integral:
         f_el = GElement({(): f.body, ("th1",): f.soul})
@@ -152,8 +151,7 @@ _PAIRINGS = {
 def g_pairing(kind: str) -> dict:
     """The printed pairing values on generators and the two-index words,
     computed by the act-then-counit procedure in the rewriting engine."""
-    if kind not in _PAIRINGS:
-        raise ValueError(f"unknown pairing kind {kind!r}")
+    check_option("pairing kind", kind, _PAIRINGS)
     coord_first, hatted = _PAIRINGS[kind]
     out = {}
     for i in (0, 1):
@@ -188,8 +186,7 @@ _EXPONENTIALS = {
 
 def g_exponential(variant: str):
     """The four truncated exponentials; nilpotency cuts them at one term."""
-    if variant not in _EXPONENTIALS:
-        raise ValueError(f"unknown variant {variant!r}")
+    check_option("variant", variant, _EXPONENTIALS)
     return list(_EXPONENTIALS[variant])
 
 

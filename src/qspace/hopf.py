@@ -17,7 +17,7 @@ from .pairexp import _EXP_MODE, qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
 from .scalars import LAM, LAMP, ONE, QScalar, _add_term, _memo, _remember, qbinom, qnum, qpow
-from .spaces import CALCULI, LABEL_OF, REVERSED, SUBSTITUTION, X_TOKENS, Y_OF
+from .spaces import CALCULI, LABEL_OF, REVERSED, SUBSTITUTION, X_TOKENS, Y_OF, check_option
 
 TRANSLATE_VARIANTS = tuple(sorted(row[3] for row in CALCULI.values()))
 
@@ -67,8 +67,7 @@ def translate(space: str, variant: str, f: CFunction) -> CFunction:
     over the matching factorial is a binomial, classical or Gaussian, so
     every coefficient is a Laurent polynomial and nothing is divided.
     """
-    if variant not in TRANSLATE_VARIANTS:
-        raise ValueError(f"unknown translation variant {variant!r}")
+    check_option("translation variant", variant, TRANSLATE_VARIANTS)
     want = space_vars(space)
     if f.vars != want:
         f = f.restrict(want)
@@ -125,8 +124,7 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
     identities validate.  Step k of a monomial x3^m3 carries
     D_3^(2k) x3^m3 / [[2k]]!! = [[m3 over 2k]] [[1]][[3]]...[[2k-1]] x3^(m3-2k),
     so no q-factorial is divided."""
-    if variant not in TRANSLATE_VARIANTS:
-        raise ValueError(f"unknown antipode variant {variant!r}")
+    check_option("antipode variant", variant, TRANSLATE_VARIANTS)
     want = space_vars(space)
     if f.vars != want:
         f = f.restrict(want)
@@ -162,6 +160,7 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
 
 def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
     """Apply the antipode operator to the y-legs of a translated function."""
+    check_option("antipode variant", variant, TRANSLATE_VARIANTS)
     out_vars = t.vars
     want = space_vars(space)
     y_idx = [out_vars.index(Y_OF[v]) for v in want]
@@ -185,6 +184,7 @@ def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
 
 def translated_antipoded_monomial(space, variant, exps) -> CFunction:
     """The composite leg: translate the monomial, antipode the y-legs."""
+    check_option("translation variant", variant, TRANSLATE_VARIANTS)
     want = space_vars(space)
     t = translate(space, variant, CFunction.monomial(want, exps))
     return antipode_on_y_legs(space, variant, t)

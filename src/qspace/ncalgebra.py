@@ -39,7 +39,7 @@ from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _Li
 from .scalars import _clear_memos, _memo, _remember
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
-    X_TOKENS, SpaceTable,
+    X_TOKENS, SpaceTable, check_option,
 )
 
 _LAM_TAG = "L"
@@ -287,8 +287,7 @@ class rewrite_strategy:
     'rightmost' is cold and independent of earlier ones."""
 
     def __init__(self, name):
-        if name not in ("leftmost", "rightmost"):
-            raise ValueError(name)
+        check_option("rewrite strategy", name, ("leftmost", "rightmost"))
         self.name = name
 
     def __enter__(self):
@@ -787,8 +786,7 @@ def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
     same transition the right-sided calculi are defined by; each derivative
     factor contributes one sign.
     """
-    if mode not in ACTION_MODES:
-        raise ValueError(f"unknown action mode {mode!r}")
+    check_option("action mode", mode, ACTION_MODES)
     if op.space != f.space:
         raise SpaceMismatch("operator and function live on different spaces")
     if not op.is_operator():
@@ -838,8 +836,7 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
     'to_reversed' re-reads a standard-ordering function as one for the
     reversed spatial ordering; 'to_standard' is the inverse.
     """
-    if direction not in ("to_reversed", "to_standard"):
-        raise ValueError(f"unknown direction {direction!r}")
+    check_option("direction", direction, ("to_reversed", "to_standard"))
     want = space_vars(space)
     if f.vars != want:
         f = f.restrict(want)
@@ -858,6 +855,7 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
 def normalize_in_calculus(space, calculus, word, coeff=ONE):
     """Normal-order a word under a chosen rule set; returns NCElement whose
     keys are read against the *stored* token names."""
+    check_option("calculus", calculus, ("u", "h"))
     out = NCElement(space)
     _add_normal_form(out.terms, space, calculus, "xd", tuple(word), coeff)
     return out

@@ -14,7 +14,7 @@ from .cfunc import CFunction, _mono_text, _monomials, space_vars
 from .ncalgebra import NCElement, act, hat_factor
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, _add_term, _memo, _remember, qfact, qnum, scalar
-from .spaces import CALCULI, D_TOKENS, GRADE, HAT_D_TOKENS, REVERSED, X_TOKENS
+from .spaces import CALCULI, D_TOKENS, GRADE, HAT_D_TOKENS, REVERSED, X_TOKENS, check_option
 
 PAIR_VARIANTS = ("L_Rbar", "Lbar_R")
 # exponential variant -> the action mode of its calculus: coordinate-first
@@ -131,8 +131,7 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     derivative factor.  Terms come sorted by degree from the term table;
     each call returns new elements.
     """
-    if variant not in EXP_VARIANTS:
-        raise ValueError(f"unknown exponential variant {variant!r}")
+    check_option("exponential variant", variant, EXP_VARIANTS)
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     vars_ = space_vars(space)
@@ -163,10 +162,8 @@ def pair(space, variant, u: NCElement, v: NCElement, order: str = "deriv_first")
     """Dual pairing of a derivative word against a coordinate word, computed
     by acting and evaluating at the origin: 'Lbar_R' in the hatted calculus,
     from the left for order 'deriv_first', from the right for 'coord_first'."""
-    if variant not in PAIR_VARIANTS:
-        raise ValueError(f"unknown pairing variant {variant!r}")
-    if order not in ("deriv_first", "coord_first"):
-        raise ValueError(f"unknown pairing order {order!r}")
+    check_option("pairing variant", variant, PAIR_VARIANTS)
+    check_option("pairing order", order, ("deriv_first", "coord_first"))
     mode = _MODE_OF[(variant == "Lbar_R", order == "coord_first")]
     res = act(u, v, mode)
     return res.constant_term()
@@ -183,6 +180,7 @@ def kronecker_check(space, variant: str, degree_bound: int) -> VerificationRepor
     coordinate leg with coefficient one.  The pairing is the left or right
     action of the exponential's own calculus, computed only for the terms
     whose derivative leg has minus the monomial's grade."""
+    check_option("exponential variant", variant, EXP_VARIANTS)
     rep = VerificationReport(f"qexp-kronecker-{variant}", space)
     vars_ = space_vars(space)
     mode = _EXP_MODE[variant]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .cfunc import CFunction
 from .ncalgebra import reorder_transform
 from .scalars import LAM, qpow
-from .spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION, SpaceTable
+from .spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION, SpaceTable, check_option
 
 VARIANTS = tuple(CALCULI)
 
@@ -84,10 +84,8 @@ def _act(actions, index, variant, f, space, rep):
     ordering and get conjugated by the ordering transport when applied to a
     standard-ordering representative, and the plain ones the other way
     round."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if rep not in ("standard", "reversed"):
-        raise ValueError(f"unknown rep {rep!r}")
+    check_option("variant", variant, VARIANTS)
+    check_option("rep", rep, ("standard", "reversed"))
     hatted, right = CALCULI[variant][:2]
     s, mirrored = SUBSTITUTION[variant]
     back = None

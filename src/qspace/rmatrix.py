@@ -49,12 +49,6 @@ class QMatrix(_LinComb):
     def get(self, i, j):
         return self.terms.get((i, j), ZERO)
 
-    def set(self, i, j, v):
-        if v:
-            self.terms[(i, j)] = v
-        else:
-            self.terms.pop((i, j), None)
-
     def __mul__(self, other):
         by_row = {}
         for (i, k), v in self.terms.items():
@@ -82,69 +76,43 @@ class QMatrix(_LinComb):
         return _coeff_times(c, self._mono_str(k))
 
 
-class RMatrix:
-    """Braiding matrix on the two-fold tensor space, indexed by label pairs."""
-
-    def __init__(self, space, mat: QMatrix):
-        self.space = space
-        self.labels = labels(space)
-        self.dim = len(self.labels)
-        self.mat = mat
-        self._pair_index = _pair_idx(space)
-
-    def entry(self, upper, lower):
-        """R^{upper}_{lower} with upper/lower label pairs like ('+', '3')."""
-        return self.mat.get(self._pair_index[tuple(upper)], self._pair_index[tuple(lower)])
-
-
 def _pair_idx(space):
     ls = labels(space)
     d = len(ls)
     return {(a, b): i * d + j for i, a in enumerate(ls) for j, b in enumerate(ls)}
 
 
-def build_R(space) -> RMatrix:
-    """Both braiding matrices, assembled from their printed blocks."""
-    idx = _pair_idx(space)
-    if space == "line":
-        m = QMatrix(4)
-        m.set(idx[("0", "0")], idx[("0", "0")], ONE)
-        m.set(idx[("0", "1")], idx[("1", "0")], ONE)
-        m.set(idx[("1", "0")], idx[("0", "1")], ONE)
-        m.set(idx[("1", "1")], idx[("1", "1")], qpow(1))
-        return RMatrix(space, m)
-    ll = LAM * LAMP
-    m = QMatrix(16)
+_SWAP = [[ZERO, ONE], [ONE, ZERO]]
+_Q2, _LL = qpow(-2), LAM * LAMP
+# the blocks of each braiding: row label pairs -> rows of entries, each
+# block's columns ordered like its rows.  The time blocks are the trivial
+# braiding (see TIME_BLOCK_NOTE), the spatial blocks are as printed
+_BLOCKS = SpaceTable({
+    LINE: {("00",): [[ONE]], ("01", "10"): _SWAP, ("11",): [[qpow(1)]]},
+    E3: {
+        ("00",): [[ONE]], ("0+", "+0"): _SWAP, ("03", "30"): _SWAP, ("0-", "-0"): _SWAP,
+        ("++", "--"): [[ONE, ZERO], [ZERO, ONE]],
+        ("+3", "3+"): [[ZERO, _Q2], [_Q2, _Q2 * _LL]],
+        ("3-", "-3"): [[ZERO, _Q2], [_Q2, _Q2 * _LL]],
+        ("+-", "33", "-+"): [
+            [ZERO, ZERO, qpow(-4)],
+            [ZERO, _Q2, qpow(-3) * _LL],
+            [qpow(-4), qpow(-3) * _LL, qpow(-3) * LAM * _LL],
+        ],
+    },
+})
 
-    def put(rows, table):
+
+def build_R(space) -> QMatrix:
+    """The braiding matrix of a space from its block table, indexed by
+    label pairs through _pair_idx."""
+    idx = _pair_idx(space)
+    terms = {}
+    for rows, table in _BLOCKS[space].items():
         for a, row in zip(rows, table):
             for b, v in zip(rows, row):
-                if v:
-                    m.set(idx[a], idx[b], v)
-
-    put([("+", "+"), ("-", "-")], [[ONE, ZERO], [ZERO, ONE]])
-    put(
-        [("+", "3"), ("3", "+")],
-        [[ZERO, qpow(-2)], [qpow(-2), qpow(-2) * ll]],
-    )
-    put(
-        [("3", "-"), ("-", "3")],
-        [[ZERO, qpow(-2)], [qpow(-2), qpow(-2) * ll]],
-    )
-    put(
-        [("+", "-"), ("3", "3"), ("-", "+")],
-        [
-            [ZERO, ZERO, qpow(-4)],
-            [ZERO, qpow(-2), qpow(-3) * ll],
-            [qpow(-4), qpow(-3) * ll, qpow(-3) * LAM * ll],
-        ],
-    )
-    # time block: trivial braiding (see TIME_BLOCK_NOTE)
-    m.set(idx[("0", "0")], idx[("0", "0")], ONE)
-    for a in _E3_SPATIAL:
-        m.set(idx[("0", a)], idx[(a, "0")], ONE)
-        m.set(idx[(a, "0")], idx[("0", a)], ONE)
-    return RMatrix(space, m)
+                terms[idx[tuple(a)], idx[tuple(b)]] = v
+    return QMatrix(len(idx), terms)
 
 
 _EIGENVALUES = SpaceTable({
@@ -157,28 +125,18 @@ def eigenvalues(space):
     return _EIGENVALUES[space]()
 
 
-class ProjectorSet:
-    def __init__(self, space, projectors, eigvals):
-        self.space = space
-        self.projectors = projectors  # name -> QMatrix
-        self.eigenvalues = eigvals    # name -> QScalar
-
-    def names(self):
-        return list(self.projectors)
-
-
 @functools.cache
-def build_projectors(space) -> ProjectorSet:
-    """Spectral projectors interpolated from the eigenvalue table: the
-    projector of eigenvalue lam is the product over the other eigenvalues
-    mu of (R - mu) / (lam - mu).
+def build_projectors(space) -> dict:
+    """Spectral projectors {name: QMatrix} interpolated from the eigenvalue
+    table: the projector of eigenvalue lam is the product over the other
+    eigenvalues mu of (R - mu) / (lam - mu).
 
     Each projector's eigenvalue is read from the table, not off the
     subscript (on the line the '+' projector belongs to eigenvalue -1).
-    Built once per space: every caller shares the set, so none may change
-    its dicts or a matrix's terms.
+    Built once per space: every caller shares the dict, so none may change
+    it or a matrix's terms.
     """
-    R = build_R(space).mat
+    R = build_R(space)
     Id = QMatrix.identity(R.n)
     evs = eigenvalues(space)
     shifted = {name: R - Id.scale(ev) for name, ev in evs.items()}
@@ -190,239 +148,150 @@ def build_projectors(space) -> ProjectorSet:
                 num = num * shifted[other]
                 den = den * (lam - mu)
         projs[name] = num.scale(ONE / den)
-    return ProjectorSet(space, projs, evs)
+    return projs
 
 
-def check_ybe(R: RMatrix) -> VerificationReport:
+def check_ybe(space, R: QMatrix) -> VerificationReport:
     """Braid relation R12 R23 R12 = R23 R12 R23 on the triple tensor space."""
-    rep = VerificationReport("ybe", R.space)
-    d = R.dim
-    n3 = d ** 3
-    r12 = QMatrix(n3)
-    r23 = QMatrix(n3)
-    for (ij, kl), v in R.mat.terms.items():
-        i, j = divmod(ij, d)
-        k, l = divmod(kl, d)
+    rep = VerificationReport("ybe", space)
+    ls = labels(space)
+    d = len(ls)
+    r12, r23 = {}, {}
+    for (ij, kl), v in R.terms.items():
         for m in range(d):
-            r12.set((i * d + j) * d + m, (k * d + l) * d + m, v)
-            r23.set((m * d + i) * d + j, (m * d + k) * d + l, v)
+            r12[ij * d + m, kl * d + m] = v
+            r23[m * d * d + ij, m * d * d + kl] = v
+    r12, r23 = QMatrix(d ** 3, r12), QMatrix(d ** 3, r23)
     lhs = r12 * r23 * r12
     rhs = r23 * r12 * r23
-    diff = lhs - rhs
-    if not diff.is_zero():
-        ls = labels(R.space)
-        for (a, b), v in sorted(diff.terms.items())[:20]:
-            def trip(x):
-                i, r = divmod(x, d * d)
-                j, k = divmod(r, d)
-                return ls[i] + ls[j] + ls[k]
-            rep.record(f"({trip(a)},{trip(b)})", str(lhs.get(a, b)), str(rhs.get(a, b)))
-    if R.space == "euclid3":
+    triples = [a + b + c for a in ls for b in ls for c in ls]
+    for a, b in sorted((lhs - rhs).terms)[:20]:
+        rep.record(f"({triples[a]},{triples[b]})", str(lhs.get(a, b)), str(rhs.get(a, b)))
+    if space == E3:
         rep.note(TIME_BLOCK_NOTE)
     return rep
 
 
-def spectral_check(R: RMatrix, P: ProjectorSet) -> VerificationReport:
+def spectral_check(space) -> VerificationReport:
     """R equals the eigenvalue-weighted projector sum, and the minimal
     polynomial built from the eigenvalue list annihilates R."""
-    rep = VerificationReport("spectral", R.space)
-    acc = QMatrix(R.mat.n)
-    for name, proj in P.projectors.items():
-        acc = acc + proj.scale(P.eigenvalues[name])
-    if acc != R.mat:
-        diff = acc - R.mat
-        for k, v in sorted(diff.terms.items())[:10]:
-            rep.record(k, str(acc.get(*k)), str(R.mat.get(*k)))
-    Id = QMatrix.identity(R.mat.n)
+    rep = VerificationReport("spectral", space)
+    R = build_R(space)
+    evs = eigenvalues(space)
+    acc = QMatrix(R.n)
+    for name, proj in build_projectors(space).items():
+        acc = acc + proj.scale(evs[name])
+    for k in sorted((acc - R).terms)[:10]:
+        rep.record(k, str(acc.get(*k)), str(R.get(*k)))
+    Id = QMatrix.identity(R.n)
     minpoly = Id
-    for name in P.projectors:
-        minpoly = minpoly * (R.mat - Id.scale(P.eigenvalues[name]))
-    if not minpoly.is_zero():
-        for k, v in sorted(minpoly.terms.items())[:10]:
-            rep.record(k, str(v), "0")
+    for ev in evs.values():
+        minpoly = minpoly * (R - Id.scale(ev))
+    for k, v in sorted(minpoly.terms.items())[:10]:
+        rep.record(k, str(v), "0")
     return rep
 
 
-def projector_algebra_check(P: ProjectorSet) -> VerificationReport:
+def projector_algebra_check(space) -> VerificationReport:
     """Idempotence, mutual orthogonality, completeness."""
-    rep = VerificationReport("projectors", P.space)
-    names = P.names()
-    n = P.projectors[names[0]].n
-    Id = QMatrix.identity(n)
-    total = QMatrix(n)
-    for a in names:
-        pa = P.projectors[a]
+    rep = VerificationReport("projectors", space)
+    P = build_projectors(space)
+    Id = QMatrix.identity(len(_pair_idx(space)))
+    total = QMatrix(Id.n)
+    for a, pa in P.items():
         total = total + pa
-        if (pa * pa) != pa:
-            rep.record(f"{a}^2 != {a}", str(a), "")
-        for b in names:
-            if a < b:
-                if not (P.projectors[a] * P.projectors[b]).is_zero():
-                    rep.record(f"{a}*{b} != 0", a, b)
+        if pa * pa != pa:
+            rep.record(f"{a}^2 != {a}", a, "")
+        for b, pb in P.items():
+            if a < b and pa * pb:
+                rep.record(f"{a}*{b} != 0", a, b)
     if total != Id:
         rep.record("sum != Id", "sum of projectors", "Id")
     return rep
 
 
-class RewriteRule:
-    """A directed coordinate relation: left word -> normal-ordered right side."""
-
-    def __init__(self, lhs, rhs_terms):
-        self.lhs = tuple(lhs)            # pair of labels
-        self.rhs = dict(rhs_terms)       # {label pair: QScalar}
-
-
-def relations_from_projectors(space) -> list:
-    """Solve P (X (x) X) = 0 for the antisymmetric-type projectors and emit
-    the relations as rewrite rules directed toward the canonical order."""
+def relations_from_projectors(space) -> dict:
+    """Solve P (X (x) X) = 0 for the antisymmetric-type projectors: one
+    relation per disordered label pair, {pair: {ordered pair: QScalar}},
+    directed toward the canonical order."""
     P = build_projectors(space)
-    ls = labels(space)
-    d = len(ls)
+    idx = _pair_idx(space)
+    d = len(labels(space))
+    # Gauss-Jordan elimination over the column order: disordered products
+    # first (they become the relation left sides), then ordered products
+    cols = sorted(idx, key=lambda p: (idx[p] // d <= idx[p] % d, idx[p]))
     # the q-antisymmetrizers are the negative-eigenvalue projectors; on the
     # line the printed subscript labels run against that assignment, so the
     # selection goes by eigenvalue, not by name
-    minus_one = -ONE
-    which = [
-        name
-        for name, ev in P.eigenvalues.items()
-        if ev == minus_one or ev == -qpow(-4)
+    mat = [
+        [P[name].get(r, idx[p]) for p in cols]
+        for name, ev in eigenvalues(space).items()
+        if ev in (-ONE, -qpow(-4))
+        for r in range(len(idx))
     ]
-    rows = []
-    for name in which:
-        proj = P.projectors[name]
-        by_row = {}
-        for (r, c), v in proj.terms.items():
-            by_row.setdefault(r, {})[c] = v
-        rows.extend(by_row.values())
-
-    # Gaussian elimination over the column order: disordered products first
-    # (they become the rule left sides), then ordered products.
-    order = {}
-    pos = 0
-    pairs = [(a, b) for a in range(d) for b in range(d)]
-    for a, b in sorted(pairs, key=lambda p: (p[0] <= p[1], p)):
-        order[a * d + b] = pos
-        pos += 1
-    cols = sorted(range(d * d), key=lambda c: order[c])
-
-    mat = [[row.get(c, ZERO) for c in cols] for row in rows]
-    rules = []
     lead = 0
-    for cidx in range(len(cols)):
-        pivot = None
-        for r in range(lead, len(mat)):
-            if mat[r][cidx]:
-                pivot = r
-                break
+    for j in range(len(cols)):
+        pivot = next((r for r in range(lead, len(mat)) if mat[r][j]), None)
         if pivot is None:
             continue
-        mat[lead], mat[pivot] = mat[pivot], mat[lead]
-        inv = ONE / mat[lead][cidx]
-        mat[lead] = [v * inv for v in mat[lead]]
-        for r in range(len(mat)):
-            if r != lead and mat[r][cidx]:
-                f = mat[r][cidx]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[lead])]
+        inv = ONE / mat[pivot][j]
+        mat[pivot], mat[lead] = mat[lead], [v * inv for v in mat[pivot]]
+        for r, row in enumerate(mat):
+            if r != lead and row[j]:
+                mat[r] = [a - row[j] * b for a, b in zip(row, mat[lead])]
         lead += 1
+    rules = {}
     for row in mat[:lead]:
-        c0 = next(i for i, v in enumerate(row) if v)
-        a, b = divmod(cols[c0], d)
-        rhs = {}
-        for i in range(c0 + 1, len(cols)):
-            if row[i]:
-                aa, bb = divmod(cols[i], d)
-                rhs[(ls[aa], ls[bb])] = -row[i]
-        rules.append(RewriteRule((ls[a], ls[b]), rhs))
+        (lhs, _one), *rhs = [(p, v) for p, v in zip(cols, row) if v]
+        rules[lhs] = {p: -v for p, v in rhs}
     return rules
 
 
-class QuantumMetric:
-    """Invariant bilinear form on the spatial indices, extracted from the
-    trace-part projector; only (+-), (-+), (33) entries are nonzero."""
-
-    def __init__(self, lower, upper):
-        self.lower = lower  # {(A,B): QScalar}
-        self.upper = upper
-
-    def low(self, a, b):
-        return self.lower.get((a, b), ZERO)
-
-    def up(self, a, b):
-        return self.upper.get((a, b), ZERO)
-
-
-def metric_from_P0() -> QuantumMetric:
+def metric_from_P0():
     """Factor the rank-one spatial block of the trace projector into
-    g^{AB} g_{CD} / (g^{EF} g_{EF}), normalized so g^{33} = 1."""
-    P = build_projectors("euclid3")
-    P0 = P.projectors["P0"]
-    idx = _pair_idx("euclid3")
-    spatial = _E3_SPATIAL
-    block = {}
-    for a in spatial:
-        for b in spatial:
-            for c in spatial:
-                for e in spatial:
-                    v = P0.get(idx[(a, b)], idx[(c, e)])
-                    if v:
-                        block[((a, b), (c, e))] = v
-    # rank-1 check: every 2x2 minor over the index pairs vanishes
-    keys_r = sorted({k[0] for k in block})
-    keys_c = sorted({k[1] for k in block})
-    get = lambda r, c: block.get((r, c), ZERO)
-    for r1 in keys_r:
-        for r2 in keys_r:
-            for c1 in keys_c:
-                for c2 in keys_c:
-                    minor = get(r1, c1) * get(r2, c2) - get(r1, c2) * get(r2, c1)
-                    if minor:
-                        raise ArithmeticError("spatial trace block is not rank one")
-    ref = ("3", "3")
-    pivot = get(ref, ref)
+    g^{AB} g_{CD} / (g^{EF} g_{EF}), normalized so g^{33} = 1.  Returns the
+    (lower, upper) metric as dicts {(A, B): QScalar} of the nonzero
+    entries."""
+    P0 = build_projectors(E3)["P0"]
+    idx = _pair_idx(E3)
+    spatial = {(a, b): idx[a, b] for a in _E3_SPATIAL for b in _E3_SPATIAL}
+    ref = idx["3", "3"]
+    pivot = P0.get(ref, ref)
     if not pivot:
         raise ArithmeticError("vanishing (33,33) entry in the trace block")
-    upper = {}
-    lower = {}
-    for a in spatial:
-        for b in spatial:
-            u = get((a, b), ref) / pivot
-            l = get(ref, (a, b)) / pivot
-            if u:
-                upper[(a, b)] = u
-            if l:
-                lower[(a, b)] = l
+    # rank one: each entry times the pivot is its pivot-column entry times
+    # its pivot-row entry
+    for r in spatial.values():
+        for c in spatial.values():
+            if P0.get(r, c) * pivot != P0.get(r, ref) * P0.get(ref, c):
+                raise ArithmeticError("spatial trace block is not rank one")
+    upper = {p: P0.get(i, ref) / pivot for p, i in spatial.items()}
+    lower = {p: P0.get(ref, i) / pivot for p, i in spatial.items()}
     # fix the remaining scale by g^{AB} g_{BC} = delta^A_C at A = C = 3
-    s = ZERO
-    for b in spatial:
-        s = s + upper.get(("3", b), ZERO) * lower.get((b, "3"), ZERO)
-    inv = ONE / s
-    lower = {k: v * inv for k, v in lower.items()}
-    return QuantumMetric(lower, upper)
+    inv = ONE / sum((upper["3", b] * lower[b, "3"] for b in _E3_SPATIAL), ZERO)
+    return {p: v * inv for p, v in lower.items() if v}, {p: v for p, v in upper.items() if v}
 
 
-def metric_check(g: QuantumMetric) -> VerificationReport:
+def metric_check(lower, upper) -> VerificationReport:
     """Only the (+-), (-+) and (33) entries are nonzero, the lower metric is
     the one the engine's conjugation lowers a coordinate index with,
     conj(X^A) = g_{AB} X^B, and the upper metric is its inverse."""
-    rep = VerificationReport("metric", "euclid3")
-    spatial = _E3_SPATIAL
+    rep = VerificationReport("metric", E3)
     allowed = {("+", "-"), ("-", "+"), ("3", "3")}
-    for k in list(g.lower) + list(g.upper):
+    for k in list(lower) + list(upper):
         if k not in allowed:
             rep.record(k, "nonzero entry", "0")
     x_of = dict(zip(LABELS[E3], X_TOKENS[E3]))
-    for a in spatial:
+    for a in _E3_SPATIAL:
         lowered = NCElement.zero(E3)
-        for b in spatial:
-            lowered = lowered + NCElement.generator(E3, x_of[b]).scale(g.low(a, b))
+        for b in _E3_SPATIAL:
+            lowered = lowered + NCElement.generator(E3, x_of[b]).scale(lower.get((a, b), ZERO))
         conj = NCElement.generator(E3, x_of[a]).conjugate()
         if lowered != conj:
             rep.record(f"conj X{a}", str(lowered), str(conj))
-    for a in spatial:
-        for c in spatial:
-            s = ZERO
-            for b in spatial:
-                s = s + g.up(a, b) * g.low(b, c)
+    for a in _E3_SPATIAL:
+        for c in _E3_SPATIAL:
+            s = sum((upper.get((a, b), ZERO) * lower.get((b, c), ZERO) for b in _E3_SPATIAL), ZERO)
             want = ONE if a == c else ZERO
             if s != want:
                 rep.record(f"g^({a}B) g_(B{c})", str(s), str(want))

@@ -1194,6 +1194,8 @@ def qnum(n: int, a: int = 1) -> QScalar:
 
 def qfact(n: int, a: int = 1, kind: str = "plain") -> QScalar:
     """q-factorial [[n]]_{q^a}! or the even double factorial [[n]]_{q^a}!!."""
+    if kind not in ("plain", "double"):
+        raise ValueError(f"unknown q-factorial kind {kind!r}")
     if n < 0:
         raise ValueError("q-factorials are defined for n >= 0")
     if kind == "plain":
@@ -1208,7 +1210,6 @@ def qfact(n: int, a: int = 1, kind: str = "plain") -> QScalar:
         for j in range(2, n + 1, 2):
             out = out * qnum(j, a)
         return out
-    raise ValueError(f"unknown q-factorial kind: {kind!r}")
 
 
 # every module-level value memo of the package, from the rewrite engine's to

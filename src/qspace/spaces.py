@@ -8,8 +8,9 @@ per-space table of the package is derived from these at import, among them
 GRADE, the weight (time degree, spatial degree, charge) that every rewrite
 rule keeps and that decides which pairings can be nonzero.  A table
 keyed by space name raises ValueError for any other name.  A fourth literal
-names the four one-sided calculi the spaces carry.  Data only: the module
-imports nothing from the package.
+names the four one-sided calculi the spaces carry.  Besides the data, the
+module holds check_option, the one check of a string option against its
+table; it imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ class SpaceTable(dict):
 
     def __missing__(self, name):
         raise ValueError(f"unknown space {name!r}")
+
+
+def check_option(what, value, table):
+    """Raise ValueError("unknown <what> '<value>'") unless value is in
+    table.  Every string option is checked so, before any work."""
+    if value not in table:
+        raise ValueError(f"unknown {what} {value!r}")
 
 
 # -- the literals -------------------------------------------------------------

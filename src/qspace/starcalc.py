@@ -14,15 +14,14 @@ from .cfunc import CFunction, _monomials, space_vars
 from .ncalgebra import lift, lower, reorder_transform
 from .reports import VerificationReport
 from .scalars import LAM, ONE, QScalar, _add_term, _memo, _remember, qbinom, qnum
-from .spaces import E3
+from .spaces import E3, check_option
 
 
 class StarContext:
     """Which space and which normal ordering the product refers to."""
 
     def __init__(self, space: str, ordering: str = "standard"):
-        if ordering not in ("standard", "reversed"):
-            raise ValueError(f"unknown ordering {ordering!r}")
+        check_option("ordering", ordering, ("standard", "reversed"))
         self.space = space
         self.vars = space_vars(space)  # an unknown space fails here, not in star
         self.ordering = ordering

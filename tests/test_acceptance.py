@@ -15,7 +15,7 @@ from qspace.cfunc import CFunction, LatticeFunction, jackson_integral_numeric, s
 from qspace.cli import main
 from qspace.expressions import parse, render
 from qspace.ncalgebra import NCElement, act, lift, lower, normal_form
-from qspace.scalars import GaussianRational, LAM, ONE, qpow, scalar
+from qspace.scalars import GaussianRational, LAM, ONE, ZERO, qpow, scalar
 from qspace.spaces import CALCULI, D_OF_LABEL, HAT_POWER
 
 SPACES = ("line", "euclid3")
@@ -39,7 +39,7 @@ def _monomials(vars_, maxdeg):
 
 def test_criterion_01_yang_baxter():
     t0 = time.time()
-    ok = all(rmatrix.check_ybe(rmatrix.build_R(s)).passed for s in SPACES)
+    ok = all(rmatrix.check_ybe(s, rmatrix.build_R(s)).passed for s in SPACES)
     dt = time.time() - t0
     _report("criterion 1: Yang-Baxter braid relation, both spaces", ok and dt < 5.0,
             f"{dt:.2f}s < 5s")
@@ -48,38 +48,36 @@ def test_criterion_01_yang_baxter():
 def test_criterion_02_projector_algebra():
     ok = True
     for space in SPACES:
-        R = rmatrix.build_R(space)
-        P = rmatrix.build_projectors(space)
-        ok &= rmatrix.projector_algebra_check(P).passed
-        ok &= rmatrix.spectral_check(R, P).passed
+        ok &= rmatrix.projector_algebra_check(space).passed
+        ok &= rmatrix.spectral_check(space).passed
         want = (
             {ONE, -ONE, qpow(1)}
             if space == "line"
             else {ONE, -qpow(-4), qpow(-6), -ONE}
         )
-        ok &= set(P.eigenvalues.values()) == want
+        ok &= set(rmatrix.eigenvalues(space).values()) == want
     _report("criterion 2: projector algebra and spectral reconstruction", ok)
 
 
 def test_criterion_03_relations():
-    rules = {r.lhs: r.rhs for r in rmatrix.relations_from_projectors("euclid3")}
+    rules = rmatrix.relations_from_projectors("euclid3")
     ok = rules.get(("-", "+")) == {("+", "-"): ONE, ("3", "3"): LAM}
     ok &= rules.get(("3", "+")) == {("+", "3"): qpow(2)}
     ok &= rules.get(("-", "3")) == {("3", "-"): qpow(2)}
     for a in ("+", "3", "-"):
         ok &= rules.get((a, "0")) == {("0", a): ONE}
     ok &= len(rules) == 6
-    line_rules = {r.lhs: r.rhs for r in rmatrix.relations_from_projectors("line")}
+    line_rules = rmatrix.relations_from_projectors("line")
     ok &= line_rules == {("1", "0"): {("0", "1"): ONE}}
     _report("criterion 3: kernel relations reproduce the printed set", ok)
 
 
 def test_criterion_04_metric():
-    g = rmatrix.metric_from_P0()
-    ok = rmatrix.metric_check(g).passed
-    ok &= g.up("+", "-") == -qpow(1)
-    ok &= g.up("-", "+") == -qpow(-1)
-    ok &= g.up("3", "3") == ONE
+    g_low, g_up = rmatrix.metric_from_P0()
+    ok = rmatrix.metric_check(g_low, g_up).passed
+    ok &= g_up.get(("+", "-"), ZERO) == -qpow(1)
+    ok &= g_up.get(("-", "+"), ZERO) == -qpow(-1)
+    ok &= g_up.get(("3", "3"), ZERO) == ONE
     _report("criterion 4: quantum metric from the trace projector", ok)
 
 

@@ -208,8 +208,9 @@ def test_sesquilinear_primed_and_hermiticity_question():
     comb2, per2 = sesquilinear_line(g, f, "1")
     # real integrands: the L-geometry values agree under the swap
     assert per["L"] == per2["L"]
-    with pytest.raises(ValueError, match="unknown form '3'"):
-        sesquilinear_line(f, g, "3")
+    for form in ("3", "1bogus", "2xp"):
+        with pytest.raises(ValueError, match=f"^unknown form '{form}'$"):
+            sesquilinear_line(f, g, form)
 
 
 def test_build_U_rejects_unknown_direction():

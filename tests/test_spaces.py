@@ -1,8 +1,15 @@
 """The per-space table: every derived name, order and map pinned to the
 literals it replaces, and one error for an unknown space.  The same for the
-calculus table and the per-layer tables derived from it."""
+calculus table and the per-layer tables derived from it, and one error for
+any other unknown string option."""
+
+import importlib
+import inspect
+import pkgutil
 
 import pytest
+
+import qspace
 
 from qspace import cfunc, cli, evolution, grassmann, hopf, ncalgebra, pairexp, qfunc, rmatrix
 from qspace import spaces, suites
@@ -117,6 +124,77 @@ _F = CFunction.monomial(E3_VARS, (0, 1, 0, 0))
 def test_unknown_space_raises_one_error(call):
     with pytest.raises(ValueError, match=r"^unknown space 'foo'$"):
         call("foo")
+
+
+# -- string options -------------------------------------------------------------
+
+# the parameter names that take a string option; a parameter with a string
+# default takes one too.  `space` is left to the test above
+_OPTION_NAMES = {
+    "bounds", "calculus", "direction", "form", "index", "kind", "mode", "name", "ordering",
+    "rep", "variant",
+}
+# parameters of those names that take free text or fill a record, not an option
+_NOT_OPTIONS = {
+    "cfunc.lattice_sum.name",  # a variable of the summed function
+    "expressions.Value.kind",  # the kind the parser found
+    "pairexp.TensorSeries.variant",  # the record qexp fills
+    "reports.VerificationReport.status",
+}
+# a valid value for each other option of a function that takes several
+_VALID = {"space": E3, "index": "+", "variant": "left"}
+_VALID_BY_FUNCTION = {"pair": {"variant": "L_Rbar"}}
+
+
+def _string_options():
+    """(function, option) for every string option of a public function or
+    class of the package, found from the signatures."""
+    for info in pkgutil.iter_modules(qspace.__path__):
+        module = importlib.import_module(f"qspace.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            try:
+                params = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            for p in params:
+                key = f"{info.name}.{name}.{p.name}"
+                if key not in _NOT_OPTIONS and p.name != "space" and (
+                        p.name in _OPTION_NAMES or isinstance(p.default, str)):
+                    yield pytest.param(obj, p.name, id=key)
+
+
+_STRING_OPTIONS = list(_string_options())
+
+
+def test_the_walk_finds_the_string_options():
+    found = {p.id for p in _STRING_OPTIONS}
+    assert len(found) >= 27
+    assert {
+        "pairexp.kronecker_check.variant", "evolution.integrate_whole_line.variant",
+        "evolution.integrate_whole_e3.variant", "evolution.sesquilinear_line.form",
+        "ncalgebra.rewrite_strategy.name", "qfunc.act_partial_closed.rep",
+    } <= found
+
+
+@pytest.mark.parametrize("fn, option", _STRING_OPTIONS)
+@pytest.mark.parametrize("value", ["bogus", "1bogus"])
+def test_a_bogus_string_option_is_rejected_before_any_work(fn, option, value):
+    # every other argument without a default is None, so any work done
+    # before the check fails with another error; "1bogus" catches a check
+    # that reads only a value's first character
+    valid = {**_VALID, **_VALID_BY_FUNCTION.get(fn.__name__, {})}
+    kwargs = {}
+    for p in inspect.signature(fn).parameters.values():
+        if p.name == option:
+            kwargs[p.name] = value
+        elif p.name in valid:
+            kwargs[p.name] = valid[p.name]
+        elif p.default is p.empty:
+            kwargs[p.name] = None
+    with pytest.raises(ValueError, match=rf"^unknown [\w -]+ '{value}'"):
+        fn(**kwargs)
 
 
 # -- the calculus table --------------------------------------------------------
