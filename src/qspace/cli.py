@@ -1,11 +1,12 @@
 """Command-line interface: expression tools and the verification runner.
 
 Exit codes: 0 when everything passes, 1 on a verification failure or when
-a command raises ValueError or ArithmeticError (a division by zero, a sum
-that does not converge), 2 on usage or parse errors: an unknown option, an
-option outside its domain (a derivative index or variant the space does not
-have, an int --tol that is not finite and positive, a verify --degree above 8,
-a verify --q0 outside 1.1 to 1.3).
+a command raises ValueError or ArithmeticError (a sum that does not
+converge), 2 on usage or parse errors: an unknown option, an option outside
+its domain (a derivative index or variant the space does not have, an int
+--tol that is not finite and positive, a verify --degree above 8, a verify
+--q0 outside 1.1 to 1.3), a division by a zero scalar or a zero scalar to a
+negative power in an expression (a parse error at its '/' or '^').
 Each command imports the layers it uses when it runs, so that a process
 compiles only those."""
 

@@ -11,8 +11,10 @@ A unary minus binds looser than '^' everywhere: -x3^2 is -(x3^2), also
 after '+' or '*'.  '/' divides scalars only.  Negative powers apply to
 scalars and L, half-integer powers (k/2) to q and L.  An exponent literal
 (k in k/2 too) is at most MAX_EXPONENT = 10000 in absolute value; a larger
-one is a ParseError at its '^'.  Every ParseError carries the exact offset
-of the offending character or token, or the length of the text at its end.
+one is a ParseError at its '^', and so is a zero scalar to a negative power;
+a division by a zero scalar is one at its '/'.  Every ParseError carries the
+exact offset of the offending character or token, or the length of the text
+at its end.
 
 Capitalized coordinate names and derivative names build noncommutative
 elements (factor order is preserved), lowercase coordinates build
@@ -229,6 +231,8 @@ class _Parser:
             if div:
                 if vkind != "scalar" or fkind != "scalar":
                     raise self._error("division is defined for scalars only", at)
+                if not data:
+                    raise self._error("division by zero scalar", at)
                 coeff = coeff / data
             elif fkind == "scalar":
                 coeff = data if coeff is ONE else coeff * data
@@ -340,6 +344,8 @@ class _Parser:
                 if data != Q:
                     raise self._error("half-integer powers apply to q and L only", at)
                 return fkind, QScalar.q_power(num)
+            if num < 0 and not data:
+                raise self._error("division by zero scalar", at)
             return fkind, QScalar.q_power(2 * num) if data is Q else data ** num
         lam = _lambda_steps(fkind, data)
         if lam is not None:  # L to a power, in half-steps

@@ -374,6 +374,13 @@ def _pneg(a):
     return {k: -v for k, v in re.items()}, im and {k: -v for k, v in im.items()}, d
 
 
+# an int-dict product of at least this many term pairs is packed (_kron).
+# On the dense products of the star legs and the line's Leibniz rules,
+# packing breaks even near 256 pairs and wins about twice over from 512.
+# The largest product of the benchmark's workloads has 416 pairs
+_PACK_MIN = 512
+
+
 def _pmul(a, b):
     if not a or not b:
         return {}
@@ -388,6 +395,11 @@ def _pmul(a, b):
     if len(b) == 1:
         ((kb, cb),) = b.items()
         return _pscale(a, cb, kb)
+    if len(a) * len(b) >= _PACK_MIN:
+        step, n = _kgrid(a, b)
+        # packing pays from about four term pairs per slot of the product
+        if len(a) * len(b) >= 4 * n:
+            return _kron(a, b, step, n)
     out = {}
     get = out.get
     items = b.items()
@@ -396,6 +408,43 @@ def _pmul(a, b):
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
+
+
+def _kgrid(a, b):
+    """(step, n) for nonempty int dicts a and b: the gcd of every exponent
+    gap in either factor (1 when both are monomials), and the number of
+    exponents of a * b in steps of it."""
+    ea, eb = min(a), min(b)
+    step = math.gcd(*map(ea.__rsub__, a), *map(eb.__rsub__, b)) or 1
+    return step, (max(a) - ea + max(b) - eb) // step + 1
+
+
+def _kron(a, b, step, n):
+    """a * b for nonempty int dicts on the grid (step, n) of _kgrid, by
+    Kronecker substitution (Harvey, J. Symbolic Comput. 44 (2009)): each
+    factor packed into one int, one big-int multiply, and the n slots read
+    back.  A slot holds w bytes, enough for the bound max|a| max|b|
+    min(len a, len b) on a product coefficient, which is stored plus half a
+    slot so that no slot is negative."""
+    ea, eb = min(a), min(b)
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    zero = half.to_bytes(w, "little")
+
+    def pack(p, lo):
+        # every slot from lo up, a missing exponent as 0, plus half
+        m = (max(p) - lo) // step + 1
+        slots = map(half.__add__, map(p.get, range(lo, lo + m * step, step), [0] * m))
+        raw = b"".join(map(int.to_bytes, slots, [w] * m, ["little"] * m))
+        return int.from_bytes(raw, "little") - int.from_bytes(zero * m, "little")
+
+    raw = pack(a, ea) * pack(b, eb) + int.from_bytes(zero * n, "little")
+    raw = raw.to_bytes(n * w, "little")
+    slots = map(raw.__getitem__, map(slice, range(0, n * w, w), range(w, (n + 1) * w, w)))
+    coeffs = list(map(half.__rsub__, map(int.from_bytes, slots, ["little"] * n)))
+    out = dict(zip(range(ea + eb, ea + eb + n * step, step), coeffs))
+    return {k: c for k, c in out.items() if c} if 0 in coeffs else out
 
 
 def _cmul(a, b):

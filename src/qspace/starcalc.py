@@ -1,9 +1,12 @@
 """Star products: the noncommutative product pulled back to commutative
 polynomials through the ordering isomorphisms.
 
-Both orderings are implemented; the rewriting engine provides the
-independent oracle (round-tripping the product through normal ordering must
-give the same coefficients).  `star_checks` builds the engine's product of
+Both orderings are implemented, from one table of legs keyed by the two
+contracted exponents and the ordering: the reversed ordering is the q -> 1/q
+image of the standard one, so its entries are the images of the standard
+entries.  The rewriting engine provides the independent oracle
+(round-tripping the product through normal ordering must give the same
+coefficients).  `star_checks` builds the engine's product of
 every monomial pair once, reads the reversed ordering's oracle from that table
 by bilinearity, and checks associativity on the x0-free triples only, x0
 being central."""
@@ -33,35 +36,52 @@ class StarContext:
 _STAR_LEGS = _memo()
 
 
+def _star_legs(nf, ng, reversed_order):
+    """The legs of one monomial pair: [[nf over k]] fall_k lambda^k in base
+    q^4 for k up to min(nf, ng), fall_k being [[ng]] [[ng - 1]] ...
+    [[ng - k + 1]].  The reversed ordering is the (+-, q) -> (-+, 1/q) image
+    of the standard one (spaces.SUBSTITUTION), and q -> 1/q is a field
+    automorphism taking base q^4 to q^-4 and lambda to -lambda: its legs are
+    the images of the standard legs, made from the tuple returned here (the
+    table may have been emptied since it was stored)."""
+    key = (nf, ng, reversed_order)
+    legs = _STAR_LEGS.get(key)
+    if legs is not None:
+        return legs
+    if reversed_order:
+        legs = tuple(leg.subs_q_inverse() for leg in _star_legs(nf, ng, False))
+    else:
+        legs = []
+        fall = lam_k = ONE
+        for k in range(min(nf, ng) + 1):
+            if k:
+                fall = fall * qnum(ng - k + 1, 4)
+                lam_k = lam_k * LAM
+            # lambda^k has k + 1 terms: multiplied in last, it is cheap
+            legs.append(qbinom(nf, k, 4) * fall * lam_k)
+        legs = tuple(legs)
+    # stored whole, so a racing thread can only store an equal entry
+    return _remember(_STAR_LEGS, key, legs)
+
+
 def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
     """sum_k lambda^k / [[k]]! (D^k f)(D^k g), contracting xm of f with xp of
-    g (standard; base q^4) or xp of f with xm of g (reversed; base q^-4,
-    -lambda).  1/[[k]]! folds into the f leg, D^k x^a / [[k]]! being
-    [[a over k]] x^(a-k); the g leg keeps its falling product.  Every
-    factor but the input coefficients is a Laurent polynomial."""
+    g (standard; base q^4) or xp of f with xm of g (reversed; the q -> 1/q
+    image of the standard legs).  1/[[k]]! folds into the f leg, D^k x^a /
+    [[k]]! being [[a over k]] x^(a-k); the g leg keeps its falling product.
+    Every factor but the input coefficients is a Laurent polynomial."""
     vars_ = space_vars("euclid3")
     i3 = vars_.index("x3")
     if reversed_order:
-        fi, gi, a, lam, sign = vars_.index("xp"), vars_.index("xm"), -4, -LAM, -1
+        fi, gi, sign = vars_.index("xp"), vars_.index("xm"), -1
     else:
-        fi, gi, a, lam, sign = vars_.index("xm"), vars_.index("xp"), 4, LAM, 1
+        fi, gi, sign = vars_.index("xm"), vars_.index("xp"), 1
     out = {}
     for ef, cf in f.terms.items():
         nf = ef[fi]
         for eg, cg in g.terms.items():
             ng = eg[gi]
-            pair = _STAR_LEGS.get((nf, ng, reversed_order))
-            if pair is None:
-                pair = []
-                fall = lam_k = ONE
-                for k in range(min(nf, ng) + 1):
-                    if k:
-                        fall = fall * qnum(ng - k + 1, a)
-                        lam_k = lam_k * lam
-                    # lambda^k has k + 1 terms: multiplied in last, it is cheap
-                    pair.append(qbinom(nf, k, a) * fall * lam_k)
-                # stored whole, so a racing thread can only store an equal entry
-                pair = _remember(_STAR_LEGS, (nf, ng, reversed_order), tuple(pair))
+            pair = _star_legs(nf, ng, reversed_order)
             c = cf * cg
             e = [x + y for x, y in zip(ef, eg)]
             for k, leg in enumerate(pair):

@@ -100,6 +100,21 @@ def test_an_integer_literal_too_long_for_int_is_a_parse_error(capsys):
     assert err == "parse error: integer literal too long (at position 3)"
 
 
+@pytest.mark.parametrize("argv,at", [
+    (("nf", "1/(q-q)"), 1),
+    (("d", "+0^-1xpx0", "--index", "+"), 2),
+    (("star", "1/(q-q) xp", "xm"), 1),
+    (("nf", "Xm (q - q)^-2"), 10),
+    (("star", "xp", "2 / (1 - 1)"), 2),
+])
+def test_a_zero_divisor_is_a_parse_error_at_its_operator(capsys, argv, at):
+    # a division by a zero scalar, or a zero scalar to a negative power, used
+    # to exit 1 with "error: division by zero scalar"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: division by zero scalar (at position {at})"
+
+
 def _timed_main(*argv):
     """Exit code, seconds spent in main and stderr of one command run in a
     fresh interpreter; the subprocess timeout turns a hang into a failure."""

@@ -1,4 +1,6 @@
-"""The unboxed Laurent-polynomial kernels against the boxed ones they replace.
+"""The unboxed Laurent-polynomial kernels against the boxed ones they
+replace, and the packed product (Kronecker substitution) against the
+schoolbook loop.
 
 Coefficients of ``QScalar.num``/``QScalar.den`` are shown as an ``int``, a
 non-integral ``Fraction``, or a ``GaussianRational`` with nonzero imaginary
@@ -15,6 +17,7 @@ import random
 import time
 from fractions import Fraction
 
+from qspace import scalars
 from qspace.scalars import (
     I,
     ONE,
@@ -22,7 +25,10 @@ from qspace.scalars import (
     GaussianRational,
     QScalar,
     _P_ONE,
+    _PACK_MIN,
     _from_stored,
+    _kgrid,
+    _kron,
     _padd,
     _pdivmod,
     _pgcd,
@@ -33,6 +39,7 @@ from qspace.scalars import (
     qnum,
     scalar,
 )
+from test_scalar_oracle import field_property
 
 # -- the boxed kernels, restated ----------------------------------------------
 
@@ -380,3 +387,124 @@ def test_real_constants_compare_and_hash_like_int_and_fraction():
         assert {x: "v"}[r] == "v"
         assert x.num == ({0: plain} if r else {}) and type(x.num.get(0, 0)) is type(plain)
     assert scalar(0, 1) != 1 and scalar(2, 0) == 2 and hash(scalar(2, 0)) == hash(2)
+
+
+# -- the packed product against the schoolbook loop ---------------------------------
+
+_BIG = 10**100 - 1  # a 100-digit coefficient
+
+
+def packed(a, b):
+    return _kron(a, b, *_kgrid(a, b))
+
+
+def strided(rng, count, lo, step, big):
+    """count terms at lo, lo + step, ... with random nonzero coefficients,
+    100-digit ones among them when big."""
+    top = _BIG if big else 9
+    return {lo + step * i: rng.choice((-1, 1)) * rng.randint(1, top) for i in range(count)}
+
+
+def _packed_cases():
+    rng = random.Random(33)
+    cases = []
+    # Laurent exponents, strides that differ between the factors (the
+    # product's step is their gcd), offsets off the grid of either stride
+    for step_a, step_b in [(1, 1), (2, 2), (6, 4), (4, 6), (8, 12), (3, 5), (10, 4)]:
+        for lo_a, lo_b in [(0, 0), (-17, 3), (-40, -41)]:
+            for big in (False, True):
+                a = strided(rng, rng.randint(2, 30), lo_a, step_a, big)
+                b = strided(rng, rng.randint(2, 30), lo_b, step_b, big)
+                cases.append((a, b))
+    # gaps inside a factor: a random subset of a stride's grid
+    for _ in range(40):
+        a = {k: c for k, c in strided(rng, 40, -20, 2, rng.randint(0, 1)).items() if rng.randint(0, 2)}
+        b = {k: c for k, c in strided(rng, 25, 7, 6, rng.randint(0, 1)).items() if rng.randint(0, 2)}
+        if a and b:
+            cases.append((a, b))
+    # the coefficient bound reached exactly, both signs: every coefficient
+    # of each factor equal in size, so the middle term is max|a| max|b|
+    # min(len a, len b)
+    for m in (1, 127, 128, 255, 256, 2**63, _BIG):
+        for sign in (1, -1):
+            cases.append(({k: m for k in range(-5, 20)}, {k: sign * m for k in range(0, 40, 2)}))
+            cases.append(({k: -m for k in range(0, 96, 3)}, {k: sign * m for k in range(1, 7)}))
+    # one-slot products: two monomials
+    cases += [({3: 5}, {-7: -2}), ({0: -_BIG}, {0: _BIG}), ({-1: 1}, {1: 1})]
+    # products whose inner slots cancel: (1 - s)(1 + s + ... + s^29) = 1 - s^30,
+    # (1 + s^2)(1 - s^2), and the same with 100-digit coefficients and
+    # Laurent exponents
+    cases += [
+        ({0: 1, 1: -1}, {k: 1 for k in range(30)}),
+        ({0: 1, 2: 1}, {0: 1, 2: -1}),
+        ({-4: _BIG, 0: _BIG}, {-4: _BIG, 0: -_BIG}),
+    ]
+    return cases
+
+
+def test_packed_product_matches_the_schoolbook_loop():
+    cases = _packed_cases()
+    for a, b in cases:
+        want = boxed_pmul(a, b)
+        got = packed(a, b)
+        assert got == want and all(type(c) is int for c in got.values()), (a, b)
+        assert packed(b, a) == want
+    # the corner cases reached: one slot, 100-digit coefficients, and a
+    # product whose inner slots all cancel
+    assert packed({3: 5}, {-7: -2}) == {-4: -10}
+    assert packed({0: -_BIG}, {0: _BIG}) == {0: -_BIG * _BIG}
+    assert packed({0: 1, 1: -1}, {k: 1 for k in range(30)}) == {0: 1, 30: -1}
+    assert packed({0: 1, 2: 1}, {0: 1, 2: -1}) == {0: 1, 4: -1}
+    assert len(cases) > 100
+
+
+def test_pmul_packs_from_the_constant_on_dense_products(monkeypatch):
+    reached = []
+    kron = scalars._kron
+    monkeypatch.setattr(scalars, "_kron", lambda *args: reached.append(args[:2]) or kron(*args))
+    rng = random.Random(34)
+    # a dense 16 x (_PACK_MIN / 16) product has exactly _PACK_MIN term pairs
+    a = strided(rng, 16, -9, 2, True)
+    b = strided(rng, _PACK_MIN // 16, 4, 2, False)
+    below = dict(list(b.items())[:-1])
+    for x, y, packs in [(a, b, True), (b, a, True), (a, below, False), (below, a, False)]:
+        reached.clear()
+        assert _pmul(x, y) == boxed_pmul(x, y)
+        assert reached == ([(x, y)] if packs else [])
+    # a real content-form product reaches it through _cmul, over the
+    # product of the denominators
+    reached.clear()
+    got = _pmul((a, None, 3), (b, None, 7))
+    assert reached == [(a, b)]
+    assert box(_to_stored(got)) == box({k: Fraction(c, 21) for k, c in boxed_pmul(a, b).items()})
+    # at least the constant but with fewer than four term pairs per slot of
+    # the product: a far exponent that opens 2,000 empty slots, and a
+    # lopsided 2 x _PACK_MIN product: the schoolbook loop
+    far = {**a, 4000: 1}
+    wide = {k: 1 for k in range(_PACK_MIN)}
+    for x, y in [(far, b), ({0: 1, 1: -1}, wide)]:
+        reached.clear()
+        assert len(x) * len(y) >= _PACK_MIN
+        assert _pmul(x, y) == boxed_pmul(x, y)
+        assert reached == []
+
+
+def int_dicts():
+    """A strategy for nonempty int dicts: Laurent exponents on a random
+    stride and offset, some dropped, and coefficients up to 100 digits."""
+    from hypothesis import strategies as st
+
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-_BIG, _BIG)).filter(bool)
+    return st.builds(
+        lambda lo, step, cs: {lo + step * i: c for i, c in enumerate(cs) if c is not None},
+        st.integers(-50, 50),
+        st.integers(1, 7),
+        st.lists(st.one_of(coeff, st.none()), min_size=1, max_size=40),
+    ).filter(bool)
+
+
+@field_property(int_dicts, int_dicts, examples=200)
+def test_packed_product_property(a, b):
+    want = boxed_pmul(a, b)
+    assert packed(a, b) == want
+    assert _pmul(a, b) == want

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import itertools
 
 import pytest
 
+from qspace import scalars, starcalc
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials
+from qspace.cli import main
 from qspace.ncalgebra import lift, lower, reorder_transform
-from qspace import starcalc
 from qspace.reports import VerificationReport
 from qspace.starcalc import StarContext, star, star_checks
-from qspace.scalars import LAM, ONE, _add_term, qpow
+from qspace.scalars import LAM, ONE, _add_term, qbinom, qnum, qpow
 
 CTX = StarContext("euclid3")
 CTX_REV = StarContext("euclid3", "reversed")
@@ -115,6 +118,78 @@ def test_star_leg_entries_cannot_be_changed():
         with pytest.raises(TypeError):
             entry[0] = ONE
     assert star(CTX, mono((0, 0, 0, 2)), mono((0, 2, 0, 0))) == want
+
+
+def _direct_legs(nf, ng, a, lam):
+    """A pair's legs written out from their own base q^a and lambda: the
+    standard ordering's formula (q^4, lambda), and the reversed one's as it
+    was built before its legs became images (q^-4, -lambda)."""
+    legs = []
+    fall = lam_k = ONE
+    for k in range(min(nf, ng) + 1):
+        if k:
+            fall = fall * qnum(ng - k + 1, a)
+            lam_k = lam_k * lam
+        legs.append(qbinom(nf, k, a) * fall * lam_k)
+    return tuple(legs)
+
+
+_LEG_PAIRS = [(nf, ng) for nf in range(13) for ng in range(13)]
+
+
+def test_reversed_legs_are_the_q_inverse_images_of_the_direct_formula():
+    standard = {p: _direct_legs(*p, 4, LAM) for p in _LEG_PAIRS}
+    reversed_ = {p: _direct_legs(*p, -4, -LAM) for p in _LEG_PAIRS}
+    # reversed first, on an emptied table: each entry makes its standard twin
+    starcalc._STAR_LEGS.clear()
+    assert {p: starcalc._star_legs(*p, True) for p in _LEG_PAIRS} == reversed_
+    assert {p: starcalc._star_legs(*p, False) for p in _LEG_PAIRS} == standard
+    # standard first, so each reversed entry reflects a stored one
+    starcalc._STAR_LEGS.clear()
+    assert {p: starcalc._star_legs(*p, False) for p in _LEG_PAIRS} == standard
+    assert {p: starcalc._star_legs(*p, True) for p in _LEG_PAIRS} == reversed_
+    assert len(starcalc._STAR_LEGS) == 2 * len(_LEG_PAIRS)
+    for (nf, ng, rev), legs in starcalc._STAR_LEGS.items():
+        assert type(legs) is tuple and len(legs) == min(nf, ng) + 1
+        assert legs == (reversed_ if rev else standard)[(nf, ng)]
+
+
+def test_reversed_legs_hold_when_every_store_empties_the_table(monkeypatch):
+    # with one-entry memos, storing the reversed entry drops the standard
+    # twin it was made from
+    monkeypatch.setattr(scalars, "_MEMO_LIMIT", 1)
+    starcalc._STAR_LEGS.clear()
+    for nf, ng in [(3, 5), (5, 3), (8, 8), (0, 4), (12, 12)]:
+        assert starcalc._star_legs(nf, ng, True) == _direct_legs(nf, ng, -4, -LAM)
+        assert list(starcalc._STAR_LEGS) == [(nf, ng, True)]
+
+
+def test_reversed_star_after_the_standard_one_makes_no_multi_term_product(monkeypatch):
+    # a pinned work count: from emptied memos, the standard product of xm^8
+    # and xp^8 builds its legs with 28 products of two multi-term
+    # polynomials; the reversed one then reflects those legs and multiplies
+    # none (building its own from base q^-4 and -lambda would make 28 more).
+    # A first run fills the per-space tables, which no memo reset empties
+    argvs = (["star", "xm^8", "xp^8"], ["star", "xp^8", "xm^8", "--reversed"])
+    exact = scalars._pmul
+    count = [0]
+
+    def counted(a, b):
+        if scalars._plen(a) > 1 and scalars._plen(b) > 1:
+            count[0] += 1
+        return exact(a, b)
+
+    def run(argv):
+        count[0] = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return count[0]
+
+    monkeypatch.setattr(scalars, "_pmul", counted)
+    for argv in argvs:
+        run(argv)
+    scalars._clear_memos()
+    assert [run(argv) for argv in argvs] == [28, 0]
 
 
 def _full_loop_reports(max_degree):

@@ -69,6 +69,10 @@ TIME_TARGETS = {
     "exp at degree 10 on euclid3 stays within its time target": (
         QSPACE + ["exp", "--variant", "xdh", "--degree", "10", "--space", "euclid3"], 5),
     'nf "Xm^2000 Xp" stays within its time target': (QSPACE + ["nf", "Xm^2000 Xp"], 5),
+    # about 2.5 s on a 2-core host with the reversed legs reflected from the
+    # standard ones and the large products packed; 13 s without either
+    'star "xp^60" "xm^60" --reversed stays within its time target': (
+        QSPACE + ["star", "xp^60", "xm^60", "--reversed"], 8),
     "nf of a 14-term sum of Gaussian quotients stays within its time target": (
         QSPACE + ["nf", _QUOTIENTS], 5),
     "the same word inserted right to left stays within the same target": (python("""
@@ -78,13 +82,16 @@ with rewrite_strategy("rightmost"):
 """), 5),
 }
 
-# an exponent beyond the grammar's bound, a literal too long for int(), an
-# option the command does not take or a value outside its domain: each
-# exits 2 within 5 s
+# an exponent beyond the grammar's bound, a literal too long for int(), a
+# division by a zero scalar, an option the command does not take or a value
+# outside its domain: each exits 2 within 5 s
 USAGE_ERRORS = [
     ["nf", "Xm^99999999999999999999"],
     ["star", "xm^99999999999999999999", "xp"],
     ["nf", "9" * 5000 + " Xm"],
+    ["nf", "1/(q-q)"],
+    ["d", "+0^-1xpx0", "--index", "+"],
+    ["star", "1/(q-q) xp", "xm"],
     ["nf", "Xm", "--tol", "1"],
     ["evolve", "--q-value", "1.1"],
     ["verify", "numeric-integrals", "--tol", "inf"],
