@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate, compress
+from operator import sub
 from types import MappingProxyType
 
 __all__ = [
@@ -375,9 +377,8 @@ def _pneg(a):
 
 
 # an int-dict product of at least this many term pairs is packed (_kron).
-# On the dense products of the star legs and the line's Leibniz rules,
-# packing breaks even near 256 pairs and wins about twice over from 512.
-# The largest product of the benchmark's workloads has 416 pairs
+# On dense products such as the line's Leibniz rules make, packing breaks
+# even near 256 pairs and wins about twice over from 512
 _PACK_MIN = 512
 
 
@@ -600,6 +601,61 @@ def _lquo(a, g):
     if not amin:
         return _pquo(a, g)
     return _pshift(_pquo(_pshift(a, -amin), g), amin)
+
+
+# -- q-numbers on dense coefficient lists ------------------------------------
+#
+# [m]_{q^a} = 1 + s^d + ... + s^(d(m-1)), d = 2a, is a window sum.  The two
+# passes below multiply and divide by it along a dense list t of ints, t[i]
+# being the coefficient of s^(lo + g i) on a grid whose step g divides d, so
+# the q-number steps c = |d|/g slots and the list interleaves c exponent
+# classes.  The sign of a only moves the grid: [m]_{q^a} = q^(a(m-1))
+# [m]_{q^-a}, so with a < 0 the caller adds 2a(m - 1) to lo after a product
+# and subtracts it after a quotient.  A chain of passes stays on the list
+# and makes its dict once, with _pgrid.
+
+
+def _qnum_mul(t, c, m):
+    """t [m] for m >= 1, one pass: R_i = R_(i-c) + t_i - t_(i-cm), the
+    difference t (1 - s^(dm)) summed along each class.  Linear in the
+    length of the product, not in len(t) times m; [1] is 1, and t itself
+    is returned."""
+    if m == 1:
+        return t
+    w = c * m
+    size = len(t) + w - c
+    t = t + [0] * (w - c)
+    t[w:] = map(sub, t[w:], t[: size - w])
+    for r in range(c):
+        t[r::c] = accumulate(t[r::c])
+    return t
+
+
+def _qnum_quo(t, c, m):
+    """The exact quotient t / [m] for m >= 1, the pass that inverts
+    _qnum_mul: t (1 - s^d) = Q (1 - s^(dm)), so Q_i = t_i - t_(i-c) +
+    Q_(i-cm), a sum along every class mod cm.  Q has len(t) - c(m - 1)
+    slots; past them the sums run on through one window of m steps per
+    class, and a nonzero one there means t is not a multiple of [m].
+    [1] is 1, and t itself is returned."""
+    if m == 1:
+        return t
+    w = c * m
+    n = len(t)
+    u = t + [0] * c
+    u[c:] = map(sub, u[c:], t)
+    for r in range(min(w, n + c)):
+        u[r::w] = accumulate(u[r::w])
+    top = n - w + c
+    if top <= 0 or any(u[top:]):
+        raise ValueError(f"not a multiple of a q-number of {m} terms")
+    del u[top:]
+    return u
+
+
+def _pgrid(t, lo, g):
+    """The int dict of the dense list t on the grid lo + g i."""
+    return dict(compress(zip(range(lo, lo + len(t) * g, g), t), t))
 
 
 def _pfloat(p, s0):
@@ -1296,11 +1352,11 @@ _QBINOM = _memo()  # (n, k, a) -> [[n over k]]_{q^a}, k <= n - k
 def qbinom(n: int, k: int, a: int = 1) -> QScalar:
     """Gaussian binomial [[n over k]]_{q^a}, a Laurent polynomial in q.
 
-    Built without division by the Pascal recurrence
-    C(m, j) = C(m-1, j-1) + q^(a j) C(m-1, j) (Kac-Cheung, Quantum Calculus,
-    2002), over integer coefficients, one row at a time and only up to column
-    min(k, n-k); the whole final column range is cached by (n, j, a).  The
-    column k = 1 is the q-number qnum(n, a) and is cached alone.
+    Built over integer coefficients by the recurrence along k
+    C(n, j) = C(n, j-1) [[n-j+1]]_{q^a} / [[j]]_{q^a} (Kac-Cheung, Quantum
+    Calculus, 2002), each step one _qnum_mul and one _qnum_quo pass, and
+    only up to j = min(k, n-k).  Every (n, j, a) on the way is cached, and
+    the walk steps on from a cached one instead of rebuilding it.
     Equals qfact(n, a) / (qfact(k, a) qfact(n - k, a)); zero outside 0 <= k <= n.
     """
     if n < 0:
@@ -1315,19 +1371,20 @@ def qbinom(n: int, k: int, a: int = 1) -> QScalar:
     got = _QBINOM.get((n, k, a))
     if got is not None:
         return got
-    if k == 1:
-        return _remember(_QBINOM, (n, 1, a), qnum(n, a))
-    row = [{0: 1}] + [{} for _ in range(k)]
-    for m in range(1, n + 1):
-        # right to left, so row[j - 1] still holds row m - 1
-        for j in range(min(m, k), 0, -1):
-            shift = 2 * a * j
-            nxt = dict(row[j - 1])
-            for e, c in row[j].items():
-                e += shift
-                nxt[e] = nxt.get(e, 0) + c
-            row[j] = nxt
+    got, t = ONE, [1]
     for j in range(1, k + 1):
-        got = _remember(_QBINOM, (n, j, a), _canon(row[j], _P_ONE))
+        cached = _QBINOM.get((n, j, a))
+        if cached is not None:
+            got, t = cached, None
+            continue
+        if t is None:
+            # every coefficient of a Gaussian binomial is positive, so its
+            # terms in exponent order are the whole dense list
+            t = [c for _, c in sorted(got._n.items())]
+        t = _qnum_quo(_qnum_mul(t, 1, n - j + 1), 1, j)
+        # C(n, j) spans q^(a j (n - j)) and 1; its lowest exponent is the
+        # smaller of the two.  The value built is returned, whatever the
+        # memo keeps
+        p = _pgrid(t, 2 * min(a, 0) * j * (n - j), 2 * abs(a))
+        got = _remember(_QBINOM, (n, j, a), _canon(p, _P_ONE))
     return got
-

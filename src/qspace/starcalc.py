@@ -4,7 +4,9 @@ polynomials through the ordering isomorphisms.
 Both orderings are implemented, from one table of legs keyed by the two
 contracted exponents and the ordering: the reversed ordering is the q -> 1/q
 image of the standard one, so its entries are the images of the standard
-entries.  The rewriting engine provides the independent oracle
+entries.  A standard entry is built along k by the recurrence of its
+q-binomial, one linear pass per q-number on a dense coefficient list, with
+no product of two multi-term polynomials.  The rewriting engine provides the independent oracle
 (round-tripping the product through normal ordering must give the same
 coefficients).  `star_checks` builds the engine's product of
 every monomial pair once, reads the reversed ordering's oracle from that table
@@ -13,10 +15,13 @@ being central."""
 
 from __future__ import annotations
 
+from operator import sub
+
 from .cfunc import CFunction, _monomials, space_vars
 from .ncalgebra import lift, lower, reorder_transform
 from .reports import VerificationReport
-from .scalars import LAM, ONE, QScalar, _add_term, _memo, _remember, qbinom, qnum
+from .scalars import ONE, QScalar, _add_term, _memo, _remember
+from .scalars import _P_ONE, _canon, _pgrid, _qnum_mul, _qnum_quo
 from .spaces import E3, check_option
 
 
@@ -39,11 +44,16 @@ _STAR_LEGS = _memo()
 def _star_legs(nf, ng, reversed_order):
     """The legs of one monomial pair: [[nf over k]] fall_k lambda^k in base
     q^4 for k up to min(nf, ng), fall_k being [[ng]] [[ng - 1]] ...
-    [[ng - k + 1]].  The reversed ordering is the (+-, q) -> (-+, 1/q) image
-    of the standard one (spaces.SUBSTITUTION), and q -> 1/q is a field
-    automorphism taking base q^4 to q^-4 and lambda to -lambda: its legs are
-    the images of the standard legs, made from the tuple returned here (the
-    table may have been emptied since it was stored)."""
+    [[ng - k + 1]].  They are built along k over integer coefficients,
+    leg_k = leg_(k-1) [[nf - k + 1]] [[ng - k + 1]] lambda / [[k]], on one
+    dense list (scalars._qnum_mul): each q-number is one linear pass,
+    lambda = s^2 - s^-2 a shift and a subtraction, and no product of two
+    multi-term polynomials is made.
+    The reversed ordering is the (+-, q) -> (-+, 1/q) image of the standard
+    one (spaces.SUBSTITUTION), and q -> 1/q is a field automorphism taking
+    base q^4 to q^-4 and lambda to -lambda: its legs are the images of the
+    standard legs, made from the tuple returned here (the table may have
+    been emptied since it was stored)."""
     key = (nf, ng, reversed_order)
     legs = _STAR_LEGS.get(key)
     if legs is not None:
@@ -51,14 +61,18 @@ def _star_legs(nf, ng, reversed_order):
     if reversed_order:
         legs = tuple(leg.subs_q_inverse() for leg in _star_legs(nf, ng, False))
     else:
-        legs = []
-        fall = lam_k = ONE
-        for k in range(min(nf, ng) + 1):
-            if k:
-                fall = fall * qnum(ng - k + 1, 4)
-                lam_k = lam_k * LAM
-            # lambda^k has k + 1 terms: multiplied in last, it is cheap
-            legs.append(qbinom(nf, k, 4) * fall * lam_k)
+        # the list's grid has step 4 in s: base q^4 steps 8, two slots, and
+        # lambda moves it by -2 each time, so leg_k starts at s^(-2k)
+        legs = [ONE]
+        t = [1]
+        for k in range(1, min(nf, ng) + 1):
+            # [[nf over k - 1]] [[nf - k + 1]] / [[k]] is [[nf over k]], so
+            # the quotient is exact; taken before [[ng - k + 1]], it keeps
+            # the longest pass short
+            t = _qnum_mul(_qnum_quo(_qnum_mul(t, 2, nf - k + 1), 2, k), 2, ng - k + 1)
+            # times lambda: the slot i of s^2 t - s^-2 t is t_(i-1) - t_i
+            t = list(map(sub, [0] + t, t + [0]))
+            legs.append(_canon(_pgrid(t, -2 * k, 4), _P_ONE))
         legs = tuple(legs)
     # stored whole, so a racing thread can only store an equal entry
     return _remember(_STAR_LEGS, key, legs)

@@ -134,8 +134,8 @@ def _timed_main(*argv):
     ("star", "xm^99999999999999999999", "xp"),
 ])
 def test_an_exponent_beyond_the_bound_is_a_usage_error(argv):
-    # nf used to fail with an index-size error, star to run qbinom's rows
-    # 10^20 times
+    # nf used to fail with an index-size error, star to build 10^20 Pascal
+    # rows for its q-binomial
     code, seconds, err = _timed_main(*argv)
     assert code == 2, err
     assert "parse error: exponents are bounded by 10000" in err
@@ -145,6 +145,14 @@ def test_an_exponent_beyond_the_bound_is_a_usage_error(argv):
 def test_star_by_a_coordinate_builds_no_binomial_rows():
     # [[n over 1]] is the q-number; building n Pascal rows for it took 8.8 s
     code, seconds, err = _timed_main("star", "xm^10000", "xp")
+    assert code == 0, err
+    assert seconds < 2.0
+
+
+def test_star_by_a_square_steps_its_binomials_along_k():
+    # [[5000 over 2]] by the recurrence along k is two passes per q-number;
+    # building its 5,000 Pascal rows took 5 - 8 s on a 2-core host
+    code, seconds, err = _timed_main("star", "xm^5000", "xp^2")
     assert code == 0, err
     assert seconds < 2.0
 

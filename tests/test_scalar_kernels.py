@@ -1,6 +1,7 @@
 """The unboxed Laurent-polynomial kernels against the boxed ones they
-replace, and the packed product (Kronecker substitution) against the
-schoolbook loop.
+replace, the packed product (Kronecker substitution) against the
+schoolbook loop, and the q-number passes against the general product and
+division.
 
 Coefficients of ``QScalar.num``/``QScalar.den`` are shown as an ``int``, a
 non-integral ``Fraction``, or a ``GaussianRational`` with nonzero imaginary
@@ -17,6 +18,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from qspace import scalars
 from qspace.scalars import (
     I,
@@ -29,11 +32,16 @@ from qspace.scalars import (
     _from_stored,
     _kgrid,
     _kron,
+    _lquo,
     _padd,
     _pdivmod,
     _pgcd,
+    _pgrid,
     _pmonic,
     _pmul,
+    _pshift,
+    _qnum_mul,
+    _qnum_quo,
     _to_stored,
     qbinom,
     qnum,
@@ -508,3 +516,103 @@ def test_packed_product_property(a, b):
     want = boxed_pmul(a, b)
     assert packed(a, b) == want
     assert _pmul(a, b) == want
+
+
+# -- the q-number passes against the general product and quotient -------------
+
+_BASES = (1, -1, 2, -2, 3, -3, 4, -4)
+
+
+def by_passes(p, m, a, quotient=False, fine=False):
+    """p [m]_{q^a}, or the exact p / [m]_{q^a}, for an int dict p through
+    the dense-list passes: p laid out on the grid lo + g i, g the coarsest
+    step that holds p and divides 2a (or 1 when fine, so that the list
+    interleaves 2|a| exponent classes, some of them empty), and the sign of
+    a moved into lo."""
+    d = 2 * abs(a)
+    lo = min(p)
+    g = 1 if fine else math.gcd(d, *(e - lo for e in p))
+    t = [p.get(e, 0) for e in range(lo, max(p) + 1, g)]
+    shift = 2 * a * (m - 1) if a < 0 else 0
+    if quotient:
+        return _pgrid(_qnum_quo(t, d // g, m), lo - shift, g)
+    return _pgrid(_qnum_mul(t, d // g, m), lo + shift, g)
+
+
+def qnum_dict(m, a):
+    return {2 * a * j: 1 for j in range(m)}
+
+
+def laurent_quo(p, g):
+    """The exact quotient of a Laurent polynomial by a Laurent one whose
+    top coefficient is 1, by the general division."""
+    e0 = min(g)
+    return _pshift(_lquo(p, _pshift(g, -e0)), -e0)
+
+
+def _qnum_cases():
+    rng = random.Random(34)
+    cases = []
+    for a in _BASES:
+        for m in range(1, 41):
+            # Laurent offsets, strides on and off the q-number's grid (one
+            # exponent class, several, or all 2|a| of them), gaps, and
+            # 100-digit coefficients now and then
+            step = rng.choice((1, 2, 3, 4, 6, 8, 2 * abs(a)))
+            p = strided(rng, rng.randint(1, 30), rng.randint(-60, 60), step, not rng.randint(0, 4))
+            p = {e: c for e, c in p.items() if rng.randint(0, 3)} or p
+            cases.append((p, m, a))
+    # a monomial, two far-apart terms, and a window longer than the input
+    cases += [({0: 1}, 7, 3), ({-5: 2}, 1, -4), ({0: 1, 400: -1}, 3, 2), ({3: 1, 4: 1}, 40, -1)]
+    return cases
+
+
+def test_q_number_passes_match_the_general_product_and_quotient():
+    cases = _qnum_cases()
+    for p, m, a in cases:
+        want = _pmul(p, qnum_dict(m, a))
+        for fine in (False, True):
+            got = by_passes(p, m, a, fine=fine)
+            assert got == want, (p, m, a, fine)
+            assert all(type(c) is int for c in got.values())
+            # the quotient of the product: against the general division,
+            # and back to p
+            assert by_passes(want, m, a, quotient=True, fine=fine) == p, (p, m, a, fine)
+        assert laurent_quo(want, qnum_dict(m, a)) == p
+    assert len(cases) > 300
+    # the window sums cancel inside: (1 - s^2) [5]_{q} = 1 - s^10
+    assert by_passes({0: 1, 2: -1}, 5, 1) == {0: 1, 10: -1}
+    assert by_passes({0: 1, 10: -1}, 5, 1, quotient=True) == {0: 1, 2: -1}
+    assert by_passes({0: 1, -2: -1}, 5, -1) == {0: 1, -10: -1}
+
+
+def test_q_number_quotient_refuses_a_non_multiple():
+    # one unit off an exact multiple, anywhere in it, and a dividend
+    # shorter than the divisor
+    rng = random.Random(35)
+    for _ in range(200):
+        a, m = rng.choice(_BASES), rng.randint(2, 12)
+        p = strided(rng, rng.randint(1, 10), rng.randint(-20, 20), 2 * abs(a), False)
+        prod = _pmul(p, qnum_dict(m, a))
+        e = rng.choice(sorted(prod))
+        bad = {**prod, e: prod[e] + 1}
+        bad = {k: c for k, c in bad.items() if c}
+        with pytest.raises(ValueError):
+            by_passes(bad, m, a, quotient=True)
+    with pytest.raises(ValueError):
+        _qnum_quo([1, 1], 1, 3)
+    assert _qnum_quo([1, 1, 1], 1, 3) == [1]
+
+
+def q_numbers():
+    from hypothesis import strategies as st
+
+    return st.tuples(st.integers(1, 40), st.sampled_from(_BASES))
+
+
+@field_property(int_dicts, q_numbers, examples=200)
+def test_q_number_passes_property(p, mq):
+    m, a = mq
+    want = _pmul(p, qnum_dict(m, a))
+    assert by_passes(p, m, a) == want
+    assert by_passes(want, m, a, quotient=True) == p

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qspace import scalars
 from qspace.scalars import (
     DivisionByZero,
     GaussianRational,
@@ -267,6 +268,41 @@ def test_qbinom_is_the_factorial_quotient(a):
             assert got == qbinom(n, n - k, a)
             assert len(got.den) == 1 and got.den == ONE.den
             assert got.eval_exact(1) == math.comb(n, k)
+
+
+def _pascal_rows(n_max, a):
+    """Every [[m over j]]_{q^a} for m <= n_max as int dicts, row by row, by
+    the Pascal recurrence C(m, j) = C(m-1, j-1) + q^(a j) C(m-1, j) that
+    qbinom used before its recurrence along k."""
+    row = [{0: 1}]
+    rows = [row]
+    for _ in range(n_max):
+        nxt = [{0: 1}]
+        for j in range(1, len(row)):
+            c = dict(row[j - 1])
+            for e, v in row[j].items():
+                e += 2 * a * j
+                c[e] = c.get(e, 0) + v
+            nxt.append(c)
+        row = nxt + [{0: 1}]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("a", [1, -2, 4, -4])
+def test_qbinom_matches_the_pascal_recurrence(a):
+    # every k of every n <= 60, from emptied memos, in a shuffled order of k:
+    # a k builds every j below it that is not cached yet, stepping on from
+    # the cached ones
+    rows = _pascal_rows(60, a)
+    rng = random.Random(34 + a)
+    scalars._clear_memos()
+    for n, row in enumerate(rows):
+        ks = list(range(n + 1))
+        rng.shuffle(ks)
+        for k in ks:
+            got = qbinom(n, k, a)
+            assert got._n == row[k] and got._d is scalars._P_ONE, (n, k, a)
 
 
 def test_qbinom_outside_the_range_is_zero():

@@ -154,6 +154,21 @@ def test_reversed_legs_are_the_q_inverse_images_of_the_direct_formula():
         assert legs == (reversed_ if rev else standard)[(nf, ng)]
 
 
+def test_legs_match_the_direct_formula_up_to_twenty():
+    # every pair with exponents up to 20, in both orderings, each from an
+    # emptied table.  The direct formula's fall_k lambda^k depends on ng
+    # only, so it is multiplied out once per ng
+    for a, lam, reversed_order in ((4, LAM, False), (-4, -LAM, True)):
+        for ng in range(21):
+            tails = [ONE]
+            for k in range(1, ng + 1):
+                tails.append(tails[-1] * qnum(ng - k + 1, a) * lam)
+            for nf in range(21):
+                want = tuple(qbinom(nf, k, a) * tails[k] for k in range(min(nf, ng) + 1))
+                starcalc._STAR_LEGS.clear()
+                assert starcalc._star_legs(nf, ng, reversed_order) == want, (nf, ng, a)
+
+
 def test_reversed_legs_hold_when_every_store_empties_the_table(monkeypatch):
     # with one-entry memos, storing the reversed entry drops the standard
     # twin it was made from
@@ -164,13 +179,9 @@ def test_reversed_legs_hold_when_every_store_empties_the_table(monkeypatch):
         assert list(starcalc._STAR_LEGS) == [(nf, ng, True)]
 
 
-def test_reversed_star_after_the_standard_one_makes_no_multi_term_product(monkeypatch):
-    # a pinned work count: from emptied memos, the standard product of xm^8
-    # and xp^8 builds its legs with 28 products of two multi-term
-    # polynomials; the reversed one then reflects those legs and multiplies
-    # none (building its own from base q^-4 and -lambda would make 28 more).
-    # A first run fills the per-space tables, which no memo reset empties
-    argvs = (["star", "xm^8", "xp^8"], ["star", "xp^8", "xm^8", "--reversed"])
+def _count_multi_term_products(monkeypatch):
+    """A one-item list that counts the products of two multi-term
+    polynomials from here on."""
     exact = scalars._pmul
     count = [0]
 
@@ -179,17 +190,38 @@ def test_reversed_star_after_the_standard_one_makes_no_multi_term_product(monkey
             count[0] += 1
         return exact(a, b)
 
+    monkeypatch.setattr(scalars, "_pmul", counted)
+    return count
+
+
+def test_reversed_star_after_the_standard_one_makes_no_multi_term_product(monkeypatch):
+    # a pinned work count: from emptied memos, the standard product of xm^8
+    # and xp^8 builds its legs by linear q-number passes, with no product of
+    # two multi-term polynomials (28 while the legs were multiplied out);
+    # the reversed one then reflects those legs and multiplies none.
+    # A first run fills the per-space tables, which no memo reset empties
+    argvs = (["star", "xm^8", "xp^8"], ["star", "xp^8", "xm^8", "--reversed"])
+    count = _count_multi_term_products(monkeypatch)
+
     def run(argv):
         count[0] = 0
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         return count[0]
 
-    monkeypatch.setattr(scalars, "_pmul", counted)
     for argv in argvs:
         run(argv)
     scalars._clear_memos()
-    assert [run(argv) for argv in argvs] == [28, 0]
+    assert [run(argv) for argv in argvs] == [0, 0]
+
+
+def test_standard_legs_make_no_multi_term_product(monkeypatch):
+    count = _count_multi_term_products(monkeypatch)
+    for nf, ng in _LEG_PAIRS:
+        scalars._clear_memos()
+        legs = starcalc._star_legs(nf, ng, False)
+        assert len(legs) == min(nf, ng) + 1
+    assert count == [0]
 
 
 def _full_loop_reports(max_degree):
