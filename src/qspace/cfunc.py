@@ -152,10 +152,7 @@ class CFunction(_LinComb):
         i = self._vi(name)
         out = {}
         for e, c in self.terms.items():
-            n = e[i]
-            v = c
-            for _ in range(n):
-                v = v * value
+            v = c * value ** e[i]
             if v:
                 _add_term(out, e[:i] + (0,) + e[i + 1:], v)
         return CFunction(self.vars, out)
@@ -175,13 +172,11 @@ class CFunction(_LinComb):
         for e, c in self.terms.items():
             n = e[i]
             # (x + t0)^n expanded term by term
-            binom = 1
             p = ONE
             for j in range(n + 1):
                 if j:
-                    binom = binom * (n - j + 1) // j
                     p = p * t0
-                _add_term(out, e[:i] + (n - j,) + e[i + 1:], c * p * scalar(binom))
+                _add_term(out, e[:i] + (n - j,) + e[i + 1:], c * p * scalar(math.comb(n, j)))
         return CFunction(self.vars, out)
 
     # -- variable-set plumbing ------------------------------------------------

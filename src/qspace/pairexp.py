@@ -10,6 +10,8 @@ reconstruction test pins these down.
 
 from __future__ import annotations
 
+import math
+
 from .cfunc import CFunction, _mono_text, _monomials, space_vars
 from .ncalgebra import NCElement, act, hat_factor
 from .reports import VerificationReport
@@ -28,10 +30,7 @@ _FACT_BASES = {"line": {"x1": 1}, "euclid3": {"xp": 4, "x3": 2, "xm": 4}}
 
 
 def classical_factorial(n: int) -> QScalar:
-    out = ONE
-    for j in range(2, n + 1):
-        out = out * scalar(j)
-    return out
+    return scalar(math.factorial(n))
 
 
 def _norm_factor(space, exps, inv: bool) -> QScalar:

@@ -332,21 +332,10 @@ def _cadd(a, b):
     rb, ib, db = _pparts(b)
     fa = db // math.gcd(da, db)
     fb = da * fa // db
+    if ia is None and ib is None:
+        return _preduce(_padd(_pscale(ra, fa), _pscale(rb, fb)), None, da * fa)
     re = {k: v * fa for k, v in ra.items()} if fa != 1 else dict(ra)
     get = re.get
-    if ia is None and ib is None:
-        for k, v in rb.items():
-            v *= fb
-            s = get(k)
-            if s is None:
-                re[k] = v
-                continue
-            s += v
-            if s:
-                re[k] = s
-            else:
-                del re[k]
-        return _preduce(re, None, da * fa)
     if ia is None:
         im = dict.fromkeys(ra, 0)
     else:
@@ -689,6 +678,18 @@ def _constant(c):
     return _from_stored({0: c})
 
 
+def _inverse(x):
+    """1 / x for a QScalar x = s^m p / d, p with nonzero constant term:
+    s^-m d / p, made monic.  p and d are coprime, so the swap needs no gcd."""
+    num = x._n
+    if not num:
+        raise DivisionByZero("division by zero scalar")
+    m = min(_pkeys(num))
+    p = _pshift(num, -m)
+    num = _pmonic(_pshift(x._d, -m), p)
+    return _canon(num, _pmonic(p, p) if _plen(p) > 1 else _P_ONE)
+
+
 def _coerce(x):
     """The QScalar equal to an int or Fraction, else NotImplemented."""
     if isinstance(x, (int, Fraction)):
@@ -708,28 +709,16 @@ class QScalar:
     __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=None):
-        num = _from_stored(_pstrip(num))
-        den = _P_ONE if den is None else _from_stored(_pstrip(den))
-        if not den:
-            raise DivisionByZero("zero denominator")
-        if not num:
-            self._n = {}
-            self._d = _P_ONE
-            return
-        # Move any pure s-power of the denominator into the numerator so the
-        # denominator is an ordinary polynomial with nonzero constant term.
-        dmin = min(_pkeys(den))
-        if dmin:
-            den = _pshift(den, -dmin)
-            num = _pshift(num, -dmin)
-        if _plen(den) > 1:
-            g = _lgcd(num, den)
-            if g is not None:
-                num = _lquo(num, g)
-                den = _pquo(den, g)
-        num, den = _pmonic(num, den), _pmonic(den, den)
-        self._n = num
-        self._d = den if _plen(den) > 1 else _P_ONE
+        # a polynomial is canonical over the denominator 1; a fraction is
+        # the numerator times the inverse of the denominator
+        x = _canon(_from_stored(_pstrip(num)), _P_ONE)
+        if den is not None:
+            den = _from_stored(_pstrip(den))
+            if not den:
+                raise DivisionByZero("zero denominator")
+            x = x * _inverse(_canon(den, _P_ONE))
+        self._n = x._n
+        self._d = x._d
 
     @property
     def num(self):
@@ -788,8 +777,9 @@ class QScalar:
     #
     # Canonical parts stay canonical under these steps, so no operation
     # below calls __init__: a sum over denominator 1 only drops zero terms,
-    # and products and quotients cancel crosswise (Henrici, J. ACM 3 (1956)
-    # 6-9) before multiplying, which leaves them reduced.
+    # products cancel crosswise (Henrici, J. ACM 3 (1956) 6-9) before
+    # multiplying, which leaves them reduced, and a quotient is a product
+    # by _inverse.
 
     def __add__(self, other):
         if not isinstance(other, QScalar):
@@ -875,45 +865,21 @@ class QScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        n2 = other._n
-        if not n2:
-            raise DivisionByZero("division by zero scalar")
-        n1 = self._n
-        if not n1:
-            return ZERO
-        # self / other = (n1 * d2 * s^-m) / (d1 * p2) with n2 = s^m * p2
-        m = min(_pkeys(n2))
-        p2 = _pshift(n2, -m)
-        d1, d2 = self._d, other._d
-        g = _lgcd(n1, p2)
-        if g is not None:
-            n1, p2 = _lquo(n1, g), _pquo(p2, g)
-        g = _lgcd(d2, d1)
-        if g is not None:
-            d2, d1 = _pquo(d2, g), _pquo(d1, g)
-        num = _pmul(n1, d2)
-        if m:
-            num = _pshift(num, -m)
-        den = _pmul(d1, p2)
-        num = _pmonic(num, den)
-        if _plen(den) == 1:
-            # a constant: the quotient's denominator is 1
-            return _canon(num, _P_ONE)
-        return _canon(num, _pmonic(den, den))
+        return self * _inverse(other)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other / self
+        return other * _inverse(self)
 
     def __pow__(self, k):
-        """Integer powers by repeated squaring; a negative power divides, so
-        ``ZERO ** -1`` raises DivisionByZero."""
+        """Integer powers by repeated squaring; a negative power is the
+        inverse of the positive one, so ``ZERO ** -1`` raises DivisionByZero."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return ONE / self ** -k
+            return _inverse(self ** -k)
         out, base = ONE, self
         while k:
             if k & 1:
@@ -978,11 +944,11 @@ class QScalar:
         num = self._n
         if not num:
             return "0"
-        ns = _int_poly_to_str(num) if type(num) is dict else _poly_to_str(_to_stored(num))
+        ns = _poly_to_str(num)
         den = self._d
         if den is _P_ONE:
             return ns
-        ds = _int_poly_to_str(den) if type(den) is dict else _poly_to_str(_to_stored(den))
+        ds = _poly_to_str(den)
         if _plen(num) > 1:
             ns = f"({ns})"
         if _plen(den) > 1:
@@ -1080,48 +1046,30 @@ _Q_TEXTS = {k: _q_text(k) for k in range(-64, 65)}
 
 
 def _poly_to_str(p):
-    parts = []
-    for k in sorted(p, reverse=True):
-        c = p[k]
-        mono = _q_text(k)
-        cs = _coeff_to_str(c, need_one=(mono == ""))
-        if cs in ("", "-") and mono == "":
-            cs = "1" if cs == "" else "-1"
-        parts.append(f"{cs} {mono}" if mono and cs.endswith("i") else cs + mono)
-    return _join_terms(parts)
-
-
-def _int_poly_to_str(p):
-    """_poly_to_str of a nonzero polynomial with int coefficients, printed
-    straight from the dict."""
+    """A polynomial as printed, highest power of q first.  p is an int or
+    stored-form dict, or in content form, which prints as its stored form."""
+    if type(p) is not dict:
+        p = _to_stored(p)
     if len(p) == 1:
         for k, c in p.items():
-            return _int_term_str(k, c)
-    parts = []
-    for k in sorted(p, reverse=True):
-        c = p[k]
-        text = _int_term_str(k, c)
-        if not parts:
-            parts.append(text)
-        elif c < 0:
-            parts.append(" - " + text[1:])
-        else:
-            parts.append(" + " + text)
-    return "".join(parts)
+            return _term_str(k, c)
+    return _join_terms([_term_str(k, p[k]) for k in sorted(p, reverse=True)])
 
 
-def _int_term_str(k, c):
-    """The int c times q to the k half-steps, as _poly_to_str prints it."""
+def _term_str(k, c):
+    """The stored coefficient c times q to the k half-steps, as printed."""
     mono = _Q_TEXTS.get(k)
     if mono is None:
         mono = _q_text(k)
     if not mono:
-        return str(c)
-    if c == 1:
-        return mono
-    if c == -1:
-        return "-" + mono
-    return f"{c}{mono}"
+        return _coeff_to_str(c, need_one=True)
+    if type(c) is int:
+        # the common case, without _coeff_to_str's tests
+        if c == 1:
+            return mono
+        return "-" + mono if c == -1 else f"{c}{mono}"
+    cs = _coeff_to_str(c)
+    return f"{cs} {mono}" if cs.endswith("i") else cs + mono
 
 
 def _join_terms(terms):
@@ -1145,7 +1093,7 @@ def _coeff_times(c, mono):
     if c._d is _P_ONE and type(num) is dict and len(num) == 1:
         for k, v in num.items():
             if k:
-                cs = _int_term_str(k, v)
+                cs = _term_str(k, v)
                 return f"({cs}) {mono}" if k < 0 or k % 2 else f"{cs} {mono}"
             if v == 1:
                 return mono
@@ -1297,24 +1245,14 @@ def qnum(n: int, a: int = 1) -> QScalar:
     return _canon({2 * a * k: 1 for k in range(n)}, _P_ONE)
 
 
-def qfact(n: int, a: int = 1, kind: str = "plain") -> QScalar:
-    """q-factorial [[n]]_{q^a}! or the even double factorial [[n]]_{q^a}!!."""
-    if kind not in ("plain", "double"):
-        raise ValueError(f"unknown q-factorial kind {kind!r}")
+def qfact(n: int, a: int = 1) -> QScalar:
+    """q-factorial [[n]]_{q^a}! = [[1]]_{q^a} [[2]]_{q^a} ... [[n]]_{q^a}."""
     if n < 0:
         raise ValueError("q-factorials are defined for n >= 0")
-    if kind == "plain":
-        out = ONE
-        for j in range(1, n + 1):
-            out = out * qnum(j, a)
-        return out
-    if kind == "double":
-        if n % 2:
-            raise ValueError("double q-factorial needs an even argument")
-        out = ONE
-        for j in range(2, n + 1, 2):
-            out = out * qnum(j, a)
-        return out
+    out = ONE
+    for j in range(1, n + 1):
+        out = out * qnum(j, a)
+    return out
 
 
 # every module-level value memo of the package, from the rewrite engine's to

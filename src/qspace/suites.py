@@ -11,7 +11,7 @@ from . import evolution, grassmann, hopf, pairexp, qfunc, rmatrix, starcalc
 from .cfunc import CFunction, LatticeFunction, _monomials, jackson_weight, lattice_sum, space_vars
 from .ncalgebra import NCElement, act, hat_factor, lift, lower, normal_form
 from .reports import VerificationReport
-from .scalars import GaussianRational, ONE, ZERO, qnum, scalar
+from .scalars import GaussianRational, ONE, ZERO, qnum, qpow, scalar
 from .spaces import CALCULI, D_OF_LABEL, LABELS, SPACES, X_TOKENS
 
 NOTE_LEI_SUBSCRIPTS = (
@@ -298,6 +298,13 @@ def suite_numeric_integrals(opts: SuiteOptions):
         rep.record("time-shift invariance", str(comb), str(comb2))
     if per["L"] != -per["Rbar"]:
         rep.record("per-geometry minus identity", str(per["L"]), str(-per["Rbar"]))
+    # the integrand is x^4, so L is the weight q - 1 times the geometric sum
+    # of q^5k over |k| <= 30 on both axes; compared times 1 - q^5, which
+    # needs no gcd
+    closed = (qpow(1) - ONE) * 2 * (qpow(-150) - qpow(155))
+    ratio = ONE - qpow(5)
+    if per["L"] * ratio != closed:
+        rep.record("L by the closed geometric sum", str(per["L"]), str(closed / ratio))
     out.append(rep)
     return out
 

@@ -351,8 +351,8 @@ _SUM_D = (
 
 def test_wrong_lattice_weight_fails_the_lattice_checks(monkeypatch):
     """The weight q - 1 of the base-q sums planted as q: the lattice
-    integration-by-parts check reports the two base-q geometries, and
-    jackson-numeric every power."""
+    integration-by-parts check reports the two base-q geometries,
+    jackson-numeric every power, and sesquilinear its closed-sum check."""
     exact_weight = cfunc.jackson_weight
 
     def planted(a):
@@ -375,6 +375,9 @@ def test_wrong_lattice_weight_fails_the_lattice_checks(monkeypatch):
     assert [x.indices for x in reports["jackson-numeric"].failures] == [
         f"int_0^1 x^{n}" for n in range(4)
     ]
+    assert [x.indices for x in reports["sesquilinear"].failures] == [
+        "L by the closed geometric sum"
+    ]
     assert [name for name, r in reports.items() if not r.passed] == [
-        "jackson-numeric", "integration-by-parts-numeric",
+        "jackson-numeric", "integration-by-parts-numeric", "sesquilinear",
     ]

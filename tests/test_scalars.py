@@ -36,8 +36,24 @@ def test_additive_identity_and_cancellation():
 
 
 def test_division_by_zero_is_distinct_error():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match="division by zero scalar"):
         ONE / ZERO
+    with pytest.raises(DivisionByZero, match="division by zero scalar"):
+        1 / ZERO
+    with pytest.raises(DivisionByZero, match="zero denominator"):
+        QScalar({0: 1}, {1: 0})
+
+
+def test_the_constructor_cancels_like_a_quotient():
+    # (s^4 - 1) / (2 s^3 - 2 s) = (s^2 + 1) / (2 s): the s-power and the
+    # common factor s^2 - 1 leave the denominator, which is then the shared 1
+    x = QScalar({4: 1, 0: -1}, {3: 2, 1: -2})
+    assert x == (Q * Q - 1) / (QScalar.q_power(1) * (Q - 1) * 2)
+    assert dict(x.num) == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert x._d is scalars._P_ONE
+    y = QScalar({0: 3}, {0: 1, 2: GaussianRational(0, 2)})
+    assert y == 3 / (1 + 2 * I * Q)
+    assert dict(y.den) == {0: GaussianRational(0, Fraction(-1, 2)), 2: 1}
 
 
 def test_qnum_examples():
@@ -60,12 +76,6 @@ def test_qnum_rejects_bad_input():
 def test_qfact_examples():
     assert qfact(0, 1) == ONE
     assert qfact(2, 1) == (ONE + Q)
-    assert qfact(4, 2, "double") == (ONE + qpow(2)) * (ONE + qpow(2) + qpow(4) + qpow(6))
-
-
-def test_double_factorial_rejects_odd():
-    with pytest.raises(ValueError):
-        qfact(3, 2, "double")
 
 
 def test_eval_examples():

@@ -170,7 +170,7 @@ _STRING_OPTIONS = list(_string_options())
 
 def test_the_walk_finds_the_string_options():
     found = {p.id for p in _STRING_OPTIONS}
-    assert len(found) >= 27
+    assert len(found) >= 26
     assert {
         "pairexp.kronecker_check.variant", "evolution.integrate_whole_line.variant",
         "evolution.integrate_whole_e3.variant", "evolution.sesquilinear_line.form",

@@ -14,7 +14,7 @@ import pytest
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
 from qspace.hopf import TRANSLATE_VARIANTS, antipode, doubled_vars, translate
 from qspace.pairexp import classical_factorial
-from qspace.scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, qfact, qpow
+from qspace.scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, qfact, qnum, qpow
 from qspace.spaces import Y_OF
 from qspace.starcalc import _star_e3
 
@@ -26,6 +26,15 @@ _VARIANT_PARAMS = {
     "Rbar": (1, True),
     "R": (-1, False),
 }
+
+
+def _double_qfact(n, a):
+    """The even double q-factorial [[2]]_{q^a} [[4]]_{q^a} ... [[n]]_{q^a}."""
+    out = ONE
+    for j in range(2, n + 1, 2):
+        out = out * qnum(j, a)
+    return out
+
 
 def _old_translate(space, variant, f):
     want = space_vars(space)
@@ -70,7 +79,7 @@ def _old_translate(space, variant, f):
                         for l in range(k3 + 1):
                             denom = (
                                 classical_factorial(k0)
-                                * qfact(2 * l, 2 * s, "double")
+                                * _double_qfact(2 * l, 2 * s)
                                 * qfact(kp, 4 * s)
                                 * qfact(k3 - l, 2 * s)
                                 * qfact(km, 4 * s)
@@ -129,7 +138,7 @@ def _old_antipode(space, variant, f):
         pre = qpow(4 * s * k * k)
         for _ in range(k):
             pre = pre * step_pre
-        pre = pre / qfact(2 * k, 2 * s, "double")
+        pre = pre / _double_qfact(2 * k, 2 * s)
         acc = {}
         for exps, c in f.terms.items():
             mp, m3, mm = exps[ip], exps[i3], exps[im]
