@@ -12,7 +12,8 @@ import functools
 import itertools
 import math
 
-from .scalars import ONE, ZERO, QScalar, _add_term, _coeff_times, _LinComb, qnum, qpow, scalar
+from .scalars import ONE, ZERO, QScalar, _add_term, _coeff_times, _LinComb, _memo, _remember
+from .scalars import qnum, qpow, scalar
 from .spaces import E3, LINE, X_TOKENS, check_option
 
 LINE_VARS = X_TOKENS[LINE]
@@ -21,14 +22,26 @@ E3_VARS = X_TOKENS[E3]
 space_vars = X_TOKENS.__getitem__
 
 
-def _monomials(variables, max_degree):
-    """Exponent tuples of total degree <= max_degree, in itertools.product
-    order."""
-    return [
-        e
-        for e in itertools.product(range(max_degree + 1), repeat=len(variables))
-        if sum(e) <= max_degree
-    ]
+# (variables, max_degree, by degree) -> the exponent tuples of _monomials
+_MONOMIALS = _memo()
+
+
+def _monomials(variables, max_degree, by_degree=False):
+    """Exponent tuples of total degree <= max_degree, as a tuple from the
+    monomial table: in itertools.product order, or sorted by degree, then
+    exponents, if by_degree."""
+    key = (variables, max_degree, by_degree)
+    out = _MONOMIALS.get(key)
+    if out is None:
+        out = tuple(
+            e
+            for e in itertools.product(range(max_degree + 1), repeat=len(variables))
+            if sum(e) <= max_degree
+        )
+        if by_degree:
+            out = tuple(sorted(out, key=lambda e: (sum(e), e)))
+        out = _remember(_MONOMIALS, key, out)
+    return out
 
 
 @functools.lru_cache(maxsize=4096)

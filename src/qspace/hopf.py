@@ -16,7 +16,8 @@ from .cfunc import CFunction, _monomials, space_vars
 from .pairexp import _EXP_MODE, qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, QScalar, _add_term, _memo, _remember, qbinom, qnum, qpow
+from .scalars import LAM, LAMP, ONE, QScalar, _apply_rows, _memo, _remember, _table_rows
+from .scalars import qbinom, qnum, qpow, scalar
 from .spaces import CALCULI, LABEL_OF, REVERSED, SUBSTITUTION, X_TOKENS, Y_OF, check_option
 
 TRANSLATE_VARIANTS = tuple(sorted(row[3] for row in CALCULI.values()))
@@ -56,6 +57,61 @@ def _step_power(l: int, s: int, e: int) -> QScalar:
     return out
 
 
+# the per-monomial images of the translations and antipodes, keyed
+# (space, variant, exps) and (space, base sign, exps): tuples of
+# (key, coefficient) rows, stored whole
+_TRANSLATE_ROWS, _ANTIPODE_ROWS = _memo(), _memo()
+
+
+def _translate_image(space, variant, exps):
+    """The translation of the monomial with exponents exps: its finite
+    two-leg Taylor sum as rows, one per distinct key."""
+    s, swap = _VARIANT_PARAMS[variant]
+    n0 = exps[0]
+    # the classical x0 leg's binomials
+    c0 = [scalar(math.comb(n0, k)) for k in range(n0 + 1)]
+    if space == "line":
+        n1 = exps[1]
+        return tuple(
+            ((k, l, n0 - k, n1 - l), qbinom(n1, l, s) * c0[k])
+            for k in range(n0 + 1)
+            for l in range(n1 + 1)
+        )
+
+    # x-legs (x0, xp, x3, xm), then the y-legs in the same order from slot y
+    want = space_vars(space)
+    vp, vm = ("xm", "xp") if swap else ("xp", "xm")
+    ip, i3, im = want.index(vp), want.index("x3"), want.index(vm)
+    y = len(want)
+    a3, a4 = 2 * s, 4 * s
+    np_, n3, nm = exps[ip], exps[i3], exps[im]
+    # x3 leg: j = k3 - l plain and l paired derivatives, r = n3 - j - 2l
+    # left over; [n3]!/([r]! [j]! [2l]!!) lambda_l^l
+    x3_leg = [
+        (j, l, n3 - j - 2 * l,
+         qbinom(n3, j, a3) * qbinom(n3 - j, 2 * l, a3) * _odd_qfact(l, a3)
+         * _step_power(l, s, s))
+        for l in range(n3 // 2 + 1)
+        for j in range(n3 - 2 * l + 1)
+    ]
+    rows = []
+    for kp in range(np_ + 1):
+        cp = qbinom(np_, kp, a4)
+        for km in range(nm + 1):
+            cpm = cp * qbinom(nm, km, a4)
+            for j, l, r, c3 in x3_leg:
+                # x3 -> q^(2s km) x3 and vp -> q^(2s j) vp on the y-legs
+                cpm3 = cpm * c3 * QScalar.q_power(a4 * (j * (np_ - kp) + km * r))
+                for k0 in range(n0 + 1):
+                    key = [0] * (2 * y)
+                    key[0], key[y] = k0, n0 - k0
+                    key[ip], key[y + ip] = kp, np_ - kp + l
+                    key[i3], key[y + i3] = j, r
+                    key[im], key[y + im] = km + l, nm - km
+                    rows.append((tuple(key), cpm3 * c0[k0]))
+    return tuple(rows)
+
+
 def translate(space: str, variant: str, f: CFunction) -> CFunction:
     """q-translation of a polynomial: the finite two-leg Taylor sums.
 
@@ -65,54 +121,48 @@ def translate(space: str, variant: str, f: CFunction) -> CFunction:
 
     Each monomial's sum is written out in closed form: a derivative power
     over the matching factorial is a binomial, classical or Gaussian, so
-    every coefficient is a Laurent polynomial and nothing is divided.
+    every coefficient is a Laurent polynomial and nothing is divided.  The
+    sums are read from the translation table.
     """
     check_option("translation variant", variant, TRANSLATE_VARIANTS)
     want = space_vars(space)
     if f.vars != want:
         f = f.restrict(want)
-    out_vars = doubled_vars(space)
-    out = {}
-    s, swap = _VARIANT_PARAMS[variant]
-    if space == "line":
-        for (n0, n1), c in f.terms.items():
-            for k in range(n0 + 1):
-                ck = math.comb(n0, k)
-                for l in range(n1 + 1):
-                    _add_term(out, (k, l, n0 - k, n1 - l), qbinom(n1, l, s) * ck * c)
-        return CFunction(out_vars, out)
+    rows = _table_rows(_TRANSLATE_ROWS, (space, variant), _translate_image)
+    return CFunction(doubled_vars(space), _apply_rows(f.terms, rows))
 
-    # x-legs (x0, xp, x3, xm), then the y-legs in the same order from slot y
-    vp, vm = ("xm", "xp") if swap else ("xp", "xm")
-    ip, i3, im = want.index(vp), want.index("x3"), want.index(vm)
-    y = len(want)
-    a3, a4 = 2 * s, 4 * s
-    for exps, c in f.terms.items():
-        n0, np_, n3, nm = exps[0], exps[ip], exps[i3], exps[im]
-        # x3 leg: j = k3 - l plain and l paired derivatives, r = n3 - j - 2l
-        # left over; [n3]!/([r]! [j]! [2l]!!) lambda_l^l
-        x3_leg = [
-            (j, l, n3 - j - 2 * l,
-             qbinom(n3, j, a3) * qbinom(n3 - j, 2 * l, a3) * _odd_qfact(l, a3)
-             * _step_power(l, s, s))
-            for l in range(n3 // 2 + 1)
-            for j in range(n3 - 2 * l + 1)
-        ]
-        for kp in range(np_ + 1):
-            cp = qbinom(np_, kp, a4)
-            for km in range(nm + 1):
-                cpm = cp * qbinom(nm, km, a4)
-                for j, l, r, c3 in x3_leg:
-                    # x3 -> q^(2s km) x3 and vp -> q^(2s j) vp on the y-legs
-                    cpm3 = cpm * c3 * QScalar.q_power(a4 * (j * (np_ - kp) + km * r))
-                    for k0 in range(n0 + 1):
-                        key = [0] * (2 * y)
-                        key[0], key[y] = k0, n0 - k0
-                        key[ip], key[y + ip] = kp, np_ - kp + l
-                        key[i3], key[y + i3] = j, r
-                        key[im], key[y + im] = km + l, nm - km
-                        _add_term(out, tuple(key), cpm3 * math.comb(n0, k0) * c)
-    return CFunction(out_vars, out)
+
+def _antipode_image(space, s, exps):
+    """The antipode of the monomial with exponents exps, as rows."""
+    if space == "line":
+        n0, n1 = exps
+        factor = QScalar.q_power(s * n1 * (n1 - 1))
+        return ((exps, -factor if (n0 + n1) % 2 else factor),)
+
+    # The q-power operator is symmetric in the +/- degrees, so the mirrored
+    # variants share the formula; only the base sign differs.
+    want = space_vars(space)
+    ip, i3, im = want.index("xp"), want.index("x3"), want.index("xm")
+    a3 = 2 * s
+    mp, m3, mm = exps[ip], exps[i3], exps[im]
+    w = 2 * (mp * (mp - 1) + mm * (mm - 1)) + m3 * (2 * mp + 2 * mm + m3 - 1)
+    odd = sum(exps) % 2
+    rows = []
+    for k in range(m3 // 2 + 1):
+        # q^(4 s k^2) and x3 -> q^(-2k) x3 ride on the exponent weight
+        factor = QScalar.q_power(2 * s * w - 4 * s * k * m3 + 8 * s * k * k)
+        coeff = (qbinom(m3, 2 * k, a3) * _odd_qfact(k, a3) * _step_power(k, s, -s)
+                 * (-factor if odd else factor))
+        key = list(exps)
+        key[ip], key[i3], key[im] = mp + k, m3 - 2 * k, mm + k
+        rows.append((tuple(key), coeff))
+    return tuple(rows)
+
+
+def _antipode_rows(space, variant):
+    """The antipode's rows, from the table; the mirrored variants share the
+    entries of their base sign."""
+    return _table_rows(_ANTIPODE_ROWS, (space, _VARIANT_PARAMS[variant][0]), _antipode_image)
 
 
 def antipode(space: str, variant: str, f: CFunction) -> CFunction:
@@ -128,58 +178,27 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
     want = space_vars(space)
     if f.vars != want:
         f = f.restrict(want)
-    s, _swap = _VARIANT_PARAMS[variant]
-    if space == "line":
-        out = {}
-        for (n0, n1), c in f.terms.items():
-            factor = QScalar.q_power(s * n1 * (n1 - 1))
-            if (n0 + n1) % 2:
-                factor = -factor
-            out[(n0, n1)] = c * factor
-        return CFunction(want, out)
-
-    # The q-power operator is symmetric in the +/- degrees, so the mirrored
-    # variants share the formula; only the base sign differs.
-    ip, i3, im = want.index("xp"), want.index("x3"), want.index("xm")
-    a3 = 2 * s
-    out = {}
-    for exps, c in f.terms.items():
-        mp, m3, mm = exps[ip], exps[i3], exps[im]
-        w = 2 * (mp * (mp - 1) + mm * (mm - 1)) + m3 * (2 * mp + 2 * mm + m3 - 1)
-        if sum(exps) % 2:
-            c = -c
-        for k in range(m3 // 2 + 1):
-            # q^(4 s k^2) and x3 -> q^(-2k) x3 ride on the exponent weight
-            coeff = (qbinom(m3, 2 * k, a3) * _odd_qfact(k, a3) * _step_power(k, s, -s)
-                     * QScalar.q_power(2 * s * w - 4 * s * k * m3 + 8 * s * k * k))
-            key = list(exps)
-            key[ip], key[i3], key[im] = mp + k, m3 - 2 * k, mm + k
-            _add_term(out, tuple(key), coeff * c)
-    return CFunction(want, out)
+    return CFunction(want, _apply_rows(f.terms, _antipode_rows(space, variant)))
 
 
 def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
     """Apply the antipode operator to the y-legs of a translated function."""
     check_option("antipode variant", variant, TRANSLATE_VARIANTS)
-    out_vars = t.vars
-    want = space_vars(space)
-    y_idx = [out_vars.index(Y_OF[v]) for v in want]
-    grouped = {}
-    for exps, c in t.terms.items():
-        xpart = list(exps)
-        ypart = []
+    y_idx = [t.vars.index(Y_OF[v]) for v in space_vars(space)]
+    rows = _antipode_rows(space, variant)
+
+    def row_of(exps):
+        # the y-legs' image, the x-legs carried along
+        rest = list(exps)
         for j in y_idx:
-            ypart.append(exps[j])
-            xpart[j] = 0
-        _add_term(grouped.setdefault(tuple(xpart), {}), tuple(ypart), c)
-    out = {}
-    for xpart, yterms in grouped.items():
-        for ey, c in antipode(space, variant, CFunction(want, yterms)).terms.items():
-            key = list(xpart)
+            rest[j] = 0
+        for ey, c in rows(tuple(exps[j] for j in y_idx)):
+            key = rest[:]
             for j, n in zip(y_idx, ey):
-                key[j] += n
-            _add_term(out, tuple(key), c)
-    return CFunction(out_vars, out)
+                key[j] = n
+            yield tuple(key), c
+
+    return CFunction(t.vars, _apply_rows(t.terms, row_of))
 
 
 def translated_antipoded_monomial(space, variant, exps) -> CFunction:
@@ -257,30 +276,33 @@ def taylor_identity_check(space: str, max_degree: int = 3) -> VerificationReport
         # one exponential per setup; its terms are sorted by degree, and the
         # prefix up to a target's degree is the exponential truncated there
         exp = qexp(space, exp_variant, top)
-        leg_cache = {}
+        legs = {}
+
+        def leg_row(pair):
+            # the exponential term's leg, shifted on the y-legs by the
+            # exponents of one term of the acted polynomial
+            exps, ey = pair
+            leg = legs.get(exps)
+            if leg is None:
+                leg = legs[exps] = tuple(
+                    translated_antipoded_monomial(space, tvariant, exps).terms.items())
+            for el, cl in leg:
+                key = list(el)
+                for j, n in zip(y_idx, ey):
+                    key[j] += n
+                yield tuple(key), cl
+
         for label, gf in targets:
             acted_by = _exp_word_actions(space, exp, avariant, gf, rep_name)
-            acc = {}
+            # sum of leg * (acted on the y-legs) * coeff over the terms
+            pairs = {}
             for exps, _dword, coeff in exp:
                 acted = acted_by.get(exps)
                 if acted is None:
                     break  # past g's degree
-                if acted.is_zero():
-                    continue
-                if exps not in leg_cache:
-                    leg_cache[exps] = translated_antipoded_monomial(
-                        space, tvariant, exps
-                    )
-                leg = leg_cache[exps].terms.items()
-                # leg * (acted on the y-legs) * coeff, term by term
                 for ey, cy in acted.terms.items():
-                    cy = cy * coeff
-                    for el, cl in leg:
-                        key = list(el)
-                        for j, n in zip(y_idx, ey):
-                            key[j] += n
-                        _add_term(acc, tuple(key), cl * cy)
-            acc = CFunction(out_vars, acc)
+                    pairs[exps, ey] = cy * coeff
+            acc = CFunction(out_vars, _apply_rows(pairs, leg_row))
             expect = gf.embed(out_vars)
             if acc != expect:
                 rep.record(f"{exp_variant}/{tvariant}:{label}", str(acc), str(expect))

@@ -36,7 +36,7 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
-from .scalars import _clear_memos, _memo, _remember
+from .scalars import _apply_rows, _clear_memos, _memo, _remember, _table_rows
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
     X_TOKENS, SpaceTable, check_option,
@@ -243,27 +243,6 @@ class _RuleSet:
         # token run appended, keyed by the word's rank key, the token and
         # the run (used on the opposite rule sets only)
         self.counit_memo = {}
-
-    def _tag(self, tok):
-        return tok[0] if isinstance(tok, tuple) else tok
-
-    def resolve(self, a, b):
-        """Rewrite alternatives for the adjacent pair (a, b); None if ordered."""
-        ta, tb = self._tag(a), self._tag(b)
-        if ta == _LAM_TAG and tb == _LAM_TAG:
-            h = a[1] + b[1]
-            return [(ONE, ((_LAM_TAG, h),) if h else ())]
-        if ta == _LAM_TAG:
-            if self.rank[_LAM_TAG] < self.rank[tb]:
-                return None
-            return [(QScalar.q_power(self.lam_weight[tb] * a[1]), (b, a))]
-        if tb == _LAM_TAG:
-            if self.rank[ta] < self.rank[_LAM_TAG]:
-                return None
-            return [(QScalar.q_power(-self.lam_weight[ta] * b[1]), (b, a))]
-        if self.rank[ta] <= self.rank[tb]:
-            return None
-        return self.pair_rules[(ta, tb)]
 
 
 # every call passes all four arguments, so a rule set has one cache key
@@ -653,11 +632,9 @@ _WORD_MAPS = {"conj": _CONJ_MAP, "mirror": _MIRROR_MAP}
 _TRANSPORT = _memo()
 
 
-def _transport_row(space, name, key):
-    """The row of key under the transport name, from the table."""
-    row = _TRANSPORT.get((space, name, key))
-    if row is not None:
-        return row
+def _transport_image(space, name, key):
+    """The normal-ordered image of key under the transport name, as a tuple
+    of (key, QScalar) rows."""
     coeff = ONE
     if name in _WORD_MAPS:
         # the reversed word, each generator mapped, the scaling operator
@@ -684,21 +661,21 @@ def _transport_row(space, name, key):
     nf = _normal_runs(space, "u", ordering, runs)
     if name not in _WORD_MAPS:
         nf = {k[:len(key)]: c for k, c in nf.items()}
-    return _remember(_TRANSPORT, (space, name, key),
-                     tuple((k, coeff * c) for k, c in nf.items()))
+    return tuple((k, coeff * c) for k, c in nf.items())
+
+
+def _transport_rows(space, name):
+    """The rows of the transport name, from the table."""
+    return _table_rows(_TRANSPORT, (space, name), _transport_image)
 
 
 def _transport(a: NCElement, name) -> NCElement:
     """The word transport name ('conj' or 'mirror') of a, re-ordered in the
     plain calculus; conjugation also complex-conjugates the coefficients."""
-    out = NCElement(a.space)
-    conj = name == "conj"
-    for k, c in a.terms.items():
-        if conj:
-            c = c.conj()
-        for kk, cc in _transport_row(a.space, name, k):
-            _add_term(out.terms, kk, c * cc)
-    return out
+    terms = a.terms
+    if name == "conj":
+        terms = {k: c.conj() for k, c in terms.items()}
+    return NCElement(a.space, _apply_rows(terms, _transport_rows(a.space, name)))
 
 
 def normal_form(space, word, coeff=ONE):
@@ -842,11 +819,7 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
         f = f.restrict(want)
     if space == LINE:
         return f  # a single spatial generator has only one ordering
-    out = {}
-    for e, c in f.terms.items():
-        for k, cc in _transport_row(space, direction, e):
-            _add_term(out, k, c * cc)
-    return CFunction(want, out)
+    return CFunction(want, _apply_rows(f.terms, _transport_rows(space, direction)))
 
 
 # -- one calculus's normal ordering (the benchmark's nf-ladder calls it) --------

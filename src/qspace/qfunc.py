@@ -2,7 +2,8 @@
 partial derivatives and of their inverses, and argument scalings.
 
 The left actions of the plain derivatives and of their inverses are written
-down once, as functions of (f, x, s): x names the variables standing in for
+down once, as functions of (e, x, s) that give the image of one monomial
+with exponent tuple e: x holds the slots of the variables standing in for
 xp and xm, and s is the sign of every q-exponent.  The substitution rules
 (+/-, q) -> (-/+, 1/q) of spaces.SUBSTITUTION give the other three one-sided
 calculi from them: a hatted action takes s = -1, a mirrored one the
@@ -14,52 +15,76 @@ normal-ordering engine, which serves as the independent oracle.
 
 from __future__ import annotations
 
-from .cfunc import CFunction
+from .cfunc import E3_VARS, CFunction, space_vars
 from .ncalgebra import reorder_transform
-from .scalars import LAM, qpow
+from .scalars import LAM, ONE, QScalar, _apply_rows, _memo, _table_rows, qnum, qpow, scalar
 from .spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION, SpaceTable, check_option
 
 VARIANTS = tuple(CALCULI)
 
-# the values of x: the plain variables and their +/- mirror
-_X, _X_MIRRORED = ("xp", "xm"), ("xm", "xp")
+# the values of x: the slots of xp and xm in a euclid3 exponent tuple, and
+# their +/- mirror
+_X = (E3_VARS.index("xp"), E3_VARS.index("xm"))
+_X_MIRRORED = _X[::-1]
+_I3 = E3_VARS.index("x3")
 
 
-def _d_time(f, x, s):
-    return f.classical_d("x0")
+def _moved(e, *steps):
+    """e with each (slot, change) of steps applied."""
+    out = list(e)
+    for i, d in steps:
+        out[i] += d
+    return tuple(out)
 
 
-def _d_time_inverse(f, x, s):
-    return f.classical_antiderivative("x0")
+def _jackson(e, i, a, c=ONE):
+    """c times the Jackson derivative D_{q^a} in slot i; a = 0 is the
+    classical derivative."""
+    n = e[i]
+    return [(_moved(e, (i, -1)), c * (qnum(n, a) if a else scalar(n)))] if n else []
 
 
-def _d_minus(f, x, s):
-    lam_xp = CFunction.var(f.vars, x[0], 1, s * LAM)
-    return (f.scale_var("x3", 4 * s).jackson_d(x[1], 4 * s)
-            + f.jackson_d("x3", 2 * s).jackson_d("x3", 2 * s) * lam_xp)
+def _jackson_inverse(e, i, a, c=ONE):
+    """c times the Jackson antiderivative, x^n -> x^(n+1) / [[n+1]]_{q^a},
+    in slot i; a = 0 is the classical antiderivative."""
+    n = e[i] + 1
+    return [(_moved(e, (i, 1)), c / (qnum(n, a) if a else scalar(n)))]
 
 
-def _d_minus_inverse(f, x, s):
+def _d_minus(e, x, s):
+    # scale x3 by q^(2s), lower x[1]; plus D_3^2 times lambda x[0]
+    n3 = e[_I3]
+    out = _jackson(e, x[1], 4 * s, QScalar.q_power(4 * s * n3))
+    if n3 > 1:
+        out.append((_moved(e, (_I3, -2), (x[0], 1)),
+                    qnum(n3, 2 * s) * qnum(n3 - 1, 2 * s) * (s * LAM)))
+    return out
+
+
+def _d_minus_inverse(e, x, s):
     """The correction series is finite on polynomials: term k eats 2k powers
-    of the 3-coordinate."""
-    out = CFunction.zero(f.vars)
-    for k in range(f.degree("x3") // 2 + 1):
-        g = f.scale_var("x3", -4 * s * (k + 1))
-        for _ in range(k + 1):
-            g = g.jackson_antiderivative(x[1], 4 * s)
-        for _ in range(2 * k):
-            g = g.jackson_d("x3", 2 * s)
-        out = out + g * CFunction.var(f.vars, x[0], k, qpow(2 * s * k * (k + 1)) * (-s * LAM) ** k)
+    of the 3-coordinate, raises x[1] k + 1 times and x[0] k times."""
+    n3, n1 = e[_I3], e[x[1]]
+    out = []
+    rise = fall = ONE
+    for k in range(n3 // 2 + 1):
+        # 1 / [[n1+1]]...[[n1+k+1]] in base q^(4s), [[n3]]...[[n3-2k+1]] in q^(2s)
+        rise = rise / qnum(n1 + k + 1, 4 * s)
+        if k:
+            fall = fall * qnum(n3 - 2 * k + 2, 2 * s) * qnum(n3 - 2 * k + 1, 2 * s)
+        coeff = (QScalar.q_power(-4 * s * (k + 1) * n3) * rise * fall
+                 * qpow(2 * s * k * (k + 1)) * (-s * LAM) ** k)
+        out.append((_moved(e, (x[1], k + 1), (_I3, -2 * k), (x[0], k)), coeff))
     return out
 
 
 # index label -> the left action of the plain derivative
 _LEFT = SpaceTable({
-    LINE: {"0": _d_time, "1": lambda f, x, s: f.jackson_d("x1", s)},
+    LINE: {"0": lambda e, x, s: _jackson(e, 0, 0), "1": lambda e, x, s: _jackson(e, 1, s)},
     E3: {
-        "0": _d_time,
-        "+": lambda f, x, s: f.jackson_d(x[0], 4 * s),
-        "3": lambda f, x, s: f.scale_var(x[0], 4 * s).jackson_d("x3", 2 * s),
+        "0": lambda e, x, s: _jackson(e, 0, 0),
+        "+": lambda e, x, s: _jackson(e, x[0], 4 * s),
+        "3": lambda e, x, s: _jackson(e, _I3, 2 * s, QScalar.q_power(4 * s * e[x[0]])),
         "-": _d_minus,
     },
 })
@@ -67,41 +92,60 @@ _LEFT = SpaceTable({
 # index label -> the left action of its inverse; the '3' inverse pairs with
 # the q^2 base of the forward action
 _LEFT_INVERSE = SpaceTable({
-    LINE: {"0": _d_time_inverse, "1": lambda f, x, s: f.jackson_antiderivative("x1", s)},
+    LINE: {"0": lambda e, x, s: _jackson_inverse(e, 0, 0),
+           "1": lambda e, x, s: _jackson_inverse(e, 1, s)},
     E3: {
-        "0": _d_time_inverse,
-        "+": lambda f, x, s: f.jackson_antiderivative(x[0], 4 * s),
-        "3": lambda f, x, s: f.scale_var(x[0], -4 * s).jackson_antiderivative("x3", 2 * s),
+        "0": lambda e, x, s: _jackson_inverse(e, 0, 0),
+        "+": lambda e, x, s: _jackson_inverse(e, x[0], 4 * s),
+        "3": lambda e, x, s: _jackson_inverse(e, _I3, 2 * s, QScalar.q_power(-4 * s * e[x[0]])),
         "-": _d_minus_inverse,
     },
 })
 
+# the images of single monomials under each action, keyed (inverse?, index
+# label, variant, space, exps): tuples of (key, coefficient) rows, stored whole
+_ACT_ROWS = _memo()
 
-def _act(actions, index, variant, f, space, rep):
-    """Apply the variant's image of the left action actions[space][index] to
-    f.  rep names the normal ordering f represents: the hatted-calculus
-    operators produced by the substitution rules are native to the reversed
-    ordering and get conjugated by the ordering transport when applied to a
-    standard-ordering representative, and the plain ones the other way
-    round."""
+
+def _act_image(inverse, label, variant, space, e):
+    """The image of the monomial with exponents e under the variant's image
+    of the left action (_LEFT_INVERSE if inverse, else _LEFT)[space][label],
+    as rows."""
+    s, mirrored = SUBSTITUTION[variant]
+    if mirrored:
+        label = PM_LABEL_SWAP.get(label, label)
+    row = (_LEFT_INVERSE if inverse else _LEFT)[space][label](
+        e, _X_MIRRORED if mirrored else _X, s)
+    if CALCULI[variant][1]:  # a right action
+        return tuple((k, -c) for k, c in row)
+    return tuple(row)
+
+
+def _act(inverse, index, variant, f, space, rep):
+    """Apply the variant's image of the left action (_LEFT_INVERSE if
+    inverse, else _LEFT)[space][index] to f.  rep names the normal ordering
+    f represents: the hatted-calculus operators produced by the substitution
+    rules are native to the reversed ordering and get conjugated by the
+    ordering transport when applied to a standard-ordering representative,
+    and the plain ones the other way round.  The monomials' images are read
+    from the action table."""
     check_option("variant", variant, VARIANTS)
     check_option("rep", rep, ("standard", "reversed"))
-    hatted, right = CALCULI[variant][:2]
-    s, mirrored = SUBSTITUTION[variant]
+    label = str(index)
+    # the +/- mirror swaps two labels of the same table
+    if label not in _LEFT[space]:
+        raise ValueError(f"unknown derivative index {index!r} for {space}")
+    want = space_vars(space)
+    if f.vars != want:
+        f = f.restrict(want)
     back = None
-    if space == E3 and (rep == "standard") == hatted:
+    if space == E3 and (rep == "standard") == CALCULI[variant][0]:
         there, back = "to_reversed", "to_standard"
         if rep != "standard":
             there, back = back, there
         f = reorder_transform(space, f, there)
-    label = str(index)
-    try:
-        action = actions[space][PM_LABEL_SWAP.get(label, label) if mirrored else label]
-    except KeyError:
-        raise ValueError(f"unknown derivative index {index!r} for {space}")
-    out = action(f, _X_MIRRORED if mirrored else _X, s)
-    if right:
-        out = -out
+    rows = _table_rows(_ACT_ROWS, (inverse, label, variant, space), _act_image)
+    out = CFunction(want, _apply_rows(f.terms, rows))
     return out if back is None else reorder_transform(space, out, back)
 
 
@@ -113,7 +157,7 @@ def act_partial_closed(index: str, variant: str, f: CFunction, space: str,
     with the hatted one, matching the four printed one-sided calculi; rep
     names the normal ordering the argument represents.
     """
-    return _act(_LEFT, index, variant, f, space, rep)
+    return _act(False, index, variant, f, space, rep)
 
 
 def act_inverse_partial(index: str, variant: str, f: CFunction, space: str) -> CFunction:
@@ -121,7 +165,7 @@ def act_inverse_partial(index: str, variant: str, f: CFunction, space: str) -> C
 
     The correction series terminates on polynomials, so the result is exact;
     the matching forward action returns the input (inverse property)."""
-    return _act(_LEFT_INVERSE, index, variant, f, space, "standard")
+    return _act(True, index, variant, f, space, "standard")
 
 
 # -- the scaling operator (evolution calls it by name: a test swaps in a fake) --

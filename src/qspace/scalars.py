@@ -1127,6 +1127,18 @@ def _add_term(terms, key, c):
         terms.pop(key, None)
 
 
+def _apply_rows(terms, row_of):
+    """The linear map given key by key by row_of, applied to terms: each
+    term c key adds c times every (key, coefficient) pair of row_of(key).
+    Returns a new dict.  The image tables and the word transports apply
+    their rows through this one loop."""
+    out = {}
+    for e, c in terms.items():
+        for k, cc in row_of(e):
+            _add_term(out, k, c * cc)
+    return out
+
+
 class _LinComb:
     """Finite linear combination of basis keys with QScalar coefficients.
 
@@ -1277,6 +1289,19 @@ def _remember(table, key, value):
         table.clear()
     table[key] = value
     return value
+
+
+def _table_rows(table, head, build):
+    """A row_of for _apply_rows that reads the row of e from the memo table
+    under the key head + (e,), storing build(*key), a tuple of
+    (key, coefficient) pairs, on a miss."""
+    def row_of(e):
+        key = head + (e,)
+        row = table.get(key)
+        if row is None:
+            row = _remember(table, key, build(*key))
+        return row
+    return row_of
 
 
 def _clear_memos():

@@ -3,8 +3,8 @@
 The oracle below is the earlier engine restated: it normal-orders token
 tuples by appending one token at a time, walks a token past plain swaps one
 step (and one scalar product) at a time, and memoizes each insertion by its
-whole word, on memos of its own.  It reads only the rule sets' ``resolve``,
-so the rank tables, the run walk, the per-run memos and the transport table
+whole word, on memos of its own.  It reads only the rule sets' pair rules,
+rank order and scaling weights, through ``resolve`` below, so the rank tables, the run walk, the per-run memos and the transport table
 of the engine are all checked against code that has none of them.
 """
 
@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from qspace import hopf, qfunc, scalars, starcalc
+from qspace import cfunc, hopf, qfunc, scalars, starcalc
 from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS
 from qspace.ncalgebra import NCElement, act, lift, lower, normal_form, reorder_transform
@@ -21,6 +21,32 @@ from qspace.pairexp import _EXP_TERMS, qexp
 from qspace.scalars import I, ONE, QScalar, _add_term
 
 _WARM_STEP = 64
+_LAM = _nc._LAM_TAG
+
+
+def _tag(tok):
+    return tok[0] if isinstance(tok, tuple) else tok
+
+
+def resolve(rs, a, b):
+    """Rewrite alternatives of the rule set rs for the adjacent tokens
+    (a, b), a list of (coefficient, replacement); None if ordered.  The
+    scaling operator is the token (tag, half-step exponent)."""
+    ta, tb = _tag(a), _tag(b)
+    if ta == _LAM and tb == _LAM:
+        h = a[1] + b[1]
+        return [(ONE, ((_LAM, h),) if h else ())]
+    if ta == _LAM:
+        if rs.rank[_LAM] < rs.rank[tb]:
+            return None
+        return [(QScalar.q_power(rs.lam_weight[tb] * a[1]), (b, a))]
+    if tb == _LAM:
+        if rs.rank[ta] < rs.rank[_LAM]:
+            return None
+        return [(QScalar.q_power(-rs.lam_weight[ta] * b[1]), (b, a))]
+    if rs.rank[ta] <= rs.rank[tb]:
+        return None
+    return rs.pair_rules[(ta, tb)]
 # insertion memos, keyed by the rule set's key, then by word
 _MEMOS = {}
 
@@ -28,7 +54,7 @@ _MEMOS = {}
 def _fold(rs, memo, terms, t):
     out = {}
     for w, c in terms.items():
-        alts = rs.resolve(w[-1], t) if w else None
+        alts = resolve(rs, w[-1], t) if w else None
         if alts is None:
             _add_term(out, w + (t,), c)
             continue
@@ -45,7 +71,7 @@ def _insert(rs, memo, w, t, alts):
             break
         coeff = coeff * alts[0][0]
         i -= 1
-        alts = rs.resolve(w[i - 1], t) if i else None
+        alts = resolve(rs, w[i - 1], t) if i else None
     if alts is None:
         return {w[:i] + (t,) + w[i:]: coeff}
     passed, key, rest = w[i:], w[:i] + (t,), w[:i - 1]
@@ -84,7 +110,7 @@ def oracle_normal_form(space, calculus, ordering, word, rightmost=False):
     memo = _MEMOS.setdefault((space, calculus, ordering, rightmost), {})
     w = tuple(word)[::-1] if rightmost else tuple(word)
     i = min(len(w), 1)
-    while i < len(w) and rs.resolve(w[i - 1], w[i]) is None:
+    while i < len(w) and resolve(rs, w[i - 1], w[i]) is None:
         i += 1
     result = {w[:i]: ONE}
     for t in w[i:]:
@@ -314,6 +340,7 @@ def test_tables_stay_bounded(monkeypatch):
 def test_rebuilt_rule_sets_leave_no_tables_behind():
     # the module-level tables of every layer; a rule set's memos go with it
     tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
+              hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS, cfunc._MONOMIALS,
               _nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
     key = ("euclid3", "u", "xd", False)
     for _ in range(50):
@@ -337,8 +364,8 @@ def test_rebuilt_rule_sets_leave_no_tables_behind():
 
 
 def _fill_value_tables():
-    """Results read through the q-binomial, star-leg and translation-factor
-    tables, and inverse derivatives, which hold no table of their own."""
+    """Results read through the q-binomial, star-leg, translation-factor,
+    translation, antipode, derivative-action and monomial tables."""
     got = [scalars.qbinom(n, k, a) for n in range(9) for k in range(n + 1) for a in (1, -4)]
     mono = [CFunction.monomial(E3_VARS, e) for e in ((1, 2, 3, 1), (0, 1, 4, 2), (2, 3, 2, 0))]
     for ordering in ("standard", "reversed"):
@@ -348,6 +375,8 @@ def _fill_value_tables():
         got += [hopf.translate("euclid3", variant, f) for f in mono]
         got += [hopf.antipode("euclid3", variant, f) for f in mono]
     got += [qfunc.act_inverse_partial(i, "left", f, "euclid3") for i in "+3-" for f in mono]
+    got += [qfunc.act_partial_closed(i, "right", f, "euclid3") for i in "+3-" for f in mono]
+    got += [cfunc._monomials(E3_VARS, d, by_degree) for d in range(4) for by_degree in (0, 1)]
     return got
 
 
@@ -355,7 +384,8 @@ def test_value_tables_stay_bounded_and_follow_rewrite_strategy(monkeypatch):
     want = _fill_value_tables()
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
     _nc._clear_memos()
-    tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS]
+    tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
+              hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS, cfunc._MONOMIALS]
     assert all(any(t is m for m in scalars._MEMOS) for t in tables)
     assert _fill_value_tables() == want
     assert all(0 < len(t) <= 5 for t in tables)
