@@ -11,8 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import add
 
-from .scalars import ONE, ZERO, QScalar, _add_term, _coeff_times, _LinComb, _memo, _remember
+from .scalars import ONE, ZERO, QScalar, _add_term, _apply_rows, _coeff_times, _LinComb, _memo
+from .scalars import _NUMBER, _remember, _term_pairs
 from .scalars import qnum, qpow, scalar
 from .spaces import E3, LINE, X_TOKENS, check_option
 
@@ -97,16 +99,12 @@ class CFunction(_LinComb):
         return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     def __mul__(self, other):
-        if isinstance(other, (QScalar, int)):
+        if isinstance(other, _NUMBER):
             return self.scale(other)
         self._checked(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return CFunction(self.vars, out)
-
-    __rmul__ = __mul__
+        # the row of a pair of monomials: their exponents added
+        pairs = _term_pairs(self.terms, other.terms)
+        return CFunction(self.vars, _apply_rows(pairs, lambda e: ((tuple(map(add, *e)), ONE),)))
 
     def degree(self, name=None):
         if not self.terms:
@@ -163,12 +161,11 @@ class CFunction(_LinComb):
         """Evaluate one variable at an exact scalar value; drops the variable
         dependence but keeps the slot (exponent 0)."""
         i = self._vi(name)
-        out = {}
-        for e, c in self.terms.items():
-            v = c * value ** e[i]
-            if v:
-                _add_term(out, e[:i] + (0,) + e[i + 1:], v)
-        return CFunction(self.vars, out)
+
+        def row_of(e):
+            return ((e[:i] + (0,) + e[i + 1:], value ** e[i]),)
+
+        return CFunction(self.vars, _apply_rows(self.terms.items(), row_of))
 
     def value_at(self, name, value: QScalar) -> QScalar:
         """The value at an exact scalar of a polynomial in one variable."""
@@ -181,16 +178,17 @@ class CFunction(_LinComb):
     def shift_var(self, name, t0: QScalar):
         """Substitute x -> x + t0 (classical binomial shift)."""
         i = self._vi(name)
-        out = {}
-        for e, c in self.terms.items():
-            n = e[i]
+
+        def row_of(e):
             # (x + t0)^n expanded term by term
+            n = e[i]
             p = ONE
             for j in range(n + 1):
                 if j:
                     p = p * t0
-                _add_term(out, e[:i] + (n - j,) + e[i + 1:], c * p * scalar(math.comb(n, j)))
-        return CFunction(self.vars, out)
+                yield e[:i] + (n - j,) + e[i + 1:], p * scalar(math.comb(n, j))
+
+        return CFunction(self.vars, _apply_rows(self.terms.items(), row_of))
 
     # -- variable-set plumbing ------------------------------------------------
 
@@ -216,8 +214,10 @@ class CFunction(_LinComb):
 
     def restrict(self, variables, rename=None):
         """Project onto a smaller variable tuple; all dropped variables must
-        have exponent zero."""
+        have exponent zero.  The polynomial itself when nothing changes."""
         variables = tuple(variables)
+        if variables == self.vars and not rename:
+            return self
         rename = rename or {}
         slots = [rename.get(v, v) for v in self.vars]
         return self._remap(

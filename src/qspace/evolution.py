@@ -25,7 +25,7 @@ from .cfunc import (
 from .ncalgebra import NCElement, act, lift, lower
 from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
 from .reports import VerificationReport
-from .scalars import I, ONE, QScalar, ZERO, _add_term, qpow, scalar
+from .scalars import I, ONE, QScalar, ZERO, _add_term, _apply_rows, qpow, scalar
 from .spaces import CALCULI, LINE, SPATIAL_D, check_option
 
 
@@ -198,12 +198,11 @@ def _times(X, Y, order, monomial):
 def _element(H, terms, conjugate=False):
     """The sum of s H^a H^b over {(a, b): s} (conj(H^a) H^b when conjugate
     is set), or of s H^n over {n: s}."""
-    acc = {}
-    for key, s in terms.items():
+    def row_of(key):
         el = H.power(key) if isinstance(key, int) else H.product(*key, conjugate)
-        for k, c in el.terms.items():
-            _add_term(acc, k, c * s)
-    return NCElement(H.space, acc)
+        return el.terms.items()
+
+    return NCElement(H.space, _apply_rows(terms.items(), row_of))
 
 
 def _compare(rep, H, lhs, rhs, label, conjugate=False):
@@ -264,14 +263,18 @@ def heisenberg_evolve(O: NCElement, H: Hamiltonian, order: int) -> OperatorSerie
     if O.space != H.space:
         raise ValueError("observable and Hamiltonian live on different spaces")
     inv, fwd = _phases(order, "inverse"), _phases(order)
-    acc = [{} for _ in range(order + 1)]
-    for a in range(order + 1):
-        left = H.power(a) * O
-        for b in range(order + 1 - a):
-            s = inv[a] * fwd[b]
-            for k, c in (left * H.power(b)).terms.items():
-                _add_term(acc[a + b], k, c * s)
-    return OperatorSeries(H.space, [NCElement(H.space, terms) for terms in acc])
+    left = [H.power(a) * O for a in range(order + 1)]
+
+    def row_of(ab):
+        a, b = ab
+        return (left[a] * H.power(b)).terms.items()
+
+    coeffs = []
+    for n in range(order + 1):
+        # inv[a] fwd[b] H^a O H^b summed over a + b = n
+        pairs = (((a, n - a), inv[a] * fwd[n - a]) for a in range(n + 1))
+        coeffs.append(NCElement(H.space, _apply_rows(pairs, row_of)))
+    return OperatorSeries(H.space, coeffs)
 
 
 def heisenberg_check(O: NCElement, H: Hamiltonian, order: int) -> VerificationReport:

@@ -8,7 +8,8 @@ and integrals coincide up to the printed signs."""
 from __future__ import annotations
 
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, ZERO, _add_term, _LinComb, qpow, scalar
+from .scalars import ONE, QScalar, ZERO, _NUMBER, _add_term, _apply_rows, _LinComb, _term_pairs
+from .scalars import qpow, scalar
 from .spaces import CALCULI, check_option
 
 # the generator tags in normal order (exponents are 0 or 1)
@@ -29,12 +30,11 @@ class GElement(_LinComb):
         return GElement({(tag,): ONE})
 
     def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                for w, c in _normalize(w1 + w2).items():
-                    _add_term(out, w, c1 * c2 * c)
-        return GElement(out)
+        if isinstance(other, _NUMBER):
+            return self.scale(other)
+        # the rows of a pair of words: the normal form of their concatenation
+        pairs = _term_pairs(self.terms, other.terms)
+        return GElement(_apply_rows(pairs, lambda w: _normalize(w[0] + w[1]).items()))
 
     def counit(self) -> QScalar:
         return self.terms.get((), ZERO)

@@ -126,10 +126,9 @@ def translate(space: str, variant: str, f: CFunction) -> CFunction:
     """
     check_option("translation variant", variant, TRANSLATE_VARIANTS)
     want = space_vars(space)
-    if f.vars != want:
-        f = f.restrict(want)
+    f = f.restrict(want)
     rows = _table_rows(_TRANSLATE_ROWS, (space, variant), _translate_image)
-    return CFunction(doubled_vars(space), _apply_rows(f.terms, rows))
+    return CFunction(doubled_vars(space), _apply_rows(f.terms.items(), rows))
 
 
 def _antipode_image(space, s, exps):
@@ -176,9 +175,8 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
     so no q-factorial is divided."""
     check_option("antipode variant", variant, TRANSLATE_VARIANTS)
     want = space_vars(space)
-    if f.vars != want:
-        f = f.restrict(want)
-    return CFunction(want, _apply_rows(f.terms, _antipode_rows(space, variant)))
+    f = f.restrict(want)
+    return CFunction(want, _apply_rows(f.terms.items(), _antipode_rows(space, variant)))
 
 
 def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
@@ -198,7 +196,7 @@ def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
                 key[j] = n
             yield tuple(key), c
 
-    return CFunction(t.vars, _apply_rows(t.terms, row_of))
+    return CFunction(t.vars, _apply_rows(t.terms.items(), row_of))
 
 
 def translated_antipoded_monomial(space, variant, exps) -> CFunction:
@@ -302,7 +300,7 @@ def taylor_identity_check(space: str, max_degree: int = 3) -> VerificationReport
                     break  # past g's degree
                 for ey, cy in acted.terms.items():
                     pairs[exps, ey] = cy * coeff
-            acc = CFunction(out_vars, _apply_rows(pairs, leg_row))
+            acc = CFunction(out_vars, _apply_rows(pairs.items(), leg_row))
             expect = gf.embed(out_vars)
             if acc != expect:
                 rep.record(f"{exp_variant}/{tvariant}:{label}", str(acc), str(expect))

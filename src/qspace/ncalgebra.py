@@ -36,7 +36,8 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
-from .scalars import _apply_rows, _clear_memos, _memo, _remember, _table_rows
+from .scalars import _NUMBER, _apply_rows, _clear_memos, _memo, _remember, _table_rows
+from .scalars import _term_pairs
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
     X_TOKENS, SpaceTable, check_option,
@@ -240,8 +241,9 @@ class _RuleSet:
         # run, then the token
         self.memo = {}
         # counit of the normal form of a reversed coordinate word with one
-        # token run appended, keyed by the word's rank key, the token and
-        # the run (used on the opposite rule sets only)
+        # token run appended, as a tuple of rows; keyed (token, run length,
+        # the word's rank key), read through _table_rows (used on the
+        # opposite rule sets only)
         self.counit_memo = {}
 
 
@@ -500,20 +502,17 @@ class NCElement(_LinComb):
     # -- ring structure -----------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (QScalar, int)):
+        if isinstance(other, _NUMBER):
             return self.scale(other)
         self._checked(other)
-        out = NCElement(self.space)
-        for k1, c1 in self.terms.items():
-            runs = _runs_of_key(self.space, k1)
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                word = runs + _runs_of_key(self.space, k2)
-                for k, cc in _normal_runs(self.space, "u", "xd", word).items():
-                    _add_term(out.terms, k, c * cc)
-        return out
+        space = self.space
 
-    __rmul__ = _LinComb.scale
+        def row_of(pair):
+            k1, k2 = pair
+            word = _runs_of_key(space, k1) + _runs_of_key(space, k2)
+            return _normal_runs(space, "u", "xd", word).items()
+
+        return NCElement(space, _apply_rows(_term_pairs(self.terms, other.terms), row_of))
 
     # -- structure queries ----------------------------------------------------
 
@@ -675,7 +674,7 @@ def _transport(a: NCElement, name) -> NCElement:
     terms = a.terms
     if name == "conj":
         terms = {k: c.conj() for k, c in terms.items()}
-    return NCElement(a.space, _apply_rows(terms, _transport_rows(a.space, name)))
+    return NCElement(a.space, _apply_rows(terms.items(), _transport_rows(a.space, name)))
 
 
 def normal_form(space, word, coeff=ONE):
@@ -697,26 +696,24 @@ def _mirror_element(a: NCElement) -> NCElement:
     return _transport(a, "mirror")
 
 
+def _counit_image(rs, t, n, xw):
+    """The counit of the normal form of the reversed coordinate word xw
+    times t^n, as rows: the words still holding a derivative drop out and
+    the scaling operator goes to 1."""
+    d_ranks, lam = rs.d_ranks, rs.lam
+    return tuple(
+        (w[:lam] + (0,) + w[lam + 1:], a)
+        for w, a in _fold(rs, {xw: ONE}, t, n).items()
+        if not any(d_ranks(w))
+    )
+
+
 def _counit_step(rs, t, n, terms):
     """The run t^n acting on the reversed coordinate words of terms (rank
-    keys on the opposite rule set rs): the counit of the normal form of
-    each word times t^n, which drops the words still holding a derivative
-    and sends the scaling operator to 1."""
-    out = {}
-    memo = rs.counit_memo
-    d_ranks, lam = rs.d_ranks, rs.lam
-    for xw, c in terms.items():
-        key = xw + (t, n)
-        img = memo.get(key)
-        if img is None:
-            img = _remember(memo, key, tuple(
-                (w[:lam] + (0,) + w[lam + 1:], a)
-                for w, a in _fold(rs, {xw: ONE}, t, n).items()
-                if not any(d_ranks(w))
-            ))
-        for w, a in img:
-            _add_term(out, w, c * a)
-    return out
+    keys on the opposite rule set rs), each word's image read from the rule
+    set's counit memo."""
+    rows = _table_rows(rs.counit_memo, (t, n), functools.partial(_counit_image, rs))
+    return _apply_rows(terms.items(), rows)
 
 
 def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
@@ -792,8 +789,7 @@ def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
 def lift(space, f: CFunction) -> NCElement:
     """W: commutative monomials to the standard normal ordering."""
     want = space_vars(space)
-    if f.vars != want:
-        f = f.restrict(want)
+    f = f.restrict(want)
     pad = (0,) * (len(KEY_LAYOUT[space]) - len(want) + 1)
     return NCElement(space, {e + pad: c for e, c in f.terms.items()})
 
@@ -815,11 +811,10 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
     """
     check_option("direction", direction, ("to_reversed", "to_standard"))
     want = space_vars(space)
-    if f.vars != want:
-        f = f.restrict(want)
+    f = f.restrict(want)
     if space == LINE:
         return f  # a single spatial generator has only one ordering
-    return CFunction(want, _apply_rows(f.terms, _transport_rows(space, direction)))
+    return CFunction(want, _apply_rows(f.terms.items(), _transport_rows(space, direction)))
 
 
 # -- one calculus's normal ordering (the benchmark's nf-ladder calls it) --------

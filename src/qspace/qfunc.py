@@ -136,8 +136,7 @@ def _act(inverse, index, variant, f, space, rep):
     if label not in _LEFT[space]:
         raise ValueError(f"unknown derivative index {index!r} for {space}")
     want = space_vars(space)
-    if f.vars != want:
-        f = f.restrict(want)
+    f = f.restrict(want)
     back = None
     if space == E3 and (rep == "standard") == CALCULI[variant][0]:
         there, back = "to_reversed", "to_standard"
@@ -145,7 +144,7 @@ def _act(inverse, index, variant, f, space, rep):
             there, back = back, there
         f = reorder_transform(space, f, there)
     rows = _table_rows(_ACT_ROWS, (inverse, label, variant, space), _act_image)
-    out = CFunction(want, _apply_rows(f.terms, rows))
+    out = CFunction(want, _apply_rows(f.terms.items(), rows))
     return out if back is None else reorder_transform(space, out, back)
 
 

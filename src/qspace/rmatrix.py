@@ -13,7 +13,7 @@ import functools
 
 from .ncalgebra import NCElement
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, ZERO, _add_term, _coeff_times, _LinComb, qpow
+from .scalars import LAM, LAMP, ONE, ZERO, _NUMBER, _add_term, _coeff_times, _LinComb, qpow
 from .spaces import E3, LABELS, LINE, X_TOKENS, SpaceTable
 
 # the index labels of a space, in the standard ordering
@@ -50,6 +50,8 @@ class QMatrix(_LinComb):
         return self.terms.get((i, j), ZERO)
 
     def __mul__(self, other):
+        if isinstance(other, _NUMBER):
+            return self.scale(other)
         by_row = {}
         for (i, k), v in self.terms.items():
             by_row.setdefault(i, []).append((k, v))

@@ -1127,16 +1127,30 @@ def _add_term(terms, key, c):
         terms.pop(key, None)
 
 
-def _apply_rows(terms, row_of):
-    """The linear map given key by key by row_of, applied to terms: each
-    term c key adds c times every (key, coefficient) pair of row_of(key).
-    Returns a new dict.  The image tables and the word transports apply
-    their rows through this one loop."""
+def _apply_rows(pairs, row_of):
+    """The linear map given key by key by row_of, applied to the (key,
+    coefficient) pairs: each pair (e, c) adds c times every (key,
+    coefficient) row of row_of(e).  Returns a new dict; pairs is read once.
+    The element products but QMatrix's, the star product, the image tables,
+    the word transports, act's counit step and the evolution sums multiply
+    and accumulate through this one loop."""
     out = {}
-    for e, c in terms.items():
+    for e, c in pairs:
         for k, cc in row_of(e):
             _add_term(out, k, c * cc)
     return out
+
+
+def _term_pairs(a, b):
+    """((ka, kb), ca * cb) for every pair of terms of the term dicts a and
+    b: the pairs a bilinear product applies its rows to."""
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            yield (ka, kb), ca * cb
+
+
+# the numbers a combination is scaled by
+_NUMBER = (QScalar, int, Fraction)
 
 
 class _LinComb:
@@ -1198,6 +1212,9 @@ class _LinComb:
         if not c:
             return self._like()
         return self._like({k: v * c for k, v in self.terms.items()})
+
+    # a number times a combination; each __mul__ scales by a _NUMBER too
+    __rmul__ = scale
 
     def eval_coeffs_exact(self, q0):
         """Coefficients evaluated at exact rational q0, keyed like terms."""

@@ -20,7 +20,7 @@ from operator import sub
 from .cfunc import CFunction, _monomials, space_vars
 from .ncalgebra import lift, lower, reorder_transform
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, _add_term, _memo, _remember
+from .scalars import ONE, QScalar, _apply_rows, _memo, _remember, _term_pairs
 from .scalars import _P_ONE, _canon, _pgrid, _qnum_mul, _qnum_quo
 from .spaces import E3, check_option
 
@@ -90,49 +90,35 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
         fi, gi, sign = vars_.index("xp"), vars_.index("xm"), -1
     else:
         fi, gi, sign = vars_.index("xm"), vars_.index("xp"), 1
-    out = {}
-    for ef, cf in f.terms.items():
-        nf = ef[fi]
-        for eg, cg in g.terms.items():
-            ng = eg[gi]
-            pair = _star_legs(nf, ng, reversed_order)
-            c = cf * cg
-            e = [x + y for x, y in zip(ef, eg)]
-            for k, leg in enumerate(pair):
-                # exponent factor on the differentiated legs; the reversed
-                # ordering uses the full +/- mirror of the standard one (the
-                # printed reversed twin keeps the unswapped indices, which
-                # fails the round-trip oracle)
-                w = 2 * sign * (ef[i3] * (ng - k) + (nf - k) * eg[i3])
-                key = list(e)
-                key[fi] -= k
-                key[gi] -= k
-                key[i3] += 2 * k
-                # the denominator-1 factors first: only the last product
-                # has a denominator to cancel against
-                _add_term(out, tuple(key), leg * QScalar.q_power(2 * w) * c)
-    return CFunction(vars_, out)
+
+    def row_of(pair):
+        ef, eg = pair
+        nf, ng = ef[fi], eg[gi]
+        e = [x + y for x, y in zip(ef, eg)]
+        for k, leg in enumerate(_star_legs(nf, ng, reversed_order)):
+            # exponent factor on the differentiated legs; the reversed
+            # ordering uses the full +/- mirror of the standard one (the
+            # printed reversed twin keeps the unswapped indices, which
+            # fails the round-trip oracle)
+            w = 2 * sign * (ef[i3] * (ng - k) + (nf - k) * eg[i3])
+            key = list(e)
+            key[fi] -= k
+            key[gi] -= k
+            key[i3] += 2 * k
+            # the denominator-1 factors first: only the product with the
+            # input coefficients has a denominator to cancel against
+            yield tuple(key), leg * QScalar.q_power(2 * w)
+
+    return CFunction(vars_, _apply_rows(_term_pairs(f.terms, g.terms), row_of))
 
 
 def star(ctx: StarContext, f: CFunction, g: CFunction) -> CFunction:
     """The star product; on the line it is the plain commutative product."""
     want = ctx.vars
-    if f.vars != want:
-        f = f.restrict(want)
-    if g.vars != want:
-        g = g.restrict(want)
+    f, g = f.restrict(want), g.restrict(want)
     if ctx.space == "line":
         return f * g
     return _star_e3(f, g, ctx.ordering == "reversed")
-
-
-def _combine(parts):
-    """The terms of sum c * p over the (scalar, terms) pairs given."""
-    out = {}
-    for c, p in parts:
-        for k, v in p.items():
-            _add_term(out, k, c * v)
-    return out
 
 
 def star_checks(max_degree: int) -> list:
@@ -162,11 +148,7 @@ def star_checks(max_degree: int) -> list:
     unrev = {e: reorder_transform(space, mono[e], "to_standard").terms for e in monos}
     for e1, e2 in pairs:
         got = star(rev, mono[e1], mono[e2])
-        prod = _combine(
-            (ca * cb, engine[(a, b)].terms)
-            for a, ca in unrev[e1].items()
-            for b, cb in unrev[e2].items()
-        )
+        prod = _apply_rows(_term_pairs(unrev[e1], unrev[e2]), lambda ab: engine[ab].terms.items())
         want = reorder_transform(space, CFunction(vars_, prod), "to_reversed")
         if got != want:
             oracle.record(f"reversed:{e1}*{e2}", str(got), str(want))
@@ -191,8 +173,9 @@ def star_checks(max_degree: int) -> list:
             for eh in free[max_degree - deg[ef] - deg[eg]]:
                 # both sides by bilinearity from the table: the star product
                 # keeps total degree, so every monomial m of a product is in it
-                lhs = _combine((c, table[(m, eh)].terms) for m, c in fg.items())
-                rhs = _combine((c, table[(ef, m)].terms) for m, c in table[(eg, eh)].terms.items())
+                lhs = _apply_rows(fg.items(), lambda m: table[(m, eh)].terms.items())
+                gh = table[(eg, eh)].terms
+                rhs = _apply_rows(gh.items(), lambda m: table[(ef, m)].terms.items())
                 if lhs != rhs:
                     assoc.record(f"{ef},{eg},{eh}", str(CFunction(vars_, lhs)), str(CFunction(vars_, rhs)))
 

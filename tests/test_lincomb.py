@@ -1,13 +1,18 @@
-"""The shared sparse linear-combination core behind CFunction, NCElement
-and GElement: zero terms never survive, frames are checked, and only
-CFunction is hashable."""
+"""The shared sparse linear-combination core behind CFunction, NCElement,
+GElement and QMatrix: zero terms never survive, frames are checked, only
+CFunction is hashable, a number scales from either side, and the products
+accumulate through the one row kernel, scalars._apply_rows."""
+
+from fractions import Fraction
 
 import pytest
 
-from qspace.cfunc import CFunction
+from qspace.cfunc import E3_VARS, CFunction
 from qspace.grassmann import GElement
-from qspace.ncalgebra import NCElement, SpaceMismatch
-from qspace.scalars import ONE, scalar
+from qspace.ncalgebra import NCElement, SpaceMismatch, act
+from qspace.rmatrix import QMatrix
+from qspace.scalars import ONE, _apply_rows, _term_pairs, qpow, scalar
+from qspace.starcalc import StarContext, star
 
 
 def test_embed_drops_renamed_variables_that_cancel():
@@ -19,6 +24,10 @@ def test_embed_drops_renamed_variables_that_cancel():
 def test_restrict_drops_renamed_variables_that_cancel():
     f = CFunction(("a", "b", "c"), {(1, 0, 0): ONE, (0, 1, 0): -ONE, (0, 0, 0): scalar(2)})
     assert f.restrict(("z",), {"a": "z", "b": "z"}) == CFunction.constant(("z",), 2)
+    # nothing to drop or rename: the polynomial itself
+    assert f.restrict(["a", "b", "c"]) is f
+    assert f.restrict(f.vars, {"a": "c", "c": "a"}) == CFunction(
+        f.vars, {(0, 0, 1): ONE, (0, 1, 0): -ONE, (0, 0, 0): scalar(2)})
 
 
 def test_frames_and_hashability():
@@ -46,3 +55,75 @@ def test_zero_results_are_empty():
     f = CFunction.var(("x0", "x1"), "x1")
     for zero in (a - a, a.scale(0), th - th, th.scale(0), th * th, f - f, f.scale(0)):
         assert zero.is_zero() and not zero and zero.terms == {}
+
+
+def _x(space, tag):
+    return NCElement.generator(space, tag)
+
+
+# one element of each class, each with more than one term
+_ELEMENTS = {
+    "CFunction": lambda: CFunction(("x0", "x1"), {(0, 1): ONE, (2, 0): qpow(1)}),
+    "NCElement": lambda: _x("euclid3", "xp") + _x("euclid3", "dm"),
+    "GElement": lambda: GElement.gen("th1") + GElement.gen("dth0").scale(qpow(-1)),
+    "QMatrix": lambda: QMatrix(2, {(0, 1): ONE, (1, 1): qpow(1)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ELEMENTS))
+@pytest.mark.parametrize(
+    "number", [3, Fraction(1, 2), qpow(1) + ONE], ids=["int", "Fraction", "QScalar"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_number_scales_an_element_from_either_side(kind, number, side):
+    a = _ELEMENTS[kind]()
+    got = number * a if side == "left" else a * number
+    assert type(got) is type(a)
+    assert got.terms == {k: c * number for k, c in a.terms.items()}
+    zero = 0 * a if side == "left" else a * 0
+    assert type(zero) is type(a) and zero.terms == {}
+
+
+def test_apply_rows_reads_its_pairs_once():
+    pairs = iter([((1,), scalar(2)), ((2,), ONE), ((1,), scalar(3))])
+    out = _apply_rows(pairs, lambda e: (((e[0] + 1,), ONE), ((0,), -ONE)))
+    assert out == {(2,): scalar(5), (3,): ONE, (0,): scalar(-6)}
+    assert next(pairs, None) is None
+    assert list(_term_pairs({"a": scalar(2), "b": ONE}, {"c": scalar(3)})) == [
+        (("a", "c"), scalar(6)), (("b", "c"), scalar(3))
+    ]
+
+
+def test_products_that_cancel_leave_no_zero_key():
+    x0, x1 = (CFunction.var(("x0", "x1"), v) for v in ("x0", "x1"))
+    assert ((x1 + x0) * (x1 - x0)).terms == {(0, 2): ONE, (2, 0): -ONE}
+    # x0 is central: the two mixed words are one key and cancel
+    p, t = _x("euclid3", "xp"), _x("euclid3", "x0")
+    assert (p + t) * (p - t) == p * p - t * t
+    assert len(((p + t) * (p - t)).terms) == 2
+    m, t = (CFunction.var(E3_VARS, v) for v in ("xm", "x0"))
+    want = {(0, 0, 0, 2): ONE, (2, 0, 0, 0): -ONE}
+    assert star(StarContext("euclid3"), m + t, m - t).terms == want
+    th = GElement.gen("th1")
+    assert (th * th).terms == {}
+
+
+@pytest.mark.parametrize("kind", sorted(_ELEMENTS))
+def test_a_zero_factor_gives_zero(kind):
+    a = _ELEMENTS[kind]()
+    zero = a.scale(0)
+    assert (a * zero).terms == {} and (zero * a).terms == {}
+
+
+def test_counit_memo_entries_are_tuples_under_token_run_word_keys():
+    from qspace import ncalgebra
+
+    space = "euclid3"
+    op = _x(space, "dp") * _x(space, "dm") + _x(space, "d3")
+    f = _x(space, "xp") * _x(space, "xm") * _x(space, "x3")
+    assert not act(op, f, "left").is_zero()
+    rulesets = [ncalgebra._ruleset(space, c, "xd", True) for c in ("u", "h")]
+    entries = [(k, v) for rs in rulesets for k, v in rs.counit_memo.items()]
+    assert entries
+    for (t, n, xw), rows in entries:
+        assert isinstance(t, int) and isinstance(n, int) and isinstance(xw, tuple)
+        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
