@@ -8,13 +8,12 @@ sets appearing in translations, and symbolic integration endpoints.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from operator import add
 
 from .scalars import ONE, ZERO, QScalar, _add_term, _apply_rows, _coeff_times, _LinComb, _memo
-from .scalars import _NUMBER, _remember, _term_pairs
+from .scalars import _NUMBER, _memoized, _term_pairs
 from .scalars import qnum, qpow, scalar
 from .spaces import E3, LINE, X_TOKENS, check_option
 
@@ -26,27 +25,24 @@ space_vars = X_TOKENS.__getitem__
 
 # (variables, max_degree, by degree) -> the exponent tuples of _monomials
 _MONOMIALS = _memo()
+# (variables, exponents) -> the printed monomial
+_MONO_TEXTS = _memo()
 
 
+@_memoized(_MONOMIALS)
 def _monomials(variables, max_degree, by_degree=False):
     """Exponent tuples of total degree <= max_degree, as a tuple from the
     monomial table: in itertools.product order, or sorted by degree, then
     exponents, if by_degree."""
-    key = (variables, max_degree, by_degree)
-    out = _MONOMIALS.get(key)
-    if out is None:
-        out = tuple(
-            e
-            for e in itertools.product(range(max_degree + 1), repeat=len(variables))
-            if sum(e) <= max_degree
-        )
-        if by_degree:
-            out = tuple(sorted(out, key=lambda e: (sum(e), e)))
-        out = _remember(_MONOMIALS, key, out)
-    return out
+    out = tuple(
+        e
+        for e in itertools.product(range(max_degree + 1), repeat=len(variables))
+        if sum(e) <= max_degree
+    )
+    return tuple(sorted(out, key=lambda e: (sum(e), e))) if by_degree else out
 
 
-@functools.lru_cache(maxsize=4096)
+@_memoized(_MONO_TEXTS)
 def _mono_text(variables, e):
     """The monomial with exponent tuple e in the variables, as printed; empty
     for the unit."""

@@ -10,13 +10,14 @@ hatted Taylor identity is checked entirely in that representation.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .cfunc import CFunction, _monomials, space_vars
 from .pairexp import _EXP_MODE, qexp
 from .qfunc import act_partial_closed
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, QScalar, _apply_rows, _memo, _remember, _table_rows
+from .scalars import LAM, LAMP, ONE, QScalar, _apply_rows, _memo, _memoized
 from .scalars import qbinom, qnum, qpow, scalar
 from .spaces import CALCULI, LABEL_OF, REVERSED, SUBSTITUTION, X_TOKENS, Y_OF, check_option
 
@@ -38,23 +39,18 @@ def doubled_vars(space):
 _ODD_QFACTS, _STEP_POWERS = _memo(), _memo()  # keyed by the arguments
 
 
+@_memoized(_ODD_QFACTS)
 def _odd_qfact(l: int, a: int) -> QScalar:
     """[[1]][[3]]...[[2l-1]] in base q^a: [[2l]]! / [[2l]]!!."""
-    out = _ODD_QFACTS.get((l, a))
-    if out is None:
-        odd = (qnum(j, a) for j in range(1, 2 * l, 2))
-        out = _remember(_ODD_QFACTS, (l, a), math.prod(odd, start=ONE))
-    return out
+    return math.prod((qnum(j, a) for j in range(1, 2 * l, 2)), start=ONE)
 
 
+@_memoized(_STEP_POWERS)
 def _step_power(l: int, s: int, e: int) -> QScalar:
     """l-th power of the step prefactor q^e lambda lambda', negated for the
     inverse bases (s < 0); translations take e = s, antipodes e = -s."""
-    out = _STEP_POWERS.get((l, s, e))
-    if out is None:
-        step = qpow(e) * LAM * LAMP
-        out = _remember(_STEP_POWERS, (l, s, e), (-step if s < 0 else step) ** l)
-    return out
+    step = qpow(e) * LAM * LAMP
+    return (-step if s < 0 else step) ** l
 
 
 # the per-monomial images of the translations and antipodes, keyed
@@ -63,6 +59,7 @@ def _step_power(l: int, s: int, e: int) -> QScalar:
 _TRANSLATE_ROWS, _ANTIPODE_ROWS = _memo(), _memo()
 
 
+@_memoized(_TRANSLATE_ROWS)
 def _translate_image(space, variant, exps):
     """The translation of the monomial with exponents exps: its finite
     two-leg Taylor sum as rows, one per distinct key."""
@@ -127,10 +124,11 @@ def translate(space: str, variant: str, f: CFunction) -> CFunction:
     check_option("translation variant", variant, TRANSLATE_VARIANTS)
     want = space_vars(space)
     f = f.restrict(want)
-    rows = _table_rows(_TRANSLATE_ROWS, (space, variant), _translate_image)
+    rows = functools.partial(_translate_image, space, variant)
     return CFunction(doubled_vars(space), _apply_rows(f.terms.items(), rows))
 
 
+@_memoized(_ANTIPODE_ROWS)
 def _antipode_image(space, s, exps):
     """The antipode of the monomial with exponents exps, as rows."""
     if space == "line":
@@ -158,12 +156,6 @@ def _antipode_image(space, s, exps):
     return tuple(rows)
 
 
-def _antipode_rows(space, variant):
-    """The antipode's rows, from the table; the mirrored variants share the
-    entries of their base sign."""
-    return _table_rows(_ANTIPODE_ROWS, (space, _VARIANT_PARAMS[variant][0]), _antipode_image)
-
-
 def antipode(space: str, variant: str, f: CFunction) -> CFunction:
     """q-antipode: inversion composed with the printed q-power operator.
 
@@ -176,21 +168,22 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
     check_option("antipode variant", variant, TRANSLATE_VARIANTS)
     want = space_vars(space)
     f = f.restrict(want)
-    return CFunction(want, _apply_rows(f.terms.items(), _antipode_rows(space, variant)))
+    rows = functools.partial(_antipode_image, space, _VARIANT_PARAMS[variant][0])
+    return CFunction(want, _apply_rows(f.terms.items(), rows))
 
 
 def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
     """Apply the antipode operator to the y-legs of a translated function."""
     check_option("antipode variant", variant, TRANSLATE_VARIANTS)
     y_idx = [t.vars.index(Y_OF[v]) for v in space_vars(space)]
-    rows = _antipode_rows(space, variant)
+    s = _VARIANT_PARAMS[variant][0]
 
     def row_of(exps):
         # the y-legs' image, the x-legs carried along
         rest = list(exps)
         for j in y_idx:
             rest[j] = 0
-        for ey, c in rows(tuple(exps[j] for j in y_idx)):
+        for ey, c in _antipode_image(space, s, tuple(exps[j] for j in y_idx)):
             key = rest[:]
             for j, n in zip(y_idx, ey):
                 key[j] = n

@@ -36,7 +36,7 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
-from .scalars import _NUMBER, _apply_rows, _clear_memos, _memo, _remember, _table_rows
+from .scalars import _NUMBER, _apply_rows, _clear_memos, _memo, _memoized, _remember
 from .scalars import _term_pairs
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
@@ -242,7 +242,7 @@ class _RuleSet:
         self.memo = {}
         # counit of the normal form of a reversed coordinate word with one
         # token run appended, as a tuple of rows; keyed (token, run length,
-        # the word's rank key), read through _table_rows (used on the
+        # the word's rank key), read through _memoized (used on the
         # opposite rule sets only)
         self.counit_memo = {}
 
@@ -572,7 +572,11 @@ class NCElement(_LinComb):
         return f"NCElement[{self.space}]({self})"
 
 
-@functools.lru_cache(maxsize=4096)
+# (space, stored key) -> the printed word
+_MONO_TEXTS = _memo()
+
+
+@_memoized(_MONO_TEXTS)
 def _mono_text(space, k):
     """The normal-ordered word with stored key k, as printed; empty for the
     unit."""
@@ -631,6 +635,7 @@ _WORD_MAPS = {"conj": _CONJ_MAP, "mirror": _MIRROR_MAP}
 _TRANSPORT = _memo()
 
 
+@_memoized(_TRANSPORT)
 def _transport_image(space, name, key):
     """The normal-ordered image of key under the transport name, as a tuple
     of (key, QScalar) rows."""
@@ -663,18 +668,14 @@ def _transport_image(space, name, key):
     return tuple((k, coeff * c) for k, c in nf.items())
 
 
-def _transport_rows(space, name):
-    """The rows of the transport name, from the table."""
-    return _table_rows(_TRANSPORT, (space, name), _transport_image)
-
-
 def _transport(a: NCElement, name) -> NCElement:
     """The word transport name ('conj' or 'mirror') of a, re-ordered in the
     plain calculus; conjugation also complex-conjugates the coefficients."""
     terms = a.terms
     if name == "conj":
         terms = {k: c.conj() for k, c in terms.items()}
-    return NCElement(a.space, _apply_rows(terms.items(), _transport_rows(a.space, name)))
+    rows = functools.partial(_transport_image, a.space, name)
+    return NCElement(a.space, _apply_rows(terms.items(), rows))
 
 
 def normal_form(space, word, coeff=ONE):
@@ -708,14 +709,6 @@ def _counit_image(rs, t, n, xw):
     )
 
 
-def _counit_step(rs, t, n, terms):
-    """The run t^n acting on the reversed coordinate words of terms (rank
-    keys on the opposite rule set rs), each word's image read from the rule
-    set's counit memo."""
-    rows = _table_rows(rs.counit_memo, (t, n), functools.partial(_counit_image, rs))
-    return _apply_rows(terms.items(), rows)
-
-
 def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
     """Left action as a module action: the operator's tokens act on the
     coordinate words one run at a time, right to left.  This is exact
@@ -727,6 +720,8 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
     space = op.space
     rs = _ruleset(space, calculus, "xd", True)
     to_rank, to_key = rs.to_rank, rs.to_key
+    # made per call, so the rule set holds no reference back to itself
+    counit = _memoized(rs.counit_memo)(functools.partial(_counit_image, rs))
     fwords = {to_rank(k): c for k, c in f.terms.items()}
     out = NCElement(space)
     for kop, cop in op.terms.items():
@@ -738,13 +733,13 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
         for t, n in enumerate(to_rank(kop)):
             if not n:
                 continue
-            if t == rs.lam:
-                terms = _counit_step(rs, t, n, terms)
-            else:
-                # one derivative at a time: the words the counit drops are
-                # not carried into the next step
-                for _ in range(n):
-                    terms = _counit_step(rs, t, 1, terms)
+            # the scaling run acts in one step, a derivative run one token
+            # at a time: the words the counit drops are not carried into the
+            # next step
+            run, steps = (n, 1) if t == rs.lam else (1, n)
+            row_of = functools.partial(counit, t, run)
+            for _ in range(steps):
+                terms = _apply_rows(terms.items(), row_of)
         for w, c in terms.items():
             _add_term(out.terms, to_key(w), c0 * c)
     return out
@@ -814,7 +809,8 @@ def reorder_transform(space, f: CFunction, direction: str) -> CFunction:
     f = f.restrict(want)
     if space == LINE:
         return f  # a single spatial generator has only one ordering
-    return CFunction(want, _apply_rows(f.terms.items(), _transport_rows(space, direction)))
+    rows = functools.partial(_transport_image, space, direction)
+    return CFunction(want, _apply_rows(f.terms.items(), rows))
 
 
 # -- one calculus's normal ordering (the benchmark's nf-ladder calls it) --------

@@ -140,7 +140,7 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     # a prefix has one degree less, so it is made (or read) before its use
     made = {}
     terms = []
-    for exps in _monomials(vars_, degree_bound, by_degree=True):
+    for exps in _monomials(vars_, degree_bound, True):
         key = (space, hat, exps)
         entry = _EXP_TERMS.get(key)
         if entry is None:

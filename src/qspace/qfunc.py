@@ -15,9 +15,11 @@ normal-ordering engine, which serves as the independent oracle.
 
 from __future__ import annotations
 
+import functools
+
 from .cfunc import E3_VARS, CFunction, space_vars
 from .ncalgebra import reorder_transform
-from .scalars import LAM, ONE, QScalar, _apply_rows, _memo, _table_rows, qnum, qpow, scalar
+from .scalars import LAM, ONE, QScalar, _apply_rows, _memo, _memoized, qnum, qpow, scalar
 from .spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION, SpaceTable, check_option
 
 VARIANTS = tuple(CALCULI)
@@ -107,6 +109,7 @@ _LEFT_INVERSE = SpaceTable({
 _ACT_ROWS = _memo()
 
 
+@_memoized(_ACT_ROWS)
 def _act_image(inverse, label, variant, space, e):
     """The image of the monomial with exponents e under the variant's image
     of the left action (_LEFT_INVERSE if inverse, else _LEFT)[space][label],
@@ -143,7 +146,7 @@ def _act(inverse, index, variant, f, space, rep):
         if rep != "standard":
             there, back = back, there
         f = reorder_transform(space, f, there)
-    rows = _table_rows(_ACT_ROWS, (inverse, label, variant, space), _act_image)
+    rows = functools.partial(_act_image, inverse, label, variant, space)
     out = CFunction(want, _apply_rows(f.terms.items(), rows))
     return out if back is None else reorder_transform(space, out, back)
 

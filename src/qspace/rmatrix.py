@@ -52,6 +52,7 @@ class QMatrix(_LinComb):
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
             return self.scale(other)
+        self._checked(other)
         by_row = {}
         for (i, k), v in self.terms.items():
             by_row.setdefault(i, []).append((k, v))

@@ -1308,17 +1308,19 @@ def _remember(table, key, value):
     return value
 
 
-def _table_rows(table, head, build):
-    """A row_of for _apply_rows that reads the row of e from the memo table
-    under the key head + (e,), storing build(*key), a tuple of
-    (key, coefficient) pairs, on a miss."""
-    def row_of(e):
-        key = head + (e,)
-        row = table.get(key)
-        if row is None:
-            row = _remember(table, key, build(*key))
-        return row
-    return row_of
+def _memoized(table):
+    """Decorator: the value of a pure function, read from the memo table
+    under its argument tuple and, on a miss, built, stored through
+    _remember and returned as built (the store may have emptied the table).
+    Arguments are positional only, so one value has one key."""
+    def wrap(build):
+        def lookup(*key):
+            value = table.get(key)
+            if value is None:
+                value = _remember(table, key, build(*key))
+            return value
+        return lookup
+    return wrap
 
 
 def _clear_memos():

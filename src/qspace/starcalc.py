@@ -20,7 +20,7 @@ from operator import sub
 from .cfunc import CFunction, _monomials, space_vars
 from .ncalgebra import lift, lower, reorder_transform
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, _apply_rows, _memo, _remember, _term_pairs
+from .scalars import ONE, QScalar, _apply_rows, _memo, _memoized, _term_pairs
 from .scalars import _P_ONE, _canon, _pgrid, _qnum_mul, _qnum_quo
 from .spaces import E3, check_option
 
@@ -37,10 +37,12 @@ class StarContext:
 
 # (f exponent, g exponent, reversed_order) -> (f leg * g leg for each k),
 # filled on first use; a pure key, like the q-binomials' table.  Entries are
-# tuples: every caller receives the same one, and none can change it
+# tuples, stored whole: every caller receives the same one, none can change
+# it, and a racing thread can only store an equal one
 _STAR_LEGS = _memo()
 
 
+@_memoized(_STAR_LEGS)
 def _star_legs(nf, ng, reversed_order):
     """The legs of one monomial pair: [[nf over k]] fall_k lambda^k in base
     q^4 for k up to min(nf, ng), fall_k being [[ng]] [[ng - 1]] ...
@@ -54,28 +56,21 @@ def _star_legs(nf, ng, reversed_order):
     base q^4 to q^-4 and lambda to -lambda: its legs are the images of the
     standard legs, made from the tuple returned here (the table may have
     been emptied since it was stored)."""
-    key = (nf, ng, reversed_order)
-    legs = _STAR_LEGS.get(key)
-    if legs is not None:
-        return legs
     if reversed_order:
-        legs = tuple(leg.subs_q_inverse() for leg in _star_legs(nf, ng, False))
-    else:
-        # the list's grid has step 4 in s: base q^4 steps 8, two slots, and
-        # lambda moves it by -2 each time, so leg_k starts at s^(-2k)
-        legs = [ONE]
-        t = [1]
-        for k in range(1, min(nf, ng) + 1):
-            # [[nf over k - 1]] [[nf - k + 1]] / [[k]] is [[nf over k]], so
-            # the quotient is exact; taken before [[ng - k + 1]], it keeps
-            # the longest pass short
-            t = _qnum_mul(_qnum_quo(_qnum_mul(t, 2, nf - k + 1), 2, k), 2, ng - k + 1)
-            # times lambda: the slot i of s^2 t - s^-2 t is t_(i-1) - t_i
-            t = list(map(sub, [0] + t, t + [0]))
-            legs.append(_canon(_pgrid(t, -2 * k, 4), _P_ONE))
-        legs = tuple(legs)
-    # stored whole, so a racing thread can only store an equal entry
-    return _remember(_STAR_LEGS, key, legs)
+        return tuple(leg.subs_q_inverse() for leg in _star_legs(nf, ng, False))
+    # the list's grid has step 4 in s: base q^4 steps 8, two slots, and
+    # lambda moves it by -2 each time, so leg_k starts at s^(-2k)
+    legs = [ONE]
+    t = [1]
+    for k in range(1, min(nf, ng) + 1):
+        # [[nf over k - 1]] [[nf - k + 1]] / [[k]] is [[nf over k]], so
+        # the quotient is exact; taken before [[ng - k + 1]], it keeps
+        # the longest pass short
+        t = _qnum_mul(_qnum_quo(_qnum_mul(t, 2, nf - k + 1), 2, k), 2, ng - k + 1)
+        # times lambda: the slot i of s^2 t - s^-2 t is t_(i-1) - t_i
+        t = list(map(sub, [0] + t, t + [0]))
+        legs.append(_canon(_pgrid(t, -2 * k, 4), _P_ONE))
+    return tuple(legs)
 
 
 def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:

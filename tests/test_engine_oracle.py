@@ -8,6 +8,8 @@ rank order and scaling weights, through ``resolve`` below, so the rank tables, t
 of the engine are all checked against code that has none of them.
 """
 
+import ast
+import pathlib
 import random
 import threading
 
@@ -341,7 +343,7 @@ def test_rebuilt_rule_sets_leave_no_tables_behind():
     # the module-level tables of every layer; a rule set's memos go with it
     tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
               hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS, cfunc._MONOMIALS,
-              _nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
+              cfunc._MONO_TEXTS, _nc._MONO_TEXTS, _nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
     key = ("euclid3", "u", "xd", False)
     for _ in range(50):
         _nc._ruleset.cache_clear()
@@ -365,7 +367,8 @@ def test_rebuilt_rule_sets_leave_no_tables_behind():
 
 def _fill_value_tables():
     """Results read through the q-binomial, star-leg, translation-factor,
-    translation, antipode, derivative-action and monomial tables."""
+    translation, antipode, derivative-action, monomial and monomial-text
+    tables."""
     got = [scalars.qbinom(n, k, a) for n in range(9) for k in range(n + 1) for a in (1, -4)]
     mono = [CFunction.monomial(E3_VARS, e) for e in ((1, 2, 3, 1), (0, 1, 4, 2), (2, 3, 2, 0))]
     for ordering in ("standard", "reversed"):
@@ -377,6 +380,8 @@ def _fill_value_tables():
     got += [qfunc.act_inverse_partial(i, "left", f, "euclid3") for i in "+3-" for f in mono]
     got += [qfunc.act_partial_closed(i, "right", f, "euclid3") for i in "+3-" for f in mono]
     got += [cfunc._monomials(E3_VARS, d, by_degree) for d in range(4) for by_degree in (0, 1)]
+    got += [str(f) for f in got if isinstance(f, CFunction)]
+    got += [str(normal_form("euclid3", ("dm", "xp", "x3", ("L", 2))))]
     return got
 
 
@@ -385,7 +390,8 @@ def test_value_tables_stay_bounded_and_follow_rewrite_strategy(monkeypatch):
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
     _nc._clear_memos()
     tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
-              hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS, cfunc._MONOMIALS]
+              hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS, cfunc._MONOMIALS,
+              cfunc._MONO_TEXTS, _nc._MONO_TEXTS]
     assert all(any(t is m for m in scalars._MEMOS) for t in tables)
     assert _fill_value_tables() == want
     assert all(0 < len(t) <= 5 for t in tables)
@@ -394,3 +400,97 @@ def test_value_tables_stay_bounded_and_follow_rewrite_strategy(monkeypatch):
         assert _fill_value_tables() == want
         assert all(tables)
     assert not any(tables)
+
+
+def _counting_memo(table):
+    """A function memoized on table, with the list of keys it was built for."""
+    built = []
+
+    @scalars._memoized(table)
+    def square(a, b):
+        built.append((a, b))
+        return [a * a, b]
+
+    return square, built
+
+
+def test_memoized_builds_a_warm_key_once():
+    table = {}
+    square, built = _counting_memo(table)
+    first = square(3, "x")
+    assert square(3, "x") is first and first == [9, "x"]
+    assert built == [(3, "x")] and table == {(3, "x"): first}
+    square(4, "x")
+    assert built == [(3, "x"), (4, "x")]
+
+
+def test_memoized_returns_the_built_value_when_the_store_empties_the_table(monkeypatch):
+    monkeypatch.setattr(scalars, "_MEMO_LIMIT", 1)
+    table = {}
+    square, built = _counting_memo(table)
+    assert square(2, "a") == [4, "a"]
+    # the second store empties the table first; the caller still gets its value
+    assert square(5, "b") == [25, "b"]
+    assert table == {(5, "b"): [25, "b"]}
+    assert square(2, "a") == [4, "a"]
+    assert built == [(2, "a"), (5, "b"), (2, "a")]
+
+
+class _Forgetful(dict):
+    """A table another thread empties right after every store."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_memoized_does_not_read_the_table_back():
+    square, built = _counting_memo(_Forgetful())
+    assert square(3, "c") == [9, "c"]
+    assert square(3, "c") == [9, "c"]
+    assert built == [(3, "c"), (3, "c")]
+
+
+def test_memoized_refuses_keyword_arguments():
+    # a keyword call would store the value under a second key
+    table = {}
+    square, built = _counting_memo(table)
+    with pytest.raises(TypeError):
+        square(2, b="a")
+    with pytest.raises(TypeError):
+        cfunc._monomials(E3_VARS, 2, by_degree=True)
+    assert not table and not built
+
+
+# the functions that keep a lookup of their own, beside _memoized itself
+_OWN_LOOKUPS = {
+    ("scalars", "_memoized"),
+    ("scalars", "qbinom"),
+    ("ncalgebra", "_normalize_word"),
+    ("ncalgebra", "_fill"),
+    ("pairexp", "qexp"),
+}
+
+
+def test_memo_stores_go_through_memoized():
+    """Every memo store in the package is made by _memoized or by one of the
+    lookups README names, and no functools.lru_cache stands beside them."""
+    src = pathlib.Path(scalars.__file__).parent
+    callers, lru = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name == "_remember":
+                        callers.add((path.stem, getattr(top, "name", None)))
+                if isinstance(node, ast.Name) and node.id == "lru_cache":
+                    lru.append((path.stem, node.lineno))
+                elif isinstance(node, ast.Attribute) and node.attr == "lru_cache":
+                    lru.append((path.stem, node.lineno))
+                elif isinstance(node, ast.alias) and node.name == "lru_cache":
+                    lru.append((path.stem, top.lineno))
+    assert callers <= _OWN_LOOKUPS, callers - _OWN_LOOKUPS
+    assert ("scalars", "_memoized") in callers
+    assert not lru, lru

@@ -86,6 +86,15 @@ def test_qmatrix_is_a_linear_combination_of_matrix_units():
         a + QMatrix.identity(3)
 
 
+def test_qmatrix_product_checks_sizes():
+    assert QMatrix.identity(2) * QMatrix.identity(2) == QMatrix.identity(2)
+    for other in (QMatrix.identity(3), QMatrix(3, {(0, 0): ONE})):
+        with pytest.raises(ValueError, match="matrix sizes differ"):
+            QMatrix.identity(2) * other
+        with pytest.raises(ValueError, match="matrix sizes differ"):
+            other * QMatrix.identity(2)
+
+
 def test_line_projector_entries():
     P = build_projectors("line")
     half = scalar(1) / scalar(2)
