@@ -13,7 +13,7 @@ import math
 from operator import add
 
 from .scalars import ONE, ZERO, QScalar, _add_term, _apply_rows, _coeff_times, _LinComb, _memo
-from .scalars import _NUMBER, _memoized, _term_pairs
+from .scalars import _NUMBER, _as_scalar, _memoized, _term_pairs
 from .scalars import qnum, qpow, scalar
 from .spaces import E3, LINE, X_TOKENS, check_option
 
@@ -30,7 +30,7 @@ _MONO_TEXTS = _memo()
 
 
 @_memoized(_MONOMIALS)
-def _monomials(variables, max_degree, by_degree=False):
+def _monomials(variables, max_degree, by_degree):
     """Exponent tuples of total degree <= max_degree, as a tuple from the
     monomial table: in itertools.product order, or sorted by degree, then
     exponents, if by_degree."""
@@ -73,20 +73,18 @@ class CFunction(_LinComb):
     @staticmethod
     def constant(variables, c):
         variables = tuple(variables)
-        if isinstance(c, int):
-            c = scalar(c)
-        return CFunction(variables, {(0,) * len(variables): c})
+        return CFunction(variables, {(0,) * len(variables): _as_scalar(c)})
 
     @staticmethod
     def monomial(variables, exps, coeff=ONE):
-        return CFunction(variables, {tuple(exps): coeff})
+        return CFunction(variables, {tuple(exps): _as_scalar(coeff)})
 
     @staticmethod
     def var(variables, name, power=1, coeff=ONE):
         variables = tuple(variables)
         e = [0] * len(variables)
         e[variables.index(name)] = power
-        return CFunction(variables, {tuple(e): coeff})
+        return CFunction(variables, {tuple(e): _as_scalar(coeff)})
 
     def _vi(self, name):
         return self.vars.index(name)

@@ -258,13 +258,13 @@ def _parse_bound(text):
     return x
 
 
-# (--from, --to) -> (Jackson bounds, sign of the axis), with "x" for the
-# bound at a lattice point x = sign * q0^k0
+# (--from, --to) -> Jackson bounds, with "x" for the bound at a lattice
+# point x = sign * q0^k0; the sign of each bounds' axis is cfunc._BOUNDS'
 _INT_BOUNDS = {
-    ("0", "x"): ("0_x", 1),
-    ("x", "inf"): ("x_inf", 1),
-    ("x", "0"): ("x_0", -1),
-    ("-inf", "x"): ("minusinf_x", -1),
+    ("0", "x"): "0_x",
+    ("x", "inf"): "x_inf",
+    ("x", "0"): "x_0",
+    ("-inf", "x"): "minusinf_x",
 }
 
 
@@ -294,7 +294,7 @@ def _usage_error(text):
 
 
 def _cmd_int(args):
-    from .cfunc import LatticeFunction, NonConvergentSum, jackson_integral_numeric
+    from .cfunc import _BOUNDS, LatticeFunction, NonConvergentSum, jackson_integral_numeric
 
     try:
         samples = _read_samples(args.samples)
@@ -315,10 +315,10 @@ def _cmd_int(args):
         ends = (_parse_bound(args.lower), _parse_bound(args.upper))
     except ValueError as exc:
         return _usage_error(f"error: {exc}")
-    pair = _INT_BOUNDS.get(tuple("x" if isinstance(e, float) else e for e in ends))
-    if pair is None:
+    bounds = _INT_BOUNDS.get(tuple("x" if isinstance(e, float) else e for e in ends))
+    if bounds is None:
         return _usage_error("unsupported bound combination")
-    bounds, sign = pair
+    sign = _BOUNDS[bounds][0]
     x = next(e for e in ends if isinstance(e, float))
     if (x > 0) != (sign > 0):
         return _usage_error(

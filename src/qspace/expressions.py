@@ -163,7 +163,7 @@ class _Parser:
         elif kind == "c":
             _add_term(terms, key, coeff)
         else:
-            _add_normal_form(terms, self.space, "u", "xd", tuple(key), coeff)
+            _add_normal_form(terms, self.space, "u", tuple(key), coeff)
 
     # -- grammar -------------------------------------------------------------
 

@@ -259,7 +259,7 @@ def taylor_identity_check(space: str, max_degree: int = 3) -> VerificationReport
     on the x-legs exactly."""
     rep = VerificationReport("hopf-taylor", space)
     want = space_vars(space)
-    targets = [(str(e), CFunction.monomial(want, e)) for e in _monomials(want, max_degree)]
+    targets = [(str(e), CFunction.monomial(want, e)) for e in _monomials(want, max_degree, False)]
     top = max((gf.degree() for _, gf in targets), default=0)
     out_vars = doubled_vars(space)
     y_idx = [out_vars.index(Y_OF[v]) for v in want]

@@ -20,12 +20,14 @@ and the ordering transport read each key's normal-ordered image from one
 table of rows.
 
 Two rule tables are written out: the coordinate relations in the standard
-ordering and the Leibniz rules of the plain calculus.  The reversed ordering
-and the conjugate ("hatted") calculus come from them by the transition
+ordering and the Leibniz rules of the plain calculus.  The conjugate
+("hatted") calculus comes from the plain one by the transition
 (+/-, q) -> (-/+, 1/q), and the derivatives obey the coordinate relations
 with their indices swapped.  Hatted derivatives are never stored; parsing
 replaces them by their q-power multiples of the plain derivatives, and the
-hatted rule set is selected through the action mode instead.
+hatted rule set is selected through the action mode instead.  The reversed
+coordinate ordering has no rule set: the transport into it is the image of
+the transport into the standard one under the same transition.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
-from .scalars import _NUMBER, _apply_rows, _clear_memos, _memo, _memoized, _remember
+from .scalars import _NUMBER, _apply_rows, _as_scalar, _clear_memos, _memo, _memoized, _remember
 from .scalars import _term_pairs
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
@@ -73,11 +75,11 @@ def _word_of_key(space, key):
 # (coefficient, replacement token tuple) alternatives.  Two tables are
 # printed: the coordinate relations in the standard ordering and the
 # Leibniz rules of the plain calculus.  The others come from these: the
-# reversed ordering of the coordinates and the hatted calculus (its rules
-# for the conjugate derivatives, still written on the 'd' tokens) by the
-# transition (+/-, q) -> (-/+, 1/q), and the derivative relations as the
-# coordinate relations with the indices swapped.  The right actions need no
-# table of their own: they run through the +/- mirror transport.
+# hatted calculus (its rules for the conjugate derivatives, still written on
+# the 'd' tokens) by the transition (+/-, q) -> (-/+, 1/q), and the
+# derivative relations as the coordinate relations with the indices
+# swapped.  The right actions and the reversed ordering need no table of
+# their own (see _mirror_element and _transport_image).
 # ---------------------------------------------------------------------------
 
 _LL = LAM * LAMP
@@ -132,11 +134,11 @@ def _transition(rules):
     """The rules under (+/-, q) -> (-/+, 1/q): every tag through PM_SWAP,
     every coefficient through q -> 1/q.
 
-    It takes the standard ordering to the reversed one and the plain
-    calculus to the hatted one.  On the hatted rule for dp x3 it gives the
-    correction coefficient q^-1 lam lam+ where the printed rule has
-    q lam lam+: the printed one fails the overlap consistency on dp x3 xp
-    and does not match the conjugation transport of the plain calculus."""
+    It takes the plain calculus to the hatted one (the rule sets' only
+    use of it).  On the hatted rule for dp x3 it gives the correction
+    coefficient q^-1 lam lam+ where the printed rule has q lam lam+: the
+    printed one fails the overlap consistency on dp x3 xp and does not
+    match the conjugation transport of the plain calculus."""
     def swap(toks):
         return tuple(PM_SWAP.get(t, t) for t in toks)
 
@@ -169,8 +171,7 @@ def _rank_rule(alts, swapped, rank):
 
 
 class _RuleSet:
-    """Rank order plus pair rules; one per (space, calculus, ordering,
-    opposite).
+    """Rank order plus pair rules; one per (space, calculus, opposite).
 
     The opposite rule set is that of the opposite algebra, on reversed
     words: each rule (a, b) -> r becomes (b, a) -> reversed r, the rank
@@ -185,15 +186,14 @@ class _RuleSet:
     each run; for the scaling operator per half-step) or the alternatives
     (coefficient, replacement ranks)."""
 
-    def __init__(self, space, calculus, ordering, opposite):
-        self.ordering = ordering
-        if ordering not in ("xd", "rev") or calculus not in ("u", "h"):
-            raise ValueError((calculus, ordering))
-        xs = list((X_TOKENS if ordering == "xd" else REVERSED)[space])
+    def __init__(self, space, calculus, opposite):
+        if calculus not in ("u", "h"):
+            raise ValueError(calculus)
+        xs = list(X_TOKENS[space])
         ds = list(D_TOKENS[space])
         seq = xs + ds + [_LAM_TAG]
         xx = _build_xx_rules(space)
-        pair_rules = _transition(xx) if ordering == "rev" else dict(xx)
+        pair_rules = dict(xx)
         # the derivatives obey the coordinate relations, indices swapped
         x_to_d = dict(zip(X_TOKENS[space], D_TOKENS[space]))
         for (a, b), alts in xx.items():
@@ -247,13 +247,14 @@ class _RuleSet:
         self.counit_memo = {}
 
 
-# every call passes all four arguments, so a rule set has one cache key
+# every call passes all three arguments, so a rule set has one cache key
 _ruleset = functools.cache(_RuleSet)
 
 
-# whole-word memo, keyed (space, calculus, ordering, word) and holding
+# whole-word memo, keyed (space, calculus, "xd", word) and holding
 # {stored key: QScalar}; words longer than _NF_CACHE_MAX_LEN are
-# normal-ordered without being stored
+# normal-ordered without being stored.  The fixed "xd" field stays while
+# the benchmark's self-test plants an entry under this key shape
 _NF_CACHE = _memo()
 _NF_CACHE_MAX_LEN = 10
 _STRATEGY = ContextVar("rewrite_strategy", default="leftmost")
@@ -392,7 +393,7 @@ def _runs_of_word(word):
     return runs
 
 
-def _normal_runs(space, calculus, ordering, runs):
+def _normal_runs(space, calculus, runs):
     """Normal form {stored key: QScalar} of the word with runs [(tag, n)].
 
     Under 'rightmost' the reversed word is normal-ordered on the opposite
@@ -400,7 +401,7 @@ def _normal_runs(space, calculus, ordering, runs):
     the insertion order does not change the result (Bergman's diamond
     lemma, Adv. Math. 29 (1978) 178)."""
     rightmost = _STRATEGY.get() == "rightmost"
-    rs = _ruleset(space, calculus, ordering, rightmost)
+    rs = _ruleset(space, calculus, rightmost)
     rank = rs.rank
     terms = {rs.zero: ONE}
     for tag, n in (reversed(runs) if rightmost else runs):
@@ -410,14 +411,14 @@ def _normal_runs(space, calculus, ordering, runs):
     return {to_key(w): c for w, c in terms.items()}
 
 
-def _normalize_word(space, calculus, ordering, word):
+def _normalize_word(space, calculus, word):
     """Rewrite an arbitrary token word to its normal form {stored key:
     QScalar}, through the whole-word memo."""
-    cache_key = (space, calculus, ordering, word)
+    cache_key = (space, calculus, "xd", word)
     hit = _NF_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    result = _normal_runs(space, calculus, ordering, _runs_of_word(word))
+    result = _normal_runs(space, calculus, _runs_of_word(word))
     if len(word) <= _NF_CACHE_MAX_LEN:
         _remember(_NF_CACHE, cache_key, result)
     return result
@@ -428,9 +429,9 @@ def _runs_of_key(space, key):
     return [(tag, n) for tag, n in zip(_KEY_TAGS[space], key) if n]
 
 
-def _add_normal_form(terms, space, calculus, ordering, word, coeff):
+def _add_normal_form(terms, space, calculus, word, coeff):
     """Accumulate coeff times the normal form of word into terms."""
-    for key, c in _normalize_word(space, calculus, ordering, word).items():
+    for key, c in _normalize_word(space, calculus, word).items():
         _add_term(terms, key, coeff * c)
 
 
@@ -465,7 +466,7 @@ class NCElement(_LinComb):
     @staticmethod
     def scalar_term(space, c):
         k = (0,) * len(KEY_LAYOUT[space]) + (0,)
-        return NCElement(space, {k: c})
+        return NCElement(space, {k: _as_scalar(c)})
 
     @staticmethod
     def generator(space, tag, power=1):
@@ -496,7 +497,7 @@ class NCElement(_LinComb):
                     f"generator {tag!r} does not live on space {space!r}"
                 )
         out = NCElement(space)
-        _add_normal_form(out.terms, space, "u", "xd", tuple(word), coeff)
+        _add_normal_form(out.terms, space, "u", tuple(word), coeff)
         return out
 
     # -- ring structure -----------------------------------------------------
@@ -510,7 +511,7 @@ class NCElement(_LinComb):
         def row_of(pair):
             k1, k2 = pair
             word = _runs_of_key(space, k1) + _runs_of_key(space, k2)
-            return _normal_runs(space, "u", "xd", word).items()
+            return _normal_runs(space, "u", word).items()
 
         return NCElement(space, _apply_rows(_term_pairs(self.terms, other.terms), row_of))
 
@@ -639,12 +640,11 @@ _TRANSPORT = _memo()
 def _transport_image(space, name, key):
     """The normal-ordered image of key under the transport name, as a tuple
     of (key, QScalar) rows."""
-    coeff = ONE
     if name in _WORD_MAPS:
         # the reversed word, each generator mapped, the scaling operator
         # inverted
         tokmap = _WORD_MAPS[name][space]
-        runs = []
+        coeff, runs = ONE, []
         for tag, n in reversed(_runs_of_key(space, key)):
             if tag == _LAM_TAG:
                 runs.append((tag, -n))
@@ -653,19 +653,18 @@ def _transport_image(space, name, key):
             if f is not ONE:
                 coeff = coeff * f ** n
             runs.append((image, n))
-        ordering = "xd"
-    elif name == "to_reversed":
-        # the standard word, expanded in the reversed PBW basis
-        runs = list(zip(X_TOKENS[space], key))
-        ordering = "rev"
-    else:
-        # the reversed-ordering word the exponents denote
-        runs = [(x, key[X_TOKENS[space].index(x)]) for x in REVERSED[space]]
-        ordering = "xd"
-    nf = _normal_runs(space, "u", ordering, runs)
-    if name not in _WORD_MAPS:
-        nf = {k[:len(key)]: c for k, c in nf.items()}
-    return tuple((k, coeff * c) for k, c in nf.items())
+        return tuple((k, coeff * c) for k, c in _normal_runs(space, "u", runs).items())
+    xs = X_TOKENS[space]
+    if name == "to_reversed":
+        # the standard word in the reversed basis: the "to_standard" rows of
+        # the swapped key under (+/-, q) -> (-/+, 1/q), each key's xp and xm
+        # slots swapped
+        swap = itemgetter(*(xs.index(PM_SWAP.get(x, x)) for x in xs))
+        rows = _transport_image(space, "to_standard", swap(key))
+        return tuple((swap(k), c.subs_q_inverse()) for k, c in rows)
+    # the reversed-ordering word the exponents denote
+    nf = _normal_runs(space, "u", [(x, key[xs.index(x)]) for x in REVERSED[space]])
+    return tuple((k[:len(key)], c) for k, c in nf.items())
 
 
 def _transport(a: NCElement, name) -> NCElement:
@@ -718,7 +717,7 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
     opposite rule set, whose rank order reads the reversed operator word
     left to right."""
     space = op.space
-    rs = _ruleset(space, calculus, "xd", True)
+    rs = _ruleset(space, calculus, True)
     to_rank, to_key = rs.to_rank, rs.to_key
     # made per call, so the rule set holds no reference back to itself
     counit = _memoized(rs.counit_memo)(functools.partial(_counit_image, rs))
@@ -821,5 +820,5 @@ def normalize_in_calculus(space, calculus, word, coeff=ONE):
     keys are read against the *stored* token names."""
     check_option("calculus", calculus, ("u", "h"))
     out = NCElement(space)
-    _add_normal_form(out.terms, space, calculus, "xd", tuple(word), coeff)
+    _add_normal_form(out.terms, space, calculus, tuple(word), coeff)
     return out

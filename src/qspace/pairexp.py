@@ -195,7 +195,7 @@ def kronecker_check(space, variant: str, degree_bound: int) -> VerificationRepor
     by_grade = {}
     for term in qexp(space, variant, degree_bound):
         by_grade.setdefault(_grade(HAT_D_TOKENS[space], term[0]), []).append(term)
-    for target in _monomials(vars_, degree_bound):
+    for target in _monomials(vars_, degree_bound, False):
         # the hatted tower pairs against the reversed-ordering basis words
         v = coord_word_element(space, target, reversed_order=hat)
         acc = {}

@@ -1153,6 +1153,12 @@ def _term_pairs(a, b):
 _NUMBER = (QScalar, int, Fraction)
 
 
+def _as_scalar(c):
+    """c, or the QScalar equal to it if it is an int or Fraction: the one
+    conversion of a plain number a combination is made or scaled with."""
+    return scalar(c) if isinstance(c, (int, Fraction)) else c
+
+
 class _LinComb:
     """Finite linear combination of basis keys with QScalar coefficients.
 
@@ -1207,8 +1213,7 @@ class _LinComb:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = scalar(c)
+        c = _as_scalar(c)
         if not c:
             return self._like()
         return self._like({k: v * c for k, v in self.terms.items()})

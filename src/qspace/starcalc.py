@@ -123,7 +123,7 @@ def star_checks(max_degree: int) -> list:
     engine's product lower(lift f * lift g) of the same pair."""
     space = E3
     vars_ = space_vars(space)
-    monos = _monomials(vars_, max_degree)
+    monos = _monomials(vars_, max_degree, False)
     mono = {e: CFunction.monomial(vars_, e) for e in monos}
     deg = {e: sum(e) for e in monos}
     pairs = [(e1, e2) for e1 in monos for e2 in monos if deg[e1] + deg[e2] <= max_degree]

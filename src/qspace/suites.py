@@ -117,7 +117,7 @@ def suite_oracle_actions(opts: SuiteOptions):
                 D = NCElement.generator(space, dtag)
                 if CALCULI[variant][0] and idx != "0":
                     D = D.scale(hat_factor(space, 1))
-                for e in _monomials(vars_, opts.degree):
+                for e in _monomials(vars_, opts.degree, False):
                     f = CFunction.monomial(vars_, e)
                     closed = qfunc.act_partial_closed(idx, variant, f, space)
                     oracle = lower(space, act(D, lift(space, f), variant))
@@ -149,7 +149,7 @@ def suite_hopf_taylor(opts: SuiteOptions):
         counit = VerificationReport("hopf-counit", space)
         vars_ = space_vars(space)
         for variant in ("L", "Lbar"):
-            for e in _monomials(vars_, deg):
+            for e in _monomials(vars_, deg, False):
                 f = CFunction.monomial(vars_, e)
                 t = hopf.translate(space, variant, f)
                 for y in [v for v in t.vars if v.startswith("y")]:
@@ -163,7 +163,7 @@ def suite_hopf_taylor(opts: SuiteOptions):
     # line antipode pair composition
     rep = VerificationReport("hopf-antipode-square", "line")
     vars_ = space_vars("line")
-    for e in _monomials(vars_, 5):
+    for e in _monomials(vars_, 5, False):
         f = CFunction.monomial(vars_, e)
         got = hopf.antipode("line", "Lbar", hopf.antipode("line", "L", f))
         if got != f:
@@ -178,7 +178,7 @@ def suite_pairings(opts: SuiteOptions):
         deg = min(opts.degree, 4 if space == "line" else 3)
         rep = VerificationReport("pairing-values", space)
         vars_ = space_vars(space)
-        for exps in _monomials(vars_, deg):
+        for exps in _monomials(vars_, deg, False):
             xw = pairexp.coord_word_element(space, exps, reversed_order=False)
             xwr = pairexp.coord_word_element(space, exps, reversed_order=True)
             dw = pairexp.deriv_word_element(space, exps, False)

@@ -5,17 +5,20 @@ tuples by appending one token at a time, walks a token past plain swaps one
 step (and one scalar product) at a time, and memoizes each insertion by its
 whole word, on memos of its own.  It reads only the rule sets' pair rules,
 rank order and scaling weights, through ``resolve`` below, so the rank tables, the run walk, the per-run memos and the transport table
-of the engine are all checked against code that has none of them.
+of the engine are all checked against code that has none of them.  The
+engine has no rule set for the reversed coordinate basis; the oracle
+rewrites in that basis on rules built here from the printed tables.
 """
 
 import ast
 import pathlib
 import random
 import threading
+import types
 
 import pytest
 
-from qspace import cfunc, hopf, qfunc, scalars, starcalc
+from qspace import cfunc, hopf, pairexp, qfunc, scalars, starcalc
 from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS
 from qspace.ncalgebra import NCElement, act, lift, lower, normal_form, reorder_transform
@@ -105,12 +108,34 @@ def _key_of_word(space, word):
     return tuple(counts)
 
 
-def oracle_normal_form(space, calculus, ordering, word, rightmost=False):
+def oracle_normal_form(space, calculus, word, rightmost=False):
     """{stored key: QScalar}: the token-word engine, left to right or (on
     the opposite rule set, on the reversed word) right to left."""
-    rs = _nc._ruleset(space, calculus, ordering, rightmost)
-    memo = _MEMOS.setdefault((space, calculus, ordering, rightmost), {})
-    w = tuple(word)[::-1] if rightmost else tuple(word)
+    rs = _nc._ruleset(space, calculus, rightmost)
+    memo = _MEMOS.setdefault((space, calculus, rightmost), {})
+    return _oracle_run(space, rs, memo, tuple(word)[::-1] if rightmost else tuple(word))
+
+
+def reversed_basis(space, calculus):
+    """The rules of the calculus in the reversed coordinate basis, built
+    from the printed tables of test_ncalgebra (the reversed coordinate
+    relations, the derivative relations and the Leibniz rules) rather than
+    from the engine, in the form resolve reads."""
+    from test_ncalgebra import _TABLES  # imported here: it imports this module
+
+    tables = _TABLES[space]
+    xs, ds = _nc.REVERSED[space], _nc.D_TOKENS[space]
+    return types.SimpleNamespace(
+        rank={t: i for i, t in enumerate(xs + ds + (_LAM,))},
+        pair_rules={**tables["xx_rev"], **tables["dd"],
+                    **tables["leibniz" if calculus == "u" else "leibniz_hat"]},
+        lam_weight={t: _nc._lam_weight(space, t) for t in xs + ds},
+    )
+
+
+def _oracle_run(space, rs, memo, w):
+    """{stored key: QScalar}: the token word w normal-ordered by the rules
+    rs, on the insertion memo memo."""
     i = min(len(w), 1)
     while i < len(w) and resolve(rs, w[i - 1], w[i]) is None:
         i += 1
@@ -125,7 +150,7 @@ def oracle_normal_form(space, calculus, ordering, word, rightmost=False):
 
 def oracle_element(space, word, coeff=ONE):
     out = NCElement(space)
-    for k, c in oracle_normal_form(space, "u", "xd", word).items():
+    for k, c in oracle_normal_form(space, "u", word).items():
         _add_term(out.terms, k, coeff * c)
     return out
 
@@ -146,20 +171,23 @@ def oracle_transport(a, name):
             word.append(image)
         if name == "conj":
             c = c.conj()
-        for kk, cc in oracle_normal_form(a.space, "u", "xd", word).items():
+        for kk, cc in oracle_normal_form(a.space, "u", word).items():
             _add_term(out.terms, kk, c * coeff * cc)
     return out
 
 
 def oracle_reorder(f, direction):
+    """The standard word of each exponent key rewritten in the reversed
+    basis, or the reversed word in the standard one."""
+    rev = reversed_basis("euclid3", "u")
     out = {}
     for e, c in f.terms.items():
         x0, xp, x3, xm = ("x0",) * e[0], ("xp",) * e[1], ("x3",) * e[2], ("xm",) * e[3]
         if direction == "to_reversed":
-            word, ordering = x0 + xp + x3 + xm, "rev"
+            nf = _oracle_run("euclid3", rev, _MEMOS.setdefault("rev", {}), x0 + xp + x3 + xm)
         else:
-            word, ordering = x0 + xm + x3 + xp, "xd"
-        for k, cc in oracle_normal_form("euclid3", "u", ordering, word).items():
+            nf = oracle_normal_form("euclid3", "u", x0 + xm + x3 + xp)
+        for k, cc in nf.items():
             _add_term(out, k[:4], c * cc)
     return CFunction(E3_VARS, out)
 
@@ -192,13 +220,12 @@ def test_random_words_match_the_token_engine(strategy):
     rng = random.Random(101)
     for space in ("line", "euclid3"):
         for calculus in ("u", "h"):
-            for ordering in ("xd", "rev"):
-                words = [_random_word(rng, _tokens(space), 4) for _ in range(40)]
-                want = [oracle_normal_form(space, calculus, ordering, w) for w in words]
-                with _nc.rewrite_strategy(strategy):
-                    got = [_nc._normalize_word(space, calculus, ordering, w) for w in words]
-                for w, a, b in zip(words, got, want):
-                    assert a == b, (space, calculus, ordering, w)
+            words = [_random_word(rng, _tokens(space), 4) for _ in range(40)]
+            want = [oracle_normal_form(space, calculus, w) for w in words]
+            with _nc.rewrite_strategy(strategy):
+                got = [_nc._normalize_word(space, calculus, w) for w in words]
+            for w, a, b in zip(words, got, want):
+                assert a == b, (space, calculus, w)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -250,15 +277,10 @@ def test_run_heavy_words_match_the_token_engine(strategy):
         words += [("xm",) * n + ("xp",) * n, ("dm",) * 2 + ("xm",) * n, ("xm",) * n + ("dm",) * 2]
     words += [("d3",) * 3 + ("x3",) * 4 + (("L", 3),) + ("xm",) * 6 + ("dp",) * 2]
     for word in words:
-        want = oracle_normal_form("euclid3", "u", "xd", word)
+        want = oracle_normal_form("euclid3", "u", word)
         with _nc.rewrite_strategy(strategy):
-            got = _nc._normalize_word("euclid3", "u", "xd", word)
+            got = _nc._normalize_word("euclid3", "u", word)
         assert got == want, word
-        for calculus in ("u", "h"):
-            if len(word) <= 20:
-                with _nc.rewrite_strategy(strategy):
-                    got = _nc._normalize_word("euclid3", calculus, "rev", word)
-                assert got == oracle_normal_form("euclid3", calculus, "rev", word), (calculus, word)
 
 
 def test_a_planted_row_does_not_survive_a_strategy_switch():
@@ -295,9 +317,9 @@ def test_whole_word_memo_stays_bounded(monkeypatch):
     words = {_random_word(rng, _tokens("euclid3"), 4) for _ in range(40)}
     assert len(words) > 3 * 5
     for word in sorted(words, key=str):
-        got = _nc._normalize_word("euclid3", "u", "xd", word)
+        got = _nc._normalize_word("euclid3", "u", word)
         assert len(_nc._NF_CACHE) <= 5
-        assert got == oracle_normal_form("euclid3", "u", "xd", word), word
+        assert got == oracle_normal_form("euclid3", "u", word), word
     _nc._clear_memos()
 
 
@@ -318,8 +340,8 @@ def test_tables_stay_bounded(monkeypatch):
     # every module-level table is registered and every rule set owns its
     # memos; each table was filled and none is over the limit
     rulesets = [
-        _nc._ruleset(space, calculus, ordering, opposite)
-        for calculus in ("u", "h") for ordering in ("xd", "rev") for opposite in (False, True)
+        _nc._ruleset(space, calculus, opposite)
+        for calculus in ("u", "h") for opposite in (False, True)
     ]
     named = [_nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
     owned = [rs.memo for rs in rulesets] + [rs.counit_memo for rs in rulesets]
@@ -344,7 +366,7 @@ def test_rebuilt_rule_sets_leave_no_tables_behind():
     tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
               hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS, cfunc._MONOMIALS,
               cfunc._MONO_TEXTS, _nc._MONO_TEXTS, _nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
-    key = ("euclid3", "u", "xd", False)
+    key = ("euclid3", "u", False)
     for _ in range(50):
         _nc._ruleset.cache_clear()
         _nc._ruleset(*key)
@@ -459,6 +481,21 @@ def test_memoized_refuses_keyword_arguments():
     with pytest.raises(TypeError):
         cfunc._monomials(E3_VARS, 2, by_degree=True)
     assert not table and not built
+
+
+def test_monomial_table_holds_one_key_per_value():
+    # by_degree has no default: a call leaving it out would store the tuple
+    # of a positional call with False under a second, shorter key
+    with pytest.raises(TypeError):
+        cfunc._monomials(E3_VARS, 2)
+    cfunc._MONOMIALS.clear()
+    _fill_value_tables()
+    starcalc.star_checks(2)
+    hopf.taylor_identity_check("line", 2)
+    pairexp.kronecker_check("euclid3", "x_d", 2)
+    keys = list(cfunc._MONOMIALS)
+    assert any(not b for _, _, b in keys) and any(b for _, _, b in keys), keys
+    assert len({(v, d, bool(b)) for v, d, b in keys}) == len(keys), keys
 
 
 # the functions that keep a lookup of their own, beside _memoized itself

@@ -165,7 +165,7 @@ def _apply_exp_word(space, exps, action_variant, g, rep):
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 def test_prefix_shared_word_actions_match_words_applied_from_scratch(space):
     want = space_vars(space)
-    targets = [CFunction.monomial(want, e) for e in _monomials(want, 3)]
+    targets = [CFunction.monomial(want, e) for e in _monomials(want, 3, False)]
     # one multi-term target with a non-unit coefficient
     targets.append(CFunction.monomial(want, (1,) * 2 + (0,) * (len(want) - 2))
                    + CFunction.monomial(want, (0,) * (len(want) - 1) + (3,), qpow(2))

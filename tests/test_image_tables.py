@@ -138,7 +138,7 @@ def _poly(space, draw_int):
     """A polynomial of one to four terms on the space's low monomials, each
     coefficient a random scalar (test_scalar_oracle.gen_scalar)."""
     vars_ = space_vars(space)
-    monos = _monomials(vars_, _DEGREE[space])
+    monos = _monomials(vars_, _DEGREE[space], False)
     terms = {}
     for _ in range(draw_int(1, 4)):
         terms[monos[draw_int(0, len(monos) - 1)]] = gen_scalar(draw_int)

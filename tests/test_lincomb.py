@@ -11,7 +11,7 @@ from qspace.cfunc import E3_VARS, CFunction
 from qspace.grassmann import GElement
 from qspace.ncalgebra import NCElement, SpaceMismatch, act
 from qspace.rmatrix import QMatrix
-from qspace.scalars import ONE, _apply_rows, _term_pairs, qpow, scalar
+from qspace.scalars import ONE, QScalar, _apply_rows, _term_pairs, qpow, scalar
 from qspace.starcalc import StarContext, star
 
 
@@ -28,6 +28,23 @@ def test_restrict_drops_renamed_variables_that_cancel():
     assert f.restrict(["a", "b", "c"]) is f
     assert f.restrict(f.vars, {"a": "c", "c": "a"}) == CFunction(
         f.vars, {(0, 0, 1): ONE, (0, 1, 0): -ONE, (0, 0, 0): scalar(2)})
+
+
+@pytest.mark.parametrize("made, use, want", [
+    (lambda: CFunction.constant(E3_VARS, Fraction(1, 2)),
+     lambda f: f.eval_coeffs_exact(1), {(0, 0, 0, 0): Fraction(1, 2)}),
+    (lambda: CFunction.monomial(E3_VARS, (0, 1, 0, 0), 2),
+     lambda f: f.eval_float(1.1, {"xp": 1}), 2),
+    (lambda: CFunction.var(E3_VARS, "xp", 1, 2), str, "2 xp"),
+    (lambda: NCElement.scalar_term("line", 2), lambda a: a.conjugate(),
+     NCElement.scalar_term("line", scalar(2))),
+], ids=["constant", "monomial", "var", "scalar_term"])
+def test_constructors_store_a_plain_number_as_a_scalar(made, use, want):
+    # an int or Fraction coefficient is stored as the equal QScalar, as
+    # scale stores it, so every coefficient method applies to it
+    element = made()
+    assert all(isinstance(c, QScalar) for c in element.terms.values())
+    assert use(element) == want
 
 
 def test_frames_and_hashability():
@@ -121,7 +138,7 @@ def test_counit_memo_entries_are_tuples_under_token_run_word_keys():
     op = _x(space, "dp") * _x(space, "dm") + _x(space, "d3")
     f = _x(space, "xp") * _x(space, "xm") * _x(space, "x3")
     assert not act(op, f, "left").is_zero()
-    rulesets = [ncalgebra._ruleset(space, c, "xd", True) for c in ("u", "h")]
+    rulesets = [ncalgebra._ruleset(space, c, True) for c in ("u", "h")]
     entries = [(k, v) for rs in rulesets for k, v in rs.counit_memo.items()]
     assert entries
     for (t, n, xw), rows in entries:

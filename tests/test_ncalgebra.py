@@ -20,7 +20,7 @@ from qspace.ncalgebra import (
 )
 from qspace.scalars import I, LAM, LAMP, ONE, QScalar, _add_term, qpow
 from qspace.spaces import SPATIAL_D
-from test_engine_oracle import resolve
+from test_engine_oracle import resolve, reversed_basis
 
 LL = LAM * LAMP
 
@@ -304,18 +304,15 @@ def test_act_with_mixed_operator_words():
 
 # -- the insertion engine against its certificate and an independent oracle --
 
-RULE_SETS = [
-    (space, calculus, ordering)
-    for space in ("line", "euclid3")
-    for calculus in ("u", "h")
-    for ordering in ("xd", "rev")
-]
+RULE_SETS = [(space, calculus) for space in ("line", "euclid3") for calculus in ("u", "h")]
 
 
 # The rule tables as printed, the derived ones included: the engine states
 # only the standard coordinate relations and the plain Leibniz rules and
 # derives the rest by the (+/-, q) -> (-/+, 1/q) transition and the index
-# swap x -> d.  Each table maps a pair to its alternatives, in order.
+# swap x -> d.  The reversed coordinate relations (xx_rev) belong to no rule
+# set; the token-word oracle rewrites in the reversed basis on them.  Each
+# table maps a pair to its alternatives, in order.
 _Q = qpow
 _LINE_TABLES = {
     "xx": {("x1", "x0"): [(ONE, ("x0", "x1"))]},
@@ -407,7 +404,8 @@ _E3_TABLES = {
 _TABLES = {"line": _LINE_TABLES, "euclid3": _E3_TABLES}
 
 
-@pytest.mark.parametrize("space, calculus, ordering", RULE_SETS)
+@pytest.mark.parametrize("ordering", ["xd", "rev"])
+@pytest.mark.parametrize("space, calculus", RULE_SETS)
 def test_derived_rule_tables_match_the_printed_ones(space, calculus, ordering):
     tables = _TABLES[space]
     want = {
@@ -415,7 +413,12 @@ def test_derived_rule_tables_match_the_printed_ones(space, calculus, ordering):
         **tables["dd"],
         **tables["leibniz" if calculus == "u" else "leibniz_hat"],
     }
-    got = _nc._RuleSet(space, calculus, ordering, False).pair_rules
+    got = _nc._RuleSet(space, calculus, False).pair_rules
+    if ordering == "rev":
+        # the reversed basis: the coordinate relations under the transition,
+        # the derivative relations and the Leibniz rules as they are
+        xx = _nc._build_xx_rules(space)
+        got = {**{p: a for p, a in got.items() if p not in xx}, **_nc._transition(xx)}
     assert sorted(got) == sorted(want)
     for pair, alts in want.items():
         # the alternatives in order, each coefficient exactly
@@ -434,9 +437,10 @@ def test_reorder_transform_rejects_an_unknown_direction(space, variables):
 
 def test_rule_sets_reject_an_unknown_calculus_or_ordering():
     with pytest.raises(ValueError):
-        _nc._RuleSet("euclid3", "x", "xd", False)
-    with pytest.raises(ValueError):
-        _nc._RuleSet("euclid3", "u", "dx", False)
+        _nc._RuleSet("euclid3", "x", False)
+    # a rule set is the standard ordering's; none takes an ordering
+    with pytest.raises(TypeError):
+        _nc._RuleSet("euclid3", "u", "rev", False)
 
 
 def _tokens(space):
@@ -522,6 +526,16 @@ def test_overlap_ambiguities_resolve():
         )
         assert failing == [], key
         count += n
+        # the printed rules of the reversed basis, which the token-word
+        # oracle rewrites on, resolve theirs as well
+        rev = reversed_basis(*key)
+        n, failing = _overlaps(
+            functools.partial(resolve, rev),
+            lambda word, rev=rev, space=key[0]: _keyed(space, _tree_normal_form(rev, word)),
+            _tokens(key[0]),
+        )
+        assert failing == [], (key, "reversed basis")
+        count += n
     assert count == 768
 
 
@@ -579,7 +593,7 @@ def _reference_act_left(op, f, calculus):
     """The definition: normal-order every operator word times every
     coordinate word in full, then apply the counit."""
     space = op.space
-    rs = _nc._ruleset(space, calculus, "xd", False)
+    rs = _nc._ruleset(space, calculus, False)
     nx = len(_nc.X_TOKENS[space])
     out = {}
     for kop, cop in op.terms.items():

@@ -216,7 +216,7 @@ def closed_forms():
     out = {}
     for space, degree in _GOLDEN_DEGREE.items():
         vars_ = space_vars(space)
-        for e in _monomials(vars_, degree):
+        for e in _monomials(vars_, degree, False):
             f = CFunction.monomial(vars_, e, Q + scalar(3))
             for idx in D_OF_LABEL[space]:
                 for variant in ("left", "left_bar", "right", "right_bar"):

@@ -245,7 +245,7 @@ def _full_loop_reports(max_degree):
                 _add_term(out, k, c * a)
         return CFunction(E3_VARS, out)
 
-    monos = _monomials(E3_VARS, max_degree)
+    monos = _monomials(E3_VARS, max_degree, False)
     pairs = [(ef, eg) for ef in monos for eg in monos if sum(ef) + sum(eg) <= max_degree]
     oracle = VerificationReport("star-oracle", space)
     for ordering in ("standard", "reversed"):
@@ -297,7 +297,7 @@ def test_star_checks_report_a_non_central_time_coordinate(monkeypatch):
 
     monkeypatch.setattr(starcalc, "_star_e3", skewed)
     oracle, assoc, limit = star_checks(4)
-    monos = _monomials(E3_VARS, 4)
+    monos = _monomials(E3_VARS, 4, False)
     skewed_pairs = [f"x0:{e1},{e2}" for e1 in monos for e2 in monos
                     if e1[0] and sum(e1) + sum(e2) <= 4]
     assert len(skewed_pairs) == 165

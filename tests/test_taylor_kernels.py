@@ -212,7 +212,7 @@ _COEFFS = (ONE, -qpow(1), ONE / (ONE + Q), I, qpow(-2) * 3 - I)
 
 
 def _random_poly(rng, vars_, max_degree, terms):
-    monos = _monomials(vars_, max_degree)
+    monos = _monomials(vars_, max_degree, False)
     out = CFunction.zero(vars_)
     for _ in range(terms):
         out = out + CFunction.monomial(vars_, rng.choice(monos), rng.choice(_COEFFS))
@@ -222,7 +222,7 @@ def _random_poly(rng, vars_, max_degree, terms):
 @pytest.mark.parametrize("space,max_degree", [("euclid3", 4), ("line", 6)])
 def test_kernels_match_on_monomials(space, max_degree):
     vars_ = space_vars(space)
-    for exps in _monomials(vars_, max_degree):
+    for exps in _monomials(vars_, max_degree, False):
         f = CFunction.monomial(vars_, exps)
         for variant in TRANSLATE_VARIANTS:
             label = (space, variant, exps)
@@ -231,7 +231,7 @@ def test_kernels_match_on_monomials(space, max_degree):
 
 
 def test_star_matches_on_monomial_pairs():
-    monos = _monomials(E3_VARS, 4)
+    monos = _monomials(E3_VARS, 4, False)
     for ef in monos:
         f = CFunction.monomial(E3_VARS, ef)
         for eg in monos:

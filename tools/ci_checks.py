@@ -122,6 +122,17 @@ for argv in runs:
     assert main(argv) == 0, argv
 """)
 
+# the benchmark self-test's memo read-back check on its own: it plants an
+# entry under the whole-word memo's key shape, so a change to that key fails
+# here as well as in the self-test; it only reads perfbench/
+MEMO_READBACK = python("""
+import sys
+sys.path.insert(0, "perfbench")
+import selftest
+selftest.check_memo_readback()
+sys.exit(1 if selftest.FAILURES else 0)
+""")
+
 LIGHT_IMPORT = python(
     "import sys, qspace.cli; heavy = {'qspace.suites', 'qspace.evolution', 'qspace.rmatrix'}"
     " & set(sys.modules); assert not heavy, heavy")
@@ -176,6 +187,8 @@ def checks():
            lambda: expect_exit(QSPACE + ["star", "xm^10000", "xp"], 0, 5))
     yield ("every action-mode and exponential spelling of the CLI exits 0",
            lambda: expect_exit(SPELLINGS, 0))
+    yield ("the benchmark's memo read-back check passes on its own",
+           lambda: expect_exit(MEMO_READBACK, 0, 60))
     yield ("importing the CLI loads no suite, evolution or braiding layer",
            lambda: expect_exit(LIGHT_IMPORT, 0) or expect_exit(QSPACE + ["verify", "-h"], 0))
 
