@@ -83,11 +83,16 @@ class CFunction(_LinComb):
     def var(variables, name, power=1, coeff=ONE):
         variables = tuple(variables)
         e = [0] * len(variables)
-        e[variables.index(name)] = power
+        e[CFunction._vi(variables, name)] = power
         return CFunction(variables, {tuple(e): _as_scalar(coeff)})
 
-    def _vi(self, name):
-        return self.vars.index(name)
+    @staticmethod
+    def _vi(variables, name):
+        """The slot of a variable name in a variable tuple."""
+        try:
+            return variables.index(name)
+        except ValueError:
+            raise ValueError(f"unknown variable {name!r}, not one of {variables}") from None
 
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
@@ -105,14 +110,14 @@ class CFunction(_LinComb):
             return 0
         if name is None:
             return max(sum(e) for e in self.terms)
-        i = self._vi(name)
+        i = self._vi(self.vars, name)
         return max(e[i] for e in self.terms)
 
     # -- calculus -----------------------------------------------------------
 
     def _lower_var(self, name, factor):
         """x^n -> factor(n) x^(n-1) in one variable; constants drop out."""
-        i = self._vi(name)
+        i = self._vi(self.vars, name)
         out = {}
         for e, c in self.terms.items():
             n = e[i]
@@ -129,7 +134,7 @@ class CFunction(_LinComb):
 
     def _raise_var(self, name, divisor):
         """x^n -> x^(n+1) / divisor(n+1) in one variable."""
-        i = self._vi(name)
+        i = self._vi(self.vars, name)
         return CFunction(self.vars, {
             e[:i] + (e[i] + 1,) + e[i + 1:]: c / divisor(e[i] + 1) for e, c in self.terms.items()
         })
@@ -143,9 +148,9 @@ class CFunction(_LinComb):
 
     def scale_var(self, name, half_steps: int):
         """Substitute x -> q^(half_steps/2) x."""
+        i = self._vi(self.vars, name)
         if half_steps == 0:
             return self
-        i = self._vi(name)
         out = {}
         for e, c in self.terms.items():
             out[e] = c * QScalar.q_power(half_steps * e[i])
@@ -154,7 +159,7 @@ class CFunction(_LinComb):
     def subs_scalar(self, name, value: QScalar):
         """Evaluate one variable at an exact scalar value; drops the variable
         dependence but keeps the slot (exponent 0)."""
-        i = self._vi(name)
+        i = self._vi(self.vars, name)
 
         def row_of(e):
             return ((e[:i] + (0,) + e[i + 1:], value ** e[i]),)
@@ -171,7 +176,7 @@ class CFunction(_LinComb):
 
     def shift_var(self, name, t0: QScalar):
         """Substitute x -> x + t0 (classical binomial shift)."""
-        i = self._vi(name)
+        i = self._vi(self.vars, name)
 
         def row_of(e):
             # (x + t0)^n expanded term by term

@@ -160,14 +160,12 @@ def schrodinger_residual(U: OperatorSeries, H: Hamiltonian) -> VerificationRepor
     for n in range(order):
         lhs = U.coeff(n + 1).scale(I * scalar(n + 1))
         rhs = H.op * U.coeff(n)
-        if lhs != rhs:
-            rep.record(f"left family, t^{n}", str(lhs), str(rhs))
+        rep.compare(f"left family, t^{n}", lhs, rhs)
     phases = _phases(order, "inverse")  # exp(+iHt), the right-handed operator
     for n in range(order):
         lhs = H.power(n + 1).scale(phases[n + 1] * -I * scalar(n + 1))
         rhs = H.product(n, 1).scale(phases[n])
-        if lhs != rhs:
-            rep.record(f"right family, t^{n}", str(lhs), str(rhs))
+        rep.compare(f"right family, t^{n}", lhs, rhs)
     return rep
 
 
@@ -208,10 +206,7 @@ def _element(H, terms, conjugate=False):
 def _compare(rep, H, lhs, rhs, label, conjugate=False):
     """Record every time monomial at which the two expansions differ."""
     for k in sorted(set(lhs) | set(rhs)):
-        left = _element(H, lhs.get(k, {}), conjugate)
-        right = _element(H, rhs.get(k, {}))
-        if left != right:
-            rep.record(label(k), str(left), str(right))
+        rep.compare(label(k), _element(H, lhs.get(k, {}), conjugate), _element(H, rhs.get(k, {})))
 
 
 def _compose_sides(order):
@@ -284,8 +279,7 @@ def heisenberg_check(O: NCElement, H: Hamiltonian, order: int) -> VerificationRe
     for n in range(order):
         lhs = series.coeff(n + 1).scale(scalar(n + 1))
         rhs = (H.op * series.coeff(n) - series.coeff(n) * H.op).scale(I)
-        if lhs != rhs:
-            rep.record(f"t^{n}", str(lhs), str(rhs))
+        rep.compare(f"t^{n}", lhs, rhs)
     return rep
 
 
@@ -325,11 +319,9 @@ def dyson_check(H: Hamiltonian, order: int) -> VerificationReport:
     rep = VerificationReport("dyson", H.space)
     iterated, integral, U = _dyson_sides(H, order)
     for n in range(1, order + 1):
-        if iterated[n] != U[n]:
-            rep.record(f"iterated integral t^{n}", str(iterated[n]), str(U[n]))
+        rep.compare(f"iterated integral t^{n}", iterated[n], U[n])
     for n in range(order + 1):
-        if integral[n] != U[n]:
-            rep.record(f"integral equation t^{n}", str(integral[n]), str(U[n]))
+        rep.compare(f"integral equation t^{n}", integral[n], U[n])
     return rep
 
 def schrodinger_wave_check(H: Hamiltonian, phi0: CFunction, order: int) -> VerificationReport:
@@ -349,8 +341,7 @@ def schrodinger_wave_check(H: Hamiltonian, phi0: CFunction, order: int) -> Verif
     for n in range(order):
         lhs = coeffs[n + 1].scale(I * scalar(n + 1))
         rhs = lower(space, act(H.op, lift(space, coeffs[n]), "left"))
-        if lhs != rhs:
-            rep.record(f"t^{n}", str(lhs), str(rhs))
+        rep.compare(f"t^{n}", lhs, rhs)
     return rep
 
 
@@ -426,8 +417,7 @@ def ibp_check(f: CFunction, g: CFunction, a: QScalar, b: QScalar) -> Verificatio
             variant, idx, f, g, lambda h: definite(act_inverse_partial(idx, variant, h, LINE))
         )
         rhs = definite(f * g) - rest
-        if lhs != rhs:
-            rep.record(f"{variant} d{idx}", str(lhs), str(rhs))
+        rep.compare(f"{variant} d{idx}", lhs, rhs)
     return rep
 
 
@@ -448,8 +438,7 @@ def ibp_check_numeric() -> VerificationReport:
 
         lhs, rest = _ibp_sides(variant, "1", f, g, integral)
         rhs = boundary - rest
-        if lhs != rhs:
-            rep.record(variant, str(lhs), str(rhs))
+        rep.compare(variant, lhs, rhs)
     return rep
 
 

@@ -203,8 +203,5 @@ def kronecker_check(space, variant: str, degree_bound: int) -> VerificationRepor
             val = act(dword, v, mode).constant_term()
             if val:
                 _add_term(acc, exps, coeff * val)
-        acc = CFunction(vars_, acc)
-        want = CFunction.monomial(vars_, target)
-        if acc != want:
-            rep.record(f"{variant}:{target}", str(acc), str(want))
+        rep.compare(f"{variant}:{target}", CFunction(vars_, acc), CFunction.monomial(vars_, target))
     return rep

@@ -30,10 +30,13 @@ class VerificationReport:
     def note(self, text):
         self.notes.append(text)
 
-    def require(self, ok, indices, lhs="", rhs=""):
-        if not ok:
-            self.record(indices, lhs, rhs)
-        return ok
+    def compare(self, indices, got, want):
+        """Whether got equals want; on a mismatch the printed forms of both
+        are recorded at indices and the report fails."""
+        if got != want:
+            self.record(indices, got, want)
+            return False
+        return True
 
     @property
     def passed(self):

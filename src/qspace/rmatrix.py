@@ -290,12 +290,9 @@ def metric_check(lower, upper) -> VerificationReport:
         for b in _E3_SPATIAL:
             lowered = lowered + NCElement.generator(E3, x_of[b]).scale(lower.get((a, b), ZERO))
         conj = NCElement.generator(E3, x_of[a]).conjugate()
-        if lowered != conj:
-            rep.record(f"conj X{a}", str(lowered), str(conj))
+        rep.compare(f"conj X{a}", lowered, conj)
     for a in _E3_SPATIAL:
         for c in _E3_SPATIAL:
             s = sum((upper.get((a, b), ZERO) * lower.get((b, c), ZERO) for b in _E3_SPATIAL), ZERO)
-            want = ONE if a == c else ZERO
-            if s != want:
-                rep.record(f"g^({a}B) g_(B{c})", str(s), str(want))
+            rep.compare(f"g^({a}B) g_(B{c})", s, ONE if a == c else ZERO)
     return rep

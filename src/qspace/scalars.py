@@ -79,7 +79,9 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # int and Fraction compare a float exactly; nan and the infinities
+        # equal nothing
+        if isinstance(other, (int, Fraction, float)):
             return self.re == other and not self.im
         if not isinstance(other, GaussianRational):
             return NotImplemented

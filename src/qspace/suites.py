@@ -87,8 +87,7 @@ def suite_relations(opts: SuiteOptions):
             derived = NCElement.zero(space)
             for (c, e), v in rules.get((a, b), {}).items():
                 derived = derived + normal_form(space, (x_of[c], x_of[e]), v)
-            if derived != engine:
-                rep.record(f"X{a}X{b}", str(derived), str(engine))
+            rep.compare(f"X{a}X{b}", derived, engine)
         for lhs in rules:
             if lhs not in disordered:
                 rep.record(f"extra rule X{lhs[0]}X{lhs[1]}", str(rules[lhs]), "")
@@ -121,8 +120,7 @@ def suite_oracle_actions(opts: SuiteOptions):
                     f = CFunction.monomial(vars_, e)
                     closed = qfunc.act_partial_closed(idx, variant, f, space)
                     oracle = lower(space, act(D, lift(space, f), variant))
-                    if closed != oracle:
-                        rep.record(f"{idx},{variant},{e}", str(closed), str(oracle))
+                    rep.compare(f"{idx},{variant},{e}", closed, oracle)
         if space == "euclid3":
             rep.note(NOTE_LEI_SUBSCRIPTS)
             rep.note(NOTE_DP_X3)
@@ -155,8 +153,7 @@ def suite_hopf_taylor(opts: SuiteOptions):
                 for y in [v for v in t.vars if v.startswith("y")]:
                     t = t.subs_scalar(y, ZERO)
                 back = t.restrict(vars_)
-                if back != f:
-                    counit.record(f"{variant}:{e}", str(back), str(f))
+                counit.compare(f"{variant}:{e}", back, f)
         out.append(counit)
     if "line" not in opts.spaces:
         return out
@@ -166,8 +163,7 @@ def suite_hopf_taylor(opts: SuiteOptions):
     for e in _monomials(vars_, 5, False):
         f = CFunction.monomial(vars_, e)
         got = hopf.antipode("line", "Lbar", hopf.antipode("line", "L", f))
-        if got != f:
-            rep.record(str(e), str(got), str(f))
+        rep.compare(e, got, f)
     out.append(rep)
     return out
 
@@ -195,8 +191,7 @@ def suite_pairings(opts: SuiteOptions):
                  pairexp.pair(space, "Lbar_R", dwh, xwr, order="coord_first"), sgn * wanth),
             )
             for tag, got, w in checks:
-                if got != w:
-                    rep.record(f"{tag}:{exps}", str(got), str(w))
+                rep.compare(f"{tag}:{exps}", got, w)
         out.append(rep)
         for variant in pairexp.EXP_VARIANTS:
             krep = pairexp.kronecker_check(space, variant, deg if space == "line" else 3)
@@ -238,8 +233,7 @@ def suite_evolution(opts: SuiteOptions):
     series = evolution.heisenberg_evolve(O, Hline, 3)
     c1 = series.coeff(1).eval_coeffs_exact(1)
     want = {(0, 0, 0, 1, 0): GaussianRational(0, 2)}
-    if c1 != want:
-        rep.record("t^1 at q=1", str(c1), str(want))
+    rep.compare("t^1 at q=1", c1, want)
     out.append(rep)
     out.append(evolution.heisenberg_check(Hline.op, Hline, 3))
     return out
@@ -259,8 +253,7 @@ def suite_numeric_integrals(opts: SuiteOptions):
         first, second = (lattice_sum(f, "x1", (k,)) for k in (-1, -2))
         got = jackson_weight(1) * first / (1 - second / first)
         want = ONE / qnum(n + 1)
-        if got != want:
-            rep.record(f"int_0^1 x^{n}", str(got), str(want))
+        rep.compare(f"int_0^1 x^{n}", got, want)
     out.append(rep)
 
     q0 = opts.q0
@@ -270,10 +263,8 @@ def suite_numeric_integrals(opts: SuiteOptions):
     vLb = evolution.integrate_whole_line(bump, "Lbar", 1e-12)
     vR = evolution.integrate_whole_line(bump, "R", 1e-12)
     vRb = evolution.integrate_whole_line(bump, "Rbar", 1e-12)
-    if vL != -vRb:
-        rep.record("L vs Rbar", str(vL), str(-vRb))
-    if vLb != -vR:
-        rep.record("Lbar vs R", str(vLb), str(-vR))
+    rep.compare("L vs Rbar", vL, -vRb)
+    rep.compare("Lbar vs R", vLb, -vR)
     direct = (q0 - 1) * sum(
         q0 ** k * (math.exp(-(q0 ** k) ** 2) * 2) for k in range(-900, 300)
     )
@@ -294,10 +285,8 @@ def suite_numeric_integrals(opts: SuiteOptions):
         rep.record("form 1 degeneracy", str(comb), "0")
     shifted = hopf.time_taylor(fb, scalar(2))
     comb2, _ = evolution.sesquilinear_line(shifted, shifted, "1")
-    if comb != comb2:
-        rep.record("time-shift invariance", str(comb), str(comb2))
-    if per["L"] != -per["Rbar"]:
-        rep.record("per-geometry minus identity", str(per["L"]), str(-per["Rbar"]))
+    rep.compare("time-shift invariance", comb, comb2)
+    rep.compare("per-geometry minus identity", per["L"], -per["Rbar"])
     # the integrand is x^4, so L is the weight q - 1 times the geometric sum
     # of q^5k over |k| <= 30 on both axes; compared times 1 - q^5, which
     # needs no gcd

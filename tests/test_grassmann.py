@@ -106,3 +106,11 @@ def test_exponentials_and_deltas():
 
 def test_full_suite():
     assert grassmann_suite().passed
+
+
+@pytest.mark.parametrize("other", [1, 0, None, "0", ZERO, (ZERO, ZERO)])
+def test_supernumber_equals_no_other_type(other):
+    f = SuperNumber()
+    assert not (f == other) and f != other
+    assert not (other == f) and other != f
+    assert f == SuperNumber(ZERO, ZERO) and f != SuperNumber(ZERO, ONE)

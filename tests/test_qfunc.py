@@ -183,6 +183,23 @@ def test_scale_arg():
     assert scale_arg(scale_arg(f, "x1", 2), "x1", -2) == f
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: f.degree("x9"),
+    lambda f: f.jackson_d("x9", 1),
+    lambda f: f.scale_var("x9", 2),
+    lambda f: f.scale_var("x9", 0),
+    lambda f: f.subs_scalar("x9", ONE),
+    lambda f: f.value_at("x9", ONE),
+    lambda f: f.shift_var("x9", ONE),
+    lambda f: CFunction.var(f.vars, "x9"),
+], ids=["degree", "jackson_d", "scale_var", "scale_var_by_0", "subs_scalar", "value_at",
+        "shift_var", "var"])
+def test_an_unknown_variable_is_named(call):
+    f = CFunction.var(LINE_VARS, "x1", 2)
+    with pytest.raises(ValueError, match=r"unknown variable 'x9', not one of \('x0', 'x1'\)"):
+        call(f)
+
+
 def test_scale_commutes_with_jackson():
     # D_{q^a}(f(q^s x)) = q^s (D_{q^a} f)(q^s x) on monomials
     for n in range(1, 5):

@@ -268,6 +268,25 @@ def test_equality_with_floats_is_exact():
     assert len({ONE, 1.0, 1, Fraction(1)}) == 1
 
 
+@pytest.mark.parametrize("value, other, equal", [
+    (GaussianRational(1), 1.0, True),
+    (GaussianRational(Fraction(1, 2)), 0.5, True),
+    (GaussianRational(-2), -2.0, True),
+    (GaussianRational(Fraction(1, 3)), 1 / 3, False),  # the float is not exactly 1/3
+    (GaussianRational(0), float("nan"), False),
+    (GaussianRational(1), float("inf"), False),
+    (GaussianRational(0, 1), 0.0, False),
+])
+def test_gaussian_rational_equals_a_float_exactly(value, other, equal):
+    assert (value == other) is equal and (other == value) is equal
+    assert (value != other) is not equal
+    # as int and Fraction do
+    if not value.im:
+        assert (value.re == other) is equal
+    if equal:
+        assert hash(value) == hash(other)
+
+
 @pytest.mark.parametrize("a", [1, -1, 2, -2, 4, -4])
 def test_qbinom_is_the_factorial_quotient(a):
     for n in range(13):

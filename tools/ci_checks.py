@@ -9,7 +9,8 @@ Each check runs its commands in fresh processes from the root of the
 checkout, with the checkout's ``src`` first on PYTHONPATH, so no installed
 ``qspace`` entry point is needed: ``python -m qspace.cli`` stands in for it.
 A command passes when it ends within its time limit with its expected exit
-code and, for the reference runs, prints the recorded output byte for byte.
+code and, for the reference runs and the planted fault, prints the recorded
+output byte for byte.
 One line per check; exit code 0 when every check passes, 1 otherwise.
 """
 
@@ -24,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference" / "verify_all.json"
+BROKEN_SCALING_REPORT = ROOT / "tools" / "reference" / "broken_scaling_numeric_integrals.txt"
 QSPACE = [sys.executable, "-m", "qspace.cli"]
 
 
@@ -133,6 +135,17 @@ selftest.check_memo_readback()
 sys.exit(1 if selftest.FAILURES else 0)
 """)
 
+# `verify numeric-integrals` with the argument scaling of the
+# integration-by-parts identities replaced by the identity: both checks must
+# fail, and the text report must list their failures as recorded
+BROKEN_SCALING = python("""
+import sys
+from qspace import evolution
+from qspace.cli import main
+evolution.scale_arg = lambda h, var, half_steps: h
+sys.exit(main(["verify", "numeric-integrals"]))
+""")
+
 LIGHT_IMPORT = python(
     "import sys, qspace.cli; heavy = {'qspace.suites', 'qspace.evolution', 'qspace.rmatrix'}"
     " & set(sys.modules); assert not heavy, heavy")
@@ -189,6 +202,8 @@ def checks():
            lambda: expect_exit(SPELLINGS, 0))
     yield ("the benchmark's memo read-back check passes on its own",
            lambda: expect_exit(MEMO_READBACK, 0, 60))
+    yield ("a planted scaling fault fails both integration-by-parts checks as recorded",
+           lambda: expect_exit(BROKEN_SCALING, 1, 30, output=BROKEN_SCALING_REPORT.read_bytes()))
     yield ("importing the CLI loads no suite, evolution or braiding layer",
            lambda: expect_exit(LIGHT_IMPORT, 0) or expect_exit(QSPACE + ["verify", "-h"], 0))
 
