@@ -128,6 +128,18 @@ def eigenvalues(space):
     return _EIGENVALUES[space]()
 
 
+def _gap(evs, name):
+    """The eigenvalue gap of a projector, the product over the other
+    eigenvalues mu of (lam - mu): the projector times its gap is the
+    product of the (R - mu), a matrix of Laurent polynomials."""
+    lam = evs[name]
+    gap = ONE
+    for other, mu in evs.items():
+        if other != name:
+            gap = gap * (lam - mu)
+    return gap
+
+
 @functools.cache
 def build_projectors(space) -> dict:
     """Spectral projectors {name: QMatrix} interpolated from the eigenvalue
@@ -144,13 +156,12 @@ def build_projectors(space) -> dict:
     evs = eigenvalues(space)
     shifted = {name: R - Id.scale(ev) for name, ev in evs.items()}
     projs = {}
-    for name, lam in evs.items():
-        num, den = Id, ONE
-        for other, mu in evs.items():
+    for name in evs:
+        num = Id
+        for other in evs:
             if other != name:
                 num = num * shifted[other]
-                den = den * (lam - mu)
-        projs[name] = num.scale(ONE / den)
+        projs[name] = num.scale(ONE / _gap(evs, name))
     return projs
 
 
@@ -196,17 +207,26 @@ def spectral_check(space) -> VerificationReport:
 
 
 def projector_algebra_check(space) -> VerificationReport:
-    """Idempotence, mutual orthogonality, completeness."""
+    """Idempotence, mutual orthogonality, completeness.
+
+    The products are taken of M_a = c_a P_a, c_a the nonzero eigenvalue gap
+    of P_a, whose entries are Laurent polynomials over the integers, so no
+    product entry needs a gcd (the fraction-free step of Bareiss, Math.
+    Comp. 22 (1968) 565-578).  M_a M_a = c_a M_a and M_a M_b = 0 hold
+    exactly when P_a^2 = P_a and P_a P_b = 0."""
     rep = VerificationReport("projectors", space)
     P = build_projectors(space)
+    evs = eigenvalues(space)
+    gaps = {a: _gap(evs, a) for a in P}
+    M = {a: pa.scale(gaps[a]) for a, pa in P.items()}
     Id = QMatrix.identity(len(_pair_idx(space)))
     total = QMatrix(Id.n)
-    for a, pa in P.items():
-        total = total + pa
-        if pa * pa != pa:
+    for a, ma in M.items():
+        total = total + P[a]
+        if ma * ma != ma.scale(gaps[a]):
             rep.record(f"{a}^2 != {a}", a, "")
-        for b, pb in P.items():
-            if a < b and pa * pb:
+        for b, mb in M.items():
+            if a < b and ma * mb:
                 rep.record(f"{a}*{b} != 0", a, b)
     if total != Id:
         rep.record("sum != Id", "sum of projectors", "Id")

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import sys
 import threading
 from fractions import Fraction
@@ -9,11 +11,13 @@ from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, LatticeFunction
 from qspace.evolution import (
     Hamiltonian,
     OperatorSeries,
+    _compare,
     _compose_sides,
     _dyson_sides,
     _element,
     _integrate_time_poly,
     _phases,
+    _scalar_sides_agree,
     _unitarity_sides,
     build_U,
     compose_check,
@@ -374,17 +378,15 @@ def _oracle_compose(H, order, t_points=None):
     keys = set(lhs) | set(rhs)
     zero = NCElement.zero(H.space)
     for k in sorted(keys):
-        if lhs.get(k, zero) != rhs.get(k, zero):
-            rep.record(f"compose t^{k[0]} t''^{k[1]} t'^{k[2]}",
-                       str(lhs.get(k, zero)), str(rhs.get(k, zero)))
+        rep.compare(f"compose t^{k[0]} t''^{k[1]} t'^{k[2]}",
+                    lhs.get(k, zero), rhs.get(k, zero))
     C = _oracle_expand_two_times(H.space, U, -1, order)
     D = {(b, a): c for (a, b), c in C.items()}
     prod = _oracle_mul_bivariate(H.space, C, D, order)
     one = NCElement.one(H.space)
     for k, v in prod.items():
         want = one if k == (0, 0) else NCElement.zero(H.space)
-        if v != want:
-            rep.record(f"inverse law t^{k[0]} t'^{k[1]}", str(v), str(want))
+        rep.compare(f"inverse law t^{k[0]} t'^{k[1]}", v, want)
     if (0, 0) not in prod:
         rep.record("inverse law constant term", "0", "1")
     points = None
@@ -403,8 +405,7 @@ def _oracle_compose(H, order, t_points=None):
 
         lnum = at(lhs, (t, t2, t1))
         rnum = at(rhs, (t, t2, t1))
-        if lnum != rnum:
-            rep.record(f"composition at {t_points}", str(lnum), str(rnum))
+        rep.compare(f"composition at {t_points}", lnum, rnum)
         points = (lnum, rnum)
     return rep, lhs, rhs, prod, points
 
@@ -415,8 +416,7 @@ def _oracle_unitarity(H, order):
     prod = _mul_truncated(_conjugate_series(U), U, order)
     for n in range(order + 1):
         want = NCElement.one(H.space) if n == 0 else NCElement.zero(H.space)
-        if prod.coeff(n) != want:
-            rep.record(f"t^{n}", str(prod.coeff(n)), str(want))
+        rep.compare(f"t^{n}", prod.coeff(n), want)
     return rep, prod.coeffs
 
 
@@ -433,8 +433,7 @@ def _oracle_dyson(H, order):
         tpoly = _integrate_time_poly(tpoly)
         coeff = power.scale(phase * tpoly[n])
         iterated.append(coeff)
-        if coeff != U.coeff(n):
-            rep.record(f"iterated integral t^{n}", str(coeff), str(U.coeff(n)))
+        rep.compare(f"iterated integral t^{n}", coeff, U.coeff(n))
     approx = OperatorSeries(H.space, [NCElement.one(H.space)])
     for _ in range(order):
         new_coeffs = [NCElement.one(H.space)]
@@ -444,8 +443,7 @@ def _oracle_dyson(H, order):
             new_coeffs.append((H.op * c).scale(-I / scalar(n + 1)))
         approx = OperatorSeries(H.space, new_coeffs)
     for n in range(order + 1):
-        if approx.coeff(n) != U.coeff(n):
-            rep.record(f"integral equation t^{n}", str(approx.coeff(n)), str(U.coeff(n)))
+        rep.compare(f"integral equation t^{n}", approx.coeff(n), U.coeff(n))
     return rep, iterated, approx.coeffs, U.coeffs
 
 
@@ -537,3 +535,50 @@ def test_planted_fault_fails_every_product_check(space, faulty_product):
         rep = check(H, 4)
         assert rep.status == "fail"
         assert _failures(rep) == _failures(restated(H, 4)[0])
+
+
+# the order-6 composition and unitarity reports with H^2 H^3 and conj(H^2)
+# H^3 doubled, recorded while every check summed its elements; the CI check
+# of the same name compares against the same file
+_DOUBLED_PRODUCT = (pathlib.Path(__file__).resolve().parent.parent
+                    / "tools" / "reference" / "broken_product_evolution.json")
+
+
+@pytest.fixture
+def doubled_product(monkeypatch):
+    plain = Hamiltonian.product
+
+    def product(self, a, b, conjugate=False):
+        p = plain(self, a, b, conjugate)
+        return p.scale(2) if (a, b) == (2, 3) else p
+
+    monkeypatch.setattr(Hamiltonian, "product", product)
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_a_doubled_product_gives_the_recorded_reports(space, doubled_product):
+    want = [r for r in json.loads(_DOUBLED_PRODUCT.read_text()) if r["space"] == space]
+    assert [len(r["failures"]) for r in want] == [18, 1]
+    H = free_hamiltonian(space)
+    assert not _scalar_sides_agree(H, *_compose_sides(6)[:2])
+    assert [check(H, 6).to_json() for check in (compose_check, unitarity_check)] == want
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_the_power_table_shows_agreement_only_where_the_sums_do(space):
+    H = free_hamiltonian(space)
+    lhs, rhs, inverse, one = _compose_sides(4)
+    assert _scalar_sides_agree(H, lhs, rhs) and _scalar_sides_agree(H, inverse, one)
+    assert _scalar_sides_agree(H, *_unitarity_sides(4), conjugate=True)
+    # every product is its power, but the scalars at one monomial no longer
+    # cancel: the sums run, and record that monomial alone
+    k = max(lhs)
+    doubled = {**lhs, k: {key: s * 2 for key, s in lhs[k].items()}}
+    assert not _scalar_sides_agree(H, doubled, rhs)
+    rep = VerificationReport("composition", space)
+    _compare(rep, H, doubled, rhs, str)
+    assert [f.indices for f in rep.failures] == [str(k)]
+    # a degree whose power is zero needs no cancelling scalars
+    zero = Hamiltonian(NCElement.zero(space))
+    assert _scalar_sides_agree(zero, {(1,): {(1, 0): ONE}}, {})
+    assert not _scalar_sides_agree(zero, {(0,): {0: ONE}}, {})

@@ -1,6 +1,7 @@
 import pytest
 
 from qspace import grassmann
+from qspace.cli import main
 from qspace.grassmann import (
     GElement,
     SuperNumber,
@@ -106,6 +107,16 @@ def test_exponentials_and_deltas():
 
 def test_full_suite():
     assert grassmann_suite().passed
+
+
+def test_a_planted_antipode_fault_prints_the_failing_supernumbers(monkeypatch, capsys):
+    # an antipode that doubles the soul breaks only the involution; the text
+    # report prints both supernumbers, the one place SuperNumber.__str__ runs
+    monkeypatch.setattr(grassmann, "g_antipode", lambda f: SuperNumber(f.body, -2 * f.soul))
+    assert main(["verify", "grassmann"]) == 1
+    assert capsys.readouterr().out == (
+        "[FAIL] grassmann [line] (1 failing)\n"
+        "    at antipode involution: (3) + (20) th1 != (3) + (5) th1\n")
 
 
 @pytest.mark.parametrize("other", [1, 0, None, "0", ZERO, (ZERO, ZERO)])

@@ -138,6 +138,40 @@ def test_projector_algebra(space):
 
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_gap_scaled_projectors_are_laurent_polynomials_over_the_integers(space):
+    evs = eigenvalues(space)
+    for name, proj in build_projectors(space).items():
+        for v in proj.scale(rmatrix._gap(evs, name)).terms.values():
+            assert dict(v.den) == {0: 1} and all(type(c) is int for c in v.num.values())
+
+
+# the reports of each planted fault, recorded while the check multiplied the
+# projectors themselves
+_PLANTED = {
+    "P0 doubled": [("P0^2 != P0", "P0", ""), ("sum != Id", "sum of projectors", "Id")],
+    "P+ perturbed": [("P+^2 != P+", "P+", ""), ("P+*P- != 0", "P+", "P-"),
+                     ("sum != Id", "sum of projectors", "Id")],
+}
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+@pytest.mark.parametrize("fault", list(_PLANTED))
+def test_planted_projector_faults_give_the_recorded_reports(monkeypatch, space, fault):
+    projs = dict(build_projectors(space))
+    if fault == "P0 doubled":
+        projs["P0"] = projs["P0"].scale(2)
+    else:
+        # q added at (ab, ba), a and b the last two labels: a swap-block entry
+        idx = _pair_idx(space)
+        a, b = rmatrix.labels(space)[-2:]
+        projs["P+"] = projs["P+"] + QMatrix(len(idx), {(idx[a, b], idx[b, a]): qpow(1)})
+    monkeypatch.setattr(rmatrix, "build_projectors", lambda space: projs)
+    rep = projector_algebra_check(space)
+    assert rep.status == "fail"
+    assert [(f.indices, f.lhs, f.rhs) for f in rep.failures] == _PLANTED[fault]
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
 def test_spectral_decomposition(space):
     assert spectral_check(space).passed
 

@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference" / "verify_all.json"
 BROKEN_SCALING_REPORT = ROOT / "tools" / "reference" / "broken_scaling_numeric_integrals.txt"
+BROKEN_PRODUCT_REPORTS = ROOT / "tools" / "reference" / "broken_product_evolution.json"
 QSPACE = [sys.executable, "-m", "qspace.cli"]
 
 
@@ -64,10 +65,13 @@ TIME_TARGETS = {
         QSPACE + ["evolve", "--order", "8", "--space", "euclid3", "--json"], 10),
     "evolve at order 10 on euclid3 stays within its time target": (
         QSPACE + ["evolve", "--order", "10", "--space", "euclid3", "--json"], 10),
-    # the largest run of the element products and the evolution sums through
-    # the row kernel; about 2.5 s on a 2-core host
+    # about 0.8 s of CPU on a 2-core host, and 1.8 s at order 14, with the
+    # evolution laws decided on the power table; 1.7 and 4.5 s while every
+    # check summed its elements
     "evolve at order 12 on euclid3 stays within its time target": (
         QSPACE + ["evolve", "--order", "12", "--space", "euclid3", "--json"], 10),
+    "evolve at order 14 on euclid3 stays within its time target": (
+        QSPACE + ["evolve", "--order", "14", "--space", "euclid3", "--json"], 10),
     "verify --all at degree 6 and order 6 passes within its time target": (
         QSPACE + ["verify", "--all", "--degree", "6", "--order", "6", "--json"], 30),
     "verify star at degree 8 stays within its time target": (
@@ -146,6 +150,26 @@ evolution.scale_arg = lambda h, var, half_steps: h
 sys.exit(main(["verify", "numeric-integrals"]))
 """)
 
+# the order-6 composition and unitarity checks with the power table's
+# H^2 H^3 (and conj(H^2) H^3) doubled: the table no longer shows that the
+# sides agree, so the reports come from the summed elements, and their JSON
+# must be the recorded one; exit 1 as every report fails
+BROKEN_PRODUCT = python("""
+import json, sys
+from qspace import evolution
+plain = evolution.Hamiltonian.product
+def product(self, a, b, conjugate=False):
+    p = plain(self, a, b, conjugate)
+    return p.scale(2) if (a, b) == (2, 3) else p
+evolution.Hamiltonian.product = product
+reports = []
+for space in ("line", "euclid3"):
+    H = evolution.free_hamiltonian(space)
+    reports += [evolution.compose_check(H, 6), evolution.unitarity_check(H, 6)]
+print(json.dumps([r.to_json() for r in reports], indent=2))
+sys.exit(0 if all(r.passed for r in reports) else 1)
+""")
+
 LIGHT_IMPORT = python(
     "import sys, qspace.cli; heavy = {'qspace.suites', 'qspace.evolution', 'qspace.rmatrix'}"
     " & set(sys.modules); assert not heavy, heavy")
@@ -204,6 +228,8 @@ def checks():
            lambda: expect_exit(MEMO_READBACK, 0, 60))
     yield ("a planted scaling fault fails both integration-by-parts checks as recorded",
            lambda: expect_exit(BROKEN_SCALING, 1, 30, output=BROKEN_SCALING_REPORT.read_bytes()))
+    yield ("a planted power-table fault fails the composition and unitarity checks as recorded",
+           lambda: expect_exit(BROKEN_PRODUCT, 1, 30, output=BROKEN_PRODUCT_REPORTS.read_bytes()))
     yield ("importing the CLI loads no suite, evolution or braiding layer",
            lambda: expect_exit(LIGHT_IMPORT, 0) or expect_exit(QSPACE + ["verify", "-h"], 0))
 
