@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from operator import add
 
 from .scalars import ONE, ZERO, QScalar, _add_term, _apply_rows, _coeff_times, _LinComb, _memo
@@ -367,5 +368,17 @@ def jackson_weight(a: int) -> QScalar:
 def lattice_sum(h: CFunction, name: str, ks, signs=(1,)) -> QScalar:
     """The exact sum of q^k h(s q^k) over k in ks and the axis signs s, for a
     polynomial h in the one variable ``name``: a Jackson sum on the lattice
-    without its weight."""
-    return sum((qpow(k) * h.value_at(name, s * qpow(k)) for k in ks for s in signs), ZERO)
+    without its weight.  Each monomial c x^n sums to c (the sum of s^n over
+    the signs) times the sum of q^(k(n+1)) over ks, one Laurent polynomial
+    written out term by term."""
+    i = h._vi(h.vars, name)
+    steps = Counter(ks)
+    total = ZERO
+    for e, c in h.terms.items():
+        if any(e[:i]) or any(e[i + 1:]):
+            raise ValueError("polynomial must depend on a single variable")
+        n = e[i]
+        weight = sum(s ** n for s in signs)
+        if weight:
+            total = total + c * QScalar({2 * k * (n + 1): weight * m for k, m in steps.items()})
+    return total

@@ -10,6 +10,7 @@ data.
 from __future__ import annotations
 
 import functools
+import math
 
 from .ncalgebra import NCElement
 from .reports import VerificationReport
@@ -130,24 +131,33 @@ def eigenvalues(space):
 
 def _gap(evs, name):
     """The eigenvalue gap of a projector, the product over the other
-    eigenvalues mu of (lam - mu): the projector times its gap is the
-    product of the (R - mu), a matrix of Laurent polynomials."""
+    eigenvalues mu of (lam - mu): the projector times its gap is its
+    numerator, a matrix of Laurent polynomials."""
     lam = evs[name]
-    gap = ONE
-    for other, mu in evs.items():
-        if other != name:
-            gap = gap * (lam - mu)
-    return gap
+    return math.prod((lam - mu for other, mu in evs.items() if other != name), start=ONE)
+
+
+def _cofactors(gaps):
+    """({name: the product of the other projectors' gaps}, the product of
+    all gaps) for the gaps {name: c}: a numerator times its cofactor is its
+    projector times the whole product, so a sum of projectors becomes a sum
+    of numerators, without a division."""
+    cof = {
+        name: math.prod((c for other, c in gaps.items() if other != name), start=ONE)
+        for name in gaps
+    }
+    return cof, math.prod(gaps.values(), start=ONE)
 
 
 @functools.cache
-def build_projectors(space) -> dict:
-    """Spectral projectors {name: QMatrix} interpolated from the eigenvalue
-    table: the projector of eigenvalue lam is the product over the other
-    eigenvalues mu of (R - mu) / (lam - mu).
+def projector_numerators(space) -> dict:
+    """The numerator of each spectral projector, {name: QMatrix}: the
+    product over the other eigenvalues mu of (R - mu).  Each is its
+    projector times the projector's eigenvalue gap, and its entries are
+    Laurent polynomials over the integers, so products of numerators need
+    no gcd (the fraction-free step of Bareiss, Math. Comp. 22 (1968)
+    565-578).
 
-    Each projector's eigenvalue is read from the table, not off the
-    subscript (on the line the '+' projector belongs to eigenvalue -1).
     Built once per space: every caller shares the dict, so none may change
     it or a matrix's terms.
     """
@@ -155,14 +165,34 @@ def build_projectors(space) -> dict:
     Id = QMatrix.identity(R.n)
     evs = eigenvalues(space)
     shifted = {name: R - Id.scale(ev) for name, ev in evs.items()}
-    projs = {}
+    nums = {}
     for name in evs:
         num = Id
         for other in evs:
             if other != name:
                 num = num * shifted[other]
-        projs[name] = num.scale(ONE / _gap(evs, name))
-    return projs
+        nums[name] = num
+    return nums
+
+
+@functools.cache
+def build_projectors(space) -> dict:
+    """Spectral projectors {name: QMatrix} interpolated from the eigenvalue
+    table: the projector of eigenvalue lam is the product over the other
+    eigenvalues mu of (R - mu) / (lam - mu), its numerator divided by its
+    gap.  The checks read the numerators; this is for callers that want
+    the projectors themselves.
+
+    Each projector's eigenvalue is read from the table, not off the
+    subscript (on the line the '+' projector belongs to eigenvalue -1).
+    Built once per space: every caller shares the dict, so none may change
+    it or a matrix's terms.
+    """
+    evs = eigenvalues(space)
+    return {
+        name: num.scale(ONE / _gap(evs, name))
+        for name, num in projector_numerators(space).items()
+    }
 
 
 def check_ybe(space, R: QMatrix) -> VerificationReport:
@@ -188,15 +218,20 @@ def check_ybe(space, R: QMatrix) -> VerificationReport:
 
 def spectral_check(space) -> VerificationReport:
     """R equals the eigenvalue-weighted projector sum, and the minimal
-    polynomial built from the eigenvalue list annihilates R."""
+    polynomial built from the eigenvalue list annihilates R.
+
+    The sum is taken on the numerators N_a times their cofactors, which is
+    the projector sum times the product C of all gaps, and compared with C R;
+    a differing entry is shown divided by C, as the projector sum's entry."""
     rep = VerificationReport("spectral", space)
     R = build_R(space)
     evs = eigenvalues(space)
+    cof, whole = _cofactors({name: _gap(evs, name) for name in evs})
     acc = QMatrix(R.n)
-    for name, proj in build_projectors(space).items():
-        acc = acc + proj.scale(evs[name])
-    for k in sorted((acc - R).terms)[:10]:
-        rep.record(k, str(acc.get(*k)), str(R.get(*k)))
+    for name, num in projector_numerators(space).items():
+        acc = acc + num.scale(evs[name] * cof[name])
+    for k in sorted((acc - R.scale(whole)).terms)[:10]:
+        rep.record(k, str(acc.get(*k) / whole), str(R.get(*k)))
     Id = QMatrix.identity(R.n)
     minpoly = Id
     for ev in evs.values():
@@ -207,28 +242,26 @@ def spectral_check(space) -> VerificationReport:
 
 
 def projector_algebra_check(space) -> VerificationReport:
-    """Idempotence, mutual orthogonality, completeness.
-
-    The products are taken of M_a = c_a P_a, c_a the nonzero eigenvalue gap
-    of P_a, whose entries are Laurent polynomials over the integers, so no
-    product entry needs a gcd (the fraction-free step of Bareiss, Math.
-    Comp. 22 (1968) 565-578).  M_a M_a = c_a M_a and M_a M_b = 0 hold
-    exactly when P_a^2 = P_a and P_a P_b = 0."""
+    """Idempotence, mutual orthogonality, completeness, decided on the
+    numerators N_a = c_a P_a, c_a the nonzero eigenvalue gap of P_a:
+    N_a N_a = c_a N_a and N_a N_b = 0 hold exactly when P_a^2 = P_a and
+    P_a P_b = 0, and the sum of the N_a times their cofactors is the product
+    of all gaps times Id exactly when the P_a sum to Id."""
     rep = VerificationReport("projectors", space)
-    P = build_projectors(space)
+    N = projector_numerators(space)
     evs = eigenvalues(space)
-    gaps = {a: _gap(evs, a) for a in P}
-    M = {a: pa.scale(gaps[a]) for a, pa in P.items()}
+    gaps = {a: _gap(evs, a) for a in N}
+    cof, whole = _cofactors(gaps)
     Id = QMatrix.identity(len(_pair_idx(space)))
     total = QMatrix(Id.n)
-    for a, ma in M.items():
-        total = total + P[a]
-        if ma * ma != ma.scale(gaps[a]):
+    for a, na in N.items():
+        total = total + na.scale(cof[a])
+        if na * na != na.scale(gaps[a]):
             rep.record(f"{a}^2 != {a}", a, "")
-        for b, mb in M.items():
-            if a < b and ma * mb:
+        for b, nb in N.items():
+            if a < b and na * nb:
                 rep.record(f"{a}*{b} != 0", a, b)
-    if total != Id:
+    if total != Id.scale(whole):
         rep.record("sum != Id", "sum of projectors", "Id")
     return rep
 
@@ -236,8 +269,12 @@ def projector_algebra_check(space) -> VerificationReport:
 def relations_from_projectors(space) -> dict:
     """Solve P (X (x) X) = 0 for the antisymmetric-type projectors: one
     relation per disordered label pair, {pair: {ordered pair: QScalar}},
-    directed toward the canonical order."""
-    P = build_projectors(space)
+    directed toward the canonical order.
+
+    The elimination runs on the projector numerators, whose rows span the
+    same space as the projectors' rows; the reduced row echelon form is
+    unique, so the relations are the projectors' own."""
+    N = projector_numerators(space)
     idx = _pair_idx(space)
     d = len(labels(space))
     # Gauss-Jordan elimination over the column order: disordered products
@@ -247,7 +284,7 @@ def relations_from_projectors(space) -> dict:
     # line the printed subscript labels run against that assignment, so the
     # selection goes by eigenvalue, not by name
     mat = [
-        [P[name].get(r, idx[p]) for p in cols]
+        [N[name].get(r, idx[p]) for p in cols]
         for name, ev in eigenvalues(space).items()
         if ev in (-ONE, -qpow(-4))
         for r in range(len(idx))
@@ -274,22 +311,24 @@ def metric_from_P0():
     """Factor the rank-one spatial block of the trace projector into
     g^{AB} g_{CD} / (g^{EF} g_{EF}), normalized so g^{33} = 1.  Returns the
     (lower, upper) metric as dicts {(A, B): QScalar} of the nonzero
-    entries."""
-    P0 = build_projectors(E3)["P0"]
+    entries.  The factoring reads the numerator of the trace projector,
+    its gap times the projector: every ratio below, and the rank-one
+    test, is the same for both."""
+    N0 = projector_numerators(E3)["P0"]
     idx = _pair_idx(E3)
     spatial = {(a, b): idx[a, b] for a in _E3_SPATIAL for b in _E3_SPATIAL}
     ref = idx["3", "3"]
-    pivot = P0.get(ref, ref)
+    pivot = N0.get(ref, ref)
     if not pivot:
         raise ArithmeticError("vanishing (33,33) entry in the trace block")
     # rank one: each entry times the pivot is its pivot-column entry times
     # its pivot-row entry
     for r in spatial.values():
         for c in spatial.values():
-            if P0.get(r, c) * pivot != P0.get(r, ref) * P0.get(ref, c):
+            if N0.get(r, c) * pivot != N0.get(r, ref) * N0.get(ref, c):
                 raise ArithmeticError("spatial trace block is not rank one")
-    upper = {p: P0.get(i, ref) / pivot for p, i in spatial.items()}
-    lower = {p: P0.get(ref, i) / pivot for p, i in spatial.items()}
+    upper = {p: N0.get(i, ref) / pivot for p, i in spatial.items()}
+    lower = {p: N0.get(ref, i) / pivot for p, i in spatial.items()}
     # fix the remaining scale by g^{AB} g_{BC} = delta^A_C at A = C = 3
     inv = ONE / sum((upper["3", b] * lower[b, "3"] for b in _E3_SPATIAL), ZERO)
     return {p: v * inv for p, v in lower.items() if v}, {p: v for p, v in upper.items() if v}

@@ -508,26 +508,68 @@ _OWN_LOOKUPS = {
 }
 
 
+# the per-space tables under functools.cache that README's cache rule 2
+# names, as (module, the name the cached function is bound to)
+_CACHE_SITES = {
+    ("ncalgebra", "_ruleset"),
+    ("expressions", "_name_table"),
+    ("rmatrix", "projector_numerators"),
+    ("rmatrix", "build_projectors"),
+}
+
+
+def _memo_sites(text, stem):
+    """The memo sites of one module's source, each led by the module name:
+    the top-level definitions that call _remember, the lines that name
+    lru_cache, and the top-level names bound under functools.cache (None
+    for an import of cache itself)."""
+    callers, lru, cached = set(), [], set()
+    for top in ast.parse(text).body:
+        where = getattr(top, "name", None)
+        if isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+            where = top.targets[0].id
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "_remember":
+                    callers.add((stem, where))
+            if isinstance(node, ast.Name) and node.id == "lru_cache":
+                lru.append((stem, node.lineno))
+            elif isinstance(node, ast.Attribute) and node.attr == "lru_cache":
+                lru.append((stem, node.lineno))
+            elif isinstance(node, ast.alias) and node.name == "lru_cache":
+                lru.append((stem, top.lineno))
+            elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                cached.add((stem, where))
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                if any(alias.name == "cache" for alias in node.names):
+                    cached.add((stem, None))
+    return callers, lru, cached
+
+
 def test_memo_stores_go_through_memoized():
     """Every memo store in the package is made by _memoized or by one of the
-    lookups README names, and no functools.lru_cache stands beside them."""
+    lookups README names, no functools.lru_cache stands beside them, and
+    functools.cache holds exactly the per-space tables README names."""
     src = pathlib.Path(scalars.__file__).parent
-    callers, lru = set(), []
+    callers, lru, cached = set(), [], set()
     for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name == "_remember":
-                        callers.add((path.stem, getattr(top, "name", None)))
-                if isinstance(node, ast.Name) and node.id == "lru_cache":
-                    lru.append((path.stem, node.lineno))
-                elif isinstance(node, ast.Attribute) and node.attr == "lru_cache":
-                    lru.append((path.stem, node.lineno))
-                elif isinstance(node, ast.alias) and node.name == "lru_cache":
-                    lru.append((path.stem, top.lineno))
+        c, l, k = _memo_sites(path.read_text(), path.stem)
+        callers |= c
+        lru += l
+        cached |= k
     assert callers <= _OWN_LOOKUPS, callers - _OWN_LOOKUPS
     assert ("scalars", "_memoized") in callers
     assert not lru, lru
+    assert cached == _CACHE_SITES, (cached - _CACHE_SITES, _CACHE_SITES - cached)
+
+
+def test_the_memo_guard_sees_every_cache_site():
+    decorated = "import functools\n@functools.cache\ndef table(space):\n    return {}\n"
+    assert _memo_sites(decorated, "m")[2] == {("m", "table")}
+    assert _memo_sites("t = functools.cache(build)\n", "m")[2] == {("m", "t")}
+    assert _memo_sites("from functools import cache\n", "m")[2] == {("m", None)}
+    assert _memo_sites("@functools.lru_cache(8)\ndef f():\n    pass\n", "m")[1] == [("m", 1)]
+    assert _memo_sites("def f():\n    _remember(T, k, v)\n", "m")[0] == {("m", "f")}

@@ -10,6 +10,7 @@ checks fail, each with its recorded sides, and so does a wrong lattice
 weight."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,49 @@ def test_lattice_sum_takes_one_variable_only():
     h = CFunction(LINE_VARS, {(0, 2): ONE, (1, 1): scalar(3)})
     with pytest.raises(ValueError, match="single variable"):
         lattice_sum(h, "x1", range(-2, 3))
+
+
+def _per_point_lattice_sum(h, name, ks, signs):
+    """The lattice sum point by point, as it was first written: q^k times
+    h(s q^k) through value_at, for every k in ks and axis sign s."""
+    return sum((qpow(k) * h.value_at(name, s * qpow(k)) for k in ks for s in signs), ZERO)
+
+
+def _random_coefficient(rng):
+    """A rational or Gaussian-rational number, times a power of q and now
+    and then over a polynomial in q."""
+    c = scalar(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)))
+    if rng.random() < 0.5:
+        c = c + I * Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    c = c * qpow(rng.randint(-6, 6))
+    if rng.random() < 0.25:
+        c = c / (qpow(2 * rng.randint(1, 3)) + rng.choice((1, 2, I)))
+    return c
+
+
+def test_lattice_sum_matches_the_per_point_sum():
+    """The closed geometric sums against the per-point sum they replace, on
+    seeded one-variable polynomials: windows |k| <= w for w in 0-30, single
+    points, half-open ranges, a point given twice and every sign set."""
+    rng = random.Random(20070)
+    for trial in range(10):
+        name = rng.choice(LINE_VARS)
+        slot = LINE_VARS.index(name)
+        terms = {}
+        for n in rng.sample(range(8), rng.randint(1, 4)):
+            e = [0, 0]
+            e[slot] = n
+            terms[tuple(e)] = _random_coefficient(rng)
+        h = CFunction(LINE_VARS, terms)
+        w = rng.randint(0, 30)
+        lo = rng.randint(-8, 4)
+        lattices = [range(-w, w + 1), (rng.randint(-40, 40),), range(lo, lo + rng.randint(0, 10))]
+        if trial == 0:
+            lattices += [range(-6, 4), range(-5, 5), range(0, 31), (0,), (-1,), (-2,), (3, -2, 3)]
+        for ks in lattices:
+            for signs in ((1,), (-1,), (1, -1)):
+                want = _per_point_lattice_sum(h, name, ks, signs)
+                assert lattice_sum(h, name, ks, signs) == want, (trial, ks, signs)
 
 
 def test_jackson_weight():

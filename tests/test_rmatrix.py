@@ -15,6 +15,7 @@ from qspace.rmatrix import (
     metric_check,
     metric_from_P0,
     projector_algebra_check,
+    projector_numerators,
     relations_from_projectors,
     spectral_check,
 )
@@ -139,10 +140,19 @@ def test_projector_algebra(space):
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 def test_gap_scaled_projectors_are_laurent_polynomials_over_the_integers(space):
-    evs = eigenvalues(space)
-    for name, proj in build_projectors(space).items():
-        for v in proj.scale(rmatrix._gap(evs, name)).terms.values():
+    # the numerators the checks multiply, each its projector times its gap
+    for num in projector_numerators(space).values():
+        for v in num.terms.values():
             assert dict(v.den) == {0: 1} and all(type(c) is int for c in v.num.values())
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_numerators_are_the_projectors_times_their_gaps(space):
+    evs = eigenvalues(space)
+    nums, projs = projector_numerators(space), build_projectors(space)
+    assert list(nums) == list(projs) == list(evs)
+    for name, num in nums.items():
+        assert num == projs[name].scale(rmatrix._gap(evs, name))
 
 
 # the reports of each planted fault, recorded while the check multiplied the
@@ -154,21 +164,57 @@ _PLANTED = {
 }
 
 
+def _plant(monkeypatch, space, fault):
+    """Plant a fault in the numerators: P0 doubled, or P+ with q added at
+    (ab, ba), a and b the last two labels (a swap-block entry), which is its
+    numerator with c+ q added there."""
+    nums = dict(projector_numerators(space))
+    if fault == "P0 doubled":
+        nums["P0"] = nums["P0"].scale(2)
+    else:
+        idx = _pair_idx(space)
+        a, b = rmatrix.labels(space)[-2:]
+        gap = rmatrix._gap(eigenvalues(space), "P+")
+        nums["P+"] = nums["P+"] + QMatrix(len(idx), {(idx[a, b], idx[b, a]): gap * qpow(1)})
+    monkeypatch.setattr(rmatrix, "projector_numerators", lambda space: nums)
+
+
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 @pytest.mark.parametrize("fault", list(_PLANTED))
 def test_planted_projector_faults_give_the_recorded_reports(monkeypatch, space, fault):
-    projs = dict(build_projectors(space))
-    if fault == "P0 doubled":
-        projs["P0"] = projs["P0"].scale(2)
-    else:
-        # q added at (ab, ba), a and b the last two labels: a swap-block entry
-        idx = _pair_idx(space)
-        a, b = rmatrix.labels(space)[-2:]
-        projs["P+"] = projs["P+"] + QMatrix(len(idx), {(idx[a, b], idx[b, a]): qpow(1)})
-    monkeypatch.setattr(rmatrix, "build_projectors", lambda space: projs)
+    _plant(monkeypatch, space, fault)
     rep = projector_algebra_check(space)
     assert rep.status == "fail"
     assert [(f.indices, f.lhs, f.rhs) for f in rep.failures] == _PLANTED[fault]
+
+
+# the spectral reports of the same faults, recorded while the check summed
+# the projectors themselves: each differing entry is the projector sum's
+_PLANTED_SPECTRAL = {
+    ("P0 doubled", "line"): [("(3, 3)", "2q", "q")],
+    ("P0 doubled", "euclid3"): [
+        ("(7, 7)", "q^-2/(q^4 + q^2 + 1)", "0"),
+        ("(7, 10)", "-q^-3/(q^4 + q^2 + 1)", "0"),
+        ("(7, 13)", "(1 + q^-2 + 2q^-4)/(q^4 + q^2 + 1)", "q^-4"),
+        ("(10, 7)", "-q^-3/(q^4 + q^2 + 1)", "0"),
+        ("(10, 10)", "(q^2 + 1 + q^-2 + q^-4)/(q^4 + q^2 + 1)", "q^-2"),
+        ("(10, 13)", "(q^3 + q - q^-3 - 2q^-5)/(q^4 + q^2 + 1)", "q^-1 - q^-5"),
+        ("(13, 7)", "(1 + q^-2 + 2q^-4)/(q^4 + q^2 + 1)", "q^-4"),
+        ("(13, 10)", "(q^3 + q - q^-3 - 2q^-5)/(q^4 + q^2 + 1)", "q^-1 - q^-5"),
+        ("(13, 13)", "(q^4 - 1 - q^-2 + 2q^-6)/(q^4 + q^2 + 1)", "1 - q^-2 - q^-4 + q^-6"),
+    ],
+    ("P+ perturbed", "line"): [("(1, 2)", "-q + 1", "1")],
+    ("P+ perturbed", "euclid3"): [("(11, 14)", "q + q^-2", "q^-2")],
+}
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+@pytest.mark.parametrize("fault", list(_PLANTED))
+def test_planted_faults_give_the_recorded_spectral_reports(monkeypatch, space, fault):
+    _plant(monkeypatch, space, fault)
+    rep = spectral_check(space)
+    assert rep.status == "fail"
+    assert [(f.indices, f.lhs, f.rhs) for f in rep.failures] == _PLANTED_SPECTRAL[fault, space]
 
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])
@@ -238,22 +284,24 @@ def test_metric_trace():
 
 
 def test_a_rank_two_trace_block_has_no_metric(monkeypatch):
-    # plant E[++,++] = 1 in the trace projector: the (33,33) pivot stays
-    # nonzero, but the spatial block now has rank two
-    projs = dict(build_projectors("euclid3"))
+    # plant E[++,++] = 1 in the trace projector, its gap in the numerator:
+    # the (33,33) pivot stays nonzero, but the spatial block now has rank two
+    nums = dict(projector_numerators("euclid3"))
     idx = _pair_idx("euclid3")
     plus = idx["+", "+"]
-    projs["P0"] = projs["P0"] + QMatrix(16, {(plus, plus): ONE})
-    monkeypatch.setattr(rmatrix, "build_projectors", lambda space: projs)
+    gap = rmatrix._gap(eigenvalues("euclid3"), "P0")
+    nums["P0"] = nums["P0"] + QMatrix(16, {(plus, plus): gap})
+    monkeypatch.setattr(rmatrix, "projector_numerators", lambda space: nums)
     with pytest.raises(ArithmeticError, match="not rank one"):
         metric_from_P0()
 
 
 def test_projectors_are_built_once_per_space():
-    # the projectors, relations and metric suites share one build per space
+    # the projectors, relations and metric suites share one build of the
+    # numerators per space
     from qspace.suites import run_suite
 
-    build_projectors.cache_clear()
+    projector_numerators.cache_clear()
     reports = run_suite(["projectors", "relations", "metric"])
     assert all(r.passed for r in reports)
-    assert build_projectors.cache_info().misses == 2
+    assert projector_numerators.cache_info().misses == 2

@@ -9,7 +9,7 @@ Each check runs its commands in fresh processes from the root of the
 checkout, with the checkout's ``src`` first on PYTHONPATH, so no installed
 ``qspace`` entry point is needed: ``python -m qspace.cli`` stands in for it.
 A command passes when it ends within its time limit with its expected exit
-code and, for the reference runs and the planted fault, prints the recorded
+code and, for the reference runs and the planted faults, prints the recorded
 output byte for byte.
 One line per check; exit code 0 when every check passes, 1 otherwise.
 """
@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference" / "verify_all.json"
 BROKEN_SCALING_REPORT = ROOT / "tools" / "reference" / "broken_scaling_numeric_integrals.txt"
 BROKEN_PRODUCT_REPORTS = ROOT / "tools" / "reference" / "broken_product_evolution.json"
+BROKEN_PROJECTOR_REPORTS = ROOT / "tools" / "reference" / "broken_projector_reports.json"
 QSPACE = [sys.executable, "-m", "qspace.cli"]
 
 
@@ -170,6 +171,30 @@ print(json.dumps([r.to_json() for r in reports], indent=2))
 sys.exit(0 if all(r.passed for r in reports) else 1)
 """)
 
+# `verify projectors` with q times its eigenvalue gap added at the (ab, ba)
+# entry of the P+ numerator, a and b the last two labels of each space: the
+# projector-algebra and spectral reports of both spaces must be the ones
+# recorded while the checks read P+ with q added there, so the spectral
+# check's entries, shown divided by the product of the gaps, are the
+# projector sum's; exit 1 as every report fails
+BROKEN_PROJECTOR = python("""
+import sys
+from qspace import rmatrix
+from qspace.cli import main
+from qspace.rmatrix import QMatrix, _gap, _pair_idx, eigenvalues, labels
+from qspace.scalars import qpow
+plain = rmatrix.projector_numerators
+def projector_numerators(space):
+    nums = dict(plain(space))
+    idx = _pair_idx(space)
+    a, b = labels(space)[-2:]
+    entry = _gap(eigenvalues(space), "P+") * qpow(1)
+    nums["P+"] = nums["P+"] + QMatrix(len(idx), {(idx[a, b], idx[b, a]): entry})
+    return nums
+rmatrix.projector_numerators = projector_numerators
+sys.exit(main(["verify", "projectors", "--json"]))
+""")
+
 LIGHT_IMPORT = python(
     "import sys, qspace.cli; heavy = {'qspace.suites', 'qspace.evolution', 'qspace.rmatrix'}"
     " & set(sys.modules); assert not heavy, heavy")
@@ -230,6 +255,9 @@ def checks():
            lambda: expect_exit(BROKEN_SCALING, 1, 30, output=BROKEN_SCALING_REPORT.read_bytes()))
     yield ("a planted power-table fault fails the composition and unitarity checks as recorded",
            lambda: expect_exit(BROKEN_PRODUCT, 1, 30, output=BROKEN_PRODUCT_REPORTS.read_bytes()))
+    yield ("a planted projector-numerator fault fails the projector and spectral checks as recorded",
+           lambda: expect_exit(BROKEN_PROJECTOR, 1, 30,
+                               output=BROKEN_PROJECTOR_REPORTS.read_bytes()))
     yield ("importing the CLI loads no suite, evolution or braiding layer",
            lambda: expect_exit(LIGHT_IMPORT, 0) or expect_exit(QSPACE + ["verify", "-h"], 0))
 
