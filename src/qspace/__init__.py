@@ -26,9 +26,11 @@ _EXPORTS = {
     "normal_form": "ncalgebra",
     "reorder_transform": "ncalgebra",
     "QScalar": "scalars",
+    "clear_tables": "scalars",
     "qbinom": "scalars",
     "qfact": "scalars",
     "qnum": "scalars",
+    "tables": "scalars",
     "SUITES": "suites",
     "SuiteOptions": "suites",
     "run_suite": "suites",

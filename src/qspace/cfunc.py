@@ -25,12 +25,7 @@ space_vars = X_TOKENS.__getitem__
 
 
 # (variables, max_degree, by degree) -> the exponent tuples of _monomials
-_MONOMIALS = _memo()
-# (variables, exponents) -> the printed monomial
-_MONO_TEXTS = _memo()
-
-
-@_memoized(_MONOMIALS)
+@_memoized(_memo("cfunc.monomials"))
 def _monomials(variables, max_degree, by_degree):
     """Exponent tuples of total degree <= max_degree, as a tuple from the
     monomial table: in itertools.product order, or sorted by degree, then
@@ -43,7 +38,8 @@ def _monomials(variables, max_degree, by_degree):
     return tuple(sorted(out, key=lambda e: (sum(e), e))) if by_degree else out
 
 
-@_memoized(_MONO_TEXTS)
+# (variables, exponents) -> the printed monomial
+@_memoized(_memo("cfunc.mono_texts"))
 def _mono_text(variables, e):
     """The monomial with exponent tuple e in the variables, as printed; empty
     for the unit."""
@@ -101,7 +97,8 @@ class CFunction(_LinComb):
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
             return self.scale(other)
-        self._checked(other)
+        if not self._same_kind(other):
+            return NotImplemented
         # the row of a pair of monomials: their exponents added
         pairs = _term_pairs(self.terms, other.terms)
         return CFunction(self.vars, _apply_rows(pairs, lambda e: ((tuple(map(add, *e)), ONE),)))

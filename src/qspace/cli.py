@@ -183,7 +183,7 @@ def _cmd_verify(args):
     try:
         reports = run_suite(names, opts)
     except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))

@@ -28,7 +28,6 @@ in order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -36,7 +35,7 @@ import re
 from .cfunc import CFunction, space_vars
 from .grassmann import GElement
 from .ncalgebra import NCElement, _add_normal_form, hat_factor
-from .scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, scalar
+from .scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, _memo, _memoized, scalar
 from .spaces import HAT_D_TOKENS, KEY_LAYOUT, PRINT_NAMES
 
 
@@ -94,7 +93,7 @@ _PIECE_KIND = {"x": "c", "w": "nc"}
 _MINUS_ONE = -ONE
 # integer literal -> factor, shared canonical scalars for the small ones
 _INT_FACTORS = {str(n): ("scalar", scalar(n)) for n in range(16)}
-@functools.cache
+@_memoized(_memo("expressions.name_table"))
 def _name_table(space):
     """{name or small integer literal: factor} of a space."""
     xs = space_vars(space)

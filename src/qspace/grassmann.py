@@ -32,6 +32,8 @@ class GElement(_LinComb):
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
             return self.scale(other)
+        if not self._same_kind(other):
+            return NotImplemented
         # the rows of a pair of words: the normal form of their concatenation
         pairs = _term_pairs(self.terms, other.terms)
         return GElement(_apply_rows(pairs, lambda w: _normalize(w[0] + w[1]).items()))

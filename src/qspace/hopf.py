@@ -36,16 +36,14 @@ def doubled_vars(space):
     return xs + tuple(Y_OF[v] for v in xs)
 
 
-_ODD_QFACTS, _STEP_POWERS = _memo(), _memo()  # keyed by the arguments
-
-
-@_memoized(_ODD_QFACTS)
+# the odd q-factorials and step powers, keyed by the arguments
+@_memoized(_memo("hopf.odd_qfacts"))
 def _odd_qfact(l: int, a: int) -> QScalar:
     """[[1]][[3]]...[[2l-1]] in base q^a: [[2l]]! / [[2l]]!!."""
     return math.prod((qnum(j, a) for j in range(1, 2 * l, 2)), start=ONE)
 
 
-@_memoized(_STEP_POWERS)
+@_memoized(_memo("hopf.step_powers"))
 def _step_power(l: int, s: int, e: int) -> QScalar:
     """l-th power of the step prefactor q^e lambda lambda', negated for the
     inverse bases (s < 0); translations take e = s, antipodes e = -s."""
@@ -56,10 +54,7 @@ def _step_power(l: int, s: int, e: int) -> QScalar:
 # the per-monomial images of the translations and antipodes, keyed
 # (space, variant, exps) and (space, base sign, exps): tuples of
 # (key, coefficient) rows, stored whole
-_TRANSLATE_ROWS, _ANTIPODE_ROWS = _memo(), _memo()
-
-
-@_memoized(_TRANSLATE_ROWS)
+@_memoized(_memo("hopf.translate_rows"))
 def _translate_image(space, variant, exps):
     """The translation of the monomial with exponents exps: its finite
     two-leg Taylor sum as rows, one per distinct key."""
@@ -128,7 +123,7 @@ def translate(space: str, variant: str, f: CFunction) -> CFunction:
     return CFunction(doubled_vars(space), _apply_rows(f.terms.items(), rows))
 
 
-@_memoized(_ANTIPODE_ROWS)
+@_memoized(_memo("hopf.antipode_rows"))
 def _antipode_image(space, s, exps):
     """The antipode of the monomial with exponents exps, as rows."""
     if space == "line":

@@ -38,8 +38,8 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
-from .scalars import _NUMBER, _apply_rows, _as_scalar, _clear_memos, _memo, _memoized, _remember
-from .scalars import _term_pairs
+from .scalars import _NUMBER, _apply_rows, _as_scalar, _memo, _memoized, _remember
+from .scalars import _term_pairs, clear_tables
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
     X_TOKENS, SpaceTable, check_option,
@@ -248,14 +248,14 @@ class _RuleSet:
 
 
 # every call passes all three arguments, so a rule set has one cache key
-_ruleset = functools.cache(_RuleSet)
+_ruleset = _memoized(_memo("ncalgebra.rulesets"))(_RuleSet)
 
 
 # whole-word memo, keyed (space, calculus, "xd", word) and holding
 # {stored key: QScalar}; words longer than _NF_CACHE_MAX_LEN are
 # normal-ordered without being stored.  The fixed "xd" field stays while
 # the benchmark's self-test plants an entry under this key shape
-_NF_CACHE = _memo()
+_NF_CACHE = _memo("ncalgebra.normal_forms")
 _NF_CACHE_MAX_LEN = 10
 _STRATEGY = ContextVar("rewrite_strategy", default="leftmost")
 
@@ -274,14 +274,12 @@ class rewrite_strategy:
 
     def __enter__(self):
         self.token = _STRATEGY.set(self.name)
-        _clear_memos()
-        _ruleset.cache_clear()
+        clear_tables()
         return self
 
     def __exit__(self, *exc):
         _STRATEGY.reset(self.token)
-        _clear_memos()
-        _ruleset.cache_clear()
+        clear_tables()
         return False
 
 
@@ -505,7 +503,8 @@ class NCElement(_LinComb):
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
             return self.scale(other)
-        self._checked(other)
+        if not self._same_kind(other):
+            return NotImplemented
         space = self.space
 
         def row_of(pair):
@@ -574,10 +573,7 @@ class NCElement(_LinComb):
 
 
 # (space, stored key) -> the printed word
-_MONO_TEXTS = _memo()
-
-
-@_memoized(_MONO_TEXTS)
+@_memoized(_memo("ncalgebra.mono_texts"))
 def _mono_text(space, k):
     """The normal-ordered word with stored key k, as printed; empty for the
     unit."""
@@ -633,7 +629,7 @@ _WORD_MAPS = {"conj": _CONJ_MAP, "mirror": _MIRROR_MAP}
 # transport name, key); each row is a tuple of (key, QScalar) pairs.  The
 # names are those of _WORD_MAPS and the two reorder_transform directions,
 # whose keys are coordinate exponents
-_TRANSPORT = _memo()
+_TRANSPORT = _memo("ncalgebra.transport")
 
 
 @_memoized(_TRANSPORT)

@@ -102,7 +102,7 @@ class TensorSeries:
 # first use.  Entries are tuples of immutable values, stored whole; every
 # qexp call builds new elements from them.  The rows are normal forms, so the
 # table is a registered memo
-_EXP_TERMS = _memo()
+_EXP_TERMS = _memo("pairexp.exp_terms")
 
 
 def _exp_term(space, hat, exps, made, bases):

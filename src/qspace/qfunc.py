@@ -106,10 +106,7 @@ _LEFT_INVERSE = SpaceTable({
 
 # the images of single monomials under each action, keyed (inverse?, index
 # label, variant, space, exps): tuples of (key, coefficient) rows, stored whole
-_ACT_ROWS = _memo()
-
-
-@_memoized(_ACT_ROWS)
+@_memoized(_memo("qfunc.act_rows"))
 def _act_image(inverse, label, variant, space, e):
     """The image of the monomial with exponents e under the variant's image
     of the left action (_LEFT_INVERSE if inverse, else _LEFT)[space][label],

@@ -9,12 +9,12 @@ data.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .ncalgebra import NCElement
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, ZERO, _NUMBER, _add_term, _coeff_times, _LinComb, qpow
+from .scalars import LAM, LAMP, ONE, ZERO, _NUMBER, _add_term, _coeff_times, _LinComb, _memo
+from .scalars import _memoized, qpow
 from .spaces import E3, LABELS, LINE, X_TOKENS, SpaceTable
 
 # the index labels of a space, in the standard ordering
@@ -53,7 +53,8 @@ class QMatrix(_LinComb):
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
             return self.scale(other)
-        self._checked(other)
+        if not self._same_kind(other):
+            return NotImplemented
         by_row = {}
         for (i, k), v in self.terms.items():
             by_row.setdefault(i, []).append((k, v))
@@ -149,7 +150,7 @@ def _cofactors(gaps):
     return cof, math.prod(gaps.values(), start=ONE)
 
 
-@functools.cache
+@_memoized(_memo("rmatrix.projector_numerators"))
 def projector_numerators(space) -> dict:
     """The numerator of each spectral projector, {name: QMatrix}: the
     product over the other eigenvalues mu of (R - mu).  Each is its
@@ -175,7 +176,7 @@ def projector_numerators(space) -> dict:
     return nums
 
 
-@functools.cache
+@_memoized(_memo("rmatrix.projectors"))
 def build_projectors(space) -> dict:
     """Spectral projectors {name: QMatrix} interpolated from the eigenvalue
     table: the projector of eigenvalue lam is the product over the other

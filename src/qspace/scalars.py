@@ -46,6 +46,8 @@ __all__ = [
     "qnum",
     "qfact",
     "qbinom",
+    "tables",
+    "clear_tables",
 ]
 
 
@@ -1168,9 +1170,12 @@ class _LinComb:
     frame its keys are read against (a variable tuple, a space, or nothing):
     ``_frame()`` returns it as the leading constructor arguments, and
     ``_mismatch`` names the exception type and message raised when two frames
-    differ.  Subclasses also supply the product and, for printing,
-    ``_print_order``, ``_mono_str`` (the basis key as text, empty for the
-    unit) and ``_term_str``.
+    differ.  An operand that is neither a combination of the same class nor
+    a number gets NotImplemented, so Python raises TypeError.  Subclasses
+    also supply the product, which scales by a number and returns
+    NotImplemented as well, and, for printing, ``_print_order``,
+    ``_mono_str`` (the basis key as text, empty for the unit) and
+    ``_term_str``.
     """
 
     __slots__ = ("terms",)
@@ -1185,10 +1190,15 @@ class _LinComb:
     def _like(self, terms=None):
         return type(self)(*self._frame(), terms)
 
-    def _checked(self, other):
+    def _same_kind(self, other):
+        """Whether other is a combination of this class; raises the frame
+        mismatch when it is one on another frame."""
+        if not isinstance(other, type(self)):
+            return False
         if self._frame() != other._frame():
             err, text = self._mismatch
             raise err(text)
+        return True
 
     def is_zero(self):
         return not self.terms
@@ -1202,7 +1212,8 @@ class _LinComb:
         return self._frame() == other._frame() and self.terms == other.terms
 
     def __add__(self, other):
-        self._checked(other)
+        if not self._same_kind(other):
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             _add_term(out, k, c)
@@ -1212,16 +1223,17 @@ class _LinComb:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, type(self)) else NotImplemented
+
+    def __rmul__(self, c):
+        # a number times a combination
+        return self.scale(c) if isinstance(c, _NUMBER) else NotImplemented
 
     def scale(self, c):
         c = _as_scalar(c)
         if not c:
             return self._like()
         return self._like({k: v * c for k, v in self.terms.items()})
-
-    # a number times a combination; each __mul__ scales by a _NUMBER too
-    __rmul__ = scale
 
     def eval_coeffs_exact(self, q0):
         """Coefficients evaluated at exact rational q0, keyed like terms."""
@@ -1291,18 +1303,20 @@ def qfact(n: int, a: int = 1) -> QScalar:
     return out
 
 
-# every module-level value memo of the package, from the rewrite engine's to
-# the q-binomials: each is emptied whole when it reaches _MEMO_LIMIT entries,
-# and all of them when rewrite_strategy is entered or left.  A rule set's
-# memos are its own dicts, stored into through _remember and dropped with it
-_MEMOS = []
+# every cache of the package, from the rule sets and the rewrite engine's
+# memos to the q-binomials, by its dotted module.role name: each is emptied
+# whole when it reaches _MEMO_LIMIT entries, and all of them when
+# rewrite_strategy is entered or left.  A rule set's memos are its own
+# dicts, stored into through _remember and dropped with it
+_MEMOS = {}
 _MEMO_LIMIT = 20_000
 
 
-def _memo():
-    """A new memo table, registered so that _clear_memos empties it."""
-    table = {}
-    _MEMOS.append(table)
+def _memo(name):
+    """A new memo table, registered under name so that clear_tables empties it."""
+    if name in _MEMOS:
+        raise ValueError(f"memo table {name!r} is already registered")
+    table = _MEMOS[name] = {}
     return table
 
 
@@ -1319,23 +1333,36 @@ def _memoized(table):
     """Decorator: the value of a pure function, read from the memo table
     under its argument tuple and, on a miss, built, stored through
     _remember and returned as built (the store may have emptied the table).
-    Arguments are positional only, so one value has one key."""
+    Arguments are positional only, so one value has one key.  The lookup
+    keeps build's name and docstring, not its module."""
     def wrap(build):
         def lookup(*key):
             value = table.get(key)
             if value is None:
                 value = _remember(table, key, build(*key))
             return value
+        name = getattr(build, "__qualname__", None)  # None for a partial
+        if name is not None:
+            lookup.__name__, lookup.__qualname__ = build.__name__, name
+            lookup.__doc__ = build.__doc__
         return lookup
     return wrap
 
 
-def _clear_memos():
-    for table in _MEMOS:
+def tables():
+    """{name: read-only view of the live table} of every registered cache
+    of the layers imported so far, sorted by name."""
+    return {name: MappingProxyType(_MEMOS[name]) for name in sorted(_MEMOS)}
+
+
+def clear_tables():
+    """Empty every registered cache."""
+    # a snapshot: a layer imported by another thread may register a table
+    for table in list(_MEMOS.values()):
         table.clear()
 
 
-_QBINOM = _memo()  # (n, k, a) -> [[n over k]]_{q^a}, k <= n - k
+_QBINOM = _memo("scalars.qbinom")  # (n, k, a) -> [[n over k]]_{q^a}, k <= n - k
 
 
 def qbinom(n: int, k: int, a: int = 1) -> QScalar:

@@ -39,10 +39,7 @@ class StarContext:
 # filled on first use; a pure key, like the q-binomials' table.  Entries are
 # tuples, stored whole: every caller receives the same one, none can change
 # it, and a racing thread can only store an equal one
-_STAR_LEGS = _memo()
-
-
-@_memoized(_STAR_LEGS)
+@_memoized(_memo("starcalc.star_legs"))
 def _star_legs(nf, ng, reversed_order):
     """The legs of one monomial pair: [[nf over k]] fall_k lambda^k in base
     q^4 for k up to min(nf, ng), fall_k being [[ng]] [[ng - 1]] ...

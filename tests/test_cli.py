@@ -196,6 +196,12 @@ def test_verify_single_suite_json(capsys):
     assert spaces == {"line", "euclid3"}
 
 
+def test_verify_unknown_suite_is_usage_error(capsys):
+    # the message itself, not the repr-quoted str() of the KeyError
+    code, out, err = run(capsys, "verify", "nosuch")
+    assert (code, out, err) == (2, "", "unknown suite names: nosuch")
+
+
 def test_verify_grassmann(capsys):
     code, out, _ = run(capsys, "verify", "grassmann")
     assert code == 0

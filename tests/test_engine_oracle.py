@@ -18,12 +18,14 @@ import types
 
 import pytest
 
+import qspace
 from qspace import cfunc, hopf, pairexp, qfunc, scalars, starcalc
 from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS
 from qspace.ncalgebra import NCElement, act, lift, lower, normal_form, reorder_transform
-from qspace.pairexp import _EXP_TERMS, qexp
+from qspace.pairexp import qexp
 from qspace.scalars import I, ONE, QScalar, _add_term
+from test_tables import every_table, readme_table_names
 
 _WARM_STEP = 64
 _LAM = _nc._LAM_TAG
@@ -312,27 +314,38 @@ def test_a_planted_row_does_not_survive_a_strategy_switch():
 
 def test_whole_word_memo_stays_bounded(monkeypatch):
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
-    _nc._clear_memos()
+    qspace.clear_tables()
+    whole_words = qspace.tables()["ncalgebra.normal_forms"]
     rng = random.Random(106)
     words = {_random_word(rng, _tokens("euclid3"), 4) for _ in range(40)}
     assert len(words) > 3 * 5
     for word in sorted(words, key=str):
         got = _nc._normalize_word("euclid3", "u", word)
-        assert len(_nc._NF_CACHE) <= 5
+        assert len(whole_words) <= 5
         assert got == oracle_normal_form("euclid3", "u", word), word
-    _nc._clear_memos()
+    qspace.clear_tables()
+
+
+def _registered(table):
+    """Whether table is one of the registered tables: a key planted in it
+    shows in a view of one."""
+    marker = object()
+    table[marker] = None
+    try:
+        return any(marker in view for view in qspace.tables().values())
+    finally:
+        del table[marker]
 
 
 def test_tables_stay_bounded(monkeypatch):
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
-    _nc._clear_memos()
-    _nc._ruleset.cache_clear()
+    qspace.clear_tables()
     rng = random.Random(105)
     space = "euclid3"
     for _ in range(20):
         a = _random_element(rng, space, _tokens(space), 3, 2)
         assert a.conjugate() == oracle_transport(a, "conj")
-        assert len(_nc._TRANSPORT) <= 5
+        assert len(qspace.tables()["ncalgebra.transport"]) <= 5
     f = lift(space, lower(space, _random_element(rng, space, list(_nc.X_TOKENS[space]), 4, 3)))
     op = _random_element(rng, space, list(_nc.D_TOKENS[space]), 3, 2)
     got = act(op, f, "left")
@@ -343,35 +356,34 @@ def test_tables_stay_bounded(monkeypatch):
         _nc._ruleset(space, calculus, opposite)
         for calculus in ("u", "h") for opposite in (False, True)
     ]
-    named = [_nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
+    tables = qspace.tables()
+    named = [tables[name] for name in ("ncalgebra.normal_forms", "ncalgebra.transport",
+                                       "pairexp.exp_terms")]
     owned = [rs.memo for rs in rulesets] + [rs.counit_memo for rs in rulesets]
-    assert all(any(t is m for m in scalars._MEMOS) for t in named)
-    assert not any(t is m for m in scalars._MEMOS for t in owned)
+    assert not any(_registered(t) for t in owned)
     assert all(named)
     assert any(rs.memo for rs in rulesets) and any(rs.counit_memo for rs in rulesets)
-    for table in scalars._MEMOS + owned:
+    for table in [*tables.values(), *owned]:
         assert len(table) <= 5
-    # entering the strategy empties every registered table and drops the
-    # rule sets with their memos
+    # entering the strategy empties every registered table, the rule sets'
+    # among them, and so drops the rule sets with their memos
     with _nc.rewrite_strategy("leftmost"):
-        assert not any(scalars._MEMOS)
-        assert _nc._ruleset.cache_info().currsize == 0
+        assert not any(tables.values())
+        assert not tables["ncalgebra.rulesets"]
     monkeypatch.undo()
     assert got == act(op, f, "left")
     assert got_exp == list(qexp(space, "x_dhat", 3))
 
 
 def test_rebuilt_rule_sets_leave_no_tables_behind():
-    # the module-level tables of every layer; a rule set's memos go with it
-    tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
-              hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS, cfunc._MONOMIALS,
-              cfunc._MONO_TEXTS, _nc._MONO_TEXTS, _nc._NF_CACHE, _nc._TRANSPORT, _EXP_TERMS]
+    # the registry holds the module-level tables of every layer and no
+    # more; a rule set's memos go with it
     key = ("euclid3", "u", False)
     for _ in range(50):
-        _nc._ruleset.cache_clear()
+        qspace.clear_tables()
         _nc._ruleset(*key)
     # 8 threads racing on a cold key may each build a rule set
-    _nc._ruleset.cache_clear()
+    qspace.clear_tables()
     barrier = threading.Barrier(8)
 
     def build():
@@ -383,8 +395,7 @@ def test_rebuilt_rule_sets_leave_no_tables_behind():
         t.start()
     for t in threads:
         t.join()
-    assert len(scalars._MEMOS) == len(tables)
-    assert all(any(t is m for m in scalars._MEMOS) for t in tables)
+    assert list(every_table()) == readme_table_names()
 
 
 def _fill_value_tables():
@@ -410,11 +421,12 @@ def _fill_value_tables():
 def test_value_tables_stay_bounded_and_follow_rewrite_strategy(monkeypatch):
     want = _fill_value_tables()
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
-    _nc._clear_memos()
-    tables = [scalars._QBINOM, starcalc._STAR_LEGS, hopf._ODD_QFACTS, hopf._STEP_POWERS,
-              hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS, cfunc._MONOMIALS,
-              cfunc._MONO_TEXTS, _nc._MONO_TEXTS]
-    assert all(any(t is m for m in scalars._MEMOS) for t in tables)
+    qspace.clear_tables()
+    views = qspace.tables()
+    tables = [views[name] for name in (
+        "scalars.qbinom", "starcalc.star_legs", "hopf.odd_qfacts", "hopf.step_powers",
+        "hopf.translate_rows", "hopf.antipode_rows", "qfunc.act_rows", "cfunc.monomials",
+        "cfunc.mono_texts", "ncalgebra.mono_texts")]
     assert _fill_value_tables() == want
     assert all(0 < len(t) <= 5 for t in tables)
     with _nc.rewrite_strategy("rightmost"):
@@ -430,6 +442,7 @@ def _counting_memo(table):
 
     @scalars._memoized(table)
     def square(a, b):
+        """a squared, and b."""
         built.append((a, b))
         return [a * a, b]
 
@@ -444,6 +457,15 @@ def test_memoized_builds_a_warm_key_once():
     assert built == [(3, "x")] and table == {(3, "x"): first}
     square(4, "x")
     assert built == [(3, "x"), (4, "x")]
+
+
+def test_memoized_keeps_the_name_and_docstring_but_not_the_module():
+    # so help() shows the docstring, and the benchmark's tracer, which wraps
+    # the functions of each module's own, does not wrap a lookup twice
+    square, _ = _counting_memo({})
+    assert (square.__name__, square.__doc__) == ("square", "a squared, and b.")
+    assert square.__qualname__ == "_counting_memo.<locals>.square"
+    assert square.__module__ == "qspace.scalars"
 
 
 def test_memoized_returns_the_built_value_when_the_store_empties_the_table(monkeypatch):
@@ -488,12 +510,12 @@ def test_monomial_table_holds_one_key_per_value():
     # of a positional call with False under a second, shorter key
     with pytest.raises(TypeError):
         cfunc._monomials(E3_VARS, 2)
-    cfunc._MONOMIALS.clear()
+    qspace.clear_tables()
     _fill_value_tables()
     starcalc.star_checks(2)
     hopf.taylor_identity_check("line", 2)
     pairexp.kronecker_check("euclid3", "x_d", 2)
-    keys = list(cfunc._MONOMIALS)
+    keys = list(qspace.tables()["cfunc.monomials"])
     assert any(not b for _, _, b in keys) and any(b for _, _, b in keys), keys
     assert len({(v, d, bool(b)) for v, d, b in keys}) == len(keys), keys
 
@@ -505,16 +527,6 @@ _OWN_LOOKUPS = {
     ("ncalgebra", "_normalize_word"),
     ("ncalgebra", "_fill"),
     ("pairexp", "qexp"),
-}
-
-
-# the per-space tables under functools.cache that README's cache rule 2
-# names, as (module, the name the cached function is bound to)
-_CACHE_SITES = {
-    ("ncalgebra", "_ruleset"),
-    ("expressions", "_name_table"),
-    ("rmatrix", "projector_numerators"),
-    ("rmatrix", "build_projectors"),
 }
 
 
@@ -549,13 +561,20 @@ def _memo_sites(text, stem):
     return callers, lru, cached
 
 
+# the package, its tests and the CI tools: no test or tool keeps a cache
+# beside the registry either
+_GUARDED = (pathlib.Path(scalars.__file__).parent, pathlib.Path(__file__).parent,
+            pathlib.Path(__file__).parent.parent / "tools")
+
+
 def test_memo_stores_go_through_memoized():
     """Every memo store in the package is made by _memoized or by one of the
-    lookups README names, no functools.lru_cache stands beside them, and
-    functools.cache holds exactly the per-space tables README names."""
-    src = pathlib.Path(scalars.__file__).parent
+    lookups README names, and no functools.cache or functools.lru_cache
+    stands beside them in the package, its tests or the CI tools."""
+    paths = sorted(path for root in _GUARDED for path in root.rglob("*.py"))
+    assert len({path.parent for path in paths}) >= 3
     callers, lru, cached = set(), [], set()
-    for path in sorted(src.glob("*.py")):
+    for path in paths:
         c, l, k = _memo_sites(path.read_text(), path.stem)
         callers |= c
         lru += l
@@ -563,7 +582,7 @@ def test_memo_stores_go_through_memoized():
     assert callers <= _OWN_LOOKUPS, callers - _OWN_LOOKUPS
     assert ("scalars", "_memoized") in callers
     assert not lru, lru
-    assert cached == _CACHE_SITES, (cached - _CACHE_SITES, _CACHE_SITES - cached)
+    assert not cached, cached
 
 
 def test_the_memo_guard_sees_every_cache_site():

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from qspace import hopf, qfunc
+import qspace
 from qspace.cfunc import CFunction, E3_VARS, _monomials, space_vars
 from qspace.hopf import TRANSLATE_VARIANTS, antipode, translate
 from qspace.ncalgebra import reorder_transform
@@ -25,7 +25,8 @@ from qspace.spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION
 from test_scalar_oracle import field_property, gen_scalar
 from test_taylor_kernels import _old_antipode, _old_translate
 
-TABLES = (hopf._TRANSLATE_ROWS, hopf._ANTIPODE_ROWS, qfunc._ACT_ROWS)
+TABLES = tuple(qspace.tables()[name] for name in (
+    "hopf.translate_rows", "hopf.antipode_rows", "qfunc.act_rows"))
 INDICES = {LINE: ("0", "1"), E3: ("0", "+", "3", "-")}
 # the monomials the inputs draw from; degree 4 reaches two steps of the
 # x3 series of the antipode and of the inverse '-' action
@@ -94,11 +95,6 @@ def _old_act(actions, index, variant, f, space, rep):
 # -- the differential check ------------------------------------------------------
 
 
-def _clear_tables():
-    for table in TABLES:
-        table.clear()
-
-
 def _same(got, want, label):
     assert got == want, label
     assert str(got) == str(want), label
@@ -126,7 +122,7 @@ def _cases(space, f):
 def check_tables_against_the_per_call_path(space, f, k):
     """Every tabled map on f from emptied tables, then warm on k f."""
     cases = list(_cases(space, f))
-    _clear_tables()
+    qspace.clear_tables()
     for label, call, want in cases:
         _same(call(f), want, (space, label, "cold", str(f)))
     kf = f.scale(k)
@@ -182,7 +178,7 @@ def test_returned_values_do_not_share_the_tables():
         lambda: act_partial_closed("-", "left_bar", f, E3),
         lambda: act_inverse_partial("-", "right", f, E3),
     )
-    _clear_tables()
+    qspace.clear_tables()
     for call in calls:
         want = call()
         call().terms.clear()

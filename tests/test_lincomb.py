@@ -3,6 +3,7 @@ GElement and QMatrix: zero terms never survive, frames are checked, only
 CFunction is hashable, a number scales from either side, and the products
 accumulate through the one row kernel, scalars._apply_rows."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,18 @@ def test_frames_and_hashability():
     for unhashable in (a, GElement.gen("th1")):
         with pytest.raises(TypeError):
             hash(unhashable)
+    # a number in a sum, or an operand of another type, raises TypeError in
+    # both orders
+    th, m = GElement.gen("th1"), QMatrix.identity(2)
+    sums, every = (operator.add, operator.sub), (operator.add, operator.sub, operator.mul)
+    cases = [(x, n, sums) for x in (f, a, th, m) for n in (1, Fraction(1, 2), ONE)]
+    cases += [(m, 1.5, every), (f, "x", every), (f, a, every), (a, f, every), (th, a, every),
+              (f, th, every), (m, f, every)]
+    for x, y, ops in cases:
+        for op in ops:
+            for left, right in ((x, y), (y, x)):
+                with pytest.raises(TypeError):
+                    op(left, right)
 
 
 def test_zero_results_are_empty():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import qspace
 from qspace import grassmann
 from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS
@@ -743,8 +744,7 @@ def test_threads_get_the_serial_results():
 
     jobs = _thread_jobs()
     serial = [_run_job(job) for job in jobs]
-    _nc._clear_memos()
-    _nc._ruleset.cache_clear()
+    qspace.clear_tables()
     n_threads = 8
     results = [None] * n_threads
     errors = []

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import qspace
 from qspace import pairexp, scalars
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
 from qspace.ncalgebra import (
@@ -10,7 +11,6 @@ from qspace.ncalgebra import (
 )
 from qspace.pairexp import (
     EXP_VARIANTS,
-    _EXP_TERMS,
     _norm_factor,
     classical_factorial,
     coord_word_element,
@@ -22,6 +22,9 @@ from qspace.pairexp import (
 from qspace.reports import VerificationReport
 from qspace.scalars import ONE, _add_term, qfact, qpow, scalar
 from qspace.spaces import CALCULI, GRADE, HAT_D_TOKENS, SPACES
+
+# the exponential term table, a live read-only view
+EXP_TERMS = qspace.tables()["pairexp.exp_terms"]
 
 
 def test_pairing_examples():
@@ -210,7 +213,7 @@ def test_qexp_table_matches_the_direct_construction(direct, order):
     elif order == "shuffled":
         random.Random(16).shuffle(calls)
     for _ in range(2):  # a cold table, then a table filled by the first pass
-        _EXP_TERMS.clear()
+        qspace.clear_tables()
         for call in calls:
             assert _data(qexp(*call).terms) == direct[call], call
         for call in calls:
@@ -223,7 +226,7 @@ def test_qexp_builds_no_factorial_product(direct, monkeypatch):
 
     monkeypatch.setattr(pairexp, "_norm_factor", forbidden)
     monkeypatch.setattr(pairexp, "qfact", forbidden)
-    _EXP_TERMS.clear()
+    qspace.clear_tables()
     for call in _CALLS:
         assert _data(qexp(*call).terms) == direct[call], call
 
@@ -240,21 +243,21 @@ def test_changing_a_returned_series_leaves_the_table_alone(direct):
 
 def test_table_stays_within_its_limit(direct, monkeypatch):
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 5)
-    _EXP_TERMS.clear()
+    qspace.clear_tables()
     for call in (("euclid3", "x_dhat", 5), ("line", "d_x", 5)):
         # the table is emptied many times during the build; the prefixes
         # of the entries made in this call are not lost
         assert _data(qexp(*call).terms) == direct[call], call
-        assert len(_EXP_TERMS) <= 5
+        assert len(EXP_TERMS) <= 5
 
 
 def test_rewrite_strategy_empties_the_table(direct):
     qexp("line", "x_d", 3)
-    assert _EXP_TERMS
+    assert EXP_TERMS
     with rewrite_strategy("rightmost"):
-        assert not _EXP_TERMS
+        assert not EXP_TERMS
         assert _data(qexp("line", "x_d", 3).terms) == direct[("line", "x_d", 3)]
-    assert not _EXP_TERMS
+    assert not EXP_TERMS
 
 
 def test_an_unknown_pairing_order_is_rejected():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qspace
 from qspace import suites
 from qspace.cli import main
 from qspace import rmatrix
@@ -296,12 +297,21 @@ def test_a_rank_two_trace_block_has_no_metric(monkeypatch):
         metric_from_P0()
 
 
-def test_projectors_are_built_once_per_space():
+def test_projectors_are_built_once_per_space(monkeypatch):
     # the projectors, relations and metric suites share one build of the
-    # numerators per space
+    # numerators per space: every call returns the table's one entry
     from qspace.suites import run_suite
 
-    projector_numerators.cache_clear()
+    qspace.clear_tables()
+    table = qspace.tables()["rmatrix.projector_numerators"]
+    got = []
+
+    def recorded(space):
+        got.append((space, projector_numerators(space)))
+        return got[-1][1]
+
+    monkeypatch.setattr(rmatrix, "projector_numerators", recorded)
     reports = run_suite(["projectors", "relations", "metric"])
     assert all(r.passed for r in reports)
-    assert projector_numerators.cache_info().misses == 2
+    assert len(table) == 2 and {space for space, _ in got} == {"line", "euclid3"}
+    assert all(nums is table[(space,)] for space, nums in got)

@@ -27,7 +27,6 @@ from qspace.scalars import (
     Q,
     GaussianRational,
     QScalar,
-    _P_ONE,
     _PACK_MIN,
     _from_stored,
     _kgrid,
@@ -357,7 +356,7 @@ def test_subs_q_inverse_matches_the_constructor_path():
         want = boxed_subs_q_inverse(x)
         # the same canonical parts the constructor gives
         assert got._n == want._n and got._d == want._d, x
-        assert (got._d is _P_ONE) == (len(got.den) == 1)
+        assert (got._d is ONE._d) == (len(got.den) == 1)
         assert_stored(got.num)
         assert_stored(got.den)
         if len(got.den) > 1:

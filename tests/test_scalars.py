@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qspace
 from qspace import scalars
 from qspace.scalars import (
     DivisionByZero,
@@ -50,7 +51,7 @@ def test_the_constructor_cancels_like_a_quotient():
     x = QScalar({4: 1, 0: -1}, {3: 2, 1: -2})
     assert x == (Q * Q - 1) / (QScalar.q_power(1) * (Q - 1) * 2)
     assert dict(x.num) == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
-    assert x._d is scalars._P_ONE
+    assert x._d is ONE._d
     y = QScalar({0: 3}, {0: 1, 2: GaussianRational(0, 2)})
     assert y == 3 / (1 + 2 * I * Q)
     assert dict(y.den) == {0: GaussianRational(0, Fraction(-1, 2)), 2: 1}
@@ -325,13 +326,13 @@ def test_qbinom_matches_the_pascal_recurrence(a):
     # the cached ones
     rows = _pascal_rows(60, a)
     rng = random.Random(34 + a)
-    scalars._clear_memos()
+    qspace.clear_tables()
     for n, row in enumerate(rows):
         ks = list(range(n + 1))
         rng.shuffle(ks)
         for k in ks:
             got = qbinom(n, k, a)
-            assert got._n == row[k] and got._d is scalars._P_ONE, (n, k, a)
+            assert got._n == row[k] and got._d is ONE._d, (n, k, a)
 
 
 def test_qbinom_outside_the_range_is_zero():

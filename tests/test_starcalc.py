@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import qspace
 from qspace import scalars, starcalc
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials
 from qspace.cli import main
@@ -12,6 +13,8 @@ from qspace.reports import VerificationReport
 from qspace.starcalc import StarContext, star, star_checks
 from qspace.scalars import LAM, ONE, _add_term, qbinom, qnum, qpow
 
+# the star-leg table, a live read-only view
+STAR_LEGS = qspace.tables()["starcalc.star_legs"]
 CTX = StarContext("euclid3")
 CTX_REV = StarContext("euclid3", "reversed")
 
@@ -96,11 +99,11 @@ def test_star_leg_table_gives_the_same_products_cold_and_warm():
         for ctx in (CTX, CTX_REV)
     ]
     cases += [(ctx, g, f) for ctx, f, g in cases]
-    starcalc._STAR_LEGS.clear()
+    qspace.clear_tables()
     warm = [star(ctx, f, g) for ctx, f, g in cases]
     cold = []
     for ctx, f, g in cases:
-        starcalc._STAR_LEGS.clear()
+        qspace.clear_tables()
         cold.append(star(ctx, f, g))
     assert warm == cold
     assert [star(ctx, f, g) for ctx, f, g in cases] == cold
@@ -111,10 +114,10 @@ def test_star_leg_table_gives_the_same_products_cold_and_warm():
 
 def test_star_leg_entries_cannot_be_changed():
     # every caller shares the table's entries, so they are immutable
-    starcalc._STAR_LEGS.clear()
+    qspace.clear_tables()
     want = star(CTX, mono((0, 0, 0, 2)), mono((0, 2, 0, 0)))
-    assert starcalc._STAR_LEGS
-    for entry in starcalc._STAR_LEGS.values():
+    assert STAR_LEGS
+    for entry in STAR_LEGS.values():
         with pytest.raises(TypeError):
             entry[0] = ONE
     assert star(CTX, mono((0, 0, 0, 2)), mono((0, 2, 0, 0))) == want
@@ -141,15 +144,15 @@ def test_reversed_legs_are_the_q_inverse_images_of_the_direct_formula():
     standard = {p: _direct_legs(*p, 4, LAM) for p in _LEG_PAIRS}
     reversed_ = {p: _direct_legs(*p, -4, -LAM) for p in _LEG_PAIRS}
     # reversed first, on an emptied table: each entry makes its standard twin
-    starcalc._STAR_LEGS.clear()
+    qspace.clear_tables()
     assert {p: starcalc._star_legs(*p, True) for p in _LEG_PAIRS} == reversed_
     assert {p: starcalc._star_legs(*p, False) for p in _LEG_PAIRS} == standard
     # standard first, so each reversed entry reflects a stored one
-    starcalc._STAR_LEGS.clear()
+    qspace.clear_tables()
     assert {p: starcalc._star_legs(*p, False) for p in _LEG_PAIRS} == standard
     assert {p: starcalc._star_legs(*p, True) for p in _LEG_PAIRS} == reversed_
-    assert len(starcalc._STAR_LEGS) == 2 * len(_LEG_PAIRS)
-    for (nf, ng, rev), legs in starcalc._STAR_LEGS.items():
+    assert len(STAR_LEGS) == 2 * len(_LEG_PAIRS)
+    for (nf, ng, rev), legs in STAR_LEGS.items():
         assert type(legs) is tuple and len(legs) == min(nf, ng) + 1
         assert legs == (reversed_ if rev else standard)[(nf, ng)]
 
@@ -165,7 +168,7 @@ def test_legs_match_the_direct_formula_up_to_twenty():
                 tails.append(tails[-1] * qnum(ng - k + 1, a) * lam)
             for nf in range(21):
                 want = tuple(qbinom(nf, k, a) * tails[k] for k in range(min(nf, ng) + 1))
-                starcalc._STAR_LEGS.clear()
+                qspace.clear_tables()
                 assert starcalc._star_legs(nf, ng, reversed_order) == want, (nf, ng, a)
 
 
@@ -173,10 +176,10 @@ def test_reversed_legs_hold_when_every_store_empties_the_table(monkeypatch):
     # with one-entry memos, storing the reversed entry drops the standard
     # twin it was made from
     monkeypatch.setattr(scalars, "_MEMO_LIMIT", 1)
-    starcalc._STAR_LEGS.clear()
+    qspace.clear_tables()
     for nf, ng in [(3, 5), (5, 3), (8, 8), (0, 4), (12, 12)]:
         assert starcalc._star_legs(nf, ng, True) == _direct_legs(nf, ng, -4, -LAM)
-        assert list(starcalc._STAR_LEGS) == [(nf, ng, True)]
+        assert list(STAR_LEGS) == [(nf, ng, True)]
 
 
 def _count_multi_term_products(monkeypatch):
@@ -199,7 +202,8 @@ def test_reversed_star_after_the_standard_one_makes_no_multi_term_product(monkey
     # and xp^8 builds its legs by linear q-number passes, with no product of
     # two multi-term polynomials (28 while the legs were multiplied out);
     # the reversed one then reflects those legs and multiplies none.
-    # A first run fills the per-space tables, which no memo reset empties
+    # A first run loads the command's layers; the rule sets and the parser's
+    # name table are then emptied with the other tables
     argvs = (["star", "xm^8", "xp^8"], ["star", "xp^8", "xm^8", "--reversed"])
     count = _count_multi_term_products(monkeypatch)
 
@@ -211,14 +215,14 @@ def test_reversed_star_after_the_standard_one_makes_no_multi_term_product(monkey
 
     for argv in argvs:
         run(argv)
-    scalars._clear_memos()
+    qspace.clear_tables()
     assert [run(argv) for argv in argvs] == [0, 0]
 
 
 def test_standard_legs_make_no_multi_term_product(monkeypatch):
     count = _count_multi_term_products(monkeypatch)
     for nf, ng in _LEG_PAIRS:
-        scalars._clear_memos()
+        qspace.clear_tables()
         legs = starcalc._star_legs(nf, ng, False)
         assert len(legs) == min(nf, ng) + 1
     assert count == [0]

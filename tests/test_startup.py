@@ -14,18 +14,28 @@ import qspace
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(qspace.__file__)))
 
 
-def _loaded_after(code):
-    """The qspace modules loaded once code has run in a fresh interpreter."""
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('qspace'))))"
+def _fresh(code):
+    """The JSON value that code prints last, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env, check=False)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after(code):
+    """The qspace modules loaded once code has run in a fresh interpreter."""
+    return set(_fresh(code + "\nimport json, sys\n"
+                      "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qspace'))))"))
 
 
 def test_import_qspace_loads_no_layer():
     assert _loaded_after("import qspace") == {"qspace"}
+
+
+def test_reading_the_tables_loads_only_the_scalar_layer():
+    assert _loaded_after("import qspace\nassert list(qspace.tables()) == ['scalars.qbinom']") == {
+        "qspace", "qspace.scalars"}
 
 
 def test_import_cli_loads_only_the_parser_tables():
@@ -50,9 +60,32 @@ def test_int_loads_no_rewrite_engine(tmp_path):
 def test_exports_are_their_home_modules_objects():
     import importlib
 
-    for name in qspace.__all__:
-        home = importlib.import_module(f"qspace.{qspace._EXPORTS[name]}")
-        assert getattr(qspace, name) is getattr(home, name), name
+    for name, home in _readme_api().items():
+        if name in qspace.__all__:
+            assert getattr(qspace, name) is getattr(importlib.import_module(f"qspace.{home}"), name)
+
+
+def test_each_export_loads_what_its_readme_home_loads():
+    # reading qspace.<name> imports the module README lists it under and no
+    # other, so an export pointed at a module that re-exports it fails
+    homes = {name: home for name, home in _readme_api().items() if name in qspace.__all__}
+    code = f"""
+import importlib, json, sys
+
+def loaded_after(read):
+    for m in [m for m in sys.modules if m.startswith("qspace")]:
+        del sys.modules[m]
+    read(importlib.import_module("qspace"))
+    return sorted(m for m in sys.modules if m.startswith("qspace"))
+
+print(json.dumps({{name: [loaded_after(lambda qspace: getattr(qspace, name)),
+                          loaded_after(lambda qspace: importlib.import_module("qspace." + home))]
+                  for name, home in {homes!r}.items()}}))
+"""
+    loaded = _fresh(code)
+    assert set(loaded) == set(qspace.__all__)
+    for name, (read, imported) in loaded.items():
+        assert read == imported, name
 
 
 def test_star_import_binds_every_export():
@@ -120,7 +153,6 @@ def test_readme_lists_the_public_surface():
     listed = _readme_api()
     assert set(listed) == set(qspace.__all__) | {"integrate_whole_e3", "rewrite_strategy"}
     for name, home in listed.items():
-        assert qspace._EXPORTS.get(name, home) == home, name
         assert hasattr(importlib.import_module(f"qspace.{home}"), name), name
 
 

@@ -49,12 +49,20 @@ with rewrite_strategy("rightmost"):
     code = main(["verify", "--all", "--json"])
 sys.exit(code)
 """), {}),
+    # then every layer is imported (verify loads all but the parser), and no
+    # registered table may hold more than one entry
     "the same output when every memo holds at most one entry": (python("""
-import sys
+import importlib, pkgutil, sys
+import qspace
 from qspace import scalars
 from qspace.cli import main
 scalars._MEMO_LIMIT = 1
-sys.exit(main(["verify", "--all", "--json"]))
+code = main(["verify", "--all", "--json"])
+for info in pkgutil.iter_modules(qspace.__path__):
+    importlib.import_module("qspace." + info.name)
+sizes = {name: len(table) for name, table in qspace.tables().items()}
+assert max(sizes.values()) <= 1, sizes
+sys.exit(code)
 """), {}),
 }
 
