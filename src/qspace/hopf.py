@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import add
 
 from .cfunc import CFunction, _monomials, space_vars
 from .pairexp import _EXP_MODE, qexp
-from .qfunc import act_partial_closed
+from .qfunc import _action
 from .reports import VerificationReport
 from .scalars import LAM, LAMP, ONE, QScalar, _apply_rows, _memo, _memoized
 from .scalars import qbinom, qnum, qpow, scalar
@@ -188,11 +189,19 @@ def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:
 
 
 def translated_antipoded_monomial(space, variant, exps) -> CFunction:
-    """The composite leg: translate the monomial, antipode the y-legs."""
+    """The composite leg: translate the monomial, antipode the y-legs.  Each
+    translation row's y-legs, the last n slots of the doubled variables, are
+    replaced by their antipode's rows, the x-legs carried along."""
     check_option("translation variant", variant, TRANSLATE_VARIANTS)
-    want = space_vars(space)
-    t = translate(space, variant, CFunction.monomial(want, exps))
-    return antipode_on_y_legs(space, variant, t)
+    n = len(space_vars(space))
+    s = _VARIANT_PARAMS[variant][0]
+
+    def row_of(el):
+        x = el[:n]
+        return ((x + ey, c) for ey, c in _antipode_image(space, s, el[n:]))
+
+    rows = _apply_rows(_translate_image(space, variant, exps), row_of)
+    return CFunction(doubled_vars(space), rows)
 
 
 def time_taylor(f: CFunction, t0: QScalar) -> CFunction:
@@ -218,7 +227,8 @@ def _dword_seq(space, hat):
 
 def _exp_word_actions(space, exp, action_variant, g, rep):
     """Each derivative word of the exponential, up to g's degree, acting on
-    g via the closed forms: a dict from exponent tuple to acted polynomial.
+    g via the closed forms: a dict from exponent tuple to the acted
+    polynomial's term dict.
 
     Left words act rightmost-first, right words leftmost-first; the hatted
     words run through the indices reversely, matching their basis order.
@@ -230,6 +240,7 @@ def _exp_word_actions(space, exp, action_variant, g, rep):
     if not right:
         seq = seq[::-1]  # rightmost factor first
     vars_ = space_vars(space)
+    step = {idx: _action(False, idx, action_variant, space, rep) for idx, _var in seq}
     last_first = [(idx, vars_.index(var)) for idx, var in reversed(seq)]
     deg = g.degree()
     acted_by = {}
@@ -237,13 +248,11 @@ def _exp_word_actions(space, exp, action_variant, g, rep):
         if sum(exps) > deg:
             break
         if not any(exps):
-            acted_by[exps] = g
+            acted_by[exps] = g.restrict(vars_).terms
             continue
         idx, j = next((idx, j) for idx, j in last_first if exps[j])
         prefix = acted_by[exps[:j] + (exps[j] - 1,) + exps[j + 1:]]
-        acted_by[exps] = prefix if prefix.is_zero() else act_partial_closed(
-            idx, action_variant, prefix, space, rep=rep
-        )
+        acted_by[exps] = step[idx](prefix) if prefix else prefix
     return acted_by
 
 
@@ -257,7 +266,7 @@ def taylor_identity_check(space: str, max_degree: int = 3) -> VerificationReport
     targets = [(str(e), CFunction.monomial(want, e)) for e in _monomials(want, max_degree, False)]
     top = max((gf.degree() for _, gf in targets), default=0)
     out_vars = doubled_vars(space)
-    y_idx = [out_vars.index(Y_OF[v]) for v in want]
+    n = len(want)
     for exp_variant, tvariant, avariant, rep_name in _IDENTITY_SETUPS:
         # one exponential per setup; its terms are sorted by degree, and the
         # prefix up to a target's degree is the exponential truncated there
@@ -273,10 +282,7 @@ def taylor_identity_check(space: str, max_degree: int = 3) -> VerificationReport
                 leg = legs[exps] = tuple(
                     translated_antipoded_monomial(space, tvariant, exps).terms.items())
             for el, cl in leg:
-                key = list(el)
-                for j, n in zip(y_idx, ey):
-                    key[j] += n
-                yield tuple(key), cl
+                yield el[:n] + tuple(map(add, el[n:], ey)), cl
 
         for label, gf in targets:
             acted_by = _exp_word_actions(space, exp, avariant, gf, rep_name)
@@ -286,7 +292,7 @@ def taylor_identity_check(space: str, max_degree: int = 3) -> VerificationReport
                 acted = acted_by.get(exps)
                 if acted is None:
                     break  # past g's degree
-                for ey, cy in acted.terms.items():
+                for ey, cy in acted.items():
                     pairs[exps, ey] = cy * coeff
             acc = CFunction(out_vars, _apply_rows(pairs.items(), leg_row))
             rep.compare(f"{exp_variant}/{tvariant}:{label}", acc, gf.embed(out_vars))

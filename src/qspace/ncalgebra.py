@@ -48,6 +48,11 @@ from .spaces import (
 _LAM_TAG = "L"
 # the tag of each entry of a stored key
 _KEY_TAGS = {space: layout + (_LAM_TAG,) for space, layout in KEY_LAYOUT.items()}
+# the slots of the spatial derivatives in a stored key, whose count a hatted
+# action's factor reads
+_SPATIAL_D_SLOTS = {
+    space: tuple(layout.index(t) for t in SPATIAL_D[space]) for space, layout in KEY_LAYOUT.items()
+}
 
 
 class SpaceMismatch(ValueError):
@@ -79,7 +84,7 @@ def _word_of_key(space, key):
 # the 'd' tokens) by the transition (+/-, q) -> (-/+, 1/q), and the
 # derivative relations as the coordinate relations with the indices
 # swapped.  The right actions and the reversed ordering need no table of
-# their own (see _mirror_element and _transport_image).
+# their own (see act and _transport_image).
 # ---------------------------------------------------------------------------
 
 _LL = LAM * LAMP
@@ -540,8 +545,7 @@ class NCElement(_LinComb):
         return self.terms.get(zero_key, ZERO)
 
     def spatial_d_count(self, key):
-        layout = KEY_LAYOUT[self.space]
-        return sum(key[layout.index(t)] for t in SPATIAL_D[self.space])
+        return sum(key[i] for i in _SPATIAL_D_SLOTS[self.space])
 
     # -- conjugation ------------------------------------------------------------
 
@@ -686,12 +690,6 @@ def hat_factor(space, n):
     return qpow(HAT_POWER[space] * n)
 
 
-def _mirror_element(a: NCElement) -> NCElement:
-    """Word reversal combined with the +/- index swap and inversion of the
-    scaling operator; the transport the right-sided calculi are built from."""
-    return _transport(a, "mirror")
-
-
 def _counit_image(rs, t, n, xw):
     """The counit of the normal form of the reversed coordinate word xw
     times t^n, as rows: the words still holding a derivative drop out and
@@ -704,26 +702,26 @@ def _counit_image(rs, t, n, xw):
     )
 
 
-def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
-    """Left action as a module action: the operator's tokens act on the
-    coordinate words one run at a time, right to left.  This is exact
-    because the kernel of the counit after normal ordering is the left
-    ideal generated by the derivatives and Lambda^(1/2) - 1.  The
-    coordinate words are kept reversed, so each run is appended on the
-    opposite rule set, whose rank order reads the reversed operator word
-    left to right."""
-    space = op.space
+def _act_left(space, op_terms, f_terms, calculus):
+    """Left action as a module action, on term dicts: the operator terms'
+    tokens act on the coordinate terms' words one run at a time, right to
+    left, and the action's terms come back.  This is exact because the
+    kernel of the counit after normal ordering is the left ideal generated
+    by the derivatives and Lambda^(1/2) - 1.  The coordinate words are kept
+    reversed, so each run is appended on the opposite rule set, whose rank
+    order reads the reversed operator word left to right."""
     rs = _ruleset(space, calculus, True)
     to_rank, to_key = rs.to_rank, rs.to_key
     # made per call, so the rule set holds no reference back to itself
     counit = _memoized(rs.counit_memo)(functools.partial(_counit_image, rs))
-    fwords = {to_rank(k): c for k, c in f.terms.items()}
-    out = NCElement(space)
-    for kop, cop in op.terms.items():
+    fwords = {to_rank(k): c for k, c in f_terms.items()}
+    hat_slots = _SPATIAL_D_SLOTS[space]
+    out = {}
+    for kop, cop in op_terms.items():
         c0 = cop
         if calculus == "h":
             # stored plain derivatives = q^(-k) * hatted ones
-            c0 = c0 * hat_factor(space, -op.spatial_d_count(kop))
+            c0 = c0 * hat_factor(space, -sum(kop[i] for i in hat_slots))
         terms = fwords
         for t, n in enumerate(to_rank(kop)):
             if not n:
@@ -736,7 +734,7 @@ def _act_left(op: NCElement, f: NCElement, calculus: str) -> NCElement:
             for _ in range(steps):
                 terms = _apply_rows(terms.items(), row_of)
         for w, c in terms.items():
-            _add_term(out.terms, to_key(w), c0 * c)
+            _add_term(out, to_key(w), c0 * c)
     return out
 
 
@@ -751,7 +749,8 @@ def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
     factor contributes one sign.
     """
     check_option("action mode", mode, ACTION_MODES)
-    if op.space != f.space:
+    space = op.space
+    if space != f.space:
         raise SpaceMismatch("operator and function live on different spaces")
     if not op.is_operator():
         raise PurityError("action operator must be free of coordinates")
@@ -763,14 +762,16 @@ def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
     hatted, right = CALCULI[mode][:2]
     calculus = "h" if hatted else "u"
     if not right:
-        return _act_left(op, f, calculus)
-    # act is linear in the operator: mirror the sign-adjusted operator once
-    nx = len(X_TOKENS[op.space])
-    nd = len(D_TOKENS[op.space])
-    signed = NCElement(op.space, {
-        k: -c if sum(k[nx:nx + nd]) % 2 else c for k, c in op.terms.items()
-    })
-    return _mirror_element(_act_left(_mirror_element(signed), _mirror_element(f), calculus))
+        return NCElement(space, _act_left(space, op.terms, f.terms, calculus))
+    # act is linear in the operator: the sign-adjusted operator, the
+    # function and the result are each mirrored once, as term dicts
+    nx = len(X_TOKENS[space])
+    nd = len(D_TOKENS[space])
+    signed = ((k, -c if sum(k[nx:nx + nd]) % 2 else c) for k, c in op.terms.items())
+    mirror = functools.partial(_transport_image, space, "mirror")
+    acted = _act_left(space, _apply_rows(signed, mirror), _apply_rows(f.terms.items(), mirror),
+                      calculus)
+    return NCElement(space, _apply_rows(acted.items(), mirror))
 
 
 # -- ordering isomorphisms ------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from .cfunc import E3_VARS, CFunction, space_vars
-from .ncalgebra import reorder_transform
+from .ncalgebra import _transport_image
 from .scalars import LAM, ONE, QScalar, _apply_rows, _memo, _memoized, qnum, qpow, scalar
 from .spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION, SpaceTable, check_option
 
@@ -121,31 +121,42 @@ def _act_image(inverse, label, variant, space, e):
     return tuple(row)
 
 
-def _act(inverse, index, variant, f, space, rep):
-    """Apply the variant's image of the left action (_LEFT_INVERSE if
-    inverse, else _LEFT)[space][index] to f.  rep names the normal ordering
-    f represents: the hatted-calculus operators produced by the substitution
-    rules are native to the reversed ordering and get conjugated by the
-    ordering transport when applied to a standard-ordering representative,
-    and the plain ones the other way round.  The monomials' images are read
-    from the action table."""
+def _action(inverse, index, variant, space, rep):
+    """The variant's image of the left action (_LEFT_INVERSE if inverse,
+    else _LEFT)[space][index], as a map from term dict {exps: coefficient}
+    to term dict, with every option checked once.  rep names the normal
+    ordering the terms represent: the hatted-calculus operators produced by
+    the substitution rules are native to the reversed ordering and get
+    conjugated by the ordering transport when applied to a standard-ordering
+    representative, and the plain ones the other way round.  The monomials'
+    images are read from the action table, and a transported map applies
+    the transport's rows, the action's and the transport back's in turn."""
     check_option("variant", variant, VARIANTS)
     check_option("rep", rep, ("standard", "reversed"))
     label = str(index)
     # the +/- mirror swaps two labels of the same table
     if label not in _LEFT[space]:
         raise ValueError(f"unknown derivative index {index!r} for {space}")
-    want = space_vars(space)
-    f = f.restrict(want)
-    back = None
-    if space == E3 and (rep == "standard") == CALCULI[variant][0]:
-        there, back = "to_reversed", "to_standard"
-        if rep != "standard":
-            there, back = back, there
-        f = reorder_transform(space, f, there)
     rows = functools.partial(_act_image, inverse, label, variant, space)
-    out = CFunction(want, _apply_rows(f.terms.items(), rows))
-    return out if back is None else reorder_transform(space, out, back)
+    if space != E3 or (rep == "standard") != CALCULI[variant][0]:
+        return lambda terms: _apply_rows(terms.items(), rows)
+    # into the other ordering, where the action is native, and back
+    there = functools.partial(
+        _transport_image, space, "to_standard" if rep == "reversed" else "to_reversed")
+    back = functools.partial(_transport_image, space, "to_" + rep)
+
+    def transported(terms):
+        moved = _apply_rows(terms.items(), there)
+        return _apply_rows(_apply_rows(moved.items(), rows).items(), back)
+
+    return transported
+
+
+def _act(inverse, index, variant, f, space, rep):
+    """The action _action names, applied to the polynomial f."""
+    action = _action(inverse, index, variant, space, rep)
+    want = space_vars(space)
+    return CFunction(want, action(f.restrict(want).terms))
 
 
 def act_partial_closed(index: str, variant: str, f: CFunction, space: str,

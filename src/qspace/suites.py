@@ -111,15 +111,19 @@ def suite_oracle_actions(opts: SuiteOptions):
     for space in opts.spaces:
         rep = VerificationReport("oracle-actions", space)
         vars_ = space_vars(space)
+        # each monomial and its lift, made once per space
+        lifted = []
+        for e in _monomials(vars_, opts.degree, False):
+            f = CFunction.monomial(vars_, e)
+            lifted.append((e, f, lift(space, f)))
         for idx, dtag in D_OF_LABEL[space].items():
             for variant in CALCULI:
                 D = NCElement.generator(space, dtag)
                 if CALCULI[variant][0] and idx != "0":
                     D = D.scale(hat_factor(space, 1))
-                for e in _monomials(vars_, opts.degree, False):
-                    f = CFunction.monomial(vars_, e)
+                for e, f, lf in lifted:
                     closed = qfunc.act_partial_closed(idx, variant, f, space)
-                    oracle = lower(space, act(D, lift(space, f), variant))
+                    oracle = lower(space, act(D, lf, variant))
                     rep.compare(f"{idx},{variant},{e}", closed, oracle)
         if space == "euclid3":
             rep.note(NOTE_LEI_SUBSCRIPTS)

@@ -5,6 +5,7 @@ import pytest
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, space_vars
 from qspace.cfunc import _monomials
 from qspace.hopf import (
+    TRANSLATE_VARIANTS,
     _IDENTITY_SETUPS,
     _dword_seq,
     _exp_word_actions,
@@ -14,6 +15,7 @@ from qspace.hopf import (
     taylor_identity_check,
     time_taylor,
     translate,
+    translated_antipoded_monomial,
 )
 from qspace.pairexp import qexp
 from qspace.qfunc import act_partial_closed
@@ -131,6 +133,18 @@ def test_antipode_law_via_translation():
             assert merged.is_zero(), (variant, e)
 
 
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_composite_legs_match_the_antipode_of_the_translation(space):
+    # the replaced composition: translate the monomial, then antipode the
+    # y-legs of the translated function
+    want_vars = space_vars(space)
+    for variant in TRANSLATE_VARIANTS:
+        for e in _monomials(want_vars, 4, False):
+            t = translate(space, variant, CFunction.monomial(want_vars, e))
+            got = translated_antipoded_monomial(space, variant, e)
+            assert got == antipode_on_y_legs(space, variant, t), (variant, e)
+
+
 def test_time_taylor():
     g = CFunction.var(E3_VARS, "x0")
     assert time_taylor(g, scalar(3)) == g + CFunction.constant(E3_VARS, 3)
@@ -177,5 +191,5 @@ def test_prefix_shared_word_actions_match_words_applied_from_scratch(space):
             words = [exps for exps, _w, _c in exp if sum(exps) <= g.degree()]
             assert list(got) == words
             for exps in words:
-                assert got[exps] == _apply_exp_word(space, exps, avariant, g, rep), (
-                    exp_variant, g, exps)
+                scratch = _apply_exp_word(space, exps, avariant, g, rep)
+                assert CFunction(want, got[exps]) == scratch, (exp_variant, g, exps)

@@ -618,13 +618,13 @@ def _reference_act(op, f, mode):
     space = op.space
     nx, nd = len(_nc.X_TOKENS[space]), len(_nc.D_TOKENS[space])
     calculus = "h" if mode == "right" else "u"
-    mf = _nc._mirror_element(f)
+    mf = _nc._transport(f, "mirror")
     acc = NCElement.zero(space)
     for kop, cop in op.terms.items():
-        term = _nc._mirror_element(NCElement(space, {kop: cop}))
+        term = _nc._transport(NCElement(space, {kop: cop}), "mirror")
         part = _reference_act_left(term, mf, calculus)
         acc = acc + (part if sum(kop[nx:nx + nd]) % 2 == 0 else -part)
-    return _nc._mirror_element(acc)
+    return _nc._transport(acc, "mirror")
 
 
 def _random_element(rng, space, pool, max_len, terms):
@@ -645,6 +645,26 @@ def test_act_matches_full_normal_form_then_counit():
             f = _random_element(rng, space, xs, 4, 3)
             for mode in ("left", "left_bar", "right", "right_bar"):
                 assert act(op, f, mode) == _reference_act(op, f, mode), (space, mode, op, f)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_act_is_a_module_action(strategy):
+    # a left mode acts with the product's right factor first, a right mode
+    # with its left factor first
+    rng = random.Random(61)
+    for space in ("line", "euclid3"):
+        ops = list(_nc.D_TOKENS[space]) * 2 + [("L", 1), ("L", -1)]
+        xs = list(_nc.X_TOKENS[space])
+        with _nc.rewrite_strategy(strategy):
+            for _ in range(60):
+                a = _random_element(rng, space, ops, 3, 2)
+                b = _random_element(rng, space, ops, 3, 2)
+                f = _random_element(rng, space, xs, 3, 3)
+                ab = a * b
+                for mode in _nc.ACTION_MODES:
+                    first, then = (a, b) if mode.startswith("right") else (b, a)
+                    want = act(then, act(first, f, mode), mode)
+                    assert act(ab, f, mode) == want, (space, mode, a, b, f)
 
 
 def test_act_between_degrees_has_no_constant_term():

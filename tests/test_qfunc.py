@@ -12,17 +12,18 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
-from qspace.ncalgebra import NCElement, act, lift, lower
+from qspace.ncalgebra import NCElement, act, lift, lower, reorder_transform
 from qspace.qfunc import (
     act_inverse_partial,
     act_partial_closed,
     scale_arg,
 )
-from qspace.scalars import LAM, ONE, Q, QScalar, qpow, scalar
+from qspace.scalars import I, LAM, ONE, Q, QScalar, qpow, scalar
 from qspace.spaces import CALCULI, D_OF_LABEL, HAT_POWER
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_closed_forms.json")
@@ -174,6 +175,40 @@ def test_unknown_rep_is_rejected(space):
         if space == "line":  # one ordering, so both representatives act alike
             assert act_partial_closed(index, variant, f, space, rep="reversed") == (
                 act_partial_closed(index, variant, f, space))
+
+
+def _mixed_functions(space, rng):
+    """Seeded multi-term polynomials of degree <= 3 with rational, Gaussian
+    and q-rational coefficients."""
+    vars_ = space_vars(space)
+    exps = list(_monomials(vars_, 3, False))
+    coeffs = (scalar(Fraction(-3, 7)), I * qpow(2) + scalar(Fraction(1, 2)),
+              ONE / (qpow(1) + I), (ONE + LAM) / scalar(5))
+    out = []
+    for _ in range(6):
+        f = CFunction.zero(vars_)
+        for c in rng.sample(coeffs, 3):
+            f = f + mono(vars_, rng.choice(exps), c)
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_transported_actions_match_the_transports_around_the_native_action(space):
+    # the replaced composition, through the public API: carry f into the
+    # variant's native ordering, act there, and carry the result back
+    rng = random.Random(44)
+    fs = _mixed_functions(space, rng)
+    for variant in CALCULI:
+        native = "reversed" if CALCULI[variant][0] else "standard"
+        rep = "standard" if native == "reversed" else "reversed"
+        for idx in D_OF_LABEL[space]:
+            for f in fs:
+                moved = reorder_transform(space, f, "to_" + native)
+                want = reorder_transform(
+                    space, act_partial_closed(idx, variant, moved, space, rep=native), "to_" + rep)
+                assert act_partial_closed(idx, variant, f, space, rep=rep) == want, (
+                    variant, idx, f)
 
 
 def test_scale_arg():

@@ -271,27 +271,33 @@ def test_calculus_tables_match_the_literals_they_replace():
 
 
 def test_actions_run_in_the_calculi_the_replaced_literals_named(monkeypatch):
-    calculi = _recording(monkeypatch, ncalgebra, "_act_left", lambda op, f, calculus: calculus)
-    mirrored = _recording(monkeypatch, ncalgebra, "_mirror_element", lambda a: True)
+    calculi = _recording(monkeypatch, ncalgebra, "_act_left",
+                         lambda space, op_terms, f_terms, calculus: calculus)
+    transports = _recording(monkeypatch, ncalgebra, "_transport_image",
+                            lambda space, name, key: name)
     op = NCElement.generator(E3, "dp")
     f = NCElement.generator(E3, "xp")
     for mode in ncalgebra.ACTION_MODES:
         calculi.clear()
-        mirrored.clear()
+        transports.clear()
         ncalgebra.act(op, f, mode)
         assert calculi == [_MODE_CALCULUS[mode]], mode
-        assert bool(mirrored) == (not mode.startswith("left")), mode
+        assert ("mirror" in transports) == (not mode.startswith("left")), mode
 
 
 def test_closed_forms_transport_the_orderings_the_replaced_literal_named(monkeypatch):
-    transports = _recording(monkeypatch, qfunc, "reorder_transform",
-                            lambda space, f, direction: direction)
+    transports = _recording(monkeypatch, qfunc, "_transport_image",
+                            lambda space, direction, key: direction)
     for variant in qfunc.VARIANTS:
         for rep in ("standard", "reversed"):
             transports.clear()
             act_partial_closed("+", variant, _F, E3, rep=rep)
             native = "reversed" if variant in _REVERSED_NATIVE else "standard"
             assert bool(transports) == (rep != native), (variant, rep)
+            if transports:
+                # into the native ordering first, then back
+                assert transports[0] == "to_" + native, (variant, rep)
+                assert set(transports) == {"to_" + native, "to_" + rep}, (variant, rep)
 
 
 def test_pairings_act_in_the_modes_the_replaced_literal_named(monkeypatch):

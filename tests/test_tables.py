@@ -122,10 +122,10 @@ ALLOWED_PRIVATE = {
     "ncalgebra._TRANSPORT": "a planted row shows that a strategy switch empties the table",
     "ncalgebra._build_xx_rules": "the coordinate rules, checked against the printed relations",
     "ncalgebra._lam_weight": "the scaling weights the token engine oracle applies",
-    "ncalgebra._mirror_element": "the mirror map, compared with the token engine",
     "ncalgebra._normalize_word": "the whole-word normal form under test",
     "ncalgebra._ruleset": "a rule set whose own memos a test reads",
     "ncalgebra._transition": "the coordinate rules' transition, checked against the relations",
+    "ncalgebra._transport": "the mirror transport, compared with the token engine",
     "ncalgebra._word_of_key": "a stored key spelled as a word for the token engine oracle",
     "pairexp._EXP_MODE": "the exponentials' modes the graded Kronecker check enumerates",
     "pairexp._grade": "the grade the graded Kronecker check restates",

@@ -28,6 +28,7 @@ REFERENCE = ROOT / "perfbench" / "reference" / "verify_all.json"
 BROKEN_SCALING_REPORT = ROOT / "tools" / "reference" / "broken_scaling_numeric_integrals.txt"
 BROKEN_PRODUCT_REPORTS = ROOT / "tools" / "reference" / "broken_product_evolution.json"
 BROKEN_PROJECTOR_REPORTS = ROOT / "tools" / "reference" / "broken_projector_reports.json"
+BROKEN_CLOSED_ACTION_REPORTS = ROOT / "tools" / "reference" / "broken_closed_action_reports.json"
 QSPACE = [sys.executable, "-m", "qspace.cli"]
 
 
@@ -203,6 +204,26 @@ rmatrix.projector_numerators = projector_numerators
 sys.exit(main(["verify", "projectors", "--json"]))
 """)
 
+# `verify oracle-actions` with the closed-form action multiplied by q for
+# the right-handed variants at index '-' on euclid3, read by the suite at
+# call time: the euclid3 report must fail with the recorded entries, whose
+# two printed sides are the closed form's and the engine's right-mode
+# action; exit 1 as that report fails
+BROKEN_CLOSED_ACTION = python("""
+import sys
+from qspace import qfunc
+from qspace.cli import main
+from qspace.scalars import qpow
+plain = qfunc.act_partial_closed
+def act_partial_closed(index, variant, f, space, rep="standard"):
+    out = plain(index, variant, f, space, rep)
+    if space == "euclid3" and index == "-" and variant in ("right", "right_bar"):
+        return out * qpow(1)
+    return out
+qfunc.act_partial_closed = act_partial_closed
+sys.exit(main(["verify", "oracle-actions", "--json"]))
+""")
+
 LIGHT_IMPORT = python(
     "import sys, qspace.cli; heavy = {'qspace.suites', 'qspace.evolution', 'qspace.rmatrix'}"
     " & set(sys.modules); assert not heavy, heavy")
@@ -266,6 +287,9 @@ def checks():
     yield ("a planted projector-numerator fault fails the projector and spectral checks as recorded",
            lambda: expect_exit(BROKEN_PROJECTOR, 1, 30,
                                output=BROKEN_PROJECTOR_REPORTS.read_bytes()))
+    yield ("a planted right-mode closed-action fault fails the euclid3 oracle report as recorded",
+           lambda: expect_exit(BROKEN_CLOSED_ACTION, 1, 30,
+                               output=BROKEN_CLOSED_ACTION_REPORTS.read_bytes()))
     yield ("importing the CLI loads no suite, evolution or braiding layer",
            lambda: expect_exit(LIGHT_IMPORT, 0) or expect_exit(QSPACE + ["verify", "-h"], 0))
 
