@@ -225,16 +225,17 @@ def _dword_seq(space, hat):
     return tuple((LABEL_OF[v], v) for v in (X_TOKENS if hat else REVERSED)[space])
 
 
-def _exp_word_actions(space, exp, action_variant, g, rep):
-    """Each derivative word of the exponential, up to g's degree, acting on
-    g via the closed forms: a dict from exponent tuple to the acted
-    polynomial's term dict.
+def _exp_word_actions(space, exp, action_variant, rep):
+    """The action of each derivative word of the exponential via the closed
+    forms, as a map from a polynomial g to a dict from exponent tuple (up to
+    g's degree) to the acted polynomial's term dict.
 
     Left words act rightmost-first, right words leftmost-first; the hatted
     words run through the indices reversely, matching their basis order.
     A word is its prefix (the last-acting index lowered by one) followed by
     one step, so each entry is one action on its prefix's entry; exp is
-    sorted by degree, so the prefix is always there."""
+    sorted by degree, so the prefix is always there.  Each word's step and
+    prefix depend only on the setup, so they are planned here once."""
     hatted, right = CALCULI[action_variant][:2]
     seq = _dword_seq(space, hatted)
     if not right:
@@ -242,17 +243,28 @@ def _exp_word_actions(space, exp, action_variant, g, rep):
     vars_ = space_vars(space)
     step = {idx: _action(False, idx, action_variant, space, rep) for idx, _var in seq}
     last_first = [(idx, vars_.index(var)) for idx, var in reversed(seq)]
-    deg = g.degree()
-    acted_by = {}
+    # (exps, degree, step, prefix) per term; the empty word has no step
+    plan = []
     for exps, _dword, _coeff in exp:
-        if sum(exps) > deg:
-            break
         if not any(exps):
-            acted_by[exps] = g.restrict(vars_).terms
+            plan.append((exps, 0, None, None))
             continue
         idx, j = next((idx, j) for idx, j in last_first if exps[j])
-        prefix = acted_by[exps[:j] + (exps[j] - 1,) + exps[j + 1:]]
-        acted_by[exps] = step[idx](prefix) if prefix else prefix
+        plan.append((exps, sum(exps), step[idx], exps[:j] + (exps[j] - 1,) + exps[j + 1:]))
+
+    def acted_by(g):
+        deg = g.degree()
+        out = {}
+        for exps, d, act_step, prefix in plan:
+            if d > deg:
+                break
+            if act_step is None:
+                out[exps] = g.restrict(vars_).terms
+                continue
+            got = out[prefix]
+            out[exps] = act_step(got) if got else got
+        return out
+
     return acted_by
 
 
@@ -284,8 +296,9 @@ def taylor_identity_check(space: str, max_degree: int = 3) -> VerificationReport
             for el, cl in leg:
                 yield el[:n] + tuple(map(add, el[n:], ey)), cl
 
+        word_actions = _exp_word_actions(space, exp, avariant, rep_name)
         for label, gf in targets:
-            acted_by = _exp_word_actions(space, exp, avariant, gf, rep_name)
+            acted_by = word_actions(gf)
             # sum of leg * (acted on the y-legs) * coeff over the terms
             pairs = {}
             for exps, _dword, coeff in exp:

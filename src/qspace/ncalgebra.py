@@ -427,6 +427,35 @@ def _normalize_word(space, calculus, word):
     return result
 
 
+def _normal_forms(space, calculus, words):
+    """The normal forms {stored key: QScalar} of a family of token words,
+    in order.  Each word is one _fold of its last token onto its prefix's
+    normal form, and the prefixes are kept in a table that lives for this
+    call only, so words sharing a prefix share its folds.  The rule sets
+    resolve every overlap, so a fold onto the prefix's normal form is the
+    whole word's normal form (Bergman's diamond lemma, as in _normal_runs).
+    Under 'rightmost' the reversed words are folded on the opposite rule
+    set, so each word is its first token folded onto its suffix's form."""
+    rightmost = _STRATEGY.get() == "rightmost"
+    rs = _ruleset(space, calculus, rightmost)
+    rank, to_key = rs.rank, rs.to_key
+    made = {(): {rs.zero: ONE}}
+    out = []
+    for word in words:
+        word = tuple(reversed(word)) if rightmost else tuple(word)
+        # the longest prefix made so far, then one fold per token after it
+        i = len(word)
+        while word[:i] not in made:
+            i -= 1
+        terms = made[word[:i]]
+        for j in range(i, len(word)):
+            tok = word[j]
+            tag, n = tok if isinstance(tok, tuple) else (tok, 1)
+            terms = made[word[:j + 1]] = _fold(rs, terms, rank[tag], n)
+        out.append({to_key(w): c for w, c in terms.items()})
+    return out
+
+
 def _runs_of_key(space, key):
     """A stored key as the runs [(tag, n)] of its word."""
     return [(tag, n) for tag, n in zip(_KEY_TAGS[space], key) if n]
@@ -543,9 +572,6 @@ class NCElement(_LinComb):
     def constant_term(self):
         zero_key = (0,) * len(KEY_LAYOUT[self.space]) + (0,)
         return self.terms.get(zero_key, ZERO)
-
-    def spatial_d_count(self, key):
-        return sum(key[i] for i in _SPATIAL_D_SLOTS[self.space])
 
     # -- conjugation ------------------------------------------------------------
 
@@ -702,40 +728,62 @@ def _counit_image(rs, t, n, xw):
     )
 
 
-def _act_left(space, op_terms, f_terms, calculus):
-    """Left action as a module action, on term dicts: the operator terms'
-    tokens act on the coordinate terms' words one run at a time, right to
-    left, and the action's terms come back.  This is exact because the
-    kernel of the counit after normal ordering is the left ideal generated
-    by the derivatives and Lambda^(1/2) - 1.  The coordinate words are kept
-    reversed, so each run is appended on the opposite rule set, whose rank
-    order reads the reversed operator word left to right."""
-    rs = _ruleset(space, calculus, True)
+def _act_map(space, op_terms, mode):
+    """The action of the operator with terms op_terms in the action mode, as
+    a map from a coordinate term dict to the action's term dict.  The rule
+    set, the counit lookup and each operator term's plan (its coefficient,
+    hat factor included, and its counit steps) are made once, so a map
+    applied to many functions repeats none of that work.
+
+    A left mode is a module action: the operator terms' tokens act on the
+    coordinate words one run at a time, right to left, which is exact
+    because the kernel of the counit after normal ordering is the left ideal
+    generated by the derivatives and Lambda^(1/2) - 1.  The coordinate words
+    are kept reversed, so each run is appended on the opposite rule set.  A
+    right mode is the mirror transport of the left action of its calculus:
+    act is linear in the operator, so the operator, signed once per
+    derivative factor, is mirrored here, and the function and the result
+    pass once each through the mirror rows."""
+    hatted, right = CALCULI[mode][:2]
+    if right:
+        nx = len(X_TOKENS[space])
+        nd = len(D_TOKENS[space])
+        mirror = functools.partial(_transport_image, space, "mirror")
+        signed = ((k, -c if sum(k[nx:nx + nd]) % 2 else c) for k, c in op_terms.items())
+        op_terms = _apply_rows(signed, mirror)
+    rs = _ruleset(space, "h" if hatted else "u", True)
     to_rank, to_key = rs.to_rank, rs.to_key
-    # made per call, so the rule set holds no reference back to itself
+    # made per map, so the rule set holds no reference back to itself
     counit = _memoized(rs.counit_memo)(functools.partial(_counit_image, rs))
-    fwords = {to_rank(k): c for k, c in f_terms.items()}
     hat_slots = _SPATIAL_D_SLOTS[space]
-    out = {}
+    plan = []
     for kop, cop in op_terms.items():
-        c0 = cop
-        if calculus == "h":
+        if hatted:
             # stored plain derivatives = q^(-k) * hatted ones
-            c0 = c0 * hat_factor(space, -sum(kop[i] for i in hat_slots))
-        terms = fwords
+            cop = cop * hat_factor(space, -sum(kop[i] for i in hat_slots))
+        # the scaling run acts in one step, a derivative run one token at a
+        # time: the words the counit drops are not carried into the next step
+        steps = []
         for t, n in enumerate(to_rank(kop)):
-            if not n:
-                continue
-            # the scaling run acts in one step, a derivative run one token
-            # at a time: the words the counit drops are not carried into the
-            # next step
-            run, steps = (n, 1) if t == rs.lam else (1, n)
-            row_of = functools.partial(counit, t, run)
-            for _ in range(steps):
+            if n:
+                run, times = (n, 1) if t == rs.lam else (1, n)
+                steps += [functools.partial(counit, t, run)] * times
+        plan.append((cop, steps))
+
+    def left(f_terms):
+        fwords = {to_rank(k): c for k, c in f_terms.items()}
+        out = {}
+        for cop, steps in plan:
+            terms = fwords
+            for row_of in steps:
                 terms = _apply_rows(terms.items(), row_of)
-        for w, c in terms.items():
-            _add_term(out, to_key(w), c0 * c)
-    return out
+            for w, c in terms.items():
+                _add_term(out, to_key(w), cop * c)
+        return out
+
+    if not right:
+        return left
+    return lambda f_terms: _apply_rows(left(_apply_rows(f_terms.items(), mirror)).items(), mirror)
 
 
 def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
@@ -746,7 +794,7 @@ def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
     operator factors by the counit (derivatives to 0, scaling operator to 1).
     Right modes are carried to left modes by the +/- mirror transport, the
     same transition the right-sided calculi are defined by; each derivative
-    factor contributes one sign.
+    factor contributes one sign.  The work is _act_map's, applied once.
     """
     check_option("action mode", mode, ACTION_MODES)
     space = op.space
@@ -756,22 +804,7 @@ def act(op: NCElement, f: NCElement, mode: str) -> NCElement:
         raise PurityError("action operator must be free of coordinates")
     if not f.is_coordinate():
         raise PurityError("acted function must be a pure coordinate element")
-    # a hatted mode runs on the hatted rule set after the stored derivatives
-    # are re-expressed through the hatted ones; a right mode is the mirror
-    # transport of the left action of its calculus
-    hatted, right = CALCULI[mode][:2]
-    calculus = "h" if hatted else "u"
-    if not right:
-        return NCElement(space, _act_left(space, op.terms, f.terms, calculus))
-    # act is linear in the operator: the sign-adjusted operator, the
-    # function and the result are each mirrored once, as term dicts
-    nx = len(X_TOKENS[space])
-    nd = len(D_TOKENS[space])
-    signed = ((k, -c if sum(k[nx:nx + nd]) % 2 else c) for k, c in op.terms.items())
-    mirror = functools.partial(_transport_image, space, "mirror")
-    acted = _act_left(space, _apply_rows(signed, mirror), _apply_rows(f.terms.items(), mirror),
-                      calculus)
-    return NCElement(space, _apply_rows(acted.items(), mirror))
+    return NCElement(space, _act_map(space, op.terms, mode)(f.terms))
 
 
 # -- ordering isomorphisms ------------------------------------------------------

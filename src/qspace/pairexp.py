@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .cfunc import CFunction, _mono_text, _monomials, space_vars
-from .ncalgebra import NCElement, act, hat_factor
+from .ncalgebra import NCElement, _normal_forms, act, hat_factor
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, _add_term, _memo, _remember, qfact, qnum, scalar
 from .spaces import CALCULI, D_TOKENS, GRADE, HAT_D_TOKENS, REVERSED, X_TOKENS, check_option
@@ -43,23 +43,30 @@ def _norm_factor(space, exps, inv: bool) -> QScalar:
     return out
 
 
-def deriv_word_element(space, exps, hatted: bool) -> NCElement:
-    """The normal-ordered derivative word for monomial exponents, through
-    the indices in the reversed ordering (hatted words: the standard one);
-    hatted words are stored through their q-power multiples of the plain
-    ones."""
+def _deriv_words(space, hatted, family):
+    """The normal-ordered derivative words for each exponent tuple of
+    family, as term dicts, through the indices in the reversed ordering
+    (hatted words: the standard one).  Hatted words are stored through their
+    q-power multiples of the plain ones.  The words of a family share their
+    prefixes (ncalgebra._normal_forms)."""
     vars_ = space_vars(space)
     if hatted:
         order, dtags = X_TOKENS[space], HAT_D_TOKENS[space]
     else:
         order, dtags = REVERSED[space], D_TOKENS[space]
-    word = []
-    for v, d in zip(order, dtags):
-        word.extend([d] * exps[vars_.index(v)])
-    el = NCElement.from_word(space, tuple(word))
-    if hatted:
-        el = el.scale(hat_factor(space, sum(exps[1:])))
-    return el
+    slots = [(vars_.index(v), d) for v, d in zip(order, dtags)]
+    words = [tuple(d for i, d in slots for _ in range(exps[i])) for exps in family]
+    forms = _normal_forms(space, "u", words)
+    if not hatted:
+        return forms
+    return [{k: c * hat_factor(space, sum(exps[1:])) for k, c in nf.items()}
+            for exps, nf in zip(family, forms)]
+
+
+def deriv_word_element(space, exps, hatted: bool) -> NCElement:
+    """The normal-ordered derivative word for monomial exponents (see
+    _deriv_words)."""
+    return NCElement(space, _deriv_words(space, hatted, [exps])[0])
 
 
 def coord_word_element(space, exps, reversed_order: bool) -> NCElement:
@@ -105,19 +112,17 @@ class TensorSeries:
 _EXP_TERMS = _memo("pairexp.exp_terms")
 
 
-def _exp_term(space, hat, exps, made, bases):
-    """One table entry.  The coefficient is its prefix's (one index lowered
-    by one, read from made) over that index's factor, by the recurrence
+def _exp_coeff(exps, made, bases):
+    """One table entry's coefficient: its prefix's (one index lowered by one,
+    read from made) over that index's factor, by the recurrence
     [[n]]! = [[n]] [[n-1]]!; bases gives each index's q-number base, 0 for
     the classical x0 factorial."""
     j = next((j for j, n in enumerate(exps) if n), None)
     if j is None:
-        coeff = ONE
-    else:
-        n = exps[j]
-        prefix = made[exps[:j] + (n - 1,) + exps[j + 1:]][0]
-        coeff = prefix / (qnum(n, bases[j]) if bases[j] else scalar(n))
-    return coeff, tuple(deriv_word_element(space, exps, hat).terms.items())
+        return ONE
+    n = exps[j]
+    prefix = made[exps[:j] + (n - 1,) + exps[j + 1:]][0]
+    return prefix / (qnum(n, bases[j]) if bases[j] else scalar(n))
 
 
 def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
@@ -137,14 +142,21 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     hat, flipped = CALCULI[_EXP_MODE[variant]][:2]
     sign = -1 if hat else 1
     bases = [sign * _FACT_BASES[space].get(v, 0) for v in vars_]
+    monos = _monomials(vars_, degree_bound, True)
     # a prefix has one degree less, so it is made (or read) before its use
     made = {}
     terms = []
-    for exps in _monomials(vars_, degree_bound, True):
+    words = None
+    for i, exps in enumerate(monos):
         key = (space, hat, exps)
         entry = _EXP_TERMS.get(key)
         if entry is None:
-            entry = _remember(_EXP_TERMS, key, _exp_term(space, hat, exps, made, bases))
+            if words is None:
+                # the derivative words from the first missing entry on,
+                # normal-ordered as one family
+                words = dict(zip(monos[i:], _deriv_words(space, hat, monos[i:])))
+            entry = (_exp_coeff(exps, made, bases), tuple(words[exps].items()))
+            entry = _remember(_EXP_TERMS, key, entry)
         made[exps] = entry
         coeff, rows = entry
         if flipped and sum(exps) % 2:

@@ -919,13 +919,17 @@ class QScalar:
     def eval_exact(self, q0) -> GaussianRational:
         """Evaluate at an exact rational (or Gaussian-rational) q0."""
         x = _as_coeff(q0)
-        num, den = _to_stored(self._n), _to_stored(self._d)
-        if all(k % 2 == 0 for k in num) and all(k % 2 == 0 for k in den):
-            unit = 2
+        if x == 1:
+            # s = 1 as well, so each part's value is its coefficient sum
+            num, den = _psum(self._n), _psum(self._d)
         else:
-            x, unit = _rsqrt(x), 1
-        num = _peval(num, x, unit)
-        den = _peval(den, x, unit)
+            num, den = _to_stored(self._n), _to_stored(self._d)
+            if all(k % 2 == 0 for k in num) and all(k % 2 == 0 for k in den):
+                unit = 2
+            else:
+                x, unit = _rsqrt(x), 1
+            num = _peval(num, x, unit)
+            den = _peval(den, x, unit)
         if not den:
             raise PoleError("denominator vanishes at evaluation point")
         v = _cdiv(num, den)
@@ -989,6 +993,16 @@ def _peval(p, x, unit):
     for prev, k in zip(ks, ks[1:]):
         acc = acc * _cpow(x, (prev - k) // unit) + p[k]
     return _num(acc * _cpow(x, ks[-1] // unit))
+
+
+def _psum(p):
+    """The sum of the coefficients of p, its value at s = 1, as a stored
+    coefficient."""
+    if type(p) is dict:
+        return sum(p.values())
+    re, im, d = p
+    total = _rdiv(sum(re.values()), d)
+    return _num(_gr(total, _rdiv(sum(im.values()), d))) if im else total
 
 
 def _rsqrt(x):

@@ -18,11 +18,11 @@ from __future__ import annotations
 from operator import sub
 
 from .cfunc import CFunction, _monomials, space_vars
-from .ncalgebra import lift, lower, reorder_transform
+from .ncalgebra import _normal_forms, reorder_transform
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, _apply_rows, _memo, _memoized, _term_pairs
 from .scalars import _P_ONE, _canon, _pgrid, _qnum_mul, _qnum_quo
-from .spaces import E3, check_option
+from .spaces import E3, X_TOKENS, check_option
 
 
 class StarContext:
@@ -126,7 +126,15 @@ def star_checks(max_degree: int) -> list:
     pairs = [(e1, e2) for e1 in monos for e2 in monos if deg[e1] + deg[e2] <= max_degree]
     std = StarContext(space)
     table = {p: star(std, mono[p[0]], mono[p[1]]) for p in pairs}
-    engine = {p: lower(space, lift(space, mono[p[0]]) * lift(space, mono[p[1]])) for p in pairs}
+    # the engine's product lower(lift f * lift g) of each pair is the normal
+    # form of the two standard words one after the other; the pairs' words
+    # share their prefixes, so each is one fold onto another's form
+    word = {e: tuple(t for t, n in zip(X_TOKENS[space], e) for _ in range(n)) for e in monos}
+    nx = len(vars_)
+    engine = {
+        p: CFunction(vars_, {k[:nx]: c for k, c in nf.items()})
+        for p, nf in zip(pairs, _normal_forms(space, "u", [word[a] + word[b] for a, b in pairs]))
+    }
 
     oracle = VerificationReport("star-oracle", space)
     for e1, e2 in pairs:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import evolution, grassmann, hopf, pairexp, qfunc, rmatrix, starcalc
 from .cfunc import CFunction, LatticeFunction, _monomials, jackson_weight, lattice_sum, space_vars
-from .ncalgebra import NCElement, act, hat_factor, lift, lower, normal_form
+from .ncalgebra import NCElement, _act_map, hat_factor, lift, lower, normal_form
 from .reports import VerificationReport
 from .scalars import GaussianRational, ONE, ZERO, qnum, qpow, scalar
 from .spaces import CALCULI, D_OF_LABEL, LABELS, SPACES, X_TOKENS
@@ -111,19 +111,22 @@ def suite_oracle_actions(opts: SuiteOptions):
     for space in opts.spaces:
         rep = VerificationReport("oracle-actions", space)
         vars_ = space_vars(space)
-        # each monomial and its lift, made once per space
+        # each monomial and its lift's terms, made once per space
         lifted = []
         for e in _monomials(vars_, opts.degree, False):
             f = CFunction.monomial(vars_, e)
-            lifted.append((e, f, lift(space, f)))
+            lifted.append((e, f, lift(space, f).terms))
         for idx, dtag in D_OF_LABEL[space].items():
             for variant in CALCULI:
                 D = NCElement.generator(space, dtag)
                 if CALCULI[variant][0] and idx != "0":
                     D = D.scale(hat_factor(space, 1))
+                # the engine's action of D, made once and applied to each
+                # lifted monomial
+                action = _act_map(space, D.terms, variant)
                 for e, f, lf in lifted:
                     closed = qfunc.act_partial_closed(idx, variant, f, space)
-                    oracle = lower(space, act(D, lf, variant))
+                    oracle = lower(space, NCElement(space, action(lf)))
                     rep.compare(f"{idx},{variant},{e}", closed, oracle)
         if space == "euclid3":
             rep.note(NOTE_LEI_SUBSCRIPTS)
@@ -178,11 +181,14 @@ def suite_pairings(opts: SuiteOptions):
         deg = min(opts.degree, 4 if space == "line" else 3)
         rep = VerificationReport("pairing-values", space)
         vars_ = space_vars(space)
+        # the plain and hatted derivative words are the exponentials' legs,
+        # normal-ordered as one family each
+        plain, hatted = ({exps: dword for exps, dword, _c in pairexp.qexp(space, variant, deg)}
+                         for variant in ("x_d", "x_dhat"))
         for exps in _monomials(vars_, deg, False):
             xw = pairexp.coord_word_element(space, exps, reversed_order=False)
             xwr = pairexp.coord_word_element(space, exps, reversed_order=True)
-            dw = pairexp.deriv_word_element(space, exps, False)
-            dwh = pairexp.deriv_word_element(space, exps, True)
+            dw, dwh = plain[exps], hatted[exps]
             want = pairexp._norm_factor(space, exps, False)
             wanth = pairexp._norm_factor(space, exps, True)
             sgn = scalar(-1) if sum(exps) % 2 else ONE

@@ -22,9 +22,12 @@ import qspace
 from qspace import cfunc, hopf, pairexp, qfunc, scalars, starcalc
 from qspace import ncalgebra as _nc
 from qspace.cfunc import CFunction, E3_VARS
-from qspace.ncalgebra import NCElement, act, lift, lower, normal_form, reorder_transform
+from qspace.ncalgebra import (
+    NCElement, act, lift, lower, normal_form, normalize_in_calculus, reorder_transform,
+)
 from qspace.pairexp import qexp
 from qspace.scalars import I, ONE, QScalar, _add_term
+from qspace.spaces import KEY_LAYOUT
 from test_tables import every_table, readme_table_names
 
 _WARM_STEP = 64
@@ -157,6 +160,17 @@ def oracle_element(space, word, coeff=ONE):
     return out
 
 
+def word_of_key(space, key):
+    """The token word of a stored key: each generator's run in KEY_LAYOUT
+    order, then the scaling operator's half-steps as one token."""
+    toks = []
+    for tag, n in zip(KEY_LAYOUT[space], key[:-1]):
+        toks.extend([tag] * n)
+    if key[-1]:
+        toks.append((_nc._LAM_TAG, key[-1]))
+    return tuple(toks)
+
+
 def oracle_transport(a, name):
     """The word transport: reverse each stored word, map its generators,
     invert the scaling operator, normal-order again."""
@@ -164,7 +178,7 @@ def oracle_transport(a, name):
     out = NCElement(a.space)
     for k, c in a.terms.items():
         coeff, word = ONE, []
-        for tok in reversed(_nc._word_of_key(a.space, k)):
+        for tok in reversed(word_of_key(a.space, k)):
             if isinstance(tok, tuple):
                 word.append(("L", -tok[1]))
                 continue
@@ -225,7 +239,7 @@ def test_random_words_match_the_token_engine(strategy):
             words = [_random_word(rng, _tokens(space), 4) for _ in range(40)]
             want = [oracle_normal_form(space, calculus, w) for w in words]
             with _nc.rewrite_strategy(strategy):
-                got = [_nc._normalize_word(space, calculus, w) for w in words]
+                got = [normalize_in_calculus(space, calculus, w).terms for w in words]
             for w, a, b in zip(words, got, want):
                 assert a == b, (space, calculus, w)
 
@@ -281,7 +295,7 @@ def test_run_heavy_words_match_the_token_engine(strategy):
     for word in words:
         want = oracle_normal_form("euclid3", "u", word)
         with _nc.rewrite_strategy(strategy):
-            got = _nc._normalize_word("euclid3", "u", word)
+            got = normalize_in_calculus("euclid3", "u", word).terms
         assert got == want, word
 
 
@@ -320,7 +334,7 @@ def test_whole_word_memo_stays_bounded(monkeypatch):
     words = {_random_word(rng, _tokens("euclid3"), 4) for _ in range(40)}
     assert len(words) > 3 * 5
     for word in sorted(words, key=str):
-        got = _nc._normalize_word("euclid3", "u", word)
+        got = normalize_in_calculus("euclid3", "u", word).terms
         assert len(whole_words) <= 5
         assert got == oracle_normal_form("euclid3", "u", word), word
     qspace.clear_tables()
@@ -350,6 +364,10 @@ def test_tables_stay_bounded(monkeypatch):
     op = _random_element(rng, space, list(_nc.D_TOKENS[space]), 3, 2)
     got = act(op, f, "left")
     got_exp = list(qexp(space, "x_dhat", 3))
+    # the exponential's words are normal-ordered as one family, so a word of
+    # its own fills the whole-word memo
+    word = _random_word(rng, _tokens(space), 3)
+    got_nf = normal_form(space, word)
     # every module-level table is registered and every rule set owns its
     # memos; each table was filled and none is over the limit
     rulesets = [
@@ -373,6 +391,7 @@ def test_tables_stay_bounded(monkeypatch):
     monkeypatch.undo()
     assert got == act(op, f, "left")
     assert got_exp == list(qexp(space, "x_dhat", 3))
+    assert got_nf == normal_form(space, word)
 
 
 def test_rebuilt_rule_sets_leave_no_tables_behind():

@@ -187,7 +187,7 @@ def test_prefix_shared_word_actions_match_words_applied_from_scratch(space):
     for exp_variant, _tvariant, avariant, rep in _IDENTITY_SETUPS:
         exp = qexp(space, exp_variant, 3)
         for g in targets:
-            got = _exp_word_actions(space, exp, avariant, g, rep)
+            got = _exp_word_actions(space, exp, avariant, rep)(g)
             words = [exps for exps, _w, _c in exp if sum(exps) <= g.degree()]
             assert list(got) == words
             for exps in words:

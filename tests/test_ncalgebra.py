@@ -20,8 +20,8 @@ from qspace.ncalgebra import (
     reorder_transform,
 )
 from qspace.scalars import I, LAM, LAMP, ONE, QScalar, _add_term, qpow
-from qspace.spaces import SPATIAL_D
-from test_engine_oracle import resolve, reversed_basis
+from qspace.spaces import KEY_LAYOUT, SPATIAL_D
+from test_engine_oracle import resolve, reversed_basis, word_of_key
 
 LL = LAM * LAMP
 
@@ -523,7 +523,9 @@ def test_overlap_ambiguities_resolve():
     for key in RULE_SETS:
         rs = _nc._ruleset(*key, False)
         n, failing = _overlaps(
-            functools.partial(resolve, rs), lambda word, key=key: _nc._normalize_word(*key, word), _tokens(key[0])
+            functools.partial(resolve, rs),
+            lambda word, key=key: normalize_in_calculus(*key, word).terms,
+            _tokens(key[0]),
         )
         assert failing == [], key
         count += n
@@ -582,7 +584,7 @@ def test_insertion_matches_tree_rewriter():
         want = [_keyed(space, _tree_normal_form(rs, w)) for w in words]
         for strategy in ("leftmost", "rightmost"):
             with _nc.rewrite_strategy(strategy):
-                got = [_nc._normalize_word(*key, w) for w in words]
+                got = [normalize_in_calculus(*key, w).terms for w in words]
             for w, a, b in zip(words, got, want):
                 assert a == b, (key, strategy, w)
         # the oracle itself does not depend on which pair it rewrites first
@@ -600,9 +602,11 @@ def _reference_act_left(op, f, calculus):
     for kop, cop in op.terms.items():
         c0 = cop
         if calculus == "h":
-            c0 = c0 * qpow(-_nc.HAT_POWER[space] * op.spatial_d_count(kop))
+            # the spatial derivatives a hatted action re-expresses
+            spatial = sum(kop[KEY_LAYOUT[space].index(t)] for t in SPATIAL_D[space])
+            c0 = c0 * qpow(-_nc.HAT_POWER[space] * spatial)
         for kf, cf in f.terms.items():
-            word = _nc._word_of_key(space, kop) + _nc._word_of_key(space, kf)
+            word = word_of_key(space, kop) + word_of_key(space, kf)
             for w, c in _tree_normal_form(rs, word).items():
                 key = _key_of_word(space, w)
                 if not any(key[nx:-1]):
@@ -645,6 +649,90 @@ def test_act_matches_full_normal_form_then_counit():
             f = _random_element(rng, space, xs, 4, 3)
             for mode in ("left", "left_bar", "right", "right_bar"):
                 assert act(op, f, mode) == _reference_act(op, f, mode), (space, mode, op, f)
+
+
+def test_one_action_map_applied_to_many_functions_matches_act():
+    # the map made once for an operator gives act's result, and the
+    # definition's, on every function it is applied to, in all four modes;
+    # the operators have several terms with different derivative counts and
+    # Lambda runs, so the hat factor and the mirror are read per term
+    rng = random.Random(29)
+    lam_runs = 0
+    for space in ("line", "euclid3"):
+        ops = list(_nc.D_TOKENS[space]) + [("L", 1), ("L", -1), ("L", 3)]
+        xs = list(_nc.X_TOKENS[space])
+        for _ in range(6):
+            op = _random_element(rng, space, ops, 3, 3)
+            lam_runs += sum(1 for k in op.terms if k[-1])
+            fs = [_random_element(rng, space, xs, 4, 3) for _ in range(4)]
+            kept = [dict(f.terms) for f in fs]
+            for mode in _nc.ACTION_MODES:
+                action = _nc._act_map(space, op.terms, mode)
+                for f in fs:
+                    got = NCElement(space, action(f.terms))
+                    assert got == act(op, f, mode) == _reference_act(op, f, mode), (space, mode, op, f)
+            # applying a map changes neither its arguments nor the operator
+            assert [f.terms for f in fs] == kept
+    assert lam_runs >= 10
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_prefix_shared_normal_forms_match_whole_words(strategy):
+    # every word of a family against its own normal ordering: the star
+    # checks' pairs of standard words up to degree 6, the exponentials'
+    # derivative words up to degree 8, plain and hatted, and random words
+    # with Lambda runs in both calculi, each family in a shuffled order too
+    from qspace.cfunc import _monomials
+    from qspace.spaces import D_TOKENS, HAT_D_TOKENS, REVERSED, X_TOKENS
+
+    def words_of(space, order, tags, monos):
+        vars_ = X_TOKENS[space]
+        return [tuple(d for v, d in zip(order, tags) for _ in range(e[vars_.index(v)]))
+                for e in monos]
+
+    rng = random.Random(31)
+    monos6 = _monomials(E3_VARS, 6, False)
+    std = dict(zip(monos6, words_of("euclid3", E3_VARS, E3_VARS, monos6)))
+    families = [("euclid3", "u", [std[a] + std[b] for a in monos6 for b in monos6
+                                  if sum(a) + sum(b) <= 6])]
+    for space, vars_ in (("line", LINE_VARS), ("euclid3", E3_VARS)):
+        monos8 = _monomials(vars_, 8, True)
+        families.append((space, "u", words_of(space, REVERSED[space], D_TOKENS[space], monos8)))
+        families.append((space, "u", words_of(space, vars_, HAT_D_TOKENS[space], monos8)))
+        for calculus in ("u", "h"):
+            pool = list(_nc.X_TOKENS[space]) + list(_nc.D_TOKENS[space]) + [("L", 1), ("L", -2)]
+            words = [tuple(rng.choice(pool) for _ in range(rng.randint(0, 6))) for _ in range(60)]
+            prefixes = [w[:i] for w in words[:20] for i in range(len(w))]
+            families.append((space, calculus, words + prefixes))
+    assert len(families[0][2]) == 3003
+    with _nc.rewrite_strategy(strategy):
+        for space, calculus, words in families:
+            want = [normalize_in_calculus(space, calculus, w).terms for w in words]
+            assert _nc._normal_forms(space, calculus, words) == want, (space, calculus)
+            order = list(range(len(words)))
+            rng.shuffle(order)
+            got = _nc._normal_forms(space, calculus, [words[i] for i in order])
+            assert got == [want[i] for i in order], (space, calculus)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_exponential_legs_are_the_whole_derivative_words(strategy):
+    # qexp's legs, normal-ordered as one family, against each word made from
+    # scratch by from_word, times the hat factor for the hatted words
+    from qspace.pairexp import qexp
+    from qspace.spaces import HAT_D_TOKENS, REVERSED
+
+    with _nc.rewrite_strategy(strategy):
+        for space, vars_ in (("line", LINE_VARS), ("euclid3", E3_VARS)):
+            for variant, hatted in (("x_d", False), ("x_dhat", True)):
+                order, tags = ((vars_, HAT_D_TOKENS[space]) if hatted
+                               else (REVERSED[space], _nc.D_TOKENS[space]))
+                for exps, dword, _coeff in qexp(space, variant, 8):
+                    word = [d for v, d in zip(order, tags) for _ in range(exps[vars_.index(v)])]
+                    want = NCElement.from_word(space, word)
+                    if hatted:
+                        want = want.scale(_nc.hat_factor(space, sum(exps[1:])))
+                    assert dword == want, (space, variant, exps)
 
 
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])

@@ -23,9 +23,13 @@ from qspace.scalars import (
     ZERO,
     DivisionByZero,
     GaussianRational,
+    I,
+    PoleError,
     Q,
     QScalar,
     _poly_to_str,
+    qbinom,
+    qnum,
     qpow,
     scalar,
 )
@@ -176,6 +180,43 @@ def test_shared_denominators_match_sympy_cancel():
         _assert_matches_sympy(c * a, sc * sa, s)
         if a:
             _assert_matches_sympy(c / a, sc / sa, s)
+
+
+def _at_one_cases():
+    """Seeded scalars for evaluation at q = 1: the random ones (Fraction and
+    Gaussian coefficients, odd s-exponents, content-form parts), integer
+    ones kept as plain dicts, and quotients whose parts vanish at s = 1."""
+    xs = _random_scalars(14, 60)
+    xs += [qnum(5, 2) / (Q + 3), qbinom(6, 3, -1) * qpow(-3) - scalar(7), (Q - ONE) / (Q + 2)]
+    xs += [(qpow(1) + I) / (qpow(3) + scalar(Fraction(2, 3))), QScalar({1: 2, -3: Fraction(1, 3)})]
+    xs += [QScalar({1: GaussianRational(Fraction(1, 2), 3), 0: -1}, {0: 2, 3: GaussianRational(0, 1)})]
+    xs += [ONE / (ONE - Q), ONE / (qpow(2) - ONE), (Q + I) / (qpow(-1) - ONE)]
+    return xs
+
+
+@needs_sympy
+def test_evaluation_at_one_matches_sympy():
+    # eval_exact(1) sums each part's coefficients; the oracle substitutes
+    # s = 1 into sympy's form of the same parts
+    s = sympy.Symbol("s")
+    poles = 0
+    for x in _at_one_cases():
+        num, den = (sympy.sympify(_sym_poly(p, s)).subs(s, 1) for p in (x.num, x.den))
+        if den == 0:
+            poles += 1
+            with pytest.raises(PoleError):
+                x.eval_exact(1)
+            continue
+        value = sympy.nsimplify(num / den)
+        re, im = (Fraction(int(sympy.numer(v)), int(sympy.denom(v)))
+                  for v in (sympy.re(value), sympy.im(value)))
+        got = x.eval_exact(1)
+        assert type(got) is GaussianRational and got == GaussianRational(re, im), (x, value)
+        # parts are ints when integral, as every evaluation gives them
+        assert type(got.re) is (int if re.denominator == 1 else Fraction), x
+        assert type(got.im) is (int if im.denominator == 1 else Fraction), x
+        assert x.eval_exact(Fraction(1)) == x.eval_exact(GaussianRational(1)) == got
+    assert poles >= 3
 
 
 # -- hypothesis field axioms -------------------------------------------------

@@ -89,6 +89,10 @@ def test_eval_pole():
     x = ONE / (Q - ONE)
     with pytest.raises(PoleError):
         x.eval_exact(1)
+    # at q = 1 a pole is a denominator whose coefficients sum to zero
+    for x in (ONE / (ONE - Q), ONE / (qpow(2) - ONE), (Q + I) / (qpow(-1) - ONE)):
+        with pytest.raises(PoleError, match="denominator vanishes"):
+            x.eval_exact(1)
 
 
 def test_qnum_telescoping_identity():

@@ -271,16 +271,19 @@ def test_calculus_tables_match_the_literals_they_replace():
 
 
 def test_actions_run_in_the_calculi_the_replaced_literals_named(monkeypatch):
-    calculi = _recording(monkeypatch, ncalgebra, "_act_left",
-                         lambda space, op_terms, f_terms, calculus: calculus)
+    # the action's rule set is an opposite one; the mirror transport's
+    # normal ordering reads a plain one
+    rule_sets = _recording(monkeypatch, ncalgebra, "_ruleset",
+                           lambda space, calculus, opposite: (calculus, opposite))
     transports = _recording(monkeypatch, ncalgebra, "_transport_image",
                             lambda space, name, key: name)
     op = NCElement.generator(E3, "dp")
     f = NCElement.generator(E3, "xp")
     for mode in ncalgebra.ACTION_MODES:
-        calculi.clear()
+        rule_sets.clear()
         transports.clear()
         ncalgebra.act(op, f, mode)
+        calculi = [calculus for calculus, opposite in rule_sets if opposite]
         assert calculi == [_MODE_CALCULUS[mode]], mode
         assert ("mirror" in transports) == (not mode.startswith("left")), mode
 

@@ -120,13 +120,13 @@ ALLOWED_PRIVATE = {
     "ncalgebra._RuleSet": "the rule set's pair rules, checked against the printed relations",
     "ncalgebra._STRATEGY": "the rewrite strategy, read per thread",
     "ncalgebra._TRANSPORT": "a planted row shows that a strategy switch empties the table",
+    "ncalgebra._act_map": "the action map, applied to many functions and compared with act",
     "ncalgebra._build_xx_rules": "the coordinate rules, checked against the printed relations",
     "ncalgebra._lam_weight": "the scaling weights the token engine oracle applies",
-    "ncalgebra._normalize_word": "the whole-word normal form under test",
+    "ncalgebra._normal_forms": "the prefix-shared normal forms, compared with from_word",
     "ncalgebra._ruleset": "a rule set whose own memos a test reads",
     "ncalgebra._transition": "the coordinate rules' transition, checked against the relations",
     "ncalgebra._transport": "the mirror transport, compared with the token engine",
-    "ncalgebra._word_of_key": "a stored key spelled as a word for the token engine oracle",
     "pairexp._EXP_MODE": "the exponentials' modes the graded Kronecker check enumerates",
     "pairexp._grade": "the grade the graded Kronecker check restates",
     "pairexp._norm_factor": "the factorial product the term table replaces",

@@ -29,6 +29,7 @@ BROKEN_SCALING_REPORT = ROOT / "tools" / "reference" / "broken_scaling_numeric_i
 BROKEN_PRODUCT_REPORTS = ROOT / "tools" / "reference" / "broken_product_evolution.json"
 BROKEN_PROJECTOR_REPORTS = ROOT / "tools" / "reference" / "broken_projector_reports.json"
 BROKEN_CLOSED_ACTION_REPORTS = ROOT / "tools" / "reference" / "broken_closed_action_reports.json"
+TAIL_REFERENCE = ROOT / "tools" / "reference" / "verify_tail_degree6.json"
 QSPACE = [sys.executable, "-m", "qspace.cli"]
 
 
@@ -63,6 +64,23 @@ for info in pkgutil.iter_modules(qspace.__path__):
     importlib.import_module("qspace." + info.name)
 sizes = {name: len(table) for name, table in qspace.tables().items()}
 assert max(sizes.values()) <= 1, sizes
+sys.exit(code)
+"""), {}),
+}
+
+# each run must print the recorded `verify star oracle-actions hopf-taylor
+# --degree 6 --json` output, which covers the star checks' shared normal
+# forms, the action maps and the Taylor word plans past the default degree:
+# (argv, env)
+TAIL_RUNS = {
+    "the three tail suites at degree 6 match their recorded reference": (
+        QSPACE + ["verify", "star", "oracle-actions", "hopf-taylor", "--degree", "6", "--json"], {}),
+    "the same tail output when every word is inserted right to left": (python("""
+import sys
+from qspace.cli import main
+from qspace.ncalgebra import rewrite_strategy
+with rewrite_strategy("rightmost"):
+    code = main(["verify", "star", "oracle-actions", "hopf-taylor", "--degree", "6", "--json"])
 sys.exit(code)
 """), {}),
 }
@@ -271,6 +289,9 @@ def checks():
     reference = REFERENCE.read_bytes()
     for name, (argv, env) in REFERENCE_RUNS.items():
         yield name, lambda argv=argv, env=env: expect_exit(argv, 0, env=env, output=reference)
+    tail = TAIL_REFERENCE.read_bytes()
+    for name, (argv, env) in TAIL_RUNS.items():
+        yield name, lambda argv=argv, env=env: expect_exit(argv, 0, env=env, output=tail)
     for name, (argv, limit) in TIME_TARGETS.items():
         yield name, lambda argv=argv, limit=limit: expect_exit(argv, 0, limit)
     yield "bad input exits 2 at once, with no hang or traceback", usage_errors
