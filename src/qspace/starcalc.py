@@ -6,7 +6,11 @@ contracted exponents and the ordering: the reversed ordering is the q -> 1/q
 image of the standard one, so its entries are the images of the standard
 entries.  A standard entry is built along k by the recurrence of its
 q-binomial, one linear pass per q-number on a dense coefficient list, with
-no product of two multi-term polynomials.  The rewriting engine provides the independent oracle
+no product of two multi-term polynomials.  A second table holds the
+product of two unit monomials as rows, keyed by both exponent tuples and
+the ordering: each row's key and its leg times a q-power are built once per
+pair, and a product applies the rows of each term pair of its factors.
+The rewriting engine provides the independent oracle
 (round-tripping the product through normal ordering must give the same
 coefficients).  `star_checks` builds the engine's product of
 every monomial pair once, reads the reversed ordering's oracle from that table
@@ -15,9 +19,9 @@ being central."""
 
 from __future__ import annotations
 
-from operator import sub
+from operator import add, sub
 
-from .cfunc import CFunction, _monomials, space_vars
+from .cfunc import E3_VARS, CFunction, _monomials, space_vars
 from .ncalgebra import _normal_forms, reorder_transform
 from .reports import VerificationReport
 from .scalars import ONE, QScalar, _apply_rows, _memo, _memoized, _term_pairs
@@ -70,38 +74,54 @@ def _star_legs(nf, ng, reversed_order):
     return tuple(legs)
 
 
+# the slots of xp, x3 and xm in a euclid3 exponent tuple
+_XP, _X3, _XM = (E3_VARS.index(v) for v in ("xp", "x3", "xm"))
+
+
+# (f exponents, g exponents, reversed_order) -> the product of the unit
+# monomials as (key, coefficient) rows, one per k; a tuple stored whole, like
+# the legs it is made from
+@_memoized(_memo("starcalc.star_rows"))
+def _star_rows(ef, eg, reversed_order):
+    """The star product of the unit monomials x^ef and x^eg as rows: row k
+    is x^(ef + eg) with k powers of the contracted pair traded for 2k of x3,
+    and leg_k times the q-power of the x3 exponents moved past the
+    differentiated legs.  An x3-free pair's q-power is 1, so its rows hold
+    the legs themselves."""
+    if reversed_order:
+        fi, gi, sign = _XP, _XM, -1
+    else:
+        fi, gi, sign = _XM, _XP, 1
+    nf, ng = ef[fi], eg[gi]
+    e = [x + y for x, y in zip(ef, eg)]
+    rows = []
+    for k, leg in enumerate(_star_legs(nf, ng, reversed_order)):
+        # exponent factor on the differentiated legs; the reversed
+        # ordering uses the full +/- mirror of the standard one (the
+        # printed reversed twin keeps the unswapped indices, which
+        # fails the round-trip oracle)
+        w = 2 * sign * (ef[_X3] * (ng - k) + (nf - k) * eg[_X3])
+        key = list(e)
+        key[fi] -= k
+        key[gi] -= k
+        key[_X3] += 2 * k
+        # the denominator-1 factors first: only the product with the
+        # input coefficients has a denominator to cancel against
+        rows.append((tuple(key), leg * QScalar.q_power(2 * w)))
+    return tuple(rows)
+
+
 def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
     """sum_k lambda^k / [[k]]! (D^k f)(D^k g), contracting xm of f with xp of
     g (standard; base q^4) or xp of f with xm of g (reversed; the q -> 1/q
     image of the standard legs).  1/[[k]]! folds into the f leg, D^k x^a /
     [[k]]! being [[a over k]] x^(a-k); the g leg keeps its falling product.
-    Every factor but the input coefficients is a Laurent polynomial."""
-    vars_ = space_vars("euclid3")
-    i3 = vars_.index("x3")
-    if reversed_order:
-        fi, gi, sign = vars_.index("xp"), vars_.index("xm"), -1
-    else:
-        fi, gi, sign = vars_.index("xm"), vars_.index("xp"), 1
-
+    Every factor but the input coefficients is a Laurent polynomial, and
+    each term pair's rows are read from the star-row table."""
     def row_of(pair):
-        ef, eg = pair
-        nf, ng = ef[fi], eg[gi]
-        e = [x + y for x, y in zip(ef, eg)]
-        for k, leg in enumerate(_star_legs(nf, ng, reversed_order)):
-            # exponent factor on the differentiated legs; the reversed
-            # ordering uses the full +/- mirror of the standard one (the
-            # printed reversed twin keeps the unswapped indices, which
-            # fails the round-trip oracle)
-            w = 2 * sign * (ef[i3] * (ng - k) + (nf - k) * eg[i3])
-            key = list(e)
-            key[fi] -= k
-            key[gi] -= k
-            key[i3] += 2 * k
-            # the denominator-1 factors first: only the product with the
-            # input coefficients has a denominator to cancel against
-            yield tuple(key), leg * QScalar.q_power(2 * w)
+        return _star_rows(pair[0], pair[1], reversed_order)
 
-    return CFunction(vars_, _apply_rows(_term_pairs(f.terms, g.terms), row_of))
+    return CFunction(E3_VARS, _apply_rows(_term_pairs(f.terms, g.terms), row_of))
 
 
 def star(ctx: StarContext, f: CFunction, g: CFunction) -> CFunction:
@@ -176,8 +196,11 @@ def star_checks(max_degree: int) -> list:
                 if lhs != rhs:
                     assoc.record(f"{ef},{eg},{eh}", str(CFunction(vars_, lhs)), str(CFunction(vars_, rhs)))
 
+    # at q = 1 the product of two unit monomials is the unit monomial of the
+    # summed exponents, which is in mono: the sum keeps the degree bound
     limit = VerificationReport("star-classical-limit", space)
     for e1, e2 in pairs:
-        if table[(e1, e2)].eval_coeffs_exact(1) != (mono[e1] * mono[e2]).eval_coeffs_exact(1):
+        classical = mono[tuple(map(add, e1, e2))]
+        if table[(e1, e2)].eval_coeffs_exact(1) != classical.eval_coeffs_exact(1):
             limit.record(f"{e1},{e2}", "", "")
     return [oracle, assoc, limit]

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,13 +10,15 @@ import qspace
 from qspace import scalars, starcalc
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials
 from qspace.cli import main
-from qspace.ncalgebra import lift, lower, reorder_transform
+from qspace.ncalgebra import lift, lower, reorder_transform, rewrite_strategy
 from qspace.reports import VerificationReport
 from qspace.starcalc import StarContext, star, star_checks
-from qspace.scalars import LAM, ONE, _add_term, qbinom, qnum, qpow
+from qspace.scalars import I, LAM, ONE, Q, QScalar, _add_term, _apply_rows, _term_pairs
+from qspace.scalars import qbinom, qnum, qpow, scalar
 
-# the star-leg table, a live read-only view
+# the star-leg and star-row tables, live read-only views
 STAR_LEGS = qspace.tables()["starcalc.star_legs"]
+STAR_ROWS = qspace.tables()["starcalc.star_rows"]
 CTX = StarContext("euclid3")
 CTX_REV = StarContext("euclid3", "reversed")
 
@@ -113,14 +117,22 @@ def test_star_leg_table_gives_the_same_products_cold_and_warm():
 
 
 def test_star_leg_entries_cannot_be_changed():
-    # every caller shares the table's entries, so they are immutable
+    # every caller shares the tables' entries, so they are immutable: the
+    # legs, each pair's rows and each row
+    f, g = mono((0, 1, 2, 2)), mono((1, 2, 1, 1))
     qspace.clear_tables()
-    want = star(CTX, mono((0, 0, 0, 2)), mono((0, 2, 0, 0)))
-    assert STAR_LEGS
+    want = star(CTX, f, g)
+    assert STAR_LEGS and STAR_ROWS
     for entry in STAR_LEGS.values():
         with pytest.raises(TypeError):
             entry[0] = ONE
-    assert star(CTX, mono((0, 0, 0, 2)), mono((0, 2, 0, 0))) == want
+    for rows in STAR_ROWS.values():
+        assert type(rows) is tuple
+        with pytest.raises(TypeError):
+            rows[0] = ((0, 0, 0, 0), ONE)
+        with pytest.raises(TypeError):
+            rows[0][1] = ONE
+    assert star(CTX, f, g) == want
 
 
 def _direct_legs(nf, ng, a, lam):
@@ -228,19 +240,24 @@ def test_standard_legs_make_no_multi_term_product(monkeypatch):
     assert count == [0]
 
 
+def _engine_star(ordering, f, g):
+    """The star product by the rewrite engine: lower(lift f * lift g) in the
+    standard ordering, conjugated by the ordering transport in the reversed
+    one."""
+    space = "euclid3"
+    if ordering == "standard":
+        return lower(space, lift(space, f) * lift(space, g))
+    fu = reorder_transform(space, f, "to_standard")
+    gu = reorder_transform(space, g, "to_standard")
+    prod = lower(space, lift(space, fu) * lift(space, gu))
+    return reorder_transform(space, prod, "to_reversed")
+
+
 def _full_loop_reports(max_degree):
     """The three star reports by the earlier loops: each pair's engine round
     trip in both orderings, and every triple, x0 or not, by bilinearity from
     the pair table."""
     space = "euclid3"
-
-    def roundtrip(ordering, f, g):
-        if ordering == "standard":
-            return lower(space, lift(space, f) * lift(space, g))
-        fu = reorder_transform(space, f, "to_standard")
-        gu = reorder_transform(space, g, "to_standard")
-        prod = lower(space, lift(space, fu) * lift(space, gu))
-        return reorder_transform(space, prod, "to_reversed")
 
     def combine(parts):
         out = {}
@@ -256,7 +273,7 @@ def _full_loop_reports(max_degree):
         ctx = StarContext(space, ordering)
         for ef, eg in pairs:
             got = star(ctx, mono(ef), mono(eg))
-            want = roundtrip(ordering, mono(ef), mono(eg))
+            want = _engine_star(ordering, mono(ef), mono(eg))
             oracle.compare(f"{ordering}:{ef}*{eg}", got, want)
     pair = {(ef, eg): star(CTX, mono(ef), mono(eg)) for ef, eg in pairs}
     assoc = VerificationReport("star-associativity", space)
@@ -306,3 +323,107 @@ def test_star_checks_report_a_non_central_time_coordinate(monkeypatch):
     assert [f.indices for f in assoc.failures] == skewed_pairs
     assert not oracle.passed and len(oracle.failures) == 330
     assert limit.passed  # q^(2a) is 1 at q = 1
+
+
+def _per_call_rows(ef, eg, reversed_order):
+    """The rows of the unit monomials x^ef and x^eg as star products built
+    them on every call before the row table: each row's key and its leg
+    times q^(2w) made afresh."""
+    i3 = E3_VARS.index("x3")
+    if reversed_order:
+        fi, gi, sign = E3_VARS.index("xp"), E3_VARS.index("xm"), -1
+    else:
+        fi, gi, sign = E3_VARS.index("xm"), E3_VARS.index("xp"), 1
+    nf, ng = ef[fi], eg[gi]
+    e = [x + y for x, y in zip(ef, eg)]
+    rows = []
+    for k, leg in enumerate(starcalc._star_legs(nf, ng, reversed_order)):
+        w = 2 * sign * (ef[i3] * (ng - k) + (nf - k) * eg[i3])
+        key = list(e)
+        key[fi] -= k
+        key[gi] -= k
+        key[i3] += 2 * k
+        rows.append((tuple(key), leg * QScalar.q_power(2 * w)))
+    return tuple(rows)
+
+
+def _per_call_star(f, g, reversed_order):
+    """The star product applying the per-call rows of each term pair."""
+    rows = _apply_rows(_term_pairs(f.terms, g.terms), lambda p: _per_call_rows(*p, reversed_order))
+    return CFunction(E3_VARS, rows)
+
+
+# every monomial pair of total degree <= 6, the pairs of `verify star --degree 6`
+_MONOS_6 = _monomials(E3_VARS, 6, False)
+_PAIRS_6 = [(ef, eg) for ef in _MONOS_6 for eg in _MONOS_6 if sum(ef) + sum(eg) <= 6]
+
+
+def test_star_rows_match_the_per_call_formula_up_to_degree_six():
+    # x3 powers included, and both orderings of each pair one after the
+    # other: a table key without the ordering would hand the second
+    # ordering the first one's rows
+    assert len(_PAIRS_6) == 3003
+    qspace.clear_tables()
+    for ef, eg in _PAIRS_6:
+        for ctx, rev in ((CTX, False), (CTX_REV, True)):
+            want = _per_call_rows(ef, eg, rev)
+            assert star(ctx, mono(ef), mono(eg)).terms == dict(want), (ef, eg, rev)
+            assert STAR_ROWS.get((ef, eg, rev)) == want, (ef, eg, rev)
+
+
+# Fraction and Gaussian coefficients, with and without q
+_SEEDED_COEFFS = (
+    scalar(Fraction(2, 3)),
+    scalar(Fraction(-5, 7)) + I,
+    (ONE + 2 * I) / (ONE + Q),
+    qpow(-2) * Fraction(3, 4) - I,
+)
+
+
+def test_star_matches_the_engine_on_seeded_pairs_of_degree_five_and_six():
+    # beyond the suite's default degree 4: three-term factors of degree 3
+    # by degree 2 or 3, so every term pair has degree 5 or 6
+    rng = random.Random(4606)
+    of_degree = {d: [e for e in _MONOS_6 if sum(e) == d] for d in (2, 3)}
+
+    def poly(d):
+        terms = [mono(rng.choice(of_degree[d]), rng.choice(_SEEDED_COEFFS)) for _ in range(3)]
+        return sum(terms[1:], terms[0])
+
+    for n in range(6):
+        f, g = poly(3), poly(2 + n % 2)
+        for ordering in ("standard", "reversed"):
+            got = star(StarContext("euclid3", ordering), f, g)
+            assert got == _engine_star(ordering, f, g), (str(f), str(g), ordering)
+
+
+def test_x3_free_rows_hold_the_legs_themselves():
+    # q^0 times a leg is the leg, so an x3-free pair's rows share the leg
+    # table's objects: star "xm^100" "xp^100" holds one copy of its legs
+    xp, x3, xm = map(E3_VARS.index, ("xp", "x3", "xm"))
+    pairs = [(ef, eg) for ef, eg in _PAIRS_6 if not ef[x3] and not eg[x3]]
+    pairs.append(((0, 0, 0, 30), (0, 30, 0, 0)))
+    qspace.clear_tables()
+    for ef, eg in pairs:
+        # the legs' key: the contracted exponents of f and of g
+        for ctx, rev, fi, gi in ((CTX, False, xm, xp), (CTX_REV, True, xp, xm)):
+            star(ctx, mono(ef), mono(eg))
+            legs = STAR_LEGS[(ef[fi], eg[gi], rev)]
+            rows = STAR_ROWS[(ef, eg, rev)]
+            assert len(rows) == len(legs)
+            assert all(c is leg for (_, c), leg in zip(rows, legs)), (ef, eg, rev)
+
+
+def test_star_is_the_per_call_product_cold_warm_and_under_rightmost():
+    f = mono((0, 1, 2, 2), scalar(Fraction(1, 2))) + mono((1, 0, 1, 3), 2 + 3 * I) - mono((0, 2, 0, 1))
+    g = mono((0, 3, 1, 1), (ONE - 2 * I) / (ONE + Q)) + mono((0, 2, 2, 0)) + mono((2, 1, 0, 0), qpow(3))
+    for ctx, rev in ((CTX, False), (CTX_REV, True)):
+        want = _per_call_star(f, g, rev)
+        qspace.clear_tables()
+        cold = star(ctx, f, g)
+        warm = star(ctx, f, g)
+        with rewrite_strategy("rightmost"):
+            assert not STAR_ROWS
+            rightmost = [star(ctx, f, g), star(ctx, f, g)]
+        assert [cold, warm, *rightmost] == [want] * 4
+        assert {str(p) for p in (cold, warm, *rightmost)} == {str(want)}

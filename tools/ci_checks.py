@@ -30,6 +30,7 @@ BROKEN_PRODUCT_REPORTS = ROOT / "tools" / "reference" / "broken_product_evolutio
 BROKEN_PROJECTOR_REPORTS = ROOT / "tools" / "reference" / "broken_projector_reports.json"
 BROKEN_CLOSED_ACTION_REPORTS = ROOT / "tools" / "reference" / "broken_closed_action_reports.json"
 TAIL_REFERENCE = ROOT / "tools" / "reference" / "verify_tail_degree6.json"
+STAR_TWICE_REFERENCE = ROOT / "tools" / "reference" / "star_products_twice.txt"
 QSPACE = [sys.executable, "-m", "qspace.cli"]
 
 
@@ -242,6 +243,31 @@ qfunc.act_partial_closed = act_partial_closed
 sys.exit(main(["verify", "oracle-actions", "--json"]))
 """)
 
+# multi-term star products with x3 powers and Gaussian and rational
+# coefficients, in both orderings, run twice in one process: the second
+# run reads every monomial pair's rows from the table the first one filled.
+# The runs must print the same text, and both must print the recorded one
+STAR_TWICE = python("""
+import io, sys
+from contextlib import redirect_stdout
+from qspace.cli import main
+PAIRS = [
+    ("1/2 x3 xm^2 + (2 + 3 i) xm^3 x3^2 - x0 xp xm", "xp^2 x3 + 2/3 xp^3 xm + i x3^2 xp"),
+    ("q^2/(q + 1) xp x3 + xp^2 x0 xm", "(1 - 2 i)/5 xm^2 x3 - xm xp"),
+    ("xm^4 xp^2 + x3^3 - xm xp", "xp^4 xm^2 - 3/7 x3 xp + xm xp"),
+]
+runs = []
+for _ in range(2):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for f, g in PAIRS:
+            for ordering in ([], ["--reversed"]):
+                assert main(["star", f, g, *ordering]) == 0
+    runs.append(out.getvalue())
+assert runs[0] == runs[1], "the second run differs from the first"
+sys.stdout.write(runs[0] + runs[1])
+""")
+
 LIGHT_IMPORT = python(
     "import sys, qspace.cli; heavy = {'qspace.suites', 'qspace.evolution', 'qspace.rmatrix'}"
     " & set(sys.modules); assert not heavy, heavy")
@@ -297,6 +323,8 @@ def checks():
     yield "bad input exits 2 at once, with no hang or traceback", usage_errors
     yield ("star of a top power by a coordinate stays within its time target",
            lambda: expect_exit(QSPACE + ["star", "xm^10000", "xp"], 0, 5))
+    yield ("star products run twice in one process match each other and the reference",
+           lambda: expect_exit(STAR_TWICE, 0, 30, output=STAR_TWICE_REFERENCE.read_bytes()))
     yield ("every action-mode and exponential spelling of the CLI exits 0",
            lambda: expect_exit(SPELLINGS, 0))
     yield ("the benchmark's memo read-back check passes on its own",
