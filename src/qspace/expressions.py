@@ -34,7 +34,7 @@ import re
 
 from .cfunc import CFunction, space_vars
 from .grassmann import GElement
-from .ncalgebra import NCElement, _add_normal_form, hat_factor
+from .ncalgebra import NCElement, _normalize_word, hat_factor
 from .scalars import I, LAM, LAMP, ONE, Q, QScalar, _add_term, _memo, _memoized, scalar
 from .spaces import HAT_D_TOKENS, KEY_LAYOUT, PRINT_NAMES
 
@@ -162,7 +162,8 @@ class _Parser:
         elif kind == "c":
             _add_term(terms, key, coeff)
         else:
-            _add_normal_form(terms, self.space, "u", tuple(key), coeff)
+            for k, c in _normalize_word(self.space, "u", tuple(key)).items():
+                _add_term(terms, k, coeff * c)
 
     # -- grammar -------------------------------------------------------------
 

@@ -5,7 +5,8 @@ the coordinate generators, the partial derivatives, and the scaling operator.
 Normal ordering, products, derivative actions (all four one-sided variants),
 conjugation, and the transport between the two coordinate orderings all run
 through one engine: memoized insertion of one token run at a time into an
-already normal-ordered word, driven by adjacent-pair rewrite rules.
+already normal-ordered word, driven by adjacent-pair rewrite rules.  One
+loop, _normal_forms, takes every word and family of words to normal form.
 
 A normal-ordered word holds each generator in one run, so the engine keeps
 it as a count key read in its rule set's rank order: a word is a tuple of
@@ -396,24 +397,6 @@ def _runs_of_word(word):
     return runs
 
 
-def _normal_runs(space, calculus, runs):
-    """Normal form {stored key: QScalar} of the word with runs [(tag, n)].
-
-    Under 'rightmost' the reversed word is normal-ordered on the opposite
-    rule set.  The rule sets resolve every overlap (a tested property), so
-    the insertion order does not change the result (Bergman's diamond
-    lemma, Adv. Math. 29 (1978) 178)."""
-    rightmost = _STRATEGY.get() == "rightmost"
-    rs = _ruleset(space, calculus, rightmost)
-    rank = rs.rank
-    terms = {rs.zero: ONE}
-    for tag, n in (reversed(runs) if rightmost else runs):
-        if n:
-            terms = _fold(rs, terms, rank[tag], n)
-    to_key = rs.to_key
-    return {to_key(w): c for w, c in terms.items()}
-
-
 def _normalize_word(space, calculus, word):
     """Rewrite an arbitrary token word to its normal form {stored key:
     QScalar}, through the whole-word memo."""
@@ -421,37 +404,51 @@ def _normalize_word(space, calculus, word):
     hit = _NF_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    result = _normal_runs(space, calculus, _runs_of_word(word))
+    result = _normal_forms(space, calculus, [_runs_of_word(word)])[0]
     if len(word) <= _NF_CACHE_MAX_LEN:
         _remember(_NF_CACHE, cache_key, result)
     return result
 
 
 def _normal_forms(space, calculus, words):
-    """The normal forms {stored key: QScalar} of a family of token words,
-    in order.  Each word is one _fold of its last token onto its prefix's
-    normal form, and the prefixes are kept in a table that lives for this
-    call only, so words sharing a prefix share its folds.  The rule sets
-    resolve every overlap, so a fold onto the prefix's normal form is the
-    whole word's normal form (Bergman's diamond lemma, as in _normal_runs).
-    Under 'rightmost' the reversed words are folded on the opposite rule
-    set, so each word is its first token folded onto its suffix's form."""
+    """The normal forms {stored key: QScalar} of a family of words, in
+    order; a token is a tag or a run (tag, n), and a run with n = 0 is
+    skipped.  The engine's only path from a word to its normal form.
+
+    Each token is one _fold onto the normal form of the tokens before it.
+    The rule sets resolve every overlap, so the insertion order does not
+    change the result (Bergman's diamond lemma, Adv. Math. 29 (1978) 178):
+    under 'rightmost' the reversed words are folded on the opposite rule
+    set, and a word sharing a prefix with an earlier one of the call starts
+    from that prefix's form.  The prefixes live in a trie for this call
+    only; the last word records none, so a one-word call keeps no table."""
     rightmost = _STRATEGY.get() == "rightmost"
     rs = _ruleset(space, calculus, rightmost)
     rank, to_key = rs.rank, rs.to_key
-    made = {(): {rs.zero: ONE}}
+    root = ({rs.zero: ONE}, {})
+    last = len(words) - 1
     out = []
-    for word in words:
-        word = tuple(reversed(word)) if rightmost else tuple(word)
-        # the longest prefix made so far, then one fold per token after it
-        i = len(word)
-        while word[:i] not in made:
-            i -= 1
-        terms = made[word[:i]]
-        for j in range(i, len(word)):
-            tok = word[j]
-            tag, n = tok if isinstance(tok, tuple) else (tok, 1)
-            terms = made[word[:j + 1]] = _fold(rs, terms, rank[tag], n)
+    for i, word in enumerate(words):
+        terms, kids = root
+        for tok in reversed(word) if rightmost else word:
+            if kids is not None:
+                hit = kids.get(tok)
+                if hit is not None:
+                    terms, kids = hit
+                    continue
+            tag, n = tok if tok.__class__ is tuple else (tok, 1)
+            if n:
+                try:
+                    t = rank[tag]
+                except KeyError:
+                    raise SpaceMismatch(
+                        f"generator {tag!r} does not live on space {space!r}") from None
+                terms = _fold(rs, terms, t, n)
+            if i < last:
+                node = kids[tok] = (terms, {})
+                kids = node[1]
+            else:
+                kids = None
         out.append({to_key(w): c for w, c in terms.items()})
     return out
 
@@ -459,12 +456,6 @@ def _normal_forms(space, calculus, words):
 def _runs_of_key(space, key):
     """A stored key as the runs [(tag, n)] of its word."""
     return [(tag, n) for tag, n in zip(_KEY_TAGS[space], key) if n]
-
-
-def _add_normal_form(terms, space, calculus, word, coeff):
-    """Accumulate coeff times the normal form of word into terms."""
-    for key, c in _normalize_word(space, calculus, word).items():
-        _add_term(terms, key, coeff * c)
 
 
 class NCElement(_LinComb):
@@ -521,16 +512,7 @@ class NCElement(_LinComb):
     @staticmethod
     def from_word(space, word, coeff=ONE):
         """Normal-order an arbitrary word of generator tags."""
-        known = set(KEY_LAYOUT[space])
-        for tok in word:
-            tag = tok[0] if isinstance(tok, tuple) else tok
-            if tag != _LAM_TAG and tag not in known:
-                raise SpaceMismatch(
-                    f"generator {tag!r} does not live on space {space!r}"
-                )
-        out = NCElement(space)
-        _add_normal_form(out.terms, space, "u", tuple(word), coeff)
-        return out
+        return normalize_in_calculus(space, "u", word, coeff)
 
     # -- ring structure -----------------------------------------------------
 
@@ -544,7 +526,7 @@ class NCElement(_LinComb):
         def row_of(pair):
             k1, k2 = pair
             word = _runs_of_key(space, k1) + _runs_of_key(space, k2)
-            return _normal_runs(space, "u", word).items()
+            return _normal_forms(space, "u", [word])[0].items()
 
         return NCElement(space, _apply_rows(_term_pairs(self.terms, other.terms), row_of))
 
@@ -679,7 +661,7 @@ def _transport_image(space, name, key):
             if f is not ONE:
                 coeff = coeff * f ** n
             runs.append((image, n))
-        return tuple((k, coeff * c) for k, c in _normal_runs(space, "u", runs).items())
+        return tuple((k, coeff * c) for k, c in _normal_forms(space, "u", [runs])[0].items())
     xs = X_TOKENS[space]
     if name == "to_reversed":
         # the standard word in the reversed basis: the "to_standard" rows of
@@ -689,7 +671,7 @@ def _transport_image(space, name, key):
         rows = _transport_image(space, "to_standard", swap(key))
         return tuple((swap(k), c.subs_q_inverse()) for k, c in rows)
     # the reversed-ordering word the exponents denote
-    nf = _normal_runs(space, "u", [(x, key[xs.index(x)]) for x in REVERSED[space]])
+    nf = _normal_forms(space, "u", [[(x, key[xs.index(x)]) for x in REVERSED[space]]])[0]
     return tuple((k[:len(key)], c) for k, c in nf.items())
 
 
@@ -850,5 +832,6 @@ def normalize_in_calculus(space, calculus, word, coeff=ONE):
     keys are read against the *stored* token names."""
     check_option("calculus", calculus, ("u", "h"))
     out = NCElement(space)
-    _add_normal_form(out.terms, space, calculus, tuple(word), coeff)
+    for k, c in _normalize_word(space, calculus, tuple(word)).items():
+        _add_term(out.terms, k, coeff * c)
     return out

@@ -21,7 +21,7 @@ from qspace.ncalgebra import (
 )
 from qspace.scalars import I, LAM, LAMP, ONE, QScalar, _add_term, qpow
 from qspace.spaces import KEY_LAYOUT, SPATIAL_D
-from test_engine_oracle import resolve, reversed_basis, word_of_key
+from test_engine_oracle import oracle_normal_form, resolve, reversed_basis, word_of_key
 
 LL = LAM * LAMP
 
@@ -82,8 +82,17 @@ def test_multiply_examples():
 
 
 def test_mixed_space_rejected():
-    with pytest.raises(SpaceMismatch):
-        NCElement.generator("line", "x1") * NCElement.generator("euclid3", "xp")
+    # a product across spaces, and a word holding a tag of the other space
+    # (or, in the hatted calculus, a derivative of the other space)
+    for make in (
+        lambda: NCElement.generator("line", "x1") * NCElement.generator("euclid3", "xp"),
+        lambda: NCElement.from_word("line", ("xp",)),
+        lambda: normalize_in_calculus("euclid3", "u", ("x1",)),
+        lambda: normalize_in_calculus("line", "h", ("dp",)),
+        lambda: normalize_in_calculus("line", "u", ("x1", ("dm", 2))),
+    ):
+        with pytest.raises(SpaceMismatch):
+            make()
 
 
 def test_derivative_relations_as_rewrites():
@@ -676,12 +685,26 @@ def test_one_action_map_applied_to_many_functions_matches_act():
     assert lam_runs >= 10
 
 
+def _oracle_word(word):
+    """A word of tags and runs (tag, n) as the token engine's word: each run
+    spelled out, the scaling operator's half-steps kept as one token."""
+    out = []
+    for tok in word:
+        tag, n = tok if isinstance(tok, tuple) else (tok, 1)
+        if tag == "L":
+            out += [tok] if n else []
+        else:
+            out += [tag] * n
+    return tuple(out)
+
+
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
 def test_prefix_shared_normal_forms_match_whole_words(strategy):
-    # every word of a family against its own normal ordering: the star
-    # checks' pairs of standard words up to degree 6, the exponentials'
-    # derivative words up to degree 8, plain and hatted, and random words
-    # with Lambda runs in both calculi, each family in a shuffled order too
+    # every word of a family against the token engine: the star checks'
+    # pairs of standard words up to degree 6, the exponentials' derivative
+    # words up to degree 8, plain and hatted, and random words of tags and
+    # runs (tag, n), n = 0 among them, in both calculi; each family in a
+    # shuffled order too, and each word alone
     from qspace.cfunc import _monomials
     from qspace.spaces import D_TOKENS, HAT_D_TOKENS, REVERSED, X_TOKENS
 
@@ -700,19 +723,23 @@ def test_prefix_shared_normal_forms_match_whole_words(strategy):
         families.append((space, "u", words_of(space, REVERSED[space], D_TOKENS[space], monos8)))
         families.append((space, "u", words_of(space, vars_, HAT_D_TOKENS[space], monos8)))
         for calculus in ("u", "h"):
-            pool = list(_nc.X_TOKENS[space]) + list(_nc.D_TOKENS[space]) + [("L", 1), ("L", -2)]
+            tags = list(_nc.X_TOKENS[space]) + list(_nc.D_TOKENS[space])
+            pool = tags + [(t, n) for t in tags for n in (0, 2, 3)]
+            pool += [("L", 1), ("L", -2), ("L", 0)]
             words = [tuple(rng.choice(pool) for _ in range(rng.randint(0, 6))) for _ in range(60)]
             prefixes = [w[:i] for w in words[:20] for i in range(len(w))]
             families.append((space, calculus, words + prefixes))
     assert len(families[0][2]) == 3003
     with _nc.rewrite_strategy(strategy):
         for space, calculus, words in families:
-            want = [normalize_in_calculus(space, calculus, w).terms for w in words]
+            want = [oracle_normal_form(space, calculus, _oracle_word(w)) for w in words]
             assert _nc._normal_forms(space, calculus, words) == want, (space, calculus)
             order = list(range(len(words)))
             rng.shuffle(order)
             got = _nc._normal_forms(space, calculus, [words[i] for i in order])
             assert got == [want[i] for i in order], (space, calculus)
+            for i in rng.sample(range(len(words)), 20):
+                assert _nc._normal_forms(space, calculus, [words[i]]) == [want[i]], words[i]
 
 
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])

@@ -123,7 +123,7 @@ ALLOWED_PRIVATE = {
     "ncalgebra._act_map": "the action map, applied to many functions and compared with act",
     "ncalgebra._build_xx_rules": "the coordinate rules, checked against the printed relations",
     "ncalgebra._lam_weight": "the scaling weights the token engine oracle applies",
-    "ncalgebra._normal_forms": "the prefix-shared normal forms, compared with from_word",
+    "ncalgebra._normal_forms": "the normal-ordering loop, compared with the token engine",
     "ncalgebra._ruleset": "a rule set whose own memos a test reads",
     "ncalgebra._transition": "the coordinate rules' transition, checked against the relations",
     "ncalgebra._transport": "the mirror transport, compared with the token engine",

@@ -302,6 +302,13 @@ def expect_exit(argv, code, limit=None, env=None, output=None):
     return None
 
 
+def same_output(first, second, limit):
+    """None when first and second each exit 0 within limit seconds and
+    first prints what second prints, else what went wrong."""
+    code, out = run(second, limit)
+    return expect_exit(second, 0, limit) if code != 0 else expect_exit(first, 0, limit, output=out)
+
+
 def usage_errors():
     for argv in USAGE_ERRORS:
         problem = expect_exit(QSPACE + argv, 2, 5)
@@ -323,6 +330,12 @@ def checks():
     yield "bad input exits 2 at once, with no hang or traceback", usage_errors
     yield ("star of a top power by a coordinate stays within its time target",
            lambda: expect_exit(QSPACE + ["star", "xm^10000", "xp"], 0, 5))
+    # the parenthesized factors meet in the element product, which
+    # normal-orders its one row word alone; the plain word goes through
+    # _normalize_word and its whole-word memo; each takes about 0.2 s on a
+    # 2-core host
+    yield ('nf "(Xm^2000)(Xp)" prints what nf "Xm^2000 Xp" prints, within its time target',
+           lambda: same_output(QSPACE + ["nf", "(Xm^2000)(Xp)"], QSPACE + ["nf", "Xm^2000 Xp"], 5))
     yield ("star products run twice in one process match each other and the reference",
            lambda: expect_exit(STAR_TWICE, 0, 30, output=STAR_TWICE_REFERENCE.read_bytes()))
     yield ("every action-mode and exponential spelling of the CLI exits 0",
