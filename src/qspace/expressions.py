@@ -24,6 +24,10 @@ factors multiply one coefficient, its coordinate powers add into one
 exponent vector, and its generators form one word that is normal-ordered
 once.  Parenthesised values and Grassmann generators multiply as elements,
 in order.
+
+``parse`` keeps each (text, space) it parsed in the registered table
+``expressions.parsed`` as an immutable snapshot and builds a new Value,
+with a new element, from it on every call.
 """
 
 from __future__ import annotations
@@ -406,9 +410,27 @@ def _lambda_steps(fkind, data):
     return None
 
 
+@_memoized(_memo("expressions.parsed"))
+def _parsed(text, space):
+    """(kind, snapshot) of the parse of text on space: a scalar as itself,
+    an element as (class, frame, term items), so the table shares no dict
+    with any caller.  A ParseError stores nothing."""
+    value = _Parser(text, space).parse()
+    data = value.data
+    if value.kind != "scalar":
+        data = (type(data), data._frame(), tuple(data.terms.items()))
+    return value.kind, data
+
+
 def parse(text: str, space: str = "euclid3") -> Value:
-    """Parse an expression; returns a tagged Value."""
-    return _Parser(text, space).parse()
+    """Parse an expression; returns a tagged Value, with a new element and
+    its own terms dict on every call, cold or warm."""
+    kind, data = _parsed(text, space)
+    if kind != "scalar":
+        cls, frame, items = data
+        data = cls(*frame)
+        data.terms = dict(items)
+    return Value(kind, data)
 
 
 def render(value: Value, q_value=None) -> str:

@@ -384,12 +384,29 @@ def _fill(rs, head, t):
     return terms
 
 
+def _check_power(tag, power):
+    """Raise generator's error when tag cannot take power: not an int, or
+    negative on any generator but the scaling operator."""
+    if not isinstance(power, int):
+        raise TypeError(f"power of generator {tag!r} must be an int, not {power!r}")
+    if power < 0 and tag != _LAM_TAG:
+        raise ValueError(f"negative power {power} of generator {tag!r}")
+
+
 def _runs_of_word(word):
-    """A token word as runs [(tag, n)]; adjacent scaling-operator tokens
-    merge into one run whose n is the summed half-step exponent."""
+    """A token word as runs [(tag, n)]; adjacent tokens of one tag merge
+    into one run whose n is the summed count (in half-steps for the scaling
+    operator).  Every caller's word passes here (the engine's own runs come
+    from stored keys), so each run token's count is checked here as
+    generator checks a power, before a merge could hide a negative count in
+    a sum."""
     runs = []
     for tok in word:
-        tag, n = tok if isinstance(tok, tuple) else (tok, 1)
+        if isinstance(tok, tuple):
+            tag, n = tok
+            _check_power(tag, n)
+        else:
+            tag, n = tok, 1
         if runs and runs[-1][0] == tag:
             runs[-1] = (tag, runs[-1][1] + n)
         else:
@@ -495,16 +512,13 @@ class NCElement(_LinComb):
     def generator(space, tag, power=1):
         """The generator tag to an int power; the scaling operator's power
         counts half-steps and may be negative."""
-        if not isinstance(power, int):
-            raise TypeError(f"power of generator {tag!r} must be an int, not {power!r}")
+        _check_power(tag, power)
         if tag == _LAM_TAG:
             k = (0,) * len(KEY_LAYOUT[space]) + (power,)
             return NCElement(space, {k: ONE})
         layout = KEY_LAYOUT[space]
         if tag not in layout:
             raise ValueError(f"unknown generator {tag!r} for space {space!r}")
-        if power < 0:
-            raise ValueError(f"negative power {power} of generator {tag!r}")
         key = [0] * len(layout) + [0]
         key[layout.index(tag)] = power
         return NCElement(space, {tuple(key): ONE})

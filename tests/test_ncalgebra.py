@@ -49,6 +49,32 @@ def test_generator_rejects_a_power_that_is_not_an_int(tag, power):
         NCElement.generator(space, tag, power)
 
 
+_WORD_ENTRIES = (
+    lambda space, word: normal_form(space, word),
+    lambda space, word: NCElement.from_word(space, word),
+    lambda space, word: normalize_in_calculus(space, "u", word),
+    lambda space, word: normalize_in_calculus(space, "h", word),
+)
+
+
+@pytest.mark.parametrize("entry", _WORD_ENTRIES)
+def test_a_run_token_takes_the_powers_generator_takes(entry):
+    # a negative count, on any generator but L, raises generator's
+    # ValueError, also next to a run of the same tag it would merge with
+    for word in ([("xp", -1)], [("dm", -2)], ["x3", ("xp", -1), ("xp", 2)], [("x3", 2), ("x3", -1)]):
+        with pytest.raises(ValueError, match=r"negative power -\d of generator"):
+            entry("euclid3", word)
+    # a count that is not an int raises its TypeError
+    for space, word in (("euclid3", [("xp", 1.5)]), ("euclid3", [("L", 1.5)]),
+                        ("line", ["x1", ("d1", 2.0)]), ("line", [("x1", "2")])):
+        with pytest.raises(TypeError, match=r"power of generator '\w+' must be an int, not "):
+            entry(space, word)
+    # L takes any half-step, and a zero count is the empty word
+    assert str(entry("line", [("L", -3)])) == "L^(-3/2)"
+    assert entry("line", [("L", -3), ("L", 1), "x1"]) == entry("line", [("L", -2), "x1"])
+    assert entry("euclid3", [("xp", 0)]) == NCElement.one("euclid3")
+
+
 def test_printed_rewrites():
     assert nf("euclid3", "x3", "xp") == nf("euclid3", "xp", "x3").scale(qpow(2))
     e = nf("euclid3", "dp", "xp")

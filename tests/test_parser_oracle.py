@@ -16,6 +16,10 @@ corpus (other blanks, digits of other scripts, stray characters, cut tails)
 is also run through the replaced parser over the tokenizer that came next,
 restated below, which found every position with one finditer pass: both
 must raise the same errors at the same positions.
+
+The last tests read the parse table, ``expressions.parsed``, through
+``qspace.tables()``: a warm parse must equal the cold one and still hand
+out a new element that no caller's change can reach back into the table.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import re
 
 import pytest
 
+import qspace
 from qspace import expressions
 from qspace.cfunc import CFunction, space_vars
 from qspace.grassmann import GElement
@@ -561,3 +566,106 @@ def test_deliberate_differences():
     assert str(oracle_parse("(L^2)^-1", "euclid3").data) == "L^-1"
     assert str(expressions.parse("(L^2)^-1", "euclid3").data) == "L^-2"
     assert str(expressions.parse("(L^(1/2))^3", "euclid3").data) == "L^(3/2)"
+
+
+# -- the parse table ---------------------------------------------------------
+
+
+def _parsed_table():
+    return qspace.tables()["expressions.parsed"]
+
+
+def _corpus_outcomes():
+    """(outcome, data) of every corpus text; data is None after an error."""
+    out = []
+    for space, text in _corpus(11, 320) + _corpus(12, 320):
+        try:
+            v = expressions.parse(text, space)
+        except (ValueError, ArithmeticError) as exc:
+            out.append((("error", type(exc).__name__, str(exc)), None))
+        else:
+            out.append(((v.kind, str(v.data)), v.data))
+    return out
+
+
+def test_warm_parses_match_cold_ones_and_are_new_elements():
+    qspace.clear_tables()
+    cold = _corpus_outcomes()
+    stored = len(_parsed_table())
+    assert stored > 100
+    warm = _corpus_outcomes()
+    again = _corpus_outcomes()
+    assert len(_parsed_table()) == stored
+    kinds = set()
+    for (c, cdata), (w, wdata), (_, adata) in zip(cold, warm, again):
+        assert w == c
+        assert wdata == cdata
+        kinds.add(c[0])
+        if c[0] in ("c", "nc", "g"):
+            assert wdata is not cdata and adata is not wdata
+            assert wdata.terms is not cdata.terms and adata.terms is not wdata.terms
+    assert kinds == {"scalar", "c", "nc", "g"}
+
+
+@pytest.mark.parametrize("space,text", [
+    ("euclid3", "(1 + q) Xp Xm^2 dh3 - lambda L^-1 X3"),
+    ("line", "q^-1 x0 x1^2 + 2 x1^3"),
+    ("line", "th0 th1 + dth0"),
+    ("euclid3", "Xm Xp - Xm Xp + 3"),
+])
+def test_changing_a_parsed_element_leaves_the_next_parse_unchanged(space, text):
+    want = expressions.parse(text, space)
+    shown = str(want.data)
+    got = expressions.parse(text, space)
+    got.data.terms.clear()
+    assert expressions.parse(text, space).data == want.data
+    got = expressions.parse(text, space)
+    got.data.terms[("planted",)] = ONE
+    for k in list(got.data.terms):
+        got.data.terms[k] = ONE
+    assert expressions.parse(text, space).data == want.data
+    assert str(expressions.parse(text, space).data) == shown
+
+
+@pytest.mark.parametrize("space,text", [
+    ("euclid3", "Xp Xm +"),
+    ("line", "x0 (1 + q"),
+    ("euclid3", "q^(1/3)"),
+    ("line", "1/(q - q)"),
+])
+def test_a_malformed_text_raises_the_same_error_and_stores_nothing(space, text):
+    expressions.parse("Xp", "euclid3")  # the table is not empty
+    size = len(_parsed_table())
+    errors = []
+    for _ in range(3):
+        with pytest.raises(expressions.ParseError) as info:
+            expressions.parse(text, space)
+        errors.append((str(info.value), info.value.pos))
+    assert errors[0] == errors[1] == errors[2]
+    assert len(_parsed_table()) == size
+
+
+def test_table_entries_are_tuples():
+    for space, text in (("line", "x0 x1 + q"), ("euclid3", "Xp dhm"), ("line", "th0"),
+                        ("euclid3", "lambda")):
+        expressions.parse(text, space)
+    table = _parsed_table()
+    assert table
+    for entry in table.values():
+        assert type(entry) is tuple
+        with pytest.raises(TypeError):
+            entry[0] = None
+        kind, data = entry
+        if kind != "scalar":
+            assert type(data) is tuple and type(data[2]) is tuple
+            with pytest.raises(TypeError):
+                data[2] = ()
+
+
+def test_a_name_reads_against_the_space_it_is_parsed_on():
+    for _ in range(2):
+        line = expressions.parse("x0", "line").data
+        e3 = expressions.parse("x0", "euclid3").data
+        assert line.vars == tuple(space_vars("line"))
+        assert e3.vars == tuple(space_vars("euclid3"))
+        assert line.vars != e3.vars

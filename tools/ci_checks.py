@@ -17,6 +17,7 @@ One line per check; exit code 0 when every check passes, 1 otherwise.
 from __future__ import annotations
 
 import difflib
+import itertools
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ BROKEN_PROJECTOR_REPORTS = ROOT / "tools" / "reference" / "broken_projector_repo
 BROKEN_CLOSED_ACTION_REPORTS = ROOT / "tools" / "reference" / "broken_closed_action_reports.json"
 TAIL_REFERENCE = ROOT / "tools" / "reference" / "verify_tail_degree6.json"
 STAR_TWICE_REFERENCE = ROOT / "tools" / "reference" / "star_products_twice.txt"
+PARSE_TWICE_REFERENCE = ROOT / "tools" / "reference" / "queries_parsed_twice.txt"
 QSPACE = [sys.executable, "-m", "qspace.cli"]
 
 
@@ -268,6 +270,38 @@ assert runs[0] == runs[1], "the second run differs from the first"
 sys.stdout.write(runs[0] + runs[1])
 """)
 
+# nf, d, translate and star queries (half powers of q, lambda, (1 + q),
+# L^-1, hatted derivatives, sums that cancel, and a text that does not
+# parse) run twice in one process: the second run reads every parse from
+# the table the first one filled.  The runs must print the same text, and
+# both must print the recorded one
+PARSE_TWICE = python("""
+import io, sys
+from contextlib import redirect_stderr, redirect_stdout
+from qspace.cli import main
+QUERIES = [
+    (0, ["nf", "q^(1/2) Xm dhp Xp + lambda L^-1 X3"]),
+    (0, ["nf", "(1 + q) dh3 X3 - (1 + q) dh3 X3 + L^-1 Xp dhm"]),
+    (0, ["nf", "Xm Xp - Xm Xp"]),
+    (0, ["nf", "dh1 X1^2 L^-1 + q^(-1/2) L", "--space", "line"]),
+    (0, ["d", "q^(1/2) x1^2 x0 + lambda x1", "--index", "1", "--variant", "left_bar",
+         "--space", "line"]),
+    (0, ["d", "(1 + q) xp x3^2 xm - lambda xm", "--index", "m", "--variant", "right"]),
+    (0, ["translate", "(1 + q) x3^2 xp + q^(1/2) xm - q x3^2 xp - x3^2 xp", "--variant", "L"]),
+    (0, ["star", "lambda xp x3 + q^(1/2) xm", "(1 + q) x3^2 - q x3^2 - x3^2 + xm"]),
+    (2, ["nf", "lambda Xp (1 + q"]),
+]
+runs = []
+for _ in range(2):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(out):
+        for code, argv in QUERIES:
+            assert main(argv) == code, argv
+    runs.append(out.getvalue())
+assert runs[0] == runs[1], "the second run differs from the first"
+sys.stdout.write(runs[0] + runs[1])
+""")
+
 LIGHT_IMPORT = python(
     "import sys, qspace.cli; heavy = {'qspace.suites', 'qspace.evolution', 'qspace.rmatrix'}"
     " & set(sys.modules); assert not heavy, heavy")
@@ -285,6 +319,18 @@ def run(argv, limit=None, env=None):
     return proc.returncode, proc.stdout
 
 
+# a failing comparison shows at most this many diff lines, each cut to this
+# many characters
+DIFF_LINES, DIFF_WIDTH = 12, 160
+
+
+def _clip(line):
+    """A diff line cut to DIFF_WIDTH characters, marked where it was cut."""
+    if len(line) <= DIFF_WIDTH:
+        return line
+    return f"{line[:DIFF_WIDTH]} [cut: {len(line) - DIFF_WIDTH} more characters]"
+
+
 def expect_exit(argv, code, limit=None, env=None, output=None):
     """None when argv exits with code within limit seconds (and prints
     output, if given), else what went wrong."""
@@ -298,7 +344,8 @@ def expect_exit(argv, code, limit=None, env=None, output=None):
     if output is not None and out != output:
         diff = difflib.unified_diff(output.decode().splitlines(), out.decode().splitlines(),
                                     "reference", "output", lineterm="", n=0)
-        return "output differs from the reference:\n" + "\n".join(list(diff)[:12])
+        return "output differs from the reference:\n" + "\n".join(
+            _clip(line) for line in itertools.islice(diff, DIFF_LINES))
     return None
 
 
@@ -338,6 +385,8 @@ def checks():
            lambda: same_output(QSPACE + ["nf", "(Xm^2000)(Xp)"], QSPACE + ["nf", "Xm^2000 Xp"], 5))
     yield ("star products run twice in one process match each other and the reference",
            lambda: expect_exit(STAR_TWICE, 0, 30, output=STAR_TWICE_REFERENCE.read_bytes()))
+    yield ("queries run twice in one process match each other and the reference",
+           lambda: expect_exit(PARSE_TWICE, 0, 30, output=PARSE_TWICE_REFERENCE.read_bytes()))
     yield ("every action-mode and exponential spelling of the CLI exits 0",
            lambda: expect_exit(SPELLINGS, 0))
     yield ("the benchmark's memo read-back check passes on its own",
