@@ -198,12 +198,9 @@ def _cmd_verify(args):
 
 
 def _cmd_nf(args):
-    from .expressions import Value, parse
+    from .expressions import parse
 
-    v = parse(args.expr, args.space)
-    if v.kind == "c":
-        v = Value("c", v.data)  # commutative input is already normal
-    return _emit(args, v)
+    return _emit(args, parse(args.expr, args.space))
 
 
 def _commutative(text, space, what):
@@ -400,10 +397,13 @@ def _cmd_evolve(args):
             raise ParseError("the generator must be a noncommutative operator", 0)
         if not v.data.is_spatial():
             return _usage_error("error: Hamiltonians must not involve time or scaling factors")
-        H = Hamiltonian(v.data, hermitian=v.data.conjugate() == v.data)
+        try:
+            H = Hamiltonian(v.data, hermitian=True)
+        except ValueError:  # mixed, or not hermitian under the conjugation
+            H = Hamiltonian(v.data)
     U = build_U(H, args.order)
     reports = [
-        schrodinger_residual(build_U(H, max(1, args.order - 1)), H),
+        schrodinger_residual(H, max(1, args.order - 1)),
         compose_check(H, args.order),
         unitarity_check(H, args.order),
         dyson_check(H, args.order),

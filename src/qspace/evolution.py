@@ -8,7 +8,9 @@ The checks expand every time dependence as scalars keyed by the powers of
 the Hamiltonian they multiply, and sum those scalars first.  When every
 product a check names equals the power of its total degree, the sums per
 degree decide it; only otherwise is each key turned into an element through
-the Hamiltonian's power table."""
+the Hamiltonian's power table.  Every law on powers of H is decided so; only
+the integral-equation iteration multiplies a chain of its own, so that a
+wrong product shows at every later degree."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .cfunc import (
     lattice_sum,
     space_vars,
 )
-from .ncalgebra import NCElement, act, lift, lower
+from .ncalgebra import NCElement, PurityError, act, lift, lower
 from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
 from .reports import VerificationReport
 from .scalars import I, ONE, QScalar, ZERO, _add_term, _apply_rows, qpow, scalar
@@ -33,7 +35,8 @@ from .spaces import CALCULI, LINE, SPATIAL_D, check_option
 
 class Hamiltonian:
     """A spatial operator; hermiticity is verified at construction when
-    asserted.
+    asserted, which needs op in the coordinate or the operator subalgebra:
+    the conjugation reverses products only there.
 
     The instance keeps the tables the evolution checks share, filled on
     first use: the powers H^n, each computed as H^(n-1) * H, their
@@ -47,6 +50,9 @@ class Hamiltonian:
     def __init__(self, op: NCElement, hermitian: bool = False):
         if not op.is_spatial():
             raise ValueError("Hamiltonians must not involve time or scaling factors")
+        if hermitian and not (op.is_coordinate() or op.is_operator()):
+            raise PurityError("hermiticity is decided only for an operator free of "
+                              "coordinates or of derivatives")
         if hermitian and op.conjugate() != op:
             raise ValueError("operator is not hermitian under the conjugation")
         self._op = op
@@ -110,10 +116,6 @@ class OperatorSeries:
         self.space = space
         self.coeffs = list(coeffs)
 
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
     def coeff(self, n):
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
@@ -153,21 +155,19 @@ def build_U(H: Hamiltonian, order: int) -> OperatorSeries:
     return OperatorSeries(H.space, [H.power(n).scale(c) for n, c in enumerate(_phases(order))])
 
 
-def schrodinger_residual(U: OperatorSeries, H: Hamiltonian) -> VerificationReport:
-    """Term-by-term check of the two printed equation families: the forward
-    series against i d/dt = H on the left, and the backward-phase series
-    against the right-sided time derivative (which acts as -d/dt)."""
+def schrodinger_residual(H: Hamiltonian, order: int) -> VerificationReport:
+    """Term-by-term check of the two printed equation families through
+    t^(order - 1): the forward series against i d/dt = H on the left, and
+    the backward-phase series against the right-sided time derivative (which
+    acts as -d/dt).  With c and d the forward and inverse phases, t^n reads
+    c_(n+1) i (n+1) H^(n+1) = c_n H H^n on the left and
+    d_(n+1) (-i) (n+1) H^(n+1) = d_n H^n H on the right."""
     rep = VerificationReport("schrodinger", H.space)
-    order = U.order
-    for n in range(order):
-        lhs = U.coeff(n + 1).scale(I * scalar(n + 1))
-        rhs = H.op * U.coeff(n)
-        rep.compare(f"left family, t^{n}", lhs, rhs)
-    phases = _phases(order, "inverse")  # exp(+iHt), the right-handed operator
-    for n in range(order):
-        lhs = H.power(n + 1).scale(phases[n + 1] * -I * scalar(n + 1))
-        rhs = H.product(n, 1).scale(phases[n])
-        rep.compare(f"right family, t^{n}", lhs, rhs)
+    c, d = _phases(order), _phases(order, "inverse")  # d: exp(+iHt), the right-handed operator
+    _compare(rep, H, {(n,): {n + 1: c[n + 1] * I * scalar(n + 1)} for n in range(order)},
+             {(n,): {(1, n): c[n]} for n in range(order)}, lambda k: f"left family, t^{k[0]}")
+    _compare(rep, H, {(n,): {n + 1: d[n + 1] * -I * scalar(n + 1)} for n in range(order)},
+             {(n,): {(n, 1): d[n]} for n in range(order)}, lambda k: f"right family, t^{k[0]}")
     return rep
 
 
@@ -319,17 +319,18 @@ def _integrate_time_poly(coeffs):
 
 
 def _dyson_sides(H, order):
-    """The iterated-integral coefficients, the integral-equation
-    coefficients and the series U itself, each for t^0..t^order."""
-    U = build_U(H, order)
+    """The iterated-integral expansion and the series U, each keyed by the
+    exponent of t for t^1..t^order, and the integral-equation coefficients
+    for t^0..t^order."""
     # iterated integrals: i^-n H^n int dt1...dtn 1 = i^-n H^n t^n/n!
-    iterated = [U.coeff(0)]
+    iterated, series = {}, {}
     phase = ONE
     tpoly = [ONE]
-    for n in range(1, order + 1):
+    for n, c in enumerate(_phases(order)[1:], 1):
         phase = phase / I
         tpoly = _integrate_time_poly(tpoly)  # t^n/n! built step by step
-        iterated.append(H.power(n).scale(phase * tpoly[n]))
+        iterated[(n,)] = {n: phase * tpoly[n]}
+        series[(n,)] = {n: c}
     # integral equation iteration: U_{k+1} = 1 - i int_0^t H U_k.  Pass k
     # reproduces coefficients 0..k and adds coefficient k + 1 as -i/(k+1)
     # times H times coefficient k, so the passes reduce to one chain of
@@ -337,19 +338,19 @@ def _dyson_sides(H, order):
     integral = [NCElement.one(H.space)]
     for n in range(1, order + 1):
         integral.append((H.op * integral[-1]).scale(-I / scalar(n)))
-    return iterated, integral, U.coeffs
+    return iterated, series, integral
 
 
 def dyson_check(H: Hamiltonian, order: int) -> VerificationReport:
     """The iterated-integral solution and the integral equation, both
     evaluated symbolically, reproduce the exponential series."""
     rep = VerificationReport("dyson", H.space)
-    iterated, integral, U = _dyson_sides(H, order)
-    for n in range(1, order + 1):
-        rep.compare(f"iterated integral t^{n}", iterated[n], U[n])
-    for n in range(order + 1):
-        rep.compare(f"integral equation t^{n}", integral[n], U[n])
+    iterated, series, integral = _dyson_sides(H, order)
+    _compare(rep, H, iterated, series, lambda k: f"iterated integral t^{k[0]}")
+    for n, (el, u) in enumerate(zip(integral, build_U(H, order).coeffs)):
+        rep.compare(f"integral equation t^{n}", el, u)
     return rep
+
 
 def schrodinger_wave_check(H: Hamiltonian, phi0: CFunction, order: int) -> VerificationReport:
     """For the evolved wave function the picture equation holds order by

@@ -38,7 +38,7 @@ from contextvars import ContextVar
 from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
-from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _coeff_times, _LinComb, qpow
+from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _LinComb, _power_text, qpow
 from .scalars import _NUMBER, _apply_rows, _as_scalar, _memo, _memoized, _remember
 from .scalars import _term_pairs, clear_tables
 from .spaces import (
@@ -590,10 +590,6 @@ class NCElement(_LinComb):
     def _mono_str(self, k):
         return _mono_text(self.space, k)
 
-    def _term_str(self, k, c):
-        mono = _mono_text(self.space, k)
-        return _coeff_times(c, mono) if mono else str(c)
-
     def __repr__(self):
         return f"NCElement[{self.space}]({self})"
 
@@ -608,13 +604,8 @@ def _mono_text(space, k):
     for tag, n in zip(KEY_LAYOUT[space], k[:-1]):
         if n:
             factors.append(names[tag] if n == 1 else f"{names[tag]}^{n}")
-    h = k[-1]
-    if h == 2:
-        factors.append("L")
-    elif h and h % 2 == 0:
-        factors.append(f"L^{h // 2}")
-    elif h:
-        factors.append(f"L^({h}/2)")
+    if k[-1]:
+        factors.append(_power_text("L", k[-1]))
     return " ".join(factors)
 
 

@@ -13,7 +13,7 @@ import math
 
 from .ncalgebra import NCElement
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, ZERO, _NUMBER, _add_term, _coeff_times, _LinComb, _memo
+from .scalars import LAM, LAMP, ONE, ZERO, _NUMBER, _add_term, _LinComb, _memo
 from .scalars import _memoized, qpow
 from .spaces import E3, LABELS, LINE, X_TOKENS, SpaceTable
 
@@ -76,9 +76,6 @@ class QMatrix(_LinComb):
 
     def _mono_str(self, k):
         return "E[%d,%d]" % k
-
-    def _term_str(self, k, c):
-        return _coeff_times(c, self._mono_str(k))
 
 
 def _pair_idx(space):

@@ -1048,19 +1048,19 @@ def _coeff_to_str(c, need_one=False):
     return str(c)
 
 
-def _q_text(k):
-    """The printed power of q for the exponent k in half-steps."""
+def _power_text(name, k):
+    """The printed power of name for the exponent k in half-steps."""
     if k == 0:
         return ""
     if k == 2:
-        return "q"
+        return name
     if k % 2 == 0:
-        return f"q^{k // 2}"
-    return f"q^({k}/2)"
+        return f"{name}^{k // 2}"
+    return f"{name}^({k}/2)"
 
 
-# exponent in half-steps -> _q_text, for the exponents printed most
-_Q_TEXTS = {k: _q_text(k) for k in range(-64, 65)}
+# exponent in half-steps -> the printed power of q, for those printed most
+_Q_TEXTS = {k: _power_text("q", k) for k in range(-64, 65)}
 
 
 def _poly_to_str(p):
@@ -1078,7 +1078,7 @@ def _term_str(k, c):
     """The stored coefficient c times q to the k half-steps, as printed."""
     mono = _Q_TEXTS.get(k)
     if mono is None:
-        mono = _q_text(k)
+        mono = _power_text("q", k)
     if not mono:
         return _coeff_to_str(c, need_one=True)
     if type(c) is int:
@@ -1187,9 +1187,9 @@ class _LinComb:
     differ.  An operand that is neither a combination of the same class nor
     a number gets NotImplemented, so Python raises TypeError.  Subclasses
     also supply the product, which scales by a number and returns
-    NotImplemented as well, and, for printing, ``_print_order``,
-    ``_mono_str`` (the basis key as text, empty for the unit) and
-    ``_term_str``.
+    NotImplemented as well, and, for printing, ``_print_order`` and
+    ``_mono_str`` (the basis key as text, empty for the unit); one whose
+    terms print otherwise than ``_term_str`` overrides it.
     """
 
     __slots__ = ("terms",)
@@ -1265,6 +1265,10 @@ class _LinComb:
                 return self._term_str(k, c)
         keys = sorted(terms, key=self._print_order)
         return _join_terms([self._term_str(k, terms[k]) for k in keys])
+
+    def _term_str(self, k, c):
+        mono = self._mono_str(k)
+        return _coeff_times(c, mono) if mono else str(c)
 
     def numeric_str(self, q0):
         """The printed form with every coefficient evaluated at q = q0."""

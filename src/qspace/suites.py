@@ -225,8 +225,7 @@ def suite_evolution(opts: SuiteOptions):
     out = []
     for space in opts.spaces:
         H = evolution.free_hamiltonian(space)
-        U3 = evolution.build_U(H, max(3, opts.order - 1))
-        out.append(evolution.schrodinger_residual(U3, H))
+        out.append(evolution.schrodinger_residual(H, max(3, opts.order - 1)))
         out.append(evolution.compose_check(H, opts.order))
         out.append(evolution.unitarity_check(H, opts.order))
         out.append(evolution.dyson_check(H, opts.order))

@@ -155,7 +155,7 @@ def test_criterion_09_evolution():
     ok = True
     for space in SPACES:
         H = evolution.free_hamiltonian(space)
-        ok &= evolution.schrodinger_residual(evolution.build_U(H, 3), H).passed
+        ok &= evolution.schrodinger_residual(H, 3).passed
         ok &= evolution.compose_check(H, 4).passed
         ok &= evolution.unitarity_check(H, 4).passed
         ok &= evolution.dyson_check(H, 4).passed

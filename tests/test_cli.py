@@ -543,6 +543,38 @@ def test_evolve_generator_with_time_or_scaling_is_a_usage_error(capsys, generato
     assert (code, out, err) == (2, "", "error: Hamiltonians must not involve time or scaling factors")
 
 
+_Q_OSCILLATOR_E3 = ("(1/2)*q*dp*dm+(1/2)*q^-1*dm*dp-(1/2)*d3*d3"
+                    "-(1/2)*q*Xp*Xm-(1/2)*q^-1*Xm*Xp+(1/2)*X3*X3")
+
+
+@pytest.mark.parametrize("space,generator", [
+    ("line", "d1*d1+X1*X1"),
+    ("euclid3", _Q_OSCILLATOR_E3),
+    ("euclid3", "dp*dm+X3*X3"),
+])
+def test_evolve_skips_unitarity_for_a_mixed_generator(capsys, space, generator):
+    # the conjugation reverses products only within the coordinate or the
+    # operator subalgebra, so a generator of both is not declared hermitian
+    code, out, _ = run(capsys, "evolve", "--space", space, "--H", generator,
+                       "--order", "3", "--json")
+    assert code == 0
+    reports = {r["check"]: r for r in json.loads(out)["reports"]}
+    assert reports["unitarity"]["status"] == "skipped"
+    assert reports["unitarity"]["notes"] == ["generator not declared hermitian"]
+    assert all(reports[c]["status"] == "pass" for c in ("schrodinger", "composition", "dyson"))
+
+
+@pytest.mark.parametrize("space,generator", [
+    ("line", "X1*X1"), ("euclid3", "X3*X3"), ("euclid3", "Xp*Xm"),
+    ("line", "d1*d1"), ("euclid3", "dp*dm"),
+])
+def test_evolve_checks_unitarity_for_a_pure_hermitian_generator(capsys, space, generator):
+    code, out, _ = run(capsys, "evolve", "--space", space, "--H", generator,
+                       "--order", "3", "--json")
+    assert code == 0
+    assert [r["status"] for r in json.loads(out)["reports"]] == ["pass"] * 4
+
+
 def test_d_unknown_variant_is_a_usage_error(capsys):
     code, out, err = run(capsys, "d", "x1", "--index", "1", "--variant", "bogus",
                          "--space", "line")

@@ -34,6 +34,7 @@ from qspace.evolution import (
     sesquilinear_line,
     unitarity_check,
 )
+from qspace.expressions import parse
 from qspace.hopf import time_taylor
 from qspace.ncalgebra import NCElement, normal_form
 from qspace.reports import VerificationReport
@@ -73,6 +74,19 @@ def test_hamiltonian_guards():
         Hamiltonian(NCElement.generator("line", "d1"), hermitian=True)
 
 
+def test_a_mixed_generator_cannot_be_declared_hermitian():
+    # the conjugation is an anti-automorphism only within the coordinate and
+    # the operator subalgebras: this mixed operator is its own conjugate, but
+    # its square is not the square of its conjugate
+    op = parse("dp*dm+X3*X3", "euclid3").data
+    assert op.conjugate() == op
+    assert (op * op).conjugate() != op.conjugate() * op.conjugate()
+    for space, generator in (("euclid3", "dp*dm+X3*X3"), ("line", "d1*d1+X1*X1"),
+                             ("euclid3", "d3*X3")):
+        with pytest.raises(ValueError, match="free of coordinates or of derivatives"):
+            Hamiltonian(parse(generator, space).data, hermitian=True)
+
+
 def test_free_hamiltonians_are_hermitian():
     for space in ("line", "euclid3"):
         H = free_hamiltonian(space)
@@ -97,11 +111,11 @@ def test_build_U_examples():
 def test_schrodinger_residual_passes_and_zero_generator():
     for space in ("line", "euclid3"):
         H = free_hamiltonian(space)
-        assert schrodinger_residual(build_U(H, 3), H).passed
+        assert schrodinger_residual(H, 3).passed
     H0 = Hamiltonian(NCElement.zero("line"))
     U = build_U(H0, 3)
     assert all(U.coeff(n).is_zero() for n in range(1, 4))
-    assert schrodinger_residual(U, H0).passed
+    assert schrodinger_residual(H0, 3).passed
 
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])
@@ -420,6 +434,19 @@ def _oracle_unitarity(H, order):
     return rep, prod.coeffs
 
 
+def _oracle_schrodinger(H, order):
+    rep = VerificationReport("schrodinger", H.space)
+    U = _oracle_build_U(H, order)
+    for n in range(order):
+        rep.compare(f"left family, t^{n}", U.coeff(n + 1).scale(I * scalar(n + 1)),
+                    H.op * U.coeff(n))
+    V = _oracle_build_U(H, order, "inverse")
+    for n in range(order):
+        rep.compare(f"right family, t^{n}", V.coeff(n + 1).scale(-I * scalar(n + 1)),
+                    V.coeff(n) * H.op)
+    return rep
+
+
 def _oracle_dyson(H, order):
     rep = VerificationReport("dyson", H.space)
     U = _oracle_build_U(H, order)
@@ -480,8 +507,27 @@ def test_checks_match_term_by_term_oracles(space, order):
     assert unitarity_check(H, order).to_json() == rep.to_json()
 
     rep, iterated, integral, U = _oracle_dyson(H, order)
-    assert _dyson_sides(H, order) == (iterated, integral, U)
+    new_iterated, series, new_integral = _dyson_sides(H, order)
+    assert _realized(H, new_iterated) == {(n,): c for n, c in enumerate(iterated) if n and c}
+    assert _realized(H, series) == {(n,): c for n, c in enumerate(U) if n and c}
+    assert new_integral == integral
     assert dyson_check(H, order).to_json() == rep.to_json()
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("space,generator", [
+    ("line", "free"), ("euclid3", "free"), ("line", "zero"), ("euclid3", "zero"), ("line", "mixed"),
+])
+def test_schrodinger_families_match_the_element_oracle(space, generator, order):
+    H = {
+        "free": lambda: free_hamiltonian(space),
+        "zero": lambda: Hamiltonian(NCElement.zero(space)),
+        # neither hermitian nor in one subalgebra
+        "mixed": lambda: Hamiltonian(normal_form(space, ("x1", "d1", "d1"))),
+    }[generator]()
+    rep = schrodinger_residual(H, order)
+    assert rep.passed
+    assert rep.to_json() == _oracle_schrodinger(H, order).to_json()
 
 
 def test_compose_oracle_matches_at_degenerate_time_points():
@@ -535,6 +581,12 @@ def test_planted_fault_fails_every_product_check(space, faulty_product):
         rep = check(H, 4)
         assert rep.status == "fail"
         assert _failures(rep) == _failures(restated(H, 4)[0])
+    # the left family meets the dropped pair in H H^2; the table's H^2 H
+    # does not, so the right family passes
+    for order in range(1, 6):
+        rep = schrodinger_residual(H, order)
+        assert rep.to_json() == _oracle_schrodinger(H, order).to_json()
+        assert [f.indices for f in rep.failures] == ["left family, t^2"] * (order > 2)
 
 
 # the order-6 composition and unitarity reports with H^2 H^3 and conj(H^2)

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference" / "verify_all.json"
 BROKEN_SCALING_REPORT = ROOT / "tools" / "reference" / "broken_scaling_numeric_integrals.txt"
 BROKEN_PRODUCT_REPORTS = ROOT / "tools" / "reference" / "broken_product_evolution.json"
+BROKEN_TERM_PAIR_REPORTS = ROOT / "tools" / "reference" / "broken_term_pair_evolution.json"
 BROKEN_PROJECTOR_REPORTS = ROOT / "tools" / "reference" / "broken_projector_reports.json"
 BROKEN_CLOSED_ACTION_REPORTS = ROOT / "tools" / "reference" / "broken_closed_action_reports.json"
 TAIL_REFERENCE = ROOT / "tools" / "reference" / "verify_tail_degree6.json"
@@ -199,6 +200,36 @@ for space in ("line", "euclid3"):
     reports += [evolution.compose_check(H, 6), evolution.unitarity_check(H, 6)]
 print(json.dumps([r.to_json() for r in reports], indent=2))
 sys.exit(0 if all(r.passed for r in reports) else 1)
+""")
+
+# `verify evolution --order 4` with every NCElement product dropping one
+# term pair per space: the largest word of the free Hamiltonian times the
+# largest word of its square.  The products H^n H that build the power table
+# never meet that pair; H H^2 does, and so does the integral equation's
+# chain.  The JSON must be the one recorded while the Schrödinger families
+# and Dyson's iterated integrals summed elements in loops of their own;
+# exit 1 as those reports fail
+BROKEN_TERM_PAIR = python("""
+import sys
+from qspace.cli import main
+from qspace.evolution import free_hamiltonian
+from qspace.ncalgebra import NCElement
+pairs = set()
+for space in ("line", "euclid3"):
+    H = free_hamiltonian(space).op
+    pairs.add((max(H.terms), max((H * H).terms)))
+plain = NCElement.__mul__
+def mul(self, other):
+    if not isinstance(other, NCElement):
+        return plain(self, other)
+    out = NCElement(self.space)
+    for k1, c1 in self.terms.items():
+        for k2, c2 in other.terms.items():
+            if (k1, k2) not in pairs:
+                out = out + plain(NCElement(self.space, {k1: c1}), NCElement(self.space, {k2: c2}))
+    return out
+NCElement.__mul__ = mul
+sys.exit(main(["verify", "evolution", "--order", "4", "--json"]))
 """)
 
 # `verify projectors` with q times its eigenvalue gap added at the (ab, ba)
@@ -395,6 +426,9 @@ def checks():
            lambda: expect_exit(BROKEN_SCALING, 1, 30, output=BROKEN_SCALING_REPORT.read_bytes()))
     yield ("a planted power-table fault fails the composition and unitarity checks as recorded",
            lambda: expect_exit(BROKEN_PRODUCT, 1, 30, output=BROKEN_PRODUCT_REPORTS.read_bytes()))
+    yield ("a planted term-pair fault fails the evolution reports as recorded",
+           lambda: expect_exit(BROKEN_TERM_PAIR, 1, 30,
+                               output=BROKEN_TERM_PAIR_REPORTS.read_bytes()))
     yield ("a planted projector-numerator fault fails the projector and spectral checks as recorded",
            lambda: expect_exit(BROKEN_PROJECTOR, 1, 30,
                                output=BROKEN_PROJECTOR_REPORTS.read_bytes()))
