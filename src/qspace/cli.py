@@ -188,13 +188,18 @@ def _cmd_verify(args):
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
-        for r in reports:
-            print(r.summary_line())
-            for note in r.notes:
-                print(f"    note: {note}")
-            for f in r.failures[:5]:
-                print(f"    at {f.indices}: {f.lhs} != {f.rhs}")
+        _print_reports(reports)
     return 0 if all(r.status != "fail" for r in reports) else 1
+
+
+def _print_reports(reports):
+    """Each report's summary line, then its notes and first five failures."""
+    for r in reports:
+        print(r.summary_line())
+        for note in r.notes:
+            print(f"    note: {note}")
+        for f in r.failures[:5]:
+            print(f"    at {f.indices}: {f.lhs} != {f.rhs}")
 
 
 def _cmd_nf(args):
@@ -214,6 +219,16 @@ def _commutative(text, space, what):
         return CFunction.constant(space_vars(space), v.data)
     if v.kind != "c":
         raise ParseError(f"{what} apply to commutative polynomials", 0)
+    return v.data
+
+
+def _operator(text, space, what):
+    """Parse a noncommutative operator argument."""
+    from .expressions import ParseError, parse
+
+    v = parse(text, space)
+    if v.kind != "nc":
+        raise ParseError(f"the {what} must be a noncommutative operator", 0)
     return v.data
 
 
@@ -355,12 +370,10 @@ def _cmd_antipode(args):
 
 
 def _cmd_exp(args):
-    from .cfunc import space_vars
     from .pairexp import qexp
 
     series = qexp(args.space, _EXP_NAMES[args.variant], args.degree)
     if args.json:
-        vars_ = space_vars(args.space)
         terms = []
         for exps, dword, coeff in series:
             terms.append({
@@ -387,20 +400,14 @@ def _cmd_evolve(args):
         schrodinger_residual,
         unitarity_check,
     )
-    from .expressions import ParseError, parse
 
     if args.generator == "free":
         H = free_hamiltonian(args.space)
     else:
-        v = parse(args.generator, args.space)
-        if v.kind != "nc":
-            raise ParseError("the generator must be a noncommutative operator", 0)
-        if not v.data.is_spatial():
+        op = _operator(args.generator, args.space, "generator")
+        if not op.is_spatial():
             return _usage_error("error: Hamiltonians must not involve time or scaling factors")
-        try:
-            H = Hamiltonian(v.data, hermitian=True)
-        except ValueError:  # mixed, or not hermitian under the conjugation
-            H = Hamiltonian(v.data)
+        H = Hamiltonian(op)
     U = build_U(H, args.order)
     reports = [
         schrodinger_residual(H, max(1, args.order - 1)),
@@ -410,11 +417,9 @@ def _cmd_evolve(args):
     ]
     obs_series = None
     if args.observable:
-        v = parse(args.observable, args.space)
-        if v.kind != "nc":
-            raise ParseError("the observable must be a noncommutative operator", 0)
-        obs_series = heisenberg_evolve(v.data, H, args.order)
-        reports.append(heisenberg_check(v.data, H, args.order))
+        O = _operator(args.observable, args.space, "observable")
+        obs_series = heisenberg_evolve(O, H, args.order)
+        reports.append(heisenberg_check(O, H, args.order))
     if args.json:
         payload = {
             "U": [str(c) for c in U.coeffs],
@@ -427,8 +432,7 @@ def _cmd_evolve(args):
         print("U(t):", U)
         if obs_series is not None:
             print("O(t):", obs_series)
-        for r in reports:
-            print(r.summary_line())
+        _print_reports(reports)
     return 0 if all(r.status != "fail" for r in reports) else 1
 
 

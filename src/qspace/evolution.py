@@ -26,7 +26,7 @@ from .cfunc import (
     lattice_sum,
     space_vars,
 )
-from .ncalgebra import NCElement, PurityError, act, lift, lower
+from .ncalgebra import NCElement, act, lift, lower
 from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
 from .reports import VerificationReport
 from .scalars import I, ONE, QScalar, ZERO, _add_term, _apply_rows, qpow, scalar
@@ -34,29 +34,25 @@ from .spaces import CALCULI, LINE, SPATIAL_D, check_option
 
 
 class Hamiltonian:
-    """A spatial operator; hermiticity is verified at construction when
-    asserted, which needs op in the coordinate or the operator subalgebra:
-    the conjugation reverses products only there.
+    """A spatial operator.  ``hermitian`` is worked out at construction: op
+    lies in the coordinate or the operator subalgebra, where the conjugation
+    reverses products, and equals its conjugate.
 
     The instance keeps the tables the evolution checks share, filled on
     first use: the powers H^n, each computed as H^(n-1) * H, their
-    conjugates, and the products H^a H^b and conj(H^a) H^b.  Every product
-    is normal-ordered by the engine, once per key; none is taken to be
+    conjugates, and the products H^a H^b and conj(H^a) H^b.  H^a H is the
+    stored H^(a+1), the product that built it; every other product is
+    normal-ordered by the engine, once per key, and none is taken to be
     H^(a+b), so comparing the two stays an exact check.  ``op`` is read-only
     so the tables cannot go stale.  Threads may share a Hamiltonian: each
     entry is computed whole and stored with ``setdefault``, so a race only
     computes an equal value, and every caller gets the first one stored."""
 
-    def __init__(self, op: NCElement, hermitian: bool = False):
+    def __init__(self, op: NCElement):
         if not op.is_spatial():
             raise ValueError("Hamiltonians must not involve time or scaling factors")
-        if hermitian and not (op.is_coordinate() or op.is_operator()):
-            raise PurityError("hermiticity is decided only for an operator free of "
-                              "coordinates or of derivatives")
-        if hermitian and op.conjugate() != op:
-            raise ValueError("operator is not hermitian under the conjugation")
         self._op = op
-        self.hermitian = hermitian
+        self.hermitian = (op.is_coordinate() or op.is_operator()) and op.conjugate() == op
         self.space = op.space
         self._powers = {0: NCElement.one(op.space)}
         self._conjugates = {}
@@ -86,6 +82,8 @@ class Hamiltonian:
         if not (isinstance(a, int) and isinstance(b, int)):
             # checked before the cache, where 1.0 would find the entry of 1
             raise TypeError(f"powers of a Hamiltonian must be ints, not {a!r} and {b!r}")
+        if b == 1 and a >= 0 and not conjugate:
+            return self.power(a + 1)
         key = (a, b, conjugate)
         p = self._products.get(key)
         if p is None:
@@ -102,11 +100,11 @@ def free_hamiltonian(space: str) -> Hamiltonian:
         op = NCElement.from_word(LINE, ("d1", "d1")).scale(
             QScalar.from_rational(Fraction(-1, 2))
         )
-        return Hamiltonian(op, hermitian=True)
+        return Hamiltonian(op)
     half = QScalar.from_rational(Fraction(1, 2))
     dp, d3, dm = (NCElement.generator(space, d) for d in SPATIAL_D[space])
     quad = (dp * dm).scale(-qpow(1)) + (dm * dp).scale(-qpow(-1)) + d3 * d3
-    return Hamiltonian(quad.scale(-half), hermitian=True)
+    return Hamiltonian(quad.scale(-half))
 
 
 class OperatorSeries:
@@ -273,7 +271,7 @@ def unitarity_check(H: Hamiltonian, order: int) -> VerificationReport:
     rep = VerificationReport("unitarity", H.space)
     if not H.hermitian:
         rep.status = "skipped"
-        rep.note("generator not declared hermitian")
+        rep.note("generator not known to be hermitian")
         return rep
     prod, one = _unitarity_sides(order)
     _compare(rep, H, prod, one, lambda k: f"t^{k[0]}", conjugate=True)

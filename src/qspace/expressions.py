@@ -281,44 +281,33 @@ class _Parser:
             elem = elem.scale(coeff)
         return vkind, None, None, elem
 
-    def _exponent(self):
-        toks = self.toks
-        i = self.i
-        tok = toks[i]
-        if tok == "-":
-            i += 1
-            tok = toks[i]
-            if not tok.isdecimal():
-                raise self._error("expected integer exponent", i)
-            self.i = i + 1
-            return -_exponent_literal(tok), None
-        if tok.isdecimal():
-            self.i = i + 1
-            return _exponent_literal(tok), None
-        if tok != "(":
-            raise self._error("expected integer exponent", i)
-        sign = 1
-        i += 1
-        tok = toks[i]
-        if tok == "-":
-            sign = -1
-            i += 1
-            tok = toks[i]
+    def _skip(self, tok):
+        """Step past the next token if it is tok; whether it was."""
+        if self.toks[self.i] == tok:
+            self.i += 1
+            return True
+        return False
+
+    def _literal(self, message):
+        """The value of the digit token next, stepped past; a ParseError
+        with message at that token when it is not one."""
+        tok = self.toks[self.i]
         if not tok.isdecimal():
-            raise self._error("expected integer exponent", i)
-        num = sign * _exponent_literal(tok)
-        i += 1
-        den = 1
-        if toks[i] == "/":
-            i += 1
-            tok = toks[i]
-            if not tok.isdecimal():
-                raise self._error("expected exponent denominator", i)
-            den = _exponent_literal(tok)
-            i += 1
-        if toks[i] != ")":
-            raise self._error("expected ')'", i)
-        self.i = i + 1
+            raise self._error(message, self.i)
+        self.i += 1
+        return _exponent_literal(tok)
+
+    def _exponent(self):
+        """(numerator, denominator) after '^': an integer, or (n) or (n/d),
+        n with an optional minus; the denominator is None for the first."""
+        paren = self._skip("(")
+        sign = -1 if self._skip("-") else 1
+        num = sign * self._literal("expected integer exponent")
+        if not paren:
+            return num, None
+        den = self._literal("expected exponent denominator") if self._skip("/") else 1
+        if not self._skip(")"):
+            raise self._error("expected ')'", self.i)
         return num, den
 
     def factor(self):
@@ -379,9 +368,8 @@ class _Parser:
         expression in parentheses or an integer literal."""
         if tok == "(":
             got = self.expr()
-            if self.toks[self.i] != ")":
+            if not self._skip(")"):
                 raise self._error("expected ')'", self.i)
-            self.i += 1
             return got
         if tok.isdecimal():
             try:

@@ -219,7 +219,6 @@ def grassmann_suite() -> VerificationReport:
     rep = VerificationReport("grassmann", "line")
 
     th0, th1 = GElement.gen("th0"), GElement.gen("th1")
-    d0, d1 = GElement.gen("dth0"), GElement.gen("dth1")
 
     # nilpotency and antisymmetry
     rep.compare("th1^2", th1 * th1, GElement())

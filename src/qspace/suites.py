@@ -235,7 +235,7 @@ def suite_evolution(opts: SuiteOptions):
     if "line" not in opts.spaces:
         return out
     # Heisenberg dynamics: the printed example generator on the line
-    Hline = evolution.Hamiltonian(NCElement.from_word("line", ("d1", "d1")), hermitian=True)
+    Hline = evolution.Hamiltonian(NCElement.from_word("line", ("d1", "d1")))
     O = NCElement.generator("line", "x1")
     out.append(evolution.heisenberg_check(O, Hline, 3))
     rep = VerificationReport("heisenberg-classical-limit", "line")

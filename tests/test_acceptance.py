@@ -159,7 +159,7 @@ def test_criterion_09_evolution():
         ok &= evolution.compose_check(H, 4).passed
         ok &= evolution.unitarity_check(H, 4).passed
         ok &= evolution.dyson_check(H, 4).passed
-    Hline = evolution.Hamiltonian(normal_form("line", ("d1", "d1")), hermitian=True)
+    Hline = evolution.Hamiltonian(normal_form("line", ("d1", "d1")))
     O = NCElement.generator("line", "x1")
     ok &= evolution.heisenberg_check(O, Hline, 3).passed
     series = evolution.heisenberg_evolve(O, Hline, 3)

@@ -554,14 +554,42 @@ _Q_OSCILLATOR_E3 = ("(1/2)*q*dp*dm+(1/2)*q^-1*dm*dp-(1/2)*d3*d3"
 ])
 def test_evolve_skips_unitarity_for_a_mixed_generator(capsys, space, generator):
     # the conjugation reverses products only within the coordinate or the
-    # operator subalgebra, so a generator of both is not declared hermitian
+    # operator subalgebra, so a generator of both is not known to be hermitian
     code, out, _ = run(capsys, "evolve", "--space", space, "--H", generator,
                        "--order", "3", "--json")
     assert code == 0
     reports = {r["check"]: r for r in json.loads(out)["reports"]}
     assert reports["unitarity"]["status"] == "skipped"
-    assert reports["unitarity"]["notes"] == ["generator not declared hermitian"]
+    assert reports["unitarity"]["notes"] == ["generator not known to be hermitian"]
     assert all(reports[c]["status"] == "pass" for c in ("schrodinger", "composition", "dyson"))
+
+
+def test_evolve_prints_the_notes_of_its_reports(capsys):
+    code, out, _ = run(capsys, "evolve", "--space", "line", "--H", "d1*d1+X1*X1",
+                       "--order", "3")
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("[SKIP] unitarity [line]")
+    assert lines[at + 1] == "    note: generator not known to be hermitian"
+
+
+def test_evolve_prints_the_failures_of_its_reports(capsys, monkeypatch):
+    from qspace import evolution
+
+    plain = evolution.Hamiltonian.product
+
+    def product(self, a, b, conjugate=False):  # H H^2 doubled
+        p = plain(self, a, b, conjugate)
+        return p.scale(2) if (a, b) == (1, 2) else p
+
+    monkeypatch.setattr(evolution.Hamiltonian, "product", product)
+    code, out, _ = run(capsys, "evolve", "--space", "line", "--order", "4")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("[FAIL] schrodinger [line] (1 failing)")
+    assert lines[at + 1].startswith("    at left family, t^2: ")
+    assert lines[at + 1] == "    at {0.indices}: {0.lhs} != {0.rhs}".format(
+        evolution.schrodinger_residual(evolution.free_hamiltonian("line"), 3).failures[0])
 
 
 @pytest.mark.parametrize("space,generator", [

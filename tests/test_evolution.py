@@ -69,28 +69,34 @@ def _conjugate_series(a):
 def test_hamiltonian_guards():
     with pytest.raises(ValueError):
         Hamiltonian(NCElement.generator("line", "x0"))
-    # an anti-hermitian operator flagged hermitian is rejected
-    with pytest.raises(ValueError):
-        Hamiltonian(NCElement.generator("line", "d1"), hermitian=True)
 
 
-def test_a_mixed_generator_cannot_be_declared_hermitian():
+# d1 is anti-hermitian; the last three mix coordinates and derivatives
+@pytest.mark.parametrize("space,generator,hermitian", [
+    ("line", "d1 d1", True), ("line", "X1 X1", True), ("euclid3", "Xp Xm", True),
+    ("euclid3", "dp dm", True), ("euclid3", "X3 X3", True),
+    ("line", "d1", False), ("line", "d1 d1 + X1 X1", False), ("line", "X1 d1 d1", False),
+    ("euclid3", "d3*X3", False),
+])
+def test_hermiticity_is_worked_out_from_the_operator(space, generator, hermitian):
+    assert Hamiltonian(parse(generator, space).data).hermitian is hermitian
+
+
+def test_a_mixed_self_conjugate_generator_is_not_hermitian():
     # the conjugation is an anti-automorphism only within the coordinate and
     # the operator subalgebras: this mixed operator is its own conjugate, but
     # its square is not the square of its conjugate
     op = parse("dp*dm+X3*X3", "euclid3").data
     assert op.conjugate() == op
     assert (op * op).conjugate() != op.conjugate() * op.conjugate()
-    for space, generator in (("euclid3", "dp*dm+X3*X3"), ("line", "d1*d1+X1*X1"),
-                             ("euclid3", "d3*X3")):
-        with pytest.raises(ValueError, match="free of coordinates or of derivatives"):
-            Hamiltonian(parse(generator, space).data, hermitian=True)
+    assert Hamiltonian(op).hermitian is False
 
 
 def test_free_hamiltonians_are_hermitian():
     for space in ("line", "euclid3"):
         H = free_hamiltonian(space)
         assert H.op.conjugate() == H.op
+        assert H.hermitian is True
 
 
 def test_build_U_examples():
@@ -127,7 +133,7 @@ def test_compose_unitarity_dyson(space):
 
 
 def test_heisenberg_printed_coefficient():
-    H = Hamiltonian(normal_form("line", ("d1", "d1")), hermitian=True)
+    H = Hamiltonian(normal_form("line", ("d1", "d1")))
     O = NCElement.generator("line", "x1")
     series = heisenberg_evolve(O, H, 3)
     want = (
@@ -143,7 +149,7 @@ def test_heisenberg_printed_coefficient():
 
 
 def test_heisenberg_constant_for_the_generator():
-    H = Hamiltonian(normal_form("line", ("d1", "d1")), hermitian=True)
+    H = Hamiltonian(normal_form("line", ("d1", "d1")))
     series = heisenberg_evolve(H.op, H, 4)
     assert series.coeff(0) == H.op
     assert all(series.coeff(n).is_zero() for n in range(1, 5))
@@ -257,6 +263,13 @@ def test_power_table_and_product_cache():
             assert H.product(a, b) == want
     with pytest.raises(AttributeError):
         H.op = NCElement.zero("line")
+
+
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+def test_a_product_by_H_is_the_stored_power(space):
+    H = free_hamiltonian(space)
+    for a in range(6):
+        assert H.product(a, 1) is H.power(a + 1)
 
 
 def test_negative_powers_and_products_are_rejected():

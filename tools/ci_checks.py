@@ -29,6 +29,7 @@ REFERENCE = ROOT / "perfbench" / "reference" / "verify_all.json"
 BROKEN_SCALING_REPORT = ROOT / "tools" / "reference" / "broken_scaling_numeric_integrals.txt"
 BROKEN_PRODUCT_REPORTS = ROOT / "tools" / "reference" / "broken_product_evolution.json"
 BROKEN_TERM_PAIR_REPORTS = ROOT / "tools" / "reference" / "broken_term_pair_evolution.json"
+BROKEN_POWER_REPORTS = ROOT / "tools" / "reference" / "broken_power_evolution.json"
 BROKEN_PROJECTOR_REPORTS = ROOT / "tools" / "reference" / "broken_projector_reports.json"
 BROKEN_CLOSED_ACTION_REPORTS = ROOT / "tools" / "reference" / "broken_closed_action_reports.json"
 TAIL_REFERENCE = ROOT / "tools" / "reference" / "verify_tail_degree6.json"
@@ -198,6 +199,29 @@ reports = []
 for space in ("line", "euclid3"):
     H = evolution.free_hamiltonian(space)
     reports += [evolution.compose_check(H, 6), evolution.unitarity_check(H, 6)]
+print(json.dumps([r.to_json() for r in reports], indent=2))
+sys.exit(0 if all(r.passed for r in reports) else 1)
+""")
+
+# the order-5 Schrödinger, composition, unitarity and Dyson checks with the
+# power table's H^3 read as 2 H^3: the products H^a H^b built from it and
+# U's t^3 coefficient are wrong, while H^2 H is the stored (doubled) H^3, so
+# the right Schrödinger family agrees; the JSON must be the recorded one,
+# and exit 1 as those reports fail
+BROKEN_POWER = python("""
+import json, sys
+from qspace import evolution
+plain = evolution.Hamiltonian.power
+def power(self, n):
+    p = plain(self, n)
+    return p.scale(2) if n == 3 else p
+evolution.Hamiltonian.power = power
+checks = (evolution.schrodinger_residual, evolution.compose_check,
+          evolution.unitarity_check, evolution.dyson_check)
+reports = []
+for space in ("line", "euclid3"):
+    H = evolution.free_hamiltonian(space)
+    reports += [check(H, 5) for check in checks]
 print(json.dumps([r.to_json() for r in reports], indent=2))
 sys.exit(0 if all(r.passed for r in reports) else 1)
 """)
@@ -426,6 +450,8 @@ def checks():
            lambda: expect_exit(BROKEN_SCALING, 1, 30, output=BROKEN_SCALING_REPORT.read_bytes()))
     yield ("a planted power-table fault fails the composition and unitarity checks as recorded",
            lambda: expect_exit(BROKEN_PRODUCT, 1, 30, output=BROKEN_PRODUCT_REPORTS.read_bytes()))
+    yield ("a planted wrong power fails the Schrödinger, composition, unitarity and Dyson checks",
+           lambda: expect_exit(BROKEN_POWER, 1, 30, output=BROKEN_POWER_REPORTS.read_bytes()))
     yield ("a planted term-pair fault fails the evolution reports as recorded",
            lambda: expect_exit(BROKEN_TERM_PAIR, 1, 30,
                                output=BROKEN_TERM_PAIR_REPORTS.read_bytes()))
