@@ -14,7 +14,7 @@ from collections import Counter
 from operator import add
 
 from .scalars import ONE, ZERO, QScalar, _add_term, _apply_rows, _coeff_times, _LinComb, _memo
-from .scalars import _NUMBER, _as_scalar, _memoized, _term_pairs
+from .scalars import _NUMBER, _as_scalar, _memoized, _set, _term_pairs
 from .scalars import qnum, qpow, scalar
 from .spaces import E3, LINE, X_TOKENS, check_option
 
@@ -57,7 +57,7 @@ class CFunction(_LinComb):
     _mismatch = (ValueError, "variable sets differ")
 
     def __init__(self, variables, terms=None):
-        self.vars = tuple(variables)
+        _set(self, "vars", tuple(variables))
         super().__init__(terms)
 
     def _frame(self):

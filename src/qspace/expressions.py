@@ -25,9 +25,10 @@ exponent vector, and its generators form one word that is normal-ordered
 once.  Parenthesised values and Grassmann generators multiply as elements,
 in order.
 
-``parse`` keeps each (text, space) it parsed in the registered table
-``expressions.parsed`` as an immutable snapshot and builds a new Value,
-with a new element, from it on every call.
+``parse`` keeps the Value of each (text, space) it parsed in the
+registered table ``expressions.parsed`` and hands out that stored Value on
+every later call: a Value and its element are read-only, so no caller can
+change what the next one reads.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from typing import NamedTuple
 
 from .cfunc import CFunction, space_vars
 from .grassmann import GElement
@@ -79,15 +81,12 @@ def _exponent_literal(tok):
         return math.inf
 
 
-class Value:
+class Value(NamedTuple):
     """Tagged parse value: a scalar, a commutative polynomial, a
     noncommutative element, or a Grassmann element."""
 
-    __slots__ = ("kind", "data")
-
-    def __init__(self, kind, data):
-        self.kind = kind
-        self.data = data
+    kind: str
+    data: object
 
 
 # A factor is a piece of a monomial: ("scalar", c); ("x", (i, n)) for the
@@ -144,15 +143,12 @@ class _Parser:
         return ()
 
     def _element(self, kind, terms):
-        """The element of the given kind with these terms (not copied)."""
+        """The element of the given kind made from the dict terms."""
         if kind == "c":
-            el = CFunction(space_vars(self.space))
-        elif kind == "nc":
-            el = NCElement(self.space)
-        else:
-            el = GElement()
-        el.terms = terms
-        return el
+            return CFunction(space_vars(self.space), terms)
+        if kind == "nc":
+            return NCElement(self.space, terms)
+        return GElement(terms)
 
     def _promote(self, c, kind):
         """The scalar c as an element of the given kind."""
@@ -400,25 +396,14 @@ def _lambda_steps(fkind, data):
 
 @_memoized(_memo("expressions.parsed"))
 def _parsed(text, space):
-    """(kind, snapshot) of the parse of text on space: a scalar as itself,
-    an element as (class, frame, term items), so the table shares no dict
-    with any caller.  A ParseError stores nothing."""
-    value = _Parser(text, space).parse()
-    data = value.data
-    if value.kind != "scalar":
-        data = (type(data), data._frame(), tuple(data.terms.items()))
-    return value.kind, data
+    """The Value of text on space.  A ParseError stores nothing."""
+    return _Parser(text, space).parse()
 
 
 def parse(text: str, space: str = "euclid3") -> Value:
-    """Parse an expression; returns a tagged Value, with a new element and
-    its own terms dict on every call, cold or warm."""
-    kind, data = _parsed(text, space)
-    if kind != "scalar":
-        cls, frame, items = data
-        data = cls(*frame)
-        data.terms = dict(items)
-    return Value(kind, data)
+    """Parse an expression; returns a tagged, read-only Value, the stored
+    one itself when the same text was parsed on the same space before."""
+    return _parsed(text, space)
 
 
 def render(value: Value, q_value=None) -> str:

@@ -40,7 +40,7 @@ from operator import itemgetter
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _LinComb, _power_text, qpow
 from .scalars import _NUMBER, _apply_rows, _as_scalar, _memo, _memoized, _remember
-from .scalars import _term_pairs, clear_tables
+from .scalars import _set, _term_pairs, clear_tables
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
     X_TOKENS, SpaceTable, check_option,
@@ -487,7 +487,7 @@ class NCElement(_LinComb):
     _mismatch = (SpaceMismatch, "elements live on different spaces")
 
     def __init__(self, space, terms=None):
-        self.space = space
+        _set(self, "space", space)
         super().__init__(terms)
 
     def _frame(self):
@@ -836,7 +836,7 @@ def normalize_in_calculus(space, calculus, word, coeff=ONE):
     """Normal-order a word under a chosen rule set; returns NCElement whose
     keys are read against the *stored* token names."""
     check_option("calculus", calculus, ("u", "h"))
-    out = NCElement(space)
+    out = {}
     for k, c in _normalize_word(space, calculus, tuple(word)).items():
-        _add_term(out.terms, k, coeff * c)
-    return out
+        _add_term(out, k, coeff * c)
+    return NCElement(space, out)

@@ -105,10 +105,10 @@ class TensorSeries:
         return "  +  ".join(parts) if parts else "0"
 
 
-# (space, hatted, exps) -> (1 / norm factor, derivative word rows), filled on
-# first use.  Entries are tuples of immutable values, stored whole; every
-# qexp call builds new elements from them.  The rows are normal forms, so the
-# table is a registered memo
+# (space, hatted, exps) -> (1 / norm factor, derivative word), filled on
+# first use.  Entries are tuples of read-only values, stored whole and handed
+# out by every qexp call.  The words are normal forms, so the table is a
+# registered memo
 _EXP_TERMS = _memo("pairexp.exp_terms")
 
 
@@ -132,8 +132,8 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     factorial coefficients), 'x_dhat' with hatted words (inverse bases); the
     flipped variants put the derivative leg first and are dual to the
     coordinate-first pairings, whose printed values carry a sign per
-    derivative factor.  Terms come sorted by degree from the term table;
-    each call returns new elements.
+    derivative factor.  Terms come sorted by degree from the term table,
+    whose read-only derivative words every call shares.
     """
     check_option("exponential variant", variant, EXP_VARIANTS)
     if degree_bound < 0:
@@ -155,13 +155,13 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
                 # the derivative words from the first missing entry on,
                 # normal-ordered as one family
                 words = dict(zip(monos[i:], _deriv_words(space, hat, monos[i:])))
-            entry = (_exp_coeff(exps, made, bases), tuple(words[exps].items()))
+            entry = (_exp_coeff(exps, made, bases), NCElement(space, words[exps]))
             entry = _remember(_EXP_TERMS, key, entry)
         made[exps] = entry
-        coeff, rows = entry
+        coeff, dword = entry
         if flipped and sum(exps) % 2:
             coeff = -coeff
-        terms.append((exps, NCElement(space, dict(rows)), coeff))
+        terms.append((exps, dword, coeff))
     return TensorSeries(space, variant, degree_bound, terms)
 
 

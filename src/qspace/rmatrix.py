@@ -14,7 +14,7 @@ import math
 from .ncalgebra import NCElement
 from .reports import VerificationReport
 from .scalars import LAM, LAMP, ONE, ZERO, _NUMBER, _add_term, _LinComb, _memo
-from .scalars import _memoized, qpow
+from .scalars import _memoized, _set, qpow
 from .spaces import E3, LABELS, LINE, X_TOKENS, SpaceTable
 
 # the index labels of a space, in the standard ordering
@@ -37,7 +37,7 @@ class QMatrix(_LinComb):
     _mismatch = (ValueError, "matrix sizes differ")
 
     def __init__(self, n, terms=None):
-        self.n = n
+        _set(self, "n", n)
         super().__init__(terms)
 
     def _frame(self):
@@ -61,15 +61,12 @@ class QMatrix(_LinComb):
         by_k = {}
         for (k, j), v in other.terms.items():
             by_k.setdefault(k, []).append((j, v))
-        out = QMatrix(self.n)
+        out = {}
         for i, row in by_row.items():
-            acc = {}
             for k, v in row:
                 for j, w in by_k.get(k, ()):
-                    _add_term(acc, j, v * w)
-            for j, s in acc.items():
-                out.terms[(i, j)] = s
-        return out
+                    _add_term(out, (i, j), v * w)
+        return QMatrix(self.n, out)
 
     # text form: the entries times matrix units E[i,j], row by row
     _print_order = staticmethod(tuple)
@@ -157,7 +154,7 @@ def projector_numerators(space) -> dict:
     565-578).
 
     Built once per space: every caller shares the dict, so none may change
-    it or a matrix's terms.
+    it; its matrices are read-only.
     """
     R = build_R(space)
     Id = QMatrix.identity(R.n)
@@ -184,7 +181,7 @@ def build_projectors(space) -> dict:
     Each projector's eigenvalue is read from the table, not off the
     subscript (on the line the '+' projector belongs to eigenvalue -1).
     Built once per space: every caller shares the dict, so none may change
-    it or a matrix's terms.
+    it; its matrices are read-only.
     """
     evs = eigenvalues(space)
     return {

@@ -1177,11 +1177,19 @@ def _as_scalar(c):
     return scalar(c) if isinstance(c, (int, Fraction)) else c
 
 
+# sets an attribute of an element under construction, past its guard
+_set = object.__setattr__
+
+
 class _LinComb:
     """Finite linear combination of basis keys with QScalar coefficients.
 
-    ``terms`` maps each key to its nonzero coefficient.  A subclass adds the
-    frame its keys are read against (a variable tuple, a space, or nothing):
+    ``terms`` is a read-only mapping of each key to its nonzero
+    coefficient, over a dict copied from the one the element was made from,
+    and no attribute can be set or deleted after construction; so an
+    element, once made, can be shared by every caller and table.  A
+    subclass adds the frame its keys are read against (a variable tuple, a
+    space, or nothing), set in its constructor through ``_set``:
     ``_frame()`` returns it as the leading constructor arguments, and
     ``_mismatch`` names the exception type and message raised when two frames
     differ.  An operand that is neither a combination of the same class nor
@@ -1196,7 +1204,13 @@ class _LinComb:
     _mismatch = (ValueError, "frames differ")
 
     def __init__(self, terms=None):
-        self.terms = {tuple(k): c for k, c in terms.items() if c} if terms else {}
+        _set(self, "terms", MappingProxyType(
+            {tuple(k): c for k, c in terms.items() if c} if terms else {}))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
     def _frame(self):
         return ()
@@ -1228,7 +1242,7 @@ class _LinComb:
     def __add__(self, other):
         if not self._same_kind(other):
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms.copy()
         for k, c in other.terms.items():
             _add_term(out, k, c)
         return self._like(out)

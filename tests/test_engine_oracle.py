@@ -154,10 +154,10 @@ def _oracle_run(space, rs, memo, w):
 
 
 def oracle_element(space, word, coeff=ONE):
-    out = NCElement(space)
+    out = {}
     for k, c in oracle_normal_form(space, "u", word).items():
-        _add_term(out.terms, k, coeff * c)
-    return out
+        _add_term(out, k, coeff * c)
+    return NCElement(space, out)
 
 
 def word_of_key(space, key):
@@ -175,7 +175,7 @@ def oracle_transport(a, name):
     """The word transport: reverse each stored word, map its generators,
     invert the scaling operator, normal-order again."""
     tokmap = {"conj": _nc._CONJ_MAP, "mirror": _nc._MIRROR_MAP}[name][a.space]
-    out = NCElement(a.space)
+    out = {}
     for k, c in a.terms.items():
         coeff, word = ONE, []
         for tok in reversed(word_of_key(a.space, k)):
@@ -188,8 +188,8 @@ def oracle_transport(a, name):
         if name == "conj":
             c = c.conj()
         for kk, cc in oracle_normal_form(a.space, "u", word).items():
-            _add_term(out.terms, kk, c * coeff * cc)
-    return out
+            _add_term(out, kk, c * coeff * cc)
+    return NCElement(a.space, out)
 
 
 def oracle_reorder(f, direction):

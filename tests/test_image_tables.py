@@ -22,6 +22,7 @@ from qspace.ncalgebra import reorder_transform
 from qspace.qfunc import VARIANTS, act_inverse_partial, act_partial_closed
 from qspace.scalars import LAM, ONE, qpow
 from qspace.spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION
+from test_lincomb import assert_read_only
 from test_scalar_oracle import field_property, gen_scalar
 from test_taylor_kernels import _old_antipode, _old_translate
 
@@ -181,8 +182,9 @@ def test_returned_values_do_not_share_the_tables():
     qspace.clear_tables()
     for call in calls:
         want = call()
-        call().terms.clear()
-        assert call() == want
+        shown = str(want)
+        assert_read_only(call())
+        assert call() == want and str(call()) == shown
     assert all(TABLES)
     # every caller shares the tables' entries, so they are immutable
     for table in TABLES:

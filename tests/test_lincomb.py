@@ -1,18 +1,24 @@
 """The shared sparse linear-combination core behind CFunction, NCElement,
 GElement and QMatrix: zero terms never survive, frames are checked, only
-CFunction is hashable, a number scales from either side, and the products
-accumulate through the one row kernel, scalars._apply_rows."""
+CFunction is hashable, a number scales from either side, the products
+accumulate through the one row kernel, scalars._apply_rows, and an element
+cannot be changed once made, so the values that tables store and hand out
+(a power of H, a q-exponential's word, a parse) stay as they were made."""
 
 import operator
 from fractions import Fraction
 
 import pytest
 
+import qspace
+from qspace import expressions
 from qspace.cfunc import E3_VARS, CFunction
+from qspace.evolution import free_hamiltonian
 from qspace.grassmann import GElement
 from qspace.ncalgebra import NCElement, SpaceMismatch, act
 from qspace.rmatrix import QMatrix
-from qspace.scalars import ONE, QScalar, _apply_rows, _term_pairs, qpow, scalar
+from qspace.pairexp import qexp
+from qspace.scalars import ONE, ZERO, QScalar, _apply_rows, _term_pairs, qpow, scalar
 from qspace.starcalc import StarContext, star
 
 
@@ -98,6 +104,83 @@ _ELEMENTS = {
     "GElement": lambda: GElement.gen("th1") + GElement.gen("dth0").scale(qpow(-1)),
     "QMatrix": lambda: QMatrix(2, {(0, 1): ONE, (1, 1): qpow(1)}),
 }
+
+
+def assert_read_only(element):
+    """Each way of changing element raises: its terms take no item, lose
+    none and have no mutating method, and no attribute (terms, the frame or
+    a new one) can be rebound or deleted.  The element reads the same
+    afterwards."""
+    shown, items = str(element), list(element.terms.items())
+    terms = element.terms
+    key = items[0][0] if items else ("planted",)
+    with pytest.raises(TypeError):
+        terms[key] = ONE
+    with pytest.raises(TypeError):
+        del terms[key]
+    for method in ("clear", "pop", "popitem", "setdefault", "update"):
+        with pytest.raises(AttributeError):
+            getattr(terms, method)
+    for name in ("terms", *type(element).__slots__, "planted"):
+        with pytest.raises(AttributeError):
+            setattr(element, name, {})
+        with pytest.raises(AttributeError):
+            delattr(element, name)
+    assert list(element.terms.items()) == items and str(element) == shown
+
+
+@pytest.mark.parametrize("kind", sorted(_ELEMENTS))
+def test_an_element_cannot_be_changed(kind):
+    assert_read_only(_ELEMENTS[kind]())
+    assert_read_only(_ELEMENTS[kind]().scale(0))
+
+
+# a constructor of each class, with a key it keeps, a key given a zero
+# coefficient and a key added to the caller's dict later
+@pytest.mark.parametrize("make,kept,dropped,later", [
+    (lambda t: CFunction(("x0", "x1"), t), (1, 0), (0, 1), (2, 2)),
+    (lambda t: NCElement("line", t), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (1, 0, 0, 0, 0)),
+    (GElement, ("th0",), ("th1",), ("dth0",)),
+    (lambda t: QMatrix(2, t), (0, 1), (1, 0), (1, 1)),
+], ids=["CFunction", "NCElement", "GElement", "QMatrix"])
+def test_an_element_keeps_nothing_of_the_dict_it_was_made_from(make, kept, dropped, later):
+    terms = {kept: qpow(1), dropped: ZERO}
+    a = make(terms)
+    shown = str(a)
+    assert a.terms == {kept: qpow(1)} and dropped not in a.terms
+    terms[kept] = ONE
+    terms[dropped] = ONE
+    terms[later] = ONE
+    assert a.terms == {kept: qpow(1)} and str(a) == shown
+    terms.clear()
+    assert a.terms == {kept: qpow(1)} and str(a) == shown
+
+
+def _power():
+    H = free_hamiltonian("euclid3")
+    return lambda: H.power(2)
+
+
+# a reader of each kind of stored value: H^2 from one Hamiltonian's power
+# table, a q-exponential's derivative word, the element of a parse
+_STORED = {
+    "power": _power,
+    "qexp word": lambda: lambda: qexp("euclid3", "dhat_x", 3).terms[8][1],
+    "parse": lambda: lambda: expressions.parse("(1 + q) Xp Xm^2 dh3 - lambda L^-1 X3").data,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STORED))
+def test_a_stored_value_cannot_be_changed(name):
+    read = _STORED[name]()
+    value = read()
+    shown = str(value)
+    assert len(value.terms) > 1 and read() is value
+    assert_read_only(value)
+    assert read() is value and str(read()) == shown
+    # built again from empty tables, the value is the same
+    qspace.clear_tables()
+    assert _STORED[name]()() == value
 
 
 @pytest.mark.parametrize("kind", sorted(_ELEMENTS))

@@ -22,6 +22,7 @@ from qspace.pairexp import (
 from qspace.reports import VerificationReport
 from qspace.scalars import ONE, _add_term, qfact, qpow, scalar
 from qspace.spaces import CALCULI, GRADE, HAT_D_TOKENS, SPACES
+from test_lincomb import assert_read_only
 
 # the exponential term table, a live read-only view
 EXP_TERMS = qspace.tables()["pairexp.exp_terms"]
@@ -235,7 +236,9 @@ def test_changing_a_returned_series_leaves_the_table_alone(direct):
     call = ("euclid3", "dhat_x", 3)
     series = qexp(*call)
     for _exps, dword, _coeff in series:
-        dword.terms.clear()
+        assert_read_only(dword)
+    # every call hands out the table's words themselves
+    assert all(a[1] is b[1] for a, b in zip(qexp(*call), series))
     series.terms.pop()
     assert _data(qexp(*call).terms) == direct[call]
     assert _data(qexp(*call[:2], 2).terms) == direct[call[:2] + (2,)]

@@ -18,8 +18,8 @@ restated below, which found every position with one finditer pass: both
 must raise the same errors at the same positions.
 
 The last tests read the parse table, ``expressions.parsed``, through
-``qspace.tables()``: a warm parse must equal the cold one and still hand
-out a new element that no caller's change can reach back into the table.
+``qspace.tables()``: a warm parse must be the stored Value itself, and no
+caller can change that Value or its element.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from qspace.cfunc import CFunction, space_vars
 from qspace.grassmann import GElement
 from qspace.ncalgebra import HAT_POWER, NCElement
 from qspace.scalars import I, LAM, LAMP, ONE, Q, QScalar, scalar
+from test_lincomb import assert_read_only
 
 # -- the replaced parser, unchanged ---------------------------------------------
 
@@ -576,7 +577,8 @@ def _parsed_table():
 
 
 def _corpus_outcomes():
-    """(outcome, data) of every corpus text; data is None after an error."""
+    """(outcome, Value) of every corpus text; the Value is None after an
+    error."""
     out = []
     for space, text in _corpus(11, 320) + _corpus(12, 320):
         try:
@@ -584,27 +586,31 @@ def _corpus_outcomes():
         except (ValueError, ArithmeticError) as exc:
             out.append((("error", type(exc).__name__, str(exc)), None))
         else:
-            out.append(((v.kind, str(v.data)), v.data))
+            out.append(((v.kind, str(v.data)), v))
     return out
 
 
-def test_warm_parses_match_cold_ones_and_are_new_elements():
+def test_warm_parses_are_the_stored_values():
     qspace.clear_tables()
     cold = _corpus_outcomes()
     stored = len(_parsed_table())
     assert stored > 100
     warm = _corpus_outcomes()
-    again = _corpus_outcomes()
     assert len(_parsed_table()) == stored
     kinds = set()
-    for (c, cdata), (w, wdata), (_, adata) in zip(cold, warm, again):
+    for (c, cvalue), (w, wvalue) in zip(cold, warm):
         assert w == c
-        assert wdata == cdata
+        assert wvalue is cvalue
         kinds.add(c[0])
-        if c[0] in ("c", "nc", "g"):
-            assert wdata is not cdata and adata is not wdata
-            assert wdata.terms is not cdata.terms and adata.terms is not wdata.terms
     assert kinds == {"scalar", "c", "nc", "g"}
+
+
+def test_a_parse_is_stored_once_however_the_space_is_given():
+    qspace.clear_tables()
+    got = [expressions.parse("Xp"), expressions.parse("Xp", "euclid3"),
+           expressions.parse("Xp", space="euclid3")]
+    assert got[0] is got[1] is got[2]
+    assert list(_parsed_table()) == [("Xp", "euclid3")]
 
 
 @pytest.mark.parametrize("space,text", [
@@ -614,17 +620,19 @@ def test_warm_parses_match_cold_ones_and_are_new_elements():
     ("euclid3", "Xm Xp - Xm Xp + 3"),
 ])
 def test_changing_a_parsed_element_leaves_the_next_parse_unchanged(space, text):
-    want = expressions.parse(text, space)
-    shown = str(want.data)
     got = expressions.parse(text, space)
-    got.data.terms.clear()
-    assert expressions.parse(text, space).data == want.data
-    got = expressions.parse(text, space)
-    got.data.terms[("planted",)] = ONE
-    for k in list(got.data.terms):
-        got.data.terms[k] = ONE
-    assert expressions.parse(text, space).data == want.data
+    shown = str(got.data)
+    assert_read_only(got.data)
+    for name in ("kind", "data"):
+        with pytest.raises(AttributeError):
+            setattr(got, name, None)
+    with pytest.raises(TypeError):
+        got[1] = None
+    assert expressions.parse(text, space) is got
     assert str(expressions.parse(text, space).data) == shown
+    # parsed again from an empty table, the value is the same
+    qspace.clear_tables()
+    assert expressions.parse(text, space) == got
 
 
 @pytest.mark.parametrize("space,text", [
@@ -645,21 +653,22 @@ def test_a_malformed_text_raises_the_same_error_and_stores_nothing(space, text):
     assert len(_parsed_table()) == size
 
 
-def test_table_entries_are_tuples():
+def test_table_entries_are_read_only_values():
     for space, text in (("line", "x0 x1 + q"), ("euclid3", "Xp dhm"), ("line", "th0"),
                         ("euclid3", "lambda")):
         expressions.parse(text, space)
     table = _parsed_table()
     assert table
     for entry in table.values():
-        assert type(entry) is tuple
+        assert type(entry) is expressions.Value
         with pytest.raises(TypeError):
             entry[0] = None
-        kind, data = entry
-        if kind != "scalar":
-            assert type(data) is tuple and type(data[2]) is tuple
-            with pytest.raises(TypeError):
-                data[2] = ()
+        with pytest.raises(AttributeError):
+            entry.data = None
+        if entry.kind == "scalar":
+            assert type(entry.data) is QScalar
+        else:
+            assert_read_only(entry.data)
 
 
 def test_a_name_reads_against_the_space_it_is_parsed_on():

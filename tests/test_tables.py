@@ -1,5 +1,7 @@
 """The one registry of the package's caches, read through ``qspace.tables()``,
-and the private names of ``qspace`` that the tests and CI tools may read."""
+the private names of ``qspace`` that the tests and CI tools may read, and
+the package's own code, which builds a plain dict and makes an element from
+it instead of writing into an element's terms."""
 
 import ast
 import importlib
@@ -247,3 +249,75 @@ def test_the_private_name_guard_sees_every_spelling():
     assert _private_reads(ast.parse(source), _modules()) == {
         "ncalgebra._ruleset", "hopf._a", "cfunc._b", "scalars._c", "qspace._d", "starcalc._e",
         "scalars._f", "evolution._g", "pairexp._h"}
+
+
+# the dict methods that change a dict in place
+_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def _targets(node):
+    """The targets an assignment or deletion binds, tuples unpacked."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        todo = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        todo = [node.target]
+    else:
+        return
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            todo.extend(t.elts)
+        else:
+            yield t.value if isinstance(t, ast.Starred) else t
+
+
+def _terms_writes(tree):
+    """The sorted lines of a module's syntax tree that write into some X's
+    ``X.terms``: an assignment or deletion of ``X.terms`` (``self.terms`` in
+    an ``__init__`` makes the object, and is left out) or of
+    ``X.terms[...]``, a mutating dict method called on ``X.terms``, and
+    ``_add_term(X.terms, ...)``."""
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    made = {id(t) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+            for node in ast.walk(f) for t in _targets(node)
+            if is_terms(t) and isinstance(t.value, ast.Name) and t.value.id == "self"}
+    lines = set()
+    for node in ast.walk(tree):
+        for t in _targets(node):
+            if (is_terms(t) and id(t) not in made) or (
+                    isinstance(t, ast.Subscript) and is_terms(t.value)):
+                lines.add(node.lineno)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr in _MUTATORS and is_terms(f.value)) or (
+                    getattr(f, "id", None) == "_add_term" and node.args and is_terms(node.args[0])):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_writes_into_the_terms_of_an_element():
+    found = [f"{path.stem}:{line}" for path in sorted((ROOT / "src" / "qspace").glob("*.py"))
+             for line in _terms_writes(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_terms_guard_sees_every_spelling():
+    source = "\n".join([
+        "class A:",
+        "    def __init__(self, terms):",
+        "        self.terms = terms",  # made here: left out
+        "        other.terms = terms",
+        "    def f(self):",
+        "        self.terms = {}",
+        "a.terms[k] = c",
+        "a.terms[k] += c",
+        "del a.b.terms[k]",
+        "x, (y, a.terms) = 1, (2, {})",
+        "a.terms.clear(); f(a).terms.update({})",
+        "a.terms.pop(k, None)",
+        "_add_term(a.terms, k, c)",
+        "_add_term(out, k, c); a.terms.get(k); dict(a.terms).clear(); a.terms == b.terms",
+    ])
+    assert _terms_writes(ast.parse(source)) == [4, 6, 7, 8, 9, 10, 11, 12, 13]
