@@ -10,6 +10,7 @@ data.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 from .ncalgebra import NCElement
 from .reports import VerificationReport
@@ -145,7 +146,7 @@ def _cofactors(gaps):
 
 
 @_memoized(_memo("rmatrix.projector_numerators"))
-def projector_numerators(space) -> dict:
+def projector_numerators(space) -> MappingProxyType:
     """The numerator of each spectral projector, {name: QMatrix}: the
     product over the other eigenvalues mu of (R - mu).  Each is its
     projector times the projector's eigenvalue gap, and its entries are
@@ -153,8 +154,8 @@ def projector_numerators(space) -> dict:
     no gcd (the fraction-free step of Bareiss, Math. Comp. 22 (1968)
     565-578).
 
-    Built once per space: every caller shares the dict, so none may change
-    it; its matrices are read-only.
+    Built once per space and shared by every caller, as a read-only
+    mapping of read-only matrices: it cannot be changed.
     """
     R = build_R(space)
     Id = QMatrix.identity(R.n)
@@ -167,11 +168,11 @@ def projector_numerators(space) -> dict:
             if other != name:
                 num = num * shifted[other]
         nums[name] = num
-    return nums
+    return MappingProxyType(nums)
 
 
 @_memoized(_memo("rmatrix.projectors"))
-def build_projectors(space) -> dict:
+def build_projectors(space) -> MappingProxyType:
     """Spectral projectors {name: QMatrix} interpolated from the eigenvalue
     table: the projector of eigenvalue lam is the product over the other
     eigenvalues mu of (R - mu) / (lam - mu), its numerator divided by its
@@ -180,14 +181,14 @@ def build_projectors(space) -> dict:
 
     Each projector's eigenvalue is read from the table, not off the
     subscript (on the line the '+' projector belongs to eigenvalue -1).
-    Built once per space: every caller shares the dict, so none may change
-    it; its matrices are read-only.
+    Built once per space and shared by every caller, as a read-only
+    mapping of read-only matrices: it cannot be changed.
     """
     evs = eigenvalues(space)
-    return {
+    return MappingProxyType({
         name: num.scale(ONE / _gap(evs, name))
         for name, num in projector_numerators(space).items()
-    }
+    })
 
 
 def check_ybe(space, R: QMatrix) -> VerificationReport:

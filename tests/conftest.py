@@ -1,7 +1,19 @@
-"""Test-session hooks shared by every test module."""
+"""Test-session hooks and fixtures shared by every test module."""
 
+import pathlib
 import sys
 import warnings
+
+import pytest
+
+# the outputs recorded under tools/reference, compared byte for byte
+_RECORDINGS = pathlib.Path(__file__).resolve().parent.parent / "tools" / "reference"
+
+
+@pytest.fixture
+def recorded():
+    """The text of a recorded output, read by its file name."""
+    return lambda name: (_RECORDINGS / name).read_text(encoding="utf-8")
 
 
 def pytest_runtest_makereport(item, call):

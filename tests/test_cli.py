@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,6 +9,7 @@ import sys
 
 import pytest
 
+import qspace
 from qspace import cli
 from qspace.cli import main
 from qspace.expressions import parse, render
@@ -603,6 +606,17 @@ def test_evolve_checks_unitarity_for_a_pure_hermitian_generator(capsys, space, g
     assert [r["status"] for r in json.loads(out)["reports"]] == ["pass"] * 4
 
 
+def test_every_action_mode_and_exponential_spelling_exits_0():
+    runs = []
+    for v in ("left", "left_bar", "leftbar", "right", "right_bar", "rightbar"):
+        runs += [["d", "x0 xp x3^2 xm", "--index", i, "--variant", v] for i in "0p+3m-"]
+        runs += [["d", "x0 x1^2", "--space", "line", "--index", i, "--variant", v] for i in "01"]
+    runs += [["exp", "--degree", "2", "--variant", v] for v in ("xd", "xdh", "dx", "dhx")]
+    assert len(runs) == 52
+    for argv in runs:
+        assert main(argv) == 0, argv
+
+
 def test_d_unknown_variant_is_a_usage_error(capsys):
     code, out, err = run(capsys, "d", "x1", "--index", "1", "--variant", "bogus",
                          "--space", "line")
@@ -751,8 +765,6 @@ def test_round_trip_corpus_of_200():
 def test_nf_ladders_finish_quickly(word):
     # the tree rewriter took minutes from Xm^8 Xp^8 on; insertion with
     # merged like terms takes well under a second here
-    import qspace
-
     src = os.path.dirname(os.path.dirname(os.path.abspath(qspace.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -761,6 +773,63 @@ def test_nf_ladders_finish_quickly(word):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+# -- runs twice in one process --------------------------------------------------
+
+
+def _run_twice(queries):
+    """What two runs of the queries print, stdout and stderr in one stream,
+    the first from empty tables and the second reading what the first
+    stored; queries are (exit code, argv) pairs.  Both runs must print the
+    same text."""
+    qspace.clear_tables()
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            for code, argv in queries:
+                assert main(argv) == code, argv
+        runs.append(out.getvalue())
+    assert runs[0] == runs[1], "the second run differs from the first"
+    return runs[0] + runs[1]
+
+
+# multi-term star products with x3 powers and Gaussian and rational
+# coefficients: the second run reads every monomial pair's rows from the
+# table the first one filled
+_STAR_PAIRS = [
+    ("1/2 x3 xm^2 + (2 + 3 i) xm^3 x3^2 - x0 xp xm", "xp^2 x3 + 2/3 xp^3 xm + i x3^2 xp"),
+    ("q^2/(q + 1) xp x3 + xp^2 x0 xm", "(1 - 2 i)/5 xm^2 x3 - xm xp"),
+    ("xm^4 xp^2 + x3^3 - xm xp", "xp^4 xm^2 - 3/7 x3 xp + xm xp"),
+]
+
+
+def test_star_products_run_twice_print_the_recorded_text(recorded):
+    queries = [(0, ["star", f, g, *ordering])
+               for f, g in _STAR_PAIRS for ordering in ([], ["--reversed"])]
+    assert _run_twice(queries) == recorded("star_products_twice.txt")
+
+
+# half powers of q, lambda, (1 + q), L^-1, hatted derivatives, sums that
+# cancel, and a text that does not parse: the second run reads every parse
+# from the table the first one filled
+_PARSED_QUERIES = [
+    (0, ["nf", "q^(1/2) Xm dhp Xp + lambda L^-1 X3"]),
+    (0, ["nf", "(1 + q) dh3 X3 - (1 + q) dh3 X3 + L^-1 Xp dhm"]),
+    (0, ["nf", "Xm Xp - Xm Xp"]),
+    (0, ["nf", "dh1 X1^2 L^-1 + q^(-1/2) L", "--space", "line"]),
+    (0, ["d", "q^(1/2) x1^2 x0 + lambda x1", "--index", "1", "--variant", "left_bar",
+         "--space", "line"]),
+    (0, ["d", "(1 + q) xp x3^2 xm - lambda xm", "--index", "m", "--variant", "right"]),
+    (0, ["translate", "(1 + q) x3^2 xp + q^(1/2) xm - q x3^2 xp - x3^2 xp", "--variant", "L"]),
+    (0, ["star", "lambda xp x3 + q^(1/2) xm", "(1 + q) x3^2 - q x3^2 - x3^2 + xm"]),
+    (2, ["nf", "lambda Xp (1 + q"]),
+]
+
+
+def test_queries_parsed_twice_print_the_recorded_text(recorded):
+    assert _run_twice(_PARSED_QUERIES) == recorded("queries_parsed_twice.txt")
 
 
 # -- golden evolve output ------------------------------------------------------

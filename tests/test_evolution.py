@@ -1,6 +1,5 @@
 import json
 import math
-import pathlib
 import sys
 import threading
 from fractions import Fraction
@@ -8,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, LatticeFunction
+from qspace.cli import main
 from qspace.evolution import (
     Hamiltonian,
     OperatorSeries,
@@ -558,12 +558,15 @@ def test_compose_oracle_matches_at_degenerate_time_points():
 
 @pytest.fixture
 def faulty_product(monkeypatch):
-    """Make NCElement products drop the term of one long word pair: a word
-    of H times a word of H^2, for the free Hamiltonian on the given space.
-    Products H^n * H, which build the power table, never meet that pair."""
-    def plant(space):
-        H = free_hamiltonian(space)
-        pair = (max(H.op.terms), max((H.op * H.op).terms))
+    """Make NCElement products drop the term of one long word pair for each
+    space given: a word of H times a word of H^2, for the free Hamiltonian
+    on that space.  Products H^n * H, which build the power table, never
+    meet that pair."""
+    def plant(*spaces):
+        pairs = set()
+        for space in spaces:
+            H = free_hamiltonian(space).op
+            pairs.add((max(H.terms), max((H * H).terms)))
         plain = NCElement.__mul__
 
         def mul(self, other):
@@ -572,20 +575,20 @@ def faulty_product(monkeypatch):
             out = NCElement(self.space)
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
-                    if (k1, k2) != pair:
+                    if (k1, k2) not in pairs:
                         out = out + plain(NCElement(self.space, {k1: c1}),
                                           NCElement(self.space, {k2: c2}))
             return out
 
         monkeypatch.setattr(NCElement, "__mul__", mul)
-        return free_hamiltonian(space)
 
     return plant
 
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 def test_planted_fault_fails_every_product_check(space, faulty_product):
-    H = faulty_product(space)
+    faulty_product(space)
+    H = free_hamiltonian(space)
     compose = compose_check(H, 4)
     oracle = _oracle_compose(H, 4)[0]
     assert compose.status == oracle.status == "fail"
@@ -602,31 +605,52 @@ def test_planted_fault_fails_every_product_check(space, faulty_product):
         assert [f.indices for f in rep.failures] == ["left family, t^2"] * (order > 2)
 
 
-# the order-6 composition and unitarity reports with H^2 H^3 and conj(H^2)
-# H^3 doubled, recorded while every check summed its elements; the CI check
-# of the same name compares against the same file
-_DOUBLED_PRODUCT = (pathlib.Path(__file__).resolve().parent.parent
-                    / "tools" / "reference" / "broken_product_evolution.json")
+def test_a_dropped_term_pair_gives_the_recorded_evolution_reports(faulty_product, capsys,
+                                                                   recorded):
+    # the JSON recorded while the Schrödinger families and Dyson's iterated
+    # integrals summed elements in loops of their own
+    faulty_product("line", "euclid3")
+    assert main(["verify", "evolution", "--order", "4", "--json"]) == 1
+    assert capsys.readouterr().out == recorded("broken_term_pair_evolution.json")
 
 
-@pytest.fixture
-def doubled_product(monkeypatch):
-    plain = Hamiltonian.product
+# a doubled entry of the power table, by the Hamiltonian method that reads
+# it: (its arguments there, the order, the checks, their failure counts on
+# either space, the recorded reports).  With H^2 H^3 and conj(H^2) H^3
+# doubled, the order-6 composition and unitarity checks fail.  With H^3 read
+# as 2 H^3, so are the products H^a H^b built from it and U's t^3
+# coefficient, while H^2 H is the stored (doubled) H^3 and the right
+# Schrödinger family agrees.  Each recording was made while every check
+# summed its elements
+_DOUBLED = {
+    "product": ((2, 3), 6, (compose_check, unitarity_check), [18, 1],
+                "broken_product_evolution.json"),
+    "power": ((3,), 5, (schrodinger_residual, compose_check, unitarity_check, dyson_check),
+              [2, 35, 1, 1], "broken_power_evolution.json"),
+}
 
-    def product(self, a, b, conjugate=False):
-        p = plain(self, a, b, conjugate)
-        return p.scale(2) if (a, b) == (2, 3) else p
 
-    monkeypatch.setattr(Hamiltonian, "product", product)
+@pytest.fixture(params=list(_DOUBLED))
+def doubled_entry(request, monkeypatch):
+    entry, *planted = _DOUBLED[request.param]
+    plain = getattr(Hamiltonian, request.param)
+
+    def doubled(self, *args, **kwargs):
+        p = plain(self, *args, **kwargs)
+        return p.scale(2) if args[:len(entry)] == entry else p
+
+    monkeypatch.setattr(Hamiltonian, request.param, doubled)
+    return planted
 
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])
-def test_a_doubled_product_gives_the_recorded_reports(space, doubled_product):
-    want = [r for r in json.loads(_DOUBLED_PRODUCT.read_text()) if r["space"] == space]
-    assert [len(r["failures"]) for r in want] == [18, 1]
+def test_a_doubled_table_entry_gives_the_recorded_reports(space, doubled_entry, recorded):
+    order, checks, counts, name = doubled_entry
+    want = [r for r in json.loads(recorded(name)) if r["space"] == space]
+    assert [len(r["failures"]) for r in want] == counts
     H = free_hamiltonian(space)
-    assert not _scalar_sides_agree(H, *_compose_sides(6)[:2])
-    assert [check(H, 6).to_json() for check in (compose_check, unitarity_check)] == want
+    assert not _scalar_sides_agree(H, *_compose_sides(order)[:2])
+    assert [check(H, order).to_json() for check in checks] == want
 
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])

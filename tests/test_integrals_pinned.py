@@ -6,8 +6,8 @@ sesquilinear float values are compared with the reprs they had when the four
 integration geometries were first put in one table.  The exact lattice sums
 of polynomials agree with that float path at q0 = 1.1, 1.2 and 1.3, and with
 the closed geometric sums.  A broken scaling makes both integration-by-parts
-checks fail, each with its recorded sides, and so does a wrong lattice
-weight."""
+checks fail, each with its recorded sides and in the suite's recorded
+text report, and so does a wrong lattice weight."""
 
 import math
 import random
@@ -26,6 +26,7 @@ from qspace.cfunc import (
     jackson_weight,
     lattice_sum,
 )
+from qspace.cli import main
 from qspace.evolution import (
     _GEOMETRIES,
     _ibp_sides,
@@ -351,7 +352,7 @@ def test_exact_reports_agree_with_the_float_path(q0, monkeypatch):
             assert abs(value.eval_float(q0) - want) <= 1e-9 * abs(want), (form, v)
 
 
-def test_broken_scaling_fails_both_ibp_checks(monkeypatch):
+def test_broken_scaling_fails_both_ibp_checks(monkeypatch, capsys, recorded):
     f = CFunction.monomial(LINE_VARS, (0, 1))
     g = f + CFunction.monomial(LINE_VARS, (1, 0), scalar(2))
     a, b = scalar(Fraction(1, 2)), scalar(3)
@@ -373,6 +374,9 @@ def test_broken_scaling_fails_both_ibp_checks(monkeypatch):
         ("right", _SUM_C, _SUM_D),
         ("right_bar", _SUM_D, _SUM_C),
     ]
+    # and the suite's text report lists both checks' failures as recorded
+    assert main(["verify", "numeric-integrals"]) == 1
+    assert capsys.readouterr().out == recorded("broken_scaling_numeric_integrals.txt")
 
 
 _SUM_A = (

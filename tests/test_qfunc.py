@@ -16,7 +16,9 @@ from fractions import Fraction
 
 import pytest
 
+from qspace import qfunc
 from qspace.cfunc import CFunction, E3_VARS, LINE_VARS, _monomials, space_vars
+from qspace.cli import main
 from qspace.ncalgebra import NCElement, act, lift, lower, reorder_transform
 from qspace.qfunc import (
     act_inverse_partial,
@@ -139,6 +141,29 @@ def test_oracle_equivalence_low_degree(space):
                 closed = act_partial_closed(idx, variant, f, space)
                 oracle = lower(space, act(D, lift(space, f), variant))
                 assert closed == oracle, (idx, variant, e)
+
+
+@pytest.fixture
+def scaled_right_action(monkeypatch):
+    """Multiply the closed-form action by q for the right-handed variants at
+    index '-' on euclid3, as the oracle-actions suite reads it at call time."""
+    plain = qfunc.act_partial_closed
+
+    def planted(index, variant, f, space, rep="standard"):
+        out = plain(index, variant, f, space, rep)
+        if space == "euclid3" and index == "-" and variant in ("right", "right_bar"):
+            return out * qpow(1)
+        return out
+
+    monkeypatch.setattr(qfunc, "act_partial_closed", planted)
+
+
+def test_a_scaled_right_action_fails_the_recorded_oracle_report(scaled_right_action, capsys,
+                                                                recorded):
+    # the euclid3 report fails with the recorded entries, whose two printed
+    # sides are the closed form's and the engine's right-mode action
+    assert main(["verify", "oracle-actions", "--json"]) == 1
+    assert capsys.readouterr().out == recorded("broken_closed_action_reports.json")
 
 
 def test_inverse_examples():

@@ -156,6 +156,20 @@ def test_numerators_are_the_projectors_times_their_gaps(space):
         assert num == projs[name].scale(rmatrix._gap(evs, name))
 
 
+@pytest.mark.parametrize("space", ["line", "euclid3"])
+@pytest.mark.parametrize("table", [projector_numerators, build_projectors])
+def test_a_stored_projector_table_cannot_be_changed(space, table):
+    stored = table(space)
+    shown = {name: str(m) for name, m in stored.items()}
+    with pytest.raises(AttributeError):
+        stored.clear()
+    with pytest.raises(TypeError):
+        stored["P0"] = stored["P+"]
+    again = table(space)
+    assert again == stored
+    assert {name: str(m) for name, m in again.items()} == shown
+
+
 # the reports of each planted fault, recorded while the check multiplied the
 # projectors themselves
 _PLANTED = {
@@ -165,25 +179,27 @@ _PLANTED = {
 }
 
 
-def _plant(monkeypatch, space, fault):
-    """Plant a fault in the numerators: P0 doubled, or P+ with q added at
-    (ab, ba), a and b the last two labels (a swap-block entry), which is its
-    numerator with c+ q added there."""
-    nums = dict(projector_numerators(space))
-    if fault == "P0 doubled":
-        nums["P0"] = nums["P0"].scale(2)
-    else:
-        idx = _pair_idx(space)
-        a, b = rmatrix.labels(space)[-2:]
-        gap = rmatrix._gap(eigenvalues(space), "P+")
-        nums["P+"] = nums["P+"] + QMatrix(len(idx), {(idx[a, b], idx[b, a]): gap * qpow(1)})
-    monkeypatch.setattr(rmatrix, "projector_numerators", lambda space: nums)
+def _plant(monkeypatch, fault):
+    """Plant a fault in the numerators of both spaces: P0 doubled, or P+
+    with q added at (ab, ba), a and b the last two labels (a swap-block
+    entry), which is its numerator with c+ q added there."""
+    planted = {}
+    for space in ("line", "euclid3"):
+        nums = planted[space] = dict(projector_numerators(space))
+        if fault == "P0 doubled":
+            nums["P0"] = nums["P0"].scale(2)
+        else:
+            idx = _pair_idx(space)
+            a, b = rmatrix.labels(space)[-2:]
+            gap = rmatrix._gap(eigenvalues(space), "P+")
+            nums["P+"] = nums["P+"] + QMatrix(len(idx), {(idx[a, b], idx[b, a]): gap * qpow(1)})
+    monkeypatch.setattr(rmatrix, "projector_numerators", planted.__getitem__)
 
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 @pytest.mark.parametrize("fault", list(_PLANTED))
 def test_planted_projector_faults_give_the_recorded_reports(monkeypatch, space, fault):
-    _plant(monkeypatch, space, fault)
+    _plant(monkeypatch, fault)
     rep = projector_algebra_check(space)
     assert rep.status == "fail"
     assert [(f.indices, f.lhs, f.rhs) for f in rep.failures] == _PLANTED[fault]
@@ -212,10 +228,20 @@ _PLANTED_SPECTRAL = {
 @pytest.mark.parametrize("space", ["line", "euclid3"])
 @pytest.mark.parametrize("fault", list(_PLANTED))
 def test_planted_faults_give_the_recorded_spectral_reports(monkeypatch, space, fault):
-    _plant(monkeypatch, space, fault)
+    _plant(monkeypatch, fault)
     rep = spectral_check(space)
     assert rep.status == "fail"
     assert [(f.indices, f.lhs, f.rhs) for f in rep.failures] == _PLANTED_SPECTRAL[fault, space]
+
+
+def test_a_perturbed_p_plus_gives_the_recorded_projector_reports(monkeypatch, capsys, recorded):
+    # the projector-algebra and spectral reports of both spaces, recorded
+    # while the checks read P+ itself with q added at (ab, ba): the spectral
+    # check's entries, shown divided by the product of the gaps, are the
+    # projector sum's
+    _plant(monkeypatch, "P+ perturbed")
+    assert main(["verify", "projectors", "--json"]) == 1
+    assert capsys.readouterr().out == recorded("broken_projector_reports.json")
 
 
 @pytest.mark.parametrize("space", ["line", "euclid3"])

@@ -1,5 +1,6 @@
 """The one registry of the package's caches, read through ``qspace.tables()``,
-the private names of ``qspace`` that the tests and CI tools may read, and
+the private names of ``qspace`` that the tests and CI tools may read, the
+recorded outputs under ``tools/reference`` that some check must read, and
 the package's own code, which builds a plain dict and makes an element from
 it instead of writing into an element's terms."""
 
@@ -234,6 +235,15 @@ def test_tests_and_tools_read_only_the_listed_private_names():
     assert sorted(read - set(ALLOWED_PRIVATE)) == [], "read but not listed"
     assert sorted(set(ALLOWED_PRIVATE) - read) == [], "listed but no longer read"
     assert len(ALLOWED_PRIVATE) <= 67
+
+
+def test_every_recorded_output_is_read_by_a_check():
+    # a check deleted later cannot leave its recording behind unread
+    readers = [ROOT / "tools" / "ci_checks.py", *(ROOT / "tests").glob("*.py")]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in readers)
+    recordings = sorted(path.name for path in (ROOT / "tools" / "reference").iterdir())
+    assert recordings
+    assert [name for name in recordings if name not in text] == []
 
 
 def test_the_private_name_guard_sees_every_spelling():
