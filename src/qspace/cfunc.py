@@ -91,9 +91,6 @@ class CFunction(_LinComb):
         except ValueError:
             raise ValueError(f"unknown variable {name!r}, not one of {variables}") from None
 
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
             return self.scale(other)

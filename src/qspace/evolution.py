@@ -27,7 +27,7 @@ from .cfunc import (
     space_vars,
 )
 from .ncalgebra import NCElement, act, lift, lower
-from .qfunc import act_inverse_partial, act_partial_closed, scale_arg
+from .qfunc import _act, scale_arg
 from .reports import VerificationReport
 from .scalars import I, ONE, QScalar, ZERO, _add_term, _apply_rows, qpow, scalar
 from .spaces import CALCULI, LINE, SPATIAL_D, check_option
@@ -421,7 +421,7 @@ def _ibp_sides(variant, idx, f, g, integrate):
     half_steps = 2 * _BASE_OF_MODE[variant] if idx == "1" else 0
 
     def D(h):
-        return act_partial_closed(idx, variant, h, LINE)
+        return _act(False, idx, variant, h, LINE, "standard")
 
     if not CALCULI[variant][1]:
         return integrate(D(f) * g), integrate(scale_arg(f, "x1", half_steps) * D(g))
@@ -440,7 +440,7 @@ def ibp_check(f: CFunction, g: CFunction, a: QScalar, b: QScalar) -> Verificatio
             return F.subs_scalar(var, b) - F.subs_scalar(var, a)
 
         lhs, rest = _ibp_sides(
-            variant, idx, f, g, lambda h: definite(act_inverse_partial(idx, variant, h, LINE))
+            variant, idx, f, g, lambda h: definite(_act(True, idx, variant, h, LINE, "standard"))
         )
         rhs = definite(f * g) - rest
         rep.compare(f"{variant} d{idx}", lhs, rhs)

@@ -115,13 +115,23 @@ def translate(space: str, variant: str, f: CFunction) -> CFunction:
     Each monomial's sum is written out in closed form: a derivative power
     over the matching factorial is a binomial, classical or Gaussian, so
     every coefficient is a Laurent polynomial and nothing is divided.  The
-    sums are read from the translation table.
+    sums are read from the translation table, and a translation asked for
+    before is read whole from the table of translations.
     """
     check_option("translation variant", variant, TRANSLATE_VARIANTS)
-    want = space_vars(space)
-    f = f.restrict(want)
+    return _translations(space, variant, f)
+
+
+def _translate(space, variant, f):
+    """The translation of f from the translation table's rows.  The suites
+    call it, not the table below: their inputs are new each time."""
     rows = functools.partial(_translate_image, space, variant)
-    return CFunction(doubled_vars(space), _apply_rows(f.terms.items(), rows))
+    terms = f.restrict(space_vars(space)).terms
+    return CFunction(doubled_vars(space), _apply_rows(terms.items(), rows))
+
+
+# (space, variant, polynomial) -> its translation, for translate
+_translations = _memoized(_memo("hopf.translations"))(_translate)
 
 
 @_memoized(_memo("hopf.antipode_rows"))
@@ -160,12 +170,22 @@ def antipode(space: str, variant: str, f: CFunction) -> CFunction:
     n(n-1)-type on the +/- degrees, the reading the counit and Taylor
     identities validate.  Step k of a monomial x3^m3 carries
     D_3^(2k) x3^m3 / [[2k]]!! = [[m3 over 2k]] [[1]][[3]]...[[2k-1]] x3^(m3-2k),
-    so no q-factorial is divided."""
+    so no q-factorial is divided.  An antipode asked for before is read
+    whole from the table of antipodes."""
     check_option("antipode variant", variant, TRANSLATE_VARIANTS)
+    return _antipodes(space, variant, f)
+
+
+def _antipode(space, variant, f):
+    """The antipode of f from the antipode table's rows.  The suites call
+    it, not the table below: their inputs are new each time."""
     want = space_vars(space)
-    f = f.restrict(want)
     rows = functools.partial(_antipode_image, space, _VARIANT_PARAMS[variant][0])
-    return CFunction(want, _apply_rows(f.terms.items(), rows))
+    return CFunction(want, _apply_rows(f.restrict(want).terms.items(), rows))
+
+
+# (space, variant, polynomial) -> its antipode, for antipode
+_antipodes = _memoized(_memo("hopf.antipodes"))(_antipode)
 
 
 def antipode_on_y_legs(space, variant, t: CFunction) -> CFunction:

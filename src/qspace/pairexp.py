@@ -15,7 +15,8 @@ import math
 from .cfunc import CFunction, _mono_text, _monomials, space_vars
 from .ncalgebra import NCElement, _normal_forms, act, hat_factor
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, _add_term, _memo, _remember, qfact, qnum, scalar
+from .scalars import ONE, QScalar, _add_term, _LinComb, _memo, _memoized, _remember, _set
+from .scalars import qfact, qnum, scalar
 from .spaces import CALCULI, D_TOKENS, GRADE, HAT_D_TOKENS, REVERSED, X_TOKENS, check_option
 
 PAIR_VARIANTS = ("L_Rbar", "Lbar_R")
@@ -80,18 +81,28 @@ def coord_word_element(space, exps, reversed_order: bool) -> NCElement:
 
 
 class TensorSeries:
-    """Truncated q-exponential: (coordinate monomial, derivative word) pairs."""
+    """Truncated q-exponential: (coordinate monomial, derivative word)
+    pairs.  Read-only like an element: ``terms`` is a tuple of (exps tuple,
+    NCElement, QScalar), no attribute can be set or deleted once made, and
+    the text is kept once worked out, so qexp hands out its stored series."""
+
+    __slots__ = ("space", "variant", "degree_bound", "terms", "_text")
+    __setattr__ = __delattr__ = _LinComb.__setattr__
 
     def __init__(self, space, variant, degree_bound, terms):
-        self.space = space
-        self.variant = variant
-        self.degree_bound = degree_bound
-        self.terms = terms  # list of (exps tuple, NCElement, QScalar)
+        _set(self, "space", space)
+        _set(self, "variant", variant)
+        _set(self, "degree_bound", degree_bound)
+        _set(self, "terms", tuple(terms))
 
     def __iter__(self):
         return iter(self.terms)
 
     def __str__(self):
+        try:
+            return self._text
+        except AttributeError:
+            pass
         vars_ = space_vars(self.space)
         parts = []
         for exps, dword, coeff in self.terms:
@@ -102,7 +113,9 @@ class TensorSeries:
                 parts.append(f"{lhs} (x) {rhs}")
             else:
                 parts.append(f"({cs}) {lhs} (x) {rhs}")
-        return "  +  ".join(parts) if parts else "0"
+        text = "  +  ".join(parts) if parts else "0"
+        _set(self, "_text", text)
+        return text
 
 
 # (space, hatted, exps) -> (1 / norm factor, derivative word), filled on
@@ -133,11 +146,18 @@ def qexp(space: str, variant: str, degree_bound: int) -> TensorSeries:
     flipped variants put the derivative leg first and are dual to the
     coordinate-first pairings, whose printed values carry a sign per
     derivative factor.  Terms come sorted by degree from the term table,
-    whose read-only derivative words every call shares.
+    whose read-only derivative words every call shares, and a series asked
+    for before is the stored one itself.
     """
     check_option("exponential variant", variant, EXP_VARIANTS)
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
+    return _series(space, variant, degree_bound)
+
+
+# (space, variant, degree bound) -> the truncated exponential, stored whole
+@_memoized(_memo("pairexp.series"))
+def _series(space, variant, degree_bound):
     vars_ = space_vars(space)
     hat, flipped = CALCULI[_EXP_MODE[variant]][:2]
     sign = -1 if hat else 1

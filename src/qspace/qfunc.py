@@ -153,10 +153,17 @@ def _action(inverse, index, variant, space, rep):
 
 
 def _act(inverse, index, variant, f, space, rep):
-    """The action _action names, applied to the polynomial f."""
+    """The action _action names, applied to the polynomial f.  The suites
+    call it, not the table below: their inputs are new each time."""
     action = _action(inverse, index, variant, space, rep)
     want = space_vars(space)
     return CFunction(want, action(f.restrict(want).terms))
+
+
+# (inverse?, index, variant, polynomial, space, rep) -> the action's image
+# of the polynomial, for the public actions.  _action checks the options
+# before anything is stored
+_actions = _memoized(_memo("qfunc.actions"))(_act)
 
 
 def act_partial_closed(index: str, variant: str, f: CFunction, space: str,
@@ -167,7 +174,7 @@ def act_partial_closed(index: str, variant: str, f: CFunction, space: str,
     with the hatted one, matching the four printed one-sided calculi; rep
     names the normal ordering the argument represents.
     """
-    return _act(False, index, variant, f, space, rep)
+    return _actions(False, index, variant, f, space, rep)
 
 
 def act_inverse_partial(index: str, variant: str, f: CFunction, space: str) -> CFunction:
@@ -175,7 +182,7 @@ def act_inverse_partial(index: str, variant: str, f: CFunction, space: str) -> C
 
     The correction series terminates on polynomials, so the result is exact;
     the matching forward action returns the input (inverse property)."""
-    return _act(True, index, variant, f, space, "standard")
+    return _actions(True, index, variant, f, space, "standard")
 
 
 # -- the scaling operator (evolution calls it by name: a test swaps in a fake) --

@@ -1181,6 +1181,18 @@ def _as_scalar(c):
 _set = object.__setattr__
 
 
+def _fingerprint(c):
+    """A hashable stand-in for the scalar c, equal for equal scalars: the
+    items of its canonical numerator, in content form with its imaginary
+    part and denominator.  QScalar's own hash converts to the stored form,
+    which costs more."""
+    num = c._n
+    if type(num) is dict:
+        return frozenset(num.items())
+    re, im, d = num
+    return d, frozenset(re.items()), im and frozenset(im.items())
+
+
 class _LinComb:
     """Finite linear combination of basis keys with QScalar coefficients.
 
@@ -1198,9 +1210,13 @@ class _LinComb:
     NotImplemented as well, and, for printing, ``_print_order`` and
     ``_mono_str`` (the basis key as text, empty for the unit); one whose
     terms print otherwise than ``_term_str`` overrides it.
+
+    An element keeps its hash and its text once worked out, each written
+    once through ``_set``: both are pure functions of the class, the frame
+    and the terms, so a stored element answers them again at no cost.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash", "_text")
     _mismatch = (ValueError, "frames differ")
 
     def __init__(self, terms=None):
@@ -1239,6 +1255,18 @@ class _LinComb:
             return NotImplemented
         return self._frame() == other._frame() and self.terms == other.terms
 
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # each key with its coefficient's fingerprint, so that the multiples
+        # of one monomial hash apart
+        h = hash((type(self), self._frame(), frozenset(
+            (k, _fingerprint(c)) for k, c in self.terms.items())))
+        _set(self, "_hash", h)
+        return h
+
     def __add__(self, other):
         if not self._same_kind(other):
             return NotImplemented
@@ -1273,12 +1301,19 @@ class _LinComb:
         return out
 
     def __str__(self):
+        try:
+            return self._text
+        except AttributeError:
+            pass
         terms = self.terms
         if len(terms) == 1:
-            for k, c in terms.items():
-                return self._term_str(k, c)
-        keys = sorted(terms, key=self._print_order)
-        return _join_terms([self._term_str(k, terms[k]) for k in keys])
+            [(k, c)] = terms.items()
+            text = self._term_str(k, c)
+        else:
+            keys = sorted(terms, key=self._print_order)
+            text = _join_terms([self._term_str(k, terms[k]) for k in keys])
+        _set(self, "_text", text)
+        return text
 
     def _term_str(self, k, c):
         mono = self._mono_str(k)

@@ -812,8 +812,9 @@ def test_star_products_run_twice_print_the_recorded_text(recorded):
 
 
 # half powers of q, lambda, (1 + q), L^-1, hatted derivatives, sums that
-# cancel, and a text that does not parse: the second run reads every parse
-# from the table the first one filled
+# cancel, and a text that does not parse: the second run reads every parse,
+# and every derivative action, translation, antipode and exponential, from
+# the tables the first one filled
 _PARSED_QUERIES = [
     (0, ["nf", "q^(1/2) Xm dhp Xp + lambda L^-1 X3"]),
     (0, ["nf", "(1 + q) dh3 X3 - (1 + q) dh3 X3 + L^-1 Xp dhm"]),
@@ -824,6 +825,8 @@ _PARSED_QUERIES = [
     (0, ["d", "(1 + q) xp x3^2 xm - lambda xm", "--index", "m", "--variant", "right"]),
     (0, ["translate", "(1 + q) x3^2 xp + q^(1/2) xm - q x3^2 xp - x3^2 xp", "--variant", "L"]),
     (0, ["star", "lambda xp x3 + q^(1/2) xm", "(1 + q) x3^2 - q x3^2 - x3^2 + xm"]),
+    (0, ["antipode", "lambda x3^3 xp - q^(1/2) xm^2 x0 + (1 + q) x3^2", "--variant", "Lbar"]),
+    (0, ["exp", "--variant", "dhx", "--degree", "2", "--space", "line"]),
     (2, ["nf", "lambda Xp (1 + q"]),
 ]
 

@@ -545,7 +545,7 @@ _OWN_LOOKUPS = {
     ("scalars", "qbinom"),
     ("ncalgebra", "_normalize_word"),
     ("ncalgebra", "_fill"),
-    ("pairexp", "qexp"),
+    ("pairexp", "_series"),
 }
 
 

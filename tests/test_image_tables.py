@@ -9,6 +9,11 @@ from emptied tables, so a later variant, index or ordering reads the rows
 an earlier one stored, and again warm on a rescaled input, so a row that
 kept its first caller's coefficient shows.  The inputs are multi-term
 polynomials whose coefficients are signed, Laurent, rational and Gaussian.
+
+The public calls also store their whole answers, and so does ``qexp``: a
+stored answer is checked against the cold one computed again from emptied
+tables, over inputs that a table keyed without its variant, index or space
+would confuse.
 """
 
 import random
@@ -19,6 +24,7 @@ import qspace
 from qspace.cfunc import CFunction, E3_VARS, _monomials, space_vars
 from qspace.hopf import TRANSLATE_VARIANTS, antipode, translate
 from qspace.ncalgebra import reorder_transform
+from qspace.pairexp import EXP_VARIANTS, TensorSeries, qexp
 from qspace.qfunc import VARIANTS, act_inverse_partial, act_partial_closed
 from qspace.scalars import LAM, ONE, qpow
 from qspace.spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION
@@ -166,6 +172,78 @@ def test_image_tables_on_seeded_inputs(space):
     for _ in range(3):
         k = gen_scalar(rng.randint) or ONE
         check_tables_against_the_per_call_path(space, _poly(space, rng.randint), k)
+
+
+# -- the stored answers against cold ones ---------------------------------------
+
+
+def _tabled_calls(space, f):
+    """(label, call) for every call of f that a result table stores: the
+    translations, the antipodes and the derivative actions."""
+    for variant in TRANSLATE_VARIANTS:
+        yield ("translate", space, variant), lambda v=variant: translate(space, v, f)
+        yield ("antipode", space, variant), lambda v=variant: antipode(space, v, f)
+    for variant in VARIANTS:
+        for index in INDICES[space]:
+            for rep in ("standard", "reversed"):
+                yield (("act", space, index, variant, rep),
+                       lambda i=index, v=variant, r=rep: act_partial_closed(i, v, f, space, r))
+            yield (("inverse", space, index, variant),
+                   lambda i=index, v=variant: act_inverse_partial(i, v, f, space))
+
+
+# every exponential a result table stores, on both spaces
+_EXP_CALLS = [(("qexp", space, variant, degree), lambda a=(space, variant, degree): qexp(*a))
+              for space in (LINE, E3) for variant in EXP_VARIANTS for degree in (1, 2)]
+
+
+def check_stored_answers_against_cold_ones(calls):
+    """Every call from emptied tables, one after another, and again: the
+    second answer is the stored one itself.  Then each is asked alone after
+    clear_tables, and the cold answer must equal the stored one.  calls
+    share inputs across variants, indices and spaces, so a table keyed
+    without one of them hands a later call an earlier call's answer."""
+    qspace.clear_tables()
+    stored = [(label, call, call()) for label, call in calls]
+    for label, call, got in stored:
+        assert call() is got, label
+    for label, call, got in stored:
+        qspace.clear_tables()
+        cold = call()
+        if isinstance(got, TensorSeries):
+            assert (cold.space, cold.variant, cold.terms) == (got.space, got.variant, got.terms), label
+        else:
+            assert cold == got, label
+        assert str(cold) == str(got), label
+
+
+def _x0_poly(draw_int):
+    """A polynomial in x0 alone on the euclid3 variables, which both spaces
+    read: the input a table keyed without its space would confuse."""
+    return CFunction(E3_VARS, {(draw_int(0, 3), 0, 0, 0): gen_scalar(draw_int)
+                               for _ in range(draw_int(1, 2))})
+
+
+def _stored_inputs():
+    from hypothesis import strategies as st
+
+    def build(draw):
+        draw_int = lambda lo, hi: draw(st.integers(lo, hi))  # noqa: E731
+        space = (LINE, E3)[draw_int(0, 1)]
+        return space, _poly(space, draw_int), _x0_poly(draw_int)
+
+    return st.composite(build)()
+
+
+@field_property(_stored_inputs, examples=20)
+def test_stored_answers_equal_cold_ones(case):
+    space, f, x0_poly = case
+    calls = [*_tabled_calls(space, f), *_tabled_calls(LINE, x0_poly), *_tabled_calls(E3, x0_poly)]
+    check_stored_answers_against_cold_ones(calls)
+
+
+def test_stored_exponentials_equal_cold_ones():
+    check_stored_answers_against_cold_ones(_EXP_CALLS)
 
 
 # -- shared entries and early checks --------------------------------------------

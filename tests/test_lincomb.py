@@ -1,6 +1,6 @@
 """The shared sparse linear-combination core behind CFunction, NCElement,
-GElement and QMatrix: zero terms never survive, frames are checked, only
-CFunction is hashable, a number scales from either side, the products
+GElement and QMatrix: zero terms never survive, frames are checked, every
+element hashes as == compares, a number scales from either side, the products
 accumulate through the one row kernel, scalars._apply_rows, and an element
 cannot be changed once made, so the values that tables store and hand out
 (a power of H, a q-exponential's word, a parse) stay as they were made."""
@@ -20,6 +20,7 @@ from qspace.rmatrix import QMatrix
 from qspace.pairexp import qexp
 from qspace.scalars import ONE, ZERO, QScalar, _apply_rows, _term_pairs, qpow, scalar
 from qspace.starcalc import StarContext, star
+from test_scalar_oracle import field_property, gen_scalar
 
 
 def test_embed_drops_renamed_variables_that_cancel():
@@ -68,12 +69,12 @@ def test_frames_and_hashability():
         a + NCElement.generator("euclid3", "x3")
     with pytest.raises(SpaceMismatch):
         a * NCElement.generator("euclid3", "x3")
-    for unhashable in (a, GElement.gen("th1")):
-        with pytest.raises(TypeError):
-            hash(unhashable)
+    th, m = GElement.gen("th1"), QMatrix.identity(2)
+    # every element class is hashable, and equal elements hash alike
+    for x, same in ((a, NCElement.generator("line", "x1")), (th, th.scale(1)), (m, m + m - m)):
+        assert x == same and x is not same and hash(x) == hash(same)
     # a number in a sum, or an operand of another type, raises TypeError in
     # both orders
-    th, m = GElement.gen("th1"), QMatrix.identity(2)
     sums, every = (operator.add, operator.sub), (operator.add, operator.sub, operator.mul)
     cases = [(x, n, sums) for x in (f, a, th, m) for n in (1, Fraction(1, 2), ONE)]
     cases += [(m, 1.5, every), (f, "x", every), (f, a, every), (a, f, every), (th, a, every),
@@ -83,6 +84,67 @@ def test_frames_and_hashability():
             for left, right in ((x, y), (y, x)):
                 with pytest.raises(TypeError):
                     op(left, right)
+
+
+# -- the hash agrees with == --------------------------------------------------------
+
+# a constructor of each hashed class on a fixed frame, and the keys its terms
+# draw from
+_FRAMED = {
+    "CFunction": (lambda t: CFunction(("x0", "x1"), t), [(i, j) for i in range(3) for j in range(3)]),
+    "NCElement": (lambda t: NCElement("line", t),
+                  [(i, 0, j, 0, h) for i in range(2) for j in range(2) for h in (-1, 0, 2)]),
+    "QMatrix": (lambda t: QMatrix(3, t), [(i, j) for i in range(3) for j in range(3)]),
+}
+
+
+def _hash_cases():
+    from hypothesis import strategies as st
+
+    def build(draw):
+        draw_int = lambda lo, hi: draw(st.integers(lo, hi))  # noqa: E731
+        make, keys = _FRAMED[sorted(_FRAMED)[draw_int(0, 2)]]
+
+        def element():
+            return make({keys[draw_int(0, len(keys) - 1)]: gen_scalar(draw_int)
+                         for _ in range(draw_int(0, 4))})
+
+        k = Fraction(draw_int(1, 7) * (-1) ** draw_int(0, 1), draw_int(1, 5))
+        g = scalar(Fraction(draw_int(-3, 3), draw_int(1, 3)), Fraction(draw_int(1, 3), draw_int(1, 2)))
+        return make, element(), element(), k, g
+
+    return st.composite(build)()
+
+
+@field_property(_hash_cases, examples=80)
+def test_equal_elements_built_different_ways_hash_alike(case):
+    make, a, b, k, g = case
+    pairs = [
+        (a + b, b + a),
+        (a + b - b, a),
+        (make(dict(reversed(list(a.terms.items())))), a),
+        (a.scale(k).scale(1 / k), a),
+        (a.scale(k), make({key: scalar(k) * c for key, c in a.terms.items()})),
+        (a.scale(g), make({key: g * c for key, c in a.terms.items()})),
+        ((a + b).scale(g), b.scale(g) + a.scale(g)),
+        (a.scale(g).scale(ONE / g), a),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y), (str(x), str(y))
+
+
+def test_the_hash_tells_frames_and_multiples_apart():
+    # the same terms on another frame, and the multiples of one monomial
+    # by integers, fractions, q-powers and Gaussian numbers, all hash apart
+    # (but -1 and -2, since CPython's hash(-1) is -2)
+    t = {(0, 1): qpow(1), (1, 1): ONE}
+    framed = [CFunction(("x0", "x1"), t), CFunction(("y0", "y1"), t), QMatrix(2, t), QMatrix(3, t)]
+    assert len({hash(x) for x in framed}) == len(framed)
+    mono = CFunction.var(E3_VARS, "xp")
+    numbers = [scalar(n) for n in range(-50, 51) if n not in (0, -1)]
+    numbers += [scalar(Fraction(1, n)) for n in range(2, 51)] + [scalar(Fraction(3, n)) for n in (2, 4, 5)]
+    numbers += [qpow(n) for n in range(-20, 21) if n] + [scalar(1, n) for n in range(1, 21)]
+    assert len({hash(mono.scale(c)) for c in numbers}) == len(numbers)
 
 
 def test_zero_results_are_empty():

@@ -235,11 +235,21 @@ def test_qexp_builds_no_factorial_product(direct, monkeypatch):
 def test_changing_a_returned_series_leaves_the_table_alone(direct):
     call = ("euclid3", "dhat_x", 3)
     series = qexp(*call)
+    shown = str(series)
     for _exps, dword, _coeff in series:
         assert_read_only(dword)
-    # every call hands out the table's words themselves
-    assert all(a[1] is b[1] for a, b in zip(qexp(*call), series))
-    series.terms.pop()
+    # every call hands out the stored series itself, read-only as an
+    # element is: its terms are a tuple, and no attribute can be rebound or
+    # deleted
+    assert qexp(*call) is series and type(series.terms) is tuple
+    with pytest.raises(AttributeError):
+        series.terms.pop()
+    for name in (*type(series).__slots__, "planted"):
+        with pytest.raises(AttributeError):
+            setattr(series, name, ())
+        with pytest.raises(AttributeError):
+            delattr(series, name)
+    assert qexp(*call) is series and str(qexp(*call)) == shown
     assert _data(qexp(*call).terms) == direct[call]
     assert _data(qexp(*call[:2], 2).terms) == direct[call[:2] + (2,)]
 

@@ -147,15 +147,15 @@ def test_oracle_equivalence_low_degree(space):
 def scaled_right_action(monkeypatch):
     """Multiply the closed-form action by q for the right-handed variants at
     index '-' on euclid3, as the oracle-actions suite reads it at call time."""
-    plain = qfunc.act_partial_closed
+    plain = qfunc._act
 
-    def planted(index, variant, f, space, rep="standard"):
-        out = plain(index, variant, f, space, rep)
-        if space == "euclid3" and index == "-" and variant in ("right", "right_bar"):
+    def planted(inverse, index, variant, f, space, rep):
+        out = plain(inverse, index, variant, f, space, rep)
+        if not inverse and space == "euclid3" and index == "-" and variant in ("right", "right_bar"):
             return out * qpow(1)
         return out
 
-    monkeypatch.setattr(qfunc, "act_partial_closed", planted)
+    monkeypatch.setattr(qfunc, "_act", planted)
 
 
 def test_a_scaled_right_action_fails_the_recorded_oracle_report(scaled_right_action, capsys,

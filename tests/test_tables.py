@@ -133,6 +133,7 @@ ALLOWED_PRIVATE = {
     "pairexp._EXP_MODE": "the exponentials' modes the graded Kronecker check enumerates",
     "pairexp._grade": "the grade the graded Kronecker check restates",
     "pairexp._norm_factor": "the factorial product the term table replaces",
+    "qfunc._act": "the untabled closed-form action the suites call, planted",
     "rmatrix._gap": "the eigenvalue gap a numerator is its projector times",
     "rmatrix._pair_idx": "the index of a label pair in the braiding matrix",
     "scalars._MEMO_LIMIT": "lowered so that every store empties its table",
@@ -234,7 +235,7 @@ def test_tests_and_tools_read_only_the_listed_private_names():
         read |= _private_reads(ast.parse(path.read_text(), str(path)), modules)
     assert sorted(read - set(ALLOWED_PRIVATE)) == [], "read but not listed"
     assert sorted(set(ALLOWED_PRIVATE) - read) == [], "listed but no longer read"
-    assert len(ALLOWED_PRIVATE) <= 67
+    assert len(ALLOWED_PRIVATE) <= 68
 
 
 def test_every_recorded_output_is_read_by_a_check():
