@@ -1181,16 +1181,25 @@ def _as_scalar(c):
 _set = object.__setattr__
 
 
-def _fingerprint(c):
-    """A hashable stand-in for the scalar c, equal for equal scalars: the
-    items of its canonical numerator, in content form with its imaginary
-    part and denominator.  QScalar's own hash converts to the stored form,
-    which costs more."""
-    num = c._n
-    if type(num) is dict:
-        return frozenset(num.items())
-    re, im, d = num
+def _pfinger(p):
+    """A hashable stand-in for the canonical polynomial p: its items, in
+    content form with the imaginary part and the common denominator."""
+    if type(p) is dict:
+        return frozenset(p.items())
+    re, im, d = p
     return d, frozenset(re.items()), im and frozenset(im.items())
+
+
+def _fingerprint(c):
+    """A hashable stand-in for the coefficient c, equal for equal
+    coefficients: its numerator's, and unless it is 1 its denominator's,
+    _pfinger.  An int or Fraction is read as the QScalar equal to it.
+    QScalar's own hash converts to the stored form, which costs more."""
+    if type(c) is not QScalar:
+        c = _as_scalar(c)
+    num = _pfinger(c._n)
+    den = c._d
+    return num if den is _P_ONE else (num, _pfinger(den))
 
 
 class _LinComb:

@@ -17,6 +17,7 @@ would confuse.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,7 @@ from qspace.hopf import TRANSLATE_VARIANTS, antipode, translate
 from qspace.ncalgebra import reorder_transform
 from qspace.pairexp import EXP_VARIANTS, TensorSeries, qexp
 from qspace.qfunc import VARIANTS, act_inverse_partial, act_partial_closed
-from qspace.scalars import LAM, ONE, qpow
+from qspace.scalars import LAM, ONE, qpow, scalar
 from qspace.spaces import CALCULI, E3, LINE, PM_LABEL_SWAP, SUBSTITUTION
 from test_lincomb import assert_read_only
 from test_scalar_oracle import field_property, gen_scalar
@@ -240,6 +241,25 @@ def test_stored_answers_equal_cold_ones(case):
     space, f, x0_poly = case
     calls = [*_tabled_calls(space, f), *_tabled_calls(LINE, x0_poly), *_tabled_calls(E3, x0_poly)]
     check_stored_answers_against_cold_ones(calls)
+
+
+@pytest.mark.parametrize("number", [2, Fraction(-3, 2)], ids=["int", "Fraction"])
+def test_a_plain_number_coefficient_is_a_key_like_its_scalar(number):
+    # the raw constructor keeps a plain number as it is given; the input
+    # equals and hashes like the one built with the equal scalar, so every
+    # tabled map answers both alike, from either table entry
+    for space, exps in ((LINE, (0, 1)), (E3, (1, 0, 2, 0))):
+        vars_ = space_vars(space)
+        plain = CFunction(vars_, {exps: number, (0,) * len(vars_): 1})
+        same = CFunction(vars_, {exps: scalar(number), (0,) * len(vars_): ONE})
+        assert plain == same and hash(plain) == hash(same)
+        for (label, call), (_label, call_same) in zip(_tabled_calls(space, plain),
+                                                      _tabled_calls(space, same)):
+            qspace.clear_tables()
+            assert call() == call_same(), label
+            qspace.clear_tables()
+            assert call_same() == call() and str(call()) == str(call_same()), label
+        check_stored_answers_against_cold_ones(_tabled_calls(space, plain))
 
 
 def test_stored_exponentials_equal_cold_ones():

@@ -128,6 +128,8 @@ def test_equal_elements_built_different_ways_hash_alike(case):
         (a.scale(g), make({key: g * c for key, c in a.terms.items()})),
         ((a + b).scale(g), b.scale(g) + a.scale(g)),
         (a.scale(g).scale(ONE / g), a),
+        # the raw constructor keeps a plain number as it is given
+        (make(dict.fromkeys(a.terms, k)), make(dict.fromkeys(a.terms, scalar(k)))),
     ]
     for x, y in pairs:
         assert x == y and hash(x) == hash(y), (str(x), str(y))
@@ -136,7 +138,8 @@ def test_equal_elements_built_different_ways_hash_alike(case):
 def test_the_hash_tells_frames_and_multiples_apart():
     # the same terms on another frame, and the multiples of one monomial
     # by integers, fractions, q-powers and Gaussian numbers, all hash apart
-    # (but -1 and -2, since CPython's hash(-1) is -2)
+    # (but -1 and -2, since CPython's hash(-1) is -2), and so do its
+    # multiples by rational functions of one numerator or one denominator
     t = {(0, 1): qpow(1), (1, 1): ONE}
     framed = [CFunction(("x0", "x1"), t), CFunction(("y0", "y1"), t), QMatrix(2, t), QMatrix(3, t)]
     assert len({hash(x) for x in framed}) == len(framed)
@@ -144,6 +147,8 @@ def test_the_hash_tells_frames_and_multiples_apart():
     numbers = [scalar(n) for n in range(-50, 51) if n not in (0, -1)]
     numbers += [scalar(Fraction(1, n)) for n in range(2, 51)] + [scalar(Fraction(3, n)) for n in (2, 4, 5)]
     numbers += [qpow(n) for n in range(-20, 21) if n] + [scalar(1, n) for n in range(1, 21)]
+    numbers += [qpow(2) / (ONE + qpow(m)) for m in range(1, 21)]
+    numbers += [qpow(2) / (qpow(m) + qpow(m + 2)) for m in range(1, 21)]
     assert len({hash(mono.scale(c)) for c in numbers}) == len(numbers)
 
 

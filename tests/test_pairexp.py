@@ -250,6 +250,12 @@ def test_changing_a_returned_series_leaves_the_table_alone(direct):
         with pytest.raises(AttributeError):
             delattr(series, name)
     assert qexp(*call) is series and str(qexp(*call)) == shown
+    # the series to a lower and to a higher degree bound, each built on its
+    # own, share the term table's derivative words themselves
+    words = {exps: dword for exps, dword, _coeff in series}
+    for other in (qexp(*call[:2], 2), qexp(*call[:2], 4)):
+        shared = [dword is words[exps] for exps, dword, _coeff in other if exps in words]
+        assert other is not series and len(shared) >= 4 and all(shared)
     assert _data(qexp(*call).terms) == direct[call]
     assert _data(qexp(*call[:2], 2).terms) == direct[call[:2] + (2,)]
 
