@@ -14,7 +14,7 @@ from collections import Counter
 from operator import add
 
 from .scalars import ONE, ZERO, QScalar, _add_term, _apply_rows, _coeff_times, _LinComb, _memo
-from .scalars import _NUMBER, _as_scalar, _memoized, _set, _term_pairs
+from .scalars import _memoized, _set, _term_pairs
 from .scalars import qnum, qpow, scalar
 from .spaces import E3, LINE, X_TOKENS, check_option
 
@@ -70,18 +70,18 @@ class CFunction(_LinComb):
     @staticmethod
     def constant(variables, c):
         variables = tuple(variables)
-        return CFunction(variables, {(0,) * len(variables): _as_scalar(c)})
+        return CFunction(variables, {(0,) * len(variables): c})
 
     @staticmethod
     def monomial(variables, exps, coeff=ONE):
-        return CFunction(variables, {tuple(exps): _as_scalar(coeff)})
+        return CFunction(variables, {tuple(exps): coeff})
 
     @staticmethod
     def var(variables, name, power=1, coeff=ONE):
         variables = tuple(variables)
         e = [0] * len(variables)
         e[CFunction._vi(variables, name)] = power
-        return CFunction(variables, {tuple(e): _as_scalar(coeff)})
+        return CFunction(variables, {tuple(e): coeff})
 
     @staticmethod
     def _vi(variables, name):
@@ -91,11 +91,7 @@ class CFunction(_LinComb):
         except ValueError:
             raise ValueError(f"unknown variable {name!r}, not one of {variables}") from None
 
-    def __mul__(self, other):
-        if isinstance(other, _NUMBER):
-            return self.scale(other)
-        if not self._same_kind(other):
-            return NotImplemented
+    def _product(self, other):
         # the row of a pair of monomials: their exponents added
         pairs = _term_pairs(self.terms, other.terms)
         return CFunction(self.vars, _apply_rows(pairs, lambda e: ((tuple(map(add, *e)), ONE),)))

@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _LinComb, _power_text, qpow
-from .scalars import _NUMBER, _apply_rows, _as_scalar, _memo, _memoized, _remember
+from .scalars import _apply_rows, _memo, _memoized, _remember
 from .scalars import _set, _term_pairs, clear_tables
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
@@ -506,7 +506,7 @@ class NCElement(_LinComb):
     @staticmethod
     def scalar_term(space, c):
         k = (0,) * len(KEY_LAYOUT[space]) + (0,)
-        return NCElement(space, {k: _as_scalar(c)})
+        return NCElement(space, {k: c})
 
     @staticmethod
     def generator(space, tag, power=1):
@@ -530,11 +530,7 @@ class NCElement(_LinComb):
 
     # -- ring structure -----------------------------------------------------
 
-    def __mul__(self, other):
-        if isinstance(other, _NUMBER):
-            return self.scale(other)
-        if not self._same_kind(other):
-            return NotImplemented
+    def _product(self, other):
         space = self.space
 
         def row_of(pair):

@@ -660,11 +660,14 @@ def _pfloat(p, s0):
 _P_ONE = {0: 1}
 
 
-def _hash_parts(p):
-    """A stored polynomial as (exponent, re, im) triples."""
-    return tuple(
-        (k, c.re, c.im) if type(c) is GaussianRational else (k, c, 0) for k, c in p.items()
-    )
+def _pfrozen(p):
+    """A hashable stand-in for the canonical polynomial p, equal for equal
+    polynomials: its items, in content form with the imaginary part and
+    the common denominator."""
+    if type(p) is dict:
+        return frozenset(p.items())
+    re, im, d = p
+    return d, frozenset(re.items()), im and frozenset(im.items())
 
 
 def _canon(num, den):
@@ -769,13 +772,17 @@ class QScalar:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        num = _to_stored(self._n)
-        if self._d is _P_ONE and (
-            not num or (len(num) == 1 and 0 in num and type(num[0]) is not GaussianRational)
-        ):
-            # a real rational constant hashes like the equal int or Fraction
-            return hash(num[0]) if num else 0
-        return hash((_hash_parts(num), _hash_parts(_to_stored(self._d))))
+        # read from the canonical parts; a real rational constant hashes
+        # like the equal int or Fraction
+        num = self._n
+        if self._d is not _P_ONE:
+            return hash((_pfrozen(num), _pfrozen(self._d)))
+        if type(num) is dict:
+            if num.keys() <= {0}:
+                return hash(num.get(0, 0))
+        elif num[1] is None and num[0].keys() == {0}:
+            return hash(Fraction(num[0][0], num[2]))
+        return hash(_pfrozen(num))
 
     # -- arithmetic -------------------------------------------------------
     #
@@ -1172,34 +1179,18 @@ _NUMBER = (QScalar, int, Fraction)
 
 
 def _as_scalar(c):
-    """c, or the QScalar equal to it if it is an int or Fraction: the one
-    conversion of a plain number a combination is made or scaled with."""
-    return scalar(c) if isinstance(c, (int, Fraction)) else c
+    """c if it is a QScalar, else the QScalar equal to the int or Fraction
+    c: the one conversion of a coefficient or a scaling factor.  Any other
+    type raises TypeError."""
+    if c.__class__ is QScalar:
+        return c
+    if isinstance(c, (int, Fraction)):
+        return scalar(c)
+    raise TypeError(f"a coefficient is a QScalar, int or Fraction, not {type(c).__name__}")
 
 
 # sets an attribute of an element under construction, past its guard
 _set = object.__setattr__
-
-
-def _pfinger(p):
-    """A hashable stand-in for the canonical polynomial p: its items, in
-    content form with the imaginary part and the common denominator."""
-    if type(p) is dict:
-        return frozenset(p.items())
-    re, im, d = p
-    return d, frozenset(re.items()), im and frozenset(im.items())
-
-
-def _fingerprint(c):
-    """A hashable stand-in for the coefficient c, equal for equal
-    coefficients: its numerator's, and unless it is 1 its denominator's,
-    _pfinger.  An int or Fraction is read as the QScalar equal to it.
-    QScalar's own hash converts to the stored form, which costs more."""
-    if type(c) is not QScalar:
-        c = _as_scalar(c)
-    num = _pfinger(c._n)
-    den = c._d
-    return num if den is _P_ONE else (num, _pfinger(den))
 
 
 class _LinComb:
@@ -1214,23 +1205,28 @@ class _LinComb:
     ``_frame()`` returns it as the leading constructor arguments, and
     ``_mismatch`` names the exception type and message raised when two frames
     differ.  An operand that is neither a combination of the same class nor
-    a number gets NotImplemented, so Python raises TypeError.  Subclasses
-    also supply the product, which scales by a number and returns
-    NotImplemented as well, and, for printing, ``_print_order`` and
-    ``_mono_str`` (the basis key as text, empty for the unit); one whose
-    terms print otherwise than ``_term_str`` overrides it.
+    a number gets NotImplemented, so Python raises TypeError.  ``__mul__``
+    scales by a number and checks the frame; a subclass supplies only
+    ``_product(other)``, the product with an element of its own class and
+    frame, and, for printing, ``_print_order`` and ``_mono_str`` (the basis
+    key as text, empty for the unit); one whose terms print otherwise than
+    ``_term_str`` overrides it.
 
-    An element keeps its hash and its text once worked out, each written
-    once through ``_set``: both are pure functions of the class, the frame
-    and the terms, so a stored element answers them again at no cost.
+    The constructor is the one door for coefficients: a zero one is
+    dropped, an int or Fraction is stored as the equal QScalar, and any
+    other type raises TypeError.  An element keeps its hash and its text
+    once worked out, each written once through ``_set``: both are pure
+    functions of the class, the frame and the terms, so a stored element
+    answers them again at no cost.
     """
 
     __slots__ = ("terms", "_hash", "_text")
     _mismatch = (ValueError, "frames differ")
 
     def __init__(self, terms=None):
-        _set(self, "terms", MappingProxyType(
-            {tuple(k): c for k, c in terms.items() if c} if terms else {}))
+        _set(self, "terms", MappingProxyType({
+            tuple(k): c if c.__class__ is QScalar else _as_scalar(c)
+            for k, c in terms.items() if c} if terms else {}))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -1269,10 +1265,7 @@ class _LinComb:
             return self._hash
         except AttributeError:
             pass
-        # each key with its coefficient's fingerprint, so that the multiples
-        # of one monomial hash apart
-        h = hash((type(self), self._frame(), frozenset(
-            (k, _fingerprint(c)) for k, c in self.terms.items())))
+        h = hash((type(self), self._frame(), frozenset(self.terms.items())))
         _set(self, "_hash", h)
         return h
 
@@ -1289,6 +1282,13 @@ class _LinComb:
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, type(self)) else NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, _NUMBER):
+            return self.scale(other)
+        if not self._same_kind(other):
+            return NotImplemented
+        return self._product(other)
 
     def __rmul__(self, c):
         # a number times a combination

@@ -15,10 +15,13 @@ from qspace import expressions
 from qspace.cfunc import E3_VARS, CFunction
 from qspace.evolution import free_hamiltonian
 from qspace.grassmann import GElement
+from qspace.hopf import antipode, translate
 from qspace.ncalgebra import NCElement, SpaceMismatch, act
+from qspace.qfunc import act_partial_closed
 from qspace.rmatrix import QMatrix
 from qspace.pairexp import qexp
-from qspace.scalars import ONE, ZERO, QScalar, _apply_rows, _term_pairs, qpow, scalar
+from qspace.scalars import ONE, ZERO, GaussianRational, QScalar, _apply_rows, _term_pairs
+from qspace.scalars import qpow, scalar
 from qspace.starcalc import StarContext, star
 from test_scalar_oracle import field_property, gen_scalar
 
@@ -38,21 +41,74 @@ def test_restrict_drops_renamed_variables_that_cancel():
         f.vars, {(0, 0, 1): ONE, (0, 1, 0): -ONE, (0, 0, 0): scalar(2)})
 
 
+# the raw constructor of each class with an int and a Fraction coefficient
+_PLAIN = {
+    "CFunction": (lambda t: CFunction(E3_VARS, t),
+                  {(0, 1, 0, 0): 2, (0, 0, 2, 1): Fraction(-3, 4)}),
+    "NCElement": (lambda t: NCElement("euclid3", t),
+                  {(0, 1, 0, 0, 0, 0, 0, 0, 0): 2, (0, 0, 1, 1, 0, 0, 0, 0, 0): Fraction(-3, 4)}),
+    "GElement": (GElement, {("th0",): 2, ("th1", "dth0"): Fraction(-3, 4)}),
+    "QMatrix": (lambda t: QMatrix(2, t), {(0, 1): 2, (1, 1): Fraction(-3, 4)}),
+}
+# what each class is read by, beyond str, numeric_str and eval_coeffs_exact
+_USES = {
+    "CFunction": {
+        "translate": lambda f: translate("euclid3", "Lbar", f),
+        "antipode": lambda f: antipode("euclid3", "L", f),
+        "act_partial_closed": lambda f: act_partial_closed("3", "left", f, "euclid3"),
+    },
+    "NCElement": {"conjugate": lambda a: a.conjugate()},
+    "GElement": {},
+    "QMatrix": {},
+}
+
+
+def _raw_cases():
+    """(made, use, want) of each raw constructor and reader: want is the
+    reader's answer on the same element built from scalars."""
+    uses = {"str": str, "numeric_str": lambda a: a.numeric_str(0.7),
+            "eval_coeffs_exact": lambda a: a.eval_coeffs_exact(4)}
+    for kind, (make, terms) in _PLAIN.items():
+        for name, use in {**uses, **_USES[kind]}.items():
+            built = {k: scalar(c) for k, c in terms.items()}
+            yield pytest.param(lambda make=make, terms=terms: make(terms), use,
+                               lambda make=make, built=built, use=use: use(make(built)),
+                               id=f"{kind}-{name}")
+
+
 @pytest.mark.parametrize("made, use, want", [
-    (lambda: CFunction.constant(E3_VARS, Fraction(1, 2)),
-     lambda f: f.eval_coeffs_exact(1), {(0, 0, 0, 0): Fraction(1, 2)}),
-    (lambda: CFunction.monomial(E3_VARS, (0, 1, 0, 0), 2),
-     lambda f: f.eval_float(1.1, {"xp": 1}), 2),
-    (lambda: CFunction.var(E3_VARS, "xp", 1, 2), str, "2 xp"),
-    (lambda: NCElement.scalar_term("line", 2), lambda a: a.conjugate(),
-     NCElement.scalar_term("line", scalar(2))),
-], ids=["constant", "monomial", "var", "scalar_term"])
+    pytest.param(lambda: CFunction.constant(E3_VARS, Fraction(1, 2)),
+                 lambda f: f.eval_coeffs_exact(1), {(0, 0, 0, 0): Fraction(1, 2)}, id="constant"),
+    pytest.param(lambda: CFunction.monomial(E3_VARS, (0, 1, 0, 0), 2),
+                 lambda f: f.eval_float(1.1, {"xp": 1}), 2, id="monomial"),
+    pytest.param(lambda: CFunction.var(E3_VARS, "xp", 1, 2), str, "2 xp", id="var"),
+    pytest.param(lambda: NCElement.scalar_term("line", 2), lambda a: a.conjugate(),
+                 NCElement.scalar_term("line", scalar(2)), id="scalar_term"),
+    *_raw_cases(),
+])
 def test_constructors_store_a_plain_number_as_a_scalar(made, use, want):
-    # an int or Fraction coefficient is stored as the equal QScalar, as
-    # scale stores it, so every coefficient method applies to it
+    # an int or Fraction coefficient is stored as the equal QScalar, by the
+    # named constructors and the raw one alike, so every coefficient method
+    # and every table keyed by the element applies to it.  A raw case's
+    # answer is worked out from empty tables, and so is the answer it is
+    # compared with, so neither is read from the other's table entry
     element = made()
-    assert all(isinstance(c, QScalar) for c in element.terms.values())
-    assert use(element) == want
+    assert all(type(c) is QScalar for c in element.terms.values())
+    qspace.clear_tables()
+    got = use(element)
+    if callable(want):
+        qspace.clear_tables()
+        want = want()
+    assert got == want
+
+
+@pytest.mark.parametrize("coeff", [1.5, "2", GaussianRational(1, 1)],
+                         ids=["float", "str", "GaussianRational"])
+@pytest.mark.parametrize("kind", sorted(_PLAIN))
+def test_a_coefficient_of_another_type_is_refused_at_construction(kind, coeff):
+    make, terms = _PLAIN[kind]
+    with pytest.raises(TypeError, match="coefficient"):
+        make(dict.fromkeys(terms, coeff))
 
 
 def test_frames_and_hashability():
@@ -128,7 +184,7 @@ def test_equal_elements_built_different_ways_hash_alike(case):
         (a.scale(g), make({key: g * c for key, c in a.terms.items()})),
         ((a + b).scale(g), b.scale(g) + a.scale(g)),
         (a.scale(g).scale(ONE / g), a),
-        # the raw constructor keeps a plain number as it is given
+        # the raw constructor stores a plain number as the equal scalar
         (make(dict.fromkeys(a.terms, k)), make(dict.fromkeys(a.terms, scalar(k)))),
     ]
     for x, y in pairs:
