@@ -14,7 +14,7 @@ from collections import Counter
 from operator import add
 
 from .scalars import ONE, ZERO, QScalar, _add_term, _apply_rows, _coeff_times, _LinComb, _memo
-from .scalars import _memoized, _set, _term_pairs
+from .scalars import _NUMBER, _memoized, _set, _term_pairs
 from .scalars import qnum, qpow, scalar
 from .spaces import E3, LINE, X_TOKENS, check_option
 
@@ -91,7 +91,11 @@ class CFunction(_LinComb):
         except ValueError:
             raise ValueError(f"unknown variable {name!r}, not one of {variables}") from None
 
-    def _product(self, other):
+    def __mul__(self, other):
+        if isinstance(other, _NUMBER):
+            return self.scale(other)
+        if not self._same_kind(other):
+            return NotImplemented
         # the row of a pair of monomials: their exponents added
         pairs = _term_pairs(self.terms, other.terms)
         return CFunction(self.vars, _apply_rows(pairs, lambda e: ((tuple(map(add, *e)), ONE),)))

@@ -8,7 +8,7 @@ and integrals coincide up to the printed signs."""
 from __future__ import annotations
 
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, ZERO, _add_term, _apply_rows, _LinComb, _term_pairs
+from .scalars import ONE, QScalar, ZERO, _NUMBER, _add_term, _apply_rows, _LinComb, _term_pairs
 from .scalars import qpow, scalar
 from .spaces import CALCULI, check_option
 
@@ -29,7 +29,11 @@ class GElement(_LinComb):
     def gen(tag):
         return GElement({(tag,): ONE})
 
-    def _product(self, other):
+    def __mul__(self, other):
+        if isinstance(other, _NUMBER):
+            return self.scale(other)
+        if not self._same_kind(other):
+            return NotImplemented
         # the rows of a pair of words: the normal form of their concatenation
         pairs = _term_pairs(self.terms, other.terms)
         return GElement(_apply_rows(pairs, lambda w: _normalize(w[0] + w[1]).items()))

@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .cfunc import CFunction, space_vars
 from .scalars import LAM, LAMP, ONE, QScalar, ZERO, _add_term, _LinComb, _power_text, qpow
-from .scalars import _apply_rows, _memo, _memoized, _remember
+from .scalars import _NUMBER, _apply_rows, _memo, _memoized, _remember
 from .scalars import _set, _term_pairs, clear_tables
 from .spaces import (
     CALCULI, D_TOKENS, E3, HAT_POWER, KEY_LAYOUT, LINE, PM_SWAP, PRINT_NAMES, REVERSED, SPATIAL_D,
@@ -530,7 +530,11 @@ class NCElement(_LinComb):
 
     # -- ring structure -----------------------------------------------------
 
-    def _product(self, other):
+    def __mul__(self, other):
+        if isinstance(other, _NUMBER):
+            return self.scale(other)
+        if not self._same_kind(other):
+            return NotImplemented
         space = self.space
 
         def row_of(pair):

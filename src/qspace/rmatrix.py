@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .ncalgebra import NCElement
 from .reports import VerificationReport
-from .scalars import LAM, LAMP, ONE, ZERO, _add_term, _LinComb, _memo
+from .scalars import LAM, LAMP, ONE, ZERO, _NUMBER, _add_term, _LinComb, _memo
 from .scalars import _memoized, _set, qpow
 from .spaces import E3, LABELS, LINE, X_TOKENS, SpaceTable
 
@@ -51,7 +51,11 @@ class QMatrix(_LinComb):
     def get(self, i, j):
         return self.terms.get((i, j), ZERO)
 
-    def _product(self, other):
+    def __mul__(self, other):
+        if isinstance(other, _NUMBER):
+            return self.scale(other)
+        if not self._same_kind(other):
+            return NotImplemented
         by_row = {}
         for (i, k), v in self.terms.items():
             by_row.setdefault(i, []).append((k, v))

@@ -1205,28 +1205,29 @@ class _LinComb:
     ``_frame()`` returns it as the leading constructor arguments, and
     ``_mismatch`` names the exception type and message raised when two frames
     differ.  An operand that is neither a combination of the same class nor
-    a number gets NotImplemented, so Python raises TypeError.  ``__mul__``
-    scales by a number and checks the frame; a subclass supplies only
-    ``_product(other)``, the product with an element of its own class and
-    frame, and, for printing, ``_print_order`` and ``_mono_str`` (the basis
-    key as text, empty for the unit); one whose terms print otherwise than
-    ``_term_str`` overrides it.
+    a number gets NotImplemented, so Python raises TypeError.  Subclasses
+    also supply the product, which scales by a number and returns
+    NotImplemented as well, and, for printing, ``_print_order`` and
+    ``_mono_str`` (the basis key as text, empty for the unit); one whose
+    terms print otherwise than ``_term_str`` overrides it.
 
-    The constructor is the one door for coefficients: a zero one is
-    dropped, an int or Fraction is stored as the equal QScalar, and any
-    other type raises TypeError.  An element keeps its hash and its text
-    once worked out, each written once through ``_set``: both are pure
-    functions of the class, the frame and the terms, so a stored element
-    answers them again at no cost.
+    The constructor is the one door for coefficients: an int or Fraction
+    is stored as the equal QScalar, any other type (a zero of it too)
+    raises TypeError, and a zero QScalar, int or Fraction is dropped.  An
+    element keeps its hash and its text once worked out, each written once
+    through ``_set``: both are pure functions of the class, the frame and
+    the terms, so a stored element answers them again at no cost.
     """
 
     __slots__ = ("terms", "_hash", "_text")
     _mismatch = (ValueError, "frames differ")
 
     def __init__(self, terms=None):
+        # a zero is dropped only if it is a number; one of another type
+        # reaches _as_scalar, which refuses it
         _set(self, "terms", MappingProxyType({
             tuple(k): c if c.__class__ is QScalar else _as_scalar(c)
-            for k, c in terms.items() if c} if terms else {}))
+            for k, c in terms.items() if c or not isinstance(c, _NUMBER)} if terms else {}))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -1282,13 +1283,6 @@ class _LinComb:
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, type(self)) else NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, _NUMBER):
-            return self.scale(other)
-        if not self._same_kind(other):
-            return NotImplemented
-        return self._product(other)
 
     def __rmul__(self, c):
         # a number times a combination

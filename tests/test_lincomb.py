@@ -102,8 +102,9 @@ def test_constructors_store_a_plain_number_as_a_scalar(made, use, want):
     assert got == want
 
 
-@pytest.mark.parametrize("coeff", [1.5, "2", GaussianRational(1, 1)],
-                         ids=["float", "str", "GaussianRational"])
+# a zero of another type is refused too, not dropped as a zero coefficient
+@pytest.mark.parametrize("coeff", [1.5, "2", GaussianRational(1, 1), 0.0],
+                         ids=["float", "str", "GaussianRational", "float-zero"])
 @pytest.mark.parametrize("kind", sorted(_PLAIN))
 def test_a_coefficient_of_another_type_is_refused_at_construction(kind, coeff):
     make, terms = _PLAIN[kind]

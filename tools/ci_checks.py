@@ -155,13 +155,6 @@ selftest.check_memo_readback()
 sys.exit(1 if selftest.FAILURES else 0)
 """)
 
-# the recorded run-twice tests: each second run is answered from result
-# tables keyed by the element hash (translations, antipodes, actions, parses),
-# so they must print the recorded text whatever the hash seed
-RUN_TWICE = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "tests/test_cli.py", "-k", "twice"]
-HASH_SEEDS = ("0", "12345")
-
 LIGHT_IMPORT = python(
     "import sys, qspace.cli; heavy = {'qspace.suites', 'qspace.evolution', 'qspace.rmatrix'}"
     " & set(sys.modules); assert not heavy, heavy")
@@ -224,14 +217,6 @@ def usage_errors():
     return None
 
 
-def run_twice_under_seeds():
-    for seed in HASH_SEEDS:
-        problem = expect_exit(RUN_TWICE, 0, 120, {"PYTHONHASHSEED": seed})
-        if problem:
-            return f"PYTHONHASHSEED={seed}: {problem}"
-    return None
-
-
 def checks():
     """(name, function returning None or what went wrong), one per CI step."""
     reference = REFERENCE.read_bytes()
@@ -251,7 +236,6 @@ def checks():
     # 2-core host
     yield ('nf "(Xm^2000)(Xp)" prints what nf "Xm^2000 Xp" prints, within its time target',
            lambda: same_output(QSPACE + ["nf", "(Xm^2000)(Xp)"], QSPACE + ["nf", "Xm^2000 Xp"], 5))
-    yield ("the recorded run-twice tests pass under two fixed hash seeds", run_twice_under_seeds)
     yield ("the benchmark's memo read-back check passes on its own",
            lambda: expect_exit(MEMO_READBACK, 0, 60))
     yield ("importing the CLI loads no suite, evolution or braiding layer",
