@@ -6,7 +6,8 @@ converge), 2 on usage or parse errors: an unknown option, an option outside
 its domain (a derivative index or variant the space does not have, an int
 --tol that is not finite and positive, a verify --degree above 8, a verify
 --q0 outside 1.1 to 1.3), a division by a zero scalar or a zero scalar to a
-negative power in an expression (a parse error at its '/' or '^').
+negative power in an expression (a parse error at its '/' or '^'), 3 when
+a command runs out of memory (one line on stderr, no traceback).
 Each command imports the layers it uses when it runs, so that a process
 compiles only those."""
 
@@ -479,6 +480,9 @@ def main(argv=None) -> int:
             return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

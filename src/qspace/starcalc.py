@@ -10,6 +10,8 @@ no product of two multi-term polynomials.  A second table holds the
 product of two unit monomials as rows, keyed by both exponent tuples and
 the ordering: each row's key and its leg times a q-power are built once per
 pair, and a product applies the rows of each term pair of its factors.
+A third table holds each product `star` is asked for, keyed by its two
+factor objects, so a repeated query reads its product back.
 The rewriting engine provides the independent oracle
 (round-tripping the product through normal ordering must give the same
 coefficients).  `star_checks` builds the engine's product of
@@ -24,7 +26,7 @@ from operator import add, sub
 from .cfunc import E3_VARS, CFunction, _monomials, space_vars
 from .ncalgebra import _normal_forms, reorder_transform
 from .reports import VerificationReport
-from .scalars import ONE, QScalar, _apply_rows, _memo, _memoized, _term_pairs
+from .scalars import ONE, QScalar, _apply_rows, _memo, _memoized, _remember, _term_pairs
 from .scalars import _P_ONE, _canon, _pgrid, _qnum_mul, _qnum_quo
 from .spaces import E3, X_TOKENS, check_option
 
@@ -124,13 +126,27 @@ def _star_e3(f: CFunction, g: CFunction, reversed_order: bool) -> CFunction:
     return CFunction(E3_VARS, _apply_rows(_term_pairs(f.terms, g.terms), row_of))
 
 
+# (id(f), id(g), reversed_order) -> (f, g, the product): the products asked
+# for, keyed by the two factor objects and not by their values, so a miss
+# hashes no factor.  The entry holds both factors, so neither id can pass to
+# another object while it stands: a key that matches is always the same two
+# objects, with no second check, and elements are read-only, so the same two
+# objects always have the same product
+_PRODUCTS = _memo("starcalc.products")
+
+
 def star(ctx: StarContext, f: CFunction, g: CFunction) -> CFunction:
-    """The star product; on the line it is the plain commutative product."""
+    """The star product; on the line it is the plain commutative product.
+    On euclid3 a repeated pair of factor objects reads its stored product."""
     want = ctx.vars
     f, g = f.restrict(want), g.restrict(want)
     if ctx.space == "line":
         return f * g
-    return _star_e3(f, g, ctx.ordering == "reversed")
+    key = (id(f), id(g), ctx.ordering == "reversed")
+    entry = _PRODUCTS.get(key)
+    if entry is None:
+        entry = _remember(_PRODUCTS, key, (f, g, _star_e3(f, g, key[2])))
+    return entry[2]
 
 
 def star_checks(max_degree: int) -> list:
@@ -144,8 +160,7 @@ def star_checks(max_degree: int) -> list:
     mono = {e: CFunction.monomial(vars_, e) for e in monos}
     deg = {e: sum(e) for e in monos}
     pairs = [(e1, e2) for e1 in monos for e2 in monos if deg[e1] + deg[e2] <= max_degree]
-    std = StarContext(space)
-    table = {p: star(std, mono[p[0]], mono[p[1]]) for p in pairs}
+    table = {p: _star_e3(mono[p[0]], mono[p[1]], False) for p in pairs}
     # the engine's product lower(lift f * lift g) of each pair is the normal
     # form of the two standard words one after the other; the pairs' words
     # share their prefixes, so each is one fold onto another's form
@@ -162,10 +177,9 @@ def star_checks(max_degree: int) -> list:
     # the reversed product against the engine by bilinearity: lift, the
     # product and lower are linear, and the ordering transport keeps degree,
     # so every pair (a, b) of the factors' standard images is in the table
-    rev = StarContext(space, "reversed")
     unrev = {e: reorder_transform(space, mono[e], "to_standard").terms for e in monos}
     for e1, e2 in pairs:
-        got = star(rev, mono[e1], mono[e2])
+        got = _star_e3(mono[e1], mono[e2], True)
         prod = _apply_rows(_term_pairs(unrev[e1], unrev[e2]), lambda ab: engine[ab].terms.items())
         want = reorder_transform(space, CFunction(vars_, prod), "to_reversed")
         oracle.compare(f"reversed:{e1}*{e2}", got, want)

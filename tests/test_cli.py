@@ -118,17 +118,19 @@ def test_a_zero_divisor_is_a_parse_error_at_its_operator(capsys, argv, at):
     assert err == f"parse error: division by zero scalar (at position {at})"
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this qspace."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qspace.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _timed_main(*argv):
     """Exit code, seconds spent in main and stderr of one command run in a
     fresh interpreter; the subprocess timeout turns a hang into a failure."""
-    import qspace
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qspace.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, time\nfrom qspace.cli import main\nt = time.perf_counter()\n"
             f"c = main({list(argv)!r})\nprint(time.perf_counter() - t)\nsys.exit(c)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=30, env=env, check=False)
+                          timeout=30, env=_child_env(), check=False)
     return proc.returncode, float(proc.stdout.splitlines()[-1]), proc.stderr
 
 
@@ -143,6 +145,19 @@ def test_an_exponent_beyond_the_bound_is_a_usage_error(argv):
     assert code == 2, err
     assert "parse error: exponents are bounded by 10000" in err
     assert seconds < 1.0
+
+
+def test_running_out_of_memory_exits_3_without_a_traceback():
+    # nf "Xm^4000 Xp" peaks above 600 MB; the child caps its own address
+    # space at 256 MB, so a MemoryError is raised within a second or so.  It
+    # used to end in a traceback and exit 1
+    pytest.importorskip("resource")
+    code = ("import resource, sys\nfrom qspace.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "sys.exit(main(['nf', 'Xm^4000 Xp']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=_child_env(), check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
 def test_star_by_a_coordinate_builds_no_binomial_rows():
@@ -765,11 +780,9 @@ def test_round_trip_corpus_of_200():
 def test_nf_ladders_finish_quickly(word):
     # the tree rewriter took minutes from Xm^8 Xp^8 on; insertion with
     # merged like terms takes well under a second here
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qspace.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "qspace.cli", "nf", word, "--space", "euclid3"],
-        capture_output=True, text=True, timeout=60, env=env, check=False,
+        capture_output=True, text=True, timeout=60, env=_child_env(), check=False,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

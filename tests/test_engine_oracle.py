@@ -546,6 +546,9 @@ _OWN_LOOKUPS = {
     ("ncalgebra", "_normalize_word"),
     ("ncalgebra", "_fill"),
     ("pairexp", "_series"),
+    # keyed by its factors' ids: a lookup that hashes no factor cannot go
+    # through _memoized, whose key is the argument tuple itself
+    ("starcalc", "star"),
 }
 
 

@@ -427,3 +427,92 @@ def test_star_is_the_per_call_product_cold_warm_and_under_rightmost():
             rightmost = [star(ctx, f, g), star(ctx, f, g)]
         assert [cold, warm, *rightmost] == [want] * 4
         assert {str(p) for p in (cold, warm, *rightmost)} == {str(want)}
+
+
+# the products star was asked for, a live read-only view
+PRODUCTS = qspace.tables()["starcalc.products"]
+
+
+def _pair():
+    """Two new two-term factors whose products differ in the two orderings."""
+    f = mono((0, 1, 2, 1), scalar(Fraction(1, 2))) + mono((1, 0, 0, 2), ONE + Q)
+    g = mono((0, 2, 1, 0), 2 + I) - mono((0, 1, 0, 1))
+    return f, g
+
+
+def test_the_same_two_factors_read_their_stored_product():
+    f, g = _pair()
+    standard, reversed_ = star(CTX, f, g), star(CTX_REV, f, g)
+    assert standard != reversed_  # the ordering is part of the key
+    assert star(CTX, f, g) is standard
+    assert star(CTX_REV, f, g) is reversed_
+    assert PRODUCTS[(id(f), id(g), False)] == (f, g, standard)
+    # the stored product keeps its text, so printing a repeat is free
+    assert str(star(CTX, f, g)) is str(standard)
+
+
+def test_equal_but_distinct_factors_compute_an_equal_product(monkeypatch):
+    exact = starcalc._star_e3
+    calls = []
+
+    def counted(f, g, reversed_order):
+        calls.append((f, g))
+        return exact(f, g, reversed_order)
+
+    monkeypatch.setattr(starcalc, "_star_e3", counted)
+    (f, g), (f2, g2) = _pair(), _pair()
+    assert (f, g) == (f2, g2) and f is not f2 and g is not g2
+    first = star(CTX, f, g)
+    again = star(CTX, f2, g2)
+    assert again == first and again is not first
+    assert len(calls) == 2 and calls[1][0] is f2 and calls[1][1] is g2
+    assert star(CTX, f2, g2) is again and len(calls) == 2
+
+
+def _star_of_new_factors(rng, rev):
+    """star and _star_e3 of two new seeded factors, which are dropped on
+    return, so the next call's factors may take their ids."""
+    monos = _MONOS_6[:60]
+
+    def poly():
+        return sum((mono(rng.choice(monos), scalar(rng.randint(1, 9))) for _ in range(2)),
+                   mono(rng.choice(monos), qpow(rng.randint(-3, 3))))
+
+    f, g = poly(), poly()
+    ids = (id(f), id(g))
+    return star(CTX_REV if rev else CTX, f, g), starcalc._star_e3(f, g, rev), ids
+
+
+def test_new_factors_on_reused_ids_get_their_own_product():
+    # a table that did not hold its factors would let a dropped factor's id
+    # pass to a new one and answer with the old pair's product
+    rng = random.Random(5606)
+    qspace.clear_tables()  # so no store empties the table inside the loop
+    seen = set()
+    for n in range(300):
+        got, want, ids = _star_of_new_factors(rng, n % 2 == 1)
+        assert got == want, n
+        seen.update(ids)
+    assert len(seen) == 600  # the stored factors keep their ids
+    # without a table holding them, CPython hands the dropped ids on
+    reused = set()
+    for _ in range(300):
+        f, g = _pair()
+        reused.update((id(f), id(g)))
+        del f, g
+    assert len(reused) < 600
+
+
+def test_star_hashes_no_factor(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a factor was hashed")
+
+    f, g = _pair()
+    want = starcalc._star_e3(f, g, False)
+    monkeypatch.setattr(CFunction, "__hash__", refuse)
+    with pytest.raises(AssertionError):
+        hash(mono((0, 1, 0, 0)))
+    got = star(CTX, f, g)
+    assert star(CTX, f, g) is got
+    monkeypatch.undo()
+    assert got == want

@@ -171,6 +171,7 @@ REPEATED = {
     "translate": ["translate", "(1 + q) x3^2 xp + q^(1/2) xm", "--variant", "L"],
     "antipode": ["antipode", "lambda x3^3 xp + xm^2 x0", "--variant", "Lbar"],
     "exp": ["exp", "--variant", "xdh", "--degree", "3"],
+    "star": ["star", "(1 + q) xm^2 x3 - lambda xp", "q^(1/2) xp^2 xm + x0 x3", "--reversed"],
 }
 
 
